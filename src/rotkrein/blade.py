@@ -12,9 +12,16 @@ blade.  The full kernel is split as
 where the second part is a smooth channel-wise difference of resolvents at
 shifted and unshifted energies, quadratured plainly, and the free part's
 1/(4 pi d) (3D) or -(1/2 pi) log d (2D) singularity is integrated in closed
-form over each diagonal mesh cell.  Sharp-cutoff and single-channel model
-matrices, the quadratic-form probe, resolvent application with a dense
-solve, and the plain averaged radial solver live here as well.
+form over each diagonal mesh cell.  Every channel matrix comes from the
+separable core _radial.separable_kernel, with J and H evaluated once per
+distinct node radius; the unshifted channel_m(z) depends on |m| (2D) or l
+(3D) only and is built once per matrix.  The 3D tensor mesh has one radius
+per radial Gauss node, so its channel matrices are built on those radii and
+expanded by index.  In 2D, all three boundary matrices integrate the
+kinked diagonal row over the node's own panel through one batched routine,
+_diag_cells.  Sharp-cutoff and single-channel model matrices, the
+quadratic-form probe, resolvent application with a dense solve, and the
+plain averaged radial solver live here as well.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Callable
 import numpy as np
 import scipy.special as sp
 
-from ._radial import g2_vec, g3_vec, radial_apply
+from ._radial import radial_apply, separable_kernel
 from .greens import require_resolvent_energy
 from .pointint import RadialChannelFunction
 from .rotframe import RotationSpec, Truncation
@@ -235,25 +242,51 @@ def _free2_reg(z: complex, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_cell(fn, a: float, c: float, b: float) -> complex:
-    """Gauss integral over [a, b] split at the interior kink c."""
-    acc = 0.0 + 0.0j
-    for lo, hi in ((a, c), (c, b)):
-        if hi - lo < 1e-15:
-            continue
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        tt = mid + half * _XG12
-        acc += half * np.sum(_WG12 * fn(tt))
+def _diag_cells(mesh: BladeMesh, integrand) -> np.ndarray:
+    """Integral of a kinked row over each node's own panel, all nodes at once.
+
+    integrand(r, t) takes node radii of shape (n, 1) and points of shape
+    (n, 24): 12 Gauss points on [a, r_i] and 12 on [r_i, b], with [a, b] the
+    node's panel.  A side narrower than 1e-15 contributes nothing.
+    """
+    r = mesh.r
+    a, b = mesh.cells[np.arange(len(r)) // mesh.n_per].T
+    sides = ((a, r), (r, b))
+    halves = [0.5 * (hi - lo) for lo, hi in sides]
+    tt = np.concatenate(
+        [(0.5 * (hi + lo))[:, None] + h[:, None] * _XG12
+         for (lo, hi), h in zip(sides, halves)],
+        axis=1,
+    )
+    vals = integrand(r[:, None], tt)
+    acc = np.zeros(len(r), dtype=complex)
+    for k, ((lo, hi), h) in enumerate(zip(sides, halves)):
+        part = h * np.sum(_WG12 * vals[:, 12 * k : 12 * (k + 1)], axis=-1)
+        acc += np.where(hi - lo < 1e-15, 0.0, part)
     return acc
+
+
+def _panel_matrix_2d(K: np.ndarray, cells: np.ndarray, bp: BladeParam, mesh: BladeMesh):
+    """diag(1/alpha) - K diag(w), with each node's own panel replaced by its cell."""
+    n = mesh.n_nodes
+    panel = np.arange(n) // mesh.n_per
+    M = -K * mesh.w[None, :]
+    M[panel[:, None] == panel[None, :]] = 0.0
+    M[np.diag_indices(n)] = -cells
+    M[np.diag_indices(n)] += bp.inverse_strength(mesh.r)
+    return M
 
 
 def _diff2(ns, z: complex, omega: float, r, rp):
     """Smooth part: channel differences at shifted vs unshifted energies."""
+    unshifted = {}
     acc = None
     for n in ns:
         if n == 0:
             continue
-        d = g2_vec(n, z + n * omega, r, rp) - g2_vec(n, z, r, rp)
+        if abs(n) not in unshifted:
+            unshifted[abs(n)] = separable_kernel(2, n, z, r, rp)
+        d = separable_kernel(2, n, z + n * omega, r, rp) - unshifted[abs(n)]
         acc = d if acc is None else acc + d
     if acc is None:
         return np.zeros(np.broadcast(np.asarray(r), np.asarray(rp)).shape, dtype=complex)
@@ -264,7 +297,7 @@ def _sum2(ns, z: complex, omega: float, r, rp):
     """Windowed channel sum of the rotating kernel on the segment."""
     acc = None
     for n in ns:
-        d = g2_vec(n, z + n * omega, r, rp)
+        d = separable_kernel(2, n, z + n * omega, r, rp)
         acc = d if acc is None else acc + d
     return acc / (2.0 * math.pi)
 
@@ -272,35 +305,30 @@ def _sum2(ns, z: complex, omega: float, r, rp):
 def _gamma_full_2d(
     z: complex, bp: BladeParam, rot: RotationSpec, t: Truncation, mesh: BladeMesh
 ) -> np.ndarray:
-    r, w = mesh.r, mesh.w
-    n = len(r)
+    r = mesh.r
     wz = sqrt_upper(z)
     ns = range(-t.m_max, t.m_max + 1)
     D = np.abs(r[:, None] - r[None, :])
     np.fill_diagonal(D, 1.0)
     K = 0.25j * sp.hankel1(0, wz * D)
     K = K + _diff2(ns, z, rot.omega, r[:, None], r[None, :])
-    M = -K * w[None, :]
-    n_per = mesh.n_per
-    for i in range(n):
-        p = i // n_per
+    panels = mesh.cells[np.arange(len(r)) // mesh.n_per]
+    log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(panels, r)])
+    free_cells = -log_part / (2.0 * math.pi) + _diag_cells(
+        mesh, lambda ri, tt: _free2_reg(z, np.abs(ri - tt)) * tt
+    )
+    cells = free_cells + _diag_cells(
+        mesh, lambda ri, tt: _diff2(ns, z, rot.omega, ri, tt) * tt
+    )
+    bad = np.flatnonzero(~np.isfinite(cells))
+    if bad.size:
+        i = int(bad[0])
+        p = i // mesh.n_per
         a, b = mesh.cells[p]
-        ri = r[i]
-        free_cell = -_log_moment(a, b, ri) / (2.0 * math.pi) + _split_cell(
-            lambda tt: _free2_reg(z, np.abs(ri - tt)) * tt, a, ri, b
+        raise MeshCellError(
+            f"singular split failed on panel {p} cell [{a:.6g}, {b:.6g}] node {i}"
         )
-        diff_cell = _split_cell(
-            lambda tt: _diff2(ns, z, rot.omega, ri, tt) * tt, a, ri, b
-        )
-        cell = free_cell + diff_cell
-        if not np.isfinite(cell):
-            raise MeshCellError(
-                f"singular split failed on panel {p} cell [{a:.6g}, {b:.6g}] node {i}"
-            )
-        M[i, p * n_per : (p + 1) * n_per] = 0.0
-        M[i, i] = -cell
-    M[np.diag_indices(n)] += bp.inverse_strength(r)
-    return M
+    return _panel_matrix_2d(K, cells, bp, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +395,20 @@ def _y_flat(mesh: BladeMesh, l: int, m: int) -> np.ndarray:
     return np.tile(y_u, len(mesh.r_1d))
 
 
+def _kernel_3d(mesh: BladeMesh, l: int, z: complex, r_rows=None) -> np.ndarray:
+    """g_l(z) from r_rows (default: the mesh nodes) to the flat mesh nodes.
+
+    Built on the distinct radii of the tensor mesh, then expanded by index.
+    """
+    r1 = mesh.r_1d
+    idx = np.repeat(np.arange(len(r1)), len(mesh.u_1d))
+    if r_rows is None:
+        return separable_kernel(3, l, z, r1[:, None], r1[None, :])[np.ix_(idx, idx)]
+    # take, not [:, idx]: the product with the density must see the same
+    # row-major layout as a directly built matrix, or BLAS sums differently.
+    return np.take(separable_kernel(3, l, z, r_rows[:, None], r1[None, :]), idx, axis=1)
+
+
 def _gamma_full_3d(
     z: complex, bp: BladeParam, rot: RotationSpec, t: Truncation, mesh: BladeMesh
 ) -> np.ndarray:
@@ -379,14 +421,15 @@ def _gamma_full_3d(
     np.fill_diagonal(D, 1.0)
     K_free = np.exp(1j * wz * D) / (4.0 * math.pi * D)
     K_diff = np.zeros((n, n), dtype=complex)
+    unshifted = {}
     for m in range(-t.m_max, t.m_max + 1):
         if m == 0:
             continue
         for l in range(abs(m), l_max + 1):
             y = _y_flat(mesh, l, m)
-            diff = g3_vec(l, z + m * rot.omega, R[:, None], R[None, :]) - g3_vec(
-                l, z, R[:, None], R[None, :]
-            )
+            if l not in unshifted:
+                unshifted[l] = _kernel_3d(mesh, l, z)
+            diff = _kernel_3d(mesh, l, z + m * rot.omega) - unshifted[l]
             K_diff += diff * np.outer(y, y)
     M = -(K_free + K_diff) * W[None, :]
     redges = _midpoint_edges(mesh.r_1d, 0.0, mesh.A)
@@ -451,22 +494,11 @@ def gamma_matrix_cutoff(
     if mesh.dim != bp.dim:
         raise ValueError("mesh and blade parameter dimensions differ")
     if bp.dim == 2:
-        r, w = mesh.r, mesh.w
-        n = len(r)
+        r = mesh.r
         ns = range(-min(cap, t.m_max), min(cap, t.m_max) + 1)
         K = _sum2(ns, z, rot.omega, r[:, None], r[None, :])
-        M = -K * w[None, :]
-        n_per = mesh.n_per
-        for i in range(n):
-            p = i // n_per
-            a, b = mesh.cells[p]
-            ri = r[i]
-            cell = _split_cell(
-                lambda tt: _sum2(ns, z, rot.omega, ri, tt) * tt, a, ri, b
-            )
-            M[i, p * n_per : (p + 1) * n_per] = 0.0
-            M[i, i] = -cell
-        M[np.diag_indices(n)] += bp.inverse_strength(r)
+        cells = _diag_cells(mesh, lambda ri, tt: _sum2(ns, z, rot.omega, ri, tt) * tt)
+        M = _panel_matrix_2d(K, cells, bp, mesh)
         return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
     R, W = mesh.r, mesh.w
     n = len(R)
@@ -474,7 +506,7 @@ def gamma_matrix_cutoff(
     for l in range(0, cap + 1):
         for m in range(-min(l, t.m_max), min(l, t.m_max) + 1):
             y = _y_flat(mesh, l, m)
-            K += g3_vec(l, z + m * rot.omega, R[:, None], R[None, :]) * np.outer(y, y)
+            K += _kernel_3d(mesh, l, z + m * rot.omega) * np.outer(y, y)
     M = -K * W[None, :]
     M[np.diag_indices(n)] += bp.inverse_strength(R)
     return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
@@ -498,21 +530,12 @@ def lambda_matrix(
         if bp.dim != 2:
             raise ValueError("2D channel with a non-2D blade")
         n0 = channel0.n
-        r, w = mesh.r, mesh.w
-        n = len(r)
-        K = g2_vec(n0, z, r[:, None], r[None, :]) / (2.0 * math.pi)
-        M = -K * w[None, :]
-        n_per = mesh.n_per
-        for i in range(n):
-            p = i // n_per
-            a, b = mesh.cells[p]
-            ri = r[i]
-            cell = _split_cell(
-                lambda tt: g2_vec(n0, z, ri, tt) * tt / (2.0 * math.pi), a, ri, b
-            )
-            M[i, p * n_per : (p + 1) * n_per] = 0.0
-            M[i, i] = -cell
-        M[np.diag_indices(n)] += bp.inverse_strength(r)
+        r = mesh.r
+        K = separable_kernel(2, n0, z, r[:, None], r[None, :]) / (2.0 * math.pi)
+        cells = _diag_cells(
+            mesh, lambda ri, tt: separable_kernel(2, n0, z, ri, tt) * tt / (2.0 * math.pi)
+        )
+        M = _panel_matrix_2d(K, cells, bp, mesh)
         return GammaMatrix(entries=M, z=z, variant=f"lambda:n0={n0}")
     if bp.dim != 3:
         raise ValueError("3D channel with a non-3D blade")
@@ -525,7 +548,7 @@ def lambda_matrix(
     K = np.zeros((n, n), dtype=complex)
     for l in range(abs(m0), l_max + 1):
         y = _y_flat(mesh, l, m0)
-        K += g3_vec(l, z, R[:, None], R[None, :]) * np.outer(y, y)
+        K += _kernel_3d(mesh, l, z) * np.outer(y, y)
     M = -K * W[None, :]
     M[np.diag_indices(n)] += bp.inverse_strength(R)
     return GammaMatrix(entries=M, z=z, variant=f"lambda:m0={m0}")
@@ -577,13 +600,15 @@ def layer_fields(
     if mesh.dim == 2:
         mu = mesh.w * xi
         for ch in channels:
-            g = g2_vec(ch.n, z + ch.n * rot.omega, r_eval[:, None], mesh.r[None, :])
+            g = separable_kernel(
+                2, ch.n, z + ch.n * rot.omega, r_eval[:, None], mesh.r[None, :]
+            )
             out[ch] = (g @ mu) / (2.0 * math.pi)
         return out
     for ch in channels:
         y = _y_flat(mesh, ch.l, ch.m)
         mu = mesh.w * y * xi
-        g = g3_vec(ch.l, z + ch.m * rot.omega, r_eval[:, None], mesh.r[None, :])
+        g = _kernel_3d(mesh, ch.l, z + ch.m * rot.omega, r_eval)
         out[ch] = g @ mu
     return out
 
@@ -761,7 +786,6 @@ def averaged_resolvent(
     order = psi.order
     f = psi.interpolant()
     rmax = float(psi.grid[-1])
-    gvec = g2_vec if dim == 2 else g3_vec
     if dim == 2:
         n_panels = resolution or 24
         edges = np.linspace(0.0, bp.A, n_panels + 1)
@@ -779,11 +803,11 @@ def averaged_resolvent(
         ww = 0.5 * bp.A * wg
     alpha = bp.alpha_values(rr)
     mu = alpha * ww * rr ** (dim - 1)
-    K = gvec(order, z, rr[:, None], rr[None, :])
+    K = separable_kernel(dim, order, z, rr[:, None], rr[None, :])
     M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
     fp_mesh = radial_apply(dim, order, z, rr, f, rmax=rmax)
     u = np.linalg.solve(M, fp_mesh)
     fp_out = radial_apply(dim, order, z, psi.grid, f, rmax=rmax)
-    K_out = gvec(order, z, psi.grid[:, None], rr[None, :])
+    K_out = separable_kernel(dim, order, z, psi.grid[:, None], rr[None, :])
     vals = fp_out + K_out @ (mu * u)
     return RadialChannelFunction(psi.channel, psi.grid, vals, psi.weights)

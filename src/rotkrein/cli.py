@@ -72,6 +72,7 @@ _COMPUTE_ERRORS = (
     ResonanceError,
     ConditioningError,
     MeshCellError,
+    OverflowError,
     np.linalg.LinAlgError,
 )
 

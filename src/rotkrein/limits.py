@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._radial import g2_vec, g3_vec, radial_apply
+from ._radial import g2_vec, g3_vec, radial_apply, separable_kernel
 from .blade import (
     BladeParam,
     BladeMesh,
@@ -239,7 +239,6 @@ def _averaged_correction(
     order = psi.order
     f = psi.interpolant()
     rmax = float(psi.grid[-1])
-    gvec = g2_vec if dim == 2 else g3_vec
     if dim == 2:
         rr, ww = mesh.r, mesh.w
     else:
@@ -248,10 +247,10 @@ def _averaged_correction(
         ww = 0.5 * bp.A * wg * rr**2
     aeff = bp.alpha_values(rr) / (2.0 * math.pi)
     mu = aeff * ww
-    K = gvec(order, z, rr[:, None], rr[None, :])
+    K = separable_kernel(dim, order, z, rr[:, None], rr[None, :])
     M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
     u = np.linalg.solve(M, radial_apply(dim, order, z, rr, f, rmax=rmax))
-    corr = gvec(order, z, r_eval[:, None], rr[None, :]) @ (mu * u)
+    corr = separable_kernel(dim, order, z, r_eval[:, None], rr[None, :]) @ (mu * u)
     if dim == 2:
         corr = corr / math.sqrt(2.0 * math.pi)
     return corr

@@ -94,6 +94,9 @@ class RadialChannelFunction:
             raise ValueError("grid must be strictly increasing")
         if self.grid[0] < 0.0:
             raise ValueError("radii must be nonnegative")
+        if self.dim == 3 and self.grid[0] == 0.0:
+            # The 3D kernels carry 1/sqrt(r r'), which has no value at r = 0.
+            raise ValueError("3D channel function grid must start above r = 0")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.grid.shape:

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from helpers import fd_averaged_solution, make_psi
+from rotkrein._radial import radial_apply
 from rotkrein.blade import (
     BladeMesh,
     BladeParam,
+    apply_blade_resolvent,
     averaged_resolvent,
     build_mesh,
     form_probe,
@@ -18,6 +21,7 @@ from rotkrein.blade import (
     solve_density,
     weighted_norm,
 )
+from rotkrein.greens import Point2, Point3
 from rotkrein.rotframe import RotationSpec, Truncation
 from rotkrein.specfun import ChannelIndex2, ChannelIndex3
 
@@ -171,8 +175,6 @@ def test_solve_density_matrix_reuse():
 
 
 def test_averaged_resolvent_zero_strength_is_free():
-    from rotkrein._radial import radial_apply
-
     psi = make_psi(2, ChannelIndex2(1))
     bp = BladeParam(1.0, 0.0, 2)
     out = averaged_resolvent(2, Z, bp, psi)
@@ -207,3 +209,37 @@ def test_averaged_resolvent_matches_difference_oracle(dim, channel, tol):
         / float(np.sum(wr * np.abs(u_on_grid) ** 2))
     )
     assert rel < tol
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_apply_blade_resolvent_weak_blade_tends_to_free_field(dim):
+    """As the strength goes to zero the layer term vanishes linearly."""
+    rot = RotationSpec(5.0)
+    if dim == 2:
+        ch, t, mesh = ChannelIndex2(1), Truncation(3), build_mesh(2, 1.0, 4)
+        pts = [Point2(r, th) for r, th in ((0.5, 0.3), (1.5, 1.2), (2.5, 2.0))]
+    else:
+        ch, t, mesh = ChannelIndex3(1, 1), Truncation(2, l_max=3), build_mesh(3, 1.0, 5)
+        pts = [Point3(r, th, ph) for r, th, ph in ((0.5, 0.3, 0.1), (1.5, 1.2, 2.0),
+                                                    (2.5, 2.0, 4.0))]
+    psi = make_psi(dim, ch, n=120)
+    m0 = ch.n if dim == 2 else ch.m
+    r_pts = np.array([p.r for p in pts])
+    radial = radial_apply(dim, psi.order, Z + m0 * rot.omega, r_pts, psi.interpolant(),
+                          rmax=float(psi.grid[-1]))
+    if dim == 2:
+        angular = np.array([np.exp(1j * ch.n * p.theta) / math.sqrt(2.0 * math.pi)
+                            for p in pts])
+    else:
+        angular = np.array(
+            [complex(sp.sph_harm_y(ch.l, ch.m, p.theta, p.phi)) for p in pts]
+        )
+    free = radial * angular
+    gaps = []
+    for strength in (1e-3, 1e-6):
+        bp = BladeParam(1.0, strength, dim)
+        out = apply_blade_resolvent(Z, psi, bp, rot, t, mesh, pts)
+        gaps.append(float(np.max(np.abs(out - free))))
+    scale = float(np.max(np.abs(free)))
+    assert gaps[1] < 1e-5 * scale
+    assert gaps[1] / gaps[0] == pytest.approx(1e-3, rel=0.05)

@@ -97,6 +97,17 @@ def test_kernel_cli_truncation_failure_exit(capsys):
     assert err.startswith("computation failed: TruncationError")
 
 
+def test_kernel_cli_overflow_exit(capsys):
+    code = main(
+        ["kernel", "--dim", "2", "--z", "0.4+1i", "--omega", "1e6",
+         "--point", "1.8,0.4", "--source", "0.5,2.2", "--m-max", "8"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("computation failed: OverflowError")
+    assert err.count("\n") == 1
+
+
 def test_kernel_cli_validation_exit(capsys):
     code = main(
         ["kernel", "--dim", "2", "--z", "nonsense", "--omega", "2.0",

@@ -160,4 +160,10 @@ def test_radial_channel_function_validation():
         RadialChannelFunction(ChannelIndex2(0), [0.5, 1.0], [1.0])
     f = RadialChannelFunction(ChannelIndex3(2, -1), [0.5, 1.0, 1.5], [1, 2, 1])
     assert f.dim == 3 and f.order == 2
+    # 3D grids may not touch the origin, where the kernels divide by sqrt(r);
+    # 2D grids may.
+    origin = np.linspace(0.0, 8.0, 200)
+    with pytest.raises(ValueError, match="r = 0"):
+        RadialChannelFunction(ChannelIndex3(1, 1), origin, origin * np.exp(-origin**2))
+    assert RadialChannelFunction(ChannelIndex2(1), origin, origin).grid[0] == 0.0
     assert f.norm_sq() > 0.0
