@@ -180,6 +180,15 @@ class FormProbeResult:
     ineq_lhs: float | None = None
 
 
+def _panel_nodes(A: float, n_panels: int) -> tuple:
+    """Edges, and 8-point Gauss nodes and weights, of equal panels on [0, A]."""
+    edges = np.linspace(0.0, A, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = mid[:, None] + half[:, None] * _XG8
+    return edges, nodes.ravel(), (half[:, None] * _WG8).ravel()
+
+
 def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
     """Tensor Gauss mesh: resolution panels (2D) or nodes per direction (3D)."""
     if dim not in (2, 3):
@@ -189,20 +198,9 @@ def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
     if not (math.isfinite(A) and A > 0.0):
         raise ValueError(f"blade radius must be positive, got {A}")
     if dim == 2:
-        n_per = 8
-        edges = np.linspace(0.0, A, resolution + 1)
-        xg, wg = np.polynomial.legendre.leggauss(n_per)
-        rr, ww = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            r_p = mid + half * xg
-            rr.append(r_p)
-            ww.append(half * wg * r_p)
+        edges, r, w = _panel_nodes(A, resolution)
         cells = np.stack([edges[:-1], edges[1:]], axis=1)
-        return BladeMesh(
-            dim=2, A=A, r=np.concatenate(rr), w=np.concatenate(ww),
-            cells=cells, n_per=n_per,
-        )
+        return BladeMesh(dim=2, A=A, r=r, w=w * r, cells=cells, n_per=8)
     xr, wr = np.polynomial.legendre.leggauss(resolution)
     xu, wu = np.polynomial.legendre.leggauss(resolution)
     r1 = 0.5 * A * (xr + 1.0)
@@ -783,31 +781,31 @@ def averaged_resolvent(
     z = complex(z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError("spectral parameter on the essential spectrum")
-    order = psi.order
     f = psi.interpolant()
-    rmax = float(psi.grid[-1])
+    n = (24 if dim == 2 else 64) if resolution is None else resolution
+    if n < 1:
+        raise ValueError(f"resolution must be at least 1, got {n}")
     if dim == 2:
-        n_panels = resolution or 24
-        edges = np.linspace(0.0, bp.A, n_panels + 1)
-        xg, wg = np.polynomial.legendre.leggauss(8)
-        rr, ww = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            rr.append(mid + half * xg)
-            ww.append(half * wg)
-        rr = np.concatenate(rr)
-        ww = np.concatenate(ww)
+        _, rr, ww = _panel_nodes(bp.A, n)
     else:
-        xg, wg = np.polynomial.legendre.leggauss(resolution or 64)
+        xg, wg = np.polynomial.legendre.leggauss(n)
         rr = 0.5 * bp.A * (xg + 1.0)
         ww = 0.5 * bp.A * wg
-    alpha = bp.alpha_values(rr)
-    mu = alpha * ww * rr ** (dim - 1)
-    K = separable_kernel(dim, order, z, rr[:, None], rr[None, :])
-    M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
-    fp_mesh = radial_apply(dim, order, z, rr, f, rmax=rmax)
-    u = np.linalg.solve(M, fp_mesh)
-    fp_out = radial_apply(dim, order, z, psi.grid, f, rmax=rmax)
-    K_out = separable_kernel(dim, order, z, psi.grid[:, None], rr[None, :])
-    vals = fp_out + K_out @ (mu * u)
+    mu = bp.alpha_values(rr) * ww * rr ** (dim - 1)
+    fp_out = radial_apply(dim, psi.order, z, psi.grid, f, rmax=float(psi.grid[-1]))
+    vals = fp_out + _ls_correction(dim, z, psi, f, rr, mu, psi.grid)
     return RadialChannelFunction(psi.channel, psi.grid, vals, psi.weights)
+
+
+def _ls_correction(dim, z, psi, f, rr, mu, r_out) -> np.ndarray:
+    """Lippmann-Schwinger correction K(r_out, rr) @ (mu u) of a radial potential.
+
+    mu is the potential times the quadrature weights on the nodes rr (the
+    caller's strength convention), f the interpolant of psi, K the free kernel
+    of psi's channel at z, and (I - K diag(mu)) u = R0 psi on rr.
+    """
+    K = separable_kernel(dim, psi.order, z, rr[:, None], rr[None, :])
+    M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
+    fp = radial_apply(dim, psi.order, z, rr, f, rmax=float(psi.grid[-1]))
+    u = np.linalg.solve(M, fp)
+    return separable_kernel(dim, psi.order, z, r_out[:, None], rr[None, :]) @ (mu * u)

@@ -4,8 +4,9 @@ Three subcommands: `kernel` evaluates rotating-frame or interacting kernels
 at a pair of points, `gamma` evaluates circle couplings and channel
 coefficients, `study` runs a sweep described by an INI config and writes
 CSV/JSON plus a run manifest.  Exit codes: 0 success, 1 computational
-failure, 2 validation failure.  Complex numbers are written "a+bi"; angles
-are radians.
+failure (a study lists its failed rows in the manifest), 2 validation
+failure (any ValueError).  Complex numbers are written "a+bi"; angles are
+radians.
 
 Config schema (INI, all keys flat under their section):
 
@@ -51,30 +52,21 @@ import sys
 
 import numpy as np
 
-from .blade import BladeParam, ConditioningError, MeshCellError
+from .blade import BladeParam
 from .circleint import CircleParam, gamma_coeff_2d, gamma_coeff_3d, gamma_from_alpha
-from .greens import Point2, Point3, TruncationError
+from .greens import Point2, Point3
 from .limits import (
-    StudyTable,
+    _COMPUTE_ERRORS,
     _jsonable,
     blade_convergence_study,
     eps_scaling_study,
     point_convergence_study,
 )
-from .pointint import KreinParam, RadialChannelFunction, ResonanceError, krein_kernel
+from .pointint import KreinParam, RadialChannelFunction, krein_kernel
 from .rotframe import PointSource, RotationSpec, Truncation, rot_green
 from .specfun import ChannelIndex2, ChannelIndex3
 
 __all__ = ["main", "parse_complex", "format_complex"]
-
-_COMPUTE_ERRORS = (
-    TruncationError,
-    ResonanceError,
-    ConditioningError,
-    MeshCellError,
-    OverflowError,
-    np.linalg.LinAlgError,
-)
 
 
 def parse_complex(text: str) -> complex:
@@ -142,10 +134,11 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    l_max = 64 if args.l_max is None else args.l_max
     if args.alpha is not None:
         if args.y0 is None:
             raise ValueError("--alpha needs --y0")
-        val = gamma_from_alpha(args.dim, args.alpha, args.y0, l_max=args.l_max or 64)
+        val = gamma_from_alpha(args.dim, args.alpha, args.y0, l_max=l_max)
         print(f"gamma = {val:.12e} (real by construction, Im = 0)")
         return 0
     if args.gamma is None or args.radius is None or args.z is None or args.channel is None:
@@ -157,7 +150,7 @@ def cmd_gamma(args) -> int:
     if args.dim == 2:
         val = gamma_coeff_2d(int(args.channel), cp, z)
     else:
-        val = gamma_coeff_3d(int(args.channel), cp, z, args.l_max or 64)
+        val = gamma_coeff_3d(int(args.channel), cp, z, l_max)
     print(f"Gamma = {format_complex(val)}")
     return 0
 
@@ -183,12 +176,16 @@ def _psi_profile(dim: int, chans, n_points: int, r_max: float):
     return [RadialChannelFunction(ch, rg, vals.astype(complex), wq) for ch in chans]
 
 
-def _floats(raw: str):
-    return [float(p) for p in raw.split(",") if p.strip()]
+def _grid(sweep, key: str) -> list:
+    values = [float(p) for p in sweep.get(key, "").split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"study needs a nonempty sweep {key} grid")
+    return values
 
 
 def run_study_config(path: str):
-    """Execute a study config; returns (table, manifest dict, exit code)."""
+    """Run a config's study once over its whole sweep grid, write its outputs;
+    returns (table, manifest dict, exit code: 1 if any sweep row failed)."""
     cfg = configparser.ConfigParser()
     if not cfg.read(path):
         raise ValueError(f"config {path!r} not found or unreadable")
@@ -197,78 +194,51 @@ def run_study_config(path: str):
     if kind not in ("point_convergence", "blade_convergence", "eps_scaling"):
         raise ValueError(f"unknown study kind {kind!r}")
     tr = cfg["truncation"] if cfg.has_section("truncation") else {}
-    m_max = int(tr.get("m_max", 8))
     l_max = int(tr["l_max"]) if "l_max" in tr else None
-    t = Truncation(m_max=m_max, l_max=l_max)
+    t = Truncation(m_max=int(tr.get("m_max", 8)), l_max=l_max)
     sweep = cfg["sweep"] if cfg.has_section("sweep") else {}
     par = cfg["parameters"] if cfg.has_section("parameters") else {}
-    manifest: dict = {
-        "config_path": path,
-        "study": kind,
-        "dim": dim,
-        "failures": [],
-    }
     if kind == "eps_scaling":
-        epsilons = _floats(sweep.get("epsilons", ""))
-        if not epsilons:
-            raise ValueError("eps_scaling needs a nonempty sweep epsilons grid")
         table = eps_scaling_study(
             dim,
             float(par.get("x_real", "1.0")),
-            epsilons,
+            _grid(sweep, "epsilons"),
             RotationSpec(float(par.get("omega", "0.0"))),
             PointSource(float(par.get("y0", "1.0")), dim),
             t,
         )
-        manifest["params"] = _jsonable(table.params)
+    else:
+        omegas = _grid(sweep, "omegas")
+        z = parse_complex(par.get("z", "0.4+1i"))
+        psi_sec = cfg["psi"] if cfg.has_section("psi") else {}
+        chans = _config_channels(dim, par.get("channels", "1" if dim == 2 else "1:1"))
+        psis = _psi_profile(
+            dim, chans, int(psi_sec.get("grid_points", 200)),
+            float(psi_sec.get("r_max", 8.0)),
+        )
+        if kind == "point_convergence":
+            table = point_convergence_study(
+                dim, float(par["alpha"]), float(par["y0"]), z, omegas, psis
+            )
+        else:
+            bp = BladeParam(
+                float(par.get("A", "1.0")), float(par.get("strength", "2.0")), dim
+            )
+            resolution = int(tr["resolution"]) if "resolution" in tr else None
+            table = blade_convergence_study(
+                dim, bp, z, omegas, psis, resolution=resolution, t=t
+            )
+        table.rows.sort(key=lambda r: (r["channel"], r["omega"]))
+    manifest: dict = {
+        "config_path": path,
+        "study": kind,
+        "dim": dim,
+        "params": _jsonable(table.params),
+        "truncation": {"m_max": t.m_max, "l_max": t.l_max, "tail_tol": t.tail_tol},
+        "failures": table.failures,
+    }
+    if kind == "eps_scaling":
         manifest["slope"] = table.params["slope"]
-        return table, manifest, 0
-    omegas = _floats(sweep.get("omegas", ""))
-    if not omegas:
-        raise ValueError("study needs a nonempty sweep omegas grid")
-    z = parse_complex(par.get("z", "0.4+1i"))
-    psi_sec = cfg["psi"] if cfg.has_section("psi") else {}
-    chans = _config_channels(dim, par.get("channels", "1" if dim == 2 else "1:1"))
-    psis = _psi_profile(
-        dim, chans, int(psi_sec.get("grid_points", 200)),
-        float(psi_sec.get("r_max", 8.0)),
-    )
-    rows: list = []
-    params: dict = {}
-    failed = []
-    for om in omegas:
-        try:
-            if kind == "point_convergence":
-                part = point_convergence_study(
-                    dim, float(par["alpha"]), float(par["y0"]), z, [om], psis
-                )
-            else:
-                bp = BladeParam(
-                    float(par.get("A", "1.0")), float(par.get("strength", "2.0")), dim
-                )
-                resolution = int(tr["resolution"]) if "resolution" in tr else None
-                part = blade_convergence_study(
-                    dim, bp, z, [om], psis, resolution=resolution,
-                    t=Truncation(m_max=m_max, l_max=l_max),
-                )
-            rows.extend(part.rows)
-            params = part.params
-        except _COMPUTE_ERRORS + (ValueError,) as exc:
-            failed.append({"omega": om, "error": f"{type(exc).__name__}: {exc}"})
-    rows.sort(key=lambda r: (r["channel"], r["omega"]))
-    params["omegas"] = omegas
-    table = StudyTable(kind, params, rows)
-    manifest["params"] = _jsonable(table.params)
-    manifest["truncation"] = {"m_max": m_max, "l_max": l_max,
-                              "tail_tol": t.tail_tol}
-    manifest["failures"] = failed
-    return table, manifest, 1 if failed else 0
-
-
-def cmd_study(args) -> int:
-    table, manifest, status = run_study_config(args.config)
-    cfg = configparser.ConfigParser()
-    cfg.read(args.config)
     out = cfg["output"] if cfg.has_section("output") else {}
     if "csv" in out:
         table.to_csv(out["csv"])
@@ -282,9 +252,13 @@ def cmd_study(args) -> int:
         print(f"wrote {out['manifest']}")
     if not out:
         sys.stdout.write(table.to_csv())
-    if status:
-        print(f"{len(manifest['failures'])} sweep row(s) failed", file=sys.stderr)
-    return status
+    if table.failures:
+        print(f"{len(table.failures)} sweep row(s) failed", file=sys.stderr)
+    return table, manifest, 1 if table.failures else 0
+
+
+def cmd_study(args) -> int:
+    return run_study_config(args.config)[2]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from ._quad import osc_integral
+from ._quad import _panels_integrate, osc_integral
 from .specfun import (
     SingularArgumentError,
     bessel_j,
@@ -171,12 +171,7 @@ def _fixed_node_integral(f, period: float, k_max: float) -> complex:
     xg, wg = np.polynomial.legendre.leggauss(24)
     n_panels = max(8, int(k_max / min(period, 0.5)) + 1)
     edges = np.linspace(0.0, k_max, n_panels + 1)
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    k = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    v = f(k).reshape(n_panels, len(xg))
-    return complex(np.sum(half * np.sum(wg[None, :] * v, axis=1)))
+    return complex(np.sum(_panels_integrate(f, edges, xg, wg)))
 
 
 def radial_kernel_3d(

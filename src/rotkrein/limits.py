@@ -4,22 +4,28 @@ Each study sweeps omega (or the spectral offset epsilon) and reports an
 error norm between a rotating-frame resolvent, applied with the input
 channel held at the physical energy z, and the resolvent of the averaged
 operator it converges to: the circle interaction for a rotating point, the
-radial potential for a rotating blade.  Results come back as StudyTable,
-which serializes deterministically to CSV and JSON.
+radial potential for a rotating blade.  An omega study does each channel's
+omega-independent work once, then runs every omega of its grid; a row that
+raises one of _COMPUTE_ERRORS goes to StudyTable.failures and the sweep goes
+on.  Results come back as StudyTable, which serializes deterministically to
+CSV and JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._radial import g2_vec, g3_vec, radial_apply, separable_kernel
+from ._radial import g2_vec, g3_vec
 from .blade import (
     BladeParam,
     BladeMesh,
+    ConditioningError,
+    MeshCellError,
+    _ls_correction,
     build_mesh,
     gamma_matrix,
     lambda_matrix,
@@ -29,7 +35,8 @@ from .blade import (
     _window_channels,
 )
 from .circleint import CircleParam, gamma_coeff_2d, gamma_coeff_3d, gamma_from_alpha
-from .pointint import KreinParam, RadialChannelFunction, lambda_at
+from .greens import TruncationError
+from .pointint import KreinParam, RadialChannelFunction, ResonanceError, lambda_at
 from .rotframe import PointSource, RotationSpec, Truncation, rot_norm_sq
 from .specfun import ChannelIndex2, ChannelIndex3, equatorial_weight
 
@@ -41,6 +48,17 @@ __all__ = [
 ]
 
 DEFAULT_OMEGAS = (10.0, 20.0, 40.0, 80.0, 160.0)
+
+# Failures of a computation on valid input: a study records them per row, and
+# the CLI maps them to exit status 1 (ValueError, invalid input, to 2).
+_COMPUTE_ERRORS = (
+    TruncationError,
+    ResonanceError,
+    ConditioningError,
+    MeshCellError,
+    OverflowError,
+    np.linalg.LinAlgError,
+)
 
 
 def _fmt(v) -> str:
@@ -69,11 +87,13 @@ def _jsonable(v):
 
 @dataclass(eq=False)
 class StudyTable:
-    """Sweep results: one dict per row, identical keys, sweep column sorted."""
+    """Sweep results: one dict per row, identical keys, sweep column sorted;
+    failures, never serialized, has {"channel", "omega", "error"} per failed row."""
 
     study: str
     params: dict
     rows: list
+    failures: list = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -130,6 +150,41 @@ def _edge_truncation(ch) -> Truncation:
     return Truncation(m_max=abs(ch.m), l_max=max(ch.l, abs(ch.m)))
 
 
+def _check_study(z: complex, omegas, psis) -> tuple:
+    z = complex(z)
+    if z.imag <= 0.0:
+        raise ValueError("study needs Im z > 0")
+    omegas = _check_sweep(omegas)
+    if not psis:
+        raise ValueError("no channel functions supplied")
+    return z, omegas
+
+
+def _sweep(study: str, params: dict, dim: int, psis, zero, setup) -> StudyTable:
+    """Every (channel function, omega in params["omegas"]) row of an omega study.
+
+    setup(psi) does the channel's omega-independent work and returns its row
+    function, omega -> row values; with the interaction off every row is zero.
+    A compute error in a row function is recorded in the table's failures;
+    one in setup, and any ValueError, ends the study.
+    """
+    rows, failures = [], []
+    for psi in psis:
+        if psi.dim != dim:
+            raise ValueError("channel function dimension differs from the study")
+        label = _channel_label(psi.channel)
+        row = (lambda om: zero) if zero else setup(psi)
+        for om in params["omegas"]:
+            try:
+                rows.append({"channel": label, "omega": om, **row(om)})
+            except _COMPUTE_ERRORS as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                failures.append({"channel": label, "omega": om, "error": error})
+    table = StudyTable(study, params, rows)
+    table.failures = failures
+    return table
+
+
 def point_convergence_study(
     dim: int,
     alpha: float,
@@ -150,47 +205,33 @@ def point_convergence_study(
     """
     if dim not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {dim}")
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise ValueError("study needs Im z > 0")
-    omegas = _check_sweep(omegas)
-    if not psis:
-        raise ValueError("no channel functions supplied")
+    z, omegas = _check_study(z, omegas, psis)
     kp = KreinParam(alpha)
     src = PointSource(y0, dim)
-    rows = []
-    for psi in psis:
-        if psi.dim != dim:
-            raise ValueError("channel function dimension differs from the study")
+
+    def setup(psi):
         ch = psi.channel
-        label = _channel_label(ch)
-        if kp.is_free:
-            for om in omegas:
-                rows.append({"channel": label, "omega": om, "error_norm": 0.0})
-            continue
         t = _edge_truncation(ch)
-        wq = psi.quad_weights()
         rg = psi.grid
-        wr = wq * rg ** (dim - 1)
+        wr = psi.quad_weights() * rg ** (dim - 1)
         if dim == 2:
-            n0 = ch.n
-            i_chi = complex(np.sum(wr * g2_vec(n0, z, y0, rg) * psi.values))
+            m0 = ch.n
+            i_chi = complex(np.sum(wr * g2_vec(m0, z, y0, rg) * psi.values))
             gam = gamma_from_alpha(2, alpha, y0, mode=mode)
             beta = 2.0 * math.pi / gamma_coeff_2d(
-                n0, CircleParam(gam, y0, 2), z, mode=mode
+                m0, CircleParam(gam, y0, 2), z, mode=mode
             )
         else:
-            l0, m0 = ch.l, ch.m
+            m0 = ch.m
             L = t.require_l_max()
-            i_chi = complex(np.sum(wr * g3_vec(l0, z, y0, rg) * psi.values))
+            i_chi = complex(np.sum(wr * g3_vec(ch.l, z, y0, rg) * psi.values))
             gam = gamma_from_alpha(3, alpha, y0, l_max=L, mode=mode)
             beta = 2.0 * math.pi / gamma_coeff_3d(
                 m0, CircleParam(gam, y0, 3), z, L, mode=mode
             )
-        for om in omegas:
-            rot = RotationSpec(om)
-            m0 = ch.n if dim == 2 else ch.m
-            lam = lambda_at(dim, z - m0 * om, kp, rot, src, t, mode=mode)
+
+        def row(om):
+            lam = lambda_at(dim, z - m0 * om, kp, RotationSpec(om), src, t, mode=mode)
             e2 = 0.0
             if dim == 2:
                 for n in range(-t.m_max, t.m_max + 1):
@@ -210,17 +251,21 @@ def point_convergence_study(
                         e2 += wgt * float(
                             np.sum(wr * np.abs(coef * i_chi * fld) ** 2)
                         )
-            rows.append({"channel": label, "omega": om, "error_norm": math.sqrt(e2)})
+            return {"error_norm": math.sqrt(e2)}
+
+        return row
+
     params = {
         "dim": dim,
         "alpha": alpha,
         "y0": y0,
         "z": z,
-        "omegas": list(omegas),
+        "omegas": omegas,
         "channels": [_channel_label(p.channel) for p in psis],
         "mode": mode,
     }
-    return StudyTable("point_convergence", params, rows)
+    zero = {"error_norm": 0.0} if kp.is_free else None
+    return _sweep("point_convergence", params, dim, psis, zero, setup)
 
 
 def _averaged_correction(
@@ -236,21 +281,14 @@ def _averaged_correction(
     The sweep-averaged potential is the blade strength spread over the full
     turn, alpha/(2 pi), supported on r <= A in the channel of psi.
     """
-    order = psi.order
-    f = psi.interpolant()
-    rmax = float(psi.grid[-1])
     if dim == 2:
         rr, ww = mesh.r, mesh.w
     else:
         xg, wg = np.polynomial.legendre.leggauss(64)
         rr = 0.5 * bp.A * (xg + 1.0)
         ww = 0.5 * bp.A * wg * rr**2
-    aeff = bp.alpha_values(rr) / (2.0 * math.pi)
-    mu = aeff * ww
-    K = separable_kernel(dim, order, z, rr[:, None], rr[None, :])
-    M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
-    u = np.linalg.solve(M, radial_apply(dim, order, z, rr, f, rmax=rmax))
-    corr = separable_kernel(dim, order, z, r_eval[:, None], rr[None, :]) @ (mu * u)
+    mu = bp.alpha_values(rr) / (2.0 * math.pi) * ww
+    corr = _ls_correction(dim, z, psi, psi.interpolant(), rr, mu, r_eval)
     if dim == 2:
         corr = corr / math.sqrt(2.0 * math.pi)
     return corr
@@ -276,38 +314,25 @@ def blade_convergence_study(
     """
     if dim not in (2, 3) or bp.dim != dim:
         raise ValueError("blade parameter dimension differs from the study")
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise ValueError("study needs Im z > 0")
-    omegas = _check_sweep(omegas)
-    if not psis:
-        raise ValueError("no channel functions supplied")
+    z, omegas = _check_study(z, omegas, psis)
     if t is None:
         t = Truncation(m_max=5) if dim == 2 else Truncation(m_max=3, l_max=6)
-    mesh = build_mesh(dim, bp.A, resolution or (12 if dim == 2 else 13))
-    off = not callable(bp.strength) and float(bp.strength) == 0.0
+    if resolution is None:
+        resolution = 12 if dim == 2 else 13
+    mesh = build_mesh(dim, bp.A, resolution)
     xg, wg = np.polynomial.legendre.leggauss(60)
     r_eval = 1.5 * xg + 1.5
     w_eval = 1.5 * wg * r_eval ** (dim - 1)
     angular = 2.0 * math.pi if dim == 2 else 1.0
     chans = _window_channels(dim, t)
-    rows = []
-    for psi in psis:
-        if psi.dim != dim:
-            raise ValueError("channel function dimension differs from the study")
+
+    def setup(psi):
         ch = psi.channel
-        label = _channel_label(ch)
-        if off:
-            for om in omegas:
-                rows.append(
-                    {"channel": label, "omega": om, "error_norm": 0.0,
-                     "kernel_gap": 0.0}
-                )
-            continue
         m0 = ch.n if dim == 2 else ch.m
         avg = _averaged_correction(dim, z, bp, psi, mesh, r_eval)
         lam_m = lambda_matrix(z, ch, bp, mesh, t=t)
-        for om in omegas:
+
+        def row(om):
             rot = RotationSpec(om)
             z_rot = z - m0 * om
             gm = gamma_matrix(z_rot, bp, rot, t, mesh)
@@ -318,22 +343,24 @@ def blade_convergence_study(
                 d = c - avg if cch == ch else c
                 e2 += angular * float(np.sum(w_eval * np.abs(d) ** 2))
             gap = weighted_norm(mesh, gm.entries - lam_m.entries)
-            rows.append(
-                {"channel": label, "omega": om, "error_norm": math.sqrt(e2),
-                 "kernel_gap": gap}
-            )
+            return {"error_norm": math.sqrt(e2), "kernel_gap": gap}
+
+        return row
+
     params = {
         "dim": dim,
         "A": bp.A,
         "strength": "radial" if callable(bp.strength) else float(bp.strength),
         "z": z,
-        "omegas": list(omegas),
+        "omegas": omegas,
         "channels": [_channel_label(p.channel) for p in psis],
-        "resolution": resolution or (12 if dim == 2 else 13),
+        "resolution": resolution,
         "m_max": t.m_max,
         "l_max": t.l_max,
     }
-    return StudyTable("blade_convergence", params, rows)
+    off = not callable(bp.strength) and float(bp.strength) == 0.0
+    zero = {"error_norm": 0.0, "kernel_gap": 0.0} if off else None
+    return _sweep("blade_convergence", params, dim, psis, zero, setup)
 
 
 def eps_scaling_study(

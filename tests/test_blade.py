@@ -189,6 +189,11 @@ def test_averaged_resolvent_validation():
         averaged_resolvent(3, Z, BladeParam(1.0, 2.0, 3), psi)
     with pytest.raises(ValueError):
         averaged_resolvent(2, 1.5 + 0.0j, bp, psi)
+    with pytest.raises(ValueError, match="resolution"):
+        averaged_resolvent(2, Z, bp, psi, resolution=0)
+    psi3 = make_psi(3, ChannelIndex3(1, 1))
+    with pytest.raises(ValueError, match="resolution"):
+        averaged_resolvent(3, Z, BladeParam(1.0, 2.0, 3), psi3, resolution=0)
 
 
 @pytest.mark.parametrize(

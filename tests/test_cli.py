@@ -142,6 +142,14 @@ def test_gamma_cli(capsys):
     want = gamma_coeff_2d(1, CircleParam(0.9, 0.8, 2), 0.4 + 1.0j)
     assert f"Gamma = {format_complex(want)}" in out
 
+    # an explicit --l-max 0 is used, not replaced by the default 64
+    code = main(["gamma", "--dim", "3", "--alpha", "1", "--y0", "0.8", "--l-max", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    want = gamma_from_alpha(3, 1.0, 0.8, l_max=0)
+    assert want != gamma_from_alpha(3, 1.0, 0.8, l_max=64)
+    assert f"gamma = {want:.12e}" in out
+
     assert main(["gamma", "--dim", "2", "--alpha", str(math.pi), "--y0", "0.8"]) == 2
     assert "free case" in capsys.readouterr().err
     assert main(["gamma", "--dim", "2"]) == 2
@@ -220,16 +228,16 @@ def test_study_cli_no_output_prints_table(tmp_path, capsys):
 
 
 def test_study_cli_records_row_failures(tmp_path, capsys, monkeypatch):
-    import rotkrein.cli as cli_mod
+    import rotkrein.limits as limits_mod
 
-    real = cli_mod.point_convergence_study
+    real = limits_mod.lambda_at
 
-    def flaky(dim, alpha, y0, z, omegas, psis, **kw):
-        if omegas[0] > 15.0:
+    def flaky(dim, z, kp, rot, src, t, **kw):
+        if rot.omega > 15.0:
             raise TruncationError("window too small for this speed")
-        return real(dim, alpha, y0, z, omegas, psis, **kw)
+        return real(dim, z, kp, rot, src, t, **kw)
 
-    monkeypatch.setattr(cli_mod, "point_convergence_study", flaky)
+    monkeypatch.setattr(limits_mod, "lambda_at", flaky)
     csv = tmp_path / "f.csv"
     cfg = _write_config(
         tmp_path / "f.ini",
@@ -240,9 +248,90 @@ def test_study_cli_records_row_failures(tmp_path, capsys, monkeypatch):
     mani = json.loads((tmp_path / "f.mani").read_text())
     assert len(mani["failures"]) == 1
     assert mani["failures"][0]["omega"] == 20.0
+    assert mani["failures"][0]["channel"] == "n=1"
     assert "TruncationError" in mani["failures"][0]["error"]
     lines = csv.read_text().splitlines()
     assert len(lines) == 2  # header plus the surviving omega row
+
+
+def test_study_cli_setup_failure_exit(tmp_path, capsys, monkeypatch):
+    import rotkrein.limits as limits_mod
+    from rotkrein.pointint import ResonanceError
+
+    def resonant(*args, **kw):
+        raise ResonanceError("matching integral vanishes")
+
+    monkeypatch.setattr(limits_mod, "gamma_from_alpha", resonant)
+    cfg = _write_config(tmp_path / "s.ini", POINT_INI.split("[output]")[0])
+    assert main(["study", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("computation failed: ResonanceError")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+BLADE_INI = """\
+[study]
+kind = blade_convergence
+dim = {dim}
+
+[parameters]
+z = 0.4+1i
+A = 1.0
+strength = 2.0
+channels = {channels}
+
+[sweep]
+omegas = 15,30,60
+
+[truncation]
+m_max = 2
+l_max = 3
+resolution = 4
+
+[psi]
+grid_points = 60
+r_max = 3.0
+
+[output]
+csv = {csv}
+"""
+
+
+@pytest.mark.parametrize("dim,channels", [(2, "0,1"), (3, "1:0,1:1")])
+def test_study_cli_blade_sweep_runs_setup_once(tmp_path, capsys, monkeypatch, dim, channels):
+    import rotkrein.limits as limits_mod
+    from rotkrein.blade import BladeParam
+    from rotkrein.cli import _config_channels, _psi_profile
+
+    calls = {"_averaged_correction": 0, "lambda_matrix": 0}
+
+    def spy(name):
+        real = getattr(limits_mod, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(limits_mod, name, spy(name))
+    csv = tmp_path / "b.csv"
+    cfg = _write_config(
+        tmp_path / "b.ini", BLADE_INI.format(dim=dim, channels=channels, csv=csv)
+    )
+    assert main(["study", cfg]) == 0
+    capsys.readouterr()
+    assert calls == {"_averaged_correction": 2, "lambda_matrix": 2}
+
+    psis = _psi_profile(dim, _config_channels(dim, channels), 60, 3.0)
+    tab = limits_mod.blade_convergence_study(
+        dim, BladeParam(1.0, 2.0, dim), 0.4 + 1.0j, [15.0, 30.0, 60.0], psis,
+        resolution=4, t=Truncation(m_max=2, l_max=3),
+    )
+    assert csv.read_text() == tab.to_csv()
+    assert len(tab.rows) == 6
 
 
 def test_study_cli_eps_scaling(tmp_path, capsys):
@@ -284,4 +373,33 @@ def test_study_cli_validation_exits(tmp_path, capsys):
         ),
     )
     assert main(["study", cfg]) == 2
+    # invalid parameters and grids are rejected before any row runs
+    for tag, old, new in (
+        ("alpha", "alpha = 1.5707963267948966", "alpha = 7"),
+        ("order", "omegas = 10,20", "omegas = 20,10,10"),
+    ):
+        csv = tmp_path / f"{tag}.csv"
+        cfg = _write_config(
+            tmp_path / f"{tag}.ini",
+            POINT_INI.format(csv=csv, json=tmp_path / "x.json", mani=tmp_path / "x.mani")
+            .replace(old, new),
+        )
+        assert main(["study", cfg]) == 2
+        assert not csv.exists()
+    for tag, old, new in (("radius", "A = 1.0", "A = -1"),
+                          ("resolution", "resolution = 4", "resolution = 0")):
+        cfg = _write_config(
+            tmp_path / f"{tag}.ini",
+            BLADE_INI.format(dim=2, channels="1", csv=tmp_path / f"{tag}.csv").replace(old, new),
+        )
+        assert main(["study", cfg]) == 2
     capsys.readouterr()
+
+
+def test_kernel_cli_singular_argument_exits_2(capsys):
+    code = main(
+        ["kernel", "--dim", "2", "--z", "0.4+1i", "--omega", "2.0",
+         "--point", "0,0", "--source", "0,1"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")

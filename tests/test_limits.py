@@ -133,6 +133,31 @@ def test_blade_study_radial_strength_label():
     assert tab.column("error_norm")[0] > 0.0
 
 
+def test_point_study_records_row_failures(monkeypatch):
+    import rotkrein.limits as limits_mod
+    from rotkrein.greens import TruncationError
+
+    real = limits_mod.lambda_at
+
+    def flaky(dim, z, kp, rot, src, t, **kw):
+        if rot.omega == 40.0:
+            raise TruncationError("window too small for this speed")
+        return real(dim, z, kp, rot, src, t, **kw)
+
+    psis = [make_psi(2, ChannelIndex2(1), n=60)]
+    want = point_convergence_study(2, math.pi / 2, 0.72, Z, (10.0, 160.0), psis)
+    monkeypatch.setattr(limits_mod, "lambda_at", flaky)
+    tab = point_convergence_study(2, math.pi / 2, 0.72, Z, (10.0, 40.0, 160.0), psis)
+    assert tab.rows == want.rows
+    assert tab.failures == [
+        {"channel": "n=1", "omega": 40.0,
+         "error": "TruncationError: window too small for this speed"}
+    ]
+    assert want.failures == []
+    assert "failures" not in tab.to_json()
+    assert tab.to_csv() == want.to_csv()
+
+
 def test_eps_study_slope_and_monotone():
     tab = eps_scaling_study(
         2, 1.0, np.geomspace(1e-3, 1e-1, 5), RotationSpec(0.0),
