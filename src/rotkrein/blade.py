@@ -21,7 +21,9 @@ expanded by index.  In 2D, all three boundary matrices integrate the
 kinked diagonal row over the node's own panel through one batched routine,
 _diag_cells.  Sharp-cutoff and single-channel model matrices, the
 quadratic-form probe, resolvent application with a dense solve, and the
-plain averaged radial solver live here as well.
+plain averaged radial solver live here as well.  Channel enumerations,
+shifts, orders and angular factors come from the specfun channel classes;
+only the geometry (meshes, diagonal cells, angular samples) is per dimension.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from ._radial import radial_apply, separable_kernel
 from .greens import require_resolvent_energy
 from .pointint import RadialChannelFunction
 from .rotframe import RotationSpec, Truncation
-from .specfun import ChannelIndex2, ChannelIndex3, sqrt_upper
+from .specfun import ChannelIndex2, ChannelIndex3, channel_class, sqrt_upper
 
 __all__ = [
     "BladeParam",
@@ -92,8 +94,7 @@ class BladeParam:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.A) and self.A > 0.0):
             raise ValueError(f"blade radius must be positive, got {self.A}")
-        if self.dim not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dim}")
+        channel_class(self.dim)
         if not callable(self.strength) and not math.isfinite(float(self.strength)):
             raise ValueError("strength must be finite")
 
@@ -191,8 +192,7 @@ def _panel_nodes(A: float, n_panels: int) -> tuple:
 
 def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
     """Tensor Gauss mesh: resolution panels (2D) or nodes per direction (3D)."""
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
+    channel_class(dim)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if not (math.isfinite(A) and A > 0.0):
@@ -413,22 +413,20 @@ def _gamma_full_3d(
     R, W = mesh.r, mesh.w
     th = mesh.theta()
     n = len(R)
-    l_max = t.require_l_max()
     wz = sqrt_upper(z)
     D = _chord(R[:, None], th[:, None], R[None, :], th[None, :])
     np.fill_diagonal(D, 1.0)
     K_free = np.exp(1j * wz * D) / (4.0 * math.pi * D)
     K_diff = np.zeros((n, n), dtype=complex)
     unshifted = {}
-    for m in range(-t.m_max, t.m_max + 1):
-        if m == 0:
+    for ch in ChannelIndex3.window(t):
+        if ch.m == 0:
             continue
-        for l in range(abs(m), l_max + 1):
-            y = _y_flat(mesh, l, m)
-            if l not in unshifted:
-                unshifted[l] = _kernel_3d(mesh, l, z)
-            diff = _kernel_3d(mesh, l, z + m * rot.omega) - unshifted[l]
-            K_diff += diff * np.outer(y, y)
+        y = _y_flat(mesh, ch.l, ch.m)
+        if ch.l not in unshifted:
+            unshifted[ch.l] = _kernel_3d(mesh, ch.l, z)
+        diff = _kernel_3d(mesh, ch.l, z + ch.m * rot.omega) - unshifted[ch.l]
+        K_diff += diff * np.outer(y, y)
     M = -(K_free + K_diff) * W[None, :]
     redges = _midpoint_edges(mesh.r_1d, 0.0, mesh.A)
     uedges = _midpoint_edges(mesh.u_1d, -1.0, 1.0)
@@ -461,8 +459,7 @@ def gamma_matrix(
     split; a nonfinite cell integral raises MeshCellError naming the cell.
     """
     z = require_resolvent_energy(z)
-    if mesh.dim != bp.dim:
-        raise ValueError("mesh and blade parameter dimensions differ")
+    channel_class(mesh.dim, bp)
     if mesh.n_nodes > _MAX_DENSE_NODES:
         raise ValueError(f"mesh exceeds the dense budget of {_MAX_DENSE_NODES} nodes")
     if bp.dim == 2:
@@ -489,11 +486,10 @@ def gamma_matrix_cutoff(
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     z = require_resolvent_energy(z)
-    if mesh.dim != bp.dim:
-        raise ValueError("mesh and blade parameter dimensions differ")
+    chans = channel_class(mesh.dim, bp).cutoff(cap, t)
     if bp.dim == 2:
         r = mesh.r
-        ns = range(-min(cap, t.m_max), min(cap, t.m_max) + 1)
+        ns = [ch.n for ch in chans]
         K = _sum2(ns, z, rot.omega, r[:, None], r[None, :])
         cells = _diag_cells(mesh, lambda ri, tt: _sum2(ns, z, rot.omega, ri, tt) * tt)
         M = _panel_matrix_2d(K, cells, bp, mesh)
@@ -501,10 +497,9 @@ def gamma_matrix_cutoff(
     R, W = mesh.r, mesh.w
     n = len(R)
     K = np.zeros((n, n), dtype=complex)
-    for l in range(0, cap + 1):
-        for m in range(-min(l, t.m_max), min(l, t.m_max) + 1):
-            y = _y_flat(mesh, l, m)
-            K += _kernel_3d(mesh, l, z + m * rot.omega) * np.outer(y, y)
+    for ch in chans:
+        y = _y_flat(mesh, ch.l, ch.m)
+        K += _kernel_3d(mesh, ch.l, z + ch.m * rot.omega) * np.outer(y, y)
     M = -K * W[None, :]
     M[np.diag_indices(n)] += bp.inverse_strength(R)
     return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
@@ -524,9 +519,8 @@ def lambda_matrix(
     rotation speeds up.  3D needs the degree cap from t.
     """
     z = require_resolvent_energy(z)
-    if isinstance(channel0, ChannelIndex2):
-        if bp.dim != 2:
-            raise ValueError("2D channel with a non-2D blade")
+    channel_class(mesh.dim, channel0, bp)
+    if mesh.dim == 2:
         n0 = channel0.n
         r = mesh.r
         K = separable_kernel(2, n0, z, r[:, None], r[None, :]) / (2.0 * math.pi)
@@ -535,8 +529,6 @@ def lambda_matrix(
         )
         M = _panel_matrix_2d(K, cells, bp, mesh)
         return GammaMatrix(entries=M, z=z, variant=f"lambda:n0={n0}")
-    if bp.dim != 3:
-        raise ValueError("3D channel with a non-3D blade")
     if t is None:
         raise ValueError("3D single-channel matrix needs a truncation for l_max")
     l_max = t.require_l_max()
@@ -558,27 +550,6 @@ def weighted_norm(mesh: BladeMesh, entries: np.ndarray) -> float:
     return float(np.linalg.norm(sw[:, None] * entries / sw[None, :], 2))
 
 
-def _cutoff_channels(dim: int, cap: int, t: Truncation):
-    if dim == 2:
-        cc = min(cap, t.m_max)
-        return [ChannelIndex2(n) for n in range(-cc, cc + 1)]
-    chans = []
-    for l in range(0, cap + 1):
-        for m in range(-min(l, t.m_max), min(l, t.m_max) + 1):
-            chans.append(ChannelIndex3(l, m))
-    return chans
-
-
-def _window_channels(dim: int, t: Truncation):
-    if dim == 2:
-        return [ChannelIndex2(n) for n in range(-t.m_max, t.m_max + 1)]
-    chans = []
-    for m in range(-t.m_max, t.m_max + 1):
-        for l in range(abs(m), t.require_l_max() + 1):
-            chans.append(ChannelIndex3(l, m))
-    return chans
-
-
 def layer_fields(
     z: complex,
     xi: np.ndarray,
@@ -592,6 +563,8 @@ def layer_fields(
     2D coefficients multiply exp(i n theta); 3D coefficients multiply
     Y_l^m(theta, phi).  Channel m is evaluated at energy z + m*omega.
     """
+    channels = list(channels)
+    channel_class(mesh.dim, *channels)
     r_eval = np.asarray(r_eval, dtype=float)
     xi = np.asarray(xi, dtype=complex)
     out = {}
@@ -635,20 +608,14 @@ def form_probe(
     probe = float(np.real(np.sum(mesh.w * np.conj(xi) * (M @ xi))))
     if psi is None:
         return FormProbeResult(probe=probe)
-    if psi.dim != bp.dim:
-        raise ValueError("psi dimension differs from the blade")
-    chans = _cutoff_channels(bp.dim, cap, t)
-    fields = layer_fields(z, xi, rot, mesh, psi.grid, chans)
+    cls = channel_class(bp.dim, psi)
+    fields = layer_fields(z, xi, rot, mesh, psi.grid, cls.cutoff(cap, t))
     wq = psi.quad_weights()
     rg = psi.grid
-    if bp.dim == 2:
-        rfac = rg
-        coef0 = psi.values / math.sqrt(2.0 * math.pi)
-        angular = 2.0 * math.pi
-    else:
-        rfac = rg**2
-        coef0 = psi.values
-        angular = 1.0
+    rfac = rg ** (bp.dim - 1)
+    # Layer fields multiply the channel harmonic, psi its orthonormal factor.
+    angular = cls.harmonic_norm_sq
+    coef0 = psi.values / math.sqrt(angular)
     inner = 0.0 + 0.0j
     mism = 0.0
     ch0 = psi.channel
@@ -665,29 +632,17 @@ def form_probe(
     return FormProbeResult(probe=probe, ineq_lhs=float(lhs))
 
 
-def _free_field_parts(
-    z: complex,
-    psi: RadialChannelFunction,
-    rot: RotationSpec,
-    mesh: BladeMesh,
-):
-    """Free-resolvent field of psi: samples on the blade and its radial trace.
+def _free_radial(
+    z: complex, psi: RadialChannelFunction, rot: RotationSpec, r: np.ndarray
+) -> np.ndarray:
+    """Free-resolvent radial profile of psi at radii r.
 
     Channel m0 of the rotating frame sits at energy z + m0*omega.
     """
     ch = psi.channel
-    f = psi.interpolant()
+    z_ch = z + ch.shift * rot.omega
     rmax = float(psi.grid[-1])
-    m0 = ch.n if isinstance(ch, ChannelIndex2) else ch.m
-    z_ch = z + m0 * rot.omega
-    if mesh.dim == 2:
-        fp = radial_apply(2, abs(ch.n), z_ch, mesh.r, f, rmax=rmax)
-        trace = fp / math.sqrt(2.0 * math.pi)
-    else:
-        fp_r = radial_apply(3, ch.l, z_ch, mesh.r_1d, f, rmax=rmax)
-        fp = np.repeat(fp_r, len(mesh.u_1d))
-        trace = fp * _y_flat(mesh, ch.l, ch.m)
-    return z_ch, trace
+    return radial_apply(ch.dim, ch.order, z_ch, r, psi.interpolant(), rmax=rmax)
 
 
 def solve_density(
@@ -706,8 +661,7 @@ def solve_density(
     reports the condition number and fails above the trust bound.  A matrix
     already assembled for this (z, mesh) can be passed to skip reassembly.
     """
-    if psi.dim != bp.dim:
-        raise ValueError("psi dimension differs from the blade")
+    channel_class(bp.dim, psi, mesh)
     if gm is not None and gm.z != complex(z):
         raise ValueError("prebuilt matrix was assembled at a different parameter")
     M = gm.entries if gm is not None else gamma_matrix(z, bp, rot, t, mesh).entries
@@ -717,7 +671,12 @@ def solve_density(
         raise ConditioningError(
             f"boundary matrix condition number {cond:.3g} exceeds {_COND_LIMIT:g}"
         )
-    _, trace = _free_field_parts(z, psi, rot, mesh)
+    if mesh.dim == 2:
+        # The segment lies at theta = 0, where the angular factor is 1/sqrt(2 pi).
+        trace = _free_radial(z, psi, rot, mesh.r) / math.sqrt(2.0 * math.pi)
+    else:
+        fp = np.repeat(_free_radial(z, psi, rot, mesh.r_1d), len(mesh.u_1d))
+        trace = fp * _y_flat(mesh, psi.channel.l, psi.channel.m)
     phi = np.linalg.solve(M, trace)
     return BoundaryDensity(values=phi)
 
@@ -736,28 +695,18 @@ def apply_blade_resolvent(
     Free part plus the layer potential of one dense boundary solve; channel m
     runs at energy z + m*omega, with channels drawn from the window t.
     """
+    cls = channel_class(bp.dim, mesh, *eval_points)
     density = solve_density(z, psi, bp, rot, t, mesh)
     ch = psi.channel
-    f = psi.interpolant()
-    rmax = float(psi.grid[-1])
-    m0 = ch.n if isinstance(ch, ChannelIndex2) else ch.m
-    z_ch = z + m0 * rot.omega
     r_pts = np.array([p.r for p in eval_points], dtype=float)
-    fp_pts = radial_apply(
-        mesh.dim, abs(ch.n) if mesh.dim == 2 else ch.l, z_ch, r_pts, f, rmax=rmax
-    )
-    chans = _window_channels(bp.dim, t)
-    fields = layer_fields(z, density.values, rot, mesh, r_pts, chans)
+    fp_pts = _free_radial(z, psi, rot, r_pts)
+    fields = layer_fields(z, density.values, rot, mesh, r_pts, cls.window(t))
     out = np.zeros(len(r_pts), dtype=complex)
     for i, p in enumerate(eval_points):
-        if mesh.dim == 2:
-            val = fp_pts[i] * np.exp(1j * ch.n * p.theta) / math.sqrt(2.0 * math.pi)
-            for cch, c in fields.items():
-                val += c[i] * np.exp(1j * cch.n * p.theta)
-        else:
-            val = fp_pts[i] * sp.sph_harm_y(ch.l, ch.m, p.theta, p.phi)
-            for cch, c in fields.items():
-                val += c[i] * sp.sph_harm_y(cch.l, cch.m, p.theta, p.phi)
+        # psi multiplies the orthonormal factor, the layer fields the harmonic.
+        val = fp_pts[i] * ch.harmonic(*p.angles) / math.sqrt(cls.harmonic_norm_sq)
+        for cch, c in fields.items():
+            val += c[i] * cch.harmonic(*p.angles)
         out[i] = val
     return out
 
@@ -776,8 +725,7 @@ def averaged_resolvent(
     resolvent.  Nystrom collocation on a Gauss mesh over [0, A], then one
     back-substitution onto the grid of psi.
     """
-    if dim not in (2, 3) or psi.dim != dim or bp.dim != dim:
-        raise ValueError("dimension mismatch between psi, blade parameter and dim")
+    channel_class(dim, psi, bp)
     z = complex(z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError("spectral parameter on the essential spectrum")

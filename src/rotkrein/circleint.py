@@ -30,7 +30,7 @@ from .greens import (
 )
 from .pointint import KreinParam, RadialChannelFunction, ResonanceError, lambda_at
 from .rotframe import PointSource, RotationSpec, Truncation
-from .specfun import ChannelIndex2, ChannelIndex3, equatorial_weight
+from .specfun import ChannelIndex2, ChannelIndex3, channel_class, equatorial_weight
 
 __all__ = [
     "CircleParam",
@@ -57,8 +57,7 @@ class CircleParam:
             raise ValueError(f"gamma must be finite and real, got {self.gamma}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.dim not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dim}")
+        channel_class(self.dim)
 
 
 def gamma_coeff_3d(
@@ -70,8 +69,7 @@ def gamma_coeff_3d(
     mode: str = "closed",
 ) -> complex:
     """Channel coefficient Gamma_m(z) of the 3D circle interaction."""
-    if cp.dim != 3:
-        raise ValueError("3D coefficient of a non-3D circle parameter")
+    channel_class(3, cp)
     z = require_resolvent_energy(z)
     if l_max < abs(m):
         raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
@@ -92,8 +90,7 @@ def gamma_coeff_2d(
     mode: str = "closed",
 ) -> complex:
     """Channel coefficient Gamma_n(z) of the 2D circle interaction."""
-    if cp.dim != 2:
-        raise ValueError("2D coefficient of a non-2D circle parameter")
+    channel_class(2, cp)
     if cp.gamma == 0.0:
         raise ValueError("gamma = 0 has no 2D channel coefficient")
     z = require_resolvent_energy(z)
@@ -127,8 +124,7 @@ def apply_circle_resolvent(
     3D the correction carries |Y_l0^m0(eq)|^2, so equatorially odd channels
     come back with the free part alone.
     """
-    if dim != psi.dim or dim != cp.dim:
-        raise ValueError("dimension mismatch between psi, circle parameter and dim")
+    channel_class(dim, psi, cp)
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("resolvent application needs Im z > 0")
@@ -145,15 +141,13 @@ def apply_circle_resolvent(
     i_chi = complex(radial_apply(dim, order, z, np.array([cp.radius]), f, rmax=rmax)[0])
     if dim == 2:
         weight = 1.0 / gamma_ch  # (2 pi / Gamma) * (1/2 pi)
-        corr = weight * i_chi * np.array(
-            [radial_kernel_2d(order, z, r, cp.radius, mode, t.quad) for r in psi.grid]
-        )
+        kernel = radial_kernel_2d
     else:
-        wgt = equatorial_weight(psi.channel.l, psi.channel.m)
-        weight = 2.0 * math.pi * wgt / gamma_ch
-        corr = weight * i_chi * np.array(
-            [radial_kernel_3d(order, z, r, cp.radius, mode, t.quad) for r in psi.grid]
-        )
+        weight = 2.0 * math.pi * psi.channel.source_weight() / gamma_ch
+        kernel = radial_kernel_3d
+    corr = weight * i_chi * np.array(
+        [kernel(order, z, r, cp.radius, mode, t.quad) for r in psi.grid]
+    )
     return RadialChannelFunction(psi.channel, psi.grid, free_vals + corr, psi.weights)
 
 
@@ -174,8 +168,7 @@ def gamma_from_alpha(
     the dimension's own Gamma convention, so it can be used directly as
     CircleParam.gamma at the same truncation.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
+    channel_class(dim)
     if not (0.0 <= alpha < 2.0 * math.pi):
         raise ValueError(f"alpha must lie in [0, 2*pi), got {alpha}")
     if abs(alpha - math.pi) < 1e-12:
@@ -210,9 +203,8 @@ def beta_consistency(
     degree cap, against lambda(z - m0 omega, alpha) of the rotating point
     interaction.  Decays as the rotation speeds up.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
-    m0 = channel.n if isinstance(channel, ChannelIndex2) else channel.m
+    channel_class(dim, channel, src)
+    m0 = channel.shift
     l_cap = t.require_l_max() if dim == 3 else 64
     gam = gamma_from_alpha(dim, alpha, src.y0, t.quad, l_max=l_cap, mode=mode)
     cp = CircleParam(gam, src.y0, dim)

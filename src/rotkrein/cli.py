@@ -93,13 +93,9 @@ def format_complex(v: complex) -> str:
 
 def _parse_point(text: str, dim: int) -> Point2 | Point3:
     parts = [float(p) for p in text.split(",")]
-    if dim == 2:
-        if len(parts) != 2:
-            raise ValueError(f"2D point needs r,theta, got {text!r}")
-        return Point2(parts[0], parts[1])
-    if len(parts) != 3:
-        raise ValueError(f"3D point needs r,theta,phi, got {text!r}")
-    return Point3(parts[0], parts[1], parts[2])
+    if len(parts) != dim:
+        raise ValueError(f"{dim}D point needs r and {dim - 1} angle(s), got {text!r}")
+    return (Point2 if dim == 2 else Point3)(*parts)
 
 
 def _truncation_args(args) -> Truncation:

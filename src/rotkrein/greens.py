@@ -29,9 +29,10 @@ import scipy.special as sp
 
 from ._quad import _panels_integrate, osc_integral
 from .specfun import (
+    ChannelIndex2,
+    ChannelIndex3,
     SingularArgumentError,
     bessel_j,
-    equatorial_weight,
     hankel1,
     sph_bessel_j,
     sph_hankel1,
@@ -55,10 +56,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Source azimuth conventions: polar angle pi/2 in 2D, equatorial point at
-# phi = 0 in 3D.  Phases are absorbed into the channel kernels.
-SOURCE_THETA_2D = math.pi / 2.0
-SOURCE_ANGLES_3D = (math.pi / 2.0, 0.0)
+# Source angles as the channel classes state them: polar angle pi/2 in 2D,
+# the equator at phi = 0 in 3D.  Phases are absorbed into the channel kernels.
+(SOURCE_THETA_2D,) = ChannelIndex2.source_angles
+SOURCE_ANGLES_3D = ChannelIndex3.source_angles
 
 
 class TruncationError(RuntimeError):
@@ -73,6 +74,8 @@ class Point3:
     theta: float
     phi: float
 
+    dim = 3
+
     def __post_init__(self) -> None:
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"radius must be finite and nonnegative, got {self.r}")
@@ -80,6 +83,10 @@ class Point3:
             raise ValueError(f"polar angle out of [0, pi]: {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ValueError(f"azimuth out of [0, 2*pi): {self.phi}")
+
+    @property
+    def angles(self) -> tuple:
+        return (self.theta, self.phi)
 
     def cartesian(self) -> np.ndarray:
         st = math.sin(self.theta)
@@ -95,11 +102,17 @@ class Point2:
     r: float
     theta: float
 
+    dim = 2
+
     def __post_init__(self) -> None:
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"radius must be finite and nonnegative, got {self.r}")
         if not 0.0 <= self.theta < 2.0 * math.pi:
             raise ValueError(f"polar angle out of [0, 2*pi): {self.theta}")
+
+    @property
+    def angles(self) -> tuple:
+        return (self.theta,)
 
     def cartesian(self) -> np.ndarray:
         return self.r * np.array([math.cos(self.theta), math.sin(self.theta)])

@@ -8,7 +8,8 @@ radial potential for a rotating blade.  An omega study does each channel's
 omega-independent work once, then runs every omega of its grid; a row that
 raises one of _COMPUTE_ERRORS goes to StudyTable.failures and the sweep goes
 on.  Results come back as StudyTable, which serializes deterministically to
-CSV and JSON.
+CSV and JSON.  Both dimensions share each study's code through the specfun
+channel classes; only defaults and averaged-solver nodes differ by dimension.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._radial import g2_vec, g3_vec
+from ._radial import separable_kernel
 from .blade import (
     BladeParam,
     BladeMesh,
@@ -32,13 +33,12 @@ from .blade import (
     layer_fields,
     solve_density,
     weighted_norm,
-    _window_channels,
 )
-from .circleint import CircleParam, gamma_coeff_2d, gamma_coeff_3d, gamma_from_alpha
+from .circleint import CircleParam, _gamma_for_channel, gamma_from_alpha
 from .greens import TruncationError
 from .pointint import KreinParam, RadialChannelFunction, ResonanceError, lambda_at
 from .rotframe import PointSource, RotationSpec, Truncation, rot_norm_sq
-from .specfun import ChannelIndex2, ChannelIndex3, equatorial_weight
+from .specfun import channel_class
 
 __all__ = [
     "StudyTable",
@@ -137,19 +137,6 @@ def _check_sweep(values) -> list:
     return values
 
 
-def _channel_label(ch) -> str:
-    if isinstance(ch, ChannelIndex2):
-        return f"n={ch.n}"
-    return f"l={ch.l},m={ch.m}"
-
-
-def _edge_truncation(ch) -> Truncation:
-    """Minimal window that still sees the study channel at its edge."""
-    if isinstance(ch, ChannelIndex2):
-        return Truncation(m_max=abs(ch.n))
-    return Truncation(m_max=abs(ch.m), l_max=max(ch.l, abs(ch.m)))
-
-
 def _check_study(z: complex, omegas, psis) -> tuple:
     z = complex(z)
     if z.imag <= 0.0:
@@ -170,9 +157,8 @@ def _sweep(study: str, params: dict, dim: int, psis, zero, setup) -> StudyTable:
     """
     rows, failures = [], []
     for psi in psis:
-        if psi.dim != dim:
-            raise ValueError("channel function dimension differs from the study")
-        label = _channel_label(psi.channel)
+        channel_class(dim, psi)
+        label = psi.channel.label
         row = (lambda om: zero) if zero else setup(psi)
         for om in params["omegas"]:
             try:
@@ -203,54 +189,38 @@ def point_convergence_study(
     multiplying the source overlap and a shifted-energy kernel profile.  The
     row value is the grid L2 norm of that difference field.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
+    cls = channel_class(dim)
     z, omegas = _check_study(z, omegas, psis)
     kp = KreinParam(alpha)
     src = PointSource(y0, dim)
 
     def setup(psi):
         ch = psi.channel
-        t = _edge_truncation(ch)
+        m0 = ch.shift
+        # Minimal window that still sees the study channel at its edge (2D
+        # reads no l_max).
+        t = Truncation(m_max=abs(m0), l_max=ch.order)
         rg = psi.grid
         wr = psi.quad_weights() * rg ** (dim - 1)
-        if dim == 2:
-            m0 = ch.n
-            i_chi = complex(np.sum(wr * g2_vec(m0, z, y0, rg) * psi.values))
-            gam = gamma_from_alpha(2, alpha, y0, mode=mode)
-            beta = 2.0 * math.pi / gamma_coeff_2d(
-                m0, CircleParam(gam, y0, 2), z, mode=mode
-            )
-        else:
-            m0 = ch.m
-            L = t.require_l_max()
-            i_chi = complex(np.sum(wr * g3_vec(ch.l, z, y0, rg) * psi.values))
-            gam = gamma_from_alpha(3, alpha, y0, l_max=L, mode=mode)
-            beta = 2.0 * math.pi / gamma_coeff_3d(
-                m0, CircleParam(gam, y0, 3), z, L, mode=mode
-            )
+        g_src = separable_kernel(dim, ch.order, z, y0, rg)
+        i_chi = complex(np.sum(wr * g_src * psi.values))
+        gam = gamma_from_alpha(dim, alpha, y0, l_max=ch.order, mode=mode)
+        cp = CircleParam(gam, y0, dim)
+        beta = 2.0 * math.pi / _gamma_for_channel(ch, cp, z, t, mode)
+        # Side channel c of the source field: kernel g_c(r, y0) over the
+        # harmonic's norm, weighted by the norm and |harmonic|^2 at the source.
+        norm = cls.harmonic_norm_sq
+        sides = [(c, norm * c.source_weight()) for c in cls.window(t)]
+        sides = [(c, w) for c, w in sides if w != 0.0]
 
         def row(om):
             lam = lambda_at(dim, z - m0 * om, kp, RotationSpec(om), src, t, mode=mode)
             e2 = 0.0
-            if dim == 2:
-                for n in range(-t.m_max, t.m_max + 1):
-                    fld = g2_vec(n, z + (n - m0) * om, rg, y0) / (2.0 * math.pi)
-                    coef = lam - beta if n == m0 else lam
-                    e2 += 2.0 * math.pi * float(
-                        np.sum(wr * np.abs(coef * i_chi * fld) ** 2)
-                    )
-            else:
-                for m in range(-t.m_max, t.m_max + 1):
-                    for l in range(abs(m), t.require_l_max() + 1):
-                        wgt = equatorial_weight(l, m)
-                        if wgt == 0.0:
-                            continue
-                        fld = g3_vec(l, z + (m - m0) * om, rg, y0)
-                        coef = lam - beta if m == m0 else lam
-                        e2 += wgt * float(
-                            np.sum(wr * np.abs(coef * i_chi * fld) ** 2)
-                        )
+            for c, w in sides:
+                zz = z + (c.shift - m0) * om
+                fld = separable_kernel(dim, c.order, zz, rg, y0) / norm
+                coef = lam - beta if c.shift == m0 else lam
+                e2 += w * float(np.sum(wr * np.abs(coef * i_chi * fld) ** 2))
             return {"error_norm": math.sqrt(e2)}
 
         return row
@@ -261,7 +231,7 @@ def point_convergence_study(
         "y0": y0,
         "z": z,
         "omegas": omegas,
-        "channels": [_channel_label(p.channel) for p in psis],
+        "channels": [p.channel.label for p in psis],
         "mode": mode,
     }
     zero = {"error_norm": 0.0} if kp.is_free else None
@@ -289,9 +259,8 @@ def _averaged_correction(
         ww = 0.5 * bp.A * wg * rr**2
     mu = bp.alpha_values(rr) / (2.0 * math.pi) * ww
     corr = _ls_correction(dim, z, psi, psi.interpolant(), rr, mu, r_eval)
-    if dim == 2:
-        corr = corr / math.sqrt(2.0 * math.pi)
-    return corr
+    # Layer fields multiply the channel harmonic, psi its orthonormal factor.
+    return corr / math.sqrt(psi.channel.harmonic_norm_sq)
 
 
 def blade_convergence_study(
@@ -312,8 +281,7 @@ def blade_convergence_study(
     weighted operator distance between the full matrix and the single-channel
     model is co-reported per row.
     """
-    if dim not in (2, 3) or bp.dim != dim:
-        raise ValueError("blade parameter dimension differs from the study")
+    cls = channel_class(dim, bp)
     z, omegas = _check_study(z, omegas, psis)
     if t is None:
         t = Truncation(m_max=5) if dim == 2 else Truncation(m_max=3, l_max=6)
@@ -323,12 +291,11 @@ def blade_convergence_study(
     xg, wg = np.polynomial.legendre.leggauss(60)
     r_eval = 1.5 * xg + 1.5
     w_eval = 1.5 * wg * r_eval ** (dim - 1)
-    angular = 2.0 * math.pi if dim == 2 else 1.0
-    chans = _window_channels(dim, t)
+    chans = cls.window(t)
 
     def setup(psi):
         ch = psi.channel
-        m0 = ch.n if dim == 2 else ch.m
+        m0 = ch.shift
         avg = _averaged_correction(dim, z, bp, psi, mesh, r_eval)
         lam_m = lambda_matrix(z, ch, bp, mesh, t=t)
 
@@ -341,7 +308,7 @@ def blade_convergence_study(
             e2 = 0.0
             for cch, c in fields.items():
                 d = c - avg if cch == ch else c
-                e2 += angular * float(np.sum(w_eval * np.abs(d) ** 2))
+                e2 += cls.harmonic_norm_sq * float(np.sum(w_eval * np.abs(d) ** 2))
             gap = weighted_norm(mesh, gm.entries - lam_m.entries)
             return {"error_norm": math.sqrt(e2), "kernel_gap": gap}
 
@@ -353,7 +320,7 @@ def blade_convergence_study(
         "strength": "radial" if callable(bp.strength) else float(bp.strength),
         "z": z,
         "omegas": omegas,
-        "channels": [_channel_label(p.channel) for p in psis],
+        "channels": [p.channel.label for p in psis],
         "resolution": resolution,
         "m_max": t.m_max,
         "l_max": t.l_max,

@@ -11,7 +11,8 @@ with the scalar coupling pinned at the reference parameter -i,
     1/lambda(z)        =  1/lambda(-i) - (z + i) (G_z, G_-i)  (channel-exact),
 
 where |G_-|^2 and the inner product are the windowed quantities from
-rotframe.  alpha = pi switches the interaction off identically.
+rotframe.  alpha = pi switches the interaction off identically.  Shift, order,
+angular factor and source angles come from the specfun channel classes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .rotframe import (
     channel_diag,
     rot_green,
 )
-from .specfun import ChannelIndex2, ChannelIndex3, sph_harm
+from .specfun import ChannelIndex2, ChannelIndex3, channel_class
 
 __all__ = [
     "KreinParam",
@@ -72,8 +73,9 @@ class KreinParam:
 class RadialChannelFunction:
     """Radial profile of a single angular channel.
 
-    values[i] is the coefficient of the orthonormal angular factor
-    (exp(i n theta)/sqrt(2 pi) in 2D, Y_l^m in 3D) at radius grid[i].
+    values[i] is the coefficient of the channel's orthonormal angular factor
+    (channel.angular: exp(i n theta)/sqrt(2 pi) in 2D, Y_l^m in 3D) at
+    radius grid[i].
     weights, when given, are plain dr quadrature weights for the grid;
     norms carry the r^(dim-1) surface factor separately.
     """
@@ -104,14 +106,12 @@ class RadialChannelFunction:
 
     @property
     def dim(self) -> int:
-        return 2 if isinstance(self.channel, ChannelIndex2) else 3
+        return self.channel.dim
 
     @property
     def order(self) -> int:
         """Radial kernel order: |n| in 2D, l in 3D."""
-        if isinstance(self.channel, ChannelIndex2):
-            return abs(self.channel.n)
-        return self.channel.l
+        return self.channel.order
 
     def quad_weights(self) -> np.ndarray:
         if self.weights is not None:
@@ -124,11 +124,6 @@ class RadialChannelFunction:
     def norm_sq(self) -> float:
         w = self.quad_weights()
         return float(np.sum(w * np.abs(self.values) ** 2 * self.grid ** (self.dim - 1)))
-
-
-def _channel_shift(ch: ChannelIndex2 | ChannelIndex3) -> int:
-    """Rotation couples to the azimuthal index."""
-    return ch.n if isinstance(ch, ChannelIndex2) else ch.m
 
 
 def _inv_lambda_ref(
@@ -178,6 +173,7 @@ def lambda_at(
     A vanishing denominator raises ResonanceError, distinct from any
     quadrature failure; a merely tiny one is logged as a finding.
     """
+    channel_class(dim, src)
     z = require_off_axis_energy(z)
     if kp.is_free:
         return 0.0 + 0.0j
@@ -204,13 +200,6 @@ def lambda_at(
     return 1.0 / inv
 
 
-def source_point(src: PointSource) -> Point2 | Point3:
-    """The interaction site as a point, equatorial by convention."""
-    if src.dim == 2:
-        return Point2(src.y0, math.pi / 2.0)
-    return Point3(src.y0, math.pi / 2.0, 0.0)
-
-
 def krein_kernel(
     dim: int,
     z: complex,
@@ -223,12 +212,14 @@ def krein_kernel(
     mode: str = "closed",
 ) -> complex:
     """Resolvent kernel of the interacting operator between two points."""
+    cls = channel_class(dim, x, xp, src)
     z = require_resolvent_energy(z)
     free = rot_green(dim, z, rot, x, xp, t, mode)
     if kp.is_free:
         return free
     lam = lambda_at(dim, z, kp, rot, src, t, mode)
-    y0pt = source_point(src)
+    # The interaction site, as a point of the same class as x.
+    y0pt = type(x)(src.y0, *cls.source_angles)
     left = rot_green(dim, z, rot, x, y0pt, t, mode)
     right = rot_green(dim, np.conj(z), rot, xp, y0pt, t, mode)
     return free + lam * complex(np.conj(right)) * left
@@ -253,12 +244,11 @@ def apply_krein_resolvent(
     that multiplies the rotating kernel at parameter z - m0*omega against
     the source.  At alpha = pi the coefficient is exactly zero.
     """
-    if dim != psi.dim:
-        raise ValueError(f"psi lives in dimension {psi.dim}, got dim={dim}")
+    channel_class(dim, psi, src)
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("resolvent application needs Im z > 0")
-    m0 = _channel_shift(psi.channel)
+    ch = psi.channel
     order = psi.order
     f = psi.interpolant()
     rmax = float(psi.grid[-1])
@@ -266,11 +256,7 @@ def apply_krein_resolvent(
     free = RadialChannelFunction(psi.channel, psi.grid, free_vals, psi.weights)
     if kp.is_free:
         return free, 0.0 + 0.0j
-    lam = lambda_at(dim, z - m0 * rot.omega, kp, rot, src, t, mode)
+    lam = lambda_at(dim, z - ch.shift * rot.omega, kp, rot, src, t, mode)
     i_chi = complex(radial_apply(dim, order, z, np.array([src.y0]), f, rmax=rmax)[0])
-    if dim == 2:
-        n0 = psi.channel.n
-        proj = cmath.exp(1j * n0 * math.pi / 2.0) / math.sqrt(2.0 * math.pi)
-    else:
-        proj = sph_harm(psi.channel.l, psi.channel.m, math.pi / 2.0, 0.0)
+    proj = ch.angular(*ch.source_angles)
     return free, lam * proj * i_chi

@@ -31,10 +31,8 @@ from .greens import (
     radial_kernel_3d,
     require_off_axis_energy,
     require_resolvent_energy,
-    SOURCE_ANGLES_3D,
-    SOURCE_THETA_2D,
 )
-from .specfun import equatorial_weight, sph_harm
+from .specfun import channel_class, equatorial_weight, sph_harm
 
 __all__ = [
     "PointSource",
@@ -105,13 +103,7 @@ class PointSource:
             raise ValueError(
                 f"source radius must be strictly positive, got {self.y0}"
             )
-        if self.dim not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dim}")
-
-
-def _check_dim(dim: int) -> None:
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
+        channel_class(self.dim)
 
 
 def channel_diag(
@@ -127,7 +119,8 @@ def channel_diag(
     3D: sum over degrees of |Y_l^m(eq)|^2 g_l(zz; y0, y0) up to t.l_max.
     2D: g_m(zz; y0, y0) / (2 pi).
     """
-    _check_dim(dim)
+    if src.dim != dim:
+        channel_class(dim, src)
     q = t.quad if mode == "quadrature" else None
     if dim == 2:
         return radial_kernel_2d(m, zz, src.y0, src.y0, mode, q) / (2.0 * math.pi)
@@ -211,7 +204,7 @@ def rot_green(
     |m| <= t.m_max with the geometric tail of the outer shells checked
     against t.tail_tol.
     """
-    _check_dim(dim)
+    channel_class(dim, x, xp)
     z = require_resolvent_energy(z)
     q = t.quad if mode == "quadrature" else None
     shells: dict[int, complex] = {}
@@ -247,7 +240,7 @@ def rot_green_cutoff(
     cap = 0 is the single (0, 0) term.  No tail policy applies; this is the
     model object whose distance to rot_green is the quantity of interest.
     """
-    _check_dim(dim)
+    channel_class(dim, x, xp)
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     z = require_resolvent_energy(z)
@@ -332,7 +325,7 @@ def rot_norm_sq(
     energies divided by Im z.  In 3D the degree cap is completed by a
     power-law tail fit; the azimuthal window is taken as given.
     """
-    _check_dim(dim)
+    channel_class(dim, src)
     z = require_off_axis_energy(z)
     if dim == 2:
         total = 0.0
@@ -361,7 +354,7 @@ def rot_inner(
     [d_m(z + m w) - d_m(zp + m w)] / (z - zp).  Coincident parameters are
     rejected; use rot_norm_sq for the zp = conj(z) diagonal.
     """
-    _check_dim(dim)
+    channel_class(dim, src)
     z = require_off_axis_energy(z)
     zp = require_off_axis_energy(zp)
     if z == zp:
@@ -389,7 +382,7 @@ def remainder_norm(
     channel m contributes at z + (m - m0)*omega and the central channel
     cancels exactly.  Requires Im z > 0.
     """
-    _check_dim(dim)
+    channel_class(dim, src)
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("remainder norm needs Im z > 0")

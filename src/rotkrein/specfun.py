@@ -20,6 +20,7 @@ import scipy.special as sp
 __all__ = [
     "ChannelIndex2",
     "ChannelIndex3",
+    "channel_class",
     "SingularArgumentError",
     "sqrt_upper",
     "sph_bessel_j",
@@ -40,11 +41,72 @@ class SingularArgumentError(ValueError):
 
 
 @dataclass(frozen=True)
+class ChannelIndex2:
+    """Angular channel n on the circle, and what a channel means in 2D.
+
+    Rotation couples to shift = n (channel n sits at z + n w), the radial
+    kernel has order |n|, and the harmonic exp(i n theta) has squared norm
+    harmonic_norm_sq = 2 pi on the circle, so the orthonormal angular factor
+    is exp(i n theta) / sqrt(2 pi).  The interaction site sits at polar angle
+    source_angles = (pi/2,), where |harmonic|^2 = source_weight() = 1.
+    """
+
+    n: int
+
+    dim = 2
+    harmonic_norm_sq = 2.0 * math.pi
+    source_angles = (math.pi / 2.0,)
+
+    @property
+    def shift(self) -> int:
+        return self.n
+
+    @property
+    def order(self) -> int:
+        return abs(self.n)
+
+    @property
+    def label(self) -> str:
+        return f"n={self.n}"
+
+    def harmonic(self, theta: float) -> complex:
+        return cmath.exp(1j * self.n * theta)
+
+    def angular(self, theta: float) -> complex:
+        return self.harmonic(theta) / math.sqrt(self.harmonic_norm_sq)
+
+    def source_weight(self) -> float:
+        return 1.0
+
+    @classmethod
+    def window(cls, t) -> list:
+        """Channels |n| <= t.m_max, in increasing n."""
+        return [cls(n) for n in range(-t.m_max, t.m_max + 1)]
+
+    @classmethod
+    def cutoff(cls, cap: int, t) -> list:
+        """Sharp cutoff |n| <= min(cap, t.m_max), in increasing n."""
+        cc = min(cap, t.m_max)
+        return [cls(n) for n in range(-cc, cc + 1)]
+
+
+@dataclass(frozen=True)
 class ChannelIndex3:
-    """Angular channel (l, m) on the sphere."""
+    """Angular channel (l, m) on the sphere, and what a channel means in 3D.
+
+    Rotation couples to shift = m (channel (l, m) sits at z + m w), the
+    radial kernel has order l, and the harmonic Y_l^m is orthonormal on the
+    sphere (harmonic_norm_sq = 1), so it is its own angular factor.  The
+    interaction site sits on the equator, source_angles = (theta, phi) =
+    (pi/2, 0), where |Y_l^m|^2 = source_weight() = equatorial_weight(l, m).
+    """
 
     l: int
     m: int
+
+    dim = 3
+    harmonic_norm_sq = 1.0
+    source_angles = (math.pi / 2.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.l < 0:
@@ -52,12 +114,52 @@ class ChannelIndex3:
         if abs(self.m) > self.l:
             raise ValueError(f"order out of range: |m|={abs(self.m)} > l={self.l}")
 
+    @property
+    def shift(self) -> int:
+        return self.m
 
-@dataclass(frozen=True)
-class ChannelIndex2:
-    """Angular channel n on the circle."""
+    @property
+    def order(self) -> int:
+        return self.l
 
-    n: int
+    @property
+    def label(self) -> str:
+        return f"l={self.l},m={self.m}"
+
+    def angular(self, theta: float, phi: float) -> complex:
+        return sph_harm(self.l, self.m, theta, phi)
+
+    harmonic = angular
+
+    def source_weight(self) -> float:
+        return equatorial_weight(self.l, self.m)
+
+    @classmethod
+    def window(cls, t) -> list:
+        """Channels |m| <= t.m_max, l = |m| .. t.l_max; m outer, l inner."""
+        l_max = t.require_l_max()
+        return [cls(l, m) for m in range(-t.m_max, t.m_max + 1)
+                for l in range(abs(m), l_max + 1)]
+
+    @classmethod
+    def cutoff(cls, cap: int, t) -> list:
+        """Sharp cutoff l <= cap, |m| <= min(l, t.m_max); l outer, m inner."""
+        return [cls(l, m) for l in range(0, cap + 1)
+                for m in range(-min(l, t.m_max), min(l, t.m_max) + 1)]
+
+
+def channel_class(dim: int, *parts) -> type:
+    """The channel class of dimension dim, after checking that every part
+    (point, channel, channel function, source, mesh, blade or circle
+    parameter: anything with a dim) lives there; raises ValueError if not."""
+    if dim not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {dim}")
+    for part in parts:
+        if part.dim != dim:
+            raise ValueError(
+                f"{type(part).__name__} lives in dimension {part.dim}, not {dim}"
+            )
+    return (ChannelIndex2, ChannelIndex3)[dim - 2]
 
 
 def sqrt_upper(z: complex) -> complex:

@@ -1,0 +1,201 @@
+"""The channel classes as the one statement of what differs between 2D and 3D.
+
+Each fact is checked against an independent definition: explicit nested
+loops for the enumerations, literal strings for the labels, quadrature over
+the circle and the sphere for the angular factors.  The last test sends a
+mismatched dimension through every public entry point that takes one.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rotkrein import (
+    BladeParam,
+    ChannelIndex2,
+    ChannelIndex3,
+    KreinParam,
+    Point2,
+    Point3,
+    PointSource,
+    RotationSpec,
+    Truncation,
+    apply_blade_resolvent,
+    build_mesh,
+    channel_diag,
+    eps_scaling_study,
+    krein_kernel,
+    lambda_at,
+    lambda_matrix,
+    layer_fields,
+    remainder_norm,
+    rot_green,
+)
+from rotkrein.specfun import channel_class
+
+from helpers import make_psi
+
+WINDOWS = [(0, 0), (0, 3), (1, 1), (2, 5), (3, 3), (4, 6)]
+
+
+@pytest.mark.parametrize("m_max,l_max", WINDOWS)
+def test_window_matches_nested_loops(m_max, l_max):
+    t = Truncation(m_max=m_max, l_max=l_max)
+    want2 = [ChannelIndex2(n) for n in range(-m_max, m_max + 1)]
+    want3 = []
+    for m in range(-m_max, m_max + 1):
+        for l in range(abs(m), l_max + 1):
+            want3.append(ChannelIndex3(l, m))
+    assert ChannelIndex2.window(t) == want2
+    assert ChannelIndex3.window(t) == want3
+
+
+@pytest.mark.parametrize("m_max,l_max", WINDOWS)
+@pytest.mark.parametrize("cap", [0, 1, 2, 4, 7])
+def test_cutoff_matches_nested_loops(cap, m_max, l_max):
+    t = Truncation(m_max=m_max, l_max=l_max)
+    cc = min(cap, m_max)
+    want2 = [ChannelIndex2(n) for n in range(-cc, cc + 1)]
+    want3 = []
+    for l in range(cap + 1):
+        for m in range(-l, l + 1):
+            if abs(m) <= m_max:
+                want3.append(ChannelIndex3(l, m))
+    assert ChannelIndex2.cutoff(cap, t) == want2
+    assert ChannelIndex3.cutoff(cap, t) == want3
+
+
+def test_window_needs_l_max_in_3d():
+    with pytest.raises(ValueError, match="l_max"):
+        ChannelIndex3.window(Truncation(m_max=2))
+
+
+def test_labels_are_exact():
+    assert ChannelIndex2(1).label == "n=1"
+    assert ChannelIndex2(-12).label == "n=-12"
+    assert ChannelIndex3(1, 1).label == "l=1,m=1"
+    assert ChannelIndex3(4, -3).label == "l=4,m=-3"
+    assert ChannelIndex3(0, 0).label == "l=0,m=0"
+
+
+def test_shift_order_dim_for_negative_indices():
+    for n in (-5, -1, 0, 3):
+        ch = ChannelIndex2(n)
+        assert (ch.dim, ch.shift, ch.order) == (2, n, abs(n))
+    for l, m in ((3, -2), (2, -2), (5, 4), (0, 0)):
+        ch = ChannelIndex3(l, m)
+        assert (ch.dim, ch.shift, ch.order) == (3, m, l)
+
+
+def test_channels_stay_plain_hashable_keys():
+    assert repr(ChannelIndex2(-2)) == "ChannelIndex2(n=-2)"
+    assert repr(ChannelIndex3(2, -1)) == "ChannelIndex3(l=2, m=-1)"
+    keys = {ChannelIndex2(1): "a", ChannelIndex3(1, 1): "b"}
+    assert keys[ChannelIndex2(1)] == "a" and keys[ChannelIndex3(1, 1)] == "b"
+    assert ChannelIndex2(1) != ChannelIndex3(1, 1)
+
+
+def test_angular_factor_orthonormal_on_circle():
+    # Gauss-Legendre on [0, 2 pi) integrates these trigonometric products to
+    # roundoff at this node count.
+    xg, wg = np.polynomial.legendre.leggauss(64)
+    th, w = math.pi * (xg + 1.0), math.pi * wg
+    chans = [ChannelIndex2(n) for n in (-3, -1, 0, 1, 2)]
+    vals = np.array([[ch.angular(t) for t in th] for ch in chans])
+    gram = (vals * w) @ vals.conj().T
+    assert np.max(np.abs(gram - np.eye(len(chans)))) < 1e-12
+    for ch in chans:
+        h = np.array([ch.harmonic(t) for t in th])
+        norm_sq = np.sum(w * np.abs(h) ** 2)
+        assert norm_sq == pytest.approx(ch.harmonic_norm_sq, rel=1e-12)
+
+
+def test_angular_factor_orthonormal_on_sphere():
+    # Gauss-Legendre in cos(theta) is exact for the associated Legendre
+    # products; the azimuthal Gauss rule resolves exp(i (m - m') phi).
+    xu, wu = np.polynomial.legendre.leggauss(24)
+    xp, wp = np.polynomial.legendre.leggauss(48)
+    phis, wphi = math.pi * (xp + 1.0), math.pi * wp
+    thetas = np.arccos(xu)
+    w = np.outer(wu, wphi).ravel()
+    lms = ((0, 0), (1, -1), (1, 1), (2, 0), (3, -2), (3, 2))
+    chans = [ChannelIndex3(l, m) for l, m in lms]
+    vals = np.array(
+        [[ch.angular(t, p) for t in thetas for p in phis] for ch in chans]
+    )
+    gram = (vals * w) @ vals.conj().T
+    assert np.max(np.abs(gram - np.eye(len(chans)))) < 1e-12
+    assert ChannelIndex3.harmonic_norm_sq == 1.0
+
+
+def test_source_weight_is_harmonic_at_the_source():
+    for n in (-2, 0, 5):
+        ch = ChannelIndex2(n)
+        h = ch.harmonic(*ch.source_angles)
+        assert abs(h) ** 2 == pytest.approx(1.0, rel=1e-15)
+        assert ch.source_weight() == 1.0
+    for l, m in ((2, 0), (3, 1), (4, -2), (3, -3)):
+        ch = ChannelIndex3(l, m)
+        y = ch.angular(*ch.source_angles)
+        assert ch.source_weight() == pytest.approx(abs(y) ** 2, abs=1e-15)
+
+
+def test_channel_class_lookup():
+    assert channel_class(2) is ChannelIndex2
+    parts = (Point3(1.0, 0.5, 0.5), ChannelIndex3(1, 0), PointSource(1.0, 3))
+    assert channel_class(3, *parts) is ChannelIndex3
+    for bad in (1, 4, 0):
+        with pytest.raises(ValueError, match="dimension must be 2 or 3"):
+            channel_class(bad)
+
+
+Z = 0.4 + 1.0j
+ROT = RotationSpec(3.0)
+T2 = Truncation(m_max=2)
+T3 = Truncation(m_max=2, l_max=2)
+SRC2 = PointSource(0.7, 2)
+SRC3 = PointSource(0.7, 3)
+P2 = (Point2(1.2, 0.3), Point2(0.4, 2.0))
+P3 = (Point3(1.2, 0.8, 0.3), Point3(0.4, 1.1, 2.0))
+
+
+def _blade_3d_point2():
+    mesh = build_mesh(3, 1.0, 4)
+    bp = BladeParam(1.0, 2.0, 3)
+    psi = make_psi(3, (1, 1), n=40)
+    apply_blade_resolvent(Z, psi, bp, ROT, T3, mesh, [Point2(1.5, 0.3)])
+
+
+MISMATCHES = {
+    "rot_green 2D with 3D points": lambda: rot_green(2, Z, ROT, *P3, T2),
+    "rot_green 3D with 2D points": lambda: rot_green(3, Z, ROT, *P2, T3),
+    "lambda_at with a 3D source": lambda: lambda_at(
+        2, Z, KreinParam(1.0), ROT, SRC3, T2
+    ),
+    "channel_diag with a 3D source": lambda: channel_diag(2, 1, Z, SRC3, T2),
+    "channel_diag with a 2D source": lambda: channel_diag(3, 1, Z, SRC2, T3),
+    "remainder_norm with a 3D source": lambda: remainder_norm(
+        2, 0, Z, ROT, SRC3, T2
+    ),
+    "eps_scaling_study with a 3D source": lambda: eps_scaling_study(
+        2, 1.0, [1e-2, 1e-1], ROT, SRC3, T2
+    ),
+    "krein_kernel with a 3D source": lambda: krein_kernel(
+        2, Z, KreinParam(1.0), ROT, *P2, SRC3, T2
+    ),
+    "apply_blade_resolvent 3D with 2D points": _blade_3d_point2,
+    "layer_fields 2D mesh with 3D channels": lambda: layer_fields(
+        Z, np.ones(16), ROT, build_mesh(2, 1.0, 2), np.array([0.5]),
+        [ChannelIndex3(1, 0)],
+    ),
+    "lambda_matrix 2D channel on a 3D mesh": lambda: lambda_matrix(
+        Z, ChannelIndex2(1), BladeParam(1.0, 2.0, 2), build_mesh(3, 1.0, 4), t=T3
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(MISMATCHES.values()), ids=list(MISMATCHES))
+def test_dimension_mismatch_raises_value_error(call):
+    with pytest.raises(ValueError, match="lives in dimension"):
+        call()
