@@ -12,8 +12,14 @@ factors,
                                                         nu = l + 1/2 (3D)
 
 so separable_kernel evaluates J and H once per radius and assembles every
-entry as a lower/upper-triangular product of two factors.  radial_apply uses
-the same core: per output radius, one factor per quadrature node.
+entry as a lower/upper-triangular product of two factors.
+
+radial_apply integrates the same factors against a channel function's
+interpolant in O(N) (Greengard & Rokhlin, CPAM 1991): one Gauss rule per
+interval between the spline knots, refined to a bounded oscillation, gives
+the interval integrals of J f and H f once, and a forward and a backward
+running sum of them give every output as H(w r) L(r) + J(w r) R(r).  The
+result is the integral of the interpolant to about 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -45,6 +51,22 @@ def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
     return np.any(mask, axis=axes).reshape(shape)
 
 
+def _nu(dim: int, order: int) -> float:
+    """Bessel order of the channel kernel: |n| in 2D, l + 1/2 in 3D."""
+    return abs(order) if dim == 2 else order + 0.5
+
+
+def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -> None:
+    """Raise OverflowError naming the radii (broadcast to values) of nonfinite values."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        hit = np.concatenate([np.broadcast_to(x, values.shape)[bad] for x in radii])
+        raise OverflowError(
+            f"{dim}D {what} of order {order} at z={z} is not finite "
+            f"for radii in [{hit.min():.6g}, {hit.max():.6g}]"
+        )
+
+
 def _factors(nu: float, w: complex, x: np.ndarray, need_j, need_h):
     """(i pi / 2) J_nu(w x) and H_nu(w x), each only where needed (zero elsewhere)."""
     j = np.zeros(x.shape, dtype=complex)
@@ -69,7 +91,7 @@ def separable_kernel(dim: int, order: int, z: complex, r, rp) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
     w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
-    nu = abs(order) if dim == 2 else order + 0.5
+    nu = _nu(dim, order)
     lower = r <= rp  # entry takes J at r and H at rp; otherwise the reverse
     # An overflowed factor, or the unselected product of an entry, may give
     # inf * 0; only the selected entries are checked below.
@@ -81,14 +103,7 @@ def separable_kernel(dim: int, order: int, z: complex, r, rp) -> np.ndarray:
             g = g / np.sqrt(r * rp)
     if z.imag < 0.0:
         g = np.conj(g)
-    bad = ~np.isfinite(g)
-    if bad.any():
-        radii = np.concatenate([np.broadcast_to(r, g.shape)[bad],
-                                np.broadcast_to(rp, g.shape)[bad]])
-        raise OverflowError(
-            f"{dim}D radial kernel of order {order} at z={z} is not finite "
-            f"for radii in [{radii.min():.6g}, {radii.max():.6g}]"
-        )
+    _check_finite("radial kernel", dim, order, z, g, r, rp)
     return g
 
 
@@ -102,74 +117,90 @@ def g3_vec(l: int, z: complex, r, rp):
     return separable_kernel(3, l, z, r, rp)
 
 
-def _panel_nodes(a, b, n_seg: int, xg, wg):
-    """Composite Gauss nodes and weights on [a, b] in n_seg equal panels.
-
-    a and b are arrays of endpoints; row k holds the rule for [a[k], b[k]].
-    """
-    edges = np.linspace(a, b, n_seg + 1, axis=-1)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * np.diff(edges, axis=-1)
-    t = (mid[:, :, None] + half[:, :, None] * xg).reshape(len(edges), -1)
-    w = (half[:, :, None] * wg).reshape(len(edges), -1)
-    return t, w
+# Gauss-Legendre rule of radial_apply on each interval between breakpoints.
+_APPLY_NODES = 8
+_APPLY_X, _APPLY_W = np.polynomial.legendre.leggauss(_APPLY_NODES)
+_GRADING = 1.25
+_GRADING_FLOOR = 1e-8
 
 
-# Quadrature points per batch of output radii in radial_apply.
-_APPLY_BATCH = 1 << 15
+def radial_apply(psi, z: complex, r_out) -> np.ndarray:
+    """Apply the channel radial resolvent to psi, sampled at the radii r_out.
 
+    Computes int g(z; r, t) f(t) t^(dim-1) dt for each output radius r,
+    where f is the interpolant of psi (cubic spline, linear below 4 points,
+    zero outside [lo, hi] = [grid[0], grid[-1]]) and g the kernel of psi's
+    channel.  With the kernel separated as (i pi / 2) J(w r<) H(w r>),
 
-def radial_apply(
-    dim: int,
-    order: int,
-    z: complex,
-    r_out,
-    f,
-    rmax: float = 8.0,
-    n_gl: int = 80,
-) -> np.ndarray:
-    """Apply the channel radial resolvent to f, sampled at the radii r_out.
+        int g f t^(dim-1)  =  H(w r) L(r) + J(w r) R(r),
+        L(r) = int_lo^r (i pi / 2) J f t^(dim-1),   R(r) = int_r^hi H f t^(dim-1)
 
-    Computes int_0^rmax g(z; r, t) f(t) t^(dim-1) dt per output radius,
-    splitting at the kernel kink t = r and subdividing each side by the
-    oscillation count of sqrt(z); a side narrower than 1e-14 is dropped.
-    Output radii with the same panel counts are integrated together, and
-    the separable kernel needs J and H at r and one factor per node: J
-    below the kink, H above it.
+    (each factor over sqrt(r) or sqrt(t) in 3D).  The breakpoints are the
+    grid knots, uniform edges at most 3/|sqrt z| apart and geometric edges
+    towards the origin, where the H integrand is singular, so f is one cubic
+    on each interval between them and no interval is wider than a quarter of
+    its distance from 0; one _APPLY_NODES-point Gauss rule per interval then
+    integrates f against J and H to about 1e-12 relative.  A
+    forward and a backward running sum of the interval integrals give L and
+    R at every breakpoint; an output radius inside an interval adds the two
+    pieces of that interval on either side of it.  Work is O(len(grid) +
+    len(r_out)), and the value at r does not depend on the other radii.
+
+    Radii r >= hi take L only and radii r <= lo (r = 0 in 2D too) R only.
+    J is evaluated only below the largest output radius and H only above
+    the smallest, so a large Im sqrt(z) overflows only where the kernel
+    itself would; a nonfinite result raises OverflowError.  Lower half-plane
+    z uses the conjugated factors at conj z.
     """
     z = complex(z)
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
+    dim, grid = psi.dim, psi.grid
+    lo, hi = float(grid[0]), float(grid[-1])
+    f = psi.interpolant()
     r_out = np.asarray(r_out, dtype=float)
     r = r_out.ravel()
-    speed = abs(sqrt_upper(z))
-    split = np.minimum(r, rmax)
-    sides = ((np.zeros_like(split), split), (split, np.full_like(split, rmax)))
-    counts = np.stack(
-        [np.where(b - a > 1e-14, ((b - a) * speed / 3.0).astype(int) + 1, 0)
-         for a, b in sides],
-        axis=1,
-    )
-    out = np.zeros(len(r), dtype=complex)
-    for key in np.unique(counts, axis=0):
-        if not key.any():
-            continue
-        rows = np.flatnonzero((counts == key).all(axis=1))
-        step = max(1, _APPLY_BATCH // (int(key.sum()) * n_gl))
-        for k in range(0, len(rows), step):
-            idx = rows[k : k + step]
-            nodes = [
-                _panel_nodes(a[idx], b[idx], int(n_seg), xg, wg)
-                for (a, b), n_seg in zip(sides, key)
-                if n_seg
-            ]
-            t = np.concatenate([tn for tn, _ in nodes], axis=1)
-            w = np.concatenate([wn for _, wn in nodes], axis=1)
-            g = separable_kernel(dim, order, z, r[idx, None], t)
-            vals = w * g * f(t) * t ** (dim - 1)
-            start = 0
-            for tn, _ in nodes:
-                out[idx] += np.sum(vals[:, start : start + tn.shape[1]], axis=-1)
-                start += tn.shape[1]
+    rc = np.clip(r, lo, hi)
+    w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
+    n_uniform = int((hi - lo) * abs(w) / 3.0) + 1
+    # Geometric edges from lo (from just above 0 if lo = 0) keep each interval
+    # within _GRADING times its left end: the H integrand is singular at 0.
+    start = lo if lo > 0.0 else _GRADING_FLOOR * grid[1]
+    graded = start * _GRADING ** np.arange(math.log(hi / start, _GRADING))
+    edges = np.unique(np.concatenate([grid, np.linspace(lo, hi, n_uniform + 1), graded]))
+    nb = len(edges) - 1
+    k = np.searchsorted(edges, rc, side="right") - 1  # edges[k] <= rc
+    inside = rc > edges[k]  # rc splits interval k in two pieces
+    kr = k + inside  # R(rc) sums the whole intervals from kr on
+    ks, cs = k[inside], rc[inside]
+    n_in = len(cs)
+    # Rows: the nb intervals, then the pieces below and above each inside rc.
+    a = np.concatenate([edges[:-1], edges[ks], cs])
+    b = np.concatenate([edges[1:], cs, edges[ks + 1]])
+    half = 0.5 * (b - a)[:, None]
+    t = 0.5 * (a + b)[:, None] + half * _APPLY_X
+    wf = half * _APPLY_W * f(t) * t ** (dim - 1)
+    if dim == 3:
+        wf = wf / np.sqrt(t)
+    whole = np.arange(nb)
+    yes, no = np.ones(n_in, bool), np.zeros(n_in, bool)
+    need_j = np.concatenate([whole < k.max(initial=0), yes, no])[:, None]
+    need_h = np.concatenate([whole >= kr.min(initial=nb), no, yes])[:, None]
+    nu = _nu(dim, psi.order)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        jt, ht = _factors(nu, w, t, np.broadcast_to(need_j, t.shape),
+                          np.broadcast_to(need_h, t.shape))
+        jr, hr = _factors(nu, w, r, r < hi, r > lo)
+        if z.imag < 0.0:
+            jt, ht, jr, hr = np.conj(jt), np.conj(ht), np.conj(jr), np.conj(hr)
+        jint = np.sum(jt * wf, axis=1)
+        hint = np.sum(ht * wf, axis=1)
+        left = np.concatenate([[0.0], np.cumsum(jint[:nb])])[k]
+        right = np.concatenate([np.cumsum(hint[nb - 1 :: -1])[::-1], [0.0]])[kr]
+        left[inside] += jint[nb : nb + n_in]
+        right[inside] += hint[nb + n_in :]
+        out = hr * left + jr * right
+        if dim == 3:
+            out = out / np.sqrt(r)
+    _check_finite("radial resolvent", dim, psi.order, z, out, r)
     return out.reshape(r_out.shape)
 
 

@@ -639,10 +639,7 @@ def _free_radial(
 
     Channel m0 of the rotating frame sits at energy z + m0*omega.
     """
-    ch = psi.channel
-    z_ch = z + ch.shift * rot.omega
-    rmax = float(psi.grid[-1])
-    return radial_apply(ch.dim, ch.order, z_ch, r, psi.interpolant(), rmax=rmax)
+    return radial_apply(psi, z + psi.channel.shift * rot.omega, r)
 
 
 def solve_density(
@@ -729,7 +726,6 @@ def averaged_resolvent(
     z = complex(z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError("spectral parameter on the essential spectrum")
-    f = psi.interpolant()
     n = (24 if dim == 2 else 64) if resolution is None else resolution
     if n < 1:
         raise ValueError(f"resolution must be at least 1, got {n}")
@@ -740,20 +736,18 @@ def averaged_resolvent(
         rr = 0.5 * bp.A * (xg + 1.0)
         ww = 0.5 * bp.A * wg
     mu = bp.alpha_values(rr) * ww * rr ** (dim - 1)
-    fp_out = radial_apply(dim, psi.order, z, psi.grid, f, rmax=float(psi.grid[-1]))
-    vals = fp_out + _ls_correction(dim, z, psi, f, rr, mu, psi.grid)
+    vals = radial_apply(psi, z, psi.grid) + _ls_correction(dim, z, psi, rr, mu, psi.grid)
     return RadialChannelFunction(psi.channel, psi.grid, vals, psi.weights)
 
 
-def _ls_correction(dim, z, psi, f, rr, mu, r_out) -> np.ndarray:
+def _ls_correction(dim, z, psi, rr, mu, r_out) -> np.ndarray:
     """Lippmann-Schwinger correction K(r_out, rr) @ (mu u) of a radial potential.
 
     mu is the potential times the quadrature weights on the nodes rr (the
-    caller's strength convention), f the interpolant of psi, K the free kernel
-    of psi's channel at z, and (I - K diag(mu)) u = R0 psi on rr.
+    caller's strength convention), K the free kernel of psi's channel at z,
+    and (I - K diag(mu)) u = R0 psi on rr.
     """
     K = separable_kernel(dim, psi.order, z, rr[:, None], rr[None, :])
     M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
-    fp = radial_apply(dim, psi.order, z, rr, f, rmax=float(psi.grid[-1]))
-    u = np.linalg.solve(M, fp)
+    u = np.linalg.solve(M, radial_apply(psi, z, rr))
     return separable_kernel(dim, psi.order, z, r_out[:, None], rr[None, :]) @ (mu * u)

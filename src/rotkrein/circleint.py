@@ -29,7 +29,7 @@ from .greens import (
     require_resolvent_energy,
 )
 from .pointint import KreinParam, RadialChannelFunction, ResonanceError, lambda_at
-from .rotframe import PointSource, RotationSpec, Truncation
+from .rotframe import PointSource, RotationSpec, Truncation, _equatorial_sum
 from .specfun import ChannelIndex2, ChannelIndex3, channel_class, equatorial_weight
 
 __all__ = [
@@ -73,13 +73,7 @@ def gamma_coeff_3d(
     z = require_resolvent_energy(z)
     if l_max < abs(m):
         raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
-    acc = 0.0 + 0.0j
-    for l in range(abs(m), l_max + 1):
-        wgt = equatorial_weight(l, m)
-        if wgt == 0.0:
-            continue
-        acc += wgt * radial_kernel_3d(l, z, cp.radius, cp.radius, mode, q)
-    return cp.gamma - 2.0 * math.pi * acc
+    return cp.gamma - 2.0 * math.pi * _equatorial_sum(m, z, cp.radius, l_max, mode, q)
 
 
 def gamma_coeff_2d(
@@ -129,16 +123,15 @@ def apply_circle_resolvent(
     if not z.imag > 0.0:
         raise ValueError("resolvent application needs Im z > 0")
     order = psi.order
-    f = psi.interpolant()
-    rmax = float(psi.grid[-1])
-    free_vals = radial_apply(dim, order, z, psi.grid, f, rmax=rmax)
+    # One pass gives the free part on the grid and its value on the circle.
+    vals = radial_apply(psi, z, np.append(psi.grid, cp.radius))
+    free_vals, i_chi = vals[:-1], complex(vals[-1])
     gamma_ch = _gamma_for_channel(psi.channel, cp, z, t, mode)
     scale = max(abs(cp.gamma) if dim == 3 else abs(1.0 / cp.gamma), 1.0)
     if abs(gamma_ch) < 1e-12 * scale:
         raise ResonanceError(
             f"channel coefficient Gamma = {gamma_ch:.3g} vanishes at z={z}"
         )
-    i_chi = complex(radial_apply(dim, order, z, np.array([cp.radius]), f, rmax=rmax)[0])
     if dim == 2:
         weight = 1.0 / gamma_ch  # (2 pi / Gamma) * (1/2 pi)
         kernel = radial_kernel_2d

@@ -258,7 +258,7 @@ def _averaged_correction(
         rr = 0.5 * bp.A * (xg + 1.0)
         ww = 0.5 * bp.A * wg * rr**2
     mu = bp.alpha_values(rr) / (2.0 * math.pi) * ww
-    corr = _ls_correction(dim, z, psi, psi.interpolant(), rr, mu, r_eval)
+    corr = _ls_correction(dim, z, psi, rr, mu, r_eval)
     # Layer fields multiply the channel harmonic, psi its orthonormal factor.
     return corr / math.sqrt(psi.channel.harmonic_norm_sq)
 

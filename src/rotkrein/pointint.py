@@ -249,14 +249,12 @@ def apply_krein_resolvent(
     if not z.imag > 0.0:
         raise ValueError("resolvent application needs Im z > 0")
     ch = psi.channel
-    order = psi.order
-    f = psi.interpolant()
-    rmax = float(psi.grid[-1])
-    free_vals = radial_apply(dim, order, z, psi.grid, f, rmax=rmax)
-    free = RadialChannelFunction(psi.channel, psi.grid, free_vals, psi.weights)
+    # One pass gives the free part on the grid and its value at the source.
+    vals = radial_apply(psi, z, np.append(psi.grid, src.y0))
+    free = RadialChannelFunction(ch, psi.grid, vals[:-1], psi.weights)
     if kp.is_free:
         return free, 0.0 + 0.0j
     lam = lambda_at(dim, z - ch.shift * rot.omega, kp, rot, src, t, mode)
-    i_chi = complex(radial_apply(dim, order, z, np.array([src.y0]), f, rmax=rmax)[0])
+    i_chi = complex(vals[-1])
     proj = ch.angular(*ch.source_angles)
     return free, lam * proj * i_chi

@@ -124,12 +124,17 @@ def channel_diag(
     q = t.quad if mode == "quadrature" else None
     if dim == 2:
         return radial_kernel_2d(m, zz, src.y0, src.y0, mode, q) / (2.0 * math.pi)
+    return _equatorial_sum(m, zz, src.y0, t.require_l_max(), mode, q)
+
+
+def _equatorial_sum(m: int, zz: complex, y0: float, l_max: int, mode: str, q) -> complex:
+    """sum over l = |m| .. l_max of |Y_l^m(eq)|^2 g_l(zz; y0, y0), in increasing l."""
     acc = 0.0 + 0.0j
-    for l in range(abs(m), t.require_l_max() + 1):
+    for l in range(abs(m), l_max + 1):
         wgt = equatorial_weight(l, m)
         if wgt == 0.0:
             continue
-        acc += wgt * radial_kernel_3d(l, zz, src.y0, src.y0, mode, q)
+        acc += wgt * radial_kernel_3d(l, zz, y0, y0, mode, q)
     return acc
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,13 @@ class SingularArgumentError(ValueError):
     """Evaluation requested at a singular point of the function."""
 
 
+def _require_integers(ch) -> None:
+    """Reject channel indices that are not integers (numpy integers pass)."""
+    for name, v in vars(ch).items():
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"channel index {name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ChannelIndex2:
     """Angular channel n on the circle, and what a channel means in 2D.
@@ -56,6 +64,9 @@ class ChannelIndex2:
     dim = 2
     harmonic_norm_sq = 2.0 * math.pi
     source_angles = (math.pi / 2.0,)
+
+    def __post_init__(self) -> None:
+        _require_integers(self)
 
     @property
     def shift(self) -> int:
@@ -109,6 +120,7 @@ class ChannelIndex3:
     source_angles = (math.pi / 2.0, 0.0)
 
     def __post_init__(self) -> None:
+        _require_integers(self)
         if self.l < 0:
             raise ValueError(f"degree must be nonnegative, got l={self.l}")
         if abs(self.m) > self.l:

@@ -178,7 +178,7 @@ def test_averaged_resolvent_zero_strength_is_free():
     psi = make_psi(2, ChannelIndex2(1))
     bp = BladeParam(1.0, 0.0, 2)
     out = averaged_resolvent(2, Z, bp, psi)
-    free = radial_apply(2, 1, Z, psi.grid, psi.interpolant(), rmax=float(psi.grid[-1]))
+    free = radial_apply(psi, Z, psi.grid)
     np.testing.assert_array_equal(out.values, free)
 
 
@@ -230,8 +230,7 @@ def test_apply_blade_resolvent_weak_blade_tends_to_free_field(dim):
     psi = make_psi(dim, ch, n=120)
     m0 = ch.n if dim == 2 else ch.m
     r_pts = np.array([p.r for p in pts])
-    radial = radial_apply(dim, psi.order, Z + m0 * rot.omega, r_pts, psi.interpolant(),
-                          rmax=float(psi.grid[-1]))
+    radial = radial_apply(psi, Z + m0 * rot.omega, r_pts)
     if dim == 2:
         angular = np.array([np.exp(1j * ch.n * p.theta) / math.sqrt(2.0 * math.pi)
                             for p in pts])

@@ -141,6 +141,27 @@ def test_source_weight_is_harmonic_at_the_source():
         assert ch.source_weight() == pytest.approx(abs(y) ** 2, abs=1e-15)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ChannelIndex2(0.5),
+    lambda: ChannelIndex2(1.0),
+    lambda: ChannelIndex2("1"),
+    lambda: ChannelIndex3(1.5, 0.5),
+    lambda: ChannelIndex3(2, 0.5),
+    lambda: ChannelIndex3(2.0, 1),
+    lambda: ChannelIndex3(np.float64(1.0), 0),
+], ids=["n=0.5", "n=1.0", "n='1'", "l=1.5,m=0.5", "m=0.5", "l=2.0", "l=float64"])
+def test_non_integer_channel_index_is_rejected(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_channel_index_is_accepted():
+    assert ChannelIndex2(np.int64(-2)) == ChannelIndex2(-2)
+    ch = ChannelIndex3(np.int32(3), np.int64(-1))
+    assert ch == ChannelIndex3(3, -1)
+    assert (ch.order, ch.shift) == (3, -1)
+
+
 def test_channel_class_lookup():
     assert channel_class(2) is ChannelIndex2
     parts = (Point3(1.0, 0.5, 0.5), ChannelIndex3(1, 0), PointSource(1.0, 3))

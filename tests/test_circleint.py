@@ -136,8 +136,7 @@ def test_consistency_gap_decays_with_rotation():
 def _free_part(psi, z):
     from rotkrein._radial import radial_apply
 
-    f = psi.interpolant()
-    return radial_apply(psi.dim, psi.order, z, psi.grid, f, rmax=float(psi.grid[-1]))
+    return radial_apply(psi, z, psi.grid)
 
 
 def test_apply_resolvent_separable_correction_2d():

@@ -1,19 +1,22 @@
 """Separable radial kernel core and the grid resolvent application."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy import integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotkrein._radial
+from rotkrein import ChannelIndex2, ChannelIndex3, RadialChannelFunction
 from rotkrein._radial import (
     g2_vec,
     g3_vec,
     radial_apply,
     separable_kernel,
-    spline_interpolant,
 )
 from rotkrein.specfun import sqrt_upper
 
@@ -34,30 +37,6 @@ def elementwise_kernel(dim, order, z, r, rp):
         0.5j * math.pi * sp.jv(nu, w * rmin) * sp.hankel1(nu, w * rmax)
         / np.sqrt(rmin * rmax)
     )
-
-
-def elementwise_apply(dim, order, z, r_out, f, rmax, n_gl=80):
-    """radial_apply as a loop over output radii with the elementwise kernel."""
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    speed = abs(sqrt_upper(z))
-    out = np.empty(len(r_out), dtype=complex)
-    for i, r in enumerate(r_out):
-        acc = 0.0 + 0.0j
-        split = min(r, rmax)
-        for a, b in ((0.0, split), (split, rmax)):
-            if b - a <= 1e-14:
-                continue
-            n_seg = max(1, int((b - a) * speed / 3.0) + 1)
-            edges = np.linspace(a, b, n_seg + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-            w = (half[:, None] * wg[None, :]).ravel()
-            acc += np.sum(
-                w * elementwise_kernel(dim, order, z, r, t) * f(t) * t ** (dim - 1)
-            )
-        out[i] = acc
-    return out
 
 
 radius = st.floats(0.01, 5.0)
@@ -118,12 +97,91 @@ def test_core_overflow_is_typed(vec):
         vec(1, -1e4 + 1j, 7.9, [8.0])
 
 
-@pytest.mark.parametrize("dim,order", [(2, 1), (2, 0), (3, 1), (3, 2)])
-def test_radial_apply_equals_elementwise_loop(dim, order):
+def _psi(dim, order, grid):
+    ch = ChannelIndex2(order) if dim == 2 else ChannelIndex3(order, 0)
+    return RadialChannelFunction(ch, grid, grid * np.exp(-(grid**2)) * (1.0 + 0.5j))
+
+
+def quad_oracle(dim, order, z, r_out, psi, epsabs=0.0):
+    """int g(z; r, t) f(t) t^(dim-1) dt by adaptive quadrature of the
+    elementwise kernel times the interpolant, one knot interval at a time,
+    split at every output radius inside it."""
+    f = psi.interpolant()
+
+    def integrand(t):
+        return elementwise_kernel(dim, order, z, r_out, t) * f(t) * t ** (dim - 1)
+
+    out = np.zeros(len(r_out), dtype=complex)
+    for a, b in zip(psi.grid[:-1], psi.grid[1:]):
+        cuts = [r for r in r_out if a < r < b]
+        val, _ = integrate.quad_vec(integrand, a, b, epsabs=epsabs, epsrel=1e-14,
+                                    points=cuts or None)
+        out += val
+    return out
+
+
+@pytest.mark.parametrize("dim,order", [(2, 0), (2, 1), (3, 1), (3, 2), (3, 6)])
+def test_radial_apply_matches_quad_oracle(dim, order):
     grid = np.linspace(0.05, 8.0, 120)
-    f = spline_interpolant(grid, grid * np.exp(-(grid**2)) * (1.0 + 0.5j))
-    r_out = np.array([0.05, 0.3, 1.0, 1.1, 2.7, 8.0, 9.5] + ([0.0] if dim == 2 else []))
+    psi = _psi(dim, order, grid)
+    r_out = np.array([grid[0], 0.3, 1.0, 1.1, grid[40], 2.7, 8.0, 9.5]
+                     + ([0.0] if dim == 2 else []))
     for z in (0.4 + 1.0j, -3.0 + 0.2j, 0.4 - 1.0j, 400.0 + 2.0j):
-        got = radial_apply(dim, order, z, r_out, f, rmax=8.0)
-        want = elementwise_apply(dim, order, z, r_out, f, rmax=8.0)
-        assert got.tobytes() == want.tobytes()
+        got = radial_apply(psi, z, r_out)
+        want = quad_oracle(dim, order, z, r_out, psi)
+        assert np.sum(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(want)), z
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_radial_apply_grid_from_origin_matches_quad_oracle(order):
+    """A 2D grid may start at r = 0, where the H integrand is singular."""
+    psi = _psi(2, order, np.linspace(0.0, 8.0, 120))
+    r_out = np.array([0.0, 1e-4, 0.01, 0.3, 8.0])
+    for z in (0.4 + 1.0j, 400.0 + 2.0j):
+        got = radial_apply(psi, z, r_out)
+        want = quad_oracle(2, order, z, r_out, psi)
+        assert np.sum(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(want)), z
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_radial_apply_value_does_not_depend_on_other_radii(dim):
+    grid = np.linspace(0.05, 8.0, 120)
+    psi = _psi(dim, 1, grid)
+    alone = radial_apply(psi, 0.4 + 1.0j, grid)
+    extra = radial_apply(psi, 0.4 + 1.0j, np.concatenate([[0.77, 9.0], grid, [3.3]]))
+    assert alone.tobytes() == extra[2:-1].tobytes()
+
+
+def test_radial_apply_overflow_contract():
+    grid = np.linspace(0.05, 8.0, 120)
+    psi = _psi(2, 1, grid)
+    z = -1e4 + 1.0j
+    # J is needed only below r = 0.7 and H only above it: no overflow.
+    got = radial_apply(psi, z, [0.7])
+    # The integrand underflows above r = 7: a relative tolerance alone never ends.
+    want = quad_oracle(2, 1, z, np.array([0.7]), psi, epsabs=1e-19)
+    assert np.isfinite(got).all()
+    assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+    with pytest.raises(OverflowError, match=r"2D radial resolvent of order 1 at z=\(-10000\+1j\)"):
+        radial_apply(psi, z, grid)
+
+
+def test_radial_apply_bessel_evaluations_are_linear(monkeypatch):
+    """Per output point, a bounded number of Bessel arguments (no timing)."""
+    count = [0]
+
+    def counted(fn):
+        def wrapper(nu, x):
+            count[0] += np.size(x)
+            return fn(nu, x)
+        return wrapper
+
+    monkeypatch.setattr(
+        rotkrein._radial, "sp",
+        types.SimpleNamespace(jv=counted(sp.jv), hankel1=counted(sp.hankel1)),
+    )
+    xg, _ = np.polynomial.legendre.leggauss(1000)
+    grid = 4.0 * (xg + 1.0)
+    psi = _psi(2, 1, grid)
+    radial_apply(psi, 0.4 + 1.0j, grid)
+    assert 0 < count[0] < 50 * len(grid)
