@@ -66,18 +66,17 @@ def osc_integral(
     decay_amp: float,
     decay_pow: float,
     tol_abs: float,
-    n_per_panel: int = 24,
-    k_max: float | None = None,
+    k_max: float,
 ) -> complex:
     """Integrate f over (0, inf) for a kernel with a pole near |Re sqrt(z)|.
 
     decay_amp / k**decay_pow must bound |f| for large k; it sets where the
-    panel-by-panel tail may be cut off.  k_max, when given, caps the tail
-    extent; extrapolation absorbs the remainder.
+    panel-by-panel tail may be cut off.  k_max caps the tail extent;
+    extrapolation absorbs the remainder.
     """
     w = sqrt_upper(complex(z))
     kstar, pdist = abs(w.real), max(abs(w.imag), 1e-8)
-    xg, wg = np.polynomial.legendre.leggauss(n_per_panel)
+    xg, wg = np.polynomial.legendre.leggauss(24)
     sigma = r + rp
     period = np.pi / sigma
     k_far = max(2.0 * kstar + 2.0, 8.0)
@@ -93,8 +92,7 @@ def osc_integral(
 
     p = max(decay_pow - 1.0, 1.0)
     k_end = max(k_far + 40.0 * period, (decay_amp / (p * tol_abs)) ** (1.0 / p))
-    if k_max is not None:
-        k_end = min(k_end, max(k_max, k_far + 40.0 * period))
+    k_end = min(k_end, max(k_max, k_far + 40.0 * period))
     n_tail = int(np.ceil((k_end - k_far) / period))
     n_tail = min(max(n_tail, 40), 3000)
     tedges = k_far + period * np.arange(n_tail + 1)

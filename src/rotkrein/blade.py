@@ -736,18 +736,21 @@ def averaged_resolvent(
         rr = 0.5 * bp.A * (xg + 1.0)
         ww = 0.5 * bp.A * wg
     mu = bp.alpha_values(rr) * ww * rr ** (dim - 1)
-    vals = radial_apply(psi, z, psi.grid) + _ls_correction(dim, z, psi, rr, mu, psi.grid)
+    # One pass gives the free part on the grid and on the solver nodes.
+    free = radial_apply(psi, z, np.concatenate([psi.grid, rr]))
+    free_grid, free_rr = np.split(free, [len(psi.grid)])
+    vals = free_grid + _ls_correction(dim, z, psi.order, rr, mu, free_rr, psi.grid)
     return RadialChannelFunction(psi.channel, psi.grid, vals, psi.weights)
 
 
-def _ls_correction(dim, z, psi, rr, mu, r_out) -> np.ndarray:
+def _ls_correction(dim, z, order, rr, mu, free_rr, r_out) -> np.ndarray:
     """Lippmann-Schwinger correction K(r_out, rr) @ (mu u) of a radial potential.
 
     mu is the potential times the quadrature weights on the nodes rr (the
-    caller's strength convention), K the free kernel of psi's channel at z,
-    and (I - K diag(mu)) u = R0 psi on rr.
+    caller's strength convention), K the free kernel of the channel order at
+    z, free_rr the free resolvent R0 psi on rr, and (I - K diag(mu)) u = R0 psi.
     """
-    K = separable_kernel(dim, psi.order, z, rr[:, None], rr[None, :])
+    K = separable_kernel(dim, order, z, rr[:, None], rr[None, :])
     M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
-    u = np.linalg.solve(M, radial_apply(psi, z, rr))
-    return separable_kernel(dim, psi.order, z, r_out[:, None], rr[None, :]) @ (mu * u)
+    u = np.linalg.solve(M, free_rr)
+    return separable_kernel(dim, order, z, r_out[:, None], rr[None, :]) @ (mu * u)

@@ -9,27 +9,21 @@ with the dimension's own bookkeeping convention,
 
 enter the resolvent as correction weight 2 pi / Gamma.  gamma_from_alpha
 computes the coupling whose circle operator reproduces, in the fast-rotation
-limit, the point interaction of parameter alpha; beta_consistency measures
-how far the two couplings are from each other at finite speed.
+limit, the point interaction of parameter alpha; limits.point_convergence_study
+measures how far the two resolvents are apart at finite speed.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._radial import radial_apply
-from .greens import (
-    KQuadrature,
-    radial_kernel_2d,
-    radial_kernel_3d,
-    require_resolvent_energy,
-)
-from .pointint import KreinParam, RadialChannelFunction, ResonanceError, lambda_at
-from .rotframe import PointSource, RotationSpec, Truncation, _equatorial_sum
+from ._radial import radial_apply, separable_kernel
+from .greens import radial_kernel_2d, radial_kernel_3d, require_resolvent_energy
+from .pointint import RadialChannelFunction, ResonanceError
+from .rotframe import Truncation, _equatorial_sum
 from .specfun import ChannelIndex2, ChannelIndex3, channel_class, equatorial_weight
 
 __all__ = [
@@ -38,10 +32,7 @@ __all__ = [
     "gamma_coeff_3d",
     "apply_circle_resolvent",
     "gamma_from_alpha",
-    "beta_consistency",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -60,47 +51,30 @@ class CircleParam:
         channel_class(self.dim)
 
 
-def gamma_coeff_3d(
-    m: int,
-    cp: CircleParam,
-    z: complex,
-    l_max: int,
-    q: KQuadrature | None = None,
-    mode: str = "closed",
-) -> complex:
+def gamma_coeff_3d(m: int, cp: CircleParam, z: complex, l_max: int) -> complex:
     """Channel coefficient Gamma_m(z) of the 3D circle interaction."""
     channel_class(3, cp)
     z = require_resolvent_energy(z)
     if l_max < abs(m):
         raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
-    return cp.gamma - 2.0 * math.pi * _equatorial_sum(m, z, cp.radius, l_max, mode, q)
+    return cp.gamma - 2.0 * math.pi * _equatorial_sum(m, z, cp.radius, l_max)
 
 
-def gamma_coeff_2d(
-    n: int,
-    cp: CircleParam,
-    z: complex,
-    q: KQuadrature | None = None,
-    mode: str = "closed",
-) -> complex:
+def gamma_coeff_2d(n: int, cp: CircleParam, z: complex) -> complex:
     """Channel coefficient Gamma_n(z) of the 2D circle interaction."""
     channel_class(2, cp)
     if cp.gamma == 0.0:
         raise ValueError("gamma = 0 has no 2D channel coefficient")
     z = require_resolvent_energy(z)
-    return 1.0 / cp.gamma - radial_kernel_2d(n, z, cp.radius, cp.radius, mode, q)
+    return 1.0 / cp.gamma - radial_kernel_2d(n, z, cp.radius, cp.radius)
 
 
 def _gamma_for_channel(
-    ch: ChannelIndex2 | ChannelIndex3,
-    cp: CircleParam,
-    z: complex,
-    t: Truncation,
-    mode: str,
+    ch: ChannelIndex2 | ChannelIndex3, cp: CircleParam, z: complex, t: Truncation
 ) -> complex:
     if isinstance(ch, ChannelIndex2):
-        return gamma_coeff_2d(ch.n, cp, z, t.quad, mode)
-    return gamma_coeff_3d(ch.m, cp, z, t.require_l_max(), t.quad, mode)
+        return gamma_coeff_2d(ch.n, cp, z)
+    return gamma_coeff_3d(ch.m, cp, z, t.require_l_max())
 
 
 def apply_circle_resolvent(
@@ -109,7 +83,6 @@ def apply_circle_resolvent(
     cp: CircleParam,
     z: complex,
     t: Truncation,
-    mode: str = "closed",
 ) -> RadialChannelFunction:
     """Apply the circle-interaction resolvent to a single-channel function.
 
@@ -122,11 +95,10 @@ def apply_circle_resolvent(
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("resolvent application needs Im z > 0")
-    order = psi.order
     # One pass gives the free part on the grid and its value on the circle.
     vals = radial_apply(psi, z, np.append(psi.grid, cp.radius))
     free_vals, i_chi = vals[:-1], complex(vals[-1])
-    gamma_ch = _gamma_for_channel(psi.channel, cp, z, t, mode)
+    gamma_ch = _gamma_for_channel(psi.channel, cp, z, t)
     scale = max(abs(cp.gamma) if dim == 3 else abs(1.0 / cp.gamma), 1.0)
     if abs(gamma_ch) < 1e-12 * scale:
         raise ResonanceError(
@@ -134,13 +106,9 @@ def apply_circle_resolvent(
         )
     if dim == 2:
         weight = 1.0 / gamma_ch  # (2 pi / Gamma) * (1/2 pi)
-        kernel = radial_kernel_2d
     else:
         weight = 2.0 * math.pi * psi.channel.source_weight() / gamma_ch
-        kernel = radial_kernel_3d
-    corr = weight * i_chi * np.array(
-        [kernel(order, z, r, cp.radius, mode, t.quad) for r in psi.grid]
-    )
+    corr = weight * i_chi * separable_kernel(dim, psi.order, z, psi.grid, cp.radius)
     return RadialChannelFunction(psi.channel, psi.grid, free_vals + corr, psi.weights)
 
 
@@ -148,9 +116,7 @@ def gamma_from_alpha(
     dim: int,
     alpha: float,
     y0: float,
-    q: KQuadrature | None = None,
     l_max: int = 64,
-    mode: str = "closed",
 ) -> float:
     """Circle coupling matched to a point interaction of parameter alpha.
 
@@ -166,42 +132,17 @@ def gamma_from_alpha(
         raise ValueError(f"alpha must lie in [0, 2*pi), got {alpha}")
     if abs(alpha - math.pi) < 1e-12:
         raise ValueError("alpha = pi is the free case; no matching circle coupling")
+    if l_max < 0:
+        raise ValueError(f"l_max must be nonnegative, got {l_max}")
     th = math.tan(0.5 * alpha)
     if dim == 2:
-        g = radial_kernel_2d(0, 1j, y0, y0, mode, q)
+        g = radial_kernel_2d(0, 1j, y0, y0)
         val = th * g.imag + g.real
         if abs(val) < 1e-300:
             raise ResonanceError("matching integral vanishes; coupling diverges")
         return 1.0 / val
     acc = 0.0
     for l in range(0, l_max + 1, 2):
-        g = radial_kernel_3d(l, 1j, y0, y0, mode, q)
+        g = radial_kernel_3d(l, 1j, y0, y0)
         acc += equatorial_weight(l, 0) * (th * g.imag + g.real)
     return 2.0 * math.pi * acc
-
-
-def beta_consistency(
-    dim: int,
-    z: complex,
-    alpha: float,
-    rot: RotationSpec,
-    src: PointSource,
-    t: Truncation,
-    channel: ChannelIndex2 | ChannelIndex3,
-    mode: str = "closed",
-) -> float:
-    """Distance between the circle and point couplings on one channel.
-
-    Compares 2 pi / Gamma_ch(z), with gamma matched to alpha at the same
-    degree cap, against lambda(z - m0 omega, alpha) of the rotating point
-    interaction.  Decays as the rotation speeds up.
-    """
-    channel_class(dim, channel, src)
-    m0 = channel.shift
-    l_cap = t.require_l_max() if dim == 3 else 64
-    gam = gamma_from_alpha(dim, alpha, src.y0, t.quad, l_max=l_cap, mode=mode)
-    cp = CircleParam(gam, src.y0, dim)
-    gamma_ch = _gamma_for_channel(channel, cp, z, t, mode)
-    beta = 2.0 * math.pi / gamma_ch
-    lam = lambda_at(dim, z - m0 * rot.omega, KreinParam(alpha), rot, src, t, mode)
-    return float(abs(beta - lam))

@@ -112,7 +112,7 @@ def cmd_kernel(args) -> int:
     x = _parse_point(args.point, args.dim)
     xp = _parse_point(args.source, args.dim)
     if args.alpha is None:
-        val = rot_green(args.dim, z, rot, x, xp, t, args.mode)
+        val = rot_green(args.dim, z, rot, x, xp, t)
     else:
         alpha = args.alpha
         if abs(alpha - math.pi) < 1e-6:
@@ -120,10 +120,8 @@ def cmd_kernel(args) -> int:
             alpha = math.pi
         if args.y0 is None:
             raise ValueError("--alpha needs --y0 for the source radius")
-        val = krein_kernel(
-            args.dim, z, KreinParam(alpha), rot, x, xp,
-            PointSource(args.y0, args.dim), t, args.mode,
-        )
+        src = PointSource(args.y0, args.dim)
+        val = krein_kernel(args.dim, z, KreinParam(alpha), rot, x, xp, src, t)
     print(f"kernel = {format_complex(val)}")
     print(f"tail_rel_bound = {t.tail_tol:.3e} (enforced on the channel window)")
     return 0
@@ -276,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--alpha", type=float, default=None,
                    help="point-interaction coupling; omit for the free kernel")
     k.add_argument("--y0", type=float, default=None, help="source radius for --alpha")
-    k.add_argument("--mode", choices=("closed", "quadrature"), default="closed")
     k.set_defaults(func=cmd_kernel)
 
     g = sub.add_parser("gamma", help="circle couplings and channel coefficients")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._radial import separable_kernel
+from ._radial import radial_apply, separable_kernel
 from .blade import (
     BladeParam,
     BladeMesh,
@@ -178,8 +178,6 @@ def point_convergence_study(
     z: complex,
     omegas=DEFAULT_OMEGAS,
     psis=(),
-    *,
-    mode: str = "closed",
 ) -> StudyTable:
     """Rotating point interaction against its matched circle interaction.
 
@@ -204,9 +202,9 @@ def point_convergence_study(
         wr = psi.quad_weights() * rg ** (dim - 1)
         g_src = separable_kernel(dim, ch.order, z, y0, rg)
         i_chi = complex(np.sum(wr * g_src * psi.values))
-        gam = gamma_from_alpha(dim, alpha, y0, l_max=ch.order, mode=mode)
+        gam = gamma_from_alpha(dim, alpha, y0, l_max=ch.order)
         cp = CircleParam(gam, y0, dim)
-        beta = 2.0 * math.pi / _gamma_for_channel(ch, cp, z, t, mode)
+        beta = 2.0 * math.pi / _gamma_for_channel(ch, cp, z, t)
         # Side channel c of the source field: kernel g_c(r, y0) over the
         # harmonic's norm, weighted by the norm and |harmonic|^2 at the source.
         norm = cls.harmonic_norm_sq
@@ -214,7 +212,7 @@ def point_convergence_study(
         sides = [(c, w) for c, w in sides if w != 0.0]
 
         def row(om):
-            lam = lambda_at(dim, z - m0 * om, kp, RotationSpec(om), src, t, mode=mode)
+            lam = lambda_at(dim, z - m0 * om, kp, RotationSpec(om), src, t)
             e2 = 0.0
             for c, w in sides:
                 zz = z + (c.shift - m0) * om
@@ -232,7 +230,6 @@ def point_convergence_study(
         "z": z,
         "omegas": omegas,
         "channels": [p.channel.label for p in psis],
-        "mode": mode,
     }
     zero = {"error_norm": 0.0} if kp.is_free else None
     return _sweep("point_convergence", params, dim, psis, zero, setup)
@@ -258,7 +255,7 @@ def _averaged_correction(
         rr = 0.5 * bp.A * (xg + 1.0)
         ww = 0.5 * bp.A * wg * rr**2
     mu = bp.alpha_values(rr) / (2.0 * math.pi) * ww
-    corr = _ls_correction(dim, z, psi, rr, mu, r_eval)
+    corr = _ls_correction(dim, z, psi.order, rr, mu, radial_apply(psi, z, rr), r_eval)
     # Layer fields multiply the channel harmonic, psi its orthonormal factor.
     return corr / math.sqrt(psi.channel.harmonic_norm_sq)
 

@@ -127,17 +127,14 @@ class RadialChannelFunction:
 
 
 def _inv_lambda_ref(
-    dim: int, kp: KreinParam, rot: RotationSpec, src: PointSource, t: Truncation,
-    mode: str,
+    dim: int, kp: KreinParam, rot: RotationSpec, src: PointSource, t: Truncation
 ) -> complex:
     # Windowed reference norm from the same channel sums as the continuation:
     # ||G_ref||^2 = sum_m Im ch_m(conj(ref) + m w).  Anything else (for example
     # a tail-completed norm) breaks the conjugation identity at the window edge.
     norm_sq = 0.0
     for m in range(-t.m_max, t.m_max + 1):
-        norm_sq += channel_diag(
-            dim, m, _Z_REF.conjugate() + m * rot.omega, src, t, mode
-        ).imag
+        norm_sq += channel_diag(dim, m, _Z_REF.conjugate() + m * rot.omega, src, t).imag
     return 2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha))
 
 
@@ -147,12 +144,11 @@ def lambda_ref(
     rot: RotationSpec,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
 ) -> complex:
     """Coupling at the reference parameter -i; zero exactly at alpha = pi."""
     if kp.is_free:
         return 0.0 + 0.0j
-    return 1.0 / _inv_lambda_ref(dim, kp, rot, src, t, mode)
+    return 1.0 / _inv_lambda_ref(dim, kp, rot, src, t)
 
 
 def lambda_at(
@@ -162,7 +158,6 @@ def lambda_at(
     rot: RotationSpec,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
     via: complex | None = None,
 ) -> complex:
     """Coupling at spectral parameter z, continued from the reference point.
@@ -178,14 +173,14 @@ def lambda_at(
     if kp.is_free:
         return 0.0 + 0.0j
     if via is not None:
-        inv_via = 1.0 / lambda_at(dim, via, kp, rot, src, t, mode)
+        inv_via = 1.0 / lambda_at(dim, via, kp, rot, src, t)
         z_from, inv_from = complex(via), inv_via
     else:
-        z_from, inv_from = _Z_REF, _inv_lambda_ref(dim, kp, rot, src, t, mode)
+        z_from, inv_from = _Z_REF, _inv_lambda_ref(dim, kp, rot, src, t)
     diff = 0.0 + 0.0j
     for m in range(-t.m_max, t.m_max + 1):
-        diff += channel_diag(dim, m, z + m * rot.omega, src, t, mode)
-        diff -= channel_diag(dim, m, z_from + m * rot.omega, src, t, mode)
+        diff += channel_diag(dim, m, z + m * rot.omega, src, t)
+        diff -= channel_diag(dim, m, z_from + m * rot.omega, src, t)
     inv = inv_from - diff
     scale = max(abs(inv_from), abs(diff), 1e-300)
     if abs(inv) < 1e-14 * scale:
@@ -209,19 +204,18 @@ def krein_kernel(
     xp: Point2 | Point3,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
 ) -> complex:
     """Resolvent kernel of the interacting operator between two points."""
     cls = channel_class(dim, x, xp, src)
     z = require_resolvent_energy(z)
-    free = rot_green(dim, z, rot, x, xp, t, mode)
+    free = rot_green(dim, z, rot, x, xp, t)
     if kp.is_free:
         return free
-    lam = lambda_at(dim, z, kp, rot, src, t, mode)
+    lam = lambda_at(dim, z, kp, rot, src, t)
     # The interaction site, as a point of the same class as x.
     y0pt = type(x)(src.y0, *cls.source_angles)
-    left = rot_green(dim, z, rot, x, y0pt, t, mode)
-    right = rot_green(dim, np.conj(z), rot, xp, y0pt, t, mode)
+    left = rot_green(dim, z, rot, x, y0pt, t)
+    right = rot_green(dim, np.conj(z), rot, xp, y0pt, t)
     return free + lam * complex(np.conj(right)) * left
 
 
@@ -233,7 +227,6 @@ def apply_krein_resolvent(
     rot: RotationSpec,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
 ) -> tuple[RadialChannelFunction, complex]:
     """Apply the interacting resolvent to a single-channel function.
 
@@ -254,7 +247,7 @@ def apply_krein_resolvent(
     free = RadialChannelFunction(ch, psi.grid, vals[:-1], psi.weights)
     if kp.is_free:
         return free, 0.0 + 0.0j
-    lam = lambda_at(dim, z - ch.shift * rot.omega, kp, rot, src, t, mode)
+    lam = lambda_at(dim, z - ch.shift * rot.omega, kp, rot, src, t)
     i_chi = complex(vals[-1])
     proj = ch.angular(*ch.source_angles)
     return free, lam * proj * i_chi

@@ -1,10 +1,11 @@
 """Resolvent of the rotating frame operator, channel by channel.
 
 Rotation at angular speed omega enters each angular channel of the free
-resolvent as an energy shift: channel m is evaluated at z + m*omega.  All
-operations here take an explicit channel window (Truncation); the windowed
-object is the thing computed, and the norm and inner-product reductions below
-are exact identities on that window.
+resolvent as an energy shift: channel m is evaluated at z + m*omega, with the
+closed radial kernels of greens.  All operations here take an explicit
+channel window (Truncation); the windowed object is the thing computed, and
+the norm and inner-product reductions below are exact identities on that
+window.  _check_shell_tail is the one tail model of the pointwise sums.
 
     rot_green      kernel sum over |m| <= m_max at shifted energies
     rot_norm_sq    squared L2 norm of the kernel against a point source,
@@ -18,12 +19,11 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .greens import (
-    KQuadrature,
     Point2,
     Point3,
     TruncationError,
@@ -39,7 +39,6 @@ __all__ = [
     "RotationSpec",
     "Truncation",
     "rot_green",
-    "rot_green_cutoff",
     "rot_norm_sq",
     "rot_inner",
     "remainder_norm",
@@ -62,17 +61,17 @@ class RotationSpec:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Channel window and quadrature policy.
+    """Channel window and tail policy.
 
     m_max caps the azimuthal window |m| <= m_max; l_max (3D only) caps the
-    degree sums and must dominate m_max.  tail_tol governs pointwise kernel
-    sums; the norm and inner-product reductions treat the window as the
+    degree sums and must dominate m_max.  tail_tol bounds the estimated
+    relative tail of pointwise kernel sums (rot_green); math.inf switches the
+    check off.  The norm and inner-product reductions treat the window as the
     definition of the object and do not police it.
     """
 
     m_max: int
     l_max: int | None = None
-    quad: KQuadrature = field(default_factory=KQuadrature)
     tail_tol: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -112,7 +111,6 @@ def channel_diag(
     zz: complex,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
 ) -> complex:
     """Channel diagonal d_m(zz) of the free resolvent at the source point.
 
@@ -121,30 +119,27 @@ def channel_diag(
     """
     if src.dim != dim:
         channel_class(dim, src)
-    q = t.quad if mode == "quadrature" else None
     if dim == 2:
-        return radial_kernel_2d(m, zz, src.y0, src.y0, mode, q) / (2.0 * math.pi)
-    return _equatorial_sum(m, zz, src.y0, t.require_l_max(), mode, q)
+        return radial_kernel_2d(m, zz, src.y0, src.y0) / (2.0 * math.pi)
+    return _equatorial_sum(m, zz, src.y0, t.require_l_max())
 
 
-def _equatorial_sum(m: int, zz: complex, y0: float, l_max: int, mode: str, q) -> complex:
+def _equatorial_sum(m: int, zz: complex, y0: float, l_max: int) -> complex:
     """sum over l = |m| .. l_max of |Y_l^m(eq)|^2 g_l(zz; y0, y0), in increasing l."""
     acc = 0.0 + 0.0j
     for l in range(abs(m), l_max + 1):
         wgt = equatorial_weight(l, m)
         if wgt == 0.0:
             continue
-        acc += wgt * radial_kernel_3d(l, zz, y0, y0, mode, q)
+        acc += wgt * radial_kernel_3d(l, zz, y0, y0)
     return acc
 
 
-def _shell_term_3d(
-    m: int, zz: complex, x: Point3, xp: Point3, l_max: int, mode: str, q
-) -> complex:
+def _shell_term_3d(m: int, zz: complex, x: Point3, xp: Point3, l_max: int) -> complex:
     acc = 0.0 + 0.0j
     for l in range(abs(m), l_max + 1):
         acc += (
-            radial_kernel_3d(l, zz, x.r, xp.r, mode, q)
+            radial_kernel_3d(l, zz, x.r, xp.r)
             * sph_harm(l, m, x.theta, x.phi)
             * sph_harm(l, m, xp.theta, xp.phi).conjugate()
         )
@@ -201,7 +196,6 @@ def rot_green(
     x: Point3 | Point2,
     xp: Point3 | Point2,
     t: Truncation,
-    mode: str = "closed",
 ) -> complex:
     """Rotating-frame resolvent kernel between two points.
 
@@ -211,73 +205,26 @@ def rot_green(
     """
     channel_class(dim, x, xp)
     z = require_resolvent_energy(z)
-    q = t.quad if mode == "quadrature" else None
     shells: dict[int, complex] = {}
     if dim == 2:
         dtheta = x.theta - xp.theta
         for m in range(-t.m_max, t.m_max + 1):
             zz = z + m * rot.omega
-            g = radial_kernel_2d(m, zz, x.r, xp.r, mode, q)
+            g = radial_kernel_2d(m, zz, x.r, xp.r)
             shells[m] = cmath.exp(1j * m * dtheta) * g / (2.0 * math.pi)
     else:
         l_max = t.require_l_max()
         for m in range(-t.m_max, t.m_max + 1):
             zz = z + m * rot.omega
-            shells[m] = _shell_term_3d(m, zz, x, xp, l_max, mode, q)
+            shells[m] = _shell_term_3d(m, zz, x, xp, l_max)
     total = sum(shells.values())
     _check_shell_tail(shells, total, t.tail_tol)
     return complex(total)
 
 
-def rot_green_cutoff(
-    dim: int,
-    cap: int,
-    z: complex,
-    rot: RotationSpec,
-    x: Point3 | Point2,
-    xp: Point3 | Point2,
-    t: Truncation,
-    mode: str = "closed",
-) -> complex:
-    """Sharp-cutoff model of the rotating kernel: l <= cap (3D), |n| <= cap (2D).
-
-    The 3D cutoff keeps all orders |m| <= l for each retained degree, so
-    cap = 0 is the single (0, 0) term.  No tail policy applies; this is the
-    model object whose distance to rot_green is the quantity of interest.
-    """
-    channel_class(dim, x, xp)
-    if cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
-    z = require_resolvent_energy(z)
-    q = t.quad if mode == "quadrature" else None
-    acc = 0.0 + 0.0j
-    if dim == 2:
-        dtheta = x.theta - xp.theta
-        for n in range(-cap, cap + 1):
-            zz = z + n * rot.omega
-            acc += (
-                cmath.exp(1j * n * dtheta)
-                * radial_kernel_2d(n, zz, x.r, xp.r, mode, q)
-                / (2.0 * math.pi)
-            )
-        return complex(acc)
-    for l in range(0, cap + 1):
-        for m in range(-l, l + 1):
-            zz = z + m * rot.omega
-            acc += (
-                radial_kernel_3d(l, zz, x.r, xp.r, mode, q)
-                * sph_harm(l, m, x.theta, x.phi)
-                * sph_harm(l, m, xp.theta, xp.phi).conjugate()
-            )
-    return complex(acc)
-
-
-def _diag_profile_3d(
-    z: complex, rot: RotationSpec, src: PointSource, t: Truncation, mode: str
-):
+def _diag_profile_3d(z: complex, rot: RotationSpec, src: PointSource, t: Truncation):
     """Degree profile S_l of the windowed norm sum, Im-part by degree."""
     l_max = t.require_l_max()
-    q = t.quad if mode == "quadrature" else None
     im_z = z.imag
     prof = np.zeros(l_max + 1)
     for l in range(l_max + 1):
@@ -287,9 +234,7 @@ def _diag_profile_3d(
             if wgt == 0.0:
                 continue
             if m not in g_cache:
-                g_cache[m] = radial_kernel_3d(
-                    l, z + m * rot.omega, src.y0, src.y0, mode, q
-                )
+                g_cache[m] = radial_kernel_3d(l, z + m * rot.omega, src.y0, src.y0)
             prof[l] += wgt * g_cache[m].imag / im_z
     return prof
 
@@ -322,7 +267,6 @@ def rot_norm_sq(
     rot: RotationSpec,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
 ) -> float:
     """Squared norm of the windowed rotating kernel against the source.
 
@@ -335,10 +279,10 @@ def rot_norm_sq(
     if dim == 2:
         total = 0.0
         for m in range(-t.m_max, t.m_max + 1):
-            d = channel_diag(2, m, z + m * rot.omega, src, t, mode)
+            d = channel_diag(2, m, z + m * rot.omega, src, t)
             total += d.imag / z.imag
         return total
-    prof = _diag_profile_3d(z, rot, src, t, mode)
+    prof = _diag_profile_3d(z, rot, src, t)
     tail = _power_law_tail(prof)
     logger.debug("rot_norm_sq degree tail %.3g of %.3g", tail, prof.sum())
     return float(prof.sum() + tail)
@@ -351,7 +295,6 @@ def rot_inner(
     rot: RotationSpec,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
 ) -> complex:
     """Inner product of windowed rotating kernels at parameters z and zp.
 
@@ -366,8 +309,8 @@ def rot_inner(
         raise ValueError("coincident spectral parameters; no difference quotient")
     acc = 0.0 + 0.0j
     for m in range(-t.m_max, t.m_max + 1):
-        dz = channel_diag(dim, m, z + m * rot.omega, src, t, mode)
-        dzp = channel_diag(dim, m, zp + m * rot.omega, src, t, mode)
+        dz = channel_diag(dim, m, z + m * rot.omega, src, t)
+        dzp = channel_diag(dim, m, zp + m * rot.omega, src, t)
         acc += dz - dzp
     return complex(acc / (z - zp))
 
@@ -379,7 +322,6 @@ def remainder_norm(
     rot: RotationSpec,
     src: PointSource,
     t: Truncation,
-    mode: str = "closed",
 ) -> float:
     """Norm of the windowed rotating kernel minus its central channel m0.
 
@@ -395,7 +337,7 @@ def remainder_norm(
     for m in range(-t.m_max, t.m_max + 1):
         if m == m0:
             continue
-        d = channel_diag(dim, m, z + (m - m0) * rot.omega, src, t, mode)
+        d = channel_diag(dim, m, z + (m - m0) * rot.omega, src, t)
         acc += d.imag / z.imag
     if acc < 0.0:
         # Roundoff at severe cancellation; the exact value is nonnegative.

@@ -89,12 +89,12 @@ def test_criterion_02_dual_path_kernel_equality():
         r, rp = rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5)
         if dim == 2:
             n = int(rng.integers(-6, 7))
-            a = radial_kernel_2d(n, z, r, rp, "closed", None)
-            b = radial_kernel_2d(n, z, r, rp, "quadrature", None)
+            a = radial_kernel_2d(n, z, r, rp, "closed")
+            b = radial_kernel_2d(n, z, r, rp, "quadrature")
         else:
             l = int(rng.integers(0, 9))
-            a = radial_kernel_3d(l, z, r, rp, "closed", None)
-            b = radial_kernel_3d(l, z, r, rp, "quadrature", None)
+            a = radial_kernel_3d(l, z, r, rp, "closed")
+            b = radial_kernel_3d(l, z, r, rp, "quadrature")
         assert b == pytest.approx(a, rel=1e-6)
     assert time.perf_counter() - start < 30.0
 

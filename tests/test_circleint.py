@@ -9,12 +9,12 @@ from helpers import make_psi
 from rotkrein.circleint import (
     CircleParam,
     apply_circle_resolvent,
-    beta_consistency,
     gamma_coeff_2d,
     gamma_coeff_3d,
     gamma_from_alpha,
 )
 from rotkrein.greens import radial_kernel_2d, radial_kernel_3d
+from rotkrein.pointint import KreinParam, lambda_at
 from rotkrein.rotframe import PointSource, RotationSpec, Truncation, channel_diag
 from rotkrein.specfun import ChannelIndex2, ChannelIndex3, equatorial_weight
 
@@ -70,6 +70,20 @@ def test_coefficient_validation():
         CircleParam(1.0, 1.0, 4)
 
 
+def _matched_coupling_by_quadrature(dim, alpha, y0):
+    """gamma_from_alpha's reduction (default l_max = 64) with the k-quadrature
+    radial kernels."""
+    th = math.tan(0.5 * alpha)
+    if dim == 2:
+        g = radial_kernel_2d(0, 1j, y0, y0, "quadrature")
+        return 1.0 / (th * g.imag + g.real)
+    acc = 0.0
+    for l in range(0, 65, 2):
+        g = radial_kernel_3d(l, 1j, y0, y0, "quadrature")
+        acc += equatorial_weight(l, 0) * (th * g.imag + g.real)
+    return 2.0 * math.pi * acc
+
+
 def test_matched_coupling_is_real_and_mode_independent():
     for dim in (2, 3):
         for alpha in (0.4, 1.2, 2.2, 4.0, 5.5):
@@ -77,7 +91,7 @@ def test_matched_coupling_is_real_and_mode_independent():
                 gam = gamma_from_alpha(dim, alpha, y0)
                 assert isinstance(gam, float)
                 assert math.isfinite(gam)
-                gq = gamma_from_alpha(dim, alpha, y0, mode="quadrature")
+                gq = _matched_coupling_by_quadrature(dim, alpha, y0)
                 assert gq == pytest.approx(gam, rel=1e-6)
 
 
@@ -85,7 +99,7 @@ def test_matched_coupling_pins_reference_relation():
     # 2D: 1/gamma = tan(alpha/2) Im g0 + Re g0 at parameter i on the circle
     alpha, y0 = 2.2, 0.8
     gam = gamma_from_alpha(2, alpha, y0)
-    g = radial_kernel_2d(0, 1j, y0, y0, "closed", None)
+    g = radial_kernel_2d(0, 1j, y0, y0, "closed")
     assert 1.0 / gam == pytest.approx(
         math.tan(0.5 * alpha) * g.imag + g.real, rel=1e-12
     )
@@ -93,7 +107,7 @@ def test_matched_coupling_pins_reference_relation():
     gam3 = gamma_from_alpha(3, alpha, y0, l_max=24)
     acc = 0.0
     for l in range(0, 25, 2):
-        g = radial_kernel_3d(l, 1j, y0, y0, "closed", None)
+        g = radial_kernel_3d(l, 1j, y0, y0, "closed")
         acc += equatorial_weight(l, 0) * (math.tan(0.5 * alpha) * g.imag + g.real)
     assert gam3 == pytest.approx(2.0 * math.pi * acc, rel=1e-12)
 
@@ -111,13 +125,33 @@ def test_matched_coupling_rejects_free_and_out_of_range_alpha():
         gamma_from_alpha(4, 1.0, 1.0)
 
 
+def test_matched_coupling_rejects_negative_degree_cap():
+    # an empty degree sum would silently give gamma = 0
+    with pytest.raises(ValueError, match="l_max"):
+        gamma_from_alpha(3, 1.0, 0.7, l_max=-2)
+    assert gamma_from_alpha(3, 1.0, 0.7, l_max=0) != 0.0
+
+
+def _consistency_gap(dim, z, alpha, rot, src, t, channel):
+    """|2 pi / Gamma_ch(z) - lambda(z - m0 omega)|: the circle coupling matched
+    to alpha at the same degree cap against the rotating point coupling."""
+    if dim == 2:
+        cp = CircleParam(gamma_from_alpha(2, alpha, src.y0), src.y0, 2)
+        gamma_ch = gamma_coeff_2d(channel.n, cp, z)
+    else:
+        cp = CircleParam(gamma_from_alpha(3, alpha, src.y0, l_max=t.l_max), src.y0, 3)
+        gamma_ch = gamma_coeff_3d(channel.m, cp, z, t.l_max)
+    lam = lambda_at(dim, z - channel.shift * rot.omega, KreinParam(alpha), rot, src, t)
+    return abs(2.0 * math.pi / gamma_ch - lam)
+
+
 def test_consistency_gap_decays_with_rotation():
     z = 0.4 + 1.0j
     alpha = math.pi / 2
     src2 = PointSource(0.8, 2)
     t2 = Truncation(3)
     gaps2 = [
-        beta_consistency(2, z, alpha, RotationSpec(om), src2, t2, ChannelIndex2(1))
+        _consistency_gap(2, z, alpha, RotationSpec(om), src2, t2, ChannelIndex2(1))
         for om in (8.0, 32.0, 128.0)
     ]
     assert all(g > 0.0 for g in gaps2)
@@ -126,7 +160,7 @@ def test_consistency_gap_decays_with_rotation():
     src3 = PointSource(0.9, 3)
     t3 = Truncation(3, l_max=6)
     gaps3 = [
-        beta_consistency(3, z, alpha, RotationSpec(om), src3, t3, ChannelIndex3(1, 1))
+        _consistency_gap(3, z, alpha, RotationSpec(om), src3, t3, ChannelIndex3(1, 1))
         for om in (8.0, 32.0, 128.0)
     ]
     assert all(g > 0.0 for g in gaps3)
@@ -147,7 +181,7 @@ def test_apply_resolvent_separable_correction_2d():
     out = apply_circle_resolvent(2, psi, cp, z, t)
     corr = out.values - _free_part(psi, z)
     kernel = np.array(
-        [radial_kernel_2d(2, z, r, cp.radius, "closed", None) for r in psi.grid]
+        [radial_kernel_2d(2, z, r, cp.radius, "closed") for r in psi.grid]
     )
     ratios = corr[np.abs(kernel) > 1e-8] / kernel[np.abs(kernel) > 1e-8]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-10 * abs(ratios[0])
@@ -157,7 +191,7 @@ def test_apply_resolvent_separable_correction_2d():
         wr
         * psi.values
         * np.array(
-            [radial_kernel_2d(2, z, cp.radius, r, "closed", None) for r in psi.grid]
+            [radial_kernel_2d(2, z, cp.radius, r, "closed") for r in psi.grid]
         )
     )
     gam_n = gamma_coeff_2d(2, cp, z)
@@ -174,7 +208,7 @@ def test_apply_resolvent_separable_correction_3d():
     out = apply_circle_resolvent(3, psi, cp, z, t)
     corr = out.values - _free_part(psi, z)
     kernel = np.array(
-        [radial_kernel_3d(2, z, r, cp.radius, "closed", None) for r in psi.grid]
+        [radial_kernel_3d(2, z, r, cp.radius, "closed") for r in psi.grid]
     )
     ratios = corr[np.abs(kernel) > 1e-8] / kernel[np.abs(kernel) > 1e-8]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-10 * abs(ratios[0])
@@ -183,7 +217,7 @@ def test_apply_resolvent_separable_correction_3d():
         wr
         * psi.values
         * np.array(
-            [radial_kernel_3d(2, z, cp.radius, r, "closed", None) for r in psi.grid]
+            [radial_kernel_3d(2, z, cp.radius, r, "closed") for r in psi.grid]
         )
     )
     gam_m = gamma_coeff_3d(0, cp, z, t.l_max)

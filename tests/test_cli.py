@@ -155,6 +155,14 @@ def test_gamma_cli(capsys):
     assert main(["gamma", "--dim", "2"]) == 2
 
 
+def test_gamma_cli_rejects_negative_l_max(capsys):
+    argv = ["gamma", "--dim", "3", "--alpha", "1.0", "--y0", "0.7", "--l-max", "-2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "gamma =" not in captured.out
+    assert "l_max must be nonnegative" in captured.err
+
+
 def _write_config(path, body):
     path.write_text(body)
     return str(path)

@@ -5,26 +5,22 @@ import numpy as np
 import pytest
 
 from rotkrein import (
-    KQuadrature,
+    ChannelIndex2,
+    ChannelIndex3,
     Point2,
     Point3,
+    RotationSpec,
     SingularArgumentError,
-    TruncationError,
+    Truncation,
     free_green_2d,
     free_green_3d,
     free_green_norm_sq_3d,
     radial_kernel_2d,
     radial_kernel_3d,
+    rot_green,
     sqrt_upper,
 )
-from rotkrein.greens import (
-    SOURCE_ANGLES_3D,
-    SOURCE_THETA_2D,
-    channel_green_2d,
-    channel_green_3d,
-    require_off_axis_energy,
-    require_resolvent_energy,
-)
+from rotkrein.greens import require_off_axis_energy, require_resolvent_energy
 
 # mpmath oracle (dps=30): I0(1)*K0(1) and sinh(1)*exp(-1).
 I0K0_1 = 0.53304467495626862
@@ -109,29 +105,22 @@ def test_free_green_coincident_rejected():
 
 
 def test_channel_resummation_2d():
+    # the channel sum against the source point at omega = 0 is the free kernel
     z = 0.5 + 1j
-    x, y0 = Point2(1.1, 0.4), 0.6
-    tot = sum(channel_green_2d(n, z, x, y0) for n in range(-40, 41))
-    free = free_green_2d(z, x, Point2(y0, SOURCE_THETA_2D))
+    x, src = Point2(1.1, 0.4), Point2(0.6, *ChannelIndex2.source_angles)
+    tot = rot_green(2, z, RotationSpec(0.0), x, src, Truncation(40))
+    free = free_green_2d(z, x, src)
     assert abs(tot - free) / abs(free) < 1e-10
 
 
 def test_channel_resummation_3d():
+    # l <= 60 leaves a shell tail near 1.5e-7, so the window check runs at 1e-5
     z = 0.5 + 1j
-    x, y0 = Point3(1.1, 1.0, 0.4), 0.6
-    tot = sum(channel_green_3d(m, z, x, y0, 60) for m in range(-16, 17))
-    free = free_green_3d(z, x, Point3(y0, *SOURCE_ANGLES_3D))
+    x, src = Point3(1.1, 1.0, 0.4), Point3(0.6, *ChannelIndex3.source_angles)
+    t = Truncation(16, l_max=60, tail_tol=1e-5)
+    tot = rot_green(3, z, RotationSpec(0.0), x, src, t)
+    free = free_green_3d(z, x, src)
     assert abs(tot - free) / abs(free) < 1e-5
-
-
-def test_channel_green_guards():
-    with pytest.raises(ValueError):
-        channel_green_2d(0, 1j, Point2(1.0, 0.0), -1.0)
-    with pytest.raises(ValueError):
-        channel_green_3d(3, 1j, Point3(1.0, 1.0, 0.0), 0.5, l_max=2)
-    # single-term l sum cannot witness its own tail
-    with pytest.raises(TruncationError):
-        channel_green_3d(40, 0.5 + 1j, Point3(1.1, 1.0, 0.4), 0.6, l_max=40)
 
 
 def test_norm_sq_formula_vs_integral():
@@ -151,14 +140,3 @@ def test_energy_guards():
     with pytest.raises(ValueError):
         require_off_axis_energy(-2.0)
     assert require_off_axis_energy(-2.0 + 1e-3j) == -2.0 + 1e-3j
-
-
-def test_kquadrature_validation():
-    with pytest.raises(ValueError):
-        KQuadrature(rule="simpson")
-    with pytest.raises(ValueError):
-        KQuadrature(k_max=0.0)
-    q = KQuadrature(rule="fixed-node", k_max=300.0)
-    v = radial_kernel_2d(0, 0.5 + 1j, 0.8, 1.3, mode="quadrature", q=q)
-    ref = radial_kernel_2d(0, 0.5 + 1j, 0.8, 1.3)
-    assert abs(v - ref) / abs(ref) < 1e-3

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rotkrein import (
     Point2,
@@ -18,8 +20,10 @@ from rotkrein import (
     rot_green,
     rot_inner,
     rot_norm_sq,
+    sqrt_upper,
 )
-from rotkrein.rotframe import channel_diag, rot_green_cutoff
+from rotkrein._radial import separable_kernel
+from rotkrein.rotframe import channel_diag
 
 T2 = Truncation(m_max=32)
 T3 = Truncation(m_max=32, l_max=32)
@@ -72,13 +76,14 @@ def test_rot_green_coincident_points_rejected():
 
 
 def test_rot_green_cutoff_converges_to_window():
+    # the sharp cutoff |n| <= cap is the window m_max = cap with no tail policy
     z = 0.3 + 0.9j
     om = 4.0
     x, xp = Point2(1.2, 0.5), Point2(0.6, 1.9)
     full = rot_green(2, z, RotationSpec(om), x, xp, T2)
     errs = []
     for cap in (2, 4, 8, 16):
-        v = rot_green_cutoff(2, cap, z, RotationSpec(om), x, xp, T2)
+        v = rot_green(2, z, RotationSpec(om), x, xp, Truncation(cap, tail_tol=math.inf))
         errs.append(abs(v - full))
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-4 * abs(full)
@@ -144,3 +149,61 @@ def test_remainder_norm_decreases_with_omega():
 def test_remainder_requires_upper_half_plane():
     with pytest.raises(ValueError):
         remainder_norm(2, 1, -1.0, RotationSpec(2.0), PointSource(1.0, 2), T2)
+
+
+def _panel_rule(edges):
+    """24-point Gauss nodes and weights on each panel between the edges."""
+    xg, wg = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+
+
+def _inner_oracle_2d(z, zp, omega, y0, m_max):
+    """sum_n of int g_n(z + n w; r, y0) g_n(zp + n w; r, y0) r dr / (2 pi) by
+    quadrature: panels no wider than 0.5, split at y0, out to where the
+    slower of the two kernels has decayed by exp(-40)."""
+    acc = 0.0 + 0.0j
+    for n in range(-m_max, m_max + 1):
+        zz, zzp = z + n * omega, zp + n * omega
+        r_end = y0 + 40.0 / min(sqrt_upper(zz).imag, sqrt_upper(zzp).imag)
+        edges = np.concatenate([
+            np.linspace(0.0, y0, math.ceil(y0 / 0.5) + 1),
+            np.linspace(y0, r_end, math.ceil((r_end - y0) / 0.5) + 1)[1:],
+        ])
+        r, w = _panel_rule(edges)
+        g = separable_kernel(2, n, zz, r, y0) * separable_kernel(2, n, zzp, r, y0)
+        acc += np.sum(w * g * r)
+    return acc / (2.0 * math.pi)
+
+
+spectral = st.builds(
+    complex, st.floats(-3.0, 3.0), st.floats(0.3, 2.0) | st.floats(-2.0, -0.3)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    z=spectral,
+    zp=spectral,
+    omega=st.floats(0.0, 10.0),
+    y0=st.floats(0.3, 2.0),
+    m_max=st.integers(0, 5),
+)
+def test_rot_inner_identities(z, zp, omega, y0, m_max):
+    assume(abs(z - zp) > 0.1)
+    rot = RotationSpec(omega)
+    t2, t3 = Truncation(m_max), Truncation(m_max, l_max=m_max + 3)
+    src2, src3 = PointSource(y0, 2), PointSource(y0, 3)
+    # reflection: conjugate parameters give the conjugate inner product
+    for dim, src, t in ((2, src2, t2), (3, src3, t3)):
+        assert rot_inner(dim, z.conjugate(), zp.conjugate(), rot, src, t) == (
+            rot_inner(dim, z, zp, rot, src, t).conjugate()
+        )
+    # the conjugate pair is the squared norm
+    norm = rot_norm_sq(2, z, rot, src2, t2)
+    assert abs(rot_inner(2, z, z.conjugate(), rot, src2, t2) - norm) <= 1e-12 * norm
+    # the first-resolvent identity against the radial integral it stands for
+    got = rot_inner(2, z, zp, rot, src2, t2)
+    want = _inner_oracle_2d(z, zp, omega, y0, m_max)
+    assert abs(got - want) <= 1e-10 * abs(want)
