@@ -21,10 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._radial import radial_apply, separable_kernel
-from .greens import radial_kernel_2d, radial_kernel_3d, require_resolvent_energy
+from .greens import _closed_3d, radial_kernel_2d, require_resolvent_energy
 from .pointint import RadialChannelFunction, ResonanceError
-from .rotframe import Truncation, _equatorial_sum
-from .specfun import ChannelIndex2, ChannelIndex3, channel_class, equatorial_weight
+from .rotframe import Truncation, _equatorial_sum, _live_degrees
+from .specfun import (
+    ChannelIndex2,
+    ChannelIndex3,
+    _equatorial_weights,
+    _require_integer,
+    channel_class,
+)
 
 __all__ = [
     "CircleParam",
@@ -54,15 +60,18 @@ class CircleParam:
 def gamma_coeff_3d(m: int, cp: CircleParam, z: complex, l_max: int) -> complex:
     """Channel coefficient Gamma_m(z) of the 3D circle interaction."""
     channel_class(3, cp)
+    _require_integer("channel order m", m)
+    _require_integer("l_max", l_max)
     z = require_resolvent_energy(z)
     if l_max < abs(m):
         raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
-    return cp.gamma - 2.0 * math.pi * _equatorial_sum(m, z, cp.radius, l_max)
+    return cp.gamma - 2.0 * math.pi * _equatorial_sum(_live_degrees(m, l_max), z, cp.radius)
 
 
 def gamma_coeff_2d(n: int, cp: CircleParam, z: complex) -> complex:
     """Channel coefficient Gamma_n(z) of the 2D circle interaction."""
     channel_class(2, cp)
+    _require_integer("channel n", n)
     if cp.gamma == 0.0:
         raise ValueError("gamma = 0 has no 2D channel coefficient")
     z = require_resolvent_energy(z)
@@ -132,6 +141,7 @@ def gamma_from_alpha(
         raise ValueError(f"alpha must lie in [0, 2*pi), got {alpha}")
     if abs(alpha - math.pi) < 1e-12:
         raise ValueError("alpha = pi is the free case; no matching circle coupling")
+    _require_integer("l_max", l_max)
     if l_max < 0:
         raise ValueError(f"l_max must be nonnegative, got {l_max}")
     th = math.tan(0.5 * alpha)
@@ -141,8 +151,8 @@ def gamma_from_alpha(
         if abs(val) < 1e-300:
             raise ResonanceError("matching integral vanishes; coupling diverges")
         return 1.0 / val
+    ls = range(0, l_max + 1, 2)
     acc = 0.0
-    for l in range(0, l_max + 1, 2):
-        g = radial_kernel_3d(l, 1j, y0, y0)
-        acc += equatorial_weight(l, 0) * (th * g.imag + g.real)
+    for g, wgt in zip(_closed_3d(ls, 1j, y0, y0), _equatorial_weights(ls, 0)):
+        acc += wgt * (th * g.imag + g.real)
     return 2.0 * math.pi * acc

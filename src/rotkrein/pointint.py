@@ -30,7 +30,7 @@ from .rotframe import (
     PointSource,
     RotationSpec,
     Truncation,
-    channel_diag,
+    _channel_diags,
     rot_green,
 )
 from .specfun import ChannelIndex2, ChannelIndex3, channel_class
@@ -126,16 +126,20 @@ class RadialChannelFunction:
         return float(np.sum(w * np.abs(self.values) ** 2 * self.grid ** (self.dim - 1)))
 
 
-def _inv_lambda_ref(
-    dim: int, kp: KreinParam, rot: RotationSpec, src: PointSource, t: Truncation
-) -> complex:
+def _inv_lambda_ref(kp: KreinParam, ref_diags: list) -> complex:
     # Windowed reference norm from the same channel sums as the continuation:
     # ||G_ref||^2 = sum_m Im ch_m(conj(ref) + m w).  Anything else (for example
     # a tail-completed norm) breaks the conjugation identity at the window edge.
     norm_sq = 0.0
-    for m in range(-t.m_max, t.m_max + 1):
-        norm_sq += channel_diag(dim, m, _Z_REF.conjugate() + m * rot.omega, src, t).imag
+    for d in ref_diags:
+        norm_sq += d.imag
     return 2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha))
+
+
+def _ref_pairs(rot: RotationSpec, t: Truncation) -> list:
+    """(m, conj(ref) + m w) over the window: where the reference norm reads
+    the channel diagonals."""
+    return [(m, _Z_REF.conjugate() + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
 
 
 def lambda_ref(
@@ -148,7 +152,7 @@ def lambda_ref(
     """Coupling at the reference parameter -i; zero exactly at alpha = pi."""
     if kp.is_free:
         return 0.0 + 0.0j
-    return 1.0 / _inv_lambda_ref(dim, kp, rot, src, t)
+    return 1.0 / _inv_lambda_ref(kp, _channel_diags(dim, _ref_pairs(rot, t), src, t))
 
 
 def lambda_at(
@@ -175,12 +179,21 @@ def lambda_at(
     if via is not None:
         inv_via = 1.0 / lambda_at(dim, via, kp, rot, src, t)
         z_from, inv_from = complex(via), inv_via
+        ref = []
     else:
-        z_from, inv_from = _Z_REF, _inv_lambda_ref(dim, kp, rot, src, t)
+        z_from, ref = _Z_REF, _ref_pairs(rot, t)
+    # One evaluation of the reference diagonals, then the pairs at z and
+    # z_from per channel: each order's weights are shared by all three.
+    ms = range(-t.m_max, t.m_max + 1)
+    pairs = [(m, e + m * rot.omega) for m in ms for e in (z, z_from)]
+    d = _channel_diags(dim, ref + pairs, src, t)
+    if ref:
+        inv_from = _inv_lambda_ref(kp, d[: len(ref)])
+        d = d[len(ref) :]
     diff = 0.0 + 0.0j
-    for m in range(-t.m_max, t.m_max + 1):
-        diff += channel_diag(dim, m, z + m * rot.omega, src, t)
-        diff -= channel_diag(dim, m, z_from + m * rot.omega, src, t)
+    for d_z, d_from in zip(d[::2], d[1::2]):
+        diff += d_z
+        diff -= d_from
     inv = inv_from - diff
     scale = max(abs(inv_from), abs(diff), 1e-300)
     if abs(inv) < 1e-14 * scale:

@@ -2,10 +2,16 @@
 
 Rotation at angular speed omega enters each angular channel of the free
 resolvent as an energy shift: channel m is evaluated at z + m*omega, with the
-closed radial kernels of greens.  All operations here take an explicit
-channel window (Truncation); the windowed object is the thing computed, and
-the norm and inner-product reductions below are exact identities on that
-window.  _check_shell_tail is the one tail model of the pointwise sums.
+closed radial kernels of greens.  Every degree of a 3D shell m shares that
+energy, so each shell is one kernel evaluation over its degrees; rot_green
+takes the spherical harmonics of its whole window in one call, and the
+channel diagonals of many (m, energy) pairs are one evaluation
+(_channel_diags) that computes each order's equatorial weights once.  Sums
+keep the order of the per-term loops, so the values are the same bit for bit.
+All operations here take an explicit channel window (Truncation); the
+windowed object is the thing computed, and the norm and inner-product
+reductions below are exact identities on that window.  _check_shell_tail is
+the one tail model of the pointwise sums.
 
     rot_green      kernel sum over |m| <= m_max at shifted energies
     rot_norm_sq    squared L2 norm of the kernel against a point source,
@@ -22,17 +28,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sp
 
 from .greens import (
     Point2,
     Point3,
     TruncationError,
-    radial_kernel_2d,
-    radial_kernel_3d,
+    _closed_2d,
+    _closed_3d,
     require_off_axis_energy,
     require_resolvent_energy,
 )
-from .specfun import channel_class, equatorial_weight, sph_harm
+from .specfun import _equatorial_weights, _require_integer, channel_class
 
 __all__ = [
     "PointSource",
@@ -75,6 +82,9 @@ class Truncation:
     tail_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        _require_integer("m_max", self.m_max)
+        if self.l_max is not None:
+            _require_integer("l_max", self.l_max)
         if self.m_max < 0:
             raise ValueError(f"m_max must be nonnegative, got {self.m_max}")
         if self.l_max is not None and self.l_max < self.m_max:
@@ -115,34 +125,47 @@ def channel_diag(
     """Channel diagonal d_m(zz) of the free resolvent at the source point.
 
     3D: sum over degrees of |Y_l^m(eq)|^2 g_l(zz; y0, y0) up to t.l_max.
-    2D: g_m(zz; y0, y0) / (2 pi).
+    2D: g_m(zz; y0, y0) / (2 pi).  The one-channel view of _channel_diags.
     """
+    return _channel_diags(dim, [(m, zz)], src, t)[0]
+
+
+def _channel_diags(dim: int, pairs: list, src: PointSource, t: Truncation) -> list:
+    """channel_diag(dim, m, zz, src, t) for each (m, zz) of pairs, in order.
+
+    2D: one kernel evaluation over all pairs.  3D: one per pair, and the
+    weights of each order m once.  Each value is the one-channel value bit
+    for bit, and a failing pair raises the error its own call would.
+    """
+    if not pairs:
+        return []
     if src.dim != dim:
         channel_class(dim, src)
     if dim == 2:
-        return radial_kernel_2d(m, zz, src.y0, src.y0) / (2.0 * math.pi)
-    return _equatorial_sum(m, zz, src.y0, t.require_l_max())
+        gs = _closed_2d([m for m, _ in pairs], [zz for _, zz in pairs], src.y0, src.y0)
+        return [g / (2.0 * math.pi) for g in gs]
+    l_max = t.require_l_max()
+    lives: dict = {}
+    out = []
+    for m, zz in pairs:
+        if m not in lives:
+            lives[m] = _live_degrees(m, l_max)
+        out.append(_equatorial_sum(lives[m], zz, src.y0))
+    return out
 
 
-def _equatorial_sum(m: int, zz: complex, y0: float, l_max: int) -> complex:
-    """sum over l = |m| .. l_max of |Y_l^m(eq)|^2 g_l(zz; y0, y0), in increasing l."""
+def _live_degrees(m: int, l_max: int) -> list:
+    """(l, |Y_l^m(eq)|^2) for l = |m| .. l_max where the weight is nonzero,
+    in increasing l; the degrees of zero weight are never evaluated."""
+    ls = range(abs(m), l_max + 1)
+    return [(l, wgt) for l, wgt in zip(ls, _equatorial_weights(ls, m)) if wgt != 0.0]
+
+
+def _equatorial_sum(live: list, zz: complex, y0: float) -> complex:
+    """sum over the live (l, weight) of weight * g_l(zz; y0, y0), in increasing l."""
     acc = 0.0 + 0.0j
-    for l in range(abs(m), l_max + 1):
-        wgt = equatorial_weight(l, m)
-        if wgt == 0.0:
-            continue
-        acc += wgt * radial_kernel_3d(l, zz, y0, y0)
-    return acc
-
-
-def _shell_term_3d(m: int, zz: complex, x: Point3, xp: Point3, l_max: int) -> complex:
-    acc = 0.0 + 0.0j
-    for l in range(abs(m), l_max + 1):
-        acc += (
-            radial_kernel_3d(l, zz, x.r, xp.r)
-            * sph_harm(l, m, x.theta, x.phi)
-            * sph_harm(l, m, xp.theta, xp.phi).conjugate()
-        )
+    for (_, wgt), g in zip(live, _closed_3d([l for l, _ in live], zz, y0, y0)):
+        acc += wgt * g
     return acc
 
 
@@ -208,34 +231,47 @@ def rot_green(
     shells: dict[int, complex] = {}
     if dim == 2:
         dtheta = x.theta - xp.theta
-        for m in range(-t.m_max, t.m_max + 1):
-            zz = z + m * rot.omega
-            g = radial_kernel_2d(m, zz, x.r, xp.r)
+        ms = range(-t.m_max, t.m_max + 1)
+        gs = _closed_2d(ms, [z + m * rot.omega for m in ms], x.r, xp.r)
+        for m, g in zip(ms, gs):
             shells[m] = cmath.exp(1j * m * dtheta) * g / (2.0 * math.pi)
     else:
         l_max = t.require_l_max()
-        for m in range(-t.m_max, t.m_max + 1):
-            zz = z + m * rot.omega
-            shells[m] = _shell_term_3d(m, zz, x, xp, l_max)
+        ms = range(-t.m_max, t.m_max + 1)
+        # Y_l^m at both points for every (l, m) of the window, in one call.
+        lm = np.array([(l, m) for m in ms for l in range(abs(m), l_max + 1)])
+        ys = sp.sph_harm_y(lm[:, 0], lm[:, 1], [[x.theta], [xp.theta]], [[x.phi], [xp.phi]])
+        ys, yps = iter(ys[0].tolist()), iter(ys[1].tolist())
+        for m in ms:
+            # shell m: sum over l = |m| .. l_max of g_l Y_l^m(x) conj(Y_l^m(x'))
+            acc = 0.0 + 0.0j
+            for g in _closed_3d(range(abs(m), l_max + 1), z + m * rot.omega, x.r, xp.r):
+                acc += g * next(ys) * next(yps).conjugate()
+            shells[m] = acc
     total = sum(shells.values())
     _check_shell_tail(shells, total, t.tail_tol)
     return complex(total)
 
 
 def _diag_profile_3d(z: complex, rot: RotationSpec, src: PointSource, t: Truncation):
-    """Degree profile S_l of the windowed norm sum, Im-part by degree."""
+    """Degree profile S_l of the windowed norm sum, Im-part by degree.
+
+    Each shell m is evaluated at once over its degrees, in the order in which
+    the degree-outer sum first meets it (m = 0, -1, 1, -2, ...), so a failing
+    shell raises the same error; the profile then adds the terms of each
+    degree in increasing m.
+    """
     l_max = t.require_l_max()
     im_z = z.imag
+    terms = {}
+    for m in sorted(range(-t.m_max, t.m_max + 1), key=lambda m: (abs(m), m)):
+        live = _live_degrees(m, l_max)
+        gs = _closed_3d([l for l, _ in live], z + m * rot.omega, src.y0, src.y0)
+        for (l, wgt), g in zip(live, gs):
+            terms[l, m] = wgt * g.imag / im_z
     prof = np.zeros(l_max + 1)
-    for l in range(l_max + 1):
-        g_cache: dict[int, complex] = {}
-        for m in range(-min(l, t.m_max), min(l, t.m_max) + 1):
-            wgt = equatorial_weight(l, m)
-            if wgt == 0.0:
-                continue
-            if m not in g_cache:
-                g_cache[m] = radial_kernel_3d(l, z + m * rot.omega, src.y0, src.y0)
-            prof[l] += wgt * g_cache[m].imag / im_z
+    for (l, m), term in sorted(terms.items()):
+        prof[l] += term
     return prof
 
 
@@ -246,8 +282,6 @@ def _power_law_tail(prof: np.ndarray, n_fit: int = 17) -> float:
     model over the remaining degrees with Hurwitz zeta values.  Falls back to
     zero when the window is too short for a meaningful fit.
     """
-    import scipy.special as sp
-
     l_max = len(prof) - 1
     if l_max < n_fit + 6:
         return 0.0
@@ -278,8 +312,8 @@ def rot_norm_sq(
     z = require_off_axis_energy(z)
     if dim == 2:
         total = 0.0
-        for m in range(-t.m_max, t.m_max + 1):
-            d = channel_diag(2, m, z + m * rot.omega, src, t)
+        ms = range(-t.m_max, t.m_max + 1)
+        for d in _channel_diags(2, [(m, z + m * rot.omega) for m in ms], src, t):
             total += d.imag / z.imag
         return total
     prof = _diag_profile_3d(z, rot, src, t)
@@ -307,10 +341,10 @@ def rot_inner(
     zp = require_off_axis_energy(zp)
     if z == zp:
         raise ValueError("coincident spectral parameters; no difference quotient")
+    pairs = [(m, e + m * rot.omega) for m in range(-t.m_max, t.m_max + 1) for e in (z, zp)]
+    d = _channel_diags(dim, pairs, src, t)
     acc = 0.0 + 0.0j
-    for m in range(-t.m_max, t.m_max + 1):
-        dz = channel_diag(dim, m, z + m * rot.omega, src, t)
-        dzp = channel_diag(dim, m, zp + m * rot.omega, src, t)
+    for dz, dzp in zip(d[::2], d[1::2]):
         acc += dz - dzp
     return complex(acc / (z - zp))
 
@@ -327,17 +361,19 @@ def remainder_norm(
 
     The resolvent here sits at spectral parameter z - m0*omega, so side
     channel m contributes at z + (m - m0)*omega and the central channel
-    cancels exactly.  Requires Im z > 0.
+    cancels exactly.  m0 must be an integer in the window, |m0| <= t.m_max;
+    requires Im z > 0.
     """
     channel_class(dim, src)
+    _require_integer("central channel m0", m0)
+    if abs(m0) > t.m_max:
+        raise ValueError(f"central channel m0={m0} lies outside the window |m| <= {t.m_max}")
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("remainder norm needs Im z > 0")
+    ms = [m for m in range(-t.m_max, t.m_max + 1) if m != m0]
     acc = 0.0
-    for m in range(-t.m_max, t.m_max + 1):
-        if m == m0:
-            continue
-        d = channel_diag(dim, m, z + (m - m0) * rot.omega, src, t)
+    for d in _channel_diags(dim, [(m, z + (m - m0) * rot.omega) for m in ms], src, t):
         acc += d.imag / z.imag
     if acc < 0.0:
         # Roundoff at severe cancellation; the exact value is nonnegative.

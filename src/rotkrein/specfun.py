@@ -6,6 +6,11 @@ written for complex arguments with Im >= 0 and validated there.  Real negative
 arguments of the regular Bessel functions are handled by parity reflection
 (the functions are entire); the outgoing Hankel combinations are only ever
 called off the negative real axis.
+
+The scalar functions are the public one-term API and the oracle of the
+order-batched closed kernels in greens, which route each argument the same
+way.  Equatorial weights are evaluated per shell over an array of degrees
+(_equatorial_weights); equatorial_weight is its one-degree view.
 """
 
 from __future__ import annotations
@@ -41,11 +46,16 @@ class SingularArgumentError(ValueError):
     """Evaluation requested at a singular point of the function."""
 
 
+def _require_integer(name: str, v) -> None:
+    """Reject a degree, order or cap that is not an integer (numpy integers pass)."""
+    if not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _require_integers(ch) -> None:
-    """Reject channel indices that are not integers (numpy integers pass)."""
+    """Reject channel indices that are not integers."""
     for name, v in vars(ch).items():
-        if not isinstance(v, numbers.Integral):
-            raise ValueError(f"channel index {name} must be an integer, got {v!r}")
+        _require_integer(f"channel index {name}", v)
 
 
 @dataclass(frozen=True)
@@ -269,20 +279,38 @@ def equatorial_weight(l: int, m: int) -> float:
     """|Y_l^m(pi/2, 0)|^2 via log-gamma, stable to large degree.
 
     Zero whenever l + m is odd (the equatorial node of the associated
-    Legendre function).
+    Legendre function).  The one-degree view of _equatorial_weights.
     """
-    if l < 0:
-        raise ValueError(f"degree must be nonnegative, got l={l}")
-    if abs(m) > l:
-        return 0.0
-    if (l + m) % 2 != 0:
-        return 0.0
-    lg = (
+    return _equatorial_weights([l], m)[0]
+
+
+def _equatorial_weights(ls, m: int) -> list:
+    """equatorial_weight(l, m) for the degrees ls of one order m, as floats.
+
+    One gammaln and one exp call over the degrees with a nonzero weight.
+    The log-gamma sum is formed per degree in the order of the one-degree
+    formula, in double arithmetic, so each weight is the same bit for bit.
+    """
+    for l in ls:
+        if l < 0:
+            raise ValueError(f"degree must be nonnegative, got l={l}")
+    live = [abs(m) <= l and (l + m) % 2 == 0 for l in ls]
+    a = [l for l, keep in zip(ls, live) if keep]
+    if not a:
+        return [0.0] * len(live)
+    g = sp.gammaln(
+        [l - m + 1 for l in a] + [l + m + 1 for l in a]
+        + [(l + m) / 2 + 1 for l in a] + [(l - m) / 2 + 1 for l in a]
+    ).tolist()
+    k = len(a)
+    lg = [
         math.log((2 * l + 1) / (4.0 * math.pi))
-        + sp.gammaln(l - m + 1)
-        + sp.gammaln(l + m + 1)
-        - 2.0 * sp.gammaln((l + m) / 2 + 1)
-        - 2.0 * sp.gammaln((l - m) / 2 + 1)
+        + g[i]
+        + g[k + i]
+        - 2.0 * g[2 * k + i]
+        - 2.0 * g[3 * k + i]
         - 2.0 * l * math.log(2.0)
-    )
-    return float(np.exp(lg))
+        for i, l in enumerate(a)
+    ]
+    wgt = iter(np.exp(lg).tolist())
+    return [next(wgt) if keep else 0.0 for keep in live]

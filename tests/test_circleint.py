@@ -132,6 +132,22 @@ def test_matched_coupling_rejects_negative_degree_cap():
     assert gamma_from_alpha(3, 1.0, 0.7, l_max=0) != 0.0
 
 
+def test_degrees_and_orders_must_be_integers():
+    cp2, cp3 = CircleParam(1.0, 0.7, 2), CircleParam(1.0, 0.7, 3)
+    with pytest.raises(ValueError, match="l_max must be an integer"):
+        gamma_from_alpha(3, 1.0, 0.7, l_max=2.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        gamma_coeff_3d(1.5, cp3, 0.4 + 1j, 4)
+    with pytest.raises(ValueError, match="l_max must be an integer"):
+        gamma_coeff_3d(1, cp3, 0.4 + 1j, 4.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        gamma_coeff_2d(0.5, cp2, 0.4 + 1j)
+    # numpy integers are integers
+    assert gamma_coeff_3d(np.int64(1), cp3, 0.4 + 1j, np.int64(4)) == gamma_coeff_3d(
+        1, cp3, 0.4 + 1j, 4
+    )
+
+
 def _consistency_gap(dim, z, alpha, rot, src, t, channel):
     """|2 pi / Gamma_ch(z) - lambda(z - m0 omega)|: the circle coupling matched
     to alpha at the same degree cap against the rotating point coupling."""

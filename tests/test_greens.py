@@ -1,26 +1,57 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
+import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rotkrein.greens
+import rotkrein.rotframe
+import rotkrein.specfun
 
 from rotkrein import (
     ChannelIndex2,
     ChannelIndex3,
+    KreinParam,
     Point2,
     Point3,
+    PointSource,
     RotationSpec,
     SingularArgumentError,
     Truncation,
     free_green_2d,
     free_green_3d,
     free_green_norm_sq_3d,
+    gamma_from_alpha,
+    lambda_at,
     radial_kernel_2d,
     radial_kernel_3d,
+    remainder_norm,
     rot_green,
+    rot_inner,
+    rot_norm_sq,
     sqrt_upper,
 )
-from rotkrein.greens import require_off_axis_energy, require_resolvent_energy
+from rotkrein.greens import (
+    _closed_2d,
+    _closed_3d,
+    _cyl_j,
+    _sph_j,
+    require_off_axis_energy,
+    require_resolvent_energy,
+)
+from rotkrein.rotframe import channel_diag
+from rotkrein.specfun import (
+    _equatorial_weights,
+    bessel_j,
+    equatorial_weight,
+    hankel1,
+    sph_bessel_j,
+    sph_hankel1,
+)
 
 # mpmath oracle (dps=30): I0(1)*K0(1) and sinh(1)*exp(-1).
 I0K0_1 = 0.53304467495626862
@@ -140,3 +171,272 @@ def test_energy_guards():
     with pytest.raises(ValueError):
         require_off_axis_energy(-2.0)
     assert require_off_axis_energy(-2.0 + 1e-3j) == -2.0 + 1e-3j
+
+
+# -- the order-batched closed form against the scalar specfun composition --
+
+
+def bits(v: complex) -> bytes:
+    """The exact bits of a complex value (NaN payloads and signed zeros too)."""
+    v = complex(v)
+    return struct.pack("<dd", v.real, v.imag)
+
+
+def scalar_3d(l, z, r, rp):
+    """i w j_l(w r<) h_l(w r>) from the scalar specfun functions, after the
+    energy and radius checks, with the conj(z) route for Im z < 0."""
+    z = require_resolvent_energy(z)
+    if not (r >= 0.0 and rp >= 0.0):
+        raise ValueError("radii must be nonnegative")
+    if z.imag < 0.0:
+        return scalar_3d(l, z.conjugate(), r, rp).conjugate()
+    w = sqrt_upper(z)
+    return 1j * w * sph_bessel_j(l, w * min(r, rp)) * sph_hankel1(l, w * max(r, rp))
+
+
+def scalar_2d(n, z, r, rp):
+    """(i pi/2) J_|n|(w r<) H_|n|(w r>) from the scalar specfun functions;
+    checks and routes as scalar_3d."""
+    z = require_resolvent_energy(z)
+    if not (r >= 0.0 and rp >= 0.0):
+        raise ValueError("radii must be nonnegative")
+    if z.imag < 0.0:
+        return scalar_2d(n, z.conjugate(), r, rp).conjugate()
+    w = sqrt_upper(z)
+    nn = abs(n)
+    return 0.5j * math.pi * bessel_j(nn, w * min(r, rp)) * hankel1(nn, w * max(r, rp))
+
+
+def outcome(f):
+    """The value's bits, or the error's type and message."""
+    try:
+        return bits(f())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# Both half-planes, the negative real axis (with either sign of zero), and
+# energies large enough for the |Im x| backstop.
+energies = st.one_of(
+    st.builds(complex, st.floats(-60.0, 60.0), st.floats(-30.0, 30.0)),
+    st.builds(complex, st.floats(-1e3, -1e-3), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.floats(-1e5, 1e5), st.floats(-1e3, 1e3)),
+)
+radii = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(energies, radii, radii, st.integers(0, 80), st.integers(1, 81))
+def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
+    ls = list(range(lo, min(lo + n, 81)))
+    rp = r if n % 3 == 0 else rp  # ties r = r'
+    want = [outcome(lambda l=l: scalar_3d(l, z, r, rp)) for l in ls]
+    if isinstance(want[0], tuple):
+        # Every degree fails alike, and the batch raises that error.
+        assert all(w == want[0] for w in want)
+        assert outcome(lambda: _closed_3d(ls, z, r, rp)) == want[0]
+    else:
+        assert [bits(g) for g in _closed_3d(ls, z, r, rp)] == want
+    assert [outcome(lambda l=l: radial_kernel_3d(l, z, r, rp)) for l in ls] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-80, 80), energies), min_size=1, max_size=40),
+    radii,
+    radii,
+    st.booleans(),
+)
+def test_closed_2d_equals_scalar_composition_bitwise(pairs, r, rp, tie):
+    rp = r if tie else rp
+    ns, zs = [n for n, _ in pairs], [z for _, z in pairs]
+    want = [outcome(lambda n=n, z=z: scalar_2d(n, z, r, rp)) for n, z in pairs]
+    failed = [w for w in want if isinstance(w, tuple)]
+    if failed:
+        # The batch raises the error of the first failing pair.
+        assert outcome(lambda: _closed_2d(ns, zs, r, rp)) == failed[0]
+    else:
+        assert [bits(g) for g in _closed_2d(ns, zs, r, rp)] == want
+    assert [outcome(lambda n=n, z=z: radial_kernel_2d(n, z, r, rp)) for n, z in pairs] == want
+
+
+# The kernels never pass these arguments (Re w >= 0, and Im(w r) > 0 unless
+# r = 0), but the J factors keep every route of bessel_j and sph_bessel_j.
+J_ARGS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 2.5 + 0j, complex(2.5, -0.0),
+          -2.5 + 0j, complex(-2.5, -0.0), -1.5 + 0.7j, -30.0 + 40.0j, 1.5 + 0.7j, 1e-300j]
+
+
+@pytest.mark.parametrize("x", J_ARGS)
+def test_bessel_j_routes_equal_scalar_bitwise(x):
+    orders = list(range(81))
+    assert [bits(j) for j in _sph_j(orders, [l + 0.5 for l in orders], x)] == [
+        bits(sph_bessel_j(l, x)) for l in orders
+    ]
+    xs = [x, 1.5 + 0.7j] * len(orders)
+    ns = [n for n in orders for _ in range(2)]
+    assert [bits(j) for j in _cyl_j(ns, xs)] == [bits(bessel_j(n, y)) for n, y in zip(ns, xs)]
+
+
+def test_closed_forms_keep_the_scalar_checks():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        _closed_3d([2, -1], 1j, 1.0, 1.0)
+    with pytest.raises(ValueError, match="essential spectrum"):
+        _closed_2d([0, 1], [1j, 2.0], 1.0, 1.0)
+    with pytest.raises(ValueError, match="radii"):
+        _closed_3d([0], 1j, -1.0, 1.0)
+    with pytest.raises(SingularArgumentError, match="h_l"):
+        _closed_3d([0, 1], 1j, 0.0, 0.0)
+    with pytest.raises(SingularArgumentError, match="H_n"):
+        _closed_2d([0], [1j], 0.0, 0.0)
+    with pytest.raises(OverflowError, match="exceeds supported bound"):
+        _closed_3d([0, 1], -1e6 + 1j, 1.0, 1.0)
+    # an empty order list is an empty sum: nothing is evaluated or checked
+    assert _closed_3d([], 2.0, -1.0, 1.0) == []
+    assert _closed_2d([], [], -1.0, 1.0) == []
+
+
+def scalar_weight(l, m):
+    """|Y_l^m(pi/2, 0)|^2 by the one-degree log-gamma formula."""
+    if abs(m) > l or (l + m) % 2 != 0:
+        return 0.0
+    lg = (
+        math.log((2 * l + 1) / (4.0 * math.pi))
+        + sp.gammaln(l - m + 1)
+        + sp.gammaln(l + m + 1)
+        - 2.0 * sp.gammaln((l + m) / 2 + 1)
+        - 2.0 * sp.gammaln((l - m) / 2 + 1)
+        - 2.0 * l * math.log(2.0)
+    )
+    return float(np.exp(lg))
+
+
+@pytest.mark.parametrize("l_max", [48, 64, 200])
+def test_batched_equatorial_weights_equal_scalar_formula_bitwise(l_max):
+    for m in range(-l_max, l_max + 1):
+        ls = range(abs(m), l_max + 1)
+        want = [struct.pack("<d", scalar_weight(l, m)) for l in ls]
+        assert [struct.pack("<d", w) for w in _equatorial_weights(ls, m)] == want
+        assert struct.pack("<d", equatorial_weight(l_max, m)) == want[-1]
+    # degrees below |m| weigh zero; a negative degree is an error
+    assert _equatorial_weights([0, 1, 2, 3], 2) == [0.0, 0.0, scalar_weight(2, 2), 0.0]
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        _equatorial_weights([1, -2], 0)
+
+
+# -- the point-kernel entry points, pinned to the values of the per-term code --
+
+ROT = RotationSpec(3.0)
+P2 = (Point2(1.6, 1.0), Point2(0.2, 4.0))
+P3 = (Point3(1.6, 1.0, 0.5), Point3(0.2, 2.0, 4.0))
+S2, S3 = PointSource(0.7, 2), PointSource(0.7, 3)
+T2 = Truncation(16)
+T3 = Truncation(16, l_max=16, tail_tol=math.inf)
+T3_TAIL = Truncation(8, l_max=32)  # long enough for the degree-tail fit
+KP = KreinParam(1.3)
+ZS = ((0.4 + 1j, ROT), (0.4 - 1j, ROT), (-2.0, RotationSpec(0.0)))
+
+# Values of the per-term scalar code these paths replaced (repr round-trips).
+PINNED = {
+    "rot_green_2d": [
+        (-0.005305007668455804+0.04895407355873968j),
+        (-0.007087787667384888-0.04642172626421457j),
+        (0.009429757493729601-1.3793517562055028e-20j),
+    ],
+    "rot_green_3d": [
+        (0.002825692862686946+0.01382775453559795j),
+        (0.0050258725120947405-0.015058648376504792j),
+        (0.00353943431467825+1.9290692780965696e-19j),
+    ],
+    "channel_diag_2d": [
+        (0.05091955166235501+0.02240989488646169j),
+        (0.021730073954078475-0.00040124652414296743j),
+    ],
+    "channel_diag_3d": [
+        (0.11905919494629061+0.01278607530905384j),
+        (0.07951672514363982-0.0006458025704181785j),
+    ],
+    "rot_norm_sq": [
+        0.20170999233613843,
+        0.09460592353072682,
+    ],
+    "gamma_from_alpha": [
+        1.0831992441762464,
+        1.3401854074922288,
+    ],
+    "lambda_at": [
+        (2.3588441761094248+3.2406034074761947j),
+        (4.615644922834992+7.879380286106005j),
+    ],
+    "rot_inner": [
+        (0.004300872015927131+0.07622391364170285j),
+        (0.025031979477465903+0.02986031045366627j),
+    ],
+    "remainder_norm": [
+        0.18279093385943745,
+        0.15025735420182518,
+    ],
+}
+
+
+def test_point_kernels_pinned_bitwise():
+    got = {
+        "rot_green_2d": [rot_green(2, z, rot, *P2, Truncation(24)) for z, rot in ZS],
+        "rot_green_3d": [rot_green(3, z, rot, *P3, T3) for z, rot in ZS],
+        "channel_diag_2d": [
+            channel_diag(2, 2, 6.4 + 1j, S2, T2),
+            channel_diag(2, -3, -8.6 - 1j, S2, T2),
+        ],
+        "channel_diag_3d": [
+            channel_diag(3, 2, 6.4 + 1j, S3, T3),
+            channel_diag(3, -3, -8.6 - 1j, S3, T3),
+        ],
+        "rot_norm_sq": [
+            rot_norm_sq(2, 0.4 + 1j, ROT, S2, T2),
+            rot_norm_sq(3, 0.4 + 1j, ROT, S3, T3_TAIL),
+        ],
+        "gamma_from_alpha": [
+            gamma_from_alpha(2, 1.0, 0.7),
+            gamma_from_alpha(3, 1.0, 0.7, l_max=64),
+        ],
+        "lambda_at": [
+            lambda_at(2, 0.4 + 1j, KP, ROT, S2, T2),
+            lambda_at(3, 0.4 + 1j, KP, ROT, S3, T3_TAIL),
+        ],
+        "rot_inner": [
+            rot_inner(2, 0.4 + 1j, -1 + 0.5j, ROT, S2, T2),
+            rot_inner(3, 0.4 + 1j, -1 + 0.5j, ROT, S3, T3_TAIL),
+        ],
+        "remainder_norm": [
+            remainder_norm(2, 1, 0.4 + 1j, ROT, S2, T2),
+            remainder_norm(3, 1, 0.4 + 1j, ROT, S3, T3_TAIL),
+        ],
+    }
+    for name, want in PINNED.items():
+        assert [bits(v) for v in got[name]] == [bits(v) for v in want], name
+
+
+class CountingSpecial:
+    """scipy.special with every function call counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        fn = getattr(sp, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+def test_rot_green_3d_special_calls_per_shell(monkeypatch):
+    """A bounded number of scipy.special calls per shell, not per (l, m) term."""
+    counter = CountingSpecial()
+    for mod in (rotkrein.greens, rotkrein.rotframe, rotkrein.specfun):
+        monkeypatch.setattr(mod, "sp", counter)
+    val = rot_green(3, 0.4 + 1j, ROT, *P3, T3)
+    shells = 2 * T3.m_max + 1
+    assert 0 < counter.calls <= 5 * shells  # 1,156 calls per term before
+    assert bits(val) == bits(PINNED["rot_green_3d"][0])

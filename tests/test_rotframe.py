@@ -38,6 +38,12 @@ def test_parameter_validation():
         Truncation(m_max=8, l_max=4)
     with pytest.raises(ValueError):
         Truncation(m_max=-1)
+    # non-integer caps are rejected up front, not in a range() traceback
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        Truncation(2.5)
+    with pytest.raises(ValueError, match="l_max must be an integer"):
+        Truncation(3, l_max=4.5)
+    assert Truncation(np.int64(3), l_max=np.int64(4)).l_max == 4
 
 
 def test_static_limit_matches_free_2d():
@@ -149,6 +155,15 @@ def test_remainder_norm_decreases_with_omega():
 def test_remainder_requires_upper_half_plane():
     with pytest.raises(ValueError):
         remainder_norm(2, 1, -1.0, RotationSpec(2.0), PointSource(1.0, 2), T2)
+
+
+@pytest.mark.parametrize("m0", [3, -3, 1.5, 1.0])
+def test_remainder_central_channel_must_be_in_the_window(m0):
+    # m0 outside the window, or not an integer, removes no channel at all
+    src, t = PointSource(0.7, 3), Truncation(2, l_max=4)
+    with pytest.raises(ValueError, match="m0"):
+        remainder_norm(3, m0, 0.4 + 1j, RotationSpec(5.0), src, t)
+    assert remainder_norm(3, -2, 0.4 + 1j, RotationSpec(5.0), src, t) > 0.0
 
 
 def _panel_rule(edges):
