@@ -11,8 +11,10 @@ factors,
     g(z; r, r')  =  (i pi / 2) J_nu(w r<) H_nu(w r>) / sqrt(r r')
                                                         nu = l + 1/2 (3D)
 
-so separable_kernel evaluates J and H once per radius and assembles every
-entry as a lower/upper-triangular product of two factors.
+so separable_kernels evaluates J and H once per radius, in one call over
+every order that shares z (the degrees of one shell), and assembles every
+entry as a lower/upper-triangular product of two factors; separable_kernel
+is its one-order view.
 
 radial_apply integrates the same factors against a channel function's
 interpolant in O(N) (Greengard & Rokhlin, CPAM 1991): one Gauss rule per
@@ -37,6 +39,7 @@ __all__ = [
     "g3_vec",
     "radial_apply",
     "separable_kernel",
+    "separable_kernels",
     "spline_interpolant",
     "trapezoid_weights",
 ]
@@ -51,8 +54,8 @@ def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
     return np.any(mask, axis=axes).reshape(shape)
 
 
-def _nu(dim: int, order: int) -> float:
-    """Bessel order of the channel kernel: |n| in 2D, l + 1/2 in 3D."""
+def _nu(dim: int, order):
+    """Bessel order of the channel kernel: |n| in 2D, l + 1/2 in 3D (elementwise)."""
     return abs(order) if dim == 2 else order + 0.5
 
 
@@ -67,31 +70,46 @@ def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -
         )
 
 
-def _factors(nu: float, w: complex, x: np.ndarray, need_j, need_h):
-    """(i pi / 2) J_nu(w x) and H_nu(w x), each only where needed (zero elsewhere)."""
-    j = np.zeros(x.shape, dtype=complex)
-    h = np.zeros(x.shape, dtype=complex)
-    j[need_j] = 0.5j * math.pi * sp.jv(nu, w * x[need_j])
-    h[need_h] = sp.hankel1(nu, w * x[need_h])
+def _factors(nu, w: complex, x: np.ndarray, need_j, need_h):
+    """(i pi / 2) J_nu(w x) and H_nu(w x), each only where needed (zero elsewhere).
+
+    nu holds one order or an array of orders, whose axes lead the results';
+    every order is evaluated in the same jv and hankel1 call.
+    """
+    shape = nu.shape + x.shape
+    lead = (slice(None),) * nu.ndim  # not Ellipsis: a plain mask index is faster
+    nu = nu[..., None]
+    j = np.zeros(shape, dtype=complex)
+    h = np.zeros(shape, dtype=complex)
+    j[lead + (need_j,)] = 0.5j * math.pi * sp.jv(nu, w * x[need_j])
+    h[lead + (need_h,)] = sp.hankel1(nu, w * x[need_h])
     return j, h
 
 
-def separable_kernel(dim: int, order: int, z: complex, r, rp) -> np.ndarray:
-    """Radial channel kernel g(z; r, r') of order |n| (2D) or l (3D).
+def separable_kernels(dim: int, orders, z: complex, r, rp) -> np.ndarray:
+    """Radial channel kernels g(z; r, r') of one or several orders at one energy.
 
-    r and rp broadcast against each other (row and column vectors give the
-    matrix).  J is evaluated once at each radius that is the smaller member
-    of some pair and H once at each radius that is the larger one, and
-    entries are the products (i pi / 2 J) * H in that order, so every value
-    equals the elementwise closed formula bit for bit.  Lower half-plane z
-    goes through g(conj z) = conj g(z).  A nonfinite entry (Bessel overflow
-    at large |z| r) raises OverflowError naming the order, z and radii.
+    orders holds |n| (2D) or l (3D): one order, or an array of orders whose
+    axes lead the result's; r and rp broadcast against each other (row and
+    column vectors give the matrices).  The orders share w = sqrt(z), so J
+    is evaluated in one call over every order and each radius that is the
+    smaller member of some pair, and H likewise at the larger ones; entries
+    are the products (i pi / 2 J) * H in that order, so every value equals
+    the elementwise closed formula bit for bit.  Lower half-plane z goes
+    through g(conj z) = conj g(z).  A nonfinite entry (Bessel overflow at
+    large |z| r) raises OverflowError naming the first such order, z and
+    radii.
     """
     z = complex(z)
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
+    nu = _nu(dim, np.asarray(orders, dtype=float))
+    if nu.ndim and r.ndim != rp.ndim:
+        # Order axes lead the factors of r and of rp: pad both to one ndim.
+        nd = max(r.ndim, rp.ndim)
+        r = r.reshape((1,) * (nd - r.ndim) + r.shape)
+        rp = rp.reshape((1,) * (nd - rp.ndim) + rp.shape)
     w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
-    nu = _nu(dim, order)
     lower = r <= rp  # entry takes J at r and H at rp; otherwise the reverse
     # An overflowed factor, or the unselected product of an entry, may give
     # inf * 0; only the selected entries are checked below.
@@ -103,8 +121,20 @@ def separable_kernel(dim: int, order: int, z: complex, r, rp) -> np.ndarray:
             g = g / np.sqrt(r * rp)
     if z.imag < 0.0:
         g = np.conj(g)
-    _check_finite("radial kernel", dim, order, z, g, r, rp)
+    if not np.isfinite(g).all():
+        per_order = g.reshape((-1,) + lower.shape)
+        for order, gk in zip(np.ravel(orders), per_order):
+            _check_finite("radial kernel", dim, order, z, gk, r, rp)
     return g
+
+
+def separable_kernel(dim: int, order: int, z: complex, r, rp) -> np.ndarray:
+    """Radial channel kernel g(z; r, r') of order |n| (2D) or l (3D).
+
+    The one-order view of separable_kernels: r and rp broadcast against
+    each other, and every value equals the elementwise closed formula.
+    """
+    return separable_kernels(dim, order, z, r, rp)
 
 
 def g2_vec(n: int, z: complex, r, rp):
@@ -184,7 +214,7 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     yes, no = np.ones(n_in, bool), np.zeros(n_in, bool)
     need_j = np.concatenate([whole < k.max(initial=0), yes, no])[:, None]
     need_h = np.concatenate([whole >= kr.min(initial=nb), no, yes])[:, None]
-    nu = _nu(dim, psi.order)
+    nu = _nu(dim, np.asarray(psi.order, dtype=float))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         jt, ht = _factors(nu, w, t, np.broadcast_to(need_j, t.shape),
                           np.broadcast_to(need_h, t.shape))

@@ -13,17 +13,23 @@ where the second part is a smooth channel-wise difference of resolvents at
 shifted and unshifted energies, quadratured plainly, and the free part's
 1/(4 pi d) (3D) or -(1/2 pi) log d (2D) singularity is integrated in closed
 form over each diagonal mesh cell.  Every channel matrix comes from the
-separable core _radial.separable_kernel, with J and H evaluated once per
+separable core _radial.separable_kernels, with J and H evaluated once per
 distinct node radius; the unshifted channel_m(z) depends on |m| (2D) or l
-(3D) only and is built once per matrix.  The 3D tensor mesh has one radius
-per radial Gauss node, so its channel matrices are built on those radii and
-expanded by index.  In 2D, all three boundary matrices integrate the
-kinked diagonal row over the node's own panel through one batched routine,
-_diag_cells.  Sharp-cutoff and single-channel model matrices, the
-quadratic-form probe, resolvent application with a dense solve, and the
-plain averaged radial solver live here as well.  Channel enumerations,
-shifts, orders and angular factors come from the specfun channel classes;
-only the geometry (meshes, diagonal cells, angular samples) is per dimension.
+(3D) only and is built once per matrix.  On the 3D tensor mesh in (r, u =
+cos theta), channel (l, m) contributes the Kronecker product of a radial
+block g_l(r_i, r_j) on the radial nodes and the angular outer product
+y y^T, y = Y_l^m(theta_u, 0): the degrees of one shell m share their
+energy, so each shell's blocks are one kernel call, and one tensordot over
+the channels (_kron_sum) assembles every 3D matrix.  The 3D diagonal cells
+are integrated all at once as arrays over the cells (_free_cells_3d), and
+the 3D layer fields contract the density over u before the radial block.
+In 2D, all three boundary matrices integrate the kinked diagonal row over
+the node's own panel through one batched routine, _diag_cells.
+Sharp-cutoff and single-channel model matrices, the quadratic-form probe,
+resolvent application with a dense solve, and the plain averaged radial
+solver live here as well.  Channel enumerations, shifts, orders and angular
+factors come from the specfun channel classes; only the geometry (meshes,
+diagonal cells, angular samples) is per dimension.
 """
 
 from __future__ import annotations
@@ -36,11 +42,17 @@ from typing import Callable
 import numpy as np
 import scipy.special as sp
 
-from ._radial import radial_apply, separable_kernel
+from ._radial import radial_apply, separable_kernel, separable_kernels
 from .greens import require_resolvent_energy
 from .pointint import RadialChannelFunction
 from .rotframe import RotationSpec, Truncation
-from .specfun import ChannelIndex2, ChannelIndex3, channel_class, sqrt_upper
+from .specfun import (
+    ChannelIndex2,
+    ChannelIndex3,
+    _require_integer,
+    channel_class,
+    sqrt_upper,
+)
 
 __all__ = [
     "BladeParam",
@@ -193,6 +205,7 @@ def _panel_nodes(A: float, n_panels: int) -> tuple:
 def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
     """Tensor Gauss mesh: resolution panels (2D) or nodes per direction (3D)."""
     channel_class(dim)
+    _require_integer("resolution", resolution)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if not (math.isfinite(A) and A > 0.0):
@@ -306,9 +319,11 @@ def _gamma_full_2d(
     r = mesh.r
     wz = sqrt_upper(z)
     ns = range(-t.m_max, t.m_max + 1)
-    D = np.abs(r[:, None] - r[None, :])
-    np.fill_diagonal(D, 1.0)
-    K = 0.25j * sp.hankel1(0, wz * D)
+    # The free kernel is symmetric: evaluate it above the diagonal and mirror.
+    # The diagonal (left 0) is replaced by the cell integrals.
+    iu = np.triu_indices(len(r), 1)
+    K = np.zeros((len(r), len(r)), dtype=complex)
+    K[iu] = K[iu[::-1]] = 0.25j * sp.hankel1(0, wz * np.abs(r[iu[0]] - r[iu[1]]))
     K = K + _diff2(ns, z, rot.omega, r[:, None], r[None, :])
     panels = mesh.cells[np.arange(len(r)) // mesh.n_per]
     log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(panels, r)])
@@ -333,14 +348,16 @@ def _gamma_full_2d(
 # 3D cell integrals
 
 
-def _quad_Q(p: float, q: float) -> float:
-    """Integral of 1/sqrt(x^2 + y^2) over [0, p] x [0, q]."""
-    if p <= 0.0 or q <= 0.0:
-        return 0.0
-    return p * math.asinh(q / p) + q * math.asinh(p / q)
+def _quad_Q(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Integral of 1/sqrt(x^2 + y^2) over [0, p] x [0, q], elementwise; 0 where
+    p <= 0 or q <= 0."""
+    empty = (p <= 0.0) | (q <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = p * np.arcsinh(q / p) + q * np.arcsinh(p / q)
+    return np.where(empty, 0.0, full)
 
 
-def _rect_moment(x0: float, x1: float, y0: float, y1: float) -> float:
+def _rect_moment(x0, x1, y0, y1) -> np.ndarray:
     """Integral of 1/sqrt(x^2 + y^2) over [x0, x1] x [y0, y1], origin inside."""
     return (
         _quad_Q(-x0, -y0) + _quad_Q(x1, -y0) + _quad_Q(-x0, y1) + _quad_Q(x1, y1)
@@ -351,60 +368,87 @@ def _chord(r1, t1, r2, t2):
     return np.sqrt(np.maximum(r1**2 + r2**2 - 2.0 * r1 * r2 * np.cos(t1 - t2), 0.0))
 
 
-def _free_cell_3d(
-    z: complex, r_i: float, th_i: float,
-    ar: float, br: float, ua: float, ub: float,
-) -> complex:
-    """Free-kernel integral over the (r, u) cell around node i.
-
-    The 1/(4 pi d) part goes through the tangent-plane rectangle in closed
-    form; the remaining (exp(i w d) - 1)/(4 pi d) is regular and handled by
-    a small product Gauss rule with the exact measure.
-    """
-    wz = sqrt_upper(z)
-    s_lo = r_i * (math.acos(ub) - th_i)
-    s_hi = r_i * (math.acos(ua) - th_i)
-    sing = (r_i * math.sin(th_i) / (4.0 * math.pi)) * _rect_moment(
-        ar - r_i, br - r_i, s_lo, s_hi
-    )
-    rhalf, rmid = 0.5 * (br - ar), 0.5 * (br + ar)
-    uhalf, umid = 0.5 * (ub - ua), 0.5 * (ub + ua)
-    rr = rmid + rhalf * _XG8
-    uu = umid + uhalf * _XG8
-    Rp, Up = np.meshgrid(rr, uu, indexing="ij")
-    Wc = np.outer(_WG8 * rhalf, _WG8 * uhalf)
-    d = _chord(r_i, th_i, Rp, np.arccos(Up))
-    vals = np.where(
-        d < 1e-12, 1j * wz / (4.0 * math.pi),
-        (np.exp(1j * wz * d) - 1.0) / (4.0 * math.pi * d),
-    )
-    rem = np.sum(Wc * vals * Rp**2)
-    return complex(sing + rem)
-
-
 def _midpoint_edges(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([[lo], 0.5 * (x[:-1] + x[1:]), [hi]])
 
 
-def _y_flat(mesh: BladeMesh, l: int, m: int) -> np.ndarray:
-    """Y_l^m(theta, 0) on the flattened tensor mesh (real valued)."""
-    th_u = np.arccos(mesh.u_1d)
-    y_u = np.real(sp.sph_harm_y(l, m, th_u, 0.0))
-    return np.tile(y_u, len(mesh.r_1d))
+def _free_cells_3d(z: complex, mesh: BladeMesh) -> np.ndarray:
+    """Free-kernel integral over each node's own (r, u) cell, all cells at once.
 
-
-def _kernel_3d(mesh: BladeMesh, l: int, z: complex, r_rows=None) -> np.ndarray:
-    """g_l(z) from r_rows (default: the mesh nodes) to the flat mesh nodes.
-
-    Built on the distinct radii of the tensor mesh, then expanded by index.
+    The 1/(4 pi d) part goes through the tangent-plane rectangle in closed
+    form; the remaining (exp(i w d) - 1)/(4 pi d) is regular and handled by
+    an 8 x 8 product Gauss rule per cell with the exact measure.  A
+    nonfinite cell raises MeshCellError naming the first such cell.
     """
-    r1 = mesh.r_1d
-    idx = np.repeat(np.arange(len(r1)), len(mesh.u_1d))
-    if r_rows is None:
-        return separable_kernel(3, l, z, r1[:, None], r1[None, :])[np.ix_(idx, idx)]
-    # take, not [:, idx]: the product with the density must see the same
-    # row-major layout as a directly built matrix, or BLAS sums differently.
-    return np.take(separable_kernel(3, l, z, r_rows[:, None], r1[None, :]), idx, axis=1)
+    wz = sqrt_upper(z)
+    n_u = len(mesh.u_1d)
+    ir, iu = np.divmod(np.arange(mesh.n_nodes), n_u)
+    redges = _midpoint_edges(mesh.r_1d, 0.0, mesh.A)
+    uedges = _midpoint_edges(mesh.u_1d, -1.0, 1.0)
+    ar, br = redges[ir], redges[ir + 1]
+    ua, ub = uedges[iu], uedges[iu + 1]
+    r_i, th_i = mesh.r, mesh.theta()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_lo = r_i * (np.arccos(ub) - th_i)
+        s_hi = r_i * (np.arccos(ua) - th_i)
+        sing = (r_i * np.sin(th_i) / (4.0 * math.pi)) * _rect_moment(
+            ar - r_i, br - r_i, s_lo, s_hi
+        )
+        # Axes: cell, r point, u point of the product rule.
+        rhalf, uhalf = 0.5 * (br - ar), 0.5 * (ub - ua)
+        rp = (0.5 * (br + ar))[:, None, None] + rhalf[:, None, None] * _XG8[:, None]
+        up = (0.5 * (ub + ua))[:, None, None] + uhalf[:, None, None] * _XG8
+        wc = (_WG8 * rhalf[:, None])[:, :, None] * (_WG8 * uhalf[:, None])[:, None, :]
+        d = _chord(r_i[:, None, None], th_i[:, None, None], rp, np.arccos(up))
+        vals = np.where(
+            d < 1e-12, 1j * wz / (4.0 * math.pi),
+            (np.exp(1j * wz * d) - 1.0) / (4.0 * math.pi * d),
+        )
+        cells = sing + np.sum(wc * vals * rp**2, axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(cells))
+    if bad.size:
+        i = int(bad[0])
+        raise MeshCellError(
+            f"singular split failed on cell (r {ir[i]}, u {iu[i]}) node {i}"
+        )
+    return cells
+
+
+def _angular(mesh: BladeMesh, chans) -> np.ndarray:
+    """Y_l^m(theta, 0) of each 3D channel at the mesh's polar samples (real).
+
+    Shape (channels, len(mesh.u_1d)); one harmonic call for all channels.
+    """
+    lm = np.array([(ch.l, ch.m) for ch in chans], dtype=int).reshape(-1, 2)
+    th_u = np.arccos(mesh.u_1d)
+    return np.real(sp.sph_harm_y(lm[:, :1], lm[:, 1:], th_u, 0.0))
+
+
+def _shell_blocks(chans, energy, r_rows: np.ndarray, r_cols: np.ndarray) -> np.ndarray:
+    """Radial blocks g_l(energy(m); r_rows, r_cols) of 3D channels (l, m).
+
+    Stacked in channel order, shape (channels, len(r_rows), len(r_cols));
+    the degrees of one shell m share their energy, so each shell is one
+    kernel call.
+    """
+    blocks = np.empty((len(chans), len(r_rows), len(r_cols)), dtype=complex)
+    for m in dict.fromkeys(ch.m for ch in chans):
+        idx = [i for i, ch in enumerate(chans) if ch.m == m]
+        ls = [chans[i].l for i in idx]
+        blocks[idx] = separable_kernels(3, ls, energy(m), r_rows[:, None], r_cols[None, :])
+    return blocks
+
+
+def _kron_sum(blocks: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """sum_c kron(G_c, y_c y_c^T) on the r-major flat tensor mesh.
+
+    blocks (channels, n_r, n_r) are the radial blocks G_c and ys
+    (channels, n_u) the angular samples y_c; one tensordot over the channels.
+    """
+    n_r, n_u = blocks.shape[1], ys.shape[1]
+    outer = ys[:, :, None] * ys[:, None, :]
+    K = np.tensordot(blocks, outer, axes=(0, 0))  # axes r, r', u, u'
+    return K.transpose(0, 2, 1, 3).reshape(n_r * n_u, n_r * n_u)
 
 
 def _gamma_full_3d(
@@ -417,31 +461,15 @@ def _gamma_full_3d(
     D = _chord(R[:, None], th[:, None], R[None, :], th[None, :])
     np.fill_diagonal(D, 1.0)
     K_free = np.exp(1j * wz * D) / (4.0 * math.pi * D)
-    K_diff = np.zeros((n, n), dtype=complex)
-    unshifted = {}
-    for ch in ChannelIndex3.window(t):
-        if ch.m == 0:
-            continue
-        y = _y_flat(mesh, ch.l, ch.m)
-        if ch.l not in unshifted:
-            unshifted[ch.l] = _kernel_3d(mesh, ch.l, z)
-        diff = _kernel_3d(mesh, ch.l, z + ch.m * rot.omega) - unshifted[ch.l]
-        K_diff += diff * np.outer(y, y)
+    chans = [ch for ch in ChannelIndex3.window(t) if ch.m != 0]
+    r1 = mesh.r_1d
+    # The unshifted channel kernel depends on l only: one call for every degree.
+    ls, which = np.unique([ch.l for ch in chans], return_inverse=True)
+    unshifted = separable_kernels(3, ls, z, r1[:, None], r1[None, :])
+    diff = _shell_blocks(chans, lambda m: z + m * rot.omega, r1, r1) - unshifted[which]
+    K_diff = _kron_sum(diff, _angular(mesh, chans))
     M = -(K_free + K_diff) * W[None, :]
-    redges = _midpoint_edges(mesh.r_1d, 0.0, mesh.A)
-    uedges = _midpoint_edges(mesh.u_1d, -1.0, 1.0)
-    n_u = len(mesh.u_1d)
-    for i in range(n):
-        ir, iu = divmod(i, n_u)
-        cell = _free_cell_3d(
-            z, R[i], th[i],
-            redges[ir], redges[ir + 1], uedges[iu], uedges[iu + 1],
-        )
-        if not np.isfinite(cell):
-            raise MeshCellError(
-                f"singular split failed on cell (r {ir}, u {iu}) node {i}"
-            )
-        M[i, i] = -(cell + W[i] * K_diff[i, i])
+    M[np.diag_indices(n)] = -(_free_cells_3d(z, mesh) + W * np.diag(K_diff))
     M[np.diag_indices(n)] += bp.inverse_strength(R)
     return M
 
@@ -483,6 +511,7 @@ def gamma_matrix_cutoff(
     kink, so no singular split is needed; the 2D diagonal still integrates
     the kinked row over its own panel for accuracy.
     """
+    _require_integer("cap", cap)
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     z = require_resolvent_energy(z)
@@ -494,14 +523,10 @@ def gamma_matrix_cutoff(
         cells = _diag_cells(mesh, lambda ri, tt: _sum2(ns, z, rot.omega, ri, tt) * tt)
         M = _panel_matrix_2d(K, cells, bp, mesh)
         return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
-    R, W = mesh.r, mesh.w
-    n = len(R)
-    K = np.zeros((n, n), dtype=complex)
-    for ch in chans:
-        y = _y_flat(mesh, ch.l, ch.m)
-        K += _kernel_3d(mesh, ch.l, z + ch.m * rot.omega) * np.outer(y, y)
-    M = -K * W[None, :]
-    M[np.diag_indices(n)] += bp.inverse_strength(R)
+    r1 = mesh.r_1d
+    blocks = _shell_blocks(chans, lambda m: z + m * rot.omega, r1, r1)
+    M = -_kron_sum(blocks, _angular(mesh, chans)) * mesh.w[None, :]
+    M[np.diag_indices(mesh.n_nodes)] += bp.inverse_strength(mesh.r)
     return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
 
 
@@ -533,14 +558,13 @@ def lambda_matrix(
         raise ValueError("3D single-channel matrix needs a truncation for l_max")
     l_max = t.require_l_max()
     m0 = channel0.m
-    R, W = mesh.r, mesh.w
-    n = len(R)
-    K = np.zeros((n, n), dtype=complex)
-    for l in range(abs(m0), l_max + 1):
-        y = _y_flat(mesh, l, m0)
-        K += _kernel_3d(mesh, l, z) * np.outer(y, y)
-    M = -K * W[None, :]
-    M[np.diag_indices(n)] += bp.inverse_strength(R)
+    if l_max < abs(m0):
+        raise ValueError(f"l_max={l_max} below channel order |m0|={abs(m0)}")
+    chans = [ChannelIndex3(l, m0) for l in range(abs(m0), l_max + 1)]
+    r1 = mesh.r_1d
+    blocks = _shell_blocks(chans, lambda m: z, r1, r1)
+    M = -_kron_sum(blocks, _angular(mesh, chans)) * mesh.w[None, :]
+    M[np.diag_indices(mesh.n_nodes)] += bp.inverse_strength(mesh.r)
     return GammaMatrix(entries=M, z=z, variant=f"lambda:m0={m0}")
 
 
@@ -567,6 +591,8 @@ def layer_fields(
     channel_class(mesh.dim, *channels)
     r_eval = np.asarray(r_eval, dtype=float)
     xi = np.asarray(xi, dtype=complex)
+    if xi.shape != mesh.r.shape:
+        raise ValueError("density length must match the mesh")
     out = {}
     if mesh.dim == 2:
         mu = mesh.w * xi
@@ -576,12 +602,12 @@ def layer_fields(
             )
             out[ch] = (g @ mu) / (2.0 * math.pi)
         return out
-    for ch in channels:
-        y = _y_flat(mesh, ch.l, ch.m)
-        mu = mesh.w * y * xi
-        g = _kernel_3d(mesh, ch.l, z + ch.m * rot.omega, r_eval)
-        out[ch] = g @ mu
-    return out
+    # Contract over u first: v_c = (w xi as (r, u)) @ y_c, then G_c(r_eval, r) @ v_c.
+    mu = (mesh.w * xi).reshape(len(mesh.r_1d), len(mesh.u_1d))
+    v = mu @ _angular(mesh, channels).T
+    blocks = _shell_blocks(channels, lambda m: z + m * rot.omega, r_eval, mesh.r_1d)
+    fields = np.matmul(blocks, v.T[:, :, None])[:, :, 0]
+    return dict(zip(channels, fields))
 
 
 def form_probe(
@@ -672,8 +698,8 @@ def solve_density(
         # The segment lies at theta = 0, where the angular factor is 1/sqrt(2 pi).
         trace = _free_radial(z, psi, rot, mesh.r) / math.sqrt(2.0 * math.pi)
     else:
-        fp = np.repeat(_free_radial(z, psi, rot, mesh.r_1d), len(mesh.u_1d))
-        trace = fp * _y_flat(mesh, psi.channel.l, psi.channel.m)
+        fp = _free_radial(z, psi, rot, mesh.r_1d)
+        trace = np.outer(fp, _angular(mesh, [psi.channel])[0]).ravel()
     phi = np.linalg.solve(M, trace)
     return BoundaryDensity(values=phi)
 
@@ -727,6 +753,7 @@ def averaged_resolvent(
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError("spectral parameter on the essential spectrum")
     n = (24 if dim == 2 else 64) if resolution is None else resolution
+    _require_integer("resolution", n)
     if n < 1:
         raise ValueError(f"resolution must be at least 1, got {n}")
     if dim == 2:

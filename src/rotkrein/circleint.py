@@ -63,8 +63,6 @@ def gamma_coeff_3d(m: int, cp: CircleParam, z: complex, l_max: int) -> complex:
     _require_integer("channel order m", m)
     _require_integer("l_max", l_max)
     z = require_resolvent_energy(z)
-    if l_max < abs(m):
-        raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
     return cp.gamma - 2.0 * math.pi * _equatorial_sum(_live_degrees(m, l_max), z, cp.radius)
 
 

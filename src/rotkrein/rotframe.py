@@ -156,7 +156,10 @@ def _channel_diags(dim: int, pairs: list, src: PointSource, t: Truncation) -> li
 
 def _live_degrees(m: int, l_max: int) -> list:
     """(l, |Y_l^m(eq)|^2) for l = |m| .. l_max where the weight is nonzero,
-    in increasing l; the degrees of zero weight are never evaluated."""
+    in increasing l; the degrees of zero weight are never evaluated.  An
+    order beyond the degree cap, |m| > l_max, has no degrees and raises."""
+    if l_max < abs(m):
+        raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
     ls = range(abs(m), l_max + 1)
     return [(l, wgt) for l, wgt in zip(ls, _equatorial_weights(ls, m)) if wgt != 0.0]
 

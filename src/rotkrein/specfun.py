@@ -226,7 +226,9 @@ def sph_bessel_j(l: int, x: complex) -> complex:
         return (-1.0) ** l * sph_bessel_j(l, -x)
     if x.imag == 0.0:
         return complex(sp.spherical_jn(l, x.real))
-    return complex(cmath.sqrt(math.pi / 2.0 / x) * sp.jv(l + 0.5, x))
+    # Python complex product: at subnormal x the prefactor overflows, and
+    # inf * 0 must give the NaN of the batched kernels without a warning.
+    return cmath.sqrt(math.pi / 2.0 / x) * complex(sp.jv(l + 0.5, x))
 
 
 def sph_hankel1(l: int, x: complex) -> complex:
@@ -241,7 +243,7 @@ def sph_hankel1(l: int, x: complex) -> complex:
     x = _check_arg(x)
     if x == 0:
         raise SingularArgumentError("h_l^(1) is singular at x = 0")
-    return complex(cmath.sqrt(math.pi / 2.0 / x) * sp.hankel1(l + 0.5, x))
+    return cmath.sqrt(math.pi / 2.0 / x) * complex(sp.hankel1(l + 0.5, x))
 
 
 def bessel_j(n: int, x: complex) -> complex:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+import scipy.special as sp
 from scipy.linalg import solve_banded
 from scipy.special import hankel1 as _hankel1
 
@@ -64,3 +65,19 @@ def fd_averaged_solution(dim: int, z: complex, order: int, alpha: float,
     ab[1, :] = main
     ab[2, :-1] = lower[1:]
     return rg, solve_banded((1, 1), ab, bump_profile(rg))
+
+
+class CountingSpecial:
+    """scipy.special with every function call counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        fn = getattr(sp, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+
+        return counted

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from helpers import fd_averaged_solution, make_psi
-from rotkrein._radial import radial_apply
+import rotkrein._radial
+import rotkrein.blade as blade_mod
+from helpers import CountingSpecial, fd_averaged_solution, make_psi
+from rotkrein._radial import radial_apply, separable_kernel
 from rotkrein.blade import (
     BladeMesh,
     BladeParam,
+    MeshCellError,
     apply_blade_resolvent,
     averaged_resolvent,
     build_mesh,
@@ -18,10 +21,12 @@ from rotkrein.blade import (
     gamma_matrix,
     gamma_matrix_cutoff,
     lambda_matrix,
+    layer_fields,
     solve_density,
     weighted_norm,
 )
 from rotkrein.greens import Point2, Point3
+from rotkrein.limits import blade_convergence_study
 from rotkrein.rotframe import RotationSpec, Truncation
 from rotkrein.specfun import ChannelIndex2, ChannelIndex3
 
@@ -45,6 +50,10 @@ def test_mesh_validation():
         build_mesh(2, 1.0, 1)
     with pytest.raises(ValueError):
         build_mesh(2, -1.0, 6)
+    # Non-integer sizes are rejected up front, not in a linspace/leggauss traceback.
+    for dim, res in ((2, 2.5), (3, 3.0)):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            build_mesh(dim, 1.0, res)
     m2 = build_mesh(2, 1.0, 4)
     with pytest.raises(ValueError):
         m2.theta()
@@ -93,6 +102,11 @@ def test_matrix_variants_and_validation():
         lambda_matrix(Z, ChannelIndex2(1), bp3, mesh3)
     with pytest.raises(ValueError):
         gamma_matrix_cutoff(-1, Z, bp2, rot, t2, mesh2)
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        gamma_matrix_cutoff(1.5, Z, bp2, rot, t2, mesh2)
+    # |m0| > l_max leaves no degrees: an empty channel sum, not diag(1/alpha).
+    with pytest.raises(ValueError, match="below channel order"):
+        lambda_matrix(Z, ChannelIndex3(5, 5), bp3, mesh3, t=Truncation(2, l_max=3))
     with pytest.raises(ValueError):
         gamma_matrix(Z, bp3, rot, t2, mesh2)
     with pytest.raises(ValueError):
@@ -194,6 +208,10 @@ def test_averaged_resolvent_validation():
     psi3 = make_psi(3, ChannelIndex3(1, 1))
     with pytest.raises(ValueError, match="resolution"):
         averaged_resolvent(3, Z, BladeParam(1.0, 2.0, 3), psi3, resolution=0)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        averaged_resolvent(2, Z, bp, psi, resolution=2.5)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        blade_convergence_study(2, bp, Z, psis=[psi], resolution=2.5)
 
 
 @pytest.mark.parametrize(
@@ -247,3 +265,162 @@ def test_apply_blade_resolvent_weak_blade_tends_to_free_field(dim):
     scale = float(np.max(np.abs(free)))
     assert gaps[1] < 1e-5 * scale
     assert gaps[1] / gaps[0] == pytest.approx(1e-3, rel=0.05)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_layer_fields_density_length_must_match_the_mesh(dim):
+    mesh = build_mesh(dim, 1.0, 4)
+    chans = [ChannelIndex2(1)] if dim == 2 else [ChannelIndex3(1, 1)]
+    with pytest.raises(ValueError, match="density length must match the mesh"):
+        layer_fields(Z, np.ones(mesh.n_nodes - 1), RotationSpec(6.0), mesh,
+                     np.array([0.5, 1.5]), chans)
+
+
+# -- the 3D assembly on radial blocks against per-cell and per-channel oracles --
+
+
+def _quad_q_scalar(p, q):
+    if p <= 0.0 or q <= 0.0:
+        return 0.0
+    return p * math.asinh(q / p) + q * math.asinh(p / q)
+
+
+def free_cell_scalar(z, r_i, th_i, ar, br, ua, ub):
+    """The free-kernel integral over one (r, u) cell, one cell per call: the
+    tangent-plane rectangle in closed form plus an 8 x 8 product Gauss rule
+    for the regular remainder."""
+    wz = complex(np.sqrt(complex(z)))
+    wz = wz if wz.imag >= 0.0 else -wz
+    s_lo = r_i * (math.acos(ub) - th_i)
+    s_hi = r_i * (math.acos(ua) - th_i)
+    x0, x1 = ar - r_i, br - r_i
+    rect = (_quad_q_scalar(-x0, -s_lo) + _quad_q_scalar(x1, -s_lo)
+            + _quad_q_scalar(-x0, s_hi) + _quad_q_scalar(x1, s_hi))
+    sing = (r_i * math.sin(th_i) / (4.0 * math.pi)) * rect
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    rr = 0.5 * (br + ar) + 0.5 * (br - ar) * xg
+    uu = 0.5 * (ub + ua) + 0.5 * (ub - ua) * xg
+    rp, up = np.meshgrid(rr, uu, indexing="ij")
+    wc = np.outer(wg * 0.5 * (br - ar), wg * 0.5 * (ub - ua))
+    d = np.sqrt(np.maximum(r_i**2 + rp**2 - 2.0 * r_i * rp * np.cos(th_i - np.arccos(up)), 0.0))
+    vals = (np.exp(1j * wz * d) - 1.0) / (4.0 * math.pi * d)
+    return complex(sing + np.sum(wc * vals * rp**2))
+
+
+def _edges(x, lo, hi):
+    return np.concatenate([[lo], 0.5 * (x[:-1] + x[1:]), [hi]])
+
+
+def free_cells_scalar(z, mesh):
+    redges = _edges(mesh.r_1d, 0.0, mesh.A)
+    uedges = _edges(mesh.u_1d, -1.0, 1.0)
+    n_u = len(mesh.u_1d)
+    th = mesh.theta()
+    out = []
+    for i in range(mesh.n_nodes):
+        ir, iu = divmod(i, n_u)
+        out.append(free_cell_scalar(z, mesh.r[i], th[i], redges[ir], redges[ir + 1],
+                                    uedges[iu], uedges[iu + 1]))
+    return np.array(out)
+
+
+def outer_sum(mesh, terms, r_rows=None):
+    """sum of sign * g_l(energy; r, r') * Y_l^m(u) Y_l^m(u') over the terms
+    (l, m, energy, sign), one full mesh-by-mesh array per term (rows: the
+    mesh nodes, or r_rows with the angular factor left to the caller)."""
+    r1 = mesh.r_1d
+    idx = np.repeat(np.arange(len(r1)), len(mesh.u_1d))
+    rows = r1 if r_rows is None else r_rows
+    K = 0.0
+    for l, m, energy, sign in terms:
+        y = np.tile(np.real(sp.sph_harm_y(l, m, np.arccos(mesh.u_1d), 0.0)), len(r1))
+        g = separable_kernel(3, l, energy, rows[:, None], r1[None, :])[:, idx]
+        if r_rows is None:
+            K = K + sign * g[idx, :] * np.outer(y, y)
+        else:
+            K = K + sign * g * y[None, :]
+    return K
+
+
+def assert_close(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("res,A", [(4, 1.0), (7, 2.5), (13, 1.0)])
+@pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j, -30.0 + 0.5j])
+def test_free_cells_match_the_per_cell_routine(res, A, z):
+    mesh = build_mesh(3, A, res)
+    got = blade_mod._free_cells_3d(z, mesh)
+    want = free_cells_scalar(z, mesh)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("omega", [0.0, 12.0, 190.0])
+@pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j])
+def test_3d_assembly_matches_per_channel_outer_sums(z, omega):
+    mesh = build_mesh(3, 1.0, 7)
+    bp = BladeParam(1.0, 2.0, 3)
+    rot = RotationSpec(omega)
+    t = Truncation(3, l_max=6)
+    W, n = mesh.w, mesh.n_nodes
+    inv = np.full(n, 0.5)
+    window = [ch for ch in ChannelIndex3.window(t) if ch.m != 0]
+
+    # Full matrix: free kernel off the diagonal, the channel differences, cells.
+    k_diff = outer_sum(mesh, [(ch.l, ch.m, z + ch.m * omega, 1.0) for ch in window]
+                       + [(ch.l, ch.m, z, -1.0) for ch in window])
+    th = mesh.theta()
+    d = np.sqrt(np.maximum(mesh.r[:, None] ** 2 + mesh.r[None, :] ** 2 - 2.0 * mesh.r[:, None]
+                           * mesh.r[None, :] * np.cos(th[:, None] - th[None, :]), 0.0))
+    np.fill_diagonal(d, 1.0)
+    w = np.sqrt(complex(z))
+    w = w if w.imag >= 0.0 else -w
+    want = -(np.exp(1j * w * d) / (4.0 * math.pi * d) + k_diff) * W[None, :]
+    want[np.diag_indices(n)] = inv - free_cells_scalar(z, mesh) - W * np.diag(k_diff)
+    assert_close(gamma_matrix(z, bp, rot, t, mesh).entries, want, 1e-13)
+
+    for cap in (0, 2, 6):
+        chans = ChannelIndex3.cutoff(cap, t)
+        want = -outer_sum(mesh, [(ch.l, ch.m, z + ch.m * omega, 1.0) for ch in chans]) * W
+        want[np.diag_indices(n)] += inv
+        assert_close(gamma_matrix_cutoff(cap, z, bp, rot, t, mesh).entries, want, 1e-13)
+
+    for m0 in (0, -2, 3):
+        want = -outer_sum(mesh, [(l, m0, z, 1.0) for l in range(abs(m0), 7)]) * W
+        want[np.diag_indices(n)] += inv
+        got = lambda_matrix(z, ChannelIndex3(abs(m0), m0), bp, mesh, t=t).entries
+        assert_close(got, want, 1e-13)
+
+    rng = np.random.default_rng(7)
+    xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    r_eval = np.linspace(0.05, 3.0, 20)
+    fields = layer_fields(z, xi, rot, mesh, r_eval, ChannelIndex3.window(t))
+    assert list(fields) == ChannelIndex3.window(t)
+    for ch, got in fields.items():
+        g = outer_sum(mesh, [(ch.l, ch.m, z + ch.m * omega, 1.0)], r_rows=r_eval)
+        assert_close(got, g @ (W * xi), 1e-13)
+
+
+def test_nonfinite_cell_is_named(monkeypatch):
+    real = blade_mod._rect_moment
+
+    def poisoned(*args):
+        out = real(*args)
+        out[6] = np.nan
+        return out
+
+    monkeypatch.setattr(blade_mod, "_rect_moment", poisoned)
+    mesh = build_mesh(3, 1.0, 5)
+    with pytest.raises(MeshCellError, match=r"^singular split failed on cell \(r 1, u 1\) node 6$"):
+        gamma_matrix(Z, BladeParam(1.0, 2.0, 3), RotationSpec(6.0),
+                     Truncation(2, l_max=3), mesh)
+
+
+def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):
+    """One kernel call per shell plus one for the unshifted degrees (no timing)."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    t = Truncation(3, l_max=6)
+    gamma_matrix(Z, BladeParam(1.0, 2.0, 3), RotationSpec(12.0), t, build_mesh(3, 1.0, 13))
+    # Four calls per kernel (J and H at the rows and at the columns); 144 before.
+    assert 0 < counter.calls <= 4 * (2 * t.m_max + 1)

@@ -17,6 +17,7 @@ from rotkrein._radial import (
     g3_vec,
     radial_apply,
     separable_kernel,
+    separable_kernels,
 )
 from rotkrein.specfun import sqrt_upper
 
@@ -69,6 +70,33 @@ def test_core_equals_elementwise_formula_bitwise(case):
     assert vec(order, z, r[0], rp).tobytes() == elementwise_kernel(
         dim, order, z, r[0], rp
     ).tobytes()
+
+
+@st.composite
+def shell_case(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    orders = draw(st.lists(st.integers(-7, 7) if dim == 2 else st.integers(0, 7),
+                           min_size=1, max_size=8))
+    r = draw(st.lists(radius, min_size=1, max_size=13))
+    rp = draw(st.lists(radius | st.sampled_from(r), min_size=1, max_size=13))
+    return dim, orders, draw(spectral), np.array(r), np.array(rp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shell_case())
+def test_batched_orders_equal_one_order_kernels_bitwise(case):
+    """The orders of one shell in one call: each slice is the one-order kernel
+    and the elementwise formula, bit for bit, for matrices, vectors and scalars."""
+    dim, orders, z, r, rp = case
+    for a, b in ((r[:, None], rp[None, :]), (r, rp[0]), (r[0], rp), (r[0], rp[0])):
+        got = separable_kernels(dim, orders, z, a, b)
+        assert got.shape == (len(orders),) + np.broadcast(a, b).shape
+        for g, order in zip(got, orders):
+            one = separable_kernel(dim, order, z, a, b)
+            assert g.tobytes() == one.tobytes()
+            # At least 1-D: numpy's scalar arithmetic may round differently.
+            want = elementwise_kernel(dim, order, z, np.atleast_1d(a), np.atleast_1d(b))
+            assert g.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

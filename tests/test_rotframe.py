@@ -44,6 +44,9 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="l_max must be an integer"):
         Truncation(3, l_max=4.5)
     assert Truncation(np.int64(3), l_max=np.int64(4)).l_max == 4
+    # An order beyond the degree cap has no degrees: an error, not an empty sum 0.
+    with pytest.raises(ValueError, match="l_max=3 below channel order"):
+        channel_diag(3, 5, 0.4 + 1j, PointSource(0.7, 3), Truncation(2, l_max=3))
 
 
 def test_static_limit_matches_free_2d():
