@@ -26,6 +26,7 @@ result is the integral of the interpolant to about 1e-12 relative.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -86,6 +87,17 @@ def _factors(nu, w: complex, x: np.ndarray, need_j, need_h):
     return j, h
 
 
+def _origin_limit(g, nu, w: complex, r, rp):
+    """3D entries at r = 0 < r' (J(w r)/sqrt(r) is 0/0) take their limit,
+    exp(i w r')/r' for l = 0 and 0 for l >= 1; r = r' = 0 stays nonfinite."""
+    big = np.maximum(r, rp)
+    at0 = (np.minimum(r, rp) == 0.0) & (big > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_wave = np.exp(1j * w * big) / big
+    l_zero = nu.reshape(nu.shape + (1,) * at0.ndim) == 0.5
+    return np.where(at0, np.where(l_zero, s_wave, 0.0), g)
+
+
 def separable_kernels(dim: int, orders, z: complex, r, rp) -> np.ndarray:
     """Radial channel kernels g(z; r, r') of one or several orders at one energy.
 
@@ -119,6 +131,8 @@ def separable_kernels(dim: int, orders, z: complex, r, rp) -> np.ndarray:
         g = np.where(lower, jr * hp, jp * hr)
         if dim == 3:
             g = g / np.sqrt(r * rp)
+            if not (r.all() and rp.all()):
+                g = _origin_limit(g, nu, w, r, rp)
     if z.imag < 0.0:
         g = np.conj(g)
     if not np.isfinite(g).all():
@@ -230,6 +244,11 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
         out = hr * left + jr * right
         if dim == 3:
             out = out / np.sqrt(r)
+            # r = 0: left = 0, (i pi/2) J(w r)/sqrt(r) -> (i pi/2) sqrt(2w/pi) if l = 0, else 0.
+            at0 = r == 0.0
+            if at0.any():
+                lim = 0.5j * math.pi * cmath.sqrt(2.0 * w / math.pi) if psi.order == 0 else 0.0
+                out[at0] = (np.conj(lim) if z.imag < 0.0 else lim) * right[at0]
     _check_finite("radial resolvent", dim, psi.order, z, out, r)
     return out.reshape(r_out.shape)
 

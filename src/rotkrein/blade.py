@@ -7,29 +7,29 @@ The boundary operator on the blade is Nystrom-discretized as
 with mu the surface measure weights and K the rotating-frame kernel on the
 blade.  The full kernel is split as
 
-    K  =  K_free(z)  +  sum_m [channel_m(z + m w) - channel_m(z)]
+    K  =  K_free(z)  +  sum_c [channel_c(z + m_c w) - channel_c(z)]
 
 where the second part is a smooth channel-wise difference of resolvents at
 shifted and unshifted energies, quadratured plainly, and the free part's
 1/(4 pi d) (3D) or -(1/2 pi) log d (2D) singularity is integrated in closed
-form over each diagonal mesh cell.  Every channel matrix comes from the
-separable core _radial.separable_kernels, with J and H evaluated once per
-distinct node radius; the unshifted channel_m(z) depends on |m| (2D) or l
-(3D) only and is built once per matrix.  On the 3D tensor mesh in (r, u =
-cos theta), channel (l, m) contributes the Kronecker product of a radial
-block g_l(r_i, r_j) on the radial nodes and the angular outer product
-y y^T, y = Y_l^m(theta_u, 0): the degrees of one shell m share their
-energy, so each shell's blocks are one kernel call, and one tensordot over
-the channels (_kron_sum) assembles every 3D matrix.  The 3D diagonal cells
-are integrated all at once as arrays over the cells (_free_cells_3d), and
-the 3D layer fields contract the density over u before the radial block.
-In 2D, all three boundary matrices integrate the kinked diagonal row over
-the node's own panel through one batched routine, _diag_cells.
+form over each diagonal mesh cell.
+
+Both meshes are tensor meshes, flattened r-major: the 3D half disc in
+(r, u = cos theta), the 2D segment in r with one angular sample, theta = 0.
+Channel c contributes kron(G_c, y_c y_c^T): G_c = g_c(r_i, r_j) on the
+radial nodes, y_c the orthonormal angular factor at the samples
+(Y_l^m(theta_u, 0) in 3D, 1/sqrt(2 pi) in 2D).  _blocks makes one
+separable_kernels call per energy (a 3D shell m, a 2D channel n, all
+unshifted kernels at once); one channel sum (_channel_sum) gives every
+boundary matrix and 2D own-panel cell integrand, and layer_fields contracts
+the density with y_c before the radial block.  Per dimension stay only the
+meshes and angular samples, the free kernel with its singular diagonal
+cells (2D: log moment plus regular remainder over the node's own panel,
+whose quadrature entries the cell replaces; 3D: tangent-plane rectangles,
+all cells as one array), and the averaged solver's radial rule (_radial_nodes).
 Sharp-cutoff and single-channel model matrices, the quadratic-form probe,
 resolvent application with a dense solve, and the plain averaged radial
-solver live here as well.  Channel enumerations, shifts, orders and angular
-factors come from the specfun channel classes; only the geometry (meshes,
-diagonal cells, angular samples) is per dimension.
+solver live here as well.
 """
 
 from __future__ import annotations
@@ -147,7 +147,9 @@ class BladeMesh:
     n_per: int | None = None
 
     def __post_init__(self) -> None:
-        target = self.A**2 / 2.0 if self.dim == 2 else 2.0 * self.A**3 / 3.0
+        # r^(dim-1) dr over [0, A] times the angular measure: 1 for the 2D
+        # segment's one sample, 2 for du over [-1, 1] in 3D.
+        target = (self.dim - 1) * self.A**self.dim / self.dim
         total = float(np.sum(self.w))
         if abs(total - target) > 1e-12 * target:
             raise ValueError(
@@ -202,6 +204,18 @@ def _panel_nodes(A: float, n_panels: int) -> tuple:
     return edges, nodes.ravel(), (half[:, None] * _WG8).ravel()
 
 
+def _radial_nodes(dim: int, A: float, n: int | None = None) -> tuple:
+    """Radial nodes and plain dr weights of the averaged solver on [0, A].
+
+    2D: n 8-point Gauss panels (24 by default); 3D: one n-point Gauss rule
+    (64 by default).  Callers multiply in r^(dim-1) and their potential.
+    """
+    if dim == 2:
+        return _panel_nodes(A, 24 if n is None else n)[1:]
+    xg, wg = np.polynomial.legendre.leggauss(64 if n is None else n)
+    return 0.5 * A * (xg + 1.0), 0.5 * A * wg
+
+
 def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
     """Tensor Gauss mesh: resolution panels (2D) or nodes per direction (3D)."""
     channel_class(dim)
@@ -211,15 +225,14 @@ def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
     if not (math.isfinite(A) and A > 0.0):
         raise ValueError(f"blade radius must be positive, got {A}")
     if dim == 2:
+        # The segment at theta = 0: one angular sample.
         edges, r, w = _panel_nodes(A, resolution)
         cells = np.stack([edges[:-1], edges[1:]], axis=1)
-        return BladeMesh(dim=2, A=A, r=r, w=w * r, cells=cells, n_per=8)
-    xr, wr = np.polynomial.legendre.leggauss(resolution)
+        return BladeMesh(dim=2, A=A, r=r, w=w * r, r_1d=r, cells=cells, n_per=8)
+    r1, wr = _radial_nodes(3, A, resolution)
     xu, wu = np.polynomial.legendre.leggauss(resolution)
-    r1 = 0.5 * A * (xr + 1.0)
-    wr_full = 0.5 * A * wr * r1**2
     R, U = np.meshgrid(r1, xu, indexing="ij")
-    W = np.outer(wr_full, wu)
+    W = np.outer(wr * r1**2, wu)
     return BladeMesh(
         dim=3, A=A, r=R.ravel(), w=W.ravel(), u=U.ravel(), r_1d=r1, u_1d=xu,
     )
@@ -277,61 +290,21 @@ def _diag_cells(mesh: BladeMesh, integrand) -> np.ndarray:
     return acc
 
 
-def _panel_matrix_2d(K: np.ndarray, cells: np.ndarray, bp: BladeParam, mesh: BladeMesh):
-    """diag(1/alpha) - K diag(w), with each node's own panel replaced by its cell."""
-    n = mesh.n_nodes
-    panel = np.arange(n) // mesh.n_per
-    M = -K * mesh.w[None, :]
-    M[panel[:, None] == panel[None, :]] = 0.0
-    M[np.diag_indices(n)] = -cells
-    M[np.diag_indices(n)] += bp.inverse_strength(mesh.r)
-    return M
-
-
-def _diff2(ns, z: complex, omega: float, r, rp):
-    """Smooth part: channel differences at shifted vs unshifted energies."""
-    unshifted = {}
-    acc = None
-    for n in ns:
-        if n == 0:
-            continue
-        if abs(n) not in unshifted:
-            unshifted[abs(n)] = separable_kernel(2, n, z, r, rp)
-        d = separable_kernel(2, n, z + n * omega, r, rp) - unshifted[abs(n)]
-        acc = d if acc is None else acc + d
-    if acc is None:
-        return np.zeros(np.broadcast(np.asarray(r), np.asarray(rp)).shape, dtype=complex)
-    return acc / (2.0 * math.pi)
-
-
-def _sum2(ns, z: complex, omega: float, r, rp):
-    """Windowed channel sum of the rotating kernel on the segment."""
-    acc = None
-    for n in ns:
-        d = separable_kernel(2, n, z + n * omega, r, rp)
-        acc = d if acc is None else acc + d
-    return acc / (2.0 * math.pi)
-
-
-def _gamma_full_2d(
-    z: complex, bp: BladeParam, rot: RotationSpec, t: Truncation, mesh: BladeMesh
-) -> np.ndarray:
+def _free_2d(z: complex, mesh: BladeMesh) -> tuple:
+    """Free 2D kernel (i/4) H_0(w |r - r'|) between nodes (0 on the diagonal),
+    and its integral over each node's own panel: the log part exactly, the
+    regular remainder by _diag_cells.  A nonfinite cell raises MeshCellError
+    naming the panel."""
     r = mesh.r
     wz = sqrt_upper(z)
-    ns = range(-t.m_max, t.m_max + 1)
     # The free kernel is symmetric: evaluate it above the diagonal and mirror.
-    # The diagonal (left 0) is replaced by the cell integrals.
     iu = np.triu_indices(len(r), 1)
     K = np.zeros((len(r), len(r)), dtype=complex)
     K[iu] = K[iu[::-1]] = 0.25j * sp.hankel1(0, wz * np.abs(r[iu[0]] - r[iu[1]]))
-    K = K + _diff2(ns, z, rot.omega, r[:, None], r[None, :])
     panels = mesh.cells[np.arange(len(r)) // mesh.n_per]
     log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(panels, r)])
-    free_cells = -log_part / (2.0 * math.pi) + _diag_cells(
+    cells = -log_part / (2.0 * math.pi) + _diag_cells(
         mesh, lambda ri, tt: _free2_reg(z, np.abs(ri - tt)) * tt
-    )
-    cells = free_cells + _diag_cells(
-        mesh, lambda ri, tt: _diff2(ns, z, rot.omega, ri, tt) * tt
     )
     bad = np.flatnonzero(~np.isfinite(cells))
     if bad.size:
@@ -341,7 +314,7 @@ def _gamma_full_2d(
         raise MeshCellError(
             f"singular split failed on panel {p} cell [{a:.6g}, {b:.6g}] node {i}"
         )
-    return _panel_matrix_2d(K, cells, bp, mesh)
+    return K, cells
 
 
 # ---------------------------------------------------------------------------
@@ -414,63 +387,106 @@ def _free_cells_3d(z: complex, mesh: BladeMesh) -> np.ndarray:
     return cells
 
 
-def _angular(mesh: BladeMesh, chans) -> np.ndarray:
-    """Y_l^m(theta, 0) of each 3D channel at the mesh's polar samples (real).
+def _free_3d(z: complex, mesh: BladeMesh) -> tuple:
+    """Free 3D kernel exp(i w d)/(4 pi d) between nodes (the diagonal is left
+    to the cells), and its integral over each node's own cell."""
+    R, th = mesh.r, mesh.theta()
+    D = _chord(R[:, None], th[:, None], R[None, :], th[None, :])
+    np.fill_diagonal(D, 1.0)
+    K = np.exp(1j * sqrt_upper(z) * D) / (4.0 * math.pi * D)
+    return K, _free_cells_3d(z, mesh)
 
-    Shape (channels, len(mesh.u_1d)); one harmonic call for all channels.
-    """
+
+# ---------------------------------------------------------------------------
+# Channel sums on the tensor mesh, both dimensions
+
+
+def _angular(mesh: BladeMesh, chans) -> np.ndarray:
+    """Orthonormal angular factor y_c of each channel at the mesh's angular
+    samples (real), shape (channels, samples): 1/sqrt(2 pi) at the 2D
+    segment's one sample theta = 0, Y_l^m(theta_u, 0) at the 3D polar nodes
+    (one harmonic call)."""
+    if mesh.dim == 2:
+        return np.full((len(chans), 1), 1.0 / math.sqrt(ChannelIndex2.harmonic_norm_sq))
     lm = np.array([(ch.l, ch.m) for ch in chans], dtype=int).reshape(-1, 2)
     th_u = np.arccos(mesh.u_1d)
     return np.real(sp.sph_harm_y(lm[:, :1], lm[:, 1:], th_u, 0.0))
 
 
-def _shell_blocks(chans, energy, r_rows: np.ndarray, r_cols: np.ndarray) -> np.ndarray:
-    """Radial blocks g_l(energy(m); r_rows, r_cols) of 3D channels (l, m).
+def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:
+    """Radial blocks G_c = g_c(z + shift_c * omega; r, rp), stacked in channel
+    order, shape (channels,) + the broadcast shape of r and rp.
 
-    Stacked in channel order, shape (channels, len(r_rows), len(r_cols));
-    the degrees of one shell m share their energy, so each shell is one
-    kernel call.
+    Channels that share an energy (a 3D shell m, a 2D channel n, every
+    channel at omega = 0) take one separable_kernels call over their
+    distinct orders.
     """
-    blocks = np.empty((len(chans), len(r_rows), len(r_cols)), dtype=complex)
-    for m in dict.fromkeys(ch.m for ch in chans):
-        idx = [i for i, ch in enumerate(chans) if ch.m == m]
-        ls = [chans[i].l for i in idx]
-        blocks[idx] = separable_kernels(3, ls, energy(m), r_rows[:, None], r_cols[None, :])
+    groups = {}
+    for i, ch in enumerate(chans):
+        groups.setdefault(z + ch.shift * omega, []).append(i)
+    shape = np.broadcast_shapes(np.shape(r), np.shape(rp))
+    blocks = np.empty((len(chans),) + shape, dtype=complex) if len(groups) != 1 else None
+    for energy, idx in groups.items():
+        orders = [chans[i].order for i in idx]
+        distinct = list(dict.fromkeys(orders))
+        g = separable_kernels(dim, distinct, energy, r, rp)
+        if len(distinct) < len(orders):
+            g = g[[distinct.index(o) for o in orders]]
+        if blocks is None:  # one energy: no second stack of the blocks
+            return g
+        blocks[idx] = g
     return blocks
 
 
-def _kron_sum(blocks: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """sum_c kron(G_c, y_c y_c^T) on the r-major flat tensor mesh.
+def _channel_sum(mesh: BladeMesh, chans, z: complex, omega: float, less_unshifted=False):
+    """The channel sum of chans as a kernel of radius arrays on the mesh.
 
-    blocks (channels, n_r, n_r) are the radial blocks G_c and ys
-    (channels, n_u) the angular samples y_c; one tensordot over the channels.
+    kernel(r, rp) = sum_c kron(G_c, y_c y_c^T), one tensordot over the
+    channels, with G_c the block at z + shift_c * omega, less the block at
+    z if less_unshifted (the smooth differences of the full matrix).  Radial
+    node vectors give the mesh matrix; the 2D own-panel cells pass (node,
+    quadrature point) arrays, which one angular sample leaves as they are.
     """
-    n_r, n_u = blocks.shape[1], ys.shape[1]
+    ys = _angular(mesh, chans)
     outer = ys[:, :, None] * ys[:, None, :]
-    K = np.tensordot(blocks, outer, axes=(0, 0))  # axes r, r', u, u'
-    return K.transpose(0, 2, 1, 3).reshape(n_r * n_u, n_r * n_u)
+
+    def kernel(r, rp):
+        blocks = _blocks(mesh.dim, chans, z, omega, r, rp)
+        if less_unshifted:
+            blocks -= _blocks(mesh.dim, chans, z, 0.0, r, rp)
+        n_a, n_b = blocks.shape[1:]
+        n_u = ys.shape[1]
+        K = np.tensordot(blocks, outer, axes=(0, 0))  # axes r, r', u, u'
+        return K.transpose(0, 2, 1, 3).reshape(n_a * n_u, n_b * n_u)
+
+    return kernel
 
 
-def _gamma_full_3d(
-    z: complex, bp: BladeParam, rot: RotationSpec, t: Truncation, mesh: BladeMesh
-) -> np.ndarray:
-    R, W = mesh.r, mesh.w
-    th = mesh.theta()
-    n = len(R)
-    wz = sqrt_upper(z)
-    D = _chord(R[:, None], th[:, None], R[None, :], th[None, :])
-    np.fill_diagonal(D, 1.0)
-    K_free = np.exp(1j * wz * D) / (4.0 * math.pi * D)
-    chans = [ch for ch in ChannelIndex3.window(t) if ch.m != 0]
+def _assemble(bp: BladeParam, mesh: BladeMesh, kernel, free=None) -> np.ndarray:
+    """diag(1/alpha) - (K_free + K) diag(w), each node's own cell integrated.
+
+    kernel is a _channel_sum, free the free kernel's (matrix, cells) if any.
+    A 2D node's own cell is its panel, over which the kinked channel sum is
+    integrated (_diag_cells) in place of the panel's quadrature entries; a 3D
+    node's is the node, where the smooth channel sum is quadratured plainly.
+    """
+    n = mesh.n_nodes
     r1 = mesh.r_1d
-    # The unshifted channel kernel depends on l only: one call for every degree.
-    ls, which = np.unique([ch.l for ch in chans], return_inverse=True)
-    unshifted = separable_kernels(3, ls, z, r1[:, None], r1[None, :])
-    diff = _shell_blocks(chans, lambda m: z + m * rot.omega, r1, r1) - unshifted[which]
-    K_diff = _kron_sum(diff, _angular(mesh, chans))
-    M = -(K_free + K_diff) * W[None, :]
-    M[np.diag_indices(n)] = -(_free_cells_3d(z, mesh) + W * np.diag(K_diff))
-    M[np.diag_indices(n)] += bp.inverse_strength(R)
+    K = kernel(r1[:, None], r1[None, :])
+    if mesh.dim == 2:
+        panel = np.arange(n) // mesh.n_per
+        own = panel[:, None] == panel[None, :]
+        cells = _diag_cells(mesh, lambda ri, tt: kernel(ri, tt) * tt)
+    else:
+        own = np.eye(n, dtype=bool)
+        cells = mesh.w * np.diag(K)
+    if free is not None:
+        K = free[0] + K
+        cells = free[1] + cells
+    M = -K * mesh.w[None, :]
+    M[own] = 0.0
+    M[np.diag_indices(n)] = -cells
+    M[np.diag_indices(n)] += bp.inverse_strength(mesh.r)
     return M
 
 
@@ -487,14 +503,14 @@ def gamma_matrix(
     split; a nonfinite cell integral raises MeshCellError naming the cell.
     """
     z = require_resolvent_energy(z)
-    channel_class(mesh.dim, bp)
+    cls = channel_class(mesh.dim, bp)
     if mesh.n_nodes > _MAX_DENSE_NODES:
         raise ValueError(f"mesh exceeds the dense budget of {_MAX_DENSE_NODES} nodes")
-    if bp.dim == 2:
-        entries = _gamma_full_2d(z, bp, rot, t, mesh)
-    else:
-        entries = _gamma_full_3d(z, bp, rot, t, mesh)
-    return GammaMatrix(entries=entries, z=z, variant="full")
+    # Shift 0 has no difference between shifted and unshifted energies.
+    chans = [ch for ch in cls.window(t) if ch.shift != 0]
+    kernel = _channel_sum(mesh, chans, z, rot.omega, less_unshifted=True)
+    free = (_free_2d if mesh.dim == 2 else _free_3d)(z, mesh)
+    return GammaMatrix(entries=_assemble(bp, mesh, kernel, free), z=z, variant="full")
 
 
 def gamma_matrix_cutoff(
@@ -516,17 +532,7 @@ def gamma_matrix_cutoff(
         raise ValueError(f"cap must be nonnegative, got {cap}")
     z = require_resolvent_energy(z)
     chans = channel_class(mesh.dim, bp).cutoff(cap, t)
-    if bp.dim == 2:
-        r = mesh.r
-        ns = [ch.n for ch in chans]
-        K = _sum2(ns, z, rot.omega, r[:, None], r[None, :])
-        cells = _diag_cells(mesh, lambda ri, tt: _sum2(ns, z, rot.omega, ri, tt) * tt)
-        M = _panel_matrix_2d(K, cells, bp, mesh)
-        return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
-    r1 = mesh.r_1d
-    blocks = _shell_blocks(chans, lambda m: z + m * rot.omega, r1, r1)
-    M = -_kron_sum(blocks, _angular(mesh, chans)) * mesh.w[None, :]
-    M[np.diag_indices(mesh.n_nodes)] += bp.inverse_strength(mesh.r)
+    M = _assemble(bp, mesh, _channel_sum(mesh, chans, z, rot.omega))
     return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
 
 
@@ -538,34 +544,22 @@ def lambda_matrix(
     *,
     t: Truncation | None = None,
 ) -> GammaMatrix:
-    """Single-channel model matrix: the rotation-free kernel of channel0.
+    """Single-channel model matrix: the rotation-free kernel of channel0's shift.
 
     The full matrix at parameter z - m0*omega converges to this as the
-    rotation speeds up.  3D needs the degree cap from t.
+    rotation speeds up.  In 2D that is channel n0 alone; in 3D the degrees
+    |m0|..l_max of shell m0, with the degree cap from t.
     """
     z = require_resolvent_energy(z)
-    channel_class(mesh.dim, channel0, bp)
-    if mesh.dim == 2:
-        n0 = channel0.n
-        r = mesh.r
-        K = separable_kernel(2, n0, z, r[:, None], r[None, :]) / (2.0 * math.pi)
-        cells = _diag_cells(
-            mesh, lambda ri, tt: separable_kernel(2, n0, z, ri, tt) * tt / (2.0 * math.pi)
-        )
-        M = _panel_matrix_2d(K, cells, bp, mesh)
-        return GammaMatrix(entries=M, z=z, variant=f"lambda:n0={n0}")
-    if t is None:
-        raise ValueError("3D single-channel matrix needs a truncation for l_max")
-    l_max = t.require_l_max()
-    m0 = channel0.m
-    if l_max < abs(m0):
-        raise ValueError(f"l_max={l_max} below channel order |m0|={abs(m0)}")
-    chans = [ChannelIndex3(l, m0) for l in range(abs(m0), l_max + 1)]
-    r1 = mesh.r_1d
-    blocks = _shell_blocks(chans, lambda m: z, r1, r1)
-    M = -_kron_sum(blocks, _angular(mesh, chans)) * mesh.w[None, :]
-    M[np.diag_indices(mesh.n_nodes)] += bp.inverse_strength(mesh.r)
-    return GammaMatrix(entries=M, z=z, variant=f"lambda:m0={m0}")
+    cls = channel_class(mesh.dim, channel0, bp)
+    s0 = channel0.shift
+    l_max = None if t is None else t.l_max
+    if l_max is not None and l_max < abs(s0):
+        raise ValueError(f"l_max={l_max} below channel order |m0|={abs(s0)}")
+    chans = [ch for ch in cls.window(Truncation(abs(s0), l_max)) if ch.shift == s0]
+    M = _assemble(bp, mesh, _channel_sum(mesh, chans, z, 0.0))
+    # The shift is the channel's last index: n in 2D, m in 3D.
+    return GammaMatrix(entries=M, z=z, variant=f"lambda:{list(vars(channel0))[-1]}0={s0}")
 
 
 def weighted_norm(mesh: BladeMesh, entries: np.ndarray) -> float:
@@ -588,26 +582,19 @@ def layer_fields(
     Y_l^m(theta, phi).  Channel m is evaluated at energy z + m*omega.
     """
     channels = list(channels)
-    channel_class(mesh.dim, *channels)
+    cls = channel_class(mesh.dim, *channels)
     r_eval = np.asarray(r_eval, dtype=float)
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != mesh.r.shape:
         raise ValueError("density length must match the mesh")
-    out = {}
-    if mesh.dim == 2:
-        mu = mesh.w * xi
-        for ch in channels:
-            g = separable_kernel(
-                2, ch.n, z + ch.n * rot.omega, r_eval[:, None], mesh.r[None, :]
-            )
-            out[ch] = (g @ mu) / (2.0 * math.pi)
-        return out
-    # Contract over u first: v_c = (w xi as (r, u)) @ y_c, then G_c(r_eval, r) @ v_c.
-    mu = (mesh.w * xi).reshape(len(mesh.r_1d), len(mesh.u_1d))
-    v = mu @ _angular(mesh, channels).T
-    blocks = _shell_blocks(channels, lambda m: z + m * rot.omega, r_eval, mesh.r_1d)
-    fields = np.matmul(blocks, v.T[:, :, None])[:, :, 0]
-    return dict(zip(channels, fields))
+    # Contract over the angular samples first: v_c = (w xi as (r, u)) @ y_c,
+    # then G_c(r_eval, r) @ v_c.
+    ys = _angular(mesh, channels)
+    v = (mesh.w * xi).reshape(len(mesh.r_1d), ys.shape[1]) @ ys.T
+    blocks = _blocks(mesh.dim, channels, z, rot.omega, r_eval[:, None], mesh.r_1d[None, :])
+    # y_c is the orthonormal factor; the fields multiply the harmonic.
+    coef = np.matmul(blocks, v.T[:, :, None])[:, :, 0] / math.sqrt(cls.harmonic_norm_sq)
+    return dict(zip(channels, coef))
 
 
 def form_probe(
@@ -694,12 +681,8 @@ def solve_density(
         raise ConditioningError(
             f"boundary matrix condition number {cond:.3g} exceeds {_COND_LIMIT:g}"
         )
-    if mesh.dim == 2:
-        # The segment lies at theta = 0, where the angular factor is 1/sqrt(2 pi).
-        trace = _free_radial(z, psi, rot, mesh.r) / math.sqrt(2.0 * math.pi)
-    else:
-        fp = _free_radial(z, psi, rot, mesh.r_1d)
-        trace = np.outer(fp, _angular(mesh, [psi.channel])[0]).ravel()
+    fp = _free_radial(z, psi, rot, mesh.r_1d)
+    trace = np.outer(fp, _angular(mesh, [psi.channel])[0]).ravel()
     phi = np.linalg.solve(M, trace)
     return BoundaryDensity(values=phi)
 
@@ -752,16 +735,11 @@ def averaged_resolvent(
     z = complex(z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError("spectral parameter on the essential spectrum")
-    n = (24 if dim == 2 else 64) if resolution is None else resolution
-    _require_integer("resolution", n)
-    if n < 1:
-        raise ValueError(f"resolution must be at least 1, got {n}")
-    if dim == 2:
-        _, rr, ww = _panel_nodes(bp.A, n)
-    else:
-        xg, wg = np.polynomial.legendre.leggauss(n)
-        rr = 0.5 * bp.A * (xg + 1.0)
-        ww = 0.5 * bp.A * wg
+    if resolution is not None:
+        _require_integer("resolution", resolution)
+        if resolution < 1:
+            raise ValueError(f"resolution must be at least 1, got {resolution}")
+    rr, ww = _radial_nodes(dim, bp.A, resolution)
     mu = bp.alpha_values(rr) * ww * rr ** (dim - 1)
     # One pass gives the free part on the grid and on the solver nodes.
     free = radial_apply(psi, z, np.concatenate([psi.grid, rr]))

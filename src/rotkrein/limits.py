@@ -9,7 +9,8 @@ omega-independent work once, then runs every omega of its grid; a row that
 raises one of _COMPUTE_ERRORS goes to StudyTable.failures and the sweep goes
 on.  Results come back as StudyTable, which serializes deterministically to
 CSV and JSON.  Both dimensions share each study's code through the specfun
-channel classes; only defaults and averaged-solver nodes differ by dimension.
+channel classes; only the study defaults differ by dimension here, and the
+averaged side's radial nodes come from blade._radial_nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .blade import (
     ConditioningError,
     MeshCellError,
     _ls_correction,
+    _radial_nodes,
     build_mesh,
     gamma_matrix,
     lambda_matrix,
@@ -246,15 +248,13 @@ def _averaged_correction(
     """Channel coefficient of (averaged resolvent - free resolvent) of psi.
 
     The sweep-averaged potential is the blade strength spread over the full
-    turn, alpha/(2 pi), supported on r <= A in the channel of psi.
+    turn, alpha/(2 pi), supported on r <= A in the channel of psi.  The
+    solve shares the panels of a 2D blade mesh; a 3D mesh has none, and the
+    solver's default rule serves.
     """
-    if dim == 2:
-        rr, ww = mesh.r, mesh.w
-    else:
-        xg, wg = np.polynomial.legendre.leggauss(64)
-        rr = 0.5 * bp.A * (xg + 1.0)
-        ww = 0.5 * bp.A * wg * rr**2
-    mu = bp.alpha_values(rr) / (2.0 * math.pi) * ww
+    panels = None if mesh.cells is None else len(mesh.cells)
+    rr, ww = _radial_nodes(dim, bp.A, panels)
+    mu = bp.alpha_values(rr) / (2.0 * math.pi) * (ww * rr ** (dim - 1))
     corr = _ls_correction(dim, z, psi.order, rr, mu, radial_apply(psi, z, rr), r_eval)
     # Layer fields multiply the channel harmonic, psi its orthonormal factor.
     return corr / math.sqrt(psi.channel.harmonic_norm_sq)

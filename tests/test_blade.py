@@ -424,3 +424,120 @@ def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):
     gamma_matrix(Z, BladeParam(1.0, 2.0, 3), RotationSpec(12.0), t, build_mesh(3, 1.0, 13))
     # Four calls per kernel (J and H at the rows and at the columns); 144 before.
     assert 0 < counter.calls <= 4 * (2 * t.m_max + 1)
+
+
+# -- the 2D assembly: the segment as a tensor mesh with one angular sample --
+
+
+def panel_cells(mesh, f):
+    """Integral of f(r_i, t) t over node i's own panel, split at r_i, with
+    12 Gauss points on each side; one node per call."""
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    out = []
+    for i, ri in enumerate(mesh.r):
+        a, b = mesh.cells[i // mesh.n_per]
+        acc = 0.0
+        for lo, hi in ((a, ri), (ri, b)):
+            h = 0.5 * (hi - lo)
+            t = 0.5 * (hi + lo) + h * xg
+            acc += h * np.sum(wg * f(ri, t) * t)
+        out.append(acc)
+    return np.array(out)
+
+
+def t_log_moment(a, b, c):
+    """Integral of t log|t - c| over [a, b] in closed form."""
+    def F(t):
+        s = t - c
+        return 0.0 if s == 0.0 else (0.5 * s * s * math.log(abs(s)) - 0.25 * s * s
+                                     + c * (s * math.log(abs(s)) - s))
+    return F(b) - F(a)
+
+
+def channel_sum_2d(terms, r, rp):
+    """sum of sign * g_n(energy; r, r') / (2 pi) over the terms (n, energy, sign)."""
+    return sum(sign * separable_kernel(2, n, energy, r, rp) for n, energy, sign in terms) / (
+        2.0 * math.pi)
+
+
+def panel_matrix(mesh, K, cells, inv):
+    """diag(inv) - K diag(w) with each node's own panel left to its cell."""
+    panel = np.arange(mesh.n_nodes) // mesh.n_per
+    M = -K * mesh.w[None, :]
+    M[panel[:, None] == panel[None, :]] = 0.0
+    M[np.diag_indices(mesh.n_nodes)] = inv - cells
+    return M
+
+
+@pytest.mark.parametrize("omega", [0.0, 12.0, 190.0])
+@pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j])
+def test_2d_assembly_matches_per_channel_sums(z, omega):
+    mesh = build_mesh(2, 1.0, 6)
+    bp = BladeParam(1.0, 2.0, 2)
+    rot = RotationSpec(omega)
+    t = Truncation(5)
+    r, n = mesh.r, mesh.n_nodes
+    inv = np.full(n, 0.5)
+    w = np.sqrt(complex(z))
+    w = w if w.imag >= 0.0 else -w
+
+    # Full matrix: Hankel off the diagonal, the channel differences, own-panel cells.
+    diff = [(k, z + k * omega, 1.0) for k in range(-5, 6) if k] + [
+        (k, z, -1.0) for k in range(-5, 6) if k]
+    d = np.abs(r[:, None] - r[None, :])
+    np.fill_diagonal(d, 1.0)
+    k_free = 0.25j * sp.hankel1(0, w * d)
+    k_diff = channel_sum_2d(diff, r[:, None], r[None, :])
+    log_part = np.array([t_log_moment(*mesh.cells[i // mesh.n_per], r[i]) for i in range(n)])
+    cells = -log_part / (2.0 * math.pi) + panel_cells(
+        mesh, lambda ri, tt: 0.25j * sp.hankel1(0, w * np.abs(ri - tt))
+        + np.log(np.abs(ri - tt)) / (2.0 * math.pi)
+        + channel_sum_2d(diff, ri, tt))
+    want = panel_matrix(mesh, k_free + k_diff, cells, inv)
+    assert_close(gamma_matrix(z, bp, rot, t, mesh).entries, want, 1e-13)
+
+    for cap in (0, 2, 5):
+        terms = [(k, z + k * omega, 1.0) for k in range(-cap, cap + 1)]
+        want = panel_matrix(mesh, channel_sum_2d(terms, r[:, None], r[None, :]),
+                            panel_cells(mesh, lambda ri, tt: channel_sum_2d(terms, ri, tt)),
+                            inv)
+        assert_close(gamma_matrix_cutoff(cap, z, bp, rot, t, mesh).entries, want, 1e-13)
+
+    for n0 in (0, -2, 3):
+        terms = [(n0, z, 1.0)]
+        want = panel_matrix(mesh, channel_sum_2d(terms, r[:, None], r[None, :]),
+                            panel_cells(mesh, lambda ri, tt: channel_sum_2d(terms, ri, tt)),
+                            inv)
+        assert_close(lambda_matrix(z, ChannelIndex2(n0), bp, mesh).entries, want, 1e-13)
+
+    rng = np.random.default_rng(7)
+    xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    r_eval = np.linspace(0.0, 3.0, 20)
+    fields = layer_fields(z, xi, rot, mesh, r_eval, ChannelIndex2.window(t))
+    assert list(fields) == ChannelIndex2.window(t)
+    for ch, got in fields.items():
+        g = channel_sum_2d([(ch.n, z + ch.n * omega, 1.0)], r_eval[:, None], r[None, :])
+        assert_close(got, g @ (mesh.w * xi), 1e-13)
+
+
+def test_gamma_matrix_2d_bessel_calls(monkeypatch):
+    """One kernel call per shifted channel plus one for every unshifted order,
+    for the mesh matrix and for the own-panel cells (no timing)."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    t = Truncation(5)
+    gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), t, build_mesh(2, 1.0, 12))
+    # Four calls per kernel (J and H at the rows and at the columns); 120 before.
+    assert 0 < counter.calls <= 2 * 4 * (2 * t.m_max + 1)
+
+
+def test_apply_blade_resolvent_at_the_3d_origin():
+    """Only the l = 0 channels reach r = 0; the value there is the limit from r > 0."""
+    rot, t, mesh = RotationSpec(5.0), Truncation(2, l_max=3), build_mesh(3, 1.0, 5)
+    bp = BladeParam(1.0, 2.0, 3)
+    for ch in (ChannelIndex3(0, 0), ChannelIndex3(1, 1)):
+        psi = make_psi(3, ch, n=120)
+        pts = [Point3(0.0, 0.4, 1.0), Point3(1e-7, 0.4, 1.0)]
+        at0, near = apply_blade_resolvent(Z, psi, bp, rot, t, mesh, pts)
+        assert np.isfinite(at0)
+        assert abs(at0 - near) <= 1e-5 * abs(near)

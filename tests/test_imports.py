@@ -36,3 +36,46 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _dead_private_names(sources: dict) -> list:
+    """Module-level _names of the sources ({module: text}) that no other
+    top-level statement of any of them references: a helper that outlived
+    its callers.  Dunder names are exempt."""
+    defined, refs = [], []
+    for mod, text in sources.items():
+        for i, node in enumerate(ast.parse(text).body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(mod, i, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            seen = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    seen.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    seen.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    seen.add(n.name)
+            refs.append((mod, i, seen))
+    return sorted(f"{mod}.{name}" for mod, i, name in defined
+                  if not any(name in seen for m, j, seen in refs if (m, j) != (mod, i)))
+
+
+def test_finds_a_dead_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_A, _B = 1, 2\n\ndef _used():\n    return _LIMIT + _A\n\n"
+             "def _self_only(n):\n    return _self_only(n - 1)\n\nclass _Gone:\n    pass\n",
+        "b": "from a import _used\n\nprint(_used())\n",
+    }
+    assert _dead_private_names(sources) == ["a._B", "a._Gone", "a._self_only"]
+
+
+def test_no_dead_private_names():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert _dead_private_names(sources) == []

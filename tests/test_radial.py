@@ -19,6 +19,7 @@ from rotkrein._radial import (
     separable_kernel,
     separable_kernels,
 )
+from rotkrein.greens import radial_kernel_3d
 from rotkrein.specfun import sqrt_upper
 
 
@@ -178,6 +179,39 @@ def test_radial_apply_value_does_not_depend_on_other_radii(dim):
     alone = radial_apply(psi, 0.4 + 1.0j, grid)
     extra = radial_apply(psi, 0.4 + 1.0j, np.concatenate([[0.77, 9.0], grid, [3.3]]))
     assert alone.tobytes() == extra[2:-1].tobytes()
+
+
+@pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j, -30.0 + 0.5j])
+@pytest.mark.parametrize("l", range(5))
+def test_3d_kernel_at_the_origin_is_its_limit(l, z):
+    """J(w r)/sqrt(r) is 0/0 at r = 0: exp(i w r')/r' for l = 0, else 0."""
+    rp = np.array([0.3, 0.5, 2.0])
+    want = [radial_kernel_3d(l, z, 0.0, x) for x in rp]
+    for got in (separable_kernel(3, l, z, 0.0, rp), separable_kernel(3, l, z, rp, 0.0)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)
+    # Entries away from the origin keep their bits.
+    r = np.array([0.0, 0.2, 0.7])
+    full = separable_kernel(3, l, z, r[:, None], rp[None, :])
+    assert full[1:].tobytes() == separable_kernel(3, l, z, r[1:, None], rp[None, :]).tobytes()
+    with pytest.raises(OverflowError, match=r"radii in \[0, 0\]"):
+        separable_kernel(3, l, z, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j])
+@pytest.mark.parametrize("order", [0, 2])
+def test_3d_radial_apply_at_the_origin(order, z):
+    grid = np.linspace(0.05, 8.0, 120)
+    psi = _psi(3, order, grid)
+    # 20-point Gauss per knot interval: exact to roundoff for the cubic pieces
+    # times the smooth kernel.
+    xg, wg = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(grid)[:, None]
+    t = (0.5 * (grid[:-1] + grid[1:]))[:, None] + half * xg
+    kern = np.array([radial_kernel_3d(order, z, 0.0, x) for x in t.ravel()]).reshape(t.shape)
+    want = np.sum(half * wg * kern * psi.interpolant()(t) * t**2)
+    got = radial_apply(psi, z, [0.0, 0.3])
+    assert abs(got[0] - want) <= 1e-12 * max(abs(want), abs(got[1]))
+    assert got[1].tobytes() == radial_apply(psi, z, [0.3]).tobytes()
 
 
 def test_radial_apply_overflow_contract():
