@@ -1,18 +1,18 @@
 """Separable radial channel kernels and resolvent application on grids.
 
-The scalar kernels in greens are the reference; these evaluate the same
-closed formulas over arrays for the quadrature-heavy paths (resolvent
-application, boundary matrices, study norms).  With w = sqrt(z) in the
-closed upper half plane, where the principal-branch Bessel products are the
-right analytic continuation, the channel kernel separates into one-radius
-factors,
+The one closed evaluation of the free radial channel kernels: pointwise
+channel sums, boundary matrices, study profiles and the closed mode of
+greens.radial_kernel_2d/3d all call separable_kernels.  With w = sqrt(z) in
+the closed upper half plane, where the principal-branch Bessel products are
+the right analytic continuation, the channel kernel separates into
+one-radius factors,
 
     g(z; r, r')  =  (i pi / 2) J_nu(w r<) H_nu(w r>)      nu = |n|   (2D)
     g(z; r, r')  =  (i pi / 2) J_nu(w r<) H_nu(w r>) / sqrt(r r')
                                                         nu = l + 1/2 (3D)
 
 so separable_kernels evaluates J and H once per radius, in one call over
-every order that shares z (the degrees of one shell), and assembles every
+every order (each at one shared energy or at its own), and assembles every
 entry as a lower/upper-triangular product of two factors; separable_kernel
 is its one-order view.
 
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.special as sp
 from scipy.interpolate import CubicSpline
 
-from .specfun import sqrt_upper
+from .specfun import SingularArgumentError, require_resolvent_energy, sqrt_upper
 
 __all__ = [
     "g2_vec",
@@ -48,6 +48,8 @@ __all__ = [
 
 def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast mask to an operand's shape: any over its broadcast axes."""
+    if mask.shape == shape:
+        return mask
     lead = mask.ndim - len(shape)
     axes = tuple(range(lead)) + tuple(
         lead + i for i, s in enumerate(shape) if s == 1 and mask.shape[lead + i] != 1
@@ -71,57 +73,99 @@ def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -
         )
 
 
-def _factors(nu, w: complex, x: np.ndarray, need_j, need_h):
+def _factors(nu, w, x: np.ndarray, need_j, need_h):
     """(i pi / 2) J_nu(w x) and H_nu(w x), each only where needed (zero elsewhere).
 
     nu holds one order or an array of orders, whose axes lead the results';
-    every order is evaluated in the same jv and hankel1 call.
+    w is one root, or an array of one root per order.  Every order is
+    evaluated in the same jv and hankel1 call, at the needed entries of the
+    flattened radius axes.  A zero argument of H (r = r' = 0 in a kernel)
+    raises SingularArgumentError.
     """
+    k = nu.size
+    nu2 = nu.reshape(k, 1)
+    w2 = w.reshape(k, 1) if isinstance(w, np.ndarray) else w
+    xs = x.ravel()
+    j = np.zeros((k, xs.size), dtype=complex)
+    h = np.zeros((k, xs.size), dtype=complex)
+    ij = need_j.ravel().nonzero()[0]
+    ih = need_h.ravel().nonzero()[0]
+    if ij.size:
+        j[:, ij] = 0.5j * math.pi * sp.jv(nu2, w2 * xs[ij])
+    if ih.size:
+        xh = w2 * xs[ih]
+        if not xh.all():
+            raise SingularArgumentError(
+                "H_nu is singular at w r = 0 (r = r' = 0, or w r underflows)")
+        h[:, ih] = sp.hankel1(nu2, xh)
     shape = nu.shape + x.shape
-    lead = (slice(None),) * nu.ndim  # not Ellipsis: a plain mask index is faster
-    nu = nu[..., None]
-    j = np.zeros(shape, dtype=complex)
-    h = np.zeros(shape, dtype=complex)
-    j[lead + (need_j,)] = 0.5j * math.pi * sp.jv(nu, w * x[need_j])
-    h[lead + (need_h,)] = sp.hankel1(nu, w * x[need_h])
-    return j, h
+    return j.reshape(shape), h.reshape(shape)
 
 
-def _origin_limit(g, nu, w: complex, r, rp):
+def _origin_limit(g, nu, w, r, rp):
     """3D entries at r = 0 < r' (J(w r)/sqrt(r) is 0/0) take their limit,
-    exp(i w r')/r' for l = 0 and 0 for l >= 1; r = r' = 0 stays nonfinite."""
+    exp(i w r')/r' for l = 0 and 0 for l >= 1."""
     big = np.maximum(r, rp)
     at0 = (np.minimum(r, rp) == 0.0) & (big > 0.0)
+    lead = (1,) * at0.ndim
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_wave = np.exp(1j * w * big) / big
-    l_zero = nu.reshape(nu.shape + (1,) * at0.ndim) == 0.5
+        s_wave = np.exp(1j * np.reshape(w, np.shape(w) + lead) * big) / big
+    l_zero = nu.reshape(nu.shape + lead) == 0.5
     return np.where(at0, np.where(l_zero, s_wave, 0.0), g)
 
 
-def separable_kernels(dim: int, orders, z: complex, r, rp) -> np.ndarray:
-    """Radial channel kernels g(z; r, r') of one or several orders at one energy.
+def _roots(z: np.ndarray):
+    """w = sqrt_upper of each energy, or of its conjugate where Im z < 0: one
+    complex for one energy, else an array of z's shape.  Each distinct energy
+    is checked (require_resolvent_energy) and rooted once."""
+    if z.ndim == 0:
+        e = require_resolvent_energy(z.item())
+        return sqrt_upper(e.conjugate() if e.imag < 0.0 else e)
+    zs = z.ravel().tolist()
+    roots = {}
+    for e in dict.fromkeys(zs):
+        require_resolvent_energy(e)
+        roots[e] = sqrt_upper(e.conjugate() if e.imag < 0.0 else e)
+    return np.array([roots[e] for e in zs]).reshape(z.shape)
+
+
+def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
+    """Radial channel kernels g(z; r, r') of one or several orders.
 
     orders holds |n| (2D) or l (3D): one order, or an array of orders whose
-    axes lead the result's; r and rp broadcast against each other (row and
-    column vectors give the matrices).  The orders share w = sqrt(z), so J
-    is evaluated in one call over every order and each radius that is the
-    smaller member of some pair, and H likewise at the larger ones; entries
-    are the products (i pi / 2 J) * H in that order, so every value equals
-    the elementwise closed formula bit for bit.  Lower half-plane z goes
-    through g(conj z) = conj g(z).  A nonfinite entry (Bessel overflow at
-    large |z| r) raises OverflowError naming the first such order, z and
-    radii.
+    axes lead the result's; z is one energy, or one energy per order (an
+    array of the orders' shape).  r and rp broadcast against each other (row
+    and column vectors give the matrices).  J is evaluated in one call over
+    every order and each radius that is the smaller member of some pair, and
+    H likewise at the larger ones; entries are the products (i pi / 2 J) * H
+    in that order, so every value equals the elementwise closed formula at
+    its own energy bit for bit.  Lower half-plane energies go through
+    g(conj z) = conj g(z).
+
+    Each distinct energy is checked once (require_resolvent_energy); a
+    negative or NaN radius and a negative 3D degree raise ValueError, and
+    r = r' = 0 (an H factor at argument 0) SingularArgumentError.  A
+    nonfinite entry (Bessel overflow at large |z| r) raises OverflowError
+    naming the first such order, its z and the radii.  An empty order list
+    gives an empty result and checks nothing.
     """
-    z = complex(z)
+    orders = np.asarray(orders)
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
-    nu = _nu(dim, np.asarray(orders, dtype=float))
+    if orders.size == 0:
+        return np.zeros(orders.shape + np.broadcast_shapes(r.shape, rp.shape), dtype=complex)
+    if dim == 3 and orders.min() < 0:
+        raise ValueError(f"degree must be nonnegative, got l={orders.min()}")
+    z = np.asarray(z, dtype=complex)
+    w = _roots(z)
+    if not (r.min(initial=0.0) >= 0.0 and rp.min(initial=0.0) >= 0.0):
+        raise ValueError("radii must be nonnegative")
+    nu = _nu(dim, orders.astype(float))
     if nu.ndim and r.ndim != rp.ndim:
         # Order axes lead the factors of r and of rp: pad both to one ndim.
         nd = max(r.ndim, rp.ndim)
         r = r.reshape((1,) * (nd - r.ndim) + r.shape)
         rp = rp.reshape((1,) * (nd - rp.ndim) + rp.shape)
-    w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
     lower = r <= rp  # entry takes J at r and H at rp; otherwise the reverse
     # An overflowed factor, or the unselected product of an entry, may give
     # inf * 0; only the selected entries are checked below.
@@ -133,12 +177,14 @@ def separable_kernels(dim: int, orders, z: complex, r, rp) -> np.ndarray:
             g = g / np.sqrt(r * rp)
             if not (r.all() and rp.all()):
                 g = _origin_limit(g, nu, w, r, rp)
-    if z.imag < 0.0:
-        g = np.conj(g)
+    flip = z.imag < 0.0
+    if flip.any():
+        g = np.where(flip.reshape(flip.shape + (1,) * lower.ndim), np.conj(g), g)
     if not np.isfinite(g).all():
         per_order = g.reshape((-1,) + lower.shape)
-        for order, gk in zip(np.ravel(orders), per_order):
-            _check_finite("radial kernel", dim, order, z, gk, r, rp)
+        energies = np.broadcast_to(z, orders.shape).ravel()
+        for order, e, gk in zip(orders.ravel(), energies, per_order):
+            _check_finite("radial kernel", dim, order, complex(e), gk, r, rp)
     return g
 
 

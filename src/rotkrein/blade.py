@@ -19,8 +19,8 @@ Both meshes are tensor meshes, flattened r-major: the 3D half disc in
 Channel c contributes kron(G_c, y_c y_c^T): G_c = g_c(r_i, r_j) on the
 radial nodes, y_c the orthonormal angular factor at the samples
 (Y_l^m(theta_u, 0) in 3D, 1/sqrt(2 pi) in 2D).  _blocks makes one
-separable_kernels call per energy (a 3D shell m, a 2D channel n, all
-unshifted kernels at once); one channel sum (_channel_sum) gives every
+separable_kernels call over the distinct (order, energy) pairs of the
+channels; one channel sum (_channel_sum) gives every
 boundary matrix and 2D own-panel cell integrand, and layer_fields contracts
 the density with y_c before the radial block.  Per dimension stay only the
 meshes and angular samples, the free kernel with its singular diagonal
@@ -417,25 +417,16 @@ def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:
     """Radial blocks G_c = g_c(z + shift_c * omega; r, rp), stacked in channel
     order, shape (channels,) + the broadcast shape of r and rp.
 
-    Channels that share an energy (a 3D shell m, a 2D channel n, every
-    channel at omega = 0) take one separable_kernels call over their
-    distinct orders.
+    One separable_kernels call over the distinct (order, energy) pairs; the
+    channels that repeat a pair (every channel of one degree at omega = 0)
+    take its block.
     """
-    groups = {}
-    for i, ch in enumerate(chans):
-        groups.setdefault(z + ch.shift * omega, []).append(i)
-    shape = np.broadcast_shapes(np.shape(r), np.shape(rp))
-    blocks = np.empty((len(chans),) + shape, dtype=complex) if len(groups) != 1 else None
-    for energy, idx in groups.items():
-        orders = [chans[i].order for i in idx]
-        distinct = list(dict.fromkeys(orders))
-        g = separable_kernels(dim, distinct, energy, r, rp)
-        if len(distinct) < len(orders):
-            g = g[[distinct.index(o) for o in orders]]
-        if blocks is None:  # one energy: no second stack of the blocks
-            return g
-        blocks[idx] = g
-    return blocks
+    keys = [(ch.order, z + ch.shift * omega) for ch in chans]
+    distinct = list(dict.fromkeys(keys))
+    g = separable_kernels(dim, [o for o, _ in distinct], [e for _, e in distinct], r, rp)
+    if len(distinct) < len(keys):
+        g = g[[distinct.index(k) for k in keys]]
+    return g
 
 
 def _channel_sum(mesh: BladeMesh, chans, z: complex, omega: float, less_unshifted=False):

@@ -21,16 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._radial import radial_apply, separable_kernel
-from .greens import _closed_3d, radial_kernel_2d, require_resolvent_energy
+from .greens import radial_kernel_2d, require_resolvent_energy
 from .pointint import RadialChannelFunction, ResonanceError
-from .rotframe import Truncation, _equatorial_sum, _live_degrees
-from .specfun import (
-    ChannelIndex2,
-    ChannelIndex3,
-    _equatorial_weights,
-    _require_integer,
-    channel_class,
-)
+from .rotframe import Truncation, _equatorial_sums
+from .specfun import ChannelIndex2, ChannelIndex3, _require_integer, channel_class
 
 __all__ = [
     "CircleParam",
@@ -63,7 +57,7 @@ def gamma_coeff_3d(m: int, cp: CircleParam, z: complex, l_max: int) -> complex:
     _require_integer("channel order m", m)
     _require_integer("l_max", l_max)
     z = require_resolvent_energy(z)
-    return cp.gamma - 2.0 * math.pi * _equatorial_sum(_live_degrees(m, l_max), z, cp.radius)
+    return cp.gamma - 2.0 * math.pi * _equatorial_sums([(m, z)], cp.radius, l_max)[0]
 
 
 def gamma_coeff_2d(n: int, cp: CircleParam, z: complex) -> complex:
@@ -149,8 +143,5 @@ def gamma_from_alpha(
         if abs(val) < 1e-300:
             raise ResonanceError("matching integral vanishes; coupling diverges")
         return 1.0 / val
-    ls = range(0, l_max + 1, 2)
-    acc = 0.0
-    for g, wgt in zip(_closed_3d(ls, 1j, y0, y0), _equatorial_weights(ls, 0)):
-        acc += wgt * (th * g.imag + g.real)
-    return 2.0 * math.pi * acc
+    g = _equatorial_sums([(0, 1j)], y0, l_max)[0]
+    return 2.0 * math.pi * (th * g.imag + g.real)

@@ -10,19 +10,15 @@ and separates over angular channels into radial kernels
     3D:  g_l(z; r, r')  =  i w j_l(w r_min) h_l^(1)(w r_max),
     2D:  g_n(z; r, r')  =  (i pi / 2) J_|n|(w r_min) H_|n|^(1)(w r_max),
 
-The library evaluates them in closed form, in one home per dimension that
-takes an array of orders: _closed_3d the degrees l at one energy, _closed_2d
-paired orders |n| and energies.  Each makes one ufunc call per Bessel factor
-instead of one scalar call per term, keeps every check and branch of the
-scalar specfun functions, and forms each term in Python complex arithmetic in
-the scalar order, so every value equals the scalar composition bit for bit;
-the closed mode of radial_kernel_2d/3d is their one-order view.  The kernels
-are also spectral integrals over the radial continuum; mode="quadrature"
-evaluates that integral and is kept only as the independent oracle of the
-closed form.  The source sits on
-the equator (3D: (y0, pi/2, 0), 2D: polar angle pi/2), so that rotation enters
-downstream purely as an energy shift per channel; the channel sums and their
-tail bounds live in rotframe.
+The closed mode of radial_kernel_2d/3d is the one-order, one-radius view of
+_radial.separable_kernels, the library's one evaluation of these kernels:
+pointwise sums, boundary matrices and resolvent profiles all call it, with
+many orders and energies in one call.  The kernels are also spectral
+integrals over the radial continuum; mode="quadrature" evaluates that
+integral and is kept only as the independent oracle of the closed form.
+The source sits on the equator (3D: (y0, pi/2, 0), 2D: polar angle pi/2),
+so that rotation enters downstream purely as an energy shift per channel;
+the channel sums and their tail bounds live in rotframe.
 """
 
 from __future__ import annotations
@@ -35,7 +31,8 @@ import numpy as np
 import scipy.special as sp
 
 from ._quad import osc_integral
-from .specfun import SingularArgumentError, _check_arg, hankel1, sqrt_upper
+from ._radial import separable_kernels
+from .specfun import SingularArgumentError, hankel1, require_resolvent_energy, sqrt_upper
 
 __all__ = [
     "Point2",
@@ -105,16 +102,6 @@ class Point2:
         return self.r * np.array([math.cos(self.theta), math.sin(self.theta)])
 
 
-def require_resolvent_energy(z: complex) -> complex:
-    """Reject spectral parameters on the essential spectrum [0, inf)."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"nonfinite spectral parameter {z!r}")
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError(f"spectral parameter {z!r} lies on the essential spectrum")
-    return z
-
-
 def require_off_axis_energy(z: complex) -> complex:
     """Reject spectral parameters on the real axis entirely."""
     z = complex(z)
@@ -150,114 +137,17 @@ _K_MAX = 400.0
 _ABS_TOL = 1e-10
 
 
-def _sph_j(ls, nu, x: complex) -> list:
-    """j_l(x) for the degrees ls (nu = l + 1/2 each), routed as sph_bessel_j
-    routes one degree: x = 0, parity for Re x < 0, the real axis, and one
-    prefactored jv call otherwise."""
-    if x == 0:
-        return [1.0 + 0.0j if l == 0 else 0.0 + 0.0j for l in ls]
-    if x.real < 0.0:
-        return [(-1.0) ** l * j for l, j in zip(ls, _sph_j(ls, nu, -x))]
-    if x.imag == 0.0:
-        return [complex(j) for j in sp.spherical_jn(ls, x.real).tolist()]
-    pre = cmath.sqrt(math.pi / 2.0 / x)
-    return [pre * j for j in sp.jv(nu, x).tolist()]
-
-
-def _closed_3d(ls, z: complex, r: float, rp: float) -> list:
-    """Closed kernels g_l(z; r, r') = i w j_l(w r<) h_l^(1)(w r>) for the
-    degrees ls at one energy, as Python complex numbers.
-
-    Every degree shares w and the two arguments, so each check and branch
-    runs once and each Bessel factor is one ufunc call over the degrees.
-    The terms are formed in Python complex arithmetic in the order of the
-    one-degree formula, so each equals 1j*w*sph_bessel_j*sph_hankel1 bit for
-    bit.  An empty ls is an empty sum: nothing is checked.
-    """
-    if len(ls) == 0:
-        return []
-    for l in ls:
-        if l < 0:
-            raise ValueError(f"degree must be nonnegative, got l={l}")
-    z = require_resolvent_energy(z)
-    if not (r >= 0.0 and rp >= 0.0):
-        raise ValueError("radii must be nonnegative")
-    # Im z < 0: the conjugate of the kernel at conj(z).
-    flip = z.imag < 0.0
-    w = sqrt_upper(z.conjugate() if flip else z)
-    nu = [l + 0.5 for l in ls]
-    js = _sph_j(ls, nu, _check_arg(w * min(r, rp)))
-    x = _check_arg(w * max(r, rp))
-    if x == 0:
-        raise SingularArgumentError("h_l^(1) is singular at x = 0")
-    pre = cmath.sqrt(math.pi / 2.0 / x)
-    c = 1j * w
-    gs = [c * j * (pre * h) for j, h in zip(js, sp.hankel1(nu, x).tolist())]
-    return [g.conjugate() for g in gs] if flip else gs
-
-
-def _cyl_j(ns, xs) -> list:
-    """J_n(x) for paired orders ns >= 0 and arguments xs, each routed as
-    bessel_j routes it: parity for Re x < 0, a real argument on the real
-    axis, complex otherwise; one jv call per route."""
-    signs, args = [], []
-    for n, x in zip(ns, xs):
-        sign = None
-        if x.real < 0.0:
-            sign, x = (-1.0) ** (n % 2), -x
-        signs.append(sign)
-        args.append(x.real if x.imag == 0.0 else x)
-    js = [None] * len(args)
-    for route in (float, complex):
-        idx = [i for i, x in enumerate(args) if type(x) is route]
-        if idx:
-            vals = sp.jv([ns[i] for i in idx], [args[i] for i in idx]).tolist()
-            for i, j in zip(idx, vals):
-                js[i] = complex(j) if signs[i] is None else signs[i] * complex(j)
-    return js
-
-
-def _closed_2d(ns, zs, r: float, rp: float) -> list:
-    """Closed kernels g_n(z; r, r') = (i pi/2) J_|n|(w r<) H_|n|^(1)(w r>)
-    for paired orders ns and energies zs, as Python complex numbers.
-
-    Each pair is checked as one radial_kernel_2d call checks it: energy,
-    radii, the conj(z) route for Im z < 0 and the argument bounds.  Then the
-    J factors take one jv call per route and the H factors one hankel1 call,
-    elementwise, and the terms are formed in Python complex arithmetic in
-    the order of the one-order formula, so each equals
-    0.5j*pi*bessel_j*hankel1 bit for bit.  An empty ns is an empty sum.
-    """
-    nn = [abs(n) for n in ns]
-    if not nn:
-        return []
-    flip, xs, ys = [], [], []
-    for z in zs:
-        z = require_resolvent_energy(z)
-        if not (r >= 0.0 and rp >= 0.0):
-            raise ValueError("radii must be nonnegative")
-        flip.append(z.imag < 0.0)
-        w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
-        xs.append(_check_arg(w * min(r, rp)))
-        ys.append(_check_arg(w * max(r, rp)))
-        if ys[-1] == 0:
-            raise SingularArgumentError("H_n^(1) is singular at x = 0")
-    c = 0.5j * math.pi
-    gs = [c * j * h for j, h in zip(_cyl_j(nn, xs), sp.hankel1(nn, ys).tolist())]
-    return [g.conjugate() if f else g for g, f in zip(gs, flip)]
-
-
 def radial_kernel_3d(
     l: int, z: complex, r: float, rp: float, mode: str = "closed"
 ) -> complex:
     """Radial channel kernel g_l(z; r, r') of the free 3D resolvent.
 
-    mode "closed" is the library's evaluation, the one-degree view of the
-    closed form evaluated over many degrees at once; "quadrature" integrates
-    the spectral representation and serves as its oracle.
+    mode "closed" is the library's evaluation, the one-degree view of
+    _radial.separable_kernels; "quadrature" integrates the spectral
+    representation and serves as its oracle.
     """
     if mode == "closed":
-        return _closed_3d([l], z, r, rp)[0]
+        return complex(separable_kernels(3, l, z, r, rp))
     if l < 0:
         raise ValueError(f"degree must be nonnegative, got l={l}")
     z = require_resolvent_energy(z)
@@ -288,7 +178,7 @@ def radial_kernel_2d(
     """Radial channel kernel g_n(z; r, r') of the free 2D resolvent; mode as
     in radial_kernel_3d."""
     if mode == "closed":
-        return _closed_2d([n], [z], r, rp)[0]
+        return complex(separable_kernels(2, n, z, r, rp))
     z = require_resolvent_energy(z)
     if not (r >= 0.0 and rp >= 0.0):
         raise ValueError("radii must be nonnegative")

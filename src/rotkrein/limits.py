@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._radial import radial_apply, separable_kernel
+from ._radial import radial_apply, separable_kernel, separable_kernels
 from .blade import (
     BladeParam,
     BladeMesh,
@@ -215,10 +215,10 @@ def point_convergence_study(
 
         def row(om):
             lam = lambda_at(dim, z - m0 * om, kp, RotationSpec(om), src, t)
+            zs = [z + (c.shift - m0) * om for c, _ in sides]
+            flds = separable_kernels(dim, [c.order for c, _ in sides], zs, rg, y0) / norm
             e2 = 0.0
-            for c, w in sides:
-                zz = z + (c.shift - m0) * om
-                fld = separable_kernel(dim, c.order, zz, rg, y0) / norm
+            for (c, w), fld in zip(sides, flds):
                 coef = lam - beta if c.shift == m0 else lam
                 e2 += w * float(np.sum(wr * np.abs(coef * i_chi * fld) ** 2))
             return {"error_norm": math.sqrt(e2)}

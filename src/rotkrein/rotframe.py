@@ -2,12 +2,12 @@
 
 Rotation at angular speed omega enters each angular channel of the free
 resolvent as an energy shift: channel m is evaluated at z + m*omega, with the
-closed radial kernels of greens.  Every degree of a 3D shell m shares that
-energy, so each shell is one kernel evaluation over its degrees; rot_green
-takes the spherical harmonics of its whole window in one call, and the
-channel diagonals of many (m, energy) pairs are one evaluation
-(_channel_diags) that computes each order's equatorial weights once.  Sums
-keep the order of the per-term loops, so the values are the same bit for bit.
+closed radial kernels of _radial.separable_kernels.  Each operation makes one
+kernel call over its whole window, every (order, energy) pair at once:
+rot_green over all (l, m) (and one spherical-harmonic call), the channel
+diagonals of many (m, energy) pairs over every live degree of every pair
+(_channel_diags, _equatorial_sums), with each order's equatorial weights
+computed once.
 All operations here take an explicit channel window (Truncation); the
 windowed object is the thing computed, and the norm and inner-product
 reductions below are exact identities on that window.  _check_shell_tail is
@@ -30,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
+from ._radial import separable_kernels
 from .greens import (
     Point2,
     Point3,
     TruncationError,
-    _closed_2d,
-    _closed_3d,
     require_off_axis_energy,
     require_resolvent_energy,
 )
@@ -131,45 +130,53 @@ def channel_diag(
 
 
 def _channel_diags(dim: int, pairs: list, src: PointSource, t: Truncation) -> list:
-    """channel_diag(dim, m, zz, src, t) for each (m, zz) of pairs, in order.
-
-    2D: one kernel evaluation over all pairs.  3D: one per pair, and the
-    weights of each order m once.  Each value is the one-channel value bit
-    for bit, and a failing pair raises the error its own call would.
-    """
+    """channel_diag(dim, m, zz, src, t) for each (m, zz) of pairs, in order:
+    one kernel evaluation over all pairs (3D: _equatorial_sums)."""
     if not pairs:
         return []
     if src.dim != dim:
         channel_class(dim, src)
     if dim == 2:
-        gs = _closed_2d([m for m, _ in pairs], [zz for _, zz in pairs], src.y0, src.y0)
-        return [g / (2.0 * math.pi) for g in gs]
-    l_max = t.require_l_max()
-    lives: dict = {}
-    out = []
-    for m, zz in pairs:
-        if m not in lives:
-            lives[m] = _live_degrees(m, l_max)
-        out.append(_equatorial_sum(lives[m], zz, src.y0))
-    return out
+        gs = separable_kernels(2, [m for m, _ in pairs], [zz for _, zz in pairs], src.y0, src.y0)
+        return (gs / (2.0 * math.pi)).tolist()
+    return _equatorial_sums(pairs, src.y0, t.require_l_max())
 
 
-def _live_degrees(m: int, l_max: int) -> list:
-    """(l, |Y_l^m(eq)|^2) for l = |m| .. l_max where the weight is nonzero,
-    in increasing l; the degrees of zero weight are never evaluated.  An
-    order beyond the degree cap, |m| > l_max, has no degrees and raises."""
+def _live_degrees(m: int, l_max: int) -> tuple:
+    """The degrees l = |m| .. l_max of nonzero weight |Y_l^m(eq)|^2, and those
+    weights, as arrays in increasing l; the degrees of zero weight are never
+    evaluated.  An order beyond the degree cap, |m| > l_max, has no degrees
+    and raises."""
     if l_max < abs(m):
         raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
-    ls = range(abs(m), l_max + 1)
-    return [(l, wgt) for l, wgt in zip(ls, _equatorial_weights(ls, m)) if wgt != 0.0]
+    wgt = np.array(_equatorial_weights(range(abs(m), l_max + 1), m))
+    live = wgt != 0.0
+    return np.arange(abs(m), l_max + 1)[live], wgt[live]
 
 
-def _equatorial_sum(live: list, zz: complex, y0: float) -> complex:
-    """sum over the live (l, weight) of weight * g_l(zz; y0, y0), in increasing l."""
-    acc = 0.0 + 0.0j
-    for (_, wgt), g in zip(live, _closed_3d([l for l, _ in live], zz, y0, y0)):
-        acc += wgt * g
-    return acc
+def _run_sums(terms: np.ndarray, counts: list) -> list:
+    """Sums of the consecutive runs of terms, of the given positive lengths."""
+    return np.add.reduceat(terms, np.cumsum([0] + counts[:-1])).tolist()
+
+
+def _live_terms(pairs: list, y0: float, l_max: int) -> tuple:
+    """The terms |Y_l^m(eq)|^2 g_l(zz; y0, y0) over the live degrees l of
+    each (m, zz) of pairs, in pair order and increasing l, with their
+    degrees and the number of terms of each pair: one kernel call, with the
+    weights of each order m computed once."""
+    live = {m: _live_degrees(m, l_max) for m in dict.fromkeys(m for m, _ in pairs)}
+    counts = [len(live[m][0]) for m, _ in pairs]
+    ls = np.concatenate([live[m][0] for m, _ in pairs])
+    wgt = np.concatenate([live[m][1] for m, _ in pairs])
+    g = separable_kernels(3, ls, np.repeat([zz for _, zz in pairs], counts), y0, y0)
+    return ls, wgt * g, counts
+
+
+def _equatorial_sums(pairs: list, y0: float, l_max: int) -> list:
+    """sum over the live degrees l of |Y_l^m(eq)|^2 g_l(zz; y0, y0), for each
+    (m, zz) of pairs."""
+    _, terms, counts = _live_terms(pairs, y0, l_max)
+    return _run_sums(terms, counts)
 
 
 def _check_shell_tail(shells: dict[int, complex], total: complex, tail_tol: float) -> None:
@@ -231,26 +238,23 @@ def rot_green(
     """
     channel_class(dim, x, xp)
     z = require_resolvent_energy(z)
-    shells: dict[int, complex] = {}
+    ms = range(-t.m_max, t.m_max + 1)
     if dim == 2:
         dtheta = x.theta - xp.theta
-        ms = range(-t.m_max, t.m_max + 1)
-        gs = _closed_2d(ms, [z + m * rot.omega for m in ms], x.r, xp.r)
-        for m, g in zip(ms, gs):
-            shells[m] = cmath.exp(1j * m * dtheta) * g / (2.0 * math.pi)
+        gs = separable_kernels(2, list(ms), [z + m * rot.omega for m in ms], x.r, xp.r)
+        shells = {m: cmath.exp(1j * m * dtheta) * g / (2.0 * math.pi)
+                  for m, g in zip(ms, gs.tolist())}
     else:
         l_max = t.require_l_max()
-        ms = range(-t.m_max, t.m_max + 1)
-        # Y_l^m at both points for every (l, m) of the window, in one call.
+        # Every (l, m) of the window, m outer: one kernel call at the shell
+        # energies and one harmonic call at both points.
+        counts = [l_max + 1 - abs(m) for m in ms]
         lm = np.array([(l, m) for m in ms for l in range(abs(m), l_max + 1)])
+        zs = np.repeat([z + m * rot.omega for m in ms], counts)
+        g = separable_kernels(3, lm[:, 0], zs, x.r, xp.r)
         ys = sp.sph_harm_y(lm[:, 0], lm[:, 1], [[x.theta], [xp.theta]], [[x.phi], [xp.phi]])
-        ys, yps = iter(ys[0].tolist()), iter(ys[1].tolist())
-        for m in ms:
-            # shell m: sum over l = |m| .. l_max of g_l Y_l^m(x) conj(Y_l^m(x'))
-            acc = 0.0 + 0.0j
-            for g in _closed_3d(range(abs(m), l_max + 1), z + m * rot.omega, x.r, xp.r):
-                acc += g * next(ys) * next(yps).conjugate()
-            shells[m] = acc
+        # shell m: sum over l = |m| .. l_max of g_l Y_l^m(x) conj(Y_l^m(x'))
+        shells = dict(zip(ms, _run_sums(g * ys[0] * np.conj(ys[1]), counts)))
     total = sum(shells.values())
     _check_shell_tail(shells, total, t.tail_tol)
     return complex(total)
@@ -259,22 +263,14 @@ def rot_green(
 def _diag_profile_3d(z: complex, rot: RotationSpec, src: PointSource, t: Truncation):
     """Degree profile S_l of the windowed norm sum, Im-part by degree.
 
-    Each shell m is evaluated at once over its degrees, in the order in which
-    the degree-outer sum first meets it (m = 0, -1, 1, -2, ...), so a failing
-    shell raises the same error; the profile then adds the terms of each
-    degree in increasing m.
+    One kernel call over the live degrees of every shell m at its energy
+    (_live_terms); the profile adds the terms of each degree in increasing m.
     """
     l_max = t.require_l_max()
-    im_z = z.imag
-    terms = {}
-    for m in sorted(range(-t.m_max, t.m_max + 1), key=lambda m: (abs(m), m)):
-        live = _live_degrees(m, l_max)
-        gs = _closed_3d([l for l, _ in live], z + m * rot.omega, src.y0, src.y0)
-        for (l, wgt), g in zip(live, gs):
-            terms[l, m] = wgt * g.imag / im_z
+    pairs = [(m, z + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
+    ls, terms, _ = _live_terms(pairs, src.y0, l_max)
     prof = np.zeros(l_max + 1)
-    for (l, m), term in sorted(terms.items()):
-        prof[l] += term
+    np.add.at(prof, ls, terms.imag / z.imag)
     return prof
 
 

@@ -7,10 +7,13 @@ arguments of the regular Bessel functions are handled by parity reflection
 (the functions are entire); the outgoing Hankel combinations are only ever
 called off the negative real axis.
 
-The scalar functions are the public one-term API and the oracle of the
-order-batched closed kernels in greens, which route each argument the same
-way.  Equatorial weights are evaluated per shell over an array of degrees
+The scalar functions are the public one-term API; the channel kernels do
+not call them (they evaluate their Bessel factors over arrays in
+_radial.separable_kernels), so their |Im x| backstop guards this API only.
+Equatorial weights are evaluated per shell over an array of degrees
 (_equatorial_weights); equatorial_weight is its one-degree view.
+require_resolvent_energy is the one check of a resolvent's spectral
+parameter.
 """
 
 from __future__ import annotations
@@ -199,6 +202,16 @@ def sqrt_upper(z: complex) -> complex:
     return w
 
 
+def require_resolvent_energy(z: complex) -> complex:
+    """Reject spectral parameters on the essential spectrum [0, inf)."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"nonfinite spectral parameter {z!r}")
+    if z.imag == 0.0 and z.real >= 0.0:
+        raise ValueError(f"spectral parameter {z!r} lies on the essential spectrum")
+    return z
+
+
 def _check_arg(x: complex) -> complex:
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
@@ -227,7 +240,7 @@ def sph_bessel_j(l: int, x: complex) -> complex:
     if x.imag == 0.0:
         return complex(sp.spherical_jn(l, x.real))
     # Python complex product: at subnormal x the prefactor overflows, and
-    # inf * 0 must give the NaN of the batched kernels without a warning.
+    # inf * 0 gives NaN without a numpy warning.
     return cmath.sqrt(math.pi / 2.0 / x) * complex(sp.jv(l + 0.5, x))
 
 

@@ -417,13 +417,15 @@ def test_nonfinite_cell_is_named(monkeypatch):
 
 
 def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):
-    """One kernel call per shell plus one for the unshifted degrees (no timing)."""
+    """One kernel call for all shifted channels and one for the unshifted
+    degrees, whatever the number of shells (no timing)."""
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
     t = Truncation(3, l_max=6)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 3), RotationSpec(12.0), t, build_mesh(3, 1.0, 13))
-    # Four calls per kernel (J and H at the rows and at the columns); 144 before.
-    assert 0 < counter.calls <= 4 * (2 * t.m_max + 1)
+    # Four calls per kernel (J and H at the rows and at the columns); 144
+    # with a call per (l, m), 28 with one per shell.
+    assert 0 < counter.calls <= 2 * 4
 
 
 # -- the 2D assembly: the segment as a tensor mesh with one angular sample --
@@ -521,14 +523,15 @@ def test_2d_assembly_matches_per_channel_sums(z, omega):
 
 
 def test_gamma_matrix_2d_bessel_calls(monkeypatch):
-    """One kernel call per shifted channel plus one for every unshifted order,
-    for the mesh matrix and for the own-panel cells (no timing)."""
+    """One kernel call for all shifted channels and one for the unshifted
+    orders, for the mesh matrix and for the own-panel cells (no timing)."""
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
     t = Truncation(5)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), t, build_mesh(2, 1.0, 12))
-    # Four calls per kernel (J and H at the rows and at the columns); 120 before.
-    assert 0 < counter.calls <= 2 * 4 * (2 * t.m_max + 1)
+    # Four calls per kernel (J and H at the rows and at the columns); 120
+    # with a call per (order, energy), 88 with one per energy.
+    assert 0 < counter.calls <= 2 * 2 * 4
 
 
 def test_apply_blade_resolvent_at_the_3d_origin():

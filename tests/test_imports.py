@@ -1,15 +1,19 @@
-"""Every name a rotkrein module imports is used in that module.
+"""Every name a rotkrein module imports is used in that module, no private
+helper outlives its callers, and every function the benchmark tracer wraps
+exists.
 
-No lint tool runs over the package, so this test is the check.  The package
-__init__ re-exports its imports and is skipped.
+No lint tool runs over the package, so these tests are the check.  The
+package __init__ re-exports its imports and is skipped.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rotkrein"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rotkrein"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -79,3 +83,17 @@ def test_finds_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert _dead_private_names(sources) == []
+
+
+def test_benchmark_tracer_names_exist():
+    """perfbench/tracing.py wraps rotkrein functions by name; a refactor that
+    deletes one would leave its layer silently untraced.  The file is only
+    read: its LAYERS literal is parsed, nothing of it is run."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    missing = [f"{mod}.{name}" for mod, names in layers.values() for name in names
+               if not callable(getattr(importlib.import_module(f"rotkrein.{mod}"), name, None))]
+    assert len(layers) > 10
+    assert missing == []

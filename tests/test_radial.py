@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotkrein._radial
-from rotkrein import ChannelIndex2, ChannelIndex3, RadialChannelFunction
+from rotkrein import ChannelIndex2, ChannelIndex3, RadialChannelFunction, SingularArgumentError
 from rotkrein._radial import (
     g2_vec,
     g3_vec,
@@ -19,7 +19,7 @@ from rotkrein._radial import (
     separable_kernel,
     separable_kernels,
 )
-from rotkrein.greens import radial_kernel_3d
+from rotkrein.greens import radial_kernel_2d, radial_kernel_3d
 from rotkrein.specfun import sqrt_upper
 
 
@@ -80,24 +80,29 @@ def shell_case(draw):
                            min_size=1, max_size=8))
     r = draw(st.lists(radius, min_size=1, max_size=13))
     rp = draw(st.lists(radius | st.sampled_from(r), min_size=1, max_size=13))
-    return dim, orders, draw(spectral), np.array(r), np.array(rp)
+    # Paired energies repeat some, as the channels of one shell do.
+    zs = draw(st.lists(spectral, min_size=1, max_size=3))
+    paired = [draw(st.sampled_from(zs)) for _ in orders]
+    return dim, orders, draw(spectral), paired, np.array(r), np.array(rp)
 
 
 @settings(max_examples=60, deadline=None)
 @given(shell_case())
 def test_batched_orders_equal_one_order_kernels_bitwise(case):
-    """The orders of one shell in one call: each slice is the one-order kernel
-    and the elementwise formula, bit for bit, for matrices, vectors and scalars."""
-    dim, orders, z, r, rp = case
+    """Many orders in one call, at one energy or one energy per order: each
+    slice is the one-order kernel at its energy and the elementwise formula,
+    bit for bit, for matrices, vectors and scalars."""
+    dim, orders, z, paired, r, rp = case
     for a, b in ((r[:, None], rp[None, :]), (r, rp[0]), (r[0], rp), (r[0], rp[0])):
-        got = separable_kernels(dim, orders, z, a, b)
-        assert got.shape == (len(orders),) + np.broadcast(a, b).shape
-        for g, order in zip(got, orders):
-            one = separable_kernel(dim, order, z, a, b)
-            assert g.tobytes() == one.tobytes()
-            # At least 1-D: numpy's scalar arithmetic may round differently.
-            want = elementwise_kernel(dim, order, z, np.atleast_1d(a), np.atleast_1d(b))
-            assert g.tobytes() == want.tobytes()
+        for energies in (z, paired):
+            got = separable_kernels(dim, orders, energies, a, b)
+            assert got.shape == (len(orders),) + np.broadcast(a, b).shape
+            for g, order, zk in zip(got, orders, np.broadcast_to(energies, len(orders))):
+                one = separable_kernel(dim, order, zk, a, b)
+                assert g.tobytes() == one.tobytes()
+                # At least 1-D: numpy's scalar arithmetic may round differently.
+                want = elementwise_kernel(dim, order, zk, np.atleast_1d(a), np.atleast_1d(b))
+                assert g.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,6 +129,52 @@ def test_core_conjugate_reflection(case):
 def test_core_overflow_is_typed(vec):
     with pytest.raises(OverflowError, match=r"order 1 at z=\(-10000\+1j\).*\[7\.9, 8\]"):
         vec(1, -1e4 + 1j, 7.9, [8.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.lists(st.tuples(st.integers(0, 10), spectral), min_size=1, max_size=6),
+    st.floats(0.3, 3.0),
+)
+def test_kernel_derivative_jump_is_the_wronskian(dim, pairs, rp):
+    """The radial equation's delta source: d/dr g(z; r, r') jumps by
+    -1/r'^(dim-1) across r = r', for every order and energy of a paired call,
+    in both half-planes.  Second-order one-sided differences on each side."""
+    orders = [n for n, _ in pairs]
+    zs = [z for _, z in pairs]
+    scale = 1.0 + max(abs(sqrt_upper(z)) for z in zs) * rp + max(orders)
+    h = 1e-4 * rp / scale
+    r = rp + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    g = separable_kernels(dim, orders, zs, r, rp)
+    right = (-3.0 * g[:, 2] + 4.0 * g[:, 3] - g[:, 4]) / (2.0 * h)
+    left = (3.0 * g[:, 2] - 4.0 * g[:, 1] + g[:, 0]) / (2.0 * h)
+    want = -1.0 / rp ** (dim - 1)
+    np.testing.assert_allclose(right - left, want, rtol=1e-6, atol=0.0)
+
+
+def test_kernel_error_contract():
+    """Each energy of a call is checked, bad radii and degrees raise
+    ValueError, r = r' = 0 SingularArgumentError in both dimensions and on
+    the point and array paths, and an overflow names its own order and z."""
+    with pytest.raises(ValueError, match="essential spectrum"):
+        separable_kernels(2, [0, 1, 2], [1j, 1j, 3.0], 1.0, [1.0, 2.0])
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="radii must be nonnegative"):
+            separable_kernels(2, [0, 1], 1j, np.array([0.5, bad]), 1.0)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        separable_kernel(3, -1, 1j, 1.0, 1.0)
+    for dim in (2, 3):
+        kernel = radial_kernel_2d if dim == 2 else radial_kernel_3d
+        with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
+            kernel(1, 0.4 - 1j, 0.0, 0.0)
+        with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
+            separable_kernels(dim, [0, 1], [1j, -2.0], np.array([0.0, 0.5])[:, None],
+                              np.array([0.0, 0.7]))
+        # An empty order list: nothing is evaluated or checked.
+        assert separable_kernels(dim, [], 2.0, [1.0, 2.0], -1.0).shape == (0, 2)
+    with pytest.raises(OverflowError, match=r"order 1 at z=\(-10000\+1j\).*\[7\.9, 8\]"):
+        separable_kernels(2, [0, 1], [1j, -1e4 + 1j], 7.9, [8.0])
 
 
 def _psi(dim, order, grid):
@@ -193,7 +244,7 @@ def test_3d_kernel_at_the_origin_is_its_limit(l, z):
     r = np.array([0.0, 0.2, 0.7])
     full = separable_kernel(3, l, z, r[:, None], rp[None, :])
     assert full[1:].tobytes() == separable_kernel(3, l, z, r[1:, None], rp[None, :]).tobytes()
-    with pytest.raises(OverflowError, match=r"radii in \[0, 0\]"):
+    with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
         separable_kernel(3, l, z, 0.0, 0.0)
 
 
