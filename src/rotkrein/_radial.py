@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
+
 def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast mask to an operand's shape: any over its broadcast axes."""
     if mask.shape == shape:
@@ -139,8 +142,9 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     every order and each radius that is the smaller member of some pair, and
     H likewise at the larger ones; entries are the products (i pi / 2 J) * H
     in that order, so every value equals the elementwise closed formula at
-    its own energy bit for bit.  Lower half-plane energies go through
-    g(conj z) = conj g(z).
+    its own energy bit for bit (in 3D, where r r' is a normal double; below,
+    the product is divided by sqrt(r) and sqrt(r') in turn).  Lower
+    half-plane energies go through g(conj z) = conj g(z).
 
     Each distinct energy is checked once (require_resolvent_energy); a
     negative or NaN radius and a negative 3D degree raise ValueError, and
@@ -174,7 +178,13 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
         jp, hp = _factors(nu, w, rp, _needed(~lower, rp.shape), _needed(lower, rp.shape))
         g = np.where(lower, jr * hp, jp * hr)
         if dim == 3:
-            g = g / np.sqrt(r * rp)
+            rr = r * rp
+            if rr.min() >= _TINY:
+                g = g / np.sqrt(rr)
+            else:
+                # r r' below the normal range: divide by each root (entries
+                # with a radius 0 are mended below).
+                g = np.where(rr < _TINY, g / np.sqrt(r) / np.sqrt(rp), g / np.sqrt(rr))
             if not (r.all() and rp.all()):
                 g = _origin_limit(g, nu, w, r, rp)
     flip = z.imag < 0.0

@@ -220,17 +220,16 @@ def overflows(want) -> bool:
 
 
 def normal_range(dim, order, z, r, rp) -> bool:
-    """Whether the factor (pi/2) J(w r<), its product with H(w r>) and (3D)
-    r r' are zero or normal doubles.  Below that range the separable formula
-    and the scalar composition round on the subnormal grid, each its own way."""
+    """Whether the factor (pi/2) J(w r<) and its product with H(w r>) are
+    zero or normal doubles.  Below that range the separable formula and the
+    scalar composition round on the subnormal grid, each its own way."""
     tiny = sys.float_info.min
     w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
     nu = abs(order) if dim == 2 else order + 0.5
     with np.errstate(all="ignore"):
         j = 0.5 * math.pi * abs(sp.jv(nu, w * min(r, rp)))
         jh = j * abs(sp.hankel1(nu, w * max(r, rp)))
-    rr = r * rp if dim == 3 and r > 0.0 and rp > 0.0 else 1.0
-    return (j == 0.0 or min(j, jh) >= tiny) and rr >= tiny
+    return j == 0.0 or min(j, jh) >= tiny
 
 
 def agrees(got, want, normal=True) -> bool:
@@ -273,7 +272,8 @@ radii = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
 @settings(max_examples=80, deadline=None)
 @given(energies, radii, radii, st.integers(0, 80), st.integers(1, 81))
 @example(z=1j, r=5e-324, rp=0.0, lo=0, n=39)  # subnormal tie: the prefactor overflows
-@example(z=1j, r=1e-170, rp=1e-170, lo=0, n=3)  # r r' underflows: outside the normal range
+@example(z=1j, r=1e-170, rp=1e-170, lo=0, n=3)  # r r' underflows to 0
+@example(z=0.4 - 1j, r=1e-160, rp=3e-161, lo=0, n=2)  # r r' is subnormal
 def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
     """radial_kernel_3d and one paired call over the degrees against the
     scalar composition (the name predates the tolerance)."""
