@@ -7,7 +7,11 @@ operator it converges to: the circle interaction for a rotating point, the
 radial potential for a rotating blade.  An omega study does each channel's
 omega-independent work once, then runs every omega of its grid; a row that
 raises one of _COMPUTE_ERRORS goes to StudyTable.failures and the sweep goes
-on.  Results come back as StudyTable, which serializes deterministically to
+on.  The point and eps studies evaluate a whole grid at once, with one
+coupling, side-field or norm call per grid; when a point grid fails, each of
+its omegas is run again alone, so a failure lands on its own row, with the
+error text of a one-omega study.  The blade study runs row by row.
+Results come back as StudyTable, which serializes deterministically to
 CSV and JSON.  Both dimensions share each study's code through the specfun
 channel classes; only the study defaults differ by dimension here, and the
 averaged side's radial nodes come from blade._radial_nodes.
@@ -38,8 +42,8 @@ from .blade import (
 )
 from .circleint import CircleParam, _gamma_for_channel, gamma_from_alpha
 from .greens import TruncationError
-from .pointint import KreinParam, RadialChannelFunction, ResonanceError, lambda_at
-from .rotframe import PointSource, RotationSpec, Truncation, rot_norm_sq
+from .pointint import KreinParam, RadialChannelFunction, ResonanceError, _lambdas_at
+from .rotframe import PointSource, RotationSpec, Truncation, _norm_sqs
 from .specfun import channel_class
 
 __all__ = [
@@ -152,25 +156,38 @@ def _check_study(z: complex, omegas, psis) -> tuple:
 def _sweep(study: str, params: dict, dim: int, psis, zero, setup) -> StudyTable:
     """Every (channel function, omega in params["omegas"]) row of an omega study.
 
-    setup(psi) does the channel's omega-independent work and returns its row
-    function, omega -> row values; with the interaction off every row is zero.
-    A compute error in a row function is recorded in the table's failures;
-    one in setup, and any ValueError, ends the study.
+    setup(psi) does the channel's omega-independent work and returns its grid
+    function: a list of omegas -> the row values of each, a dict or the
+    compute error of that row.  With the interaction off every row is zero.
+    A compute error is recorded in the table's failures; one in setup, and
+    any ValueError, ends the study.
     """
     rows, failures = [], []
+    omegas = params["omegas"]
     for psi in psis:
         channel_class(dim, psi)
         label = psi.channel.label
-        row = (lambda om: zero) if zero else setup(psi)
-        for om in params["omegas"]:
-            try:
-                rows.append({"channel": label, "omega": om, **row(om)})
-            except _COMPUTE_ERRORS as exc:
-                error = f"{type(exc).__name__}: {exc}"
+        outs = [zero] * len(omegas) if zero else setup(psi)(omegas)
+        for om, out in zip(omegas, outs):
+            if isinstance(out, Exception):
+                error = f"{type(out).__name__}: {out}"
                 failures.append({"channel": label, "omega": om, "error": error})
+            else:
+                rows.append({"channel": label, "omega": om, **out})
     table = StudyTable(study, params, rows)
     table.failures = failures
     return table
+
+
+def _each(row, omegas) -> list:
+    """row(om) for each omega, or the compute error it raised."""
+    outs = []
+    for om in omegas:
+        try:
+            outs.append(row(om))
+        except _COMPUTE_ERRORS as exc:
+            outs.append(exc)
+    return outs
 
 
 def point_convergence_study(
@@ -187,7 +204,10 @@ def point_convergence_study(
     the angular channels of the minimal window: the study channel carries the
     coupling mismatch lambda - beta, side channels the full lambda, each
     multiplying the source overlap and a shifted-energy kernel profile.  The
-    row value is the grid L2 norm of that difference field.
+    row value is the grid L2 norm of that difference field.  A channel's
+    whole omega grid takes one coupling call and one kernel call; when one of
+    its rows fails, each omega is run again alone, so the failure lands on
+    its own row.
     """
     cls = channel_class(dim)
     z, omegas = _check_study(z, omegas, psis)
@@ -207,23 +227,44 @@ def point_convergence_study(
         gam = gamma_from_alpha(dim, alpha, y0, l_max=ch.order)
         cp = CircleParam(gam, y0, dim)
         beta = 2.0 * math.pi / _gamma_for_channel(ch, cp, z, t)
-        # Side channel c of the source field: kernel g_c(r, y0) over the
-        # harmonic's norm, weighted by the norm and |harmonic|^2 at the source.
+        # Side channel c of the source field: kernel g_c(r, y0) at energy
+        # z + (c.shift - m0) omega over the harmonic's norm, weighted by the
+        # norm and |harmonic|^2 at the source.  The sides of the study
+        # channel's shift sit at z for every omega.
         norm = cls.harmonic_norm_sq
         sides = [(c, norm * c.source_weight()) for c in cls.window(t)]
         sides = [(c, w) for c, w in sides if w != 0.0]
+        fixed = [c for c, _ in sides if c.shift == m0]
+        moving = [c for c, _ in sides if c.shift != m0]
+        fixed_flds = separable_kernels(dim, [c.order for c in fixed], z, rg, y0) / norm
 
-        def row(om):
-            lam = lambda_at(dim, z - m0 * om, kp, RotationSpec(om), src, t)
-            zs = [z + (c.shift - m0) * om for c, _ in sides]
-            flds = separable_kernels(dim, [c.order for c, _ in sides], zs, rg, y0) / norm
-            e2 = 0.0
-            for (c, w), fld in zip(sides, flds):
-                coef = lam - beta if c.shift == m0 else lam
-                e2 += w * float(np.sum(wr * np.abs(coef * i_chi * fld) ** 2))
-            return {"error_norm": math.sqrt(e2)}
+        def batch(oms):
+            rots = [RotationSpec(om) for om in oms]
+            lams = _lambdas_at(dim, [z - m0 * om for om in oms], kp, rots, src, t)
+            zs = [[z + (c.shift - m0) * om for c in moving] for om in oms]
+            orders = [[c.order for c in moving]] * len(oms)
+            moving_flds = separable_kernels(dim, orders, zs, rg, y0) / norm
+            fixed_it, moving_it = iter(fixed_flds), iter(moving_flds.transpose(1, 0, 2))
+            # Side by side, the terms of every omega at once.
+            e2 = np.zeros(len(oms))
+            for c, w in sides:
+                if c.shift == m0:
+                    amps, fld = [(lam - beta) * i_chi for lam in lams], next(fixed_it)
+                else:
+                    amps, fld = [lam * i_chi for lam in lams], next(moving_it)
+                amp = np.array(amps)[:, None]
+                e2 += w * np.sum(wr * np.abs(amp * fld) ** 2, axis=-1)
+            return [{"error_norm": e} for e in np.sqrt(e2).tolist()]
 
-        return row
+        def grid(oms):
+            try:
+                return batch(oms)
+            except _COMPUTE_ERRORS as exc:
+                if len(oms) == 1:
+                    return [exc]
+            return _each(lambda om: batch([om])[0], oms)
+
+        return grid
 
     params = {
         "dim": dim,
@@ -309,7 +350,7 @@ def blade_convergence_study(
             gap = weighted_norm(mesh, gm.entries - lam_m.entries)
             return {"error_norm": math.sqrt(e2), "kernel_gap": gap}
 
-        return row
+        return lambda oms: _each(row, oms)
 
     params = {
         "dim": dim,
@@ -344,10 +385,8 @@ def eps_scaling_study(
     epsilons = _check_sweep(epsilons)
     if epsilons[0] <= 0.0 or epsilons[-1] >= 1.0:
         raise ValueError("epsilons must lie in (0, 1)")
-    rows = []
-    for eps in epsilons:
-        val = rot_norm_sq(dim, complex(x_real, -eps), rot, src, t)
-        rows.append({"epsilon": eps, "norm_sq": val})
+    vals = _norm_sqs(dim, [complex(x_real, -eps) for eps in epsilons], rot, src, t)
+    rows = [{"epsilon": eps, "norm_sq": val} for eps, val in zip(epsilons, vals)]
     slope, logc = np.polyfit(
         np.log([r["epsilon"] for r in rows]),
         np.log([r["norm_sq"] for r in rows]),

@@ -11,8 +11,11 @@ with the scalar coupling pinned at the reference parameter -i,
     1/lambda(z)        =  1/lambda(-i) - (z + i) (G_z, G_-i)  (channel-exact),
 
 where |G_-|^2 and the inner product are the windowed quantities from
-rotframe.  alpha = pi switches the interaction off identically.  Shift, order,
-angular factor and source angles come from the specfun channel classes.
+rotframe.  alpha = pi switches the interaction off identically.  lambda_at
+is the one-energy view of _lambdas_at, which takes the couplings of many
+(z, omega) rows from one channel-diagonal call, each row summed in the
+one-row order and checked for resonance on its own.  Shift, order, angular
+factor and source angles come from the specfun channel classes.
 """
 
 from __future__ import annotations
@@ -136,10 +139,10 @@ def _inv_lambda_ref(kp: KreinParam, ref_diags: list) -> complex:
     return 2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha))
 
 
-def _ref_pairs(rot: RotationSpec, t: Truncation) -> list:
+def _ref_pairs(omega: float, t: Truncation) -> list:
     """(m, conj(ref) + m w) over the window: where the reference norm reads
     the channel diagonals."""
-    return [(m, _Z_REF.conjugate() + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
+    return [(m, _Z_REF.conjugate() + m * omega) for m in range(-t.m_max, t.m_max + 1)]
 
 
 def lambda_ref(
@@ -152,7 +155,7 @@ def lambda_ref(
     """Coupling at the reference parameter -i; zero exactly at alpha = pi."""
     if kp.is_free:
         return 0.0 + 0.0j
-    return 1.0 / _inv_lambda_ref(kp, _channel_diags(dim, _ref_pairs(rot, t), src, t))
+    return 1.0 / _inv_lambda_ref(kp, _channel_diags(dim, _ref_pairs(rot.omega, t), src, t))
 
 
 def lambda_at(
@@ -170,42 +173,70 @@ def lambda_at(
     so the windowed identity is exact.  via routes the continuation through an
     intermediate parameter (the two routes must agree; useful as a check).
     A vanishing denominator raises ResonanceError, distinct from any
-    quadrature failure; a merely tiny one is logged as a finding.
+    quadrature failure; a merely tiny one is logged as a finding.  The
+    one-energy view of _lambdas_at.
+    """
+    return _lambdas_at(dim, [z], kp, [rot], src, t, via)[0]
+
+
+def _lambdas_at(
+    dim: int,
+    zs: list,
+    kp: KreinParam,
+    rots: list,
+    src: PointSource,
+    t: Truncation,
+    via: complex | None = None,
+) -> list:
+    """lambda_at(dim, z, kp, rot, src, t, via) for each (z, rot) of zs and rots.
+
+    One _channel_diags call over the reference and continuation pairs of
+    every row; each row sums its own diagonals in the one-row order, so its
+    coupling is the same bit for bit.  The first row whose denominator
+    vanishes raises ResonanceError; the near-resonance findings are logged
+    after every row has passed that check.
     """
     channel_class(dim, src)
-    z = require_off_axis_energy(z)
+    zs = [require_off_axis_energy(z) for z in zs]
     if kp.is_free:
-        return 0.0 + 0.0j
-    if via is not None:
-        inv_via = 1.0 / lambda_at(dim, via, kp, rot, src, t)
-        z_from, inv_from = complex(via), inv_via
-        ref = []
-    else:
-        z_from, ref = _Z_REF, _ref_pairs(rot, t)
-    # One evaluation of the reference diagonals, then the pairs at z and
-    # z_from per channel: each order's weights are shared by all three.
+        return [0.0 + 0.0j] * len(zs)
     ms = range(-t.m_max, t.m_max + 1)
-    pairs = [(m, e + m * rot.omega) for m in ms for e in (z, z_from)]
-    d = _channel_diags(dim, ref + pairs, src, t)
-    if ref:
-        inv_from = _inv_lambda_ref(kp, d[: len(ref)])
-        d = d[len(ref) :]
-    diff = 0.0 + 0.0j
-    for d_z, d_from in zip(d[::2], d[1::2]):
-        diff += d_z
-        diff -= d_from
-    inv = inv_from - diff
-    scale = max(abs(inv_from), abs(diff), 1e-300)
-    if abs(inv) < 1e-14 * scale:
-        raise ResonanceError(
-            f"coupling denominator vanished at z={z}: interaction resonance"
-        )
-    if abs(inv) < 1e-12 * scale:
-        logger.warning(
-            "near-resonance at z=%s: |1/lambda| = %.3g against scale %.3g",
-            z, abs(inv), scale,
-        )
-    return 1.0 / inv
+    if via is not None:
+        inv_from = [1.0 / lam for lam in _lambdas_at(dim, [via] * len(zs), kp, rots, src, t)]
+        z_from, n_ref = complex(via), 0
+    else:
+        z_from, n_ref = _Z_REF, len(ms)
+    # Per row: the reference pairs, then the pairs at z and z_from per
+    # channel; each order's weights are shared by every pair.
+    pairs = []
+    for z, rot in zip(zs, rots):
+        if n_ref:
+            pairs += _ref_pairs(rot.omega, t)
+        pairs += [(m, e + m * rot.omega) for m in ms for e in (z, z_from)]
+    d = _channel_diags(dim, pairs, src, t)
+    n = n_ref + 2 * len(ms)
+    invs, scales = [], []
+    for k in range(len(zs)):
+        dk = d[k * n : (k + 1) * n]
+        inv_k = _inv_lambda_ref(kp, dk[:n_ref]) if n_ref else inv_from[k]
+        diff = 0.0 + 0.0j
+        for d_z, d_from in zip(dk[n_ref::2], dk[n_ref + 1 :: 2]):
+            diff += d_z
+            diff -= d_from
+        invs.append(inv_k - diff)
+        scales.append(max(abs(inv_k), abs(diff), 1e-300))
+    for z, inv, scale in zip(zs, invs, scales):
+        if abs(inv) < 1e-14 * scale:
+            raise ResonanceError(
+                f"coupling denominator vanished at z={z}: interaction resonance"
+            )
+    for z, inv, scale in zip(zs, invs, scales):
+        if abs(inv) < 1e-12 * scale:
+            logger.warning(
+                "near-resonance at z=%s: |1/lambda| = %.3g against scale %.3g",
+                z, abs(inv), scale,
+            )
+    return [1.0 / inv for inv in invs]
 
 
 def krein_kernel(

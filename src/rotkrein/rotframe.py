@@ -7,7 +7,8 @@ kernel call over its whole window, every (order, energy) pair at once:
 rot_green over all (l, m) (and one spherical-harmonic call), the channel
 diagonals of many (m, energy) pairs over every live degree of every pair
 (_channel_diags, _equatorial_sums), with each order's equatorial weights
-computed once.
+computed once.  rot_norm_sq is the one-energy view of _norm_sqs, which takes
+the norms of many energies (an eps study) in one such call.
 All operations here take an explicit channel window (Truncation); the
 windowed object is the thing computed, and the norm and inner-product
 reductions below are exact identities on that window.  _check_shell_tail is
@@ -260,20 +261,6 @@ def rot_green(
     return complex(total)
 
 
-def _diag_profile_3d(z: complex, rot: RotationSpec, src: PointSource, t: Truncation):
-    """Degree profile S_l of the windowed norm sum, Im-part by degree.
-
-    One kernel call over the live degrees of every shell m at its energy
-    (_live_terms); the profile adds the terms of each degree in increasing m.
-    """
-    l_max = t.require_l_max()
-    pairs = [(m, z + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
-    ls, terms, _ = _live_terms(pairs, src.y0, l_max)
-    prof = np.zeros(l_max + 1)
-    np.add.at(prof, ls, terms.imag / z.imag)
-    return prof
-
-
 def _power_law_tail(prof: np.ndarray, n_fit: int = 17) -> float:
     """Complete a degree profile beyond its cap by a power-law fit.
 
@@ -305,20 +292,44 @@ def rot_norm_sq(
 
     Reduces exactly to the Im parts of the channel diagonals at their shifted
     energies divided by Im z.  In 3D the degree cap is completed by a
-    power-law tail fit; the azimuthal window is taken as given.
+    power-law tail fit; the azimuthal window is taken as given.  The
+    one-energy view of _norm_sqs.
+    """
+    return _norm_sqs(dim, [z], rot, src, t)[0]
+
+
+def _norm_sqs(dim: int, zs: list, rot: RotationSpec, src: PointSource, t: Truncation) -> list:
+    """rot_norm_sq(dim, z, rot, src, t) for each z of zs.
+
+    One kernel call over the shifted channel pairs of every energy, with
+    each order's live degrees and weights computed once (_live_terms); each
+    energy reduces its own terms in the one-energy order.  In 3D that is the
+    degree profile S_l, the Im parts of each degree's terms added in
+    increasing m, completed by _power_law_tail.
     """
     channel_class(dim, src)
-    z = require_off_axis_energy(z)
+    zs = [require_off_axis_energy(z) for z in zs]
+    ms = range(-t.m_max, t.m_max + 1)
+    pairs = [(m, z + m * rot.omega) for z in zs for m in ms]
+    out = []
     if dim == 2:
-        total = 0.0
-        ms = range(-t.m_max, t.m_max + 1)
-        for d in _channel_diags(2, [(m, z + m * rot.omega) for m in ms], src, t):
-            total += d.imag / z.imag
-        return total
-    prof = _diag_profile_3d(z, rot, src, t)
-    tail = _power_law_tail(prof)
-    logger.debug("rot_norm_sq degree tail %.3g of %.3g", tail, prof.sum())
-    return float(prof.sum() + tail)
+        d = _channel_diags(2, pairs, src, t)
+        for k, z in enumerate(zs):
+            total = 0.0
+            for dk in d[k * len(ms) : (k + 1) * len(ms)]:
+                total += dk.imag / z.imag
+            out.append(total)
+        return out
+    l_max = t.require_l_max()
+    ls, terms, counts = _live_terms(pairs, src.y0, l_max)
+    n = sum(counts[: len(ms)])  # terms per energy: each has the same live degrees
+    for k, z in enumerate(zs):
+        prof = np.zeros(l_max + 1)
+        np.add.at(prof, ls[k * n : (k + 1) * n], terms[k * n : (k + 1) * n].imag / z.imag)
+        tail = _power_law_tail(prof)
+        logger.debug("rot_norm_sq degree tail %.3g of %.3g", tail, prof.sum())
+        out.append(float(prof.sum() + tail))
+    return out
 
 
 def rot_inner(

@@ -238,14 +238,14 @@ def test_study_cli_no_output_prints_table(tmp_path, capsys):
 def test_study_cli_records_row_failures(tmp_path, capsys, monkeypatch):
     import rotkrein.limits as limits_mod
 
-    real = limits_mod.lambda_at
+    real = limits_mod._lambdas_at
 
-    def flaky(dim, z, kp, rot, src, t, **kw):
-        if rot.omega > 15.0:
+    def flaky(dim, zs, kp, rots, src, t, **kw):
+        if any(rot.omega > 15.0 for rot in rots):
             raise TruncationError("window too small for this speed")
-        return real(dim, z, kp, rot, src, t, **kw)
+        return real(dim, zs, kp, rots, src, t, **kw)
 
-    monkeypatch.setattr(limits_mod, "lambda_at", flaky)
+    monkeypatch.setattr(limits_mod, "_lambdas_at", flaky)
     csv = tmp_path / "f.csv"
     cfg = _write_config(
         tmp_path / "f.ini",
