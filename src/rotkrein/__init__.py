@@ -36,9 +36,6 @@ from .greens import (
     Point2,
     Point3,
     TruncationError,
-    free_green_2d,
-    free_green_3d,
-    free_green_norm_sq_3d,
     radial_kernel_2d,
     radial_kernel_3d,
 )
@@ -115,9 +112,6 @@ __all__ = [
     "eps_scaling_study",
     "equatorial_weight",
     "form_probe",
-    "free_green_2d",
-    "free_green_3d",
-    "free_green_norm_sq_3d",
     "gamma_coeff_2d",
     "gamma_coeff_3d",
     "gamma_from_alpha",

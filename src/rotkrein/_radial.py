@@ -1,7 +1,7 @@
 """Separable radial channel kernels and resolvent application on grids.
 
 The one closed evaluation of the free radial channel kernels: pointwise
-channel sums, boundary matrices, study profiles and the closed mode of
+channel sums, boundary matrices, study profiles and the one-order views
 greens.radial_kernel_2d/3d all call separable_kernels.  With w = sqrt(z) in
 the closed upper half plane, where the principal-branch Bessel products are
 the right analytic continuation, the channel kernel separates into
@@ -13,8 +13,8 @@ one-radius factors,
 
 so separable_kernels evaluates J and H once per radius, in one call over
 every order (each at one shared energy or at its own), and assembles every
-entry as a lower/upper-triangular product of two factors; separable_kernel
-is its one-order view.
+entry as a lower/upper-triangular product of two factors.  Its oracles, the
+k-quadrature of the spectral integrals among them, live in tests/oracles.py.
 
 radial_apply integrates the same factors against a channel function's
 interpolant in O(N) (Greengard & Rokhlin, CPAM 1991): one Gauss rule per
@@ -39,7 +39,6 @@ __all__ = [
     "g2_vec",
     "g3_vec",
     "radial_apply",
-    "separable_kernel",
     "separable_kernels",
     "spline_interpolant",
     "trapezoid_weights",
@@ -198,23 +197,22 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     return g
 
 
-def separable_kernel(dim: int, order: int, z: complex, r, rp) -> np.ndarray:
-    """Radial channel kernel g(z; r, r') of order |n| (2D) or l (3D).
-
-    The one-order view of separable_kernels: r and rp broadcast against
-    each other, and every value equals the elementwise closed formula.
-    """
-    return separable_kernels(dim, order, z, r, rp)
-
-
 def g2_vec(n: int, z: complex, r, rp):
-    """2D radial channel kernel g_n(z; r, r') over array arguments."""
-    return separable_kernel(2, n, z, r, rp)
+    """2D radial channel kernel g_n(z; r, r') over array arguments,
+    separable_kernels(2, n, z, r, rp).
+
+    No library code calls it.  The name stays because the benchmark tracer
+    (perfbench/tracing.py) wraps it, and tests/test_imports.py checks that
+    every name the tracer wraps exists; it goes when the tracer is
+    retargeted at separable_kernels.
+    """
+    return separable_kernels(2, n, z, r, rp)
 
 
 def g3_vec(l: int, z: complex, r, rp):
-    """3D radial channel kernel g_l(z; r, r') over array arguments."""
-    return separable_kernel(3, l, z, r, rp)
+    """3D radial channel kernel g_l(z; r, r') over array arguments,
+    separable_kernels(3, l, z, r, rp); kept for the tracer as g2_vec is."""
+    return separable_kernels(3, l, z, r, rp)
 
 
 # Gauss-Legendre rule of radial_apply on each interval between breakpoints.

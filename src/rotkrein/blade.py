@@ -42,8 +42,7 @@ from typing import Callable
 import numpy as np
 import scipy.special as sp
 
-from ._radial import radial_apply, separable_kernel, separable_kernels
-from .greens import require_resolvent_energy
+from ._radial import radial_apply, separable_kernels
 from .pointint import RadialChannelFunction
 from .rotframe import RotationSpec, Truncation
 from .specfun import (
@@ -51,6 +50,7 @@ from .specfun import (
     ChannelIndex3,
     _require_integer,
     channel_class,
+    require_resolvent_energy,
     sqrt_upper,
 )
 
@@ -723,9 +723,7 @@ def averaged_resolvent(
     back-substitution onto the grid of psi.
     """
     channel_class(dim, psi, bp)
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError("spectral parameter on the essential spectrum")
+    z = require_resolvent_energy(z)
     if resolution is not None:
         _require_integer("resolution", resolution)
         if resolution < 1:
@@ -746,7 +744,7 @@ def _ls_correction(dim, z, order, rr, mu, free_rr, r_out) -> np.ndarray:
     caller's strength convention), K the free kernel of the channel order at
     z, free_rr the free resolvent R0 psi on rr, and (I - K diag(mu)) u = R0 psi.
     """
-    K = separable_kernel(dim, order, z, rr[:, None], rr[None, :])
+    K = separable_kernels(dim, order, z, rr[:, None], rr[None, :])
     M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
     u = np.linalg.solve(M, free_rr)
-    return separable_kernel(dim, order, z, r_out[:, None], rr[None, :]) @ (mu * u)
+    return separable_kernels(dim, order, z, r_out[:, None], rr[None, :]) @ (mu * u)

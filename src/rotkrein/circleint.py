@@ -20,11 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._radial import radial_apply, separable_kernel
-from .greens import radial_kernel_2d, require_resolvent_energy
+from ._radial import radial_apply, separable_kernels
+from .greens import radial_kernel_2d
 from .pointint import RadialChannelFunction, ResonanceError
 from .rotframe import Truncation, _equatorial_sums
-from .specfun import ChannelIndex2, ChannelIndex3, _require_integer, channel_class
+from .specfun import (
+    ChannelIndex2,
+    ChannelIndex3,
+    _require_integer,
+    channel_class,
+    require_resolvent_energy,
+)
 
 __all__ = [
     "CircleParam",
@@ -109,7 +115,7 @@ def apply_circle_resolvent(
         weight = 1.0 / gamma_ch  # (2 pi / Gamma) * (1/2 pi)
     else:
         weight = 2.0 * math.pi * psi.channel.source_weight() / gamma_ch
-    corr = weight * i_chi * separable_kernel(dim, psi.order, z, psi.grid, cp.radius)
+    corr = weight * i_chi * separable_kernels(dim, psi.order, z, psi.grid, cp.radius)
     return RadialChannelFunction(psi.channel, psi.grid, free_vals + corr, psi.weights)
 
 

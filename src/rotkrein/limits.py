@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._radial import radial_apply, separable_kernel, separable_kernels
+from ._radial import radial_apply, separable_kernels
 from .blade import (
     BladeParam,
     BladeMesh,
@@ -222,7 +222,7 @@ def point_convergence_study(
         t = Truncation(m_max=abs(m0), l_max=ch.order)
         rg = psi.grid
         wr = psi.quad_weights() * rg ** (dim - 1)
-        g_src = separable_kernel(dim, ch.order, z, y0, rg)
+        g_src = separable_kernels(dim, ch.order, z, y0, rg)
         i_chi = complex(np.sum(wr * g_src * psi.values))
         gam = gamma_from_alpha(dim, alpha, y0, l_max=ch.order)
         cp = CircleParam(gam, y0, dim)

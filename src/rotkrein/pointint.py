@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._radial import radial_apply, spline_interpolant, trapezoid_weights
-from .greens import Point2, Point3, require_off_axis_energy, require_resolvent_energy
+from .greens import Point2, Point3, require_off_axis_energy
 from .rotframe import (
     PointSource,
     RotationSpec,
@@ -36,7 +36,7 @@ from .rotframe import (
     _channel_diags,
     rot_green,
 )
-from .specfun import ChannelIndex2, ChannelIndex3, channel_class
+from .specfun import ChannelIndex2, ChannelIndex3, channel_class, require_resolvent_energy
 
 __all__ = [
     "KreinParam",

@@ -32,14 +32,13 @@ import numpy as np
 import scipy.special as sp
 
 from ._radial import separable_kernels
-from .greens import (
-    Point2,
-    Point3,
-    TruncationError,
-    require_off_axis_energy,
+from .greens import Point2, Point3, TruncationError, require_off_axis_energy
+from .specfun import (
+    _equatorial_weights,
+    _require_integer,
+    channel_class,
     require_resolvent_energy,
 )
-from .specfun import _equatorial_weights, _require_integer, channel_class
 
 __all__ = [
     "PointSource",
@@ -127,6 +126,7 @@ def channel_diag(
     3D: sum over degrees of |Y_l^m(eq)|^2 g_l(zz; y0, y0) up to t.l_max.
     2D: g_m(zz; y0, y0) / (2 pi).  The one-channel view of _channel_diags.
     """
+    _require_integer("channel order m", m)
     return _channel_diags(dim, [(m, zz)], src, t)[0]
 
 

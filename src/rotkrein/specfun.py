@@ -7,13 +7,14 @@ arguments of the regular Bessel functions are handled by parity reflection
 (the functions are entire); the outgoing Hankel combinations are only ever
 called off the negative real axis.
 
-The scalar functions are the public one-term API; the channel kernels do
-not call them (they evaluate their Bessel factors over arrays in
-_radial.separable_kernels), so their |Im x| backstop guards this API only.
-Equatorial weights are evaluated per shell over an array of degrees
+The scalar Bessel and Hankel functions are the public one-term API; no
+library code calls them (the channel kernels evaluate their Bessel factors
+over arrays in _radial.separable_kernels), so their |Im x| backstop guards
+this API only.  They stay public, and the benchmark tracer wraps them by
+name.  Equatorial weights are evaluated per shell over an array of degrees
 (_equatorial_weights); equatorial_weight is its one-degree view.
 require_resolvent_energy is the one check of a resolvent's spectral
-parameter.
+parameter, and every module imports it from here.
 """
 
 from __future__ import annotations

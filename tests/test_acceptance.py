@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import fd_averaged_solution, gauss_radial, make_psi
+from oracles import quadrature_kernel_2d, quadrature_kernel_3d
 from rotkrein import (
     BladeParam,
     ChannelIndex2,
@@ -89,12 +90,12 @@ def test_criterion_02_dual_path_kernel_equality():
         r, rp = rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5)
         if dim == 2:
             n = int(rng.integers(-6, 7))
-            a = radial_kernel_2d(n, z, r, rp, "closed")
-            b = radial_kernel_2d(n, z, r, rp, "quadrature")
+            a = radial_kernel_2d(n, z, r, rp)
+            b = quadrature_kernel_2d(n, z, r, rp)
         else:
             l = int(rng.integers(0, 9))
-            a = radial_kernel_3d(l, z, r, rp, "closed")
-            b = radial_kernel_3d(l, z, r, rp, "quadrature")
+            a = radial_kernel_3d(l, z, r, rp)
+            b = quadrature_kernel_3d(l, z, r, rp)
         assert b == pytest.approx(a, rel=1e-6)
     assert time.perf_counter() - start < 30.0
 

@@ -9,7 +9,7 @@ import scipy.special as sp
 import rotkrein._radial
 import rotkrein.blade as blade_mod
 from helpers import CountingSpecial, fd_averaged_solution, make_psi
-from rotkrein._radial import radial_apply, separable_kernel
+from rotkrein._radial import radial_apply, separable_kernels
 from rotkrein.blade import (
     BladeMesh,
     BladeParam,
@@ -201,11 +201,17 @@ def test_averaged_resolvent_validation():
     bp = BladeParam(1.0, 2.0, 2)
     with pytest.raises(ValueError):
         averaged_resolvent(3, Z, BladeParam(1.0, 2.0, 3), psi)
-    with pytest.raises(ValueError):
-        averaged_resolvent(2, 1.5 + 0.0j, bp, psi)
+    psi3 = make_psi(3, ChannelIndex3(1, 1))
+    # the one energy check: the essential spectrum and nonfinite energies
+    for dim, p in ((2, psi), (3, psi3)):
+        for z in (1.5 + 0.0j, 2.0):
+            with pytest.raises(ValueError, match="essential spectrum"):
+                averaged_resolvent(dim, z, BladeParam(1.0, 2.0, dim), p)
+        for z in (complex(math.nan, 1.0), complex(0.4, math.inf)):
+            with pytest.raises(ValueError, match="nonfinite spectral parameter"):
+                averaged_resolvent(dim, z, BladeParam(1.0, 2.0, dim), p)
     with pytest.raises(ValueError, match="resolution"):
         averaged_resolvent(2, Z, bp, psi, resolution=0)
-    psi3 = make_psi(3, ChannelIndex3(1, 1))
     with pytest.raises(ValueError, match="resolution"):
         averaged_resolvent(3, Z, BladeParam(1.0, 2.0, 3), psi3, resolution=0)
     with pytest.raises(ValueError, match="resolution must be an integer"):
@@ -334,7 +340,7 @@ def outer_sum(mesh, terms, r_rows=None):
     K = 0.0
     for l, m, energy, sign in terms:
         y = np.tile(np.real(sp.sph_harm_y(l, m, np.arccos(mesh.u_1d), 0.0)), len(r1))
-        g = separable_kernel(3, l, energy, rows[:, None], r1[None, :])[:, idx]
+        g = separable_kernels(3, l, energy, rows[:, None], r1[None, :])[:, idx]
         if r_rows is None:
             K = K + sign * g[idx, :] * np.outer(y, y)
         else:
@@ -458,7 +464,7 @@ def t_log_moment(a, b, c):
 
 def channel_sum_2d(terms, r, rp):
     """sum of sign * g_n(energy; r, r') / (2 pi) over the terms (n, energy, sign)."""
-    return sum(sign * separable_kernel(2, n, energy, r, rp) for n, energy, sign in terms) / (
+    return sum(sign * separable_kernels(2, n, energy, r, rp) for n, energy, sign in terms) / (
         2.0 * math.pi)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_psi
+from oracles import quadrature_kernel_2d, quadrature_kernel_3d
 from rotkrein.circleint import (
     CircleParam,
     apply_circle_resolvent,
@@ -72,14 +73,14 @@ def test_coefficient_validation():
 
 def _matched_coupling_by_quadrature(dim, alpha, y0):
     """gamma_from_alpha's reduction (default l_max = 64) with the k-quadrature
-    radial kernels."""
+    radial kernels of tests/oracles.py."""
     th = math.tan(0.5 * alpha)
     if dim == 2:
-        g = radial_kernel_2d(0, 1j, y0, y0, "quadrature")
+        g = quadrature_kernel_2d(0, 1j, y0, y0)
         return 1.0 / (th * g.imag + g.real)
     acc = 0.0
     for l in range(0, 65, 2):
-        g = radial_kernel_3d(l, 1j, y0, y0, "quadrature")
+        g = quadrature_kernel_3d(l, 1j, y0, y0)
         acc += equatorial_weight(l, 0) * (th * g.imag + g.real)
     return 2.0 * math.pi * acc
 
@@ -99,7 +100,7 @@ def test_matched_coupling_pins_reference_relation():
     # 2D: 1/gamma = tan(alpha/2) Im g0 + Re g0 at parameter i on the circle
     alpha, y0 = 2.2, 0.8
     gam = gamma_from_alpha(2, alpha, y0)
-    g = radial_kernel_2d(0, 1j, y0, y0, "closed")
+    g = radial_kernel_2d(0, 1j, y0, y0)
     assert 1.0 / gam == pytest.approx(
         math.tan(0.5 * alpha) * g.imag + g.real, rel=1e-12
     )
@@ -107,7 +108,7 @@ def test_matched_coupling_pins_reference_relation():
     gam3 = gamma_from_alpha(3, alpha, y0, l_max=24)
     acc = 0.0
     for l in range(0, 25, 2):
-        g = radial_kernel_3d(l, 1j, y0, y0, "closed")
+        g = radial_kernel_3d(l, 1j, y0, y0)
         acc += equatorial_weight(l, 0) * (math.tan(0.5 * alpha) * g.imag + g.real)
     assert gam3 == pytest.approx(2.0 * math.pi * acc, rel=1e-12)
 
@@ -197,7 +198,7 @@ def test_apply_resolvent_separable_correction_2d():
     out = apply_circle_resolvent(2, psi, cp, z, t)
     corr = out.values - _free_part(psi, z)
     kernel = np.array(
-        [radial_kernel_2d(2, z, r, cp.radius, "closed") for r in psi.grid]
+        [radial_kernel_2d(2, z, r, cp.radius) for r in psi.grid]
     )
     ratios = corr[np.abs(kernel) > 1e-8] / kernel[np.abs(kernel) > 1e-8]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-10 * abs(ratios[0])
@@ -207,7 +208,7 @@ def test_apply_resolvent_separable_correction_2d():
         wr
         * psi.values
         * np.array(
-            [radial_kernel_2d(2, z, cp.radius, r, "closed") for r in psi.grid]
+            [radial_kernel_2d(2, z, cp.radius, r) for r in psi.grid]
         )
     )
     gam_n = gamma_coeff_2d(2, cp, z)
@@ -224,7 +225,7 @@ def test_apply_resolvent_separable_correction_3d():
     out = apply_circle_resolvent(3, psi, cp, z, t)
     corr = out.values - _free_part(psi, z)
     kernel = np.array(
-        [radial_kernel_3d(2, z, r, cp.radius, "closed") for r in psi.grid]
+        [radial_kernel_3d(2, z, r, cp.radius) for r in psi.grid]
     )
     ratios = corr[np.abs(kernel) > 1e-8] / kernel[np.abs(kernel) > 1e-8]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-10 * abs(ratios[0])
@@ -233,7 +234,7 @@ def test_apply_resolvent_separable_correction_3d():
         wr
         * psi.values
         * np.array(
-            [radial_kernel_3d(2, z, cp.radius, r, "closed") for r in psi.grid]
+            [radial_kernel_3d(2, z, cp.radius, r) for r in psi.grid]
         )
     )
     gam_m = gamma_coeff_3d(0, cp, z, t.l_max)

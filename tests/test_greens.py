@@ -11,8 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CountingSpecial
+from oracles import (
+    free_green_2d,
+    free_green_3d,
+    free_green_norm_sq_3d,
+    quadrature_kernel_2d,
+    quadrature_kernel_3d,
+)
 import rotkrein._radial
-import rotkrein.greens
 import rotkrein.rotframe
 import rotkrein.specfun
 
@@ -26,9 +32,6 @@ from rotkrein import (
     RotationSpec,
     SingularArgumentError,
     Truncation,
-    free_green_2d,
-    free_green_3d,
-    free_green_norm_sq_3d,
     gamma_from_alpha,
     lambda_at,
     radial_kernel_2d,
@@ -40,13 +43,14 @@ from rotkrein import (
     sqrt_upper,
 )
 from rotkrein._radial import separable_kernels
-from rotkrein.greens import require_off_axis_energy, require_resolvent_energy
+from rotkrein.greens import require_off_axis_energy
 from rotkrein.rotframe import channel_diag
 from rotkrein.specfun import (
     _equatorial_weights,
     bessel_j,
     equatorial_weight,
     hankel1,
+    require_resolvent_energy,
     sph_bessel_j,
     sph_hankel1,
 )
@@ -85,6 +89,23 @@ def test_kernel_schwarz_fold():
         assert lo3 == pytest.approx(radial_kernel_3d(2, z, r, rp).conjugate(), rel=1e-13)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_term_views_reject_non_integer_orders(dim):
+    """A channel order is an integer: the one-term views raise ValueError
+    rather than return a Bessel kernel of a non-channel order."""
+    kernel = radial_kernel_2d if dim == 2 else radial_kernel_3d
+    src, t = PointSource(0.7, dim), Truncation(4, l_max=6)
+    for order in (1.5, 0.5, 2.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            kernel(order, 1j, 1.0, 1.0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            channel_diag(dim, order, 0.4 + 1j, src, t)
+    # numpy integers are integers
+    assert kernel(np.int64(2), 1j, 1.0, 1.0) == kernel(2, 1j, 1.0, 1.0)
+    assert channel_diag(dim, np.int64(2), 0.4 + 1j, src, t) == channel_diag(
+        dim, 2, 0.4 + 1j, src, t)
+
+
 def test_closed_vs_quadrature():
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -92,10 +113,10 @@ def test_closed_vs_quadrature():
         r, rp = sorted(rng.uniform(0.3, 2.5, size=2))
         n = int(rng.integers(0, 4))
         a2 = radial_kernel_2d(n, z, r, rp)
-        b2 = radial_kernel_2d(n, z, r, rp, mode="quadrature")
+        b2 = quadrature_kernel_2d(n, z, r, rp)
         assert abs(a2 - b2) / abs(a2) < 1e-6
         a3 = radial_kernel_3d(n, z, r, rp)
-        b3 = radial_kernel_3d(n, z, r, rp, mode="quadrature")
+        b3 = quadrature_kernel_3d(n, z, r, rp)
         assert abs(a3 - b3) / abs(a3) < 1e-6
 
 
@@ -480,7 +501,7 @@ def test_point_kernels_pinned_bitwise():
 def test_rot_green_3d_special_calls_per_shell(monkeypatch):
     """A bounded number of scipy.special calls per window, not per (l, m) term."""
     counter = CountingSpecial()
-    for mod in (rotkrein._radial, rotkrein.greens, rotkrein.rotframe, rotkrein.specfun):
+    for mod in (rotkrein._radial, rotkrein.rotframe, rotkrein.specfun):
         monkeypatch.setattr(mod, "sp", counter)
     val = rot_green(3, 0.4 + 1j, ROT, *P3, T3)
     # One harmonic call, one jv call at the smaller radius and one hankel1

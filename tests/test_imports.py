@@ -1,6 +1,6 @@
 """Every name a rotkrein module imports is used in that module, no private
-helper outlives its callers, and every function the benchmark tracer wraps
-exists.
+helper outlives its callers, every name an __all__ exports exists, and
+every function the benchmark tracer wraps exists.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -8,6 +8,7 @@ package __init__ re-exports its imports and is skipped.
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,26 @@ def test_finds_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert _dead_private_names(sources) == []
+
+
+def _export_problems(mod) -> list:
+    """Names of mod.__all__ that are listed twice or do not resolve."""
+    names = list(getattr(mod, "__all__", ()))
+    twice = sorted({n for n in names if names.count(n) > 1})
+    return [f"{n} (listed twice)" for n in twice] + [
+        f"{n} (missing)" for n in names if not hasattr(mod, n)]
+
+
+def test_finds_a_stale_export():
+    mod = types.ModuleType("m")
+    mod.kept = 1
+    mod.__all__ = ["kept", "gone", "kept"]
+    assert _export_problems(mod) == ["kept (listed twice)", "gone (missing)"]
+
+
+@pytest.mark.parametrize("name", ["rotkrein"] + [f"rotkrein.{p.stem}" for p in MODULES])
+def test_exports_resolve(name):
+    assert _export_problems(importlib.import_module(name)) == []
 
 
 def test_benchmark_tracer_names_exist():

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import make_psi
 from rotkrein import _radial, specfun
-from rotkrein._radial import separable_kernel
+from rotkrein._radial import separable_kernels
 from rotkrein.circleint import CircleParam, _gamma_for_channel, gamma_from_alpha
 from rotkrein.blade import BladeParam
 from rotkrein.limits import (
@@ -194,7 +194,7 @@ def _point_row_by_loop(dim, alpha, y0, z, om, psi):
     cls = channel_class(dim)
     t = Truncation(m_max=abs(m0), l_max=ch.order)
     wr = psi.quad_weights() * psi.grid ** (dim - 1)
-    i_chi = complex(np.sum(wr * separable_kernel(dim, ch.order, z, y0, psi.grid) * psi.values))
+    i_chi = complex(np.sum(wr * separable_kernels(dim, ch.order, z, y0, psi.grid) * psi.values))
     cp = CircleParam(gamma_from_alpha(dim, alpha, y0, l_max=ch.order), y0, dim)
     beta = 2.0 * math.pi / _gamma_for_channel(ch, cp, z, t)
     src = PointSource(y0, dim)
@@ -206,7 +206,7 @@ def _point_row_by_loop(dim, alpha, y0, z, om, psi):
         if w == 0.0:
             continue
         energy = z + (c.shift - m0) * om
-        fld = separable_kernel(dim, c.order, energy, psi.grid, y0) / norm
+        fld = separable_kernels(dim, c.order, energy, psi.grid, y0) / norm
         coef = lam - beta if c.shift == m0 else lam
         e2 += w * float(np.sum(wr * np.abs(coef * i_chi * fld) ** 2))
     return math.sqrt(e2)

@@ -16,7 +16,6 @@ from rotkrein._radial import (
     g2_vec,
     g3_vec,
     radial_apply,
-    separable_kernel,
     separable_kernels,
 )
 from rotkrein.greens import radial_kernel_2d, radial_kernel_3d
@@ -63,7 +62,7 @@ def kernel_case(draw):
 @given(kernel_case())
 def test_core_equals_elementwise_formula_bitwise(case):
     dim, order, z, r, rp = case
-    got = separable_kernel(dim, order, z, r[:, None], rp[None, :])
+    got = separable_kernels(dim, order, z, r[:, None], rp[None, :])
     want = elementwise_kernel(dim, order, z, r[:, None], rp[None, :])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -98,7 +97,7 @@ def test_batched_orders_equal_one_order_kernels_bitwise(case):
             got = separable_kernels(dim, orders, energies, a, b)
             assert got.shape == (len(orders),) + np.broadcast(a, b).shape
             for g, order, zk in zip(got, orders, np.broadcast_to(energies, len(orders))):
-                one = separable_kernel(dim, order, zk, a, b)
+                one = separable_kernels(dim, order, zk, a, b)
                 assert g.tobytes() == one.tobytes()
                 # At least 1-D: numpy's scalar arithmetic may round differently.
                 want = elementwise_kernel(dim, order, zk, np.atleast_1d(a), np.atleast_1d(b))
@@ -110,8 +109,8 @@ def test_batched_orders_equal_one_order_kernels_bitwise(case):
 def test_core_is_symmetric_in_the_radii(case):
     dim, order, z, r, rp = case
     np.testing.assert_array_equal(
-        separable_kernel(dim, order, z, r[:, None], rp[None, :]),
-        separable_kernel(dim, order, z, rp[:, None], r[None, :]).T,
+        separable_kernels(dim, order, z, r[:, None], rp[None, :]),
+        separable_kernels(dim, order, z, rp[:, None], r[None, :]).T,
     )
 
 
@@ -120,8 +119,8 @@ def test_core_is_symmetric_in_the_radii(case):
 def test_core_conjugate_reflection(case):
     dim, order, z, r, rp = case
     np.testing.assert_array_equal(
-        separable_kernel(dim, order, z.conjugate(), r[:, None], rp[None, :]),
-        np.conj(separable_kernel(dim, order, z, r[:, None], rp[None, :])),
+        separable_kernels(dim, order, z.conjugate(), r[:, None], rp[None, :]),
+        np.conj(separable_kernels(dim, order, z, r[:, None], rp[None, :])),
     )
 
 
@@ -163,7 +162,7 @@ def test_kernel_error_contract():
         with pytest.raises(ValueError, match="radii must be nonnegative"):
             separable_kernels(2, [0, 1], 1j, np.array([0.5, bad]), 1.0)
     with pytest.raises(ValueError, match="degree must be nonnegative"):
-        separable_kernel(3, -1, 1j, 1.0, 1.0)
+        separable_kernels(3, -1, 1j, 1.0, 1.0)
     for dim in (2, 3):
         kernel = radial_kernel_2d if dim == 2 else radial_kernel_3d
         with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
@@ -238,14 +237,14 @@ def test_3d_kernel_at_the_origin_is_its_limit(l, z):
     """J(w r)/sqrt(r) is 0/0 at r = 0: exp(i w r')/r' for l = 0, else 0."""
     rp = np.array([0.3, 0.5, 2.0])
     want = [radial_kernel_3d(l, z, 0.0, x) for x in rp]
-    for got in (separable_kernel(3, l, z, 0.0, rp), separable_kernel(3, l, z, rp, 0.0)):
+    for got in (separable_kernels(3, l, z, 0.0, rp), separable_kernels(3, l, z, rp, 0.0)):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)
     # Entries away from the origin keep their bits.
     r = np.array([0.0, 0.2, 0.7])
-    full = separable_kernel(3, l, z, r[:, None], rp[None, :])
-    assert full[1:].tobytes() == separable_kernel(3, l, z, r[1:, None], rp[None, :]).tobytes()
+    full = separable_kernels(3, l, z, r[:, None], rp[None, :])
+    assert full[1:].tobytes() == separable_kernels(3, l, z, r[1:, None], rp[None, :]).tobytes()
     with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
-        separable_kernel(3, l, z, 0.0, 0.0)
+        separable_kernels(3, l, z, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import free_green_2d, free_green_3d, free_green_norm_sq_3d
 from rotkrein import (
     Point2,
     Point3,
@@ -12,9 +13,6 @@ from rotkrein import (
     RotationSpec,
     Truncation,
     TruncationError,
-    free_green_2d,
-    free_green_3d,
-    free_green_norm_sq_3d,
     radial_kernel_2d,
     remainder_norm,
     rot_green,
@@ -22,7 +20,7 @@ from rotkrein import (
     rot_norm_sq,
     sqrt_upper,
 )
-from rotkrein._radial import separable_kernel
+from rotkrein._radial import separable_kernels
 from rotkrein.rotframe import channel_diag
 
 T2 = Truncation(m_max=32)
@@ -190,7 +188,7 @@ def _inner_oracle_2d(z, zp, omega, y0, m_max):
             np.linspace(y0, r_end, math.ceil((r_end - y0) / 0.5) + 1)[1:],
         ])
         r, w = _panel_rule(edges)
-        g = separable_kernel(2, n, zz, r, y0) * separable_kernel(2, n, zzp, r, y0)
+        g = separable_kernels(2, n, zz, r, y0) * separable_kernels(2, n, zzp, r, y0)
         acc += np.sum(w * g * r)
     return acc / (2.0 * math.pi)
 
