@@ -160,6 +160,12 @@ class BladeMesh:
     def n_nodes(self) -> int:
         return len(self.r)
 
+    @property
+    def angles(self) -> tuple:
+        """The angular samples as the channel harmonics take them: the 2D
+        segment's theta = 0, or the 3D polar nodes theta_u at phi = 0."""
+        return (0.0,) if self.dim == 2 else (np.arccos(self.u_1d), 0.0)
+
     def theta(self) -> np.ndarray:
         if self.u is None:
             raise ValueError("2D mesh has no polar angle")
@@ -403,14 +409,13 @@ def _free_3d(z: complex, mesh: BladeMesh) -> tuple:
 
 def _angular(mesh: BladeMesh, chans) -> np.ndarray:
     """Orthonormal angular factor y_c of each channel at the mesh's angular
-    samples (real), shape (channels, samples): 1/sqrt(2 pi) at the 2D
-    segment's one sample theta = 0, Y_l^m(theta_u, 0) at the 3D polar nodes
-    (one harmonic call)."""
-    if mesh.dim == 2:
-        return np.full((len(chans), 1), 1.0 / math.sqrt(ChannelIndex2.harmonic_norm_sq))
-    lm = np.array([(ch.l, ch.m) for ch in chans], dtype=int).reshape(-1, 2)
-    th_u = np.arccos(mesh.u_1d)
-    return np.real(sp.sph_harm_y(lm[:, :1], lm[:, 1:], th_u, 0.0))
+    samples (real), shape (channels, samples), from one harmonic call:
+    1/sqrt(2 pi) at the 2D segment's one sample theta = 0, Y_l^m(theta_u, 0)
+    at the 3D polar nodes."""
+    cls = channel_class(mesh.dim)
+    idx = np.array([(ch.order, ch.shift) for ch in chans], dtype=int).reshape(-1, 2)
+    ys = cls.harmonics(idx[:, :1], idx[:, 1:], *mesh.angles)
+    return np.real(ys) / math.sqrt(cls.harmonic_norm_sq)
 
 
 def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Interaction supported on the circle through the source point.
 
 A delta shell of coupling gamma on the circle (2D) or sphere latitude circle
-(3D) of radius y0 resolves channel by channel.  Per-channel coefficients,
-with the dimension's own bookkeeping convention,
+(3D) of radius y0 resolves channel by channel, with one coefficient formula
+for both dimensions,
 
-    3D:  Gamma_m(z)  =  gamma - 2 pi sum_l |Y_l^m(eq)|^2 g_l(z; y0, y0),
-    2D:  Gamma_n(z)  =  1/gamma - g_n(z; y0, y0),
+    Gamma_m(z)  =  gamma ** circle_power - (2 pi / harmonic_norm_sq) S_m(z),
 
-enter the resolvent as correction weight 2 pi / Gamma.  gamma_from_alpha
-computes the coupling whose circle operator reproduces, in the fast-rotation
-limit, the point interaction of parameter alpha; limits.point_convergence_study
-measures how far the two resolvents are apart at finite speed.
+S_m the shell sum of shift m (rotframe): 3D gamma - 2 pi sum_l |Y_l^m(eq)|^2
+g_l(z; y0, y0), 2D 1/gamma - g_n(z; y0, y0).  Gamma enters the resolvent as
+correction weight 2 pi / Gamma.  gamma_from_alpha computes the coupling whose
+circle operator reproduces, in the fast-rotation limit, the point interaction
+of parameter alpha; limits.point_convergence_study measures how far the two
+resolvents are apart at finite speed.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._radial import radial_apply, separable_kernels
-from .greens import radial_kernel_2d
 from .pointint import RadialChannelFunction, ResonanceError
-from .rotframe import Truncation, _equatorial_sums
+from .rotframe import Truncation, _shell_sums
 from .specfun import (
-    ChannelIndex2,
-    ChannelIndex3,
     _require_integer,
     channel_class,
     require_resolvent_energy,
+    require_upper_energy,
 )
 
 __all__ = [
@@ -59,29 +58,34 @@ class CircleParam:
 
 def gamma_coeff_3d(m: int, cp: CircleParam, z: complex, l_max: int) -> complex:
     """Channel coefficient Gamma_m(z) of the 3D circle interaction."""
-    channel_class(3, cp)
+    cls = channel_class(3, cp)
     _require_integer("channel order m", m)
     _require_integer("l_max", l_max)
-    z = require_resolvent_energy(z)
-    return cp.gamma - 2.0 * math.pi * _equatorial_sums([(m, z)], cp.radius, l_max)[0]
+    return _gamma(cls, m, cp, z, l_max)
 
 
 def gamma_coeff_2d(n: int, cp: CircleParam, z: complex) -> complex:
     """Channel coefficient Gamma_n(z) of the 2D circle interaction."""
-    channel_class(2, cp)
+    cls = channel_class(2, cp)
     _require_integer("channel n", n)
-    if cp.gamma == 0.0:
-        raise ValueError("gamma = 0 has no 2D channel coefficient")
+    return _gamma(cls, n, cp, z)
+
+
+def _circle_term(cls: type, gamma: float) -> float:
+    """Gamma's constant term gamma ** cls.circle_power; the map is its own inverse."""
+    if cls.circle_power > 0:
+        return gamma
+    if gamma == 0.0:
+        raise ValueError(f"gamma = 0 has no {cls.dim}D channel coefficient")
+    return 1.0 / gamma
+
+
+def _gamma(cls: type, m: int, cp: CircleParam, z: complex, l_max: int | None = None) -> complex:
+    """Gamma of shift m: the constant term less (2 pi / harmonic_norm_sq) S."""
+    term = _circle_term(cls, cp.gamma)
     z = require_resolvent_energy(z)
-    return 1.0 / cp.gamma - radial_kernel_2d(n, z, cp.radius, cp.radius)
-
-
-def _gamma_for_channel(
-    ch: ChannelIndex2 | ChannelIndex3, cp: CircleParam, z: complex, t: Truncation
-) -> complex:
-    if isinstance(ch, ChannelIndex2):
-        return gamma_coeff_2d(ch.n, cp, z)
-    return gamma_coeff_3d(ch.m, cp, z, t.require_l_max())
+    s = complex(_shell_sums(cls, [(m, z)], cp.radius, l_max)[0])
+    return term - 2.0 * math.pi / cls.harmonic_norm_sq * s
 
 
 def apply_circle_resolvent(
@@ -98,25 +102,22 @@ def apply_circle_resolvent(
     3D the correction carries |Y_l0^m0(eq)|^2, so equatorially odd channels
     come back with the free part alone.
     """
-    channel_class(dim, psi, cp)
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError("resolvent application needs Im z > 0")
+    cls = channel_class(dim, psi, cp)
+    z = require_upper_energy(z, "resolvent application")
     # One pass gives the free part on the grid and its value on the circle.
     vals = radial_apply(psi, z, np.append(psi.grid, cp.radius))
     free_vals, i_chi = vals[:-1], complex(vals[-1])
-    gamma_ch = _gamma_for_channel(psi.channel, cp, z, t)
-    scale = max(abs(cp.gamma) if dim == 3 else abs(1.0 / cp.gamma), 1.0)
+    ch = psi.channel
+    gamma_ch = _gamma(cls, ch.shift, cp, z, t.l_max)
+    scale = max(abs(_circle_term(cls, cp.gamma)), 1.0)
     if abs(gamma_ch) < 1e-12 * scale:
         raise ResonanceError(
             f"channel coefficient Gamma = {gamma_ch:.3g} vanishes at z={z}"
         )
-    if dim == 2:
-        weight = 1.0 / gamma_ch  # (2 pi / Gamma) * (1/2 pi)
-    else:
-        weight = 2.0 * math.pi * psi.channel.source_weight() / gamma_ch
+    # (2 pi / Gamma) times the source weight over the harmonic's norm.
+    weight = 2.0 * math.pi / cls.harmonic_norm_sq * ch.source_weight() / gamma_ch
     corr = weight * i_chi * separable_kernels(dim, psi.order, z, psi.grid, cp.radius)
-    return RadialChannelFunction(psi.channel, psi.grid, free_vals + corr, psi.weights)
+    return RadialChannelFunction(ch, psi.grid, free_vals + corr, psi.weights)
 
 
 def gamma_from_alpha(
@@ -127,14 +128,15 @@ def gamma_from_alpha(
 ) -> float:
     """Circle coupling matched to a point interaction of parameter alpha.
 
-    Real by construction: both dimensions reduce to
-    tan(alpha/2) Im g + Re g evaluated at the reference parameter i on the
-    circle radius, summed with equatorial weights in 3D.  alpha = pi has no
-    finite matching coupling and is rejected.  The returned value slots into
-    the dimension's own Gamma convention, so it can be used directly as
+    Real by construction: both dimensions reduce to the constant term
+    (2 pi / harmonic_norm_sq) (tan(alpha/2) Im S + Re S) of Gamma, with S
+    the shell sum of shift 0 at the reference parameter i on the circle
+    radius (2D: g_0, 3D: summed with equatorial weights), and map it to the
+    coupling by the dimension's own convention.  alpha = pi has no finite
+    matching coupling and is rejected.  The returned value slots into
     CircleParam.gamma at the same truncation.
     """
-    channel_class(dim)
+    cls = channel_class(dim)
     if not (0.0 <= alpha < 2.0 * math.pi):
         raise ValueError(f"alpha must lie in [0, 2*pi), got {alpha}")
     if abs(alpha - math.pi) < 1e-12:
@@ -143,11 +145,8 @@ def gamma_from_alpha(
     if l_max < 0:
         raise ValueError(f"l_max must be nonnegative, got {l_max}")
     th = math.tan(0.5 * alpha)
-    if dim == 2:
-        g = radial_kernel_2d(0, 1j, y0, y0)
-        val = th * g.imag + g.real
-        if abs(val) < 1e-300:
-            raise ResonanceError("matching integral vanishes; coupling diverges")
-        return 1.0 / val
-    g = _equatorial_sums([(0, 1j)], y0, l_max)[0]
-    return 2.0 * math.pi * (th * g.imag + g.real)
+    s = complex(_shell_sums(cls, [(0, 1j)], y0, l_max)[0])
+    val = 2.0 * math.pi / cls.harmonic_norm_sq * (th * s.imag + s.real)
+    if cls.circle_power < 0 and abs(val) < 1e-300:
+        raise ResonanceError("matching integral vanishes; coupling diverges")
+    return _circle_term(cls, val)

@@ -20,6 +20,7 @@ the channel sums and their tail bounds live in rotframe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from ._radial import separable_kernels
@@ -81,20 +82,18 @@ class Point2:
         return (self.theta,)
 
 
-def require_off_axis_energy(z: complex) -> complex:
-    """Reject spectral parameters on the real axis entirely."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"nonfinite spectral parameter {z!r}")
-    if z.imag == 0.0:
-        raise ValueError(f"spectral parameter {z!r} must have nonzero imaginary part")
-    return z
+def _require_radii(r, rp) -> None:
+    """Reject a radius that is not one real number."""
+    for x in (r, rp):
+        if not isinstance(x, numbers.Real):
+            raise ValueError(f"radius must be a real number, got {x!r}")
 
 
 def radial_kernel_3d(l: int, z: complex, r: float, rp: float) -> complex:
     """Radial channel kernel g_l(z; r, r') of the free 3D resolvent: the
     one-degree view of _radial.separable_kernels."""
     _require_integer("degree l", l)
+    _require_radii(r, rp)
     return complex(separable_kernels(3, l, z, r, rp))
 
 
@@ -102,4 +101,5 @@ def radial_kernel_2d(n: int, z: complex, r: float, rp: float) -> complex:
     """Radial channel kernel g_n(z; r, r') of the free 2D resolvent: the
     one-order view of _radial.separable_kernels."""
     _require_integer("channel n", n)
+    _require_radii(r, rp)
     return complex(separable_kernels(2, n, z, r, rp))

@@ -40,11 +40,11 @@ from .blade import (
     solve_density,
     weighted_norm,
 )
-from .circleint import CircleParam, _gamma_for_channel, gamma_from_alpha
+from .circleint import CircleParam, _gamma, gamma_from_alpha
 from .greens import TruncationError
 from .pointint import KreinParam, RadialChannelFunction, ResonanceError, _lambdas_at
 from .rotframe import PointSource, RotationSpec, Truncation, _norm_sqs
-from .specfun import channel_class
+from .specfun import channel_class, require_upper_energy
 
 __all__ = [
     "StudyTable",
@@ -144,9 +144,7 @@ def _check_sweep(values) -> list:
 
 
 def _check_study(z: complex, omegas, psis) -> tuple:
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise ValueError("study needs Im z > 0")
+    z = require_upper_energy(z, "study")
     omegas = _check_sweep(omegas)
     if not psis:
         raise ValueError("no channel functions supplied")
@@ -226,7 +224,7 @@ def point_convergence_study(
         i_chi = complex(np.sum(wr * g_src * psi.values))
         gam = gamma_from_alpha(dim, alpha, y0, l_max=ch.order)
         cp = CircleParam(gam, y0, dim)
-        beta = 2.0 * math.pi / _gamma_for_channel(ch, cp, z, t)
+        beta = 2.0 * math.pi / _gamma(cls, m0, cp, z, t.l_max)
         # Side channel c of the source field: kernel g_c(r, y0) at energy
         # z + (c.shift - m0) omega over the harmonic's norm, weighted by the
         # norm and |harmonic|^2 at the source.  The sides of the study

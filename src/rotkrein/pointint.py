@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._radial import radial_apply, spline_interpolant, trapezoid_weights
-from .greens import Point2, Point3, require_off_axis_energy
+from .greens import Point2, Point3
 from .rotframe import (
     PointSource,
     RotationSpec,
@@ -36,7 +36,14 @@ from .rotframe import (
     _channel_diags,
     rot_green,
 )
-from .specfun import ChannelIndex2, ChannelIndex3, channel_class, require_resolvent_energy
+from .specfun import (
+    ChannelIndex2,
+    ChannelIndex3,
+    channel_class,
+    require_off_axis_energy,
+    require_resolvent_energy,
+    require_upper_energy,
+)
 
 __all__ = [
     "KreinParam",
@@ -282,9 +289,7 @@ def apply_krein_resolvent(
     the source.  At alpha = pi the coefficient is exactly zero.
     """
     channel_class(dim, psi, src)
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError("resolvent application needs Im z > 0")
+    z = require_upper_energy(z, "resolvent application")
     ch = psi.channel
     # One pass gives the free part on the grid and its value at the source.
     vals = radial_apply(psi, z, np.append(psi.grid, src.y0))

@@ -2,13 +2,14 @@
 
 Rotation at angular speed omega enters each angular channel of the free
 resolvent as an energy shift: channel m is evaluated at z + m*omega, with the
-closed radial kernels of _radial.separable_kernels.  Each operation makes one
-kernel call over its whole window, every (order, energy) pair at once:
-rot_green over all (l, m) (and one spherical-harmonic call), the channel
-diagonals of many (m, energy) pairs over every live degree of every pair
-(_channel_diags, _equatorial_sums), with each order's equatorial weights
-computed once.  rot_norm_sq is the one-energy view of _norm_sqs, which takes
-the norms of many energies (an eps study) in one such call.
+closed radial kernels of _radial.separable_kernels.  Every 2D/3D fact (order,
+harmonic, source shell, window) comes from the specfun channel classes, so
+each operation is one path for both, and makes one kernel call over its
+whole window: rot_green over the window's index arrays (and one harmonic
+call at both points), the channel diagonals of many (m, energy) pairs over
+the source shell of every pair.  A diagonal is the shell sum S (_shell_sums;
+circleint reads S too) over the harmonic's squared norm.  rot_norm_sq is the
+one-energy view of _norm_sqs, which takes the norms of many energies.
 All operations here take an explicit channel window (Truncation); the
 windowed object is the thing computed, and the norm and inner-product
 reductions below are exact identities on that window.  _check_shell_tail is
@@ -23,7 +24,6 @@ the one tail model of the pointwise sums.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -32,12 +32,14 @@ import numpy as np
 import scipy.special as sp
 
 from ._radial import separable_kernels
-from .greens import Point2, Point3, TruncationError, require_off_axis_energy
+from .greens import Point2, Point3, TruncationError
 from .specfun import (
-    _equatorial_weights,
+    _NO_L_MAX,
     _require_integer,
     channel_class,
+    require_off_axis_energy,
     require_resolvent_energy,
+    require_upper_energy,
 )
 
 __all__ = [
@@ -95,7 +97,7 @@ class Truncation:
 
     def require_l_max(self) -> int:
         if self.l_max is None:
-            raise ValueError("3D operation needs l_max in the truncation")
+            raise ValueError(_NO_L_MAX)
         return self.l_max
 
 
@@ -132,52 +134,29 @@ def channel_diag(
 
 def _channel_diags(dim: int, pairs: list, src: PointSource, t: Truncation) -> list:
     """channel_diag(dim, m, zz, src, t) for each (m, zz) of pairs, in order:
-    one kernel evaluation over all pairs (3D: _equatorial_sums)."""
+    one kernel evaluation over all pairs."""
     if not pairs:
         return []
-    if src.dim != dim:
-        channel_class(dim, src)
-    if dim == 2:
-        gs = separable_kernels(2, [m for m, _ in pairs], [zz for _, zz in pairs], src.y0, src.y0)
-        return (gs / (2.0 * math.pi)).tolist()
-    return _equatorial_sums(pairs, src.y0, t.require_l_max())
+    cls = channel_class(dim, src)
+    return (_shell_sums(cls, pairs, src.y0, t.l_max) / cls.harmonic_norm_sq).tolist()
 
 
-def _live_degrees(m: int, l_max: int) -> tuple:
-    """The degrees l = |m| .. l_max of nonzero weight |Y_l^m(eq)|^2, and those
-    weights, as arrays in increasing l; the degrees of zero weight are never
-    evaluated.  An order beyond the degree cap, |m| > l_max, has no degrees
-    and raises."""
-    if l_max < abs(m):
-        raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
-    wgt = np.array(_equatorial_weights(range(abs(m), l_max + 1), m))
-    live = wgt != 0.0
-    return np.arange(abs(m), l_max + 1)[live], wgt[live]
-
-
-def _run_sums(terms: np.ndarray, counts: list) -> list:
+def _run_sums(terms: np.ndarray, counts) -> np.ndarray:
     """Sums of the consecutive runs of terms, of the given positive lengths."""
-    return np.add.reduceat(terms, np.cumsum([0] + counts[:-1])).tolist()
+    return np.add.reduceat(terms, np.cumsum(counts) - counts)
 
 
-def _live_terms(pairs: list, y0: float, l_max: int) -> tuple:
-    """The terms |Y_l^m(eq)|^2 g_l(zz; y0, y0) over the live degrees l of
-    each (m, zz) of pairs, in pair order and increasing l, with their
-    degrees and the number of terms of each pair: one kernel call, with the
-    weights of each order m computed once."""
-    live = {m: _live_degrees(m, l_max) for m in dict.fromkeys(m for m, _ in pairs)}
-    counts = [len(live[m][0]) for m, _ in pairs]
-    ls = np.concatenate([live[m][0] for m, _ in pairs])
-    wgt = np.concatenate([live[m][1] for m, _ in pairs])
-    g = separable_kernels(3, ls, np.repeat([zz for _, zz in pairs], counts), y0, y0)
-    return ls, wgt * g, counts
+def _shell_terms(cls: type, pairs: list, y0: float, l_max: int | None) -> tuple:
+    """Orders, terms (source weight) g(zz; y0, y0) and term counts of the
+    source shell of each (m, zz) of pairs: one kernel call."""
+    orders, wgt, counts = cls.source_shells([m for m, _ in pairs], l_max)
+    g = separable_kernels(cls.dim, orders, np.repeat([zz for _, zz in pairs], counts), y0, y0)
+    return orders, wgt * g, counts
 
 
-def _equatorial_sums(pairs: list, y0: float, l_max: int) -> list:
-    """sum over the live degrees l of |Y_l^m(eq)|^2 g_l(zz; y0, y0), for each
-    (m, zz) of pairs."""
-    _, terms, counts = _live_terms(pairs, y0, l_max)
-    return _run_sums(terms, counts)
+def _shell_sums(cls: type, pairs: list, y0: float, l_max: int | None) -> np.ndarray:
+    """The shell sum S of each (m, zz) of pairs: its terms added."""
+    return _run_sums(*_shell_terms(cls, pairs, y0, l_max)[1:])
 
 
 def _check_shell_tail(shells: dict[int, complex], total: complex, tail_tol: float) -> None:
@@ -237,48 +216,42 @@ def rot_green(
     |m| <= t.m_max with the geometric tail of the outer shells checked
     against t.tail_tol.
     """
-    channel_class(dim, x, xp)
+    cls = channel_class(dim, x, xp)
     z = require_resolvent_energy(z)
+    # Every channel of the window, shift outer: one kernel call at the shift
+    # energies and one harmonic call at both points.
+    orders, shifts = cls.window_indices(t)
     ms = range(-t.m_max, t.m_max + 1)
-    if dim == 2:
-        dtheta = x.theta - xp.theta
-        gs = separable_kernels(2, list(ms), [z + m * rot.omega for m in ms], x.r, xp.r)
-        shells = {m: cmath.exp(1j * m * dtheta) * g / (2.0 * math.pi)
-                  for m, g in zip(ms, gs.tolist())}
-    else:
-        l_max = t.require_l_max()
-        # Every (l, m) of the window, m outer: one kernel call at the shell
-        # energies and one harmonic call at both points.
-        counts = [l_max + 1 - abs(m) for m in ms]
-        lm = np.array([(l, m) for m in ms for l in range(abs(m), l_max + 1)])
-        zs = np.repeat([z + m * rot.omega for m in ms], counts)
-        g = separable_kernels(3, lm[:, 0], zs, x.r, xp.r)
-        ys = sp.sph_harm_y(lm[:, 0], lm[:, 1], [[x.theta], [xp.theta]], [[x.phi], [xp.phi]])
-        # shell m: sum over l = |m| .. l_max of g_l Y_l^m(x) conj(Y_l^m(x'))
-        shells = dict(zip(ms, _run_sums(g * ys[0] * np.conj(ys[1]), counts)))
+    counts = np.bincount(shifts + t.m_max)
+    zs = np.repeat([z + m * rot.omega for m in ms], counts)
+    g = separable_kernels(dim, orders, zs, x.r, xp.r)
+    ys = cls.harmonics(orders, shifts, *[[[a], [b]] for a, b in zip(x.angles, xp.angles)])
+    # shell m: the sum over its channels of g Y(x) conj(Y(x')), over the norm
+    sums = _run_sums(g * ys[0] * np.conj(ys[1]), counts) / cls.harmonic_norm_sq
+    shells = dict(zip(ms, sums.tolist()))
     total = sum(shells.values())
     _check_shell_tail(shells, total, t.tail_tol)
     return complex(total)
 
 
-def _power_law_tail(prof: np.ndarray, n_fit: int = 17) -> float:
-    """Complete a degree profile beyond its cap by a power-law fit.
+def _degree_norm(degrees: np.ndarray, v: np.ndarray, l_max: int, n_fit: int = 17) -> float:
+    """The sum of the terms v of the given degrees, completed beyond l_max.
 
-    Fits the last n_fit entries against l^-2, l^-3, l^-4 and sums the fitted
-    model over the remaining degrees with Hurwitz zeta values.  Falls back to
-    zero when the window is too short for a meaningful fit.
+    The degree profile (v added per degree, in order) is fitted over its
+    last n_fit degrees against l^-2, l^-3, l^-4, and the fitted model is
+    summed over the remaining degrees with Hurwitz zeta values.  A window
+    too short for a meaningful fit gets no tail.
     """
-    l_max = len(prof) - 1
-    if l_max < n_fit + 6:
-        return 0.0
-    ls = np.arange(l_max - n_fit + 1, l_max + 1, dtype=float)
-    ys = prof[l_max - n_fit + 1 :]
-    basis = np.stack([ls**-2, ls**-3, ls**-4], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-    tail = sum(
-        c * float(sp.zeta(p, l_max + 1)) for c, p in zip(coef, (2.0, 3.0, 4.0))
-    )
-    return float(tail)
+    prof = np.zeros(l_max + 1)
+    np.add.at(prof, degrees, v)
+    tail = 0.0
+    if l_max >= n_fit + 6:
+        ls = np.arange(l_max - n_fit + 1, l_max + 1, dtype=float)
+        basis = np.stack([ls**-2, ls**-3, ls**-4], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, prof[l_max - n_fit + 1 :], rcond=None)
+        tail = float(sum(c * float(sp.zeta(p, l_max + 1)) for c, p in zip(coef, (2.0, 3.0, 4.0))))
+    logger.debug("rot_norm_sq degree tail %.3g of %.3g", tail, prof.sum())
+    return float(prof.sum() + tail)
 
 
 def rot_norm_sq(
@@ -301,34 +274,23 @@ def rot_norm_sq(
 def _norm_sqs(dim: int, zs: list, rot: RotationSpec, src: PointSource, t: Truncation) -> list:
     """rot_norm_sq(dim, z, rot, src, t) for each z of zs.
 
-    One kernel call over the shifted channel pairs of every energy, with
-    each order's live degrees and weights computed once (_live_terms); each
-    energy reduces its own terms in the one-energy order.  In 3D that is the
-    degree profile S_l, the Im parts of each degree's terms added in
-    increasing m, completed by _power_law_tail.
+    One kernel call over the shifted channel pairs of every energy; each
+    energy sums its own terms Im d / Im z in the one-energy order: the
+    window's in 2D, and where the window cuts a degree series (3D), per
+    degree in increasing m, completed by _degree_norm.
     """
-    channel_class(dim, src)
+    cls = channel_class(dim, src)
     zs = [require_off_axis_energy(z) for z in zs]
     ms = range(-t.m_max, t.m_max + 1)
     pairs = [(m, z + m * rot.omega) for z in zs for m in ms]
+    orders, terms, counts = _shell_terms(cls, pairs, src.y0, t.l_max)
+    d = terms / cls.harmonic_norm_sq
+    n = sum(counts[: len(ms)])  # terms per energy: each has the same shells
     out = []
-    if dim == 2:
-        d = _channel_diags(2, pairs, src, t)
-        for k, z in enumerate(zs):
-            total = 0.0
-            for dk in d[k * len(ms) : (k + 1) * len(ms)]:
-                total += dk.imag / z.imag
-            out.append(total)
-        return out
-    l_max = t.require_l_max()
-    ls, terms, counts = _live_terms(pairs, src.y0, l_max)
-    n = sum(counts[: len(ms)])  # terms per energy: each has the same live degrees
     for k, z in enumerate(zs):
-        prof = np.zeros(l_max + 1)
-        np.add.at(prof, ls[k * n : (k + 1) * n], terms[k * n : (k + 1) * n].imag / z.imag)
-        tail = _power_law_tail(prof)
-        logger.debug("rot_norm_sq degree tail %.3g of %.3g", tail, prof.sum())
-        out.append(float(prof.sum() + tail))
+        ls, v = orders[k * n : (k + 1) * n], d[k * n : (k + 1) * n].imag / z.imag
+        # np.cumsum adds the terms one after the other, as a loop would.
+        out.append(_degree_norm(ls, v, t.l_max) if cls.capped_degrees else float(np.cumsum(v)[-1]))
     return out
 
 
@@ -378,9 +340,7 @@ def remainder_norm(
     _require_integer("central channel m0", m0)
     if abs(m0) > t.m_max:
         raise ValueError(f"central channel m0={m0} lies outside the window |m| <= {t.m_max}")
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError("remainder norm needs Im z > 0")
+    z = require_upper_energy(z, "remainder norm")
     ms = [m for m in range(-t.m_max, t.m_max + 1) if m != m0]
     acc = 0.0
     for d in _channel_diags(dim, [(m, z + (m - m0) * rot.omega) for m in ms], src, t):

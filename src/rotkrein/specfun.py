@@ -12,9 +12,10 @@ library code calls them (the channel kernels evaluate their Bessel factors
 over arrays in _radial.separable_kernels), so their |Im x| backstop guards
 this API only.  They stay public, and the benchmark tracer wraps them by
 name.  Equatorial weights are evaluated per shell over an array of degrees
-(_equatorial_weights); equatorial_weight is its one-degree view.
-require_resolvent_energy is the one check of a resolvent's spectral
-parameter, and every module imports it from here.
+(_equatorial_weights); equatorial_weight is its one-degree view.  The
+channel classes state every fact of a channel that differs by dimension.
+The require_*_energy checks of a spectral parameter live here, and every
+module imports them from here.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "sph_harm",
     "equatorial_weight",
 ]
+
+_NO_L_MAX = "3D operation needs l_max in the truncation"
 
 # Beyond this the Bessel factors overflow double precision; callers are expected
 # to stay within |Im x| <= 50 or so, this is a hard backstop.
@@ -70,7 +73,8 @@ class ChannelIndex2:
     kernel has order |n|, and the harmonic exp(i n theta) has squared norm
     harmonic_norm_sq = 2 pi on the circle, so the orthonormal angular factor
     is exp(i n theta) / sqrt(2 pi).  The interaction site sits at polar angle
-    source_angles = (pi/2,), where |harmonic|^2 = source_weight() = 1.
+    source_angles = (pi/2,), where |harmonic|^2 = source_weight() = 1.  A
+    circle coupling enters as 1/gamma (circle_power: Gamma_n = 1/gamma - g_n).
     """
 
     n: int
@@ -78,6 +82,8 @@ class ChannelIndex2:
     dim = 2
     harmonic_norm_sq = 2.0 * math.pi
     source_angles = (math.pi / 2.0,)
+    circle_power = -1
+    capped_degrees = False
 
     def __post_init__(self) -> None:
         _require_integers(self)
@@ -103,10 +109,28 @@ class ChannelIndex2:
     def source_weight(self) -> float:
         return 1.0
 
+    @staticmethod
+    def source_shells(shifts, l_max=None) -> tuple:
+        """Orders, source weights and sizes of the source shells of the
+        shifts n, concatenated: each is the one order |n|, of weight 1."""
+        ns = np.asarray(shifts)
+        return np.abs(ns), np.ones(ns.shape), np.ones(ns.shape, dtype=int)
+
+    @staticmethod
+    def harmonics(orders, shifts, theta) -> np.ndarray:
+        """exp(i n theta) of each shift n, broadcast against theta."""
+        return np.exp(1j * np.asarray(shifts) * theta)
+
     @classmethod
     def window(cls, t) -> list:
         """Channels |n| <= t.m_max, in increasing n."""
-        return [cls(n) for n in range(-t.m_max, t.m_max + 1)]
+        return [cls(n) for n in cls.window_indices(t)[1].tolist()]
+
+    @staticmethod
+    def window_indices(t) -> tuple:
+        """Orders and shifts of window(t), as arrays in its order."""
+        ns = np.arange(-t.m_max, t.m_max + 1)
+        return np.abs(ns), ns
 
     @classmethod
     def cutoff(cls, cap: int, t) -> list:
@@ -124,6 +148,8 @@ class ChannelIndex3:
     sphere (harmonic_norm_sq = 1), so it is its own angular factor.  The
     interaction site sits on the equator, source_angles = (theta, phi) =
     (pi/2, 0), where |Y_l^m|^2 = source_weight() = equatorial_weight(l, m).
+    A circle coupling enters as gamma (circle_power: Gamma_m = gamma - 2 pi
+    S_m), and the window cuts each degree series at l_max (capped_degrees).
     """
 
     l: int
@@ -132,6 +158,8 @@ class ChannelIndex3:
     dim = 3
     harmonic_norm_sq = 1.0
     source_angles = (math.pi / 2.0, 0.0)
+    circle_power = 1
+    capped_degrees = True
 
     def __post_init__(self) -> None:
         _require_integers(self)
@@ -160,12 +188,42 @@ class ChannelIndex3:
     def source_weight(self) -> float:
         return equatorial_weight(self.l, self.m)
 
+    @staticmethod
+    def source_shells(shifts, l_max) -> tuple:
+        """Orders, source weights and sizes of the source shells of the
+        shifts m, concatenated: each is the degrees l = |m| .. l_max of
+        nonzero weight |Y_l^m(eq)|^2, in increasing l, with the weights of
+        each distinct shift computed once.  Needs l_max >= |m|."""
+        if l_max is None:
+            raise ValueError(_NO_L_MAX)
+        shells = {}
+        for m in dict.fromkeys(shifts):
+            if l_max < abs(m):
+                raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
+            wgt = np.array(_equatorial_weights(range(abs(m), l_max + 1), m))
+            live = wgt != 0.0
+            shells[m] = np.arange(abs(m), l_max + 1)[live], wgt[live]
+        return (np.concatenate([shells[m][0] for m in shifts]),
+                np.concatenate([shells[m][1] for m in shifts]),
+                np.array([len(shells[m][0]) for m in shifts]))
+
+    @staticmethod
+    def harmonics(orders, shifts, theta, phi) -> np.ndarray:
+        """Y_l^m(theta, phi) of each order l and shift m, broadcast."""
+        return sp.sph_harm_y(orders, shifts, theta, phi)
+
     @classmethod
     def window(cls, t) -> list:
         """Channels |m| <= t.m_max, l = |m| .. t.l_max; m outer, l inner."""
+        return [cls(l, m) for l, m in zip(*(a.tolist() for a in cls.window_indices(t)))]
+
+    @staticmethod
+    def window_indices(t) -> tuple:
+        """Orders and shifts of window(t), as arrays in its order."""
         l_max = t.require_l_max()
-        return [cls(l, m) for m in range(-t.m_max, t.m_max + 1)
-                for l in range(abs(m), l_max + 1)]
+        ms = np.arange(-t.m_max, t.m_max + 1)
+        ls = np.concatenate([np.arange(abs(m), l_max + 1) for m in ms.tolist()])
+        return ls, np.repeat(ms, l_max + 1 - np.abs(ms))
 
     @classmethod
     def cutoff(cls, cap: int, t) -> list:
@@ -203,13 +261,37 @@ def sqrt_upper(z: complex) -> complex:
     return w
 
 
+def _finite_energy(z: complex) -> complex:
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"nonfinite spectral parameter {z!r}")
+    return z
+
+
 def require_resolvent_energy(z: complex) -> complex:
     """Reject spectral parameters on the essential spectrum [0, inf)."""
+    # _finite_energy inline: every kernel call checks each of its energies.
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"nonfinite spectral parameter {z!r}")
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError(f"spectral parameter {z!r} lies on the essential spectrum")
+    return z
+
+
+def require_off_axis_energy(z: complex) -> complex:
+    """Reject spectral parameters on the real axis entirely."""
+    z = _finite_energy(z)
+    if z.imag == 0.0:
+        raise ValueError(f"spectral parameter {z!r} must have nonzero imaginary part")
+    return z
+
+
+def require_upper_energy(z: complex, use: str) -> complex:
+    """Reject spectral parameters off the open upper half plane, for use."""
+    z = _finite_energy(z)
+    if not z.imag > 0.0:
+        raise ValueError(f"{use} needs Im z > 0, got z={z!r}")
     return z
 
 

@@ -43,13 +43,13 @@ from rotkrein import (
     sqrt_upper,
 )
 from rotkrein._radial import separable_kernels
-from rotkrein.greens import require_off_axis_energy
 from rotkrein.rotframe import channel_diag
 from rotkrein.specfun import (
     _equatorial_weights,
     bessel_j,
     equatorial_weight,
     hankel1,
+    require_off_axis_energy,
     require_resolvent_energy,
     sph_bessel_j,
     sph_hankel1,
@@ -351,6 +351,17 @@ def test_bessel_j_routes_match_mpmath(x):
                 want = complex(want)
                 # Below the normal range only the subnormal grid is left.
                 assert abs(got - want) <= 1e-12 * abs(want) + 1e-300, (n, got, want)
+
+
+@pytest.mark.parametrize("kernel", [radial_kernel_2d, radial_kernel_3d])
+@pytest.mark.parametrize("radius", [np.array([1.0, 2.0]), np.array(1.0), 1.0 + 0.5j, "1.0", None])
+def test_radial_kernel_takes_one_real_radius(kernel, radius):
+    with pytest.raises(ValueError, match="radius must be a real number"):
+        kernel(1, 1j, radius, 1.0)
+    with pytest.raises(ValueError, match="radius must be a real number"):
+        kernel(1, 1j, 1.0, radius)
+    # numpy scalars and integers are real numbers
+    assert kernel(1, 1j, np.float64(1.0), 2) == kernel(1, 1j, 1.0, 2.0)
 
 
 def test_closed_forms_keep_the_scalar_checks():

@@ -1,6 +1,7 @@
 """Every name a rotkrein module imports is used in that module, no private
-helper outlives its callers, every name an __all__ exports exists, and
-every function the benchmark tracer wraps exists.
+helper outlives its callers, every name an __all__ exports exists, every
+function the benchmark tracer wraps exists, and only the listed functions
+branch on the dimension.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -118,3 +119,78 @@ def test_benchmark_tracer_names_exist():
                if not callable(getattr(importlib.import_module(f"rotkrein.{mod}"), name, None))]
     assert len(layers) > 10
     assert missing == []
+
+
+CHANNEL_CLASSES = {"ChannelIndex2", "ChannelIndex3"}
+
+
+def _is_dim(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "dim") or (
+        isinstance(node, ast.Attribute) and node.attr == "dim")
+
+
+def _branches_on_dimension(node) -> bool:
+    """A comparison of a dim with 2 or 3, or isinstance on a channel class."""
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        consts = [c.value for s in sides for c in ast.walk(s) if isinstance(c, ast.Constant)]
+        return any(map(_is_dim, sides)) and any(v in (2, 3) for v in consts)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        return any(isinstance(n, ast.Name) and n.id in CHANNEL_CLASSES
+                   for n in ast.walk(node.args[1]))
+    return False
+
+
+def _dimension_sites(sources: dict) -> list:
+    """Qualified names of the functions of the sources ({module: text}) that
+    branch on the dimension themselves (nested functions count apart)."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if _branches_on_dimension(child):
+                sites.add(".".join(scope))
+            visit(child, scope)
+
+    for mod, text in sources.items():
+        visit(ast.parse(text), [mod])
+    return sorted(sites)
+
+
+def test_finds_dimension_branches():
+    sources = {"a": (
+        "def f(dim):\n    return 1 if dim == 2 else 0\n\n"
+        "class C:\n    def g(self):\n        if self.dim != 3:\n            pass\n\n"
+        "def h(ch, mesh):\n    def inner():\n        return mesh.dim in (2, 3)\n"
+        "    return isinstance(ch, (int, ChannelIndex3))\n\n"
+        "def k(dim, ch):\n    return dim - 2, isinstance(ch, int), dim == 4\n")}
+    assert _dimension_sites(sources) == ["a.C.g", "a.f", "a.h", "a.h.inner"]
+
+
+# Where a dimension branch may stay outside the channel classes (specfun)
+# and the separable kernels (_radial): the blade meshes, free kernels and
+# cells, the CLI parsing, the study defaults and the 3D grid check.
+DIMENSION_SITES = [
+    "blade.BladeMesh.angles",
+    "blade._assemble",
+    "blade._radial_nodes",
+    "blade.build_mesh",
+    "blade.gamma_matrix",
+    "cli._config_channels",
+    "cli._parse_point",
+    "cli._truncation_args",
+    "cli.cmd_gamma",
+    "cli.run_study_config",
+    "limits.blade_convergence_study",
+    "pointint.RadialChannelFunction.__post_init__",
+]
+
+
+def test_dimension_branches_stay_where_they_are_allowed():
+    """A ratchet: every other 2D/3D difference is a fact of the channel
+    classes.  A new site fails here; a removed one is struck off the list."""
+    sources = {p.stem: p.read_text() for p in MODULES if p.stem not in ("specfun", "_radial")}
+    assert _dimension_sites(sources) == DIMENSION_SITES

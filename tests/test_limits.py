@@ -9,7 +9,7 @@ import pytest
 from helpers import make_psi
 from rotkrein import _radial, specfun
 from rotkrein._radial import separable_kernels
-from rotkrein.circleint import CircleParam, _gamma_for_channel, gamma_from_alpha
+from rotkrein.circleint import CircleParam, _gamma, gamma_from_alpha
 from rotkrein.blade import BladeParam
 from rotkrein.limits import (
     StudyTable,
@@ -196,7 +196,7 @@ def _point_row_by_loop(dim, alpha, y0, z, om, psi):
     wr = psi.quad_weights() * psi.grid ** (dim - 1)
     i_chi = complex(np.sum(wr * separable_kernels(dim, ch.order, z, y0, psi.grid) * psi.values))
     cp = CircleParam(gamma_from_alpha(dim, alpha, y0, l_max=ch.order), y0, dim)
-    beta = 2.0 * math.pi / _gamma_for_channel(ch, cp, z, t)
+    beta = 2.0 * math.pi / _gamma(cls, m0, cp, z, t.l_max)
     src = PointSource(y0, dim)
     lam = lambda_at(dim, z - m0 * om, KreinParam(alpha), RotationSpec(om), src, t)
     norm = cls.harmonic_norm_sq

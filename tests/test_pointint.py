@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gauss_radial
 
@@ -54,6 +56,37 @@ def test_lambda_path_independence():
         direct = lambda_at(dim, z, kp, rot, src, T)
         hopped = lambda_at(dim, z, kp, rot, src, T, via=zmid)
         assert abs(direct - hopped) / abs(direct) < 1e-8
+
+
+def _energies():
+    """Spectral parameters off the real axis, in either half plane."""
+    return st.builds(complex, st.floats(-5.0, 5.0),
+                     st.floats(0.05, 3.0) | st.floats(-3.0, -0.05))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    z=_energies(),
+    w=_energies(),
+    omega=st.floats(0.0, 20.0),
+    alpha=st.floats(0.05, 2.0 * math.pi - 0.05).filter(lambda a: abs(a - math.pi) > 1e-3),
+    y0=st.floats(0.3, 2.0),
+    m_max=st.integers(0, 10),
+    extra_l=st.integers(0, 8),
+)
+def test_lambda_via_any_parameter_is_the_direct_coupling(dim, z, w, omega, alpha, y0,
+                                                         m_max, extra_l):
+    """Path independence of the Krein continuation: continuing through any
+    intermediate parameter w gives the coupling of the direct route, up to
+    the roundoff of the channel sums."""
+    t = Truncation(m_max=m_max, l_max=m_max + extra_l)
+    kp, rot, src = KreinParam(alpha), RotationSpec(omega), PointSource(y0, dim)
+    direct = lambda_at(dim, z, kp, rot, src, t)
+    hopped = lambda_at(dim, z, kp, rot, src, t, via=w)
+    inv_ref = 1.0 / lambda_ref(dim, kp, rot, src, t)
+    scale = max(abs(1.0 / direct), abs(1.0 / hopped), abs(inv_ref))
+    assert abs(1.0 / direct - 1.0 / hopped) <= 1e-12 * scale
 
 
 def test_krein_param_validation():

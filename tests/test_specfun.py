@@ -3,11 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from rotkrein import ChannelIndex2, ChannelIndex3, equatorial_weight, sph_harm
+from helpers import make_psi
+
+from rotkrein import (
+    ChannelIndex2,
+    ChannelIndex3,
+    CircleParam,
+    KreinParam,
+    PointSource,
+    RotationSpec,
+    Truncation,
+    apply_circle_resolvent,
+    apply_krein_resolvent,
+    equatorial_weight,
+    point_convergence_study,
+    remainder_norm,
+    sph_harm,
+)
 from rotkrein.specfun import (
     SingularArgumentError,
     bessel_j,
     hankel1,
+    require_upper_energy,
     sph_bessel_j,
     sph_hankel1,
     sqrt_upper,
@@ -108,3 +125,43 @@ def test_channel_index_validation():
         ChannelIndex3(1, 2)
     with pytest.raises(ValueError):
         ChannelIndex3(-1, 0)
+
+
+def test_upper_energy_check():
+    assert require_upper_energy(-2.0 + 1e-300j, "use") == -2.0 + 1e-300j
+    for z in (0.4, 0.4 - 1j, -2.0, complex(0.4, -0.0)):
+        with pytest.raises(ValueError, match=rf"use needs Im z > 0, got z=\({z.real}"):
+            require_upper_energy(z, "use")
+
+
+def _upper_energy_entry_points(dim):
+    """The entry points that need Im z > 0, each as a function of z."""
+    psi = make_psi(dim, 1 if dim == 2 else (1, 1))
+    t = Truncation(m_max=2, l_max=3)
+    src = PointSource(0.7, dim)
+    rot = RotationSpec(3.0)
+    return {
+        "apply_circle_resolvent": lambda z: apply_circle_resolvent(
+            dim, psi, CircleParam(1.2, 0.7, dim), z, t),
+        "apply_krein_resolvent": lambda z: apply_krein_resolvent(
+            dim, psi, z, KreinParam(1.0), rot, src, t),
+        "remainder_norm": lambda z: remainder_norm(dim, 1, z, rot, src, t),
+        "point_convergence_study": lambda z: point_convergence_study(
+            dim, 1.0, 0.7, z, [10.0, 20.0], [psi]),
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("entry", ["apply_circle_resolvent", "apply_krein_resolvent",
+                                   "remainder_norm", "point_convergence_study"])
+def test_upper_energy_entry_points_reject_nonfinite_energies(dim, entry):
+    """Each entry point names the nonfinite energy it was given, before any
+    arithmetic on it, and names the operation when Im z <= 0."""
+    call = _upper_energy_entry_points(dim)[entry]
+    for z in (complex(math.inf, 1.0), complex(0.4, math.inf), complex(math.nan, 1.0),
+              complex(0.4, math.nan), complex(-math.inf, -math.inf)):
+        with pytest.raises(ValueError, match=rf"^nonfinite spectral parameter \({z.real}"):
+            call(z)
+    with pytest.raises(ValueError, match=r"needs Im z > 0, got z=\(0\.4-1j\)"):
+        call(0.4 - 1j)
+    call(0.4 + 1j)
