@@ -6,8 +6,6 @@ Includes the boundary-operator machinery for blades and the fast-rotation
 convergence studies.
 """
 
-import types
-
 from .blade import (
     BladeMesh,
     BladeParam,
@@ -81,6 +79,61 @@ from .specfun import (
 
 __version__ = "0.1.0"
 
-# The public API: every name imported above (the submodules are not part of it).
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+__all__ = [
+    "BladeMesh",
+    "BladeParam",
+    "BoundaryDensity",
+    "ChannelIndex2",
+    "ChannelIndex3",
+    "CircleParam",
+    "ConditioningError",
+    "FormProbeResult",
+    "GammaMatrix",
+    "KreinParam",
+    "MeshCellError",
+    "Point2",
+    "Point3",
+    "PointSource",
+    "RadialChannelFunction",
+    "ResonanceError",
+    "RotationSpec",
+    "SingularArgumentError",
+    "StudyTable",
+    "Truncation",
+    "TruncationError",
+    "apply_blade_resolvent",
+    "apply_circle_resolvent",
+    "apply_krein_resolvent",
+    "averaged_resolvent",
+    "bessel_j",
+    "blade_convergence_study",
+    "build_mesh",
+    "channel_diag",
+    "eps_scaling_study",
+    "equatorial_weight",
+    "form_probe",
+    "gamma_coeff_2d",
+    "gamma_coeff_3d",
+    "gamma_from_alpha",
+    "gamma_matrix",
+    "gamma_matrix_cutoff",
+    "hankel1",
+    "krein_kernel",
+    "lambda_at",
+    "lambda_matrix",
+    "lambda_ref",
+    "layer_fields",
+    "point_convergence_study",
+    "radial_kernel_2d",
+    "radial_kernel_3d",
+    "remainder_norm",
+    "rot_green",
+    "rot_inner",
+    "rot_norm_sq",
+    "solve_density",
+    "sph_bessel_j",
+    "sph_hankel1",
+    "sph_harm",
+    "sqrt_upper",
+    "weighted_norm",
+]

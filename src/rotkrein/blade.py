@@ -133,7 +133,9 @@ class BladeMesh:
 
     2D: composite Gauss on [0, A], n_per nodes per panel, weights r dr.
     3D: tensor Gauss in (r, u = cos theta), weights r^2 dr du, flattened
-    r-major.  Weight sums are exact: A^2/2 and 2 A^3/3.
+    r-major.  Weight sums are exact: A^2/2 and 2 A^3/3.  angles holds the
+    angular samples as the channel harmonics take them: the 2D segment's
+    theta = 0, or the 3D polar nodes arccos(u_1d) at phi = 0.
     """
 
     dim: int
@@ -145,6 +147,7 @@ class BladeMesh:
     u_1d: np.ndarray | None = None
     cells: np.ndarray | None = None
     n_per: int | None = None
+    angles: tuple | None = None
 
     def __post_init__(self) -> None:
         # r^(dim-1) dr over [0, A] times the angular measure: 1 for the 2D
@@ -159,12 +162,6 @@ class BladeMesh:
     @property
     def n_nodes(self) -> int:
         return len(self.r)
-
-    @property
-    def angles(self) -> tuple:
-        """The angular samples as the channel harmonics take them: the 2D
-        segment's theta = 0, or the 3D polar nodes theta_u at phi = 0."""
-        return (0.0,) if self.dim == 2 else (np.arccos(self.u_1d), 0.0)
 
     def theta(self) -> np.ndarray:
         if self.u is None:
@@ -234,13 +231,15 @@ def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
         # The segment at theta = 0: one angular sample.
         edges, r, w = _panel_nodes(A, resolution)
         cells = np.stack([edges[:-1], edges[1:]], axis=1)
-        return BladeMesh(dim=2, A=A, r=r, w=w * r, r_1d=r, cells=cells, n_per=8)
+        return BladeMesh(dim=2, A=A, r=r, w=w * r, r_1d=r, cells=cells, n_per=8,
+                         angles=(0.0,))
     r1, wr = _radial_nodes(3, A, resolution)
     xu, wu = np.polynomial.legendre.leggauss(resolution)
     R, U = np.meshgrid(r1, xu, indexing="ij")
     W = np.outer(wr * r1**2, wu)
     return BladeMesh(
         dim=3, A=A, r=R.ravel(), w=W.ravel(), u=U.ravel(), r_1d=r1, u_1d=xu,
+        angles=(np.arccos(xu), 0.0),
     )
 
 

@@ -4,7 +4,7 @@ A delta shell of coupling gamma on the circle (2D) or sphere latitude circle
 (3D) of radius y0 resolves channel by channel, with one coefficient formula
 for both dimensions,
 
-    Gamma_m(z)  =  gamma ** circle_power - (2 pi / harmonic_norm_sq) S_m(z),
+    Gamma_m(z)  =  circle_term(gamma) - (2 pi / harmonic_norm_sq) S_m(z),
 
 S_m the shell sum of shift m (rotframe): 3D gamma - 2 pi sum_l |Y_l^m(eq)|^2
 g_l(z; y0, y0), 2D 1/gamma - g_n(z; y0, y0).  Gamma enters the resolvent as
@@ -71,18 +71,9 @@ def gamma_coeff_2d(n: int, cp: CircleParam, z: complex) -> complex:
     return _gamma(cls, n, cp, z)
 
 
-def _circle_term(cls: type, gamma: float) -> float:
-    """Gamma's constant term gamma ** cls.circle_power; the map is its own inverse."""
-    if cls.circle_power > 0:
-        return gamma
-    if gamma == 0.0:
-        raise ValueError(f"gamma = 0 has no {cls.dim}D channel coefficient")
-    return 1.0 / gamma
-
-
 def _gamma(cls: type, m: int, cp: CircleParam, z: complex, l_max: int | None = None) -> complex:
     """Gamma of shift m: the constant term less (2 pi / harmonic_norm_sq) S."""
-    term = _circle_term(cls, cp.gamma)
+    term = cls.circle_term(cp.gamma)
     z = require_resolvent_energy(z)
     s = complex(_shell_sums(cls, [(m, z)], cp.radius, l_max)[0])
     return term - 2.0 * math.pi / cls.harmonic_norm_sq * s
@@ -109,7 +100,7 @@ def apply_circle_resolvent(
     free_vals, i_chi = vals[:-1], complex(vals[-1])
     ch = psi.channel
     gamma_ch = _gamma(cls, ch.shift, cp, z, t.l_max)
-    scale = max(abs(_circle_term(cls, cp.gamma)), 1.0)
+    scale = max(abs(cls.circle_term(cp.gamma)), 1.0)
     if abs(gamma_ch) < 1e-12 * scale:
         raise ResonanceError(
             f"channel coefficient Gamma = {gamma_ch:.3g} vanishes at z={z}"
@@ -132,9 +123,10 @@ def gamma_from_alpha(
     (2 pi / harmonic_norm_sq) (tan(alpha/2) Im S + Re S) of Gamma, with S
     the shell sum of shift 0 at the reference parameter i on the circle
     radius (2D: g_0, 3D: summed with equatorial weights), and map it to the
-    coupling by the dimension's own convention.  alpha = pi has no finite
-    matching coupling and is rejected.  The returned value slots into
-    CircleParam.gamma at the same truncation.
+    coupling by the class's circle_term, which is its own inverse.  alpha =
+    pi has no finite matching coupling and is rejected, and so is a coupling
+    of size 1e300 or more (2D: a vanishing constant term).  The returned
+    value slots into CircleParam.gamma at the same truncation.
     """
     cls = channel_class(dim)
     if not (0.0 <= alpha < 2.0 * math.pi):
@@ -147,6 +139,10 @@ def gamma_from_alpha(
     th = math.tan(0.5 * alpha)
     s = complex(_shell_sums(cls, [(0, 1j)], y0, l_max)[0])
     val = 2.0 * math.pi / cls.harmonic_norm_sq * (th * s.imag + s.real)
-    if cls.circle_power < 0 and abs(val) < 1e-300:
+    try:
+        gamma = cls.circle_term(val)
+    except ValueError:  # no coupling has this term
+        gamma = math.inf
+    if not abs(gamma) < 1e300:
         raise ResonanceError("matching integral vanishes; coupling diverges")
-    return _circle_term(cls, val)
+    return gamma

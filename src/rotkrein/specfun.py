@@ -65,8 +65,22 @@ def _require_integers(ch) -> None:
         _require_integer(f"channel index {name}", v)
 
 
+class _Channel:
+    """The one-channel views of the array facts of a channel class."""
+
+    def harmonic(self, *angles) -> complex:
+        return complex(self.harmonics(self.order, self.shift, *angles))
+
+    def angular(self, *angles) -> complex:
+        """The orthonormal angular factor, harmonic / sqrt(harmonic_norm_sq)."""
+        return self.harmonic(*angles) / math.sqrt(self.harmonic_norm_sq)
+
+    def source_weight(self) -> float:
+        return float(self.source_weights([self.order], self.shift)[0])
+
+
 @dataclass(frozen=True)
-class ChannelIndex2:
+class ChannelIndex2(_Channel):
     """Angular channel n on the circle, and what a channel means in 2D.
 
     Rotation couples to shift = n (channel n sits at z + n w), the radial
@@ -74,7 +88,7 @@ class ChannelIndex2:
     harmonic_norm_sq = 2 pi on the circle, so the orthonormal angular factor
     is exp(i n theta) / sqrt(2 pi).  The interaction site sits at polar angle
     source_angles = (pi/2,), where |harmonic|^2 = source_weight() = 1.  A
-    circle coupling enters as 1/gamma (circle_power: Gamma_n = 1/gamma - g_n).
+    circle coupling enters as 1/gamma (circle_term: Gamma_n = 1/gamma - g_n).
     """
 
     n: int
@@ -82,7 +96,6 @@ class ChannelIndex2:
     dim = 2
     harmonic_norm_sq = 2.0 * math.pi
     source_angles = (math.pi / 2.0,)
-    circle_power = -1
     capped_degrees = False
 
     def __post_init__(self) -> None:
@@ -100,14 +113,18 @@ class ChannelIndex2:
     def label(self) -> str:
         return f"n={self.n}"
 
-    def harmonic(self, theta: float) -> complex:
-        return cmath.exp(1j * self.n * theta)
+    @staticmethod
+    def circle_term(gamma: float) -> float:
+        """Gamma's constant term 1/gamma of a circle coupling gamma; the map
+        is its own inverse, so it also takes that term to the coupling."""
+        if gamma == 0.0:
+            raise ValueError("gamma = 0 has no 2D channel coefficient")
+        return 1.0 / gamma
 
-    def angular(self, theta: float) -> complex:
-        return self.harmonic(theta) / math.sqrt(self.harmonic_norm_sq)
-
-    def source_weight(self) -> float:
-        return 1.0
+    @staticmethod
+    def source_weights(orders, shift) -> np.ndarray:
+        """|harmonic|^2 at the source of the given orders: 1."""
+        return np.ones(len(orders))
 
     @staticmethod
     def source_shells(shifts, l_max=None) -> tuple:
@@ -140,7 +157,7 @@ class ChannelIndex2:
 
 
 @dataclass(frozen=True)
-class ChannelIndex3:
+class ChannelIndex3(_Channel):
     """Angular channel (l, m) on the sphere, and what a channel means in 3D.
 
     Rotation couples to shift = m (channel (l, m) sits at z + m w), the
@@ -148,7 +165,7 @@ class ChannelIndex3:
     sphere (harmonic_norm_sq = 1), so it is its own angular factor.  The
     interaction site sits on the equator, source_angles = (theta, phi) =
     (pi/2, 0), where |Y_l^m|^2 = source_weight() = equatorial_weight(l, m).
-    A circle coupling enters as gamma (circle_power: Gamma_m = gamma - 2 pi
+    A circle coupling enters as gamma (circle_term: Gamma_m = gamma - 2 pi
     S_m), and the window cuts each degree series at l_max (capped_degrees).
     """
 
@@ -158,7 +175,6 @@ class ChannelIndex3:
     dim = 3
     harmonic_norm_sq = 1.0
     source_angles = (math.pi / 2.0, 0.0)
-    circle_power = 1
     capped_degrees = True
 
     def __post_init__(self) -> None:
@@ -180,13 +196,15 @@ class ChannelIndex3:
     def label(self) -> str:
         return f"l={self.l},m={self.m}"
 
-    def angular(self, theta: float, phi: float) -> complex:
-        return sph_harm(self.l, self.m, theta, phi)
+    @staticmethod
+    def circle_term(gamma: float) -> float:
+        """Gamma's constant term of a circle coupling gamma: gamma itself."""
+        return gamma
 
-    harmonic = angular
-
-    def source_weight(self) -> float:
-        return equatorial_weight(self.l, self.m)
+    @staticmethod
+    def source_weights(orders, shift) -> np.ndarray:
+        """|Y_l^m(eq)|^2 of the degrees l (orders) of shift m."""
+        return np.array(_equatorial_weights(orders, shift))
 
     @staticmethod
     def source_shells(shifts, l_max) -> tuple:
@@ -200,9 +218,9 @@ class ChannelIndex3:
         for m in dict.fromkeys(shifts):
             if l_max < abs(m):
                 raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
-            wgt = np.array(_equatorial_weights(range(abs(m), l_max + 1), m))
-            live = wgt != 0.0
-            shells[m] = np.arange(abs(m), l_max + 1)[live], wgt[live]
+            ls = np.arange(abs(m), l_max + 1)
+            wgt = ChannelIndex3.source_weights(ls.tolist(), m)
+            shells[m] = ls[wgt != 0.0], wgt[wgt != 0.0]
         return (np.concatenate([shells[m][0] for m in shifts]),
                 np.concatenate([shells[m][1] for m in shifts]),
                 np.array([len(shells[m][0]) for m in shifts]))
@@ -270,10 +288,7 @@ def _finite_energy(z: complex) -> complex:
 
 def require_resolvent_energy(z: complex) -> complex:
     """Reject spectral parameters on the essential spectrum [0, inf)."""
-    # _finite_energy inline: every kernel call checks each of its energies.
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"nonfinite spectral parameter {z!r}")
+    z = _finite_energy(z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError(f"spectral parameter {z!r} lies on the essential spectrum")
     return z

@@ -6,6 +6,7 @@ the circle and the sphere for the angular factors.  The last test sends a
 mismatched dimension through every public entry point that takes one.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from rotkrein import (
     layer_fields,
     remainder_norm,
     rot_green,
+    sph_harm,
 )
 from rotkrein.specfun import channel_class
 
@@ -139,6 +141,42 @@ def test_source_weight_is_harmonic_at_the_source():
         ch = ChannelIndex3(l, m)
         y = ch.angular(*ch.source_angles)
         assert ch.source_weight() == pytest.approx(abs(y) ** 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("m_max,l_max", WINDOWS)
+def test_array_facts_match_the_channels(m_max, l_max):
+    """Over a window, window_indices and harmonics give each channel's order,
+    shift and harmonic (exp(i n theta), sph_harm) bit for bit, and the
+    source shells are the channels with a nonzero harmonic at the source,
+    of weight |harmonic|^2 there."""
+    t = Truncation(m_max=m_max, l_max=l_max)
+    shifts = list(range(-m_max, m_max + 1))
+    for cls, angles, ref in (
+        (ChannelIndex2, (0.7,), lambda c: cmath.exp(1j * c.n * 0.7)),
+        (ChannelIndex3, (0.7, -1.3), lambda c: sph_harm(c.l, c.m, 0.7, -1.3)),
+    ):
+        chans = cls.window(t)
+        orders, shifts_w = cls.window_indices(t)
+        assert list(zip(orders.tolist(), shifts_w.tolist())) == [(c.order, c.shift) for c in chans]
+        assert cls.harmonics(orders, shifts_w, *angles).tolist() == [ref(c) for c in chans]
+        live = [c for c in chans if abs(c.harmonic(*c.source_angles)) > 1e-8]
+        o, w, k = cls.source_shells(shifts, l_max)
+        assert o.tolist() == [c.order for c in live]
+        assert k.tolist() == [sum(c.shift == m for c in live) for m in shifts]
+        want = [abs(c.harmonic(*c.source_angles)) ** 2 for c in live]
+        assert w == pytest.approx(want, rel=1e-12)
+        assert w.tolist() == [c.source_weight() for c in live]
+
+
+def test_circle_term_is_its_own_inverse():
+    for g in (-2.0, 0.3, 1.7):
+        assert ChannelIndex2.circle_term(g) == 1.0 / g
+        assert ChannelIndex3.circle_term(g) == g
+        for cls in (ChannelIndex2, ChannelIndex3):
+            assert cls.circle_term(cls.circle_term(g)) == pytest.approx(g, rel=1e-15)
+    assert ChannelIndex3.circle_term(0.0) == 0.0
+    with pytest.raises(ValueError, match="gamma = 0 has no 2D channel coefficient"):
+        ChannelIndex2.circle_term(0.0)
 
 
 @pytest.mark.parametrize("make", [

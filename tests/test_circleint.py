@@ -15,7 +15,7 @@ from rotkrein.circleint import (
     gamma_from_alpha,
 )
 from rotkrein.greens import radial_kernel_2d, radial_kernel_3d
-from rotkrein.pointint import KreinParam, lambda_at
+from rotkrein.pointint import KreinParam, ResonanceError, lambda_at
 from rotkrein.rotframe import PointSource, RotationSpec, Truncation, channel_diag
 from rotkrein.specfun import ChannelIndex2, ChannelIndex3, equatorial_weight
 
@@ -124,6 +124,23 @@ def test_matched_coupling_rejects_free_and_out_of_range_alpha():
         gamma_from_alpha(2, 2.0 * math.pi, 1.0)
     with pytest.raises(ValueError):
         gamma_from_alpha(4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("dim, s, want", [
+    (2, 0.5, 2.0), (2, 0.0, None), (2, 1e-305, None),
+    (3, 0.5 / math.pi, 1.0), (3, 0.0, 0.0), (3, 1e305, None),
+])
+def test_matched_coupling_diverges_with_its_circle_term(monkeypatch, dim, s, want):
+    """At alpha = 0 the matching constant is (2 pi / harmonic_norm_sq) Re S;
+    the coupling is its circle term (2D: 1/S, 3D: 2 pi S), and a coupling of
+    1e300 or more, or none at all, is a ResonanceError."""
+    from rotkrein import circleint
+    monkeypatch.setattr(circleint, "_shell_sums", lambda *args: np.array([complex(s, 0.3)]))
+    if want is None:
+        with pytest.raises(ResonanceError, match="coupling diverges"):
+            gamma_from_alpha(dim, 0.0, 1.0)
+    else:
+        assert gamma_from_alpha(dim, 0.0, 1.0) == want
 
 
 def test_matched_coupling_rejects_negative_degree_cap():

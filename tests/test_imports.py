@@ -122,6 +122,8 @@ def test_benchmark_tracer_names_exist():
 
 
 CHANNEL_CLASSES = {"ChannelIndex2", "ChannelIndex3"}
+# Class facts that pick between two code paths, not values to compute with.
+DIMENSION_FLAGS = {"capped_degrees"}
 
 
 def _is_dim(node) -> bool:
@@ -130,7 +132,10 @@ def _is_dim(node) -> bool:
 
 
 def _branches_on_dimension(node) -> bool:
-    """A comparison of a dim with 2 or 3, or isinstance on a channel class."""
+    """A comparison of a dim with 2 or 3, isinstance on a channel class, or
+    a read of a dimension flag."""
+    if isinstance(node, ast.Attribute) and node.attr in DIMENSION_FLAGS:
+        return True
     if isinstance(node, ast.Compare):
         sides = [node.left, *node.comparators]
         consts = [c.value for s in sides for c in ast.walk(s) if isinstance(c, ast.Constant)]
@@ -166,15 +171,16 @@ def test_finds_dimension_branches():
         "class C:\n    def g(self):\n        if self.dim != 3:\n            pass\n\n"
         "def h(ch, mesh):\n    def inner():\n        return mesh.dim in (2, 3)\n"
         "    return isinstance(ch, (int, ChannelIndex3))\n\n"
-        "def k(dim, ch):\n    return dim - 2, isinstance(ch, int), dim == 4\n")}
-    assert _dimension_sites(sources) == ["a.C.g", "a.f", "a.h", "a.h.inner"]
+        "def k(dim, ch):\n    return dim - 2, isinstance(ch, int), dim == 4\n\n"
+        "def p(cls):\n    return 1 if cls.capped_degrees else 0\n")}
+    assert _dimension_sites(sources) == ["a.C.g", "a.f", "a.h", "a.h.inner", "a.p"]
 
 
 # Where a dimension branch may stay outside the channel classes (specfun)
 # and the separable kernels (_radial): the blade meshes, free kernels and
-# cells, the CLI parsing, the study defaults and the 3D grid check.
+# cells, the CLI parsing, the study defaults, the 3D grid check and the
+# degree-tail completion of the kernel norms.
 DIMENSION_SITES = [
-    "blade.BladeMesh.angles",
     "blade._assemble",
     "blade._radial_nodes",
     "blade.build_mesh",
@@ -186,6 +192,7 @@ DIMENSION_SITES = [
     "cli.run_study_config",
     "limits.blade_convergence_study",
     "pointint.RadialChannelFunction.__post_init__",
+    "rotframe._norm_sqs",
 ]
 
 
