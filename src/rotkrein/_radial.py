@@ -21,12 +21,19 @@ interpolant in O(N) (Greengard & Rokhlin, CPAM 1991): one Gauss rule per
 interval between the spline knots, refined to a bounded oscillation, gives
 the interval integrals of J f and H f once, and a forward and a backward
 running sum of them give every output as H(w r) L(r) + J(w r) R(r).  The
-result is the integral of the interpolant to about 1e-12 relative.
+result is the integral of the interpolant to about 1e-12 relative.  The
+interpolant and the running sums depend only on (psi, z) and on the interval
+ranges the outputs need, so they form a plan that a memo of the last 8 plans
+keeps, keyed on the content of those inputs; a later call on the same psi
+and z, such as the next resolvent of a Krein/circle/averaged comparison,
+evaluates only the pieces cut by its own output radii.  Results are the same
+bits with or without the memo.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -38,6 +45,7 @@ from .specfun import SingularArgumentError, require_resolvent_energy, sqrt_upper
 __all__ = [
     "g2_vec",
     "g3_vec",
+    "gauss_legendre",
     "radial_apply",
     "separable_kernels",
     "spline_interpolant",
@@ -215,11 +223,83 @@ def g3_vec(l: int, z: complex, r, rp):
     return separable_kernels(3, l, z, r, rp)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], the
+    arrays of leggauss(n) computed once per size (16 sizes kept).  Every
+    caller shares them, so both are read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 # Gauss-Legendre rule of radial_apply on each interval between breakpoints.
 _APPLY_NODES = 8
-_APPLY_X, _APPLY_W = np.polynomial.legendre.leggauss(_APPLY_NODES)
+_APPLY_X, _APPLY_W = gauss_legendre(_APPLY_NODES)
 _GRADING = 1.25
 _GRADING_FLOOR = 1e-8
+# radial_apply plans kept, least recently used dropped first.
+_PLANS = 8
+
+
+def _apply_root(z: complex) -> complex:
+    """w = sqrt_upper(z), or of conj z where Im z < 0."""
+    return sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
+
+
+def _edges(grid: np.ndarray, w: complex) -> np.ndarray:
+    """Breakpoints of radial_apply: the grid knots, uniform edges at most
+    3/|w| apart and geometric edges towards the origin."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    n_uniform = int((hi - lo) * abs(w) / 3.0) + 1
+    # Geometric edges from lo (from just above 0 if lo = 0) keep each interval
+    # within _GRADING times its left end: the H integrand is singular at 0.
+    start = lo if lo > 0.0 else _GRADING_FLOOR * grid[1]
+    graded = start * _GRADING ** np.arange(math.log(hi / start, _GRADING))
+    return np.unique(np.concatenate([grid, np.linspace(lo, hi, n_uniform + 1), graded]))
+
+
+def _integrals(dim: int, nu, z: complex, f, a, b, need_j, need_h) -> tuple:
+    """Integrals over the intervals [a, b] of (i pi / 2) J f and H f times
+    t^(dim-1) (over sqrt(t) in 3D), by one _APPLY_NODES-point Gauss rule
+    each; J only on the intervals of need_j and H on those of need_h (zero
+    elsewhere).  Lower half-plane z conjugates the factors at conj z."""
+    half = 0.5 * (b - a)[:, None]
+    t = 0.5 * (a + b)[:, None] + half * _APPLY_X
+    wf = half * _APPLY_W * f(t) * t ** (dim - 1)
+    if dim == 3:
+        wf = wf / np.sqrt(t)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        jt, ht = _factors(nu, _apply_root(z), t, np.broadcast_to(need_j[:, None], t.shape),
+                          np.broadcast_to(need_h[:, None], t.shape))
+        if z.imag < 0.0:
+            jt, ht = np.conj(jt), np.conj(ht)
+        return np.sum(jt * wf, axis=1), np.sum(ht * wf, axis=1)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(dim: int, order: int, z_bytes: bytes, j_stop: int, h_start: int,
+          grid_bytes: bytes, values_bytes: bytes) -> tuple:
+    """The part of radial_apply fixed by (psi, z) and the interval ranges
+    its outputs need: the interpolant f of psi, and the running sums
+    L[k] = sum_{j<k} int_j (i pi / 2) J f and R[k] = sum_{j>=k} int_j H f
+    over the whole intervals between the breakpoints, with J only on the
+    intervals below j_stop and H only on those from h_start on.
+
+    Keyed on content (the bytes of z, of the grid and of the values), so a
+    changed psi never meets a stale plan; the sums are read-only.
+    """
+    z = complex(np.frombuffer(z_bytes, dtype=complex)[0])
+    grid = np.frombuffer(grid_bytes)
+    f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
+    edges = _edges(grid, _apply_root(z))
+    whole = np.arange(len(edges) - 1)
+    jint, hint = _integrals(dim, _nu(dim, np.asarray(order, dtype=float)), z, f,
+                            edges[:-1], edges[1:], whole < j_stop, whole >= h_start)
+    left = np.concatenate([[0.0], np.cumsum(jint)])
+    right = np.concatenate([np.cumsum(hint[::-1])[::-1], [0.0]])
+    left.flags.writeable = right.flags.writeable = False
+    return f, left, right
 
 
 def radial_apply(psi, z: complex, r_out) -> np.ndarray:
@@ -244,6 +324,14 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     pieces of that interval on either side of it.  Work is O(len(grid) +
     len(r_out)), and the value at r does not depend on the other radii.
 
+    The running sums and the interpolant form a plan, kept in a memo of the
+    last _PLANS = 8 plans keyed on the content of the inputs: dim, order,
+    the bytes of z, the J and H interval ranges below, and the bytes of
+    psi's grid and values.  A call that meets its plan evaluates J and H
+    only on the pieces of the inside radii and at the radii themselves, as
+    when the Krein, circle and averaged resolvents of one psi share a z.
+    Results are bit for bit the same with or without the memo.
+
     Radii r >= hi take L only and radii r <= lo (r = 0 in 2D too) R only.
     J is evaluated only below the largest output radius and H only above
     the smallest, so a large Im sqrt(z) overflows only where the kernel
@@ -251,59 +339,48 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     z uses the conjugated factors at conj z.
     """
     z = complex(z)
-    dim, grid = psi.dim, psi.grid
+    dim, order = psi.dim, psi.order
+    grid = np.asarray(psi.grid, dtype=float)
+    values = np.asarray(psi.values, dtype=complex)
     lo, hi = float(grid[0]), float(grid[-1])
-    f = psi.interpolant()
     r_out = np.asarray(r_out, dtype=float)
     r = r_out.ravel()
     rc = np.clip(r, lo, hi)
-    w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
-    n_uniform = int((hi - lo) * abs(w) / 3.0) + 1
-    # Geometric edges from lo (from just above 0 if lo = 0) keep each interval
-    # within _GRADING times its left end: the H integrand is singular at 0.
-    start = lo if lo > 0.0 else _GRADING_FLOOR * grid[1]
-    graded = start * _GRADING ** np.arange(math.log(hi / start, _GRADING))
-    edges = np.unique(np.concatenate([grid, np.linspace(lo, hi, n_uniform + 1), graded]))
+    w = _apply_root(z)
+    edges = _edges(grid, w)
     nb = len(edges) - 1
     k = np.searchsorted(edges, rc, side="right") - 1  # edges[k] <= rc
     inside = rc > edges[k]  # rc splits interval k in two pieces
     kr = k + inside  # R(rc) sums the whole intervals from kr on
+    # z as bytes: a zero part of either sign compares equal, but its root
+    # and factors may differ in the sign of a zero.
+    f, left_sums, right_sums = _plan(
+        dim, order, np.complex128(z).tobytes(), int(k.max(initial=0)),
+        int(kr.min(initial=nb)), grid.tobytes(), values.tobytes())
     ks, cs = k[inside], rc[inside]
-    n_in = len(cs)
-    # Rows: the nb intervals, then the pieces below and above each inside rc.
-    a = np.concatenate([edges[:-1], edges[ks], cs])
-    b = np.concatenate([edges[1:], cs, edges[ks + 1]])
-    half = 0.5 * (b - a)[:, None]
-    t = 0.5 * (a + b)[:, None] + half * _APPLY_X
-    wf = half * _APPLY_W * f(t) * t ** (dim - 1)
-    if dim == 3:
-        wf = wf / np.sqrt(t)
-    whole = np.arange(nb)
-    yes, no = np.ones(n_in, bool), np.zeros(n_in, bool)
-    need_j = np.concatenate([whole < k.max(initial=0), yes, no])[:, None]
-    need_h = np.concatenate([whole >= kr.min(initial=nb), no, yes])[:, None]
-    nu = _nu(dim, np.asarray(psi.order, dtype=float))
+    yes, no = np.ones(len(cs), bool), np.zeros(len(cs), bool)
+    nu = _nu(dim, np.asarray(order, dtype=float))
+    # The pieces below (J) and above (H) each inside rc.
+    jin, hin = _integrals(dim, nu, z, f, np.concatenate([edges[ks], cs]),
+                          np.concatenate([cs, edges[ks + 1]]),
+                          np.concatenate([yes, no]), np.concatenate([no, yes]))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jt, ht = _factors(nu, w, t, np.broadcast_to(need_j, t.shape),
-                          np.broadcast_to(need_h, t.shape))
         jr, hr = _factors(nu, w, r, r < hi, r > lo)
         if z.imag < 0.0:
-            jt, ht, jr, hr = np.conj(jt), np.conj(ht), np.conj(jr), np.conj(hr)
-        jint = np.sum(jt * wf, axis=1)
-        hint = np.sum(ht * wf, axis=1)
-        left = np.concatenate([[0.0], np.cumsum(jint[:nb])])[k]
-        right = np.concatenate([np.cumsum(hint[nb - 1 :: -1])[::-1], [0.0]])[kr]
-        left[inside] += jint[nb : nb + n_in]
-        right[inside] += hint[nb + n_in :]
+            jr, hr = np.conj(jr), np.conj(hr)
+        left = left_sums[k]
+        right = right_sums[kr]
+        left[inside] += jin[: len(cs)]
+        right[inside] += hin[len(cs) :]
         out = hr * left + jr * right
         if dim == 3:
             out = out / np.sqrt(r)
             # r = 0: left = 0, (i pi/2) J(w r)/sqrt(r) -> (i pi/2) sqrt(2w/pi) if l = 0, else 0.
             at0 = r == 0.0
             if at0.any():
-                lim = 0.5j * math.pi * cmath.sqrt(2.0 * w / math.pi) if psi.order == 0 else 0.0
+                lim = 0.5j * math.pi * cmath.sqrt(2.0 * w / math.pi) if order == 0 else 0.0
                 out[at0] = (np.conj(lim) if z.imag < 0.0 else lim) * right[at0]
-    _check_finite("radial resolvent", dim, psi.order, z, out, r)
+    _check_finite("radial resolvent", dim, order, z, out, r)
     return out.reshape(r_out.shape)
 
 

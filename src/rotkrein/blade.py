@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 import scipy.special as sp
 
-from ._radial import radial_apply, separable_kernels
+from ._radial import gauss_legendre, radial_apply, separable_kernels
 from .pointint import RadialChannelFunction
 from .rotframe import RotationSpec, Truncation
 from .specfun import (
@@ -78,8 +78,8 @@ _EULER = 0.5772156649015329
 _MAX_DENSE_NODES = 2500
 _COND_LIMIT = 1e12
 
-_XG12, _WG12 = np.polynomial.legendre.leggauss(12)
-_XG8, _WG8 = np.polynomial.legendre.leggauss(8)
+_XG12, _WG12 = gauss_legendre(12)
+_XG8, _WG8 = gauss_legendre(8)
 
 
 class MeshCellError(RuntimeError):
@@ -215,7 +215,7 @@ def _radial_nodes(dim: int, A: float, n: int | None = None) -> tuple:
     """
     if dim == 2:
         return _panel_nodes(A, 24 if n is None else n)[1:]
-    xg, wg = np.polynomial.legendre.leggauss(64 if n is None else n)
+    xg, wg = gauss_legendre(64 if n is None else n)
     return 0.5 * A * (xg + 1.0), 0.5 * A * wg
 
 
@@ -234,7 +234,7 @@ def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
         return BladeMesh(dim=2, A=A, r=r, w=w * r, r_1d=r, cells=cells, n_per=8,
                          angles=(0.0,))
     r1, wr = _radial_nodes(3, A, resolution)
-    xu, wu = np.polynomial.legendre.leggauss(resolution)
+    xu, wu = gauss_legendre(resolution)
     R, U = np.meshgrid(r1, xu, indexing="ij")
     W = np.outer(wr * r1**2, wu)
     return BladeMesh(

@@ -17,6 +17,7 @@ resolvents are apart at finite speed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +126,13 @@ def gamma_from_alpha(
     radius (2D: g_0, 3D: summed with equatorial weights), and map it to the
     coupling by the class's circle_term, which is its own inverse.  alpha =
     pi has no finite matching coupling and is rejected, and so is a coupling
-    of size 1e300 or more (2D: a vanishing constant term).  The returned
-    value slots into CircleParam.gamma at the same truncation.
+    of size 1e300 or more (2D: a vanishing constant term), and so is a
+    radius y0 that is not a positive finite real.  The returned value slots
+    into CircleParam.gamma at the same truncation.
     """
     cls = channel_class(dim)
+    if not (isinstance(y0, numbers.Real) and math.isfinite(y0) and y0 > 0.0):
+        raise ValueError(f"radius must be a positive finite real, got {y0!r}")
     if not (0.0 <= alpha < 2.0 * math.pi):
         raise ValueError(f"alpha must lie in [0, 2*pi), got {alpha}")
     if abs(alpha - math.pi) < 1e-12:

@@ -52,6 +52,7 @@ import sys
 
 import numpy as np
 
+from ._radial import gauss_legendre
 from .blade import BladeParam
 from .circleint import CircleParam, gamma_coeff_2d, gamma_coeff_3d, gamma_from_alpha
 from .greens import Point2, Point3
@@ -163,7 +164,7 @@ def _config_channels(dim: int, raw: str):
 
 def _psi_profile(dim: int, chans, n_points: int, r_max: float):
     """The built-in input profile r e^{-r^2} on a Gauss grid, per channel."""
-    xg, wg = np.polynomial.legendre.leggauss(n_points)
+    xg, wg = gauss_legendre(n_points)
     rg = 0.5 * r_max * (xg + 1.0)
     wq = np.full(n_points, 0.5 * r_max) * wg
     vals = rg * np.exp(-(rg**2))

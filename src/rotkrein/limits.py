@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._radial import radial_apply, separable_kernels
+from ._radial import gauss_legendre, radial_apply, separable_kernels
 from .blade import (
     BladeParam,
     BladeMesh,
@@ -324,7 +324,7 @@ def blade_convergence_study(
     if resolution is None:
         resolution = 12 if dim == 2 else 13
     mesh = build_mesh(dim, bp.A, resolution)
-    xg, wg = np.polynomial.legendre.leggauss(60)
+    xg, wg = gauss_legendre(60)
     r_eval = 1.5 * xg + 1.5
     w_eval = 1.5 * wg * r_eval ** (dim - 1)
     chans = cls.window(t)

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 import scipy.special as sp
 from scipy.linalg import solve_banded
@@ -68,16 +70,20 @@ def fd_averaged_solution(dim: int, z: complex, order: int, alpha: float,
 
 
 class CountingSpecial:
-    """scipy.special with every function call counted."""
+    """scipy.special with every function call counted (.calls), and the
+    elements each call evaluates, the broadcast size of its positional
+    arguments (.elements)."""
 
     def __init__(self):
         self.calls = 0
+        self.elements = 0
 
     def __getattr__(self, name):
         fn = getattr(sp, name)
 
         def counted(*args, **kwargs):
             self.calls += 1
+            self.elements += math.prod(np.broadcast_shapes(*map(np.shape, args)))
             return fn(*args, **kwargs)
 
         return counted

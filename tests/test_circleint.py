@@ -143,6 +143,14 @@ def test_matched_coupling_diverges_with_its_circle_term(monkeypatch, dim, s, wan
         assert gamma_from_alpha(dim, 0.0, 1.0) == want
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("y0", ["0.7", 0.7 + 0j, 0.0, -0.7, math.nan, math.inf,
+                                np.array([0.7, 0.8])])
+def test_matched_coupling_rejects_a_radius_that_is_not_positive_real(dim, y0):
+    with pytest.raises(ValueError, match="radius must be a positive finite real"):
+        gamma_from_alpha(dim, 1.0, y0)
+
+
 def test_matched_coupling_rejects_negative_degree_cap():
     # an empty degree sum would silently give gamma = 0
     with pytest.raises(ValueError, match="l_max"):

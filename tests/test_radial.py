@@ -1,7 +1,11 @@
 """Separable radial kernel core and the grid resolvent application."""
 
+import hashlib
 import math
-import types
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotkrein._radial
-from rotkrein import ChannelIndex2, ChannelIndex3, RadialChannelFunction, SingularArgumentError
+from helpers import CountingSpecial, make_psi
+from rotkrein import (
+    BladeParam,
+    ChannelIndex2,
+    ChannelIndex3,
+    CircleParam,
+    KreinParam,
+    PointSource,
+    RadialChannelFunction,
+    RotationSpec,
+    SingularArgumentError,
+    Truncation,
+    apply_circle_resolvent,
+    apply_krein_resolvent,
+    averaged_resolvent,
+)
 from rotkrein._radial import (
     g2_vec,
     g3_vec,
+    gauss_legendre,
     radial_apply,
     separable_kernels,
 )
@@ -279,21 +299,136 @@ def test_radial_apply_overflow_contract():
 
 
 def test_radial_apply_bessel_evaluations_are_linear(monkeypatch):
-    """Per output point, a bounded number of Bessel arguments (no timing)."""
-    count = [0]
-
-    def counted(fn):
-        def wrapper(nu, x):
-            count[0] += np.size(x)
-            return fn(nu, x)
-        return wrapper
-
-    monkeypatch.setattr(
-        rotkrein._radial, "sp",
-        types.SimpleNamespace(jv=counted(sp.jv), hankel1=counted(sp.hankel1)),
-    )
+    """Per output point, a bounded number of Bessel arguments (no timing),
+    the plan included."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    rotkrein._radial._plan.cache_clear()
     xg, _ = np.polynomial.legendre.leggauss(1000)
     grid = 4.0 * (xg + 1.0)
     psi = _psi(2, 1, grid)
     radial_apply(psi, 0.4 + 1.0j, grid)
-    assert 0 < count[0] < 50 * len(grid)
+    assert 0 < counter.elements < 50 * len(grid)
+
+
+@pytest.mark.parametrize("n", [1, 8, 12, 60, 200])
+def test_gauss_legendre_is_leggauss_computed_once(n):
+    x, w = gauss_legendre(n)
+    want = np.polynomial.legendre.leggauss(n)
+    assert (x.tobytes(), w.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    assert gauss_legendre(n)[0] is x
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+# The memo of radial_apply plans: each case is (dim, z), order 1, with
+# output radii inside intervals, on knots and beyond the grid.
+MEMO_CASES = [(dim, z) for dim in (2, 3) for z in (0.4 + 1.0j, 0.4 - 1.0j)]
+MEMO_GRID = np.linspace(0.05, 8.0, 120)
+MEMO_CUTS = [0.77, 3.3]
+MEMO_RADII = np.concatenate([MEMO_GRID, MEMO_CUTS, [9.0]])
+
+
+def _memo_outputs() -> list:
+    return [radial_apply(_psi(dim, 1, MEMO_GRID), z, MEMO_RADII) for dim, z in MEMO_CASES]
+
+
+def _digests(outputs) -> list:
+    return [hashlib.sha256(out.tobytes()).hexdigest() for out in outputs]
+
+
+def test_plan_memo_results_are_the_same_bits():
+    """A repeated call (which meets its plan), a call after clearing the
+    memo and a fresh process give the same bits, in 2D and 3D and in both
+    half-planes."""
+    plan = rotkrein._radial._plan
+    plan.cache_clear()
+    first = _digests(_memo_outputs())
+    again = _digests(_memo_outputs())
+    assert plan.cache_info().hits == len(MEMO_CASES)
+    plan.cache_clear()
+    cleared = _digests(_memo_outputs())
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = "import test_radial as t; print(' '.join(t._digests(t._memo_outputs())))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert first == again == cleared == done.stdout.split()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_plan_memo_follows_the_content_of_psi(dim):
+    """Values changed in place, or a new psi on the same grid, give the
+    results of a memo that never saw the old psi."""
+    plan = rotkrein._radial._plan
+    z = 0.4 + 1.0j
+    psi = _psi(dim, 1, MEMO_GRID)
+    old = radial_apply(psi, z, MEMO_RADII)
+    psi.values[:] = np.cos(MEMO_GRID) * np.exp(-MEMO_GRID)
+    changed = radial_apply(psi, z, MEMO_RADII)
+    other = RadialChannelFunction(psi.channel, MEMO_GRID, np.exp(-(MEMO_GRID - 2.0) ** 2))
+    new = radial_apply(other, z, MEMO_RADII)
+    assert changed.tobytes() != old.tobytes()
+    for f, got in ((psi, changed), (other, new)):
+        plan.cache_clear()
+        assert got.tobytes() == radial_apply(f, z, MEMO_RADII).tobytes()
+
+
+@pytest.mark.parametrize("dim,z", MEMO_CASES)
+def test_plan_memo_keeps_the_interval_ranges_apart(dim, z):
+    """A call that needs J only below r = 0.7 and H only above it builds a
+    plan of those ranges; a later call over the whole grid needs more and
+    must not meet it."""
+    plan = rotkrein._radial._plan
+    psi = _psi(dim, 1, MEMO_GRID)
+    plan.cache_clear()
+    narrow = radial_apply(psi, z, [0.7])
+    wide = radial_apply(psi, z, MEMO_RADII)
+    assert plan.cache_info().misses == 2
+    plan.cache_clear()
+    assert wide.tobytes() == radial_apply(psi, z, MEMO_RADII).tobytes()
+    plan.cache_clear()
+    assert narrow.tobytes() == radial_apply(psi, z, [0.7]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_krein_circle_and_averaged_share_one_plan(dim):
+    """The three resolvents of one psi at one z: the first builds the plan,
+    the others meet it, and each result equals the call run alone."""
+    plan = rotkrein._radial._plan
+    z, y0 = 0.4 + 1.0j, 0.9
+    psi = make_psi(dim, 1 if dim == 2 else (1, 1))
+    t = Truncation(m_max=8, l_max=8 if dim == 3 else None)
+    calls = [
+        lambda: apply_krein_resolvent(dim, psi, z, KreinParam(1.3), RotationSpec(3.0),
+                                      PointSource(y0, dim), t)[0],
+        lambda: apply_circle_resolvent(dim, psi, CircleParam(1.2, y0, dim), z, t),
+        lambda: averaged_resolvent(dim, z, BladeParam(1.0, 2.0, dim), psi),
+    ]
+    plan.cache_clear()
+    together = [call().values.tobytes() for call in calls]
+    assert (plan.cache_info().misses, plan.cache_info().hits) == (1, 2)
+    for call, got in zip(calls, together):
+        plan.cache_clear()
+        assert call().values.tobytes() == got
+
+
+@pytest.mark.parametrize("dim,z", MEMO_CASES)
+def test_a_call_that_meets_its_plan_evaluates_only_pieces_and_outputs(monkeypatch, dim, z):
+    """The second call at the same (psi, z) and output range evaluates J
+    and H only on the Gauss nodes of the two pieces of each inside radius
+    and at the output radii (J below the grid's end, H above its start)."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    rotkrein._radial._plan.cache_clear()
+    psi = _psi(dim, 1, MEMO_GRID)
+    first = radial_apply(psi, z, MEMO_RADII)
+    built = counter.elements
+    counter.elements = 0
+    second = radial_apply(psi, z, MEMO_RADII)
+    at_radii = np.sum(MEMO_RADII < MEMO_GRID[-1]) + np.sum(MEMO_RADII > MEMO_GRID[0])
+    pieces = 2 * rotkrein._radial._APPLY_NODES * len(MEMO_CUTS)
+    assert counter.elements == at_radii + pieces
+    assert built > 5 * counter.elements
+    assert second.tobytes() == first.tobytes()
