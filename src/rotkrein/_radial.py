@@ -83,14 +83,15 @@ def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -
         )
 
 
-def _factors(nu, w, x: np.ndarray, need_j, need_h):
+def _factors(nu, w, flip, x: np.ndarray, need_j, need_h):
     """(i pi / 2) J_nu(w x) and H_nu(w x), each only where needed (zero elsewhere).
 
     nu holds one order or an array of orders, whose axes lead the results';
-    w is one root, or an array of one root per order.  Every order is
-    evaluated in the same jv and hankel1 call, at the needed entries of the
-    flattened radius axes.  A zero argument of H (r = r' = 0 in a kernel)
-    raises SingularArgumentError.
+    w is one _root and flip one Im z < 0 flag, or one of each per order.
+    Flagged factors come back conjugated: g(z) = conj g(conj z).  Every
+    order is evaluated in the same jv and hankel1 call, at the needed
+    entries of the flattened radius axes.  A zero argument of H (r = r' = 0
+    in a kernel) raises SingularArgumentError.
     """
     k = nu.size
     nu2 = nu.reshape(k, 1)
@@ -108,34 +109,41 @@ def _factors(nu, w, x: np.ndarray, need_j, need_h):
             raise SingularArgumentError(
                 "H_nu is singular at w r = 0 (r = r' = 0, or w r underflows)")
         h[:, ih] = sp.hankel1(nu2, xh)
+    flip = np.asarray(flip).reshape(-1, 1)
+    if flip.any():
+        np.conjugate(j, out=j, where=flip)
+        np.conjugate(h, out=h, where=flip)
     shape = nu.shape + x.shape
     return j.reshape(shape), h.reshape(shape)
 
 
-def _origin_limit(g, nu, w, r, rp):
+def _origin_limit(g, nu, w, flip, r, rp):
     """3D entries at r = 0 < r' (J(w r)/sqrt(r) is 0/0) take their limit,
-    exp(i w r')/r' for l = 0 and 0 for l >= 1."""
+    exp(i w r')/r' for l = 0 and 0 for l >= 1, conjugated where flip."""
     big = np.maximum(r, rp)
     at0 = (np.minimum(r, rp) == 0.0) & (big > 0.0)
     lead = (1,) * at0.ndim
     with np.errstate(divide="ignore", invalid="ignore"):
         s_wave = np.exp(1j * np.reshape(w, np.shape(w) + lead) * big) / big
-    l_zero = nu.reshape(nu.shape + lead) == 0.5
-    return np.where(at0, np.where(l_zero, s_wave, 0.0), g)
+    lim = np.where(nu.reshape(nu.shape + lead) == 0.5, s_wave, 0.0)
+    lim = np.where(np.reshape(flip, np.shape(flip) + lead), np.conj(lim), lim)
+    return np.where(at0, lim, g)
+
+
+def _root(z: complex) -> complex:
+    """The root every Bessel factor takes: w = sqrt_upper(z), or of conj z
+    where Im z < 0 (_factors then conjugates the factors)."""
+    return sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
 
 
 def _roots(z: np.ndarray):
-    """w = sqrt_upper of each energy, or of its conjugate where Im z < 0: one
-    complex for one energy, else an array of z's shape.  Each distinct energy
-    is checked (require_resolvent_energy) and rooted once."""
+    """The _root of each energy: one complex for one energy, else an array
+    of z's shape.  Each distinct energy is checked (require_resolvent_energy)
+    and rooted once."""
     if z.ndim == 0:
-        e = require_resolvent_energy(z.item())
-        return sqrt_upper(e.conjugate() if e.imag < 0.0 else e)
+        return _root(require_resolvent_energy(z.item()))
     zs = z.ravel().tolist()
-    roots = {}
-    for e in dict.fromkeys(zs):
-        require_resolvent_energy(e)
-        roots[e] = sqrt_upper(e.conjugate() if e.imag < 0.0 else e)
+    roots = {e: _root(require_resolvent_energy(e)) for e in dict.fromkeys(zs)}
     return np.array([roots[e] for e in zs]).reshape(z.shape)
 
 
@@ -169,6 +177,7 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
         raise ValueError(f"degree must be nonnegative, got l={orders.min()}")
     z = np.asarray(z, dtype=complex)
     w = _roots(z)
+    flip = z.imag < 0.0
     if not (r.min(initial=0.0) >= 0.0 and rp.min(initial=0.0) >= 0.0):
         raise ValueError("radii must be nonnegative")
     nu = _nu(dim, orders.astype(float))
@@ -181,8 +190,8 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     # An overflowed factor, or the unselected product of an entry, may give
     # inf * 0; only the selected entries are checked below.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jr, hr = _factors(nu, w, r, _needed(lower, r.shape), _needed(~lower, r.shape))
-        jp, hp = _factors(nu, w, rp, _needed(~lower, rp.shape), _needed(lower, rp.shape))
+        jr, hr = _factors(nu, w, flip, r, _needed(lower, r.shape), _needed(~lower, r.shape))
+        jp, hp = _factors(nu, w, flip, rp, _needed(~lower, rp.shape), _needed(lower, rp.shape))
         g = np.where(lower, jr * hp, jp * hr)
         if dim == 3:
             rr = r * rp
@@ -193,10 +202,7 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
                 # with a radius 0 are mended below).
                 g = np.where(rr < _TINY, g / np.sqrt(r) / np.sqrt(rp), g / np.sqrt(rr))
             if not (r.all() and rp.all()):
-                g = _origin_limit(g, nu, w, r, rp)
-    flip = z.imag < 0.0
-    if flip.any():
-        g = np.where(flip.reshape(flip.shape + (1,) * lower.ndim), np.conj(g), g)
+                g = _origin_limit(g, nu, w, flip, r, rp)
     if not np.isfinite(g).all():
         per_order = g.reshape((-1,) + lower.shape)
         energies = np.broadcast_to(z, orders.shape).ravel()
@@ -242,11 +248,6 @@ _GRADING_FLOOR = 1e-8
 _PLANS = 8
 
 
-def _apply_root(z: complex) -> complex:
-    """w = sqrt_upper(z), or of conj z where Im z < 0."""
-    return sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
-
-
 def _edges(grid: np.ndarray, w: complex) -> np.ndarray:
     """Breakpoints of radial_apply: the grid knots, uniform edges at most
     3/|w| apart and geometric edges towards the origin."""
@@ -263,17 +264,15 @@ def _integrals(dim: int, nu, z: complex, f, a, b, need_j, need_h) -> tuple:
     """Integrals over the intervals [a, b] of (i pi / 2) J f and H f times
     t^(dim-1) (over sqrt(t) in 3D), by one _APPLY_NODES-point Gauss rule
     each; J only on the intervals of need_j and H on those of need_h (zero
-    elsewhere).  Lower half-plane z conjugates the factors at conj z."""
+    elsewhere).  Lower half-plane z takes the conjugated factors (_factors)."""
     half = 0.5 * (b - a)[:, None]
     t = 0.5 * (a + b)[:, None] + half * _APPLY_X
     wf = half * _APPLY_W * f(t) * t ** (dim - 1)
     if dim == 3:
         wf = wf / np.sqrt(t)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jt, ht = _factors(nu, _apply_root(z), t, np.broadcast_to(need_j[:, None], t.shape),
+        jt, ht = _factors(nu, _root(z), z.imag < 0.0, t, np.broadcast_to(need_j[:, None], t.shape),
                           np.broadcast_to(need_h[:, None], t.shape))
-        if z.imag < 0.0:
-            jt, ht = np.conj(jt), np.conj(ht)
         return np.sum(jt * wf, axis=1), np.sum(ht * wf, axis=1)
 
 
@@ -292,7 +291,7 @@ def _plan(dim: int, order: int, z_bytes: bytes, j_stop: int, h_start: int,
     z = complex(np.frombuffer(z_bytes, dtype=complex)[0])
     grid = np.frombuffer(grid_bytes)
     f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
-    edges = _edges(grid, _apply_root(z))
+    edges = _edges(grid, _root(z))
     whole = np.arange(len(edges) - 1)
     jint, hint = _integrals(dim, _nu(dim, np.asarray(order, dtype=float)), z, f,
                             edges[:-1], edges[1:], whole < j_stop, whole >= h_start)
@@ -346,7 +345,7 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     r_out = np.asarray(r_out, dtype=float)
     r = r_out.ravel()
     rc = np.clip(r, lo, hi)
-    w = _apply_root(z)
+    w = _root(z)
     edges = _edges(grid, w)
     nb = len(edges) - 1
     k = np.searchsorted(edges, rc, side="right") - 1  # edges[k] <= rc
@@ -365,9 +364,7 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
                           np.concatenate([cs, edges[ks + 1]]),
                           np.concatenate([yes, no]), np.concatenate([no, yes]))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jr, hr = _factors(nu, w, r, r < hi, r > lo)
-        if z.imag < 0.0:
-            jr, hr = np.conj(jr), np.conj(hr)
+        jr, hr = _factors(nu, w, z.imag < 0.0, r, r < hi, r > lo)
         left = left_sums[k]
         right = right_sums[kr]
         left[inside] += jin[: len(cs)]

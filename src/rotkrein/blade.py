@@ -207,15 +207,24 @@ def _panel_nodes(A: float, n_panels: int) -> tuple:
     return edges, nodes.ravel(), (half[:, None] * _WG8).ravel()
 
 
+def _require_dense(nodes: int) -> None:
+    """The dense budget: a mesh or radial rule of more nodes is rejected
+    before it, or any of its nodes x nodes matrices, is allocated."""
+    if nodes > _MAX_DENSE_NODES:
+        raise ValueError(f"{nodes} nodes exceed the dense budget of {_MAX_DENSE_NODES} nodes")
+
+
 def _radial_nodes(dim: int, A: float, n: int | None = None) -> tuple:
     """Radial nodes and plain dr weights of the averaged solver on [0, A].
 
     2D: n 8-point Gauss panels (24 by default); 3D: one n-point Gauss rule
     (64 by default).  Callers multiply in r^(dim-1) and their potential.
     """
+    n = (24 if dim == 2 else 64) if n is None else n
+    _require_dense(len(_XG8) * n if dim == 2 else n)
     if dim == 2:
-        return _panel_nodes(A, 24 if n is None else n)[1:]
-    xg, wg = gauss_legendre(64 if n is None else n)
+        return _panel_nodes(A, n)[1:]
+    xg, wg = gauss_legendre(n)
     return 0.5 * A * (xg + 1.0), 0.5 * A * wg
 
 
@@ -227,6 +236,7 @@ def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if not (math.isfinite(A) and A > 0.0):
         raise ValueError(f"blade radius must be positive, got {A}")
+    _require_dense(len(_XG8) * resolution if dim == 2 else int(resolution) ** 2)
     if dim == 2:
         # The segment at theta = 0: one angular sample.
         edges, r, w = _panel_nodes(A, resolution)
@@ -499,8 +509,6 @@ def gamma_matrix(
     """
     z = require_resolvent_energy(z)
     cls = channel_class(mesh.dim, bp)
-    if mesh.n_nodes > _MAX_DENSE_NODES:
-        raise ValueError(f"mesh exceeds the dense budget of {_MAX_DENSE_NODES} nodes")
     # Shift 0 has no difference between shifted and unshifted energies.
     chans = [ch for ch in cls.window(t) if ch.shift != 0]
     kernel = _channel_sum(mesh, chans, z, rot.omega, less_unshifted=True)
@@ -573,11 +581,11 @@ def layer_fields(
 ) -> dict:
     """Radial channel coefficients of the layer potential of density xi.
 
-    2D coefficients multiply exp(i n theta); 3D coefficients multiply
-    Y_l^m(theta, phi).  Channel m is evaluated at energy z + m*omega.
+    Each multiplies its channel's ch.angular, as RadialChannelFunction
+    values do.  Channel m is evaluated at energy z + m*omega.
     """
     channels = list(channels)
-    cls = channel_class(mesh.dim, *channels)
+    channel_class(mesh.dim, *channels)
     r_eval = np.asarray(r_eval, dtype=float)
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != mesh.r.shape:
@@ -587,9 +595,7 @@ def layer_fields(
     ys = _angular(mesh, channels)
     v = (mesh.w * xi).reshape(len(mesh.r_1d), ys.shape[1]) @ ys.T
     blocks = _blocks(mesh.dim, channels, z, rot.omega, r_eval[:, None], mesh.r_1d[None, :])
-    # y_c is the orthonormal factor; the fields multiply the harmonic.
-    coef = np.matmul(blocks, v.T[:, :, None])[:, :, 0] / math.sqrt(cls.harmonic_norm_sq)
-    return dict(zip(channels, coef))
+    return dict(zip(channels, np.matmul(blocks, v.T[:, :, None])[:, :, 0]))
 
 
 def form_probe(
@@ -619,22 +625,18 @@ def form_probe(
     cls = channel_class(bp.dim, psi)
     fields = layer_fields(z, xi, rot, mesh, psi.grid, cls.cutoff(cap, t))
     wq = psi.quad_weights()
-    rg = psi.grid
-    rfac = rg ** (bp.dim - 1)
-    # Layer fields multiply the channel harmonic, psi its orthonormal factor.
-    angular = cls.harmonic_norm_sq
-    coef0 = psi.values / math.sqrt(angular)
+    rfac = psi.grid ** (bp.dim - 1)
     inner = 0.0 + 0.0j
     mism = 0.0
     ch0 = psi.channel
     for ch, c in fields.items():
         if ch == ch0:
-            inner += angular * np.sum(wq * np.conj(coef0) * c * rfac)
-            mism += angular * float(np.sum(wq * np.abs(coef0 - c) ** 2 * rfac))
+            inner += np.sum(wq * np.conj(psi.values) * c * rfac)
+            mism += float(np.sum(wq * np.abs(psi.values - c) ** 2 * rfac))
         else:
-            mism += angular * float(np.sum(wq * np.abs(c) ** 2 * rfac))
+            mism += float(np.sum(wq * np.abs(c) ** 2 * rfac))
     if ch0 not in fields:
-        mism += angular * float(np.sum(wq * np.abs(coef0) ** 2 * rfac))
+        mism += float(np.sum(wq * np.abs(psi.values) ** 2 * rfac))
     z = complex(z)
     lhs = probe - 2.0 * z.imag * inner.imag - (z.real + rot.omega * cap) * mism
     return FormProbeResult(probe=probe, ineq_lhs=float(lhs))
@@ -704,10 +706,9 @@ def apply_blade_resolvent(
     fields = layer_fields(z, density.values, rot, mesh, r_pts, cls.window(t))
     out = np.zeros(len(r_pts), dtype=complex)
     for i, p in enumerate(eval_points):
-        # psi multiplies the orthonormal factor, the layer fields the harmonic.
-        val = fp_pts[i] * ch.harmonic(*p.angles) / math.sqrt(cls.harmonic_norm_sq)
+        val = fp_pts[i] * ch.angular(*p.angles)
         for cch, c in fields.items():
-            val += c[i] * cch.harmonic(*p.angles)
+            val += c[i] * cch.angular(*p.angles)
         out[i] = val
     return out
 

@@ -294,9 +294,7 @@ def _averaged_correction(
     panels = None if mesh.cells is None else len(mesh.cells)
     rr, ww = _radial_nodes(dim, bp.A, panels)
     mu = bp.alpha_values(rr) / (2.0 * math.pi) * (ww * rr ** (dim - 1))
-    corr = _ls_correction(dim, z, psi.order, rr, mu, radial_apply(psi, z, rr), r_eval)
-    # Layer fields multiply the channel harmonic, psi its orthonormal factor.
-    return corr / math.sqrt(psi.channel.harmonic_norm_sq)
+    return _ls_correction(dim, z, psi.order, rr, mu, radial_apply(psi, z, rr), r_eval)
 
 
 def blade_convergence_study(
@@ -344,7 +342,7 @@ def blade_convergence_study(
             e2 = 0.0
             for cch, c in fields.items():
                 d = c - avg if cch == ch else c
-                e2 += cls.harmonic_norm_sq * float(np.sum(w_eval * np.abs(d) ** 2))
+                e2 += float(np.sum(w_eval * np.abs(d) ** 2))
             gap = weighted_norm(mesh, gm.entries - lam_m.entries)
             return {"error_norm": math.sqrt(e2), "kernel_gap": gap}
 

@@ -113,6 +113,9 @@ class RadialChannelFunction:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.grid.shape:
                 raise ValueError("weights must match the grid")
+        for name, v in (("grid", self.grid), ("values", self.values), ("weights", self.weights)):
+            if v is not None and not np.isfinite(v).all():
+                raise ValueError(f"channel function {name} must be finite")
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,7 @@ from rotkrein.blade import (
 )
 from rotkrein.greens import Point2, Point3
 from rotkrein.limits import blade_convergence_study
-from rotkrein.rotframe import RotationSpec, Truncation
+from rotkrein.rotframe import RotationSpec, Truncation, rot_green
 from rotkrein.specfun import ChannelIndex2, ChannelIndex3
 
 Z = 0.4 + 1.0j
@@ -77,10 +77,38 @@ def test_blade_param_validation():
 
 
 def test_dense_budget_rejected():
-    mesh = build_mesh(3, 1.0, 51)
     bp = BladeParam(1.0, 2.0, 3)
     with pytest.raises(ValueError, match="dense budget"):
-        gamma_matrix(Z, bp, RotationSpec(4.0), Truncation(3, l_max=6), mesh)
+        gamma_matrix(Z, bp, RotationSpec(4.0), Truncation(3, l_max=6), build_mesh(3, 1.0, 51))
+
+
+_BP2, _BP3 = BladeParam(1.0, 2.0, 2), BladeParam(1.0, 2.0, 3)
+# Entry points over the dense budget of 2,500 nodes: 3D meshes have res^2
+# nodes, 2D meshes and radial rules 8 per panel, 3D radial rules n.
+OVER_BUDGET = {
+    "lambda_matrix": lambda: lambda_matrix(
+        Z, ChannelIndex3(1, 1), _BP3, build_mesh(3, 1.0, 60), t=Truncation(3, l_max=6)),
+    "gamma_matrix_cutoff": lambda: gamma_matrix_cutoff(
+        2, Z, _BP2, RotationSpec(4.0), Truncation(3), build_mesh(2, 1.0, 313)),
+    "averaged_resolvent_2d": lambda: averaged_resolvent(
+        2, Z, _BP2, make_psi(2, 1, n=40), resolution=313),
+    "averaged_resolvent_3d": lambda: averaged_resolvent(
+        3, Z, _BP3, make_psi(3, (1, 1), n=40), resolution=2501),
+    "blade_study_3d": lambda: blade_convergence_study(
+        3, _BP3, Z, psis=[make_psi(3, (1, 1), n=40)], resolution=200),
+}
+
+
+@pytest.mark.parametrize("call", OVER_BUDGET.values(), ids=OVER_BUDGET)
+def test_dense_budget_is_checked_before_any_matrix(call):
+    """A mesh or radial rule over the budget is refused before it or any
+    matrix of its size exists, whichever entry point asks for it."""
+    with pytest.raises(ValueError, match="dense budget"):
+        call()
+
+
+def test_dense_budget_admits_its_own_size():
+    assert build_mesh(3, 1.0, 50).n_nodes == build_mesh(2, 1.0, 312).n_nodes + 4 == 2500
 
 
 def test_matrix_variants_and_validation():
@@ -525,7 +553,34 @@ def test_2d_assembly_matches_per_channel_sums(z, omega):
     assert list(fields) == ChannelIndex2.window(t)
     for ch, got in fields.items():
         g = channel_sum_2d([(ch.n, z + ch.n * omega, 1.0)], r_eval[:, None], r[None, :])
-        assert_close(got, g @ (mesh.w * xi), 1e-13)
+        # The fields multiply exp(i n theta)/sqrt(2 pi), the sum exp(i n theta).
+        assert_close(got, math.sqrt(2.0 * math.pi) * g @ (mesh.w * xi), 1e-13)
+
+
+@pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_layer_fields_multiply_the_angular_factor(dim, z):
+    """The coefficient convention against an independent route: the layer
+    fields, each times its channel's ch.angular at x, sum to the layer
+    potential sum_j rot_green(x, y_j) w_j xi_j at points x off the blade."""
+    mesh = build_mesh(dim, 1.0, 3 if dim == 2 else 4)
+    rot = RotationSpec(7.0)
+    t = Truncation(3, l_max=None if dim == 2 else 5, tail_tol=math.inf)
+    rng = np.random.default_rng(11)
+    xi = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    if dim == 2:
+        cls, nodes = ChannelIndex2, [Point2(r, 0.0) for r in mesh.r]
+        xs = [Point2(0.7, 1.1), Point2(1.6, 0.0), Point2(0.3, 3.8)]
+    else:
+        cls = ChannelIndex3
+        nodes = [Point3(r, th, 0.0) for r, th in zip(mesh.r, mesh.theta())]
+        xs = [Point3(0.7, 1.1, 0.9), Point3(1.6, 0.4, 0.0), Point3(0.3, 2.5, 4.2)]
+    fields = layer_fields(z, xi, rot, mesh, [x.r for x in xs], cls.window(t))
+    for i, x in enumerate(xs):
+        got = sum(c[i] * ch.angular(*x.angles) for ch, c in fields.items())
+        want = sum(rot_green(dim, z, rot, x, y, t) * w * f
+                   for y, w, f in zip(nodes, mesh.w, xi))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_gamma_matrix_2d_bessel_calls(monkeypatch):

@@ -1,7 +1,8 @@
 """Every name a rotkrein module imports is used in that module, no private
 helper outlives its callers, every name an __all__ exports exists, every
-function the benchmark tracer wraps exists, and only the listed functions
-branch on the dimension.
+function the benchmark tracer wraps exists, only the listed functions
+branch on the dimension, and only the listed functions read the harmonic's
+norm.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -146,9 +147,10 @@ def _branches_on_dimension(node) -> bool:
     return False
 
 
-def _dimension_sites(sources: dict) -> list:
+def _sites(sources: dict, hit) -> list:
     """Qualified names of the functions of the sources ({module: text}) that
-    branch on the dimension themselves (nested functions count apart)."""
+    hold a node for which hit(node) is true themselves (nested functions
+    count apart)."""
     sites = set()
 
     def visit(node, scope):
@@ -156,7 +158,7 @@ def _dimension_sites(sources: dict) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if _branches_on_dimension(child):
+            if hit(child):
                 sites.add(".".join(scope))
             visit(child, scope)
 
@@ -173,7 +175,8 @@ def test_finds_dimension_branches():
         "    return isinstance(ch, (int, ChannelIndex3))\n\n"
         "def k(dim, ch):\n    return dim - 2, isinstance(ch, int), dim == 4\n\n"
         "def p(cls):\n    return 1 if cls.capped_degrees else 0\n")}
-    assert _dimension_sites(sources) == ["a.C.g", "a.f", "a.h", "a.h.inner", "a.p"]
+    assert _sites(sources, _branches_on_dimension) == ["a.C.g", "a.f", "a.h", "a.h.inner",
+                                                        "a.p"]
 
 
 # Where a dimension branch may stay outside the channel classes (specfun)
@@ -200,4 +203,42 @@ def test_dimension_branches_stay_where_they_are_allowed():
     """A ratchet: every other 2D/3D difference is a fact of the channel
     classes.  A new site fails here; a removed one is struck off the list."""
     sources = {p.stem: p.read_text() for p in MODULES if p.stem not in ("specfun", "_radial")}
-    assert _dimension_sites(sources) == DIMENSION_SITES
+    assert _sites(sources, _branches_on_dimension) == DIMENSION_SITES
+
+
+def _reads_harmonic_norm(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "harmonic_norm_sq"
+
+
+def test_finds_harmonic_norm_readers():
+    sources = {"a": (
+        "class C:\n    harmonic_norm_sq = 2.0\n\n"
+        "    def angular(self):\n        return 1.0 / self.harmonic_norm_sq\n\n"
+        "def f(cls):\n    def inner():\n        return cls.harmonic_norm_sq\n"
+        "    return inner\n\n"
+        "def g(ch):\n    return ch.angular(), 'harmonic_norm_sq'\n")}
+    assert _sites(sources, _reads_harmonic_norm) == ["a.C.angular", "a.f.inner"]
+
+
+# Where the harmonic's squared norm may be read: the orthonormal angular
+# factor itself, and the Green-function sums normalised by it (channel sums,
+# circle coefficients, the point study's side fields).  Every radial
+# coefficient multiplies ch.angular, so nothing converts between factors.
+HARMONIC_NORM_SITES = [
+    "blade._angular",
+    "circleint._gamma",
+    "circleint.apply_circle_resolvent",
+    "circleint.gamma_from_alpha",
+    "limits.point_convergence_study.setup",
+    "rotframe._channel_diags",
+    "rotframe._norm_sqs",
+    "rotframe.rot_green",
+    "specfun._Channel.angular",
+]
+
+
+def test_harmonic_norm_is_read_only_where_allowed():
+    """A ratchet on the coefficient convention: a new reader of
+    harmonic_norm_sq fails here; a removed one is struck off the list."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _sites(sources, _reads_harmonic_norm) == HARMONIC_NORM_SITES

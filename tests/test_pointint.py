@@ -200,3 +200,23 @@ def test_radial_channel_function_validation():
         RadialChannelFunction(ChannelIndex3(1, 1), origin, origin * np.exp(-origin**2))
     assert RadialChannelFunction(ChannelIndex2(1), origin, origin).grid[0] == 0.0
     assert f.norm_sq() > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["values", "weights"])
+@pytest.mark.parametrize("n", [3, 40])
+def test_radial_channel_function_rejects_nonfinite_entries(field, bad, n):
+    """A NaN or infinite value or weight is invalid input, named in the error;
+    it never reaches a study row or radial_apply."""
+    rg, wq = gauss_radial(n)
+    parts = {"values": rg * np.exp(-(rg**2)) + 0j, "weights": wq.copy()}
+    parts[field][n // 2] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RadialChannelFunction(ChannelIndex2(1), rg, parts["values"], parts["weights"])
+
+
+def test_radial_channel_function_rejects_an_infinite_radius():
+    """An infinite last radius passes the increasing-grid check; it is
+    invalid input too, not an OverflowError of radial_apply."""
+    with pytest.raises(ValueError, match="grid must be finite"):
+        RadialChannelFunction(ChannelIndex2(1), [0.5, 1.0, math.inf], [1.0, 1.0, 1.0])
