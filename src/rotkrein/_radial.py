@@ -28,6 +28,15 @@ keeps, keyed on the content of those inputs; a later call on the same psi
 and z, such as the next resolvent of a Krein/circle/averaged comparison,
 evaluates only the pieces cut by its own output radii.  Results are the same
 bits with or without the memo.
+
+Every J and H factor of both comes from _factors, one jv and one hankel1
+call per radius set.  Where the process may run on a second CPU, a call of
+_SPLIT_MIN elements or more is cut in two halves along its longer axis (the
+orders of a channel sum, else the radii), and one module-level helper
+thread evaluates the first half while the caller evaluates the second
+(_bessel).  Only the scipy.special ufunc runs on the helper; it releases
+the GIL and is elementwise, so results are the same bits on one core or
+two.  A forked child starts its own helper.
 """
 
 from __future__ import annotations
@@ -35,6 +44,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.special as sp
@@ -54,6 +66,74 @@ __all__ = [
 
 
 _TINY = np.finfo(float).tiny  # smallest normal double
+
+# A Bessel batch of at least this many elements is cut in two halves, one
+# evaluated on the helper thread (see _bessel).  numpy releases the GIL only
+# for a loop of more than 500 elements, so each half must exceed that: on a
+# 2-CPU host a 1,010-element jv or hankel1 batch split 1.1-1.7x faster, a
+# 1,000-element one 1.3-1.7x slower.
+_SPLIT_MIN = 1200
+
+try:
+    _SECOND_CPU = len(os.sched_getaffinity(0)) > 1
+except AttributeError:  # no affinity call on this platform
+    _SECOND_CPU = (os.cpu_count() or 1) > 1
+_pool = None  # the helper thread, started by the first split
+_pool_lock = threading.Lock()  # callers on several threads start one helper
+
+
+def _helper():
+    """The one helper thread, or None where the process has one CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None and _SECOND_CPU:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rotkrein-bessel")
+        return _pool
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread, and the lock may have been held
+    by a thread the fork did not copy: the next split starts afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _bessel(f, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f(nu, x) for a scipy.special ufunc f: orders nu of shape (k, 1),
+    arguments x of shape (k, n), (1, n) or (n,).
+
+    A batch of _SPLIT_MIN elements or more is cut in two halves along its
+    longer axis (orders or radii): the helper thread evaluates the first
+    half while this thread evaluates the second.  The ufuncs release the GIL
+    and are elementwise, so both halves together are the bits of one call.
+    Only the ufunc itself runs on the helper, whose scipy.special error
+    state (kept per thread) is the default: an overflow is reported by the
+    callers' own finiteness checks, as on one thread.
+    """
+    x = np.atleast_2d(x)
+    shape = np.broadcast_shapes(nu.shape, x.shape)
+    axis = int(shape[1] > shape[0])
+    half = shape[axis] // 2
+    pool = _helper() if half and shape[0] * shape[1] >= _SPLIT_MIN else None
+    if pool is None:
+        return f(nu, x)
+    out = np.empty(shape, dtype=complex)
+    lead = (slice(None),) * axis
+    first, second = lead + (slice(None, half),), lead + (slice(half, None),)
+
+    def cut(a, part):
+        return a[part] if a.shape[axis] > 1 else a
+
+    done = pool.submit(f, cut(nu, first), cut(x, first), out=out[first])
+    try:
+        f(cut(nu, second), cut(x, second), out=out[second])
+    finally:
+        done.result()
+    return out
 
 
 def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -102,13 +182,13 @@ def _factors(nu, w, flip, x: np.ndarray, need_j, need_h):
     ij = need_j.ravel().nonzero()[0]
     ih = need_h.ravel().nonzero()[0]
     if ij.size:
-        j[:, ij] = 0.5j * math.pi * sp.jv(nu2, w2 * xs[ij])
+        j[:, ij] = 0.5j * math.pi * _bessel(sp.jv, nu2, w2 * xs[ij])
     if ih.size:
         xh = w2 * xs[ih]
         if not xh.all():
             raise SingularArgumentError(
                 "H_nu is singular at w r = 0 (r = r' = 0, or w r underflows)")
-        h[:, ih] = sp.hankel1(nu2, xh)
+        h[:, ih] = _bessel(sp.hankel1, nu2, xh)
     flip = np.asarray(flip).reshape(-1, 1)
     if flip.any():
         np.conjugate(j, out=j, where=flip)

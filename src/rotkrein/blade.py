@@ -36,11 +36,13 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.special as sp
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from ._radial import gauss_legendre, radial_apply, separable_kernels
 from .pointint import RadialChannelFunction
@@ -87,7 +89,7 @@ class MeshCellError(RuntimeError):
 
 
 class ConditioningError(RuntimeError):
-    """The boundary solve is too ill conditioned to trust."""
+    """A dense solve is too ill conditioned to trust (or exactly singular)."""
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,7 @@ class BladeMesh:
     angles: tuple | None = None
 
     def __post_init__(self) -> None:
+        _require_dense(len(self.r))
         # r^(dim-1) dr over [0, A] times the angular measure: 1 for the 2D
         # segment's one sample, 2 for du over [-1, 1] in 3D.
         target = (self.dim - 1) * self.A**self.dim / self.dim
@@ -209,7 +212,9 @@ def _panel_nodes(A: float, n_panels: int) -> tuple:
 
 def _require_dense(nodes: int) -> None:
     """The dense budget: a mesh or radial rule of more nodes is rejected
-    before it, or any of its nodes x nodes matrices, is allocated."""
+    before any of its nodes x nodes matrices is allocated.  BladeMesh checks
+    every mesh, hand-built ones too; build_mesh and _radial_nodes check the
+    size they are asked for before its node arrays exist."""
     if nodes > _MAX_DENSE_NODES:
         raise ValueError(f"{nodes} nodes exceed the dense budget of {_MAX_DENSE_NODES} nodes")
 
@@ -642,6 +647,31 @@ def form_probe(
     return FormProbeResult(probe=probe, ineq_lhs=float(lhs))
 
 
+def _dense_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs by one LU factorisation, checked before it is used.
+
+    The 1-norm condition number is estimated from the same LU (LAPACK
+    gecon: Hager, SIAM J. Sci. Stat. Comput. 1984; Higham, ACM TOMS 1988)
+    and logged; above _COND_LIMIT, or for an exactly singular M (estimate
+    infinite), ConditioningError.  The one Lippmann-Schwinger solver of the
+    blade and averaged systems.
+    """
+    with warnings.catch_warnings():
+        # An exactly singular factor is reported below, by its estimate.
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(M)
+    (gecon,) = get_lapack_funcs(("gecon",), (lu[0],))
+    rcond, _ = gecon(lu[0], np.linalg.norm(M, 1), norm="1")
+    cond = 1.0 / rcond if rcond > 0.0 else math.inf
+    logger.info("dense solve: 1-norm condition estimate %.3g on %d unknowns", cond, len(M))
+    if cond > _COND_LIMIT:
+        raise ConditioningError(
+            f"1-norm condition estimate {cond:.3g} of the {len(M)}-unknown dense solve "
+            f"exceeds {_COND_LIMIT:g}"
+        )
+    return lu_solve(lu, rhs)
+
+
 def _free_radial(
     z: complex, psi: RadialChannelFunction, rot: RotationSpec, r: np.ndarray
 ) -> np.ndarray:
@@ -664,24 +694,18 @@ def solve_density(
 ) -> BoundaryDensity:
     """Boundary density of the blade resolvent applied to psi.
 
-    One dense solve of the full boundary matrix against the free-field trace;
-    reports the condition number and fails above the trust bound.  A matrix
-    already assembled for this (z, mesh) can be passed to skip reassembly.
+    One dense solve (_dense_solve) of the full boundary matrix against the
+    free-field trace, which fails above the trust bound on its condition
+    estimate.  A matrix already assembled for this (z, mesh) can be passed
+    to skip reassembly.
     """
     channel_class(bp.dim, psi, mesh)
     if gm is not None and gm.z != complex(z):
         raise ValueError("prebuilt matrix was assembled at a different parameter")
     M = gm.entries if gm is not None else gamma_matrix(z, bp, rot, t, mesh).entries
-    cond = float(np.linalg.cond(M))
-    logger.info("boundary solve conditioning %.3g on %d nodes", cond, mesh.n_nodes)
-    if cond > _COND_LIMIT:
-        raise ConditioningError(
-            f"boundary matrix condition number {cond:.3g} exceeds {_COND_LIMIT:g}"
-        )
     fp = _free_radial(z, psi, rot, mesh.r_1d)
     trace = np.outer(fp, _angular(mesh, [psi.channel])[0]).ravel()
-    phi = np.linalg.solve(M, trace)
-    return BoundaryDensity(values=phi)
+    return BoundaryDensity(values=_dense_solve(M, trace))
 
 
 def apply_blade_resolvent(
@@ -751,5 +775,5 @@ def _ls_correction(dim, z, order, rr, mu, free_rr, r_out) -> np.ndarray:
     """
     K = separable_kernels(dim, order, z, rr[:, None], rr[None, :])
     M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
-    u = np.linalg.solve(M, free_rr)
+    u = _dense_solve(M, free_rr)
     return separable_kernels(dim, order, z, r_out[:, None], rr[None, :]) @ (mu * u)

@@ -254,6 +254,7 @@ def channel_class(dim: int, *parts) -> type:
     """The channel class of dimension dim, after checking that every part
     (point, channel, channel function, source, mesh, blade or circle
     parameter: anything with a dim) lives there; raises ValueError if not."""
+    _require_integer("dim", dim)
     if dim not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {dim}")
     for part in parts:

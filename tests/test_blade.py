@@ -1,6 +1,7 @@
 """Blade mesh, boundary matrices, form probe, and the averaged solver."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from rotkrein._radial import radial_apply, separable_kernels
 from rotkrein.blade import (
     BladeMesh,
     BladeParam,
+    ConditioningError,
+    GammaMatrix,
     MeshCellError,
     apply_blade_resolvent,
     averaged_resolvent,
@@ -105,6 +108,15 @@ def test_dense_budget_is_checked_before_any_matrix(call):
     matrix of its size exists, whichever entry point asks for it."""
     with pytest.raises(ValueError, match="dense budget"):
         call()
+
+
+def test_dense_budget_holds_for_a_hand_built_mesh():
+    """A mesh not made by build_mesh is held to the same budget: 326 panels
+    of 8 nodes, 2,608 nodes, are refused when the mesh is built."""
+    edges, r, w = blade_mod._panel_nodes(1.0, 326)
+    with pytest.raises(ValueError, match="2608 nodes exceed the dense budget"):
+        BladeMesh(dim=2, A=1.0, r=r, w=w * r, r_1d=r,
+                  cells=np.stack([edges[:-1], edges[1:]], axis=1), n_per=8, angles=(0.0,))
 
 
 def test_dense_budget_admits_its_own_size():
@@ -214,6 +226,41 @@ def test_solve_density_matrix_reuse():
         solve_density(Z, psi, bp, rot, t, mesh, gm=gm)
     with pytest.raises(ValueError):
         solve_density(z_rot, make_psi(3, ChannelIndex3(1, 1)), bp, rot, t, mesh)
+
+
+def _solve_with(entries):
+    """solve_density of the standard 2D input against a prebuilt matrix on
+    the 16-node mesh."""
+    mesh = build_mesh(2, 1.0, 2)
+    gm = GammaMatrix(entries=np.asarray(entries, dtype=complex), z=Z, variant="test")
+    return solve_density(Z, make_psi(2, ChannelIndex2(1), n=60), BladeParam(1.0, 2.0, 2),
+                         RotationSpec(8.0), Truncation(3), mesh, gm=gm)
+
+
+@pytest.mark.parametrize("factor,fails", [(1.0 - 1e-6, False), (1.0 + 1e-6, True)])
+def test_conditioning_limit_is_on_the_one_norm_estimate(factor, fails):
+    """diag(1, ..., 1, 1/c) has 1-norm condition number c: a solve fails
+    just above the 1e12 limit and goes through just below it."""
+    entries = np.eye(16)
+    entries[-1, -1] = 1.0 / (factor * 1e12)
+    if fails:
+        with pytest.raises(ConditioningError, match=r"1-norm condition estimate 1e\+12 "):
+            _solve_with(entries)
+    else:
+        phi = _solve_with(entries).values
+        assert np.isfinite(phi).all() and abs(phi[-1]) > 1e11 * abs(phi[0])
+
+
+def test_singular_solve_is_a_conditioning_error():
+    with pytest.raises(ConditioningError, match="condition estimate inf"):
+        _solve_with(np.ones((16, 16)))
+
+
+def test_averaged_side_solve_is_checked(monkeypatch):
+    """The averaged Lippmann-Schwinger system goes through the same check."""
+    monkeypatch.setattr(blade_mod, "_COND_LIMIT", 1.0)
+    with pytest.raises(ConditioningError, match="dense solve exceeds 1"):
+        averaged_resolvent(2, Z, BladeParam(1.0, 2.0, 2), make_psi(2, ChannelIndex2(1), n=60))
 
 
 def test_averaged_resolvent_zero_strength_is_free():
@@ -583,16 +630,31 @@ def test_layer_fields_multiply_the_angular_factor(dim, z):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_gamma_matrix_2d_bessel_calls(monkeypatch):
-    """One kernel call for all shifted channels and one for the unshifted
-    orders, for the mesh matrix and for the own-panel cells (no timing)."""
+def _gamma_matrix_2d_bessel_calls(monkeypatch) -> int:
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
     t = Truncation(5)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), t, build_mesh(2, 1.0, 12))
+    return counter.calls
+
+
+def test_gamma_matrix_2d_bessel_calls(monkeypatch, serial_bessel):
+    """One kernel call for all shifted channels and one for the unshifted
+    orders, for the mesh matrix and for the own-panel cells (no timing)."""
+    calls = _gamma_matrix_2d_bessel_calls(monkeypatch)
     # Four calls per kernel (J and H at the rows and at the columns); 120
     # with a call per (order, energy), 88 with one per energy.
-    assert 0 < counter.calls <= 2 * 2 * 4
+    assert 0 < calls <= 2 * 2 * 4
+
+
+def test_gamma_matrix_2d_bessel_calls_split(monkeypatch):
+    """With every batch split across the helper thread, each of those calls
+    becomes exactly two."""
+    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", sys.maxsize)
+    serial = _gamma_matrix_2d_bessel_calls(monkeypatch)
+    monkeypatch.setattr(rotkrein._radial, "_SECOND_CPU", True)
+    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", 0)
+    assert _gamma_matrix_2d_bessel_calls(monkeypatch) == 2 * serial
 
 
 def test_apply_blade_resolvent_at_the_3d_origin():

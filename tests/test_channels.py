@@ -16,6 +16,7 @@ from rotkrein import (
     BladeParam,
     ChannelIndex2,
     ChannelIndex3,
+    CircleParam,
     KreinParam,
     Point2,
     Point3,
@@ -198,6 +199,22 @@ def test_numpy_integer_channel_index_is_accepted():
     ch = ChannelIndex3(np.int32(3), np.int64(-1))
     assert ch == ChannelIndex3(3, -1)
     assert (ch.order, ch.shift) == (3, -1)
+
+
+FLOAT_DIM = {
+    "BladeParam": lambda: BladeParam(1.0, 2.0, 2.0),
+    "PointSource": lambda: PointSource(0.7, 2.0),
+    "CircleParam": lambda: CircleParam(1.0, 0.7, 2.0),
+    "build_mesh": lambda: build_mesh(2.0, 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_DIM.values(), ids=FLOAT_DIM)
+def test_a_float_dimension_is_rejected(call):
+    """dim = 2.0 compares equal to 2 but cannot index: a ValueError, not a
+    TypeError from inside channel_class."""
+    with pytest.raises(ValueError, match="dim must be an integer, got 2.0"):
+        call()
 
 
 def test_channel_class_lookup():

@@ -1,8 +1,8 @@
 """Every name a rotkrein module imports is used in that module, no private
 helper outlives its callers, every name an __all__ exports exists, every
 function the benchmark tracer wraps exists, only the listed functions
-branch on the dimension, and only the listed functions read the harmonic's
-norm.
+branch on the dimension, only the listed functions read the harmonic's
+norm, one function factors a dense matrix, and one module uses threads.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -242,3 +242,50 @@ def test_harmonic_norm_is_read_only_where_allowed():
     harmonic_norm_sq fails here; a removed one is struck off the list."""
     sources = {p.stem: p.read_text() for p in MODULES}
     assert _sites(sources, _reads_harmonic_norm) == HARMONIC_NORM_SITES
+
+
+def _dense_solver_call(node) -> bool:
+    """A linalg.solve or linalg.cond (numpy's or scipy's), or a use of lu_factor."""
+    if isinstance(node, ast.Attribute) and node.attr in ("solve", "cond"):
+        return getattr(node.value, "attr", None) == "linalg"
+    return isinstance(node, ast.Name) and node.id == "lu_factor"
+
+
+def test_finds_dense_solver_calls():
+    sources = {"a": (
+        "def f(M, b):\n    return np.linalg.solve(M, b), np.linalg.cond(M)\n\n"
+        "def g(M):\n    return lu_factor(M), np.linalg.norm(M), scipy.linalg.solve(M, M)\n\n"
+        "def h(M):\n    return np.linalg.eigvals(M)\n")}
+    assert _sites(sources, _dense_solver_call) == ["a.f", "a.g"]
+
+
+def test_one_dense_solver():
+    """A ratchet on the one Lippmann-Schwinger solver: every dense system is
+    factored once in blade._dense_solve, which checks its conditioning."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _sites(sources, _dense_solver_call) == ["blade._dense_solve"]
+
+
+def _thread_modules(sources: dict) -> list:
+    """Modules of the sources that import threading or concurrent.futures."""
+    hits = set()
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n.split(".")[0] in ("threading", "concurrent") for n in names):
+                hits.add(mod)
+    return sorted(hits)
+
+
+def test_finds_thread_modules():
+    sources = {"a": "import threading\n", "b": "from concurrent.futures import Future\n",
+               "c": "import concurrent.futures as cf\n", "d": "import numpy\n"}
+    assert _thread_modules(sources) == ["a", "b", "c"]
+
+
+def test_threads_stay_in_radial():
+    """Only _radial starts a thread, the helper that evaluates half of a
+    large Bessel batch (numpy and scipy code only)."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _thread_modules(sources) == ["_radial"]

@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from rotkrein import (
     averaged_resolvent,
 )
 from rotkrein._radial import (
+    _bessel,
     g2_vec,
     g3_vec,
     gauss_legendre,
@@ -432,3 +435,166 @@ def test_a_call_that_meets_its_plan_evaluates_only_pieces_and_outputs(monkeypatc
     assert counter.elements == at_radii + pieces
     assert built > 5 * counter.elements
     assert second.tobytes() == first.tobytes()
+
+
+# Split Bessel batches: each case is (dim, orders, energies, r, rp) for
+# separable_kernels.
+_SPLIT_R = np.linspace(0.02, 6.0, 97)
+_SPLIT_ORDERS = np.arange(-40, 41)
+SPLIT_CASES = {
+    "radius axis": (2, 3, 0.4 + 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
+    "order axis": (2, _SPLIT_ORDERS, 0.4 + 1.0j + 7.0 * _SPLIT_ORDERS, 0.7, 1.1),
+    "3D": (3, np.arange(8), 0.4 + 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
+    "lower half-plane": (2, [0, 1, 2], 0.4 - 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
+}
+
+
+def _serial_and_split(monkeypatch, call):
+    """call() and its scipy.special call count on one thread, then with every
+    batch split across the helper thread."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    runs = []
+    for second_cpu, split_min in ((False, sys.maxsize), (True, 0)):
+        monkeypatch.setattr(rotkrein._radial, "_SECOND_CPU", second_cpu)
+        monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", split_min)
+        counter.calls = 0
+        runs.append((call().tobytes(), counter.calls))
+    return runs
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
+def test_a_split_batch_is_the_bits_of_one_call(monkeypatch, case):
+    """Both halves of every jv and hankel1 call together give the bits of
+    the one call, in 2D and 3D, along either axis and in both half-planes."""
+    (one, serial_calls), (split, split_calls) = _serial_and_split(
+        monkeypatch, lambda: separable_kernels(*case))
+    assert split_calls == 2 * serial_calls > 0
+    assert split == one
+
+
+@pytest.mark.parametrize("dim,z", MEMO_CASES)
+def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, dim, z):
+    def call():
+        rotkrein._radial._plan.cache_clear()
+        return radial_apply(_psi(dim, 1, MEMO_GRID), z, MEMO_RADII)
+
+    (one, serial_calls), (split, split_calls) = _serial_and_split(monkeypatch, call)
+    assert split_calls == 2 * serial_calls > 0
+    assert split == one
+
+
+def test_a_split_takes_the_longer_axis(split_bessel):
+    """Many orders at one radius are cut along the orders, one order at many
+    radii along the radii; each half is one call."""
+    seen = []
+
+    def jv(nu, x, **kwargs):
+        seen.append((np.shape(nu), np.shape(x)))
+        return sp.jv(nu, x, **kwargs)
+
+    w = sqrt_upper(0.4 + 1.0j)
+    for nu, x, halves in (
+        (np.arange(80.0).reshape(-1, 1), np.array([0.7 * w]), ((40, 1), (1, 1))),
+        (np.array([[1.5]]), w * _SPLIT_R[:96], ((1, 1), (1, 48))),
+    ):
+        seen.clear()
+        assert _bessel(jv, nu, x).tobytes() == sp.jv(nu, np.atleast_2d(x)).tobytes()
+        assert seen == [halves, halves]
+
+
+def test_an_error_on_the_helper_reaches_the_caller(split_bessel):
+    """The half on the helper thread raises in the caller, after the
+    caller's own half is done."""
+    done = []
+
+    def jv(nu, x, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise ArithmeticError("helper half")
+        done.append(sp.jv(nu, x, **kwargs))
+
+    with pytest.raises(ArithmeticError, match="helper half"):
+        _bessel(jv, np.arange(4.0).reshape(-1, 1), np.array([0.7 + 0.1j]))
+    assert len(done) == 1
+
+
+def test_typed_errors_raise_through_the_split(split_bessel):
+    with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
+        separable_kernels(2, [0, 1], [1j, -2.0], np.array([0.0, 0.5])[:, None],
+                          np.array([0.0, 0.7]))
+    with pytest.raises(OverflowError, match=r"order 1 at z=\(-10000\+1j\).*\[7\.9, 8\]"):
+        separable_kernels(2, [0, 1], [1j, -1e4 + 1j], 7.9, [8.0])
+    grid = np.linspace(0.05, 8.0, 120)
+    with pytest.raises(OverflowError, match=r"2D radial resolvent of order 1 at z=\(-10000\+1j\)"):
+        radial_apply(_psi(2, 1, grid), -1e4 + 1.0j, grid)
+
+
+def _send_kernel_bytes(conn, case):
+    conn.send(separable_kernels(*case).tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_evaluates_a_split_batch(split_bessel):
+    """A child forked while this process has its helper thread starts its
+    own helper, instead of waiting on one that the fork did not copy."""
+    case = SPLIT_CASES["radius axis"]
+    want = separable_kernels(*case).tobytes()
+    assert rotkrein._radial._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_kernel_bytes, args=(there, case))
+    child.start()
+    try:
+        assert here.poll(60), "the forked child did not finish its split batch"
+        assert here.recv() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def test_concurrent_callers_share_one_helper(monkeypatch, split_bessel):
+    """Eight caller threads (more than the cores) with a short switch
+    interval start one helper between them, lose no counted call and get
+    the bits of one call each time."""
+    case = SPLIT_CASES["3D"]
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    want = separable_kernels(*case).tobytes()
+    per_call = counter.calls
+    started = []
+
+    class Executor(rotkrein._radial.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(rotkrein._radial, "ThreadPoolExecutor", Executor)
+    monkeypatch.setattr(rotkrein._radial, "_pool", None)
+    counter.calls = 0
+    barrier = threading.Barrier(8)
+    got = []
+
+    def caller():
+        barrier.wait()
+        for _ in range(5):
+            got.append(separable_kernels(*case).tobytes())
+
+    threads = [threading.Thread(target=caller) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 40
+    assert counter.calls == 40 * per_call
+    assert len(started) == 1
+    started[0].shutdown()
