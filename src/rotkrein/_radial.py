@@ -30,8 +30,9 @@ evaluates only the pieces cut by its own output radii.  Results are the same
 bits with or without the memo.
 
 Every J and H factor of both comes from _factors, one jv and one hankel1
-call per radius set.  Where the process may run on a second CPU, a call of
-_SPLIT_MIN elements or more is cut in two halves along its longer axis (the
+call per radius set (J again by real-argument routines where w r is real:
+_jv).  Where the process may run on a second CPU, a call of _SPLIT_MIN
+elements or more is cut in two halves along its longer axis (the
 orders of a channel sum, else the radii), and one module-level helper
 thread evaluates the first half while the caller evaluates the second
 (_bessel).  Only the scipy.special ufunc runs on the helper; it releases
@@ -136,6 +137,31 @@ def _bessel(f, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _jv(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) by one jv call (_bessel), with the arguments on the positive
+    real axis taken again by the routes of specfun's bessel_j and
+    sph_bessel_j: jv at the real argument for integer orders, and
+    sqrt(2 x / pi) spherical_jn(nu - 1/2, x) for half-integer ones past
+    x = nu.  There J has its zeros, and the complex jv loses up to 1e-13
+    relative near one (J_12.5 at 48.62) where spherical_jn's upward
+    recurrence keeps a few ulp.  Below x = nu spherical_jn itself calls the
+    complex jv, so those values stay as they are.
+    """
+    out = _bessel(sp.jv, nu, x)
+    on_axis = x.imag == 0.0
+    if on_axis.any():
+        on_axis = np.broadcast_to(on_axis & (x.real > 0.0), out.shape).nonzero()
+        n, t = np.broadcast_to(nu, out.shape)[on_axis], np.broadcast_to(x.real, out.shape)[on_axis]
+        vals = out[on_axis]
+        whole = n % 1.0 == 0.0
+        vals[whole] = sp.jv(n[whole], t[whole])
+        rec = ~whole & (t > n)
+        vals[rec] = np.sqrt(2.0 / math.pi * t[rec]) * sp.spherical_jn(
+            (n[rec] - 0.5).astype(int), t[rec])
+        out[on_axis] = vals
+    return out
+
+
 def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast mask to an operand's shape: any over its broadcast axes."""
     if mask.shape == shape:
@@ -182,7 +208,7 @@ def _factors(nu, w, flip, x: np.ndarray, need_j, need_h):
     ij = need_j.ravel().nonzero()[0]
     ih = need_h.ravel().nonzero()[0]
     if ij.size:
-        j[:, ij] = 0.5j * math.pi * _bessel(sp.jv, nu2, w2 * xs[ij])
+        j[:, ij] = 0.5j * math.pi * _jv(nu2, w2 * xs[ij])
     if ih.size:
         xh = w2 * xs[ih]
         if not xh.all():
@@ -238,7 +264,8 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     H likewise at the larger ones; entries are the products (i pi / 2 J) * H
     in that order, so every value equals the elementwise closed formula at
     its own energy bit for bit (in 3D, where r r' is a normal double; below,
-    the product is divided by sqrt(r) and sqrt(r') in turn).  Lower
+    the product is divided by sqrt(r) and sqrt(r') in turn), except where w r
+    is real and positive: there J takes _jv's real-argument routes.  Lower
     half-plane energies go through g(conj z) = conj g(z).
 
     Each distinct energy is checked once (require_resolvent_energy); a

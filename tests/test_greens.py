@@ -295,6 +295,7 @@ radii = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
 @example(z=1j, r=5e-324, rp=0.0, lo=0, n=39)  # subnormal tie: the prefactor overflows
 @example(z=1j, r=1e-170, rp=1e-170, lo=0, n=3)  # r r' underflows to 0
 @example(z=0.4 - 1j, r=1e-160, rp=3e-161, lo=0, n=2)  # r r' is subnormal
+@example(z=2364 + 5e-324j, r=1.0, rp=0.0, lo=0, n=15)  # real w r: j_12 near a zero
 def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
     """radial_kernel_3d and one paired call over the degrees against the
     scalar composition (the name predates the tolerance)."""
