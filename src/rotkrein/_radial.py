@@ -7,14 +7,16 @@ the closed upper half plane, where the principal-branch Bessel products are
 the right analytic continuation, the channel kernel separates into
 one-radius factors,
 
-    g(z; r, r')  =  (i pi / 2) J_nu(w r<) H_nu(w r>)      nu = |n|   (2D)
-    g(z; r, r')  =  (i pi / 2) J_nu(w r<) H_nu(w r>) / sqrt(r r')
-                                                        nu = l + 1/2 (3D)
+    g(z; r, r')  =  (i pi / 2) J(w r<) H(w r>),
+    2D:  J(w r) = J_nu(w r),            H(w r) = H_nu(w r),            nu = |n|
+    3D:  J(w r) = J_nu(w r) / sqrt(r),  H(w r) = H_nu(w r) / sqrt(r),  nu = l + 1/2
 
-so separable_kernels evaluates J and H once per radius, in one call over
-every order (each at one shared energy or at its own), and assembles every
-entry as a lower/upper-triangular product of two factors.  Its oracles, the
-k-quadrature of the spectral integrals among them, live in tests/oracles.py.
+(j_l(x) = sqrt(pi / 2x) J_{l+1/2}(x), DLMF 10.47.3; J at r = 0 is its
+limit).  separable_kernels evaluates J and H once per radius, in one call
+over every order (each at one shared energy or at its own), and assembles
+every entry as a lower/upper-triangular product of two factors.  Its
+oracles, the k-quadrature of the spectral integrals among them, live in
+tests/oracles.py.
 
 radial_apply integrates the same factors against a channel function's
 interpolant in O(N) (Greengard & Rokhlin, CPAM 1991): one Gauss rule per
@@ -29,20 +31,20 @@ and z, such as the next resolvent of a Krein/circle/averaged comparison,
 evaluates only the pieces cut by its own output radii.  Results are the same
 bits with or without the memo.
 
-Every J and H factor of both comes from _factors, one jv and one hankel1
-call per radius set (J again by real-argument routines where w r is real:
-_jv).  Where the process may run on a second CPU, a call of _SPLIT_MIN
-elements or more is cut in two halves along its longer axis (the
-orders of a channel sum, else the radii), and one module-level helper
-thread evaluates the first half while the caller evaluates the second
-(_bessel).  Only the scipy.special ufunc runs on the helper; it releases
-the GIL and is elementwise, so results are the same bits on one core or
-two.  A forked child starts its own helper.
+Every J and H factor of both comes from _factors, the one home of what
+differs between the dimensions here: one jv and one hankel1 call per radius
+set (J again by real-argument routines where w r is real: _jv).  Where the
+process may run on a second CPU, a call of _SPLIT_MIN elements or more is
+cut in two halves along its longer axis (the orders of a channel sum, else
+the radii), and one module-level helper thread evaluates the first half
+while the caller evaluates the second (_bessel).  Only the scipy.special
+ufunc runs on the helper; it releases the GIL and is elementwise, so
+results are the same bits on one core or two.  A forked child starts its
+own helper.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import os
@@ -65,8 +67,6 @@ __all__ = [
     "trapezoid_weights",
 ]
 
-
-_TINY = np.finfo(float).tiny  # smallest normal double
 
 # A Bessel batch of at least this many elements is cut in two halves, one
 # evaluated on the helper thread (see _bessel).  numpy releases the GIL only
@@ -173,11 +173,6 @@ def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
     return np.any(mask, axis=axes).reshape(shape)
 
 
-def _nu(dim: int, order):
-    """Bessel order of the channel kernel: |n| in 2D, l + 1/2 in 3D (elementwise)."""
-    return abs(order) if dim == 2 else order + 0.5
-
-
 def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -> None:
     """Raise OverflowError naming the radii (broadcast to values) of nonfinite values."""
     bad = ~np.isfinite(values)
@@ -189,16 +184,21 @@ def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -
         )
 
 
-def _factors(nu, w, flip, x: np.ndarray, need_j, need_h):
-    """(i pi / 2) J_nu(w x) and H_nu(w x), each only where needed (zero elsewhere).
+def _factors(dim: int, orders, w, flip, x: np.ndarray, need_j, need_h):
+    """The factors (i pi / 2) J(w x) and H(w x) of the channel kernels of
+    the orders, each only where needed (zero elsewhere).
 
-    nu holds one order or an array of orders, whose axes lead the results';
-    w is one _root and flip one Im z < 0 flag, or one of each per order.
-    Flagged factors come back conjugated: g(z) = conj g(conj z).  Every
-    order is evaluated in the same jv and hankel1 call, at the needed
-    entries of the flattened radius axes.  A zero argument of H (r = r' = 0
-    in a kernel) raises SingularArgumentError.
+    The Bessel order is |n| in 2D and l + 1/2 in 3D, where both factors are
+    divided by sqrt(x) and J at x = 0 is its limit, (i pi / 2) sqrt(2 w / pi)
+    for l = 0 and 0 for l >= 1.  orders holds one order or an array of
+    orders, whose axes lead the results'; w is one _root and flip one
+    Im z < 0 flag, or one of each per order.  Flagged factors come back
+    conjugated: g(z) = conj g(conj z).  Every order is evaluated in the same
+    jv and hankel1 call, at the needed entries of the flattened radius axes.
+    A zero argument of H (r = r' = 0 in a kernel) raises SingularArgumentError.
     """
+    orders = np.asarray(orders, dtype=float)
+    nu = np.abs(orders) if dim == 2 else orders + 0.5
     k = nu.size
     nu2 = nu.reshape(k, 1)
     w2 = w.reshape(k, 1) if isinstance(w, np.ndarray) else w
@@ -208,32 +208,28 @@ def _factors(nu, w, flip, x: np.ndarray, need_j, need_h):
     ij = need_j.ravel().nonzero()[0]
     ih = need_h.ravel().nonzero()[0]
     if ij.size:
-        j[:, ij] = 0.5j * math.pi * _jv(nu2, w2 * xs[ij])
+        jx = 0.5j * math.pi * _jv(nu2, w2 * xs[ij])
+        if dim == 3:
+            jx *= 1.0 / np.sqrt(xs[ij])  # the bits of / sqrt(x), at a product's cost
+            at0 = xs[ij] == 0.0
+            if at0.any():
+                jx[:, at0] = np.where(nu2 == 0.5, 0.5j * math.pi * np.sqrt(2.0 * w2 / math.pi), 0.0)
+        j[:, ij] = jx
     if ih.size:
         xh = w2 * xs[ih]
         if not xh.all():
             raise SingularArgumentError(
                 "H_nu is singular at w r = 0 (r = r' = 0, or w r underflows)")
-        h[:, ih] = _bessel(sp.hankel1, nu2, xh)
+        hx = _bessel(sp.hankel1, nu2, xh)
+        if dim == 3:
+            hx *= 1.0 / np.sqrt(xs[ih])
+        h[:, ih] = hx
     flip = np.asarray(flip).reshape(-1, 1)
     if flip.any():
         np.conjugate(j, out=j, where=flip)
         np.conjugate(h, out=h, where=flip)
     shape = nu.shape + x.shape
     return j.reshape(shape), h.reshape(shape)
-
-
-def _origin_limit(g, nu, w, flip, r, rp):
-    """3D entries at r = 0 < r' (J(w r)/sqrt(r) is 0/0) take their limit,
-    exp(i w r')/r' for l = 0 and 0 for l >= 1, conjugated where flip."""
-    big = np.maximum(r, rp)
-    at0 = (np.minimum(r, rp) == 0.0) & (big > 0.0)
-    lead = (1,) * at0.ndim
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_wave = np.exp(1j * np.reshape(w, np.shape(w) + lead) * big) / big
-    lim = np.where(nu.reshape(nu.shape + lead) == 0.5, s_wave, 0.0)
-    lim = np.where(np.reshape(flip, np.shape(flip) + lead), np.conj(lim), lim)
-    return np.where(at0, lim, g)
 
 
 def _root(z: complex) -> complex:
@@ -261,12 +257,12 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     array of the orders' shape).  r and rp broadcast against each other (row
     and column vectors give the matrices).  J is evaluated in one call over
     every order and each radius that is the smaller member of some pair, and
-    H likewise at the larger ones; entries are the products (i pi / 2 J) * H
-    in that order, so every value equals the elementwise closed formula at
-    its own energy bit for bit (in 3D, where r r' is a normal double; below,
-    the product is divided by sqrt(r) and sqrt(r') in turn), except where w r
-    is real and positive: there J takes _jv's real-argument routes.  Lower
-    half-plane energies go through g(conj z) = conj g(z).
+    H likewise at the larger ones, each factor with its own radial weight
+    and limit (_factors); entries are the products ((i pi / 2) J) * H in
+    that order, so every value equals the elementwise closed formula at its
+    own energy bit for bit, except where w r is real and positive: there J
+    takes _jv's real-argument routes.  Lower half-plane energies go through
+    g(conj z) = conj g(z).
 
     Each distinct energy is checked once (require_resolvent_energy); a
     negative or NaN radius and a negative 3D degree raise ValueError, and
@@ -287,8 +283,7 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     flip = z.imag < 0.0
     if not (r.min(initial=0.0) >= 0.0 and rp.min(initial=0.0) >= 0.0):
         raise ValueError("radii must be nonnegative")
-    nu = _nu(dim, orders.astype(float))
-    if nu.ndim and r.ndim != rp.ndim:
+    if orders.ndim and r.ndim != rp.ndim:
         # Order axes lead the factors of r and of rp: pad both to one ndim.
         nd = max(r.ndim, rp.ndim)
         r = r.reshape((1,) * (nd - r.ndim) + r.shape)
@@ -297,19 +292,11 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     # An overflowed factor, or the unselected product of an entry, may give
     # inf * 0; only the selected entries are checked below.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jr, hr = _factors(nu, w, flip, r, _needed(lower, r.shape), _needed(~lower, r.shape))
-        jp, hp = _factors(nu, w, flip, rp, _needed(~lower, rp.shape), _needed(lower, rp.shape))
+        jr, hr = _factors(dim, orders, w, flip, r, _needed(lower, r.shape),
+                          _needed(~lower, r.shape))
+        jp, hp = _factors(dim, orders, w, flip, rp, _needed(~lower, rp.shape),
+                          _needed(lower, rp.shape))
         g = np.where(lower, jr * hp, jp * hr)
-        if dim == 3:
-            rr = r * rp
-            if rr.min() >= _TINY:
-                g = g / np.sqrt(rr)
-            else:
-                # r r' below the normal range: divide by each root (entries
-                # with a radius 0 are mended below).
-                g = np.where(rr < _TINY, g / np.sqrt(r) / np.sqrt(rp), g / np.sqrt(rr))
-            if not (r.all() and rp.all()):
-                g = _origin_limit(g, nu, w, flip, r, rp)
     if not np.isfinite(g).all():
         per_order = g.reshape((-1,) + lower.shape)
         energies = np.broadcast_to(z, orders.shape).ravel()
@@ -367,18 +354,17 @@ def _edges(grid: np.ndarray, w: complex) -> np.ndarray:
     return np.unique(np.concatenate([grid, np.linspace(lo, hi, n_uniform + 1), graded]))
 
 
-def _integrals(dim: int, nu, z: complex, f, a, b, need_j, need_h) -> tuple:
-    """Integrals over the intervals [a, b] of (i pi / 2) J f and H f times
-    t^(dim-1) (over sqrt(t) in 3D), by one _APPLY_NODES-point Gauss rule
+def _integrals(dim: int, order: int, z: complex, f, a, b, need_j, need_h) -> tuple:
+    """Integrals over the intervals [a, b] of the factors (i pi / 2) J f and
+    H f (_factors) times t^(dim-1), by one _APPLY_NODES-point Gauss rule
     each; J only on the intervals of need_j and H on those of need_h (zero
-    elsewhere).  Lower half-plane z takes the conjugated factors (_factors)."""
+    elsewhere).  Lower half-plane z takes the conjugated factors."""
     half = 0.5 * (b - a)[:, None]
     t = 0.5 * (a + b)[:, None] + half * _APPLY_X
     wf = half * _APPLY_W * f(t) * t ** (dim - 1)
-    if dim == 3:
-        wf = wf / np.sqrt(t)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jt, ht = _factors(nu, _root(z), z.imag < 0.0, t, np.broadcast_to(need_j[:, None], t.shape),
+        jt, ht = _factors(dim, order, _root(z), z.imag < 0.0, t,
+                          np.broadcast_to(need_j[:, None], t.shape),
                           np.broadcast_to(need_h[:, None], t.shape))
         return np.sum(jt * wf, axis=1), np.sum(ht * wf, axis=1)
 
@@ -400,8 +386,8 @@ def _plan(dim: int, order: int, z_bytes: bytes, j_stop: int, h_start: int,
     f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
     edges = _edges(grid, _root(z))
     whole = np.arange(len(edges) - 1)
-    jint, hint = _integrals(dim, _nu(dim, np.asarray(order, dtype=float)), z, f,
-                            edges[:-1], edges[1:], whole < j_stop, whole >= h_start)
+    jint, hint = _integrals(dim, order, z, f, edges[:-1], edges[1:], whole < j_stop,
+                            whole >= h_start)
     left = np.concatenate([[0.0], np.cumsum(jint)])
     right = np.concatenate([np.cumsum(hint[::-1])[::-1], [0.0]])
     left.flags.writeable = right.flags.writeable = False
@@ -419,16 +405,17 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
         int g f t^(dim-1)  =  H(w r) L(r) + J(w r) R(r),
         L(r) = int_lo^r (i pi / 2) J f t^(dim-1),   R(r) = int_r^hi H f t^(dim-1)
 
-    (each factor over sqrt(r) or sqrt(t) in 3D).  The breakpoints are the
-    grid knots, uniform edges at most 3/|sqrt z| apart and geometric edges
-    towards the origin, where the H integrand is singular, so f is one cubic
-    on each interval between them and no interval is wider than a quarter of
-    its distance from 0; one _APPLY_NODES-point Gauss rule per interval then
-    integrates f against J and H to about 1e-12 relative.  A
-    forward and a backward running sum of the interval integrals give L and
-    R at every breakpoint; an output radius inside an interval adds the two
-    pieces of that interval on either side of it.  Work is O(len(grid) +
-    len(r_out)), and the value at r does not depend on the other radii.
+    (J and H are the factors of _factors, in 3D each over the square root
+    of its radius).  The breakpoints are the grid knots, uniform edges at
+    most 3/|sqrt z| apart and geometric edges towards the origin, where the
+    H integrand is singular, so f is one cubic on each interval between them
+    and no interval is wider than a quarter of its distance from 0; one
+    _APPLY_NODES-point Gauss rule per interval then integrates f against J
+    and H to about 1e-12 relative.  A forward and a backward running sum of
+    the interval integrals give L and R at every breakpoint; an output radius
+    inside an interval adds the two pieces of that interval on either side
+    of it.  Work is O(len(grid) + len(r_out)), and the value at r does not
+    depend on the other radii.
 
     The running sums and the interpolant form a plan, kept in a memo of the
     last _PLANS = 8 plans keyed on the content of the inputs: dim, order,
@@ -465,25 +452,17 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
         int(kr.min(initial=nb)), grid.tobytes(), values.tobytes())
     ks, cs = k[inside], rc[inside]
     yes, no = np.ones(len(cs), bool), np.zeros(len(cs), bool)
-    nu = _nu(dim, np.asarray(order, dtype=float))
     # The pieces below (J) and above (H) each inside rc.
-    jin, hin = _integrals(dim, nu, z, f, np.concatenate([edges[ks], cs]),
+    jin, hin = _integrals(dim, order, z, f, np.concatenate([edges[ks], cs]),
                           np.concatenate([cs, edges[ks + 1]]),
                           np.concatenate([yes, no]), np.concatenate([no, yes]))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jr, hr = _factors(nu, w, z.imag < 0.0, r, r < hi, r > lo)
+        jr, hr = _factors(dim, order, w, z.imag < 0.0, r, r < hi, r > lo)
         left = left_sums[k]
         right = right_sums[kr]
         left[inside] += jin[: len(cs)]
         right[inside] += hin[len(cs) :]
         out = hr * left + jr * right
-        if dim == 3:
-            out = out / np.sqrt(r)
-            # r = 0: left = 0, (i pi/2) J(w r)/sqrt(r) -> (i pi/2) sqrt(2w/pi) if l = 0, else 0.
-            at0 = r == 0.0
-            if at0.any():
-                lim = 0.5j * math.pi * cmath.sqrt(2.0 * w / math.pi) if order == 0 else 0.0
-                out[at0] = (np.conj(lim) if z.imag < 0.0 else lim) * right[at0]
     _check_finite("radial resolvent", dim, order, z, out, r)
     return out.reshape(r_out.shape)
 

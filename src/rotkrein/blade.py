@@ -129,6 +129,11 @@ class BladeParam:
         return 1.0 / vals
 
 
+# The optional BladeMesh fields that the matrices and fields of each
+# dimension read: a mesh without one of them is refused when it is built.
+_MESH_FIELDS = {2: ("r_1d", "cells", "n_per", "angles"), 3: ("u", "r_1d", "u_1d", "angles")}
+
+
 @dataclass(eq=False)
 class BladeMesh:
     """Tensor Gauss mesh on the blade with surface-measure weights.
@@ -137,7 +142,8 @@ class BladeMesh:
     3D: tensor Gauss in (r, u = cos theta), weights r^2 dr du, flattened
     r-major.  Weight sums are exact: A^2/2 and 2 A^3/3.  angles holds the
     angular samples as the channel harmonics take them: the 2D segment's
-    theta = 0, or the 3D polar nodes arccos(u_1d) at phi = 0.
+    theta = 0, or the 3D polar nodes arccos(u_1d) at phi = 0.  A mesh that
+    lacks a field of its dimension (_MESH_FIELDS) raises ValueError.
     """
 
     dim: int
@@ -153,6 +159,7 @@ class BladeMesh:
 
     def __post_init__(self) -> None:
         _require_dense(len(self.r))
+        channel_class(self.dim)
         # r^(dim-1) dr over [0, A] times the angular measure: 1 for the 2D
         # segment's one sample, 2 for du over [-1, 1] in 3D.
         target = (self.dim - 1) * self.A**self.dim / self.dim
@@ -161,6 +168,9 @@ class BladeMesh:
             raise ValueError(
                 f"weight sum {total!r} misses the blade measure {target!r}"
             )
+        for name in _MESH_FIELDS[self.dim]:
+            if getattr(self, name) is None:
+                raise ValueError(f"a {self.dim}D blade mesh needs its {name} field")
 
     @property
     def n_nodes(self) -> int:

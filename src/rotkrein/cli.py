@@ -100,9 +100,8 @@ def _parse_point(text: str, dim: int) -> Point2 | Point3:
 
 
 def _truncation_args(args) -> Truncation:
-    l_max = args.l_max
-    if l_max is None and args.dim == 3:
-        l_max = args.m_max
+    """The degree cap defaults to m_max (2D windows do not read it)."""
+    l_max = args.m_max if args.l_max is None else args.l_max
     return Truncation(m_max=args.m_max, l_max=l_max, tail_tol=args.tail_tol)
 
 

@@ -1,5 +1,6 @@
 """Blade mesh, boundary matrices, form probe, and the averaged solver."""
 
+import dataclasses
 import math
 import sys
 
@@ -117,6 +118,18 @@ def test_dense_budget_holds_for_a_hand_built_mesh():
     with pytest.raises(ValueError, match="2608 nodes exceed the dense budget"):
         BladeMesh(dim=2, A=1.0, r=r, w=w * r, r_1d=r,
                   cells=np.stack([edges[:-1], edges[1:]], axis=1), n_per=8, angles=(0.0,))
+
+
+@pytest.mark.parametrize("dim, field", [(2, "r_1d"), (2, "cells"), (2, "n_per"), (2, "angles"),
+                                        (3, "u"), (3, "r_1d"), (3, "u_1d"), (3, "angles")])
+def test_a_hand_built_mesh_needs_the_fields_of_its_dimension(dim, field):
+    """A mesh without a field that its dimension's matrices read is refused
+    when it is built, not met by a TypeError in the first gamma_matrix."""
+    mesh = build_mesh(dim, 1.0, 4)
+    with pytest.raises(ValueError, match=f"{dim}D blade mesh needs its {field} field"):
+        dataclasses.replace(mesh, **{field: None})
+    with pytest.raises(ValueError, match=f"{dim}D blade mesh needs its"):
+        BladeMesh(dim=dim, A=1.0, r=mesh.r, w=mesh.w)
 
 
 def test_dense_budget_admits_its_own_size():

@@ -2,7 +2,8 @@
 helper outlives its callers, every name an __all__ exports exists, every
 function the benchmark tracer wraps exists, only the listed functions
 branch on the dimension, only the listed functions read the harmonic's
-norm, one function factors a dense matrix, and one module uses threads.
+norm, one function conjugates the radial factors, one function factors a
+dense matrix, and one module uses threads.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -190,7 +191,6 @@ DIMENSION_SITES = [
     "blade.gamma_matrix",
     "cli._config_channels",
     "cli._parse_point",
-    "cli._truncation_args",
     "cli.cmd_gamma",
     "cli.run_study_config",
     "limits.blade_convergence_study",
@@ -204,6 +204,40 @@ def test_dimension_branches_stay_where_they_are_allowed():
     classes.  A new site fails here; a removed one is struck off the list."""
     sources = {p.stem: p.read_text() for p in MODULES if p.stem not in ("specfun", "_radial")}
     assert _sites(sources, _branches_on_dimension) == DIMENSION_SITES
+
+
+# Where _radial tells the dimensions apart: the Bessel factors (order, 3D
+# radial weight and its r = 0 limit) and the degree check of the kernels.
+RADIAL_DIMENSION_SITES = ["_radial._factors", "_radial.separable_kernels"]
+
+
+def test_radial_dimension_branches_stay_in_the_factors():
+    """A ratchet: every 2D/3D difference of the radial kernels and of
+    radial_apply is a fact of the factors.  A new site fails here."""
+    sources = {"_radial": (SRC / "_radial.py").read_text()}
+    assert _sites(sources, _branches_on_dimension) == RADIAL_DIMENSION_SITES
+
+
+def _numpy_conjugate(node) -> bool:
+    """A use of np.conj or np.conjugate (not a number's own conjugate())."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("conj", "conjugate")
+            and getattr(node.value, "id", None) in ("np", "numpy"))
+
+
+def test_finds_numpy_conjugates():
+    sources = {"a": (
+        "def f(g):\n    return np.conj(g)\n\n"
+        "def g(z, out):\n    def inner():\n        numpy.conjugate(out, out=out)\n"
+        "    return z.conjugate(), inner\n\n"
+        "def h(a):\n    return a.conj(), np.real(a)\n")}
+    assert _sites(sources, _numpy_conjugate) == ["a.f", "a.g.inner"]
+
+
+def test_only_the_factors_conjugate():
+    """A ratchet on g(z) = conj g(conj z): in _radial only _factors
+    conjugates, the factors of every lower half-plane energy at once."""
+    sources = {"_radial": (SRC / "_radial.py").read_text()}
+    assert _sites(sources, _numpy_conjugate) == ["_radial._factors"]
 
 
 def _reads_harmonic_norm(node) -> bool:
