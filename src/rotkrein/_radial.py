@@ -266,10 +266,12 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
 
     Each distinct energy is checked once (require_resolvent_energy); a
     negative or NaN radius and a negative 3D degree raise ValueError, and
-    r = r' = 0 (an H factor at argument 0) SingularArgumentError.  A
-    nonfinite entry (Bessel overflow at large |z| r) raises OverflowError
-    naming the first such order, its z and the radii.  An empty order list
-    gives an empty result and checks nothing.
+    r = r' = 0 (an H factor at argument 0) SingularArgumentError.  An entry
+    whose J factor is taken at r = 0 and is exactly 0 there (every order but
+    the lowest) is 0, even where its H factor overflows; any other nonfinite
+    entry (Bessel overflow at large |z| r, or at a tiny r') raises
+    OverflowError naming the first such order, its z and the radii.  An
+    empty order list gives an empty result and checks nothing.
     """
     orders = np.asarray(orders)
     r = np.asarray(r, dtype=float)
@@ -298,6 +300,10 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
                           _needed(lower, rp.shape))
         g = np.where(lower, jr * hp, jp * hr)
     if not np.isfinite(g).all():
+        # J at r = 0 is its exact limit, 0 for every order but the lowest:
+        # the kernel is 0 there even where its H factor overflows.
+        at0 = np.where(lower, (r == 0.0) & (jr == 0.0), (rp == 0.0) & (jp == 0.0))
+        g[at0 & ~np.isfinite(g)] = 0.0
         per_order = g.reshape((-1,) + lower.shape)
         energies = np.broadcast_to(z, orders.shape).ravel()
         for order, e, gk in zip(orders.ravel(), energies, per_order):

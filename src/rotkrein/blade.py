@@ -431,15 +431,20 @@ def _free_3d(z: complex, mesh: BladeMesh) -> tuple:
 # Channel sums on the tensor mesh, both dimensions
 
 
-def _angular(mesh: BladeMesh, chans) -> np.ndarray:
-    """Orthonormal angular factor y_c of each channel at the mesh's angular
-    samples (real), shape (channels, samples), from one harmonic call:
-    1/sqrt(2 pi) at the 2D segment's one sample theta = 0, Y_l^m(theta_u, 0)
-    at the 3D polar nodes."""
-    cls = channel_class(mesh.dim)
+def _angular(dim: int, chans, angles) -> np.ndarray:
+    """Orthonormal angular factor y_c of each channel at the angle arrays,
+    shape (channels,) + their broadcast shape, from one harmonic call.  Each
+    part of a harmonic is divided by the norm, as ch.angular divides it
+    (numpy's complex / real would multiply by the reciprocal instead).  At
+    a mesh's angular samples the factors are real: 1/sqrt(2 pi) at the 2D
+    segment's one sample theta = 0, Y_l^m(theta_u, 0) at the 3D polar nodes."""
+    cls = channel_class(dim)
     idx = np.array([(ch.order, ch.shift) for ch in chans], dtype=int).reshape(-1, 2)
-    ys = cls.harmonics(idx[:, :1], idx[:, 1:], *mesh.angles)
-    return np.real(ys) / math.sqrt(cls.harmonic_norm_sq)
+    ys = cls.harmonics(idx[:, :1], idx[:, 1:], *angles)
+    norm = math.sqrt(cls.harmonic_norm_sq)
+    out = np.empty(ys.shape, dtype=complex)
+    out.real, out.imag = ys.real / norm, ys.imag / norm
+    return out
 
 
 def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:
@@ -467,7 +472,7 @@ def _channel_sum(mesh: BladeMesh, chans, z: complex, omega: float, less_unshifte
     node vectors give the mesh matrix; the 2D own-panel cells pass (node,
     quadrature point) arrays, which one angular sample leaves as they are.
     """
-    ys = _angular(mesh, chans)
+    ys = _angular(mesh.dim, chans, mesh.angles).real
     outer = ys[:, :, None] * ys[:, None, :]
 
     def kernel(r, rp):
@@ -607,7 +612,7 @@ def layer_fields(
         raise ValueError("density length must match the mesh")
     # Contract over the angular samples first: v_c = (w xi as (r, u)) @ y_c,
     # then G_c(r_eval, r) @ v_c.
-    ys = _angular(mesh, channels)
+    ys = _angular(mesh.dim, channels, mesh.angles).real
     v = (mesh.w * xi).reshape(len(mesh.r_1d), ys.shape[1]) @ ys.T
     blocks = _blocks(mesh.dim, channels, z, rot.omega, r_eval[:, None], mesh.r_1d[None, :])
     return dict(zip(channels, np.matmul(blocks, v.T[:, :, None])[:, :, 0]))
@@ -714,7 +719,7 @@ def solve_density(
         raise ValueError("prebuilt matrix was assembled at a different parameter")
     M = gm.entries if gm is not None else gamma_matrix(z, bp, rot, t, mesh).entries
     fp = _free_radial(z, psi, rot, mesh.r_1d)
-    trace = np.outer(fp, _angular(mesh, [psi.channel])[0]).ravel()
+    trace = np.outer(fp, _angular(mesh.dim, [psi.channel], mesh.angles)[0].real).ravel()
     return BoundaryDensity(values=_dense_solve(M, trace))
 
 
@@ -738,11 +743,15 @@ def apply_blade_resolvent(
     r_pts = np.array([p.r for p in eval_points], dtype=float)
     fp_pts = _free_radial(z, psi, rot, r_pts)
     fields = layer_fields(z, density.values, rot, mesh, r_pts, cls.window(t))
+    # Every channel's angular factor at every point from one harmonic call.
+    n_angles = len(cls.source_angles)
+    angles = np.array([p.angles for p in eval_points]).reshape(len(r_pts), n_angles).T
+    ys = _angular(bp.dim, [ch, *fields], angles).tolist()
     out = np.zeros(len(r_pts), dtype=complex)
-    for i, p in enumerate(eval_points):
-        val = fp_pts[i] * ch.angular(*p.angles)
-        for cch, c in fields.items():
-            val += c[i] * cch.angular(*p.angles)
+    for i in range(len(r_pts)):
+        val = fp_pts[i] * ys[0][i]
+        for y, c in zip(ys[1:], fields.values()):
+            val += c[i] * y[i]
         out[i] = val
     return out
 

@@ -11,8 +11,10 @@ The scalar Bessel and Hankel functions are the public one-term API; no
 library code calls them (the channel kernels evaluate their Bessel factors
 over arrays in _radial.separable_kernels), so their |Im x| backstop guards
 this API only.  They stay public, and the benchmark tracer wraps them by
-name.  Equatorial weights are evaluated per shell over an array of degrees
-(_equatorial_weights); equatorial_weight is its one-degree view.  The
+name.  Equatorial weights are evaluated over the degrees of many shells
+at once (_equatorial_weights); equatorial_weight is its one-degree view.
+A window's spherical harmonics are read off one sph_harm_y_all triangle
+per angle (ChannelIndex3.harmonics); sph_harm evaluates one by itself.  The
 channel classes state every fact of a channel that differs by dimension.
 The require_*_energy checks of a spectral parameter live here, and every
 module imports them from here.
@@ -210,25 +212,44 @@ class ChannelIndex3(_Channel):
     def source_shells(shifts, l_max) -> tuple:
         """Orders, source weights and sizes of the source shells of the
         shifts m, concatenated: each is the degrees l = |m| .. l_max of
-        nonzero weight |Y_l^m(eq)|^2, in increasing l, with the weights of
-        each distinct shift computed once.  Needs l_max >= |m|."""
+        nonzero weight |Y_l^m(eq)|^2, in increasing l.  The weights of every
+        distinct shift come from one _equatorial_weights call over all of
+        their degrees.  Needs l_max >= |m|."""
         if l_max is None:
             raise ValueError(_NO_L_MAX)
-        shells = {}
-        for m in dict.fromkeys(shifts):
+        ms = list(dict.fromkeys(shifts))
+        for m in ms:
             if l_max < abs(m):
                 raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
-            ls = np.arange(abs(m), l_max + 1)
-            wgt = ChannelIndex3.source_weights(ls.tolist(), m)
-            shells[m] = ls[wgt != 0.0], wgt[wgt != 0.0]
-        return (np.concatenate([shells[m][0] for m in shifts]),
-                np.concatenate([shells[m][1] for m in shifts]),
-                np.array([len(shells[m][0]) for m in shifts]))
+        sizes = l_max + 1 - np.abs(ms)
+        ls = _ranges(np.abs(ms), sizes)
+        wgt = np.array(_equatorial_weights(ls, np.repeat(ms, sizes)))
+        live = wgt != 0.0
+        kept = np.add.reduceat(live.astype(int), np.cumsum(sizes) - sizes)
+        shell = {m: d for d, m in enumerate(ms)}
+        d = np.array([shell[m] for m in shifts])
+        take = _ranges((np.cumsum(kept) - kept)[d], kept[d])
+        return ls[live][take], wgt[live][take], kept[d]
 
     @staticmethod
     def harmonics(orders, shifts, theta, phi) -> np.ndarray:
-        """Y_l^m(theta, phi) of each order l and shift m, broadcast."""
-        return sp.sph_harm_y(orders, shifts, theta, phi)
+        """Y_l^m(theta, phi) of each order l and shift m, broadcast.
+
+        One sph_harm_y_all call gives, for each angle pair of the broadcast
+        theta and phi, the triangle of every Y_l^m with l up to the largest
+        order and |m| up to the largest |shift|, from one three-term
+        recurrence (DLMF 14.10); each value is gathered from its angle's
+        triangle, the bits of sph_harm_y at that (l, m).  Empty orders or
+        shifts give an empty result.
+        """
+        orders, shifts = np.asarray(orders), np.asarray(shifts)
+        theta, phi = np.broadcast_arrays(theta, phi)
+        if not (orders.size and shifts.size):
+            return np.zeros(np.broadcast_shapes(orders.shape, shifts.shape, theta.shape),
+                            dtype=complex)
+        ys = sp.sph_harm_y_all(int(orders.max()), int(np.abs(shifts).max()), theta, phi)
+        at = np.arange(theta.size).reshape(theta.shape)
+        return ys.reshape(ys.shape[:2] + (-1,))[orders, shifts, at]
 
     @classmethod
     def window(cls, t) -> list:
@@ -248,6 +269,11 @@ class ChannelIndex3(_Channel):
         """Sharp cutoff l <= cap, |m| <= min(l, t.m_max); l outer, m inner."""
         return [cls(l, m) for l in range(0, cap + 1)
                 for m in range(-min(l, t.m_max), min(l, t.m_max) + 1)]
+
+
+def _ranges(starts, sizes) -> np.ndarray:
+    """The integer ranges starts[i] .. starts[i] + sizes[i] - 1, concatenated."""
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
 
 
 def channel_class(dim: int, *parts) -> type:
@@ -382,6 +408,8 @@ def sph_harm(l: int, m: int, theta: float, phi: float) -> complex:
 
     theta is the polar angle from the positive axis, phi the azimuth.
     """
+    _require_integer("degree l", l)
+    _require_integer("order m", m)
     if l < 0:
         raise ValueError(f"degree must be nonnegative, got l={l}")
     if abs(m) > l:
@@ -395,36 +423,28 @@ def equatorial_weight(l: int, m: int) -> float:
     Zero whenever l + m is odd (the equatorial node of the associated
     Legendre function).  The one-degree view of _equatorial_weights.
     """
+    _require_integer("degree l", l)
+    _require_integer("order m", m)
     return _equatorial_weights([l], m)[0]
 
 
-def _equatorial_weights(ls, m: int) -> list:
-    """equatorial_weight(l, m) for the degrees ls of one order m, as floats.
+def _equatorial_weights(ls, m) -> list:
+    """equatorial_weight(l, m) for the degrees ls, as floats: m is one order
+    or one order per degree.
 
-    One gammaln and one exp call over the degrees with a nonzero weight.
-    The log-gamma sum is formed per degree in the order of the one-degree
-    formula, in double arithmetic, so each weight is the same bit for bit.
+    One gammaln, one log and one exp call over the degrees with a nonzero
+    weight.  The log-gamma sum is formed in numpy in the term order of the
+    one-degree formula, so each weight is the same bit for bit.
     """
-    for l in ls:
-        if l < 0:
-            raise ValueError(f"degree must be nonnegative, got l={l}")
-    live = [abs(m) <= l and (l + m) % 2 == 0 for l in ls]
-    a = [l for l, keep in zip(ls, live) if keep]
-    if not a:
-        return [0.0] * len(live)
-    g = sp.gammaln(
-        [l - m + 1 for l in a] + [l + m + 1 for l in a]
-        + [(l + m) / 2 + 1 for l in a] + [(l - m) / 2 + 1 for l in a]
-    ).tolist()
-    k = len(a)
-    lg = [
-        math.log((2 * l + 1) / (4.0 * math.pi))
-        + g[i]
-        + g[k + i]
-        - 2.0 * g[2 * k + i]
-        - 2.0 * g[3 * k + i]
-        - 2.0 * l * math.log(2.0)
-        for i, l in enumerate(a)
-    ]
-    wgt = iter(np.exp(lg).tolist())
-    return [next(wgt) if keep else 0.0 for keep in live]
+    ls = np.asarray(ls)
+    m = np.broadcast_to(m, ls.shape)
+    if (ls < 0).any():
+        raise ValueError(f"degree must be nonnegative, got l={ls[ls < 0][0]}")
+    live = (np.abs(m) <= ls) & ((ls + m) % 2 == 0)
+    l, m = ls[live], m[live]
+    g = sp.gammaln([l - m + 1, l + m + 1, (l + m) / 2 + 1, (l - m) / 2 + 1])
+    lg = (np.log((2 * l + 1) / (4.0 * math.pi)) + g[0] + g[1] - 2.0 * g[2] - 2.0 * g[3]
+          - 2.0 * l * math.log(2.0))
+    wgt = np.zeros(ls.shape)
+    wgt[live] = np.exp(lg)
+    return wgt.tolist()

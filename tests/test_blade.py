@@ -362,6 +362,34 @@ def test_apply_blade_resolvent_weak_blade_tends_to_free_field(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_apply_blade_resolvent_adds_the_one_channel_terms(dim):
+    """The field at each point is the free term times ch.angular there plus
+    each window channel's layer field times its ch.angular there, added in
+    window order, though every angular factor comes from one harmonic call;
+    no points give an empty field."""
+    rot, bp = RotationSpec(5.0), BladeParam(1.0, 2.0, dim)
+    if dim == 2:
+        ch, t, mesh = ChannelIndex2(1), Truncation(4), build_mesh(2, 1.0, 4)
+        pts = [Point2(r, th) for r, th in ((0.5, 0.0), (1.5, 1.2), (2.5, 5.0))]
+    else:
+        ch, t, mesh = ChannelIndex3(2, 1), Truncation(3, l_max=5), build_mesh(3, 1.0, 5)
+        pts = [Point3(r, th, ph) for r, th, ph in ((0.5, 0.0, 0.1), (1.5, math.pi / 2, 2.0),
+                                                    (2.5, math.pi, 4.0), (0.9, 2.2, 5.3))]
+    psi = make_psi(dim, ch, n=120)
+    out = apply_blade_resolvent(Z, psi, bp, rot, t, mesh, pts)
+    r_pts = np.array([p.r for p in pts])
+    fp = blade_mod._free_radial(Z, psi, rot, r_pts)
+    density = solve_density(Z, psi, bp, rot, t, mesh)
+    fields = layer_fields(Z, density.values, rot, mesh, r_pts, type(ch).window(t))
+    for i, p in enumerate(pts):
+        val = fp[i] * ch.angular(*p.angles)
+        for cch, c in fields.items():
+            val += c[i] * cch.angular(*p.angles)
+        assert out[i] == val
+    assert apply_blade_resolvent(Z, psi, bp, rot, t, mesh, []).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_layer_fields_density_length_must_match_the_mesh(dim):
     mesh = build_mesh(dim, 1.0, 4)
     chans = [ChannelIndex2(1)] if dim == 2 else [ChannelIndex3(1, 1)]

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from rotkrein import (
     BladeParam,
@@ -27,6 +28,7 @@ from rotkrein import (
     build_mesh,
     channel_diag,
     eps_scaling_study,
+    gamma_matrix,
     krein_kernel,
     lambda_at,
     lambda_matrix,
@@ -167,6 +169,46 @@ def test_array_facts_match_the_channels(m_max, l_max):
         want = [abs(c.harmonic(*c.source_angles)) ** 2 for c in live]
         assert w == pytest.approx(want, rel=1e-12)
         assert w.tolist() == [c.source_weight() for c in live]
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("l_max,m_max", [(6, 3), (48, 48), (64, 20)])
+def test_harmonics_equal_per_element_sph_harm_y_bitwise(l_max, m_max):
+    """ChannelIndex3.harmonics reads every value off one sph_harm_y_all
+    triangle per angle: the bits of sph_harm_y at each (l, m), at both
+    poles, on the equator and at random angles, in the broadcast shapes of
+    rot_green (two points against the window), of the blade's angular
+    samples (channels against polar nodes) and of one channel."""
+    rng = np.random.default_rng(l_max + m_max)
+    orders, shifts = ChannelIndex3.window_indices(Truncation(m_max, l_max))
+    thetas = np.concatenate([[0.0, math.pi, math.pi / 2], rng.uniform(0.0, math.pi, 5)])
+    phis = np.concatenate([[0.0, 1.1, 0.0], rng.uniform(-math.pi, math.pi, 5)])
+    for a, b in zip(range(len(thetas)), range(1, len(thetas))):
+        th, ph = [[thetas[a]], [thetas[b]]], [[phis[a]], [phis[b]]]
+        got = ChannelIndex3.harmonics(orders, shifts, th, ph)
+        assert got.shape == (2, len(orders))
+        assert _bits(got) == _bits(sp.sph_harm_y(orders, shifts, th, ph))
+    o, m = orders[:, None], shifts[:, None]
+    got = ChannelIndex3.harmonics(o, m, thetas, 0.0)
+    assert got.shape == (len(orders), len(thetas))
+    assert _bits(got) == _bits(sp.sph_harm_y(o, m, thetas, 0.0))
+    for l, mm, th, ph in ((l_max, -m_max, 0.3, 2.0), (m_max, m_max, math.pi, 0.0)):
+        assert _bits(ChannelIndex3(l, mm).harmonic(th, ph)) == _bits(sp.sph_harm_y(l, mm, th, ph))
+
+
+def test_empty_windows_have_empty_harmonics():
+    """No orders give no harmonics (rot_green's and the blade's shapes), and
+    a 3D boundary matrix without shifted channels still assembles."""
+    none = np.array([], dtype=int)
+    assert ChannelIndex3.harmonics(none, none, 0.3, 0.0).shape == (0,)
+    assert ChannelIndex3.harmonics(none, none, [[0.1], [0.2]], [[0.0], [1.0]]).shape == (2, 0)
+    assert ChannelIndex3.harmonics(none[:, None], none[:, None], [0.1, 0.2], 0.0).shape == (0, 2)
+    gm = gamma_matrix(0.4 + 1j, BladeParam(1.0, 2.0, 3), RotationSpec(10.0),
+                      Truncation(0, l_max=3), build_mesh(3, 1.0, 4))
+    assert gm.entries.shape == (16, 16) and np.isfinite(gm.entries).all()
 
 
 def test_circle_term_is_its_own_inverse():

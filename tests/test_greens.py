@@ -384,6 +384,27 @@ def test_closed_forms_keep_the_scalar_checks():
     assert separable_kernels(2, [], [], -1.0, 1.0).shape == (0,)
 
 
+@pytest.mark.parametrize("dim,order,rp", [(3, 1, 1e-160), (3, 20, 1.5e-15), (2, 3, 1e-120)])
+def test_zero_j_factor_at_the_origin_is_an_exact_zero(dim, order, rp):
+    """At r = 0 < r' the J factor of an order >= 1 is exactly 0, so the
+    kernel is 0 even where the H factor at the tiny r' overflows; the other
+    entries of the same call keep the bits of their own calls."""
+    assert separable_kernels(dim, order, 0.4 + 1j, 0.0, rp) == 0.0
+    assert separable_kernels(dim, order, 0.4 + 1j, rp, 0.0) == 0.0
+    r, rps = np.array([[0.0], [0.5]]), np.array([rp, 1.0])
+    g = separable_kernels(dim, [0, order], [0.4 + 1j, 0.4 - 1j], r, rps)
+    assert g[1, 0, 0] == 0.0 and np.isfinite(g).all()
+    for k, (n, z) in enumerate(((0, 0.4 + 1j), (order, 0.4 - 1j))):
+        for i, j in ((0, 1), (1, 0), (1, 1)) + (((0, 0),) if n == 0 else ()):
+            want = separable_kernels(dim, n, z, r[i, 0], rps[j])
+            assert struct.pack("<2d", g[k, i, j].real, g[k, i, j].imag) == struct.pack(
+                "<2d", want.real, want.imag)
+    # A J factor that underflows at r > 0 is no zero limit: the kernel of
+    # l = 200 at r ~ r' ~ 1 is about 3.4e-4, so its overflow is still reported.
+    with pytest.raises(OverflowError, match="order 200"):
+        separable_kernels(3, 200, 1.0 + 1e-3j, 1.0, 1.01)
+
+
 def scalar_weight(l, m):
     """|Y_l^m(pi/2, 0)|^2 by the one-degree log-gamma formula."""
     if abs(m) > l or (l + m) % 2 != 0:

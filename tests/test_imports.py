@@ -3,7 +3,8 @@ helper outlives its callers, every name an __all__ exports exists, every
 function the benchmark tracer wraps exists, only the listed functions
 branch on the dimension, only the listed functions read the harmonic's
 norm, one function conjugates the radial factors, one function factors a
-dense matrix, and one module uses threads.
+dense matrix, one module uses threads, and only the one-term sph_harm
+evaluates a spherical harmonic by itself.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -323,3 +324,25 @@ def test_threads_stay_in_radial():
     large Bessel batch (numpy and scipy code only)."""
     sources = {p.stem: p.read_text() for p in MODULES}
     assert _thread_modules(sources) == ["_radial"]
+
+
+def _per_element_harmonic(node) -> bool:
+    """A call of scipy's one-term sph_harm_y."""
+    return isinstance(node, ast.Call) and (getattr(node.func, "attr", None) == "sph_harm_y"
+                                           or getattr(node.func, "id", None) == "sph_harm_y")
+
+
+def test_finds_per_element_harmonics():
+    sources = {"a": (
+        "def f(l, m):\n    return sp.sph_harm_y(l, m, 0.0, 0.0)\n\n"
+        "def g(L, M, t):\n    return sp.sph_harm_y_all(L, M, t, 0.0), sph_harm_y\n\n"
+        "def h(l):\n    return sph_harm_y(l, 0, 1.0, 0.0)\n")}
+    assert _sites(sources, _per_element_harmonic) == ["a.f", "a.h"]
+
+
+def test_per_element_harmonics_only_in_the_one_term_api():
+    """A ratchet: window code reads its harmonics off sph_harm_y_all
+    triangles (ChannelIndex3.harmonics); only the public one-term sph_harm
+    evaluates one Y_l^m by itself."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _sites(sources, _per_element_harmonic) == ["specfun.sph_harm"]

@@ -280,7 +280,16 @@ def test_point_study_kernel_calls_do_not_grow_with_the_grid(monkeypatch, dim):
 
 
 def test_eps_study_equatorial_weights_once_per_order(monkeypatch):
+    """Every source_shells call takes the weights of all its shifts' degrees
+    in one _equatorial_weights call."""
     calls = _count_calls(monkeypatch, specfun._equatorial_weights)
+    shells, source_shells = [], specfun.ChannelIndex3.source_shells
+
+    def counted_shells(*args):
+        shells.append(args)
+        return source_shells(*args)
+
+    monkeypatch.setattr(specfun.ChannelIndex3, "source_shells", staticmethod(counted_shells))
     eps_scaling_study(3, 1.1, np.geomspace(1e-3, 1e-1, 8), RotationSpec(0.6),
                       PointSource(0.9, 3), Truncation(16, 16))
-    assert 0 < len(calls) <= 2 * 16 + 1
+    assert len(calls) == len(shells) > 0

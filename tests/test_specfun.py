@@ -117,6 +117,19 @@ def test_equatorial_weight_parity_and_values():
     assert equatorial_weight(0, 0) == pytest.approx(1 / (4 * math.pi), rel=1e-13)
 
 
+def test_one_term_harmonics_take_integer_degrees_and_orders():
+    for f in (sph_harm, equatorial_weight):
+        args = (1.0, 0.0) if f is sph_harm else ()
+        with pytest.raises(ValueError, match="degree l must be an integer"):
+            f(2.5, 0, *args)
+        with pytest.raises(ValueError, match="order m must be an integer"):
+            f(2, 0.5, *args)
+    with pytest.raises(ValueError, match="degree l must be an integer"):
+        equatorial_weight(2.5, 0.5)
+    assert sph_harm(np.int64(2), np.int64(0), 1.0, 0.0) == sph_harm(2, 0, 1.0, 0.0)
+    assert equatorial_weight(np.int64(2), np.int64(0)) == equatorial_weight(2, 0)
+
+
 def test_channel_index_validation():
     assert ChannelIndex2(-3).n == -3
     ch = ChannelIndex3(2, -1)
