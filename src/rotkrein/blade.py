@@ -433,18 +433,11 @@ def _free_3d(z: complex, mesh: BladeMesh) -> tuple:
 
 def _angular(dim: int, chans, angles) -> np.ndarray:
     """Orthonormal angular factor y_c of each channel at the angle arrays,
-    shape (channels,) + their broadcast shape, from one harmonic call.  Each
-    part of a harmonic is divided by the norm, as ch.angular divides it
-    (numpy's complex / real would multiply by the reciprocal instead).  At
+    shape (channels,) + their broadcast shape, from one harmonic call.  At
     a mesh's angular samples the factors are real: 1/sqrt(2 pi) at the 2D
     segment's one sample theta = 0, Y_l^m(theta_u, 0) at the 3D polar nodes."""
-    cls = channel_class(dim)
     idx = np.array([(ch.order, ch.shift) for ch in chans], dtype=int).reshape(-1, 2)
-    ys = cls.harmonics(idx[:, :1], idx[:, 1:], *angles)
-    norm = math.sqrt(cls.harmonic_norm_sq)
-    out = np.empty(ys.shape, dtype=complex)
-    out.real, out.imag = ys.real / norm, ys.imag / norm
-    return out
+    return channel_class(dim).harmonics(idx[:, :1], idx[:, 1:], *angles)
 
 
 def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:

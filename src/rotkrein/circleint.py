@@ -4,14 +4,15 @@ A delta shell of coupling gamma on the circle (2D) or sphere latitude circle
 (3D) of radius y0 resolves channel by channel, with one coefficient formula
 for both dimensions,
 
-    Gamma_m(z)  =  circle_term(gamma) - (2 pi / harmonic_norm_sq) S_m(z),
+    Gamma_m(z)  =  circle_term(gamma) - 2 pi d_m(z),
 
-S_m the shell sum of shift m (rotframe): 3D gamma - 2 pi sum_l |Y_l^m(eq)|^2
-g_l(z; y0, y0), 2D 1/gamma - g_n(z; y0, y0).  Gamma enters the resolvent as
-correction weight 2 pi / Gamma.  gamma_from_alpha computes the coupling whose
-circle operator reproduces, in the fast-rotation limit, the point interaction
-of parameter alpha; limits.point_convergence_study measures how far the two
-resolvents are apart at finite speed.
+d_m = sum |Y(src)|^2 g the channel diagonal of shift m (rotframe): 3D
+gamma - 2 pi sum_l |Y_l^m(eq)|^2 g_l(z; y0, y0), 2D 1/gamma - g_n(z; y0, y0).
+Gamma enters the resolvent as correction weight 2 pi / Gamma.
+gamma_from_alpha computes the coupling whose circle operator reproduces, in
+the fast-rotation limit, the point interaction of parameter alpha;
+limits.point_convergence_study measures how far the two resolvents are
+apart at finite speed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._radial import radial_apply, separable_kernels
 from .pointint import RadialChannelFunction, ResonanceError
-from .rotframe import Truncation, _shell_sums
+from .rotframe import Truncation, _channel_diags
 from .specfun import (
     _require_integer,
     channel_class,
@@ -73,11 +74,10 @@ def gamma_coeff_2d(n: int, cp: CircleParam, z: complex) -> complex:
 
 
 def _gamma(cls: type, m: int, cp: CircleParam, z: complex, l_max: int | None = None) -> complex:
-    """Gamma of shift m: the constant term less (2 pi / harmonic_norm_sq) S."""
+    """Gamma of shift m: the constant term less 2 pi d."""
     term = cls.circle_term(cp.gamma)
     z = require_resolvent_energy(z)
-    s = complex(_shell_sums(cls, [(m, z)], cp.radius, l_max)[0])
-    return term - 2.0 * math.pi / cls.harmonic_norm_sq * s
+    return term - 2.0 * math.pi * _channel_diags(cls, [(m, z)], cp.radius, l_max)[0]
 
 
 def apply_circle_resolvent(
@@ -106,8 +106,8 @@ def apply_circle_resolvent(
         raise ResonanceError(
             f"channel coefficient Gamma = {gamma_ch:.3g} vanishes at z={z}"
         )
-    # (2 pi / Gamma) times the source weight over the harmonic's norm.
-    weight = 2.0 * math.pi / cls.harmonic_norm_sq * ch.source_weight() / gamma_ch
+    # (2 pi / Gamma) times the source weight.
+    weight = 2.0 * math.pi * ch.source_weight() / gamma_ch
     corr = weight * i_chi * separable_kernels(dim, psi.order, z, psi.grid, cp.radius)
     return RadialChannelFunction(ch, psi.grid, free_vals + corr, psi.weights)
 
@@ -121,9 +121,9 @@ def gamma_from_alpha(
     """Circle coupling matched to a point interaction of parameter alpha.
 
     Real by construction: both dimensions reduce to the constant term
-    (2 pi / harmonic_norm_sq) (tan(alpha/2) Im S + Re S) of Gamma, with S
-    the shell sum of shift 0 at the reference parameter i on the circle
-    radius (2D: g_0, 3D: summed with equatorial weights), and map it to the
+    2 pi (tan(alpha/2) Im d + Re d) of Gamma, with d the channel diagonal
+    of shift 0 at the reference parameter i on the circle radius (2D:
+    g_0 / (2 pi), 3D: summed with equatorial weights), and map it to the
     coupling by the class's circle_term, which is its own inverse.  alpha =
     pi has no finite matching coupling and is rejected, and so is a coupling
     of size 1e300 or more (2D: a vanishing constant term), and so is a
@@ -141,8 +141,8 @@ def gamma_from_alpha(
     if l_max < 0:
         raise ValueError(f"l_max must be nonnegative, got {l_max}")
     th = math.tan(0.5 * alpha)
-    s = complex(_shell_sums(cls, [(0, 1j)], y0, l_max)[0])
-    val = 2.0 * math.pi / cls.harmonic_norm_sq * (th * s.imag + s.real)
+    d = _channel_diags(cls, [(0, 1j)], y0, l_max)[0]
+    val = 2.0 * math.pi * (th * d.imag + d.real)
     try:
         gamma = cls.circle_term(val)
     except ValueError:  # no coupling has this term

@@ -226,22 +226,20 @@ def point_convergence_study(
         cp = CircleParam(gam, y0, dim)
         beta = 2.0 * math.pi / _gamma(cls, m0, cp, z, t.l_max)
         # Side channel c of the source field: kernel g_c(r, y0) at energy
-        # z + (c.shift - m0) omega over the harmonic's norm, weighted by the
-        # norm and |harmonic|^2 at the source.  The sides of the study
-        # channel's shift sit at z for every omega.
-        norm = cls.harmonic_norm_sq
-        sides = [(c, norm * c.source_weight()) for c in cls.window(t)]
+        # z + (c.shift - m0) omega, weighted by |harmonic|^2 at the source.
+        # The sides of the study channel's shift sit at z for every omega.
+        sides = [(c, c.source_weight()) for c in cls.window(t)]
         sides = [(c, w) for c, w in sides if w != 0.0]
         fixed = [c for c, _ in sides if c.shift == m0]
         moving = [c for c, _ in sides if c.shift != m0]
-        fixed_flds = separable_kernels(dim, [c.order for c in fixed], z, rg, y0) / norm
+        fixed_flds = separable_kernels(dim, [c.order for c in fixed], z, rg, y0)
 
         def batch(oms):
             rots = [RotationSpec(om) for om in oms]
             lams = _lambdas_at(dim, [z - m0 * om for om in oms], kp, rots, src, t)
             zs = [[z + (c.shift - m0) * om for c in moving] for om in oms]
             orders = [[c.order for c in moving]] * len(oms)
-            moving_flds = separable_kernels(dim, orders, zs, rg, y0) / norm
+            moving_flds = separable_kernels(dim, orders, zs, rg, y0)
             fixed_it, moving_it = iter(fixed_flds), iter(moving_flds.transpose(1, 0, 2))
             # Side by side, the terms of every omega at once.
             e2 = np.zeros(len(oms))

@@ -85,7 +85,7 @@ class RadialChannelFunction:
 
     values[i] is the coefficient of the channel's orthonormal angular factor
     (channel.angular: exp(i n theta)/sqrt(2 pi) in 2D, Y_l^m in 3D) at
-    radius grid[i].
+    radius grid[i].  A grid may start at r = 0 in both dimensions.
     weights, when given, are plain dr quadrature weights for the grid;
     norms carry the r^(dim-1) surface factor separately.
     """
@@ -106,9 +106,6 @@ class RadialChannelFunction:
             raise ValueError("grid must be strictly increasing")
         if self.grid[0] < 0.0:
             raise ValueError("radii must be nonnegative")
-        if self.dim == 3 and self.grid[0] == 0.0:
-            # The 3D kernels carry 1/sqrt(r r'), which has no value at r = 0.
-            raise ValueError("3D channel function grid must start above r = 0")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.grid.shape:
@@ -165,7 +162,8 @@ def lambda_ref(
     """Coupling at the reference parameter -i; zero exactly at alpha = pi."""
     if kp.is_free:
         return 0.0 + 0.0j
-    return 1.0 / _inv_lambda_ref(kp, _channel_diags(dim, _ref_pairs(rot.omega, t), src, t))
+    cls = channel_class(dim, src)
+    return 1.0 / _inv_lambda_ref(kp, _channel_diags(cls, _ref_pairs(rot.omega, t), src.y0, t.l_max))
 
 
 def lambda_at(
@@ -206,7 +204,7 @@ def _lambdas_at(
     vanishes raises ResonanceError; the near-resonance findings are logged
     after every row has passed that check.
     """
-    channel_class(dim, src)
+    cls = channel_class(dim, src)
     zs = [require_off_axis_energy(z) for z in zs]
     if kp.is_free:
         return [0.0 + 0.0j] * len(zs)
@@ -223,7 +221,7 @@ def _lambdas_at(
         if n_ref:
             pairs += _ref_pairs(rot.omega, t)
         pairs += [(m, e + m * rot.omega) for m in ms for e in (z, z_from)]
-    d = _channel_diags(dim, pairs, src, t)
+    d = _channel_diags(cls, pairs, src.y0, t.l_max)
     n = n_ref + 2 * len(ms)
     invs, scales = [], []
     for k in range(len(zs)):

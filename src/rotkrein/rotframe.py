@@ -3,13 +3,13 @@
 Rotation at angular speed omega enters each angular channel of the free
 resolvent as an energy shift: channel m is evaluated at z + m*omega, with the
 closed radial kernels of _radial.separable_kernels.  Every 2D/3D fact (order,
-harmonic, source shell, window) comes from the specfun channel classes, so
-each operation is one path for both, and makes one kernel call over its
-whole window: rot_green over the window's index arrays (and one harmonic
-call at both points), the channel diagonals of many (m, energy) pairs over
-the source shell of every pair.  A diagonal is the shell sum S (_shell_sums;
-circleint reads S too) over the harmonic's squared norm.  rot_norm_sq is the
-one-energy view of _norm_sqs, which takes the norms of many energies.
+orthonormal harmonic, source shell, window) comes from the specfun channel
+classes, so each operation is one path for both, and makes one kernel call
+over its whole window: rot_green over the window's index arrays (and one
+harmonic call at both points), the channel diagonals of many (m, energy)
+pairs over the source shell of every pair.  A diagonal d is the shell sum
+sum |Y(src)|^2 g (_channel_diags; circleint reads it too).  rot_norm_sq is
+the one-energy view of _norm_sqs, which takes the norms of many energies.
 All operations here take an explicit channel window (Truncation); the
 windowed object is the thing computed, and the norm and inner-product
 reductions below are exact identities on that window.  _check_shell_tail is
@@ -129,16 +129,7 @@ def channel_diag(
     2D: g_m(zz; y0, y0) / (2 pi).  The one-channel view of _channel_diags.
     """
     _require_integer("channel order m", m)
-    return _channel_diags(dim, [(m, zz)], src, t)[0]
-
-
-def _channel_diags(dim: int, pairs: list, src: PointSource, t: Truncation) -> list:
-    """channel_diag(dim, m, zz, src, t) for each (m, zz) of pairs, in order:
-    one kernel evaluation over all pairs."""
-    if not pairs:
-        return []
-    cls = channel_class(dim, src)
-    return (_shell_sums(cls, pairs, src.y0, t.l_max) / cls.harmonic_norm_sq).tolist()
+    return _channel_diags(channel_class(dim, src), [(m, zz)], src.y0, t.l_max)[0]
 
 
 def _run_sums(terms: np.ndarray, counts) -> np.ndarray:
@@ -154,9 +145,13 @@ def _shell_terms(cls: type, pairs: list, y0: float, l_max: int | None) -> tuple:
     return orders, wgt * g, counts
 
 
-def _shell_sums(cls: type, pairs: list, y0: float, l_max: int | None) -> np.ndarray:
-    """The shell sum S of each (m, zz) of pairs: its terms added."""
-    return _run_sums(*_shell_terms(cls, pairs, y0, l_max)[1:])
+def _channel_diags(cls: type, pairs: list, y0: float, l_max: int | None) -> list:
+    """The channel diagonal d of each (m, zz) of pairs at radius y0, in
+    order: the terms of its source shell added, one kernel call over all
+    pairs."""
+    if not pairs:
+        return []
+    return _run_sums(*_shell_terms(cls, pairs, y0, l_max)[1:]).tolist()
 
 
 def _check_shell_tail(shells: dict[int, complex], total: complex, tail_tol: float) -> None:
@@ -226,8 +221,8 @@ def rot_green(
     zs = np.repeat([z + m * rot.omega for m in ms], counts)
     g = separable_kernels(dim, orders, zs, x.r, xp.r)
     ys = cls.harmonics(orders, shifts, *[[[a], [b]] for a, b in zip(x.angles, xp.angles)])
-    # shell m: the sum over its channels of g Y(x) conj(Y(x')), over the norm
-    sums = _run_sums(g * ys[0] * np.conj(ys[1]), counts) / cls.harmonic_norm_sq
+    # shell m: the sum over its channels of g Y(x) conj(Y(x'))
+    sums = _run_sums(g * ys[0] * np.conj(ys[1]), counts)
     shells = dict(zip(ms, sums.tolist()))
     total = sum(shells.values())
     _check_shell_tail(shells, total, t.tail_tol)
@@ -283,8 +278,7 @@ def _norm_sqs(dim: int, zs: list, rot: RotationSpec, src: PointSource, t: Trunca
     zs = [require_off_axis_energy(z) for z in zs]
     ms = range(-t.m_max, t.m_max + 1)
     pairs = [(m, z + m * rot.omega) for z in zs for m in ms]
-    orders, terms, counts = _shell_terms(cls, pairs, src.y0, t.l_max)
-    d = terms / cls.harmonic_norm_sq
+    orders, d, counts = _shell_terms(cls, pairs, src.y0, t.l_max)
     n = sum(counts[: len(ms)])  # terms per energy: each has the same shells
     out = []
     for k, z in enumerate(zs):
@@ -308,13 +302,13 @@ def rot_inner(
     [d_m(z + m w) - d_m(zp + m w)] / (z - zp).  Coincident parameters are
     rejected; use rot_norm_sq for the zp = conj(z) diagonal.
     """
-    channel_class(dim, src)
+    cls = channel_class(dim, src)
     z = require_off_axis_energy(z)
     zp = require_off_axis_energy(zp)
     if z == zp:
         raise ValueError("coincident spectral parameters; no difference quotient")
     pairs = [(m, e + m * rot.omega) for m in range(-t.m_max, t.m_max + 1) for e in (z, zp)]
-    d = _channel_diags(dim, pairs, src, t)
+    d = _channel_diags(cls, pairs, src.y0, t.l_max)
     acc = 0.0 + 0.0j
     for dz, dzp in zip(d[::2], d[1::2]):
         acc += dz - dzp
@@ -336,14 +330,14 @@ def remainder_norm(
     cancels exactly.  m0 must be an integer in the window, |m0| <= t.m_max;
     requires Im z > 0.
     """
-    channel_class(dim, src)
+    cls = channel_class(dim, src)
     _require_integer("central channel m0", m0)
     if abs(m0) > t.m_max:
         raise ValueError(f"central channel m0={m0} lies outside the window |m| <= {t.m_max}")
     z = require_upper_energy(z, "remainder norm")
     ms = [m for m in range(-t.m_max, t.m_max + 1) if m != m0]
     acc = 0.0
-    for d in _channel_diags(dim, [(m, z + (m - m0) * rot.omega) for m in ms], src, t):
+    for d in _channel_diags(cls, [(m, z + (m - m0) * rot.omega) for m in ms], src.y0, t.l_max):
         acc += d.imag / z.imag
     if acc < 0.0:
         # Roundoff at severe cancellation; the exact value is nonnegative.

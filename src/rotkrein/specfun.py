@@ -14,8 +14,11 @@ this API only.  They stay public, and the benchmark tracer wraps them by
 name.  Equatorial weights are evaluated over the degrees of many shells
 at once (_equatorial_weights); equatorial_weight is its one-degree view.
 A window's spherical harmonics are read off one sph_harm_y_all triangle
-per angle (ChannelIndex3.harmonics); sph_harm evaluates one by itself.  The
-channel classes state every fact of a channel that differs by dimension.
+per angle (ChannelIndex3.harmonics); sph_harm evaluates one by itself, and
+is the angular factor of one 3D channel.  The channel classes state every
+fact of a channel that differs by dimension; every channel harmonic they
+give is orthonormal, exp(i n theta)/sqrt(2 pi) on the circle and Y_l^m on
+the sphere, so no sum over channels divides by a norm.
 The require_*_energy checks of a spectral parameter live here, and every
 module imports them from here.
 """
@@ -50,6 +53,8 @@ _NO_L_MAX = "3D operation needs l_max in the truncation"
 # to stay within |Im x| <= 50 or so, this is a hard backstop.
 _IM_MAX = 600.0
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
 
 class SingularArgumentError(ValueError):
     """Evaluation requested at a singular point of the function."""
@@ -70,12 +75,9 @@ def _require_integers(ch) -> None:
 class _Channel:
     """The one-channel views of the array facts of a channel class."""
 
-    def harmonic(self, *angles) -> complex:
-        return complex(self.harmonics(self.order, self.shift, *angles))
-
     def angular(self, *angles) -> complex:
-        """The orthonormal angular factor, harmonic / sqrt(harmonic_norm_sq)."""
-        return self.harmonic(*angles) / math.sqrt(self.harmonic_norm_sq)
+        """The orthonormal angular factor at the angles."""
+        return complex(self.harmonics(self.order, self.shift, *angles))
 
     def source_weight(self) -> float:
         return float(self.source_weights([self.order], self.shift)[0])
@@ -86,17 +88,15 @@ class ChannelIndex2(_Channel):
     """Angular channel n on the circle, and what a channel means in 2D.
 
     Rotation couples to shift = n (channel n sits at z + n w), the radial
-    kernel has order |n|, and the harmonic exp(i n theta) has squared norm
-    harmonic_norm_sq = 2 pi on the circle, so the orthonormal angular factor
-    is exp(i n theta) / sqrt(2 pi).  The interaction site sits at polar angle
-    source_angles = (pi/2,), where |harmonic|^2 = source_weight() = 1.  A
-    circle coupling enters as 1/gamma (circle_term: Gamma_n = 1/gamma - g_n).
+    kernel has order |n|, and the harmonic exp(i n theta) / sqrt(2 pi) is
+    orthonormal on the circle.  The interaction site sits at polar angle
+    source_angles = (pi/2,), where |harmonic|^2 = source_weight() = 1/(2 pi).
+    A circle coupling enters as 1/gamma (circle_term: Gamma_n = 1/gamma - g_n).
     """
 
     n: int
 
     dim = 2
-    harmonic_norm_sq = 2.0 * math.pi
     source_angles = (math.pi / 2.0,)
     capped_degrees = False
 
@@ -125,20 +125,26 @@ class ChannelIndex2(_Channel):
 
     @staticmethod
     def source_weights(orders, shift) -> np.ndarray:
-        """|harmonic|^2 at the source of the given orders: 1."""
-        return np.ones(len(orders))
+        """|harmonic|^2 at the source of the given orders: 1/(2 pi)."""
+        return np.full(len(orders), 1.0 / (2.0 * math.pi))
 
     @staticmethod
     def source_shells(shifts, l_max=None) -> tuple:
         """Orders, source weights and sizes of the source shells of the
-        shifts n, concatenated: each is the one order |n|, of weight 1."""
+        shifts n, concatenated: each is the one order |n|, of weight
+        1/(2 pi)."""
         ns = np.asarray(shifts)
-        return np.abs(ns), np.ones(ns.shape), np.ones(ns.shape, dtype=int)
+        return np.abs(ns), np.full(ns.shape, 1.0 / (2.0 * math.pi)), np.ones(ns.shape, dtype=int)
 
     @staticmethod
     def harmonics(orders, shifts, theta) -> np.ndarray:
-        """exp(i n theta) of each shift n, broadcast against theta."""
-        return np.exp(1j * np.asarray(shifts) * theta)
+        """exp(i n theta) / sqrt(2 pi) of each shift n, broadcast against
+        theta.  Each part is divided by the root (numpy's complex / real
+        would multiply by its reciprocal), as Python divides a complex."""
+        e = np.exp(1j * np.asarray(shifts) * theta)
+        out = np.empty(e.shape, dtype=complex)
+        out.real, out.imag = e.real / _SQRT_2PI, e.imag / _SQRT_2PI
+        return out
 
     @classmethod
     def window(cls, t) -> list:
@@ -164,18 +170,17 @@ class ChannelIndex3(_Channel):
 
     Rotation couples to shift = m (channel (l, m) sits at z + m w), the
     radial kernel has order l, and the harmonic Y_l^m is orthonormal on the
-    sphere (harmonic_norm_sq = 1), so it is its own angular factor.  The
+    sphere; one channel evaluates it by sph_harm, not off a triangle.  The
     interaction site sits on the equator, source_angles = (theta, phi) =
     (pi/2, 0), where |Y_l^m|^2 = source_weight() = equatorial_weight(l, m).
     A circle coupling enters as gamma (circle_term: Gamma_m = gamma - 2 pi
-    S_m), and the window cuts each degree series at l_max (capped_degrees).
+    d_m), and the window cuts each degree series at l_max (capped_degrees).
     """
 
     l: int
     m: int
 
     dim = 3
-    harmonic_norm_sq = 1.0
     source_angles = (math.pi / 2.0, 0.0)
     capped_degrees = True
 
@@ -198,6 +203,10 @@ class ChannelIndex3(_Channel):
     def label(self) -> str:
         return f"l={self.l},m={self.m}"
 
+    def angular(self, theta: float, phi: float) -> complex:
+        """Y_l^m(theta, phi): the bits of harmonics at (l, m)."""
+        return sph_harm(self.l, self.m, theta, phi)
+
     @staticmethod
     def circle_term(gamma: float) -> float:
         """Gamma's constant term of a circle coupling gamma: gamma itself."""
@@ -206,7 +215,7 @@ class ChannelIndex3(_Channel):
     @staticmethod
     def source_weights(orders, shift) -> np.ndarray:
         """|Y_l^m(eq)|^2 of the degrees l (orders) of shift m."""
-        return np.array(_equatorial_weights(orders, shift))
+        return _equatorial_weights(orders, shift)
 
     @staticmethod
     def source_shells(shifts, l_max) -> tuple:
@@ -223,7 +232,7 @@ class ChannelIndex3(_Channel):
                 raise ValueError(f"l_max={l_max} below channel order |m|={abs(m)}")
         sizes = l_max + 1 - np.abs(ms)
         ls = _ranges(np.abs(ms), sizes)
-        wgt = np.array(_equatorial_weights(ls, np.repeat(ms, sizes)))
+        wgt = _equatorial_weights(ls, np.repeat(ms, sizes))
         live = wgt != 0.0
         kept = np.add.reduceat(live.astype(int), np.cumsum(sizes) - sizes)
         shell = {m: d for d, m in enumerate(ms)}
@@ -425,12 +434,12 @@ def equatorial_weight(l: int, m: int) -> float:
     """
     _require_integer("degree l", l)
     _require_integer("order m", m)
-    return _equatorial_weights([l], m)[0]
+    return float(_equatorial_weights([l], m)[0])
 
 
-def _equatorial_weights(ls, m) -> list:
-    """equatorial_weight(l, m) for the degrees ls, as floats: m is one order
-    or one order per degree.
+def _equatorial_weights(ls, m) -> np.ndarray:
+    """equatorial_weight(l, m) for the degrees ls, as an array: m is one
+    order or one order per degree.
 
     One gammaln, one log and one exp call over the degrees with a nonzero
     weight.  The log-gamma sum is formed in numpy in the term order of the
@@ -447,4 +456,4 @@ def _equatorial_weights(ls, m) -> list:
           - 2.0 * l * math.log(2.0))
     wgt = np.zeros(ls.shape)
     wgt[live] = np.exp(lg)
-    return wgt.tolist()
+    return wgt

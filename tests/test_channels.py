@@ -110,10 +110,8 @@ def test_angular_factor_orthonormal_on_circle():
     vals = np.array([[ch.angular(t) for t in th] for ch in chans])
     gram = (vals * w) @ vals.conj().T
     assert np.max(np.abs(gram - np.eye(len(chans)))) < 1e-12
-    for ch in chans:
-        h = np.array([ch.harmonic(t) for t in th])
-        norm_sq = np.sum(w * np.abs(h) ** 2)
-        assert norm_sq == pytest.approx(ch.harmonic_norm_sq, rel=1e-12)
+    for ch, v in zip(chans, vals):
+        assert v == pytest.approx(np.exp(1j * ch.n * th) / math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
 def test_angular_factor_orthonormal_on_sphere():
@@ -131,15 +129,14 @@ def test_angular_factor_orthonormal_on_sphere():
     )
     gram = (vals * w) @ vals.conj().T
     assert np.max(np.abs(gram - np.eye(len(chans)))) < 1e-12
-    assert ChannelIndex3.harmonic_norm_sq == 1.0
 
 
 def test_source_weight_is_harmonic_at_the_source():
     for n in (-2, 0, 5):
         ch = ChannelIndex2(n)
-        h = ch.harmonic(*ch.source_angles)
-        assert abs(h) ** 2 == pytest.approx(1.0, rel=1e-15)
-        assert ch.source_weight() == 1.0
+        h = ch.angular(*ch.source_angles)
+        assert abs(h) ** 2 == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+        assert ch.source_weight() == 1.0 / (2.0 * math.pi)
     for l, m in ((2, 0), (3, 1), (4, -2), (3, -3)):
         ch = ChannelIndex3(l, m)
         y = ch.angular(*ch.source_angles)
@@ -149,24 +146,24 @@ def test_source_weight_is_harmonic_at_the_source():
 @pytest.mark.parametrize("m_max,l_max", WINDOWS)
 def test_array_facts_match_the_channels(m_max, l_max):
     """Over a window, window_indices and harmonics give each channel's order,
-    shift and harmonic (exp(i n theta), sph_harm) bit for bit, and the
+    shift and harmonic (exp(i n theta)/sqrt(2 pi), sph_harm) bit for bit, and the
     source shells are the channels with a nonzero harmonic at the source,
     of weight |harmonic|^2 there."""
     t = Truncation(m_max=m_max, l_max=l_max)
     shifts = list(range(-m_max, m_max + 1))
     for cls, angles, ref in (
-        (ChannelIndex2, (0.7,), lambda c: cmath.exp(1j * c.n * 0.7)),
+        (ChannelIndex2, (0.7,), lambda c: cmath.exp(1j * c.n * 0.7) / math.sqrt(2.0 * math.pi)),
         (ChannelIndex3, (0.7, -1.3), lambda c: sph_harm(c.l, c.m, 0.7, -1.3)),
     ):
         chans = cls.window(t)
         orders, shifts_w = cls.window_indices(t)
         assert list(zip(orders.tolist(), shifts_w.tolist())) == [(c.order, c.shift) for c in chans]
         assert cls.harmonics(orders, shifts_w, *angles).tolist() == [ref(c) for c in chans]
-        live = [c for c in chans if abs(c.harmonic(*c.source_angles)) > 1e-8]
+        live = [c for c in chans if abs(c.angular(*c.source_angles)) > 1e-8]
         o, w, k = cls.source_shells(shifts, l_max)
         assert o.tolist() == [c.order for c in live]
         assert k.tolist() == [sum(c.shift == m for c in live) for m in shifts]
-        want = [abs(c.harmonic(*c.source_angles)) ** 2 for c in live]
+        want = [abs(c.angular(*c.source_angles)) ** 2 for c in live]
         assert w == pytest.approx(want, rel=1e-12)
         assert w.tolist() == [c.source_weight() for c in live]
 
@@ -196,7 +193,21 @@ def test_harmonics_equal_per_element_sph_harm_y_bitwise(l_max, m_max):
     assert got.shape == (len(orders), len(thetas))
     assert _bits(got) == _bits(sp.sph_harm_y(o, m, thetas, 0.0))
     for l, mm, th, ph in ((l_max, -m_max, 0.3, 2.0), (m_max, m_max, math.pi, 0.0)):
-        assert _bits(ChannelIndex3(l, mm).harmonic(th, ph)) == _bits(sp.sph_harm_y(l, mm, th, ph))
+        assert _bits(ChannelIndex3(l, mm).angular(th, ph)) == _bits(sp.sph_harm_y(l, mm, th, ph))
+
+
+def test_one_channel_angular_equals_harmonics_bitwise():
+    """A 3D ch.angular (sph_harm, no triangle) gives the bits of the
+    window's harmonics over a (6, 3) window, at both poles, on the equator
+    and at random angles."""
+    rng = np.random.default_rng(63)
+    t = Truncation(m_max=3, l_max=6)
+    orders, shifts = ChannelIndex3.window_indices(t)
+    thetas = np.concatenate([[0.0, math.pi, math.pi / 2], rng.uniform(0.0, math.pi, 5)])
+    phis = np.concatenate([[0.0, 2.5, -1.0], rng.uniform(-math.pi, math.pi, 5)])
+    for th, ph in zip(thetas.tolist(), phis.tolist()):
+        want = ChannelIndex3.harmonics(orders, shifts, th, ph)
+        assert _bits([c.angular(th, ph) for c in ChannelIndex3.window(t)]) == _bits(want)
 
 
 def test_empty_windows_have_empty_harmonics():

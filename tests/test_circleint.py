@@ -131,11 +131,13 @@ def test_matched_coupling_rejects_free_and_out_of_range_alpha():
     (3, 0.5 / math.pi, 1.0), (3, 0.0, 0.0), (3, 1e305, None),
 ])
 def test_matched_coupling_diverges_with_its_circle_term(monkeypatch, dim, s, want):
-    """At alpha = 0 the matching constant is (2 pi / harmonic_norm_sq) Re S;
-    the coupling is its circle term (2D: 1/S, 3D: 2 pi S), and a coupling of
-    1e300 or more, or none at all, is a ResonanceError."""
+    """At alpha = 0 the matching constant is 2 pi Re d; the coupling is its
+    circle term (2D: 1/(2 pi d), 3D: 2 pi d), and a coupling of 1e300 or
+    more, or none at all, is a ResonanceError.  In 2D, s stands for the
+    kernel g = 2 pi d, so d = s / (2 pi) and 2 pi d is s exactly."""
     from rotkrein import circleint
-    monkeypatch.setattr(circleint, "_shell_sums", lambda *args: np.array([complex(s, 0.3)]))
+    d = s / (2.0 * math.pi) if dim == 2 else s
+    monkeypatch.setattr(circleint, "_channel_diags", lambda *args: [complex(d, 0.3)])
     if want is None:
         with pytest.raises(ResonanceError, match="coupling diverges"):
             gamma_from_alpha(dim, 0.0, 1.0)

@@ -425,10 +425,10 @@ def test_batched_equatorial_weights_equal_scalar_formula_bitwise(l_max):
     for m in range(-l_max, l_max + 1):
         ls = range(abs(m), l_max + 1)
         want = [struct.pack("<d", scalar_weight(l, m)) for l in ls]
-        assert [struct.pack("<d", w) for w in _equatorial_weights(ls, m)] == want
+        assert [struct.pack("<d", w) for w in _equatorial_weights(ls, m).tolist()] == want
         assert struct.pack("<d", equatorial_weight(l_max, m)) == want[-1]
     # degrees below |m| weigh zero; a negative degree is an error
-    assert _equatorial_weights([0, 1, 2, 3], 2) == [0.0, 0.0, scalar_weight(2, 2), 0.0]
+    assert _equatorial_weights([0, 1, 2, 3], 2).tolist() == [0.0, 0.0, scalar_weight(2, 2), 0.0]
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         _equatorial_weights([1, -2], 0)
 

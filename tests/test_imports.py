@@ -1,10 +1,10 @@
 """Every name a rotkrein module imports is used in that module, no private
 helper outlives its callers, every name an __all__ exports exists, every
 function the benchmark tracer wraps exists, only the listed functions
-branch on the dimension, only the listed functions read the harmonic's
-norm, one function conjugates the radial factors, one function factors a
-dense matrix, one module uses threads, and only the one-term sph_harm
-evaluates a spherical harmonic by itself.
+branch on the dimension, no module mentions a harmonic norm, one function
+conjugates the radial factors, one function factors a dense matrix, one
+module uses threads, and only the one-term sph_harm evaluates a spherical
+harmonic by itself.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -183,8 +183,8 @@ def test_finds_dimension_branches():
 
 # Where a dimension branch may stay outside the channel classes (specfun)
 # and the separable kernels (_radial): the blade meshes, free kernels and
-# cells, the CLI parsing, the study defaults, the 3D grid check and the
-# degree-tail completion of the kernel norms.
+# cells, the CLI parsing, the study defaults and the degree-tail completion
+# of the kernel norms.
 DIMENSION_SITES = [
     "blade._assemble",
     "blade._radial_nodes",
@@ -195,7 +195,6 @@ DIMENSION_SITES = [
     "cli.cmd_gamma",
     "cli.run_study_config",
     "limits.blade_convergence_study",
-    "pointint.RadialChannelFunction.__post_init__",
     "rotframe._norm_sqs",
 ]
 
@@ -241,42 +240,11 @@ def test_only_the_factors_conjugate():
     assert _sites(sources, _numpy_conjugate) == ["_radial._factors"]
 
 
-def _reads_harmonic_norm(node) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "harmonic_norm_sq"
-
-
-def test_finds_harmonic_norm_readers():
-    sources = {"a": (
-        "class C:\n    harmonic_norm_sq = 2.0\n\n"
-        "    def angular(self):\n        return 1.0 / self.harmonic_norm_sq\n\n"
-        "def f(cls):\n    def inner():\n        return cls.harmonic_norm_sq\n"
-        "    return inner\n\n"
-        "def g(ch):\n    return ch.angular(), 'harmonic_norm_sq'\n")}
-    assert _sites(sources, _reads_harmonic_norm) == ["a.C.angular", "a.f.inner"]
-
-
-# Where the harmonic's squared norm may be read: the orthonormal angular
-# factor itself, and the Green-function sums normalised by it (channel sums,
-# circle coefficients, the point study's side fields).  Every radial
-# coefficient multiplies ch.angular, so nothing converts between factors.
-HARMONIC_NORM_SITES = [
-    "blade._angular",
-    "circleint._gamma",
-    "circleint.apply_circle_resolvent",
-    "circleint.gamma_from_alpha",
-    "limits.point_convergence_study.setup",
-    "rotframe._channel_diags",
-    "rotframe._norm_sqs",
-    "rotframe.rot_green",
-    "specfun._Channel.angular",
-]
-
-
-def test_harmonic_norm_is_read_only_where_allowed():
-    """A ratchet on the coefficient convention: a new reader of
-    harmonic_norm_sq fails here; a removed one is struck off the list."""
-    sources = {p.stem: p.read_text() for p in MODULES}
-    assert _sites(sources, _reads_harmonic_norm) == HARMONIC_NORM_SITES
+def test_no_module_mentions_the_harmonic_norm():
+    """Every channel harmonic is orthonormal (exp(i n theta)/sqrt(2 pi),
+    Y_l^m), so no channel sum divides by a squared norm, and the class
+    constant harmonic_norm_sq that carried the 2D 2 pi is gone for good."""
+    assert [p.stem for p in SRC.glob("*.py") if "harmonic_norm_sq" in p.read_text()] == []
 
 
 def _dense_solver_call(node) -> bool:

@@ -199,14 +199,13 @@ def _point_row_by_loop(dim, alpha, y0, z, om, psi):
     beta = 2.0 * math.pi / _gamma(cls, m0, cp, z, t.l_max)
     src = PointSource(y0, dim)
     lam = lambda_at(dim, z - m0 * om, KreinParam(alpha), RotationSpec(om), src, t)
-    norm = cls.harmonic_norm_sq
     e2 = 0.0
     for c in cls.window(t):
-        w = norm * c.source_weight()
+        w = c.source_weight()
         if w == 0.0:
             continue
         energy = z + (c.shift - m0) * om
-        fld = separable_kernels(dim, c.order, energy, psi.grid, y0) / norm
+        fld = separable_kernels(dim, c.order, energy, psi.grid, y0)
         coef = lam - beta if c.shift == m0 else lam
         e2 += w * float(np.sum(wr * np.abs(coef * i_chi * fld) ** 2))
     return math.sqrt(e2)

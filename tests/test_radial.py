@@ -235,15 +235,21 @@ def test_radial_apply_matches_quad_oracle(dim, order):
         assert np.sum(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(want)), z
 
 
-@pytest.mark.parametrize("order", [0, 3])
-def test_radial_apply_grid_from_origin_matches_quad_oracle(order):
-    """A 2D grid may start at r = 0, where the H integrand is singular."""
-    psi = _psi(2, order, np.linspace(0.0, 8.0, 120))
+@pytest.mark.parametrize("dim,order", [(2, 0), (2, 3), (3, 0), (3, 1), (3, 3)])
+def test_radial_apply_grid_from_origin_matches_quad_oracle(dim, order):
+    """A grid may start at r = 0, where the H integrand is singular.  The
+    oracle's 3D kernel divides by sqrt(r_min), so the 3D value at r_out = 0
+    is checked against the closed-form origin_limit instead."""
+    psi = _psi(dim, order, np.linspace(0.0, 8.0, 120))
     r_out = np.array([0.0, 1e-4, 0.01, 0.3, 8.0])
-    for z in (0.4 + 1.0j, 400.0 + 2.0j):
+    at0 = int(dim == 3)  # the first output the oracle computes
+    for z in (0.4 + 1.0j, 0.4 - 1.0j, 400.0 + 2.0j):
         got = radial_apply(psi, z, r_out)
-        want = quad_oracle(2, order, z, r_out, psi)
-        assert np.sum(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(want)), z
+        want = quad_oracle(dim, order, z, r_out[at0:], psi)
+        assert np.sum(np.abs(got[at0:] - want)) <= 1e-12 * np.sum(np.abs(want)), z
+        if at0:
+            assert abs(got[0] - _origin_apply(psi, z)) <= 1e-12 * np.sum(np.abs(want)), z
+            assert order == 0 or got[0] == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -280,17 +286,21 @@ def test_3d_kernel_at_the_origin_is_its_limit(l, z):
         separable_kernels(3, l, z, 0.0, 0.0)
 
 
+def _origin_apply(psi, z):
+    """The 3D radial_apply of psi at r = 0 from origin_limit: 20-point Gauss
+    per knot interval, exact to roundoff for the cubic pieces times the
+    smooth kernel."""
+    xg, wg = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(psi.grid)[:, None]
+    t = (0.5 * (psi.grid[:-1] + psi.grid[1:]))[:, None] + half * xg
+    return np.sum(half * wg * origin_limit(psi.order, z, t) * psi.interpolant()(t) * t**2)
+
+
 @pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j])
 @pytest.mark.parametrize("order", [0, 2])
 def test_3d_radial_apply_at_the_origin(order, z):
-    grid = np.linspace(0.05, 8.0, 120)
-    psi = _psi(3, order, grid)
-    # 20-point Gauss per knot interval: exact to roundoff for the cubic pieces
-    # times the smooth kernel.
-    xg, wg = np.polynomial.legendre.leggauss(20)
-    half = 0.5 * np.diff(grid)[:, None]
-    t = (0.5 * (grid[:-1] + grid[1:]))[:, None] + half * xg
-    want = np.sum(half * wg * origin_limit(order, z, t) * psi.interpolant()(t) * t**2)
+    psi = _psi(3, order, np.linspace(0.05, 8.0, 120))
+    want = _origin_apply(psi, z)
     got = radial_apply(psi, z, [0.0, 0.3])
     assert abs(got[0] - want) <= 1e-12 * max(abs(want), abs(got[1]))
     assert got[1].tobytes() == radial_apply(psi, z, [0.3]).tobytes()
