@@ -33,14 +33,15 @@ bits with or without the memo.
 
 Every J and H factor of both comes from _factors, the one home of what
 differs between the dimensions here: one jv and one hankel1 call per radius
-set (J again by real-argument routines where w r is real: _jv).  Where the
-process may run on a second CPU, a call of _SPLIT_MIN elements or more is
-cut in two halves along its longer axis (the orders of a channel sum, else
-the radii), and one module-level helper thread evaluates the first half
-while the caller evaluates the second (_bessel).  Only the scipy.special
+set (J again by real-argument routines where w r is real: _jv).  Every
+library Bessel batch, the blade's free 2D Hankel kernels too, goes through
+_bessel: where the process may run on a second CPU, a call of _SPLIT_MIN
+elements or more is cut into the two halves of its flattened batch, and
+the helper thread of a one-worker executor, made at import, evaluates the
+first half while the caller evaluates the second.  Only the scipy.special
 ufunc runs on the helper; it releases the GIL and is elementwise, so
-results are the same bits on one core or two.  A forked child starts its
-own helper.
+results are the same bits on one core or two.  A forked child gets an
+executor of its own.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -75,63 +75,47 @@ __all__ = [
 # 1,000-element one 1.3-1.7x slower.
 _SPLIT_MIN = 1200
 
-try:
-    _SECOND_CPU = len(os.sched_getaffinity(0)) > 1
-except AttributeError:  # no affinity call on this platform
-    _SECOND_CPU = (os.cpu_count() or 1) > 1
-_pool = None  # the helper thread, started by the first split
-_pool_lock = threading.Lock()  # callers on several threads start one helper
 
-
-def _helper():
-    """The one helper thread, or None where the process has one CPU."""
+def _make_pool() -> None:
+    """Give the process the helper's one-worker executor (_pool), or None
+    where it has one CPU.  Runs at import and in a forked child, which has
+    no helper thread; the executor starts its thread at the first submit."""
     global _pool
-    with _pool_lock:
-        if _pool is None and _SECOND_CPU:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rotkrein-bessel")
-        return _pool
-
-
-def _forget_helper() -> None:
-    """A forked child has no helper thread, and the lock may have been held
-    by a thread the fork did not copy: the next split starts afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _bessel(f, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """f(nu, x) for a scipy.special ufunc f: orders nu of shape (k, 1),
-    arguments x of shape (k, n), (1, n) or (n,).
-
-    A batch of _SPLIT_MIN elements or more is cut in two halves along its
-    longer axis (orders or radii): the helper thread evaluates the first
-    half while this thread evaluates the second.  The ufuncs release the GIL
-    and are elementwise, so both halves together are the bits of one call.
-    Only the ufunc itself runs on the helper, whose scipy.special error
-    state (kept per thread) is the default: an overflow is reported by the
-    callers' own finiteness checks, as on one thread.
-    """
-    x = np.atleast_2d(x)
-    shape = np.broadcast_shapes(nu.shape, x.shape)
-    axis = int(shape[1] > shape[0])
-    half = shape[axis] // 2
-    pool = _helper() if half and shape[0] * shape[1] >= _SPLIT_MIN else None
-    if pool is None:
-        return f(nu, x)
-    out = np.empty(shape, dtype=complex)
-    lead = (slice(None),) * axis
-    first, second = lead + (slice(None, half),), lead + (slice(half, None),)
-
-    def cut(a, part):
-        return a[part] if a.shape[axis] > 1 else a
-
-    done = pool.submit(f, cut(nu, first), cut(x, first), out=out[first])
     try:
-        f(cut(nu, second), cut(x, second), out=out[second])
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    _pool = None if cpus < 2 else ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="rotkrein-bessel")
+
+
+_make_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_make_pool)
+
+
+def _bessel(f, nu, x) -> np.ndarray:
+    """f(nu, x) for a scipy.special ufunc f, nu broadcast against x.
+
+    Where the process has a helper (_pool), a batch of _SPLIT_MIN elements
+    or more is cut into the two halves of the flattened batch: the helper
+    thread evaluates the first half while this thread evaluates the second.
+    The ufuncs release the GIL and are elementwise, so both halves together
+    are the bits of one call, wherever the cut falls.  The helper's
+    scipy.special error state (kept per thread) is the default: an overflow
+    is reported by the callers' own finiteness checks, as on one thread.
+    """
+    shape = np.broadcast_shapes(np.shape(nu), np.shape(x))
+    size = math.prod(shape)
+    if _pool is None or size < _SPLIT_MIN:
+        return f(nu, x)
+    half = size // 2
+    nu, x = (np.broadcast_to(a, shape).ravel() for a in (nu, x))
+    out = np.empty(shape, dtype=complex)
+    flat = out.reshape(-1)
+    done = _pool.submit(f, nu[:half], x[:half], out=flat[:half])
+    try:
+        f(nu[half:], x[half:], out=flat[half:])
     finally:
         done.result()
     return out
@@ -148,10 +132,10 @@ def _jv(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     complex jv, so those values stay as they are.
     """
     out = _bessel(sp.jv, nu, x)
-    on_axis = x.imag == 0.0
-    if on_axis.any():
-        on_axis = np.broadcast_to(on_axis & (x.real > 0.0), out.shape).nonzero()
-        n, t = np.broadcast_to(nu, out.shape)[on_axis], np.broadcast_to(x.real, out.shape)[on_axis]
+    if (x.imag == 0.0).any():
+        nu, x = np.broadcast_arrays(nu, x)
+        on_axis = (x.imag == 0.0) & (x.real > 0.0)
+        n, t = nu[on_axis], x.real[on_axis]
         vals = out[on_axis]
         whole = n % 1.0 == 0.0
         vals[whole] = sp.jv(n[whole], t[whole])

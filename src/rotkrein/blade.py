@@ -44,7 +44,7 @@ import numpy as np
 import scipy.special as sp
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
-from ._radial import gauss_legendre, radial_apply, separable_kernels
+from ._radial import _bessel, gauss_legendre, radial_apply, separable_kernels
 from .pointint import RadialChannelFunction
 from .rotframe import RotationSpec, Truncation
 from .specfun import (
@@ -291,7 +291,7 @@ def _free2_reg(z: complex, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     out = np.empty(d.shape, dtype=complex)
     tiny = d < 1e-12
-    out[~tiny] = 0.25j * sp.hankel1(0, w * d[~tiny]) + np.log(d[~tiny]) / (2.0 * math.pi)
+    out[~tiny] = 0.25j * _bessel(sp.hankel1, 0, w * d[~tiny]) + np.log(d[~tiny]) / (2.0 * math.pi)
     out[tiny] = 0.25j - (np.log(w / 2.0) + _EULER) / (2.0 * math.pi)
     return out
 
@@ -330,7 +330,7 @@ def _free_2d(z: complex, mesh: BladeMesh) -> tuple:
     # The free kernel is symmetric: evaluate it above the diagonal and mirror.
     iu = np.triu_indices(len(r), 1)
     K = np.zeros((len(r), len(r)), dtype=complex)
-    K[iu] = K[iu[::-1]] = 0.25j * sp.hankel1(0, wz * np.abs(r[iu[0]] - r[iu[1]]))
+    K[iu] = K[iu[::-1]] = 0.25j * _bessel(sp.hankel1, 0, wz * np.abs(r[iu[0]] - r[iu[1]]))
     panels = mesh.cells[np.arange(len(r)) // mesh.n_per]
     log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(panels, r)])
     cells = -log_part / (2.0 * math.pi) + _diag_cells(

@@ -92,7 +92,9 @@ def apply_circle_resolvent(
     Returns the input channel's projection: the free part plus the channel's
     share of the shell correction, whose weight is exactly 2 pi / Gamma.  In
     3D the correction carries |Y_l0^m0(eq)|^2, so equatorially odd channels
-    come back with the free part alone.
+    come back with the free part alone.  A 2D coupling whose constant term
+    1/gamma is not finite (gamma 0, or below about 5.6e-309 in size) raises
+    ValueError, as in gamma_coeff_2d.
     """
     cls = channel_class(dim, psi, cp)
     z = require_upper_energy(z, "resolvent application")

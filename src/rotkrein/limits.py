@@ -374,9 +374,11 @@ def eps_scaling_study(
 
     Sweeps z = x - i eps and records the squared windowed norm; the log-log
     slope and prefactor of the fitted power law norm_sq ~ C * eps^slope are
-    reported in the params.
+    reported in the params, so at least two epsilons are needed.
     """
     epsilons = _check_sweep(epsilons)
+    if len(epsilons) < 2:
+        raise ValueError("eps study needs at least two epsilons to fit a slope")
     if epsilons[0] <= 0.0 or epsilons[-1] >= 1.0:
         raise ValueError("epsilons must lie in (0, 1)")
     vals = _norm_sqs(dim, [complex(x_real, -eps) for eps in epsilons], rot, src, t)

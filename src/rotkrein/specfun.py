@@ -118,9 +118,12 @@ class ChannelIndex2(_Channel):
     @staticmethod
     def circle_term(gamma: float) -> float:
         """Gamma's constant term 1/gamma of a circle coupling gamma; the map
-        is its own inverse, so it also takes that term to the coupling."""
+        is its own inverse, so it also takes that term to the coupling.
+        ValueError where 1/gamma is not finite (|gamma| below ~5.6e-309)."""
         if gamma == 0.0:
             raise ValueError("gamma = 0 has no 2D channel coefficient")
+        if not math.isfinite(1.0 / gamma):
+            raise ValueError(f"gamma = {gamma!r} has no finite 2D channel coefficient")
         return 1.0 / gamma
 
     @staticmethod

@@ -1,6 +1,7 @@
 """Fixtures that choose the Bessel evaluation path of rotkrein._radial."""
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,7 +16,15 @@ def serial_bessel(monkeypatch):
 
 @pytest.fixture
 def split_bessel(monkeypatch):
-    """Every Bessel batch with two or more orders or radii cut in two halves,
-    one on the helper thread, on any number of CPUs."""
-    monkeypatch.setattr(rotkrein._radial, "_SECOND_CPU", True)
+    """Every Bessel batch cut in two halves, one on the helper thread, on any
+    number of CPUs: a one-CPU process is given an executor for the test."""
     monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", 0)
+    if rotkrein._radial._pool is not None:
+        yield rotkrein._radial._pool
+        return
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rotkrein-bessel")
+    monkeypatch.setattr(rotkrein._radial, "_pool", pool)
+    try:
+        yield pool
+    finally:
+        pool.shutdown()

@@ -671,9 +671,12 @@ def test_layer_fields_multiply_the_angular_factor(dim, z):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _gamma_matrix_2d_bessel_calls(monkeypatch) -> int:
+def _gamma_matrix_2d_bessel_calls(monkeypatch, *modules) -> int:
+    """scipy.special calls of one 2D gamma_matrix made by _radial and by the
+    given other modules."""
     counter = CountingSpecial()
-    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    for mod in (rotkrein._radial, *modules):
+        monkeypatch.setattr(mod, "sp", counter)
     t = Truncation(5)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), t, build_mesh(2, 1.0, 12))
     return counter.calls
@@ -688,14 +691,14 @@ def test_gamma_matrix_2d_bessel_calls(monkeypatch, serial_bessel):
     assert 0 < calls <= 2 * 2 * 4
 
 
-def test_gamma_matrix_2d_bessel_calls_split(monkeypatch):
-    """With every batch split across the helper thread, each of those calls
-    becomes exactly two."""
+def test_gamma_matrix_2d_bessel_calls_split(monkeypatch, split_bessel):
+    """With every batch split across the helper thread, each of those calls,
+    and each Hankel call of the free kernel and its cells, becomes exactly
+    two."""
     monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", sys.maxsize)
-    serial = _gamma_matrix_2d_bessel_calls(monkeypatch)
-    monkeypatch.setattr(rotkrein._radial, "_SECOND_CPU", True)
+    serial = _gamma_matrix_2d_bessel_calls(monkeypatch, blade_mod)
     monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", 0)
-    assert _gamma_matrix_2d_bessel_calls(monkeypatch) == 2 * serial
+    assert _gamma_matrix_2d_bessel_calls(monkeypatch, blade_mod) == 2 * serial
 
 
 def test_apply_blade_resolvent_at_the_3d_origin():

@@ -231,6 +231,11 @@ def test_circle_term_is_its_own_inverse():
     assert ChannelIndex3.circle_term(0.0) == 0.0
     with pytest.raises(ValueError, match="gamma = 0 has no 2D channel coefficient"):
         ChannelIndex2.circle_term(0.0)
+    # 1/gamma overflows below about 5.6e-309: no finite coefficient either.
+    for g in (1e-320, -1e-309, 5e-324):
+        with pytest.raises(ValueError, match="has no finite 2D channel coefficient"):
+            ChannelIndex2.circle_term(g)
+    assert ChannelIndex2.circle_term(1e-308) == 1.0 / 1e-308
 
 
 @pytest.mark.parametrize("make", [

@@ -1,9 +1,13 @@
 """Command-line front end: parsing, parity with the library, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotkrein.cli import format_complex, main, parse_complex
 from rotkrein.greens import Point2, TruncationError
@@ -153,6 +157,16 @@ def test_gamma_cli(capsys):
     assert main(["gamma", "--dim", "2", "--alpha", str(math.pi), "--y0", "0.8"]) == 2
     assert "free case" in capsys.readouterr().err
     assert main(["gamma", "--dim", "2"]) == 2
+
+
+def test_gamma_cli_subnormal_2d_coupling_exits_2(capsys):
+    """A coupling whose 1/gamma overflows has no finite Gamma."""
+    argv = ["gamma", "--dim", "2", "--gamma", "1e-320", "--radius", "1", "--z", "0.4+1i",
+            "--channel", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Gamma =" not in captured.out
+    assert captured.err.startswith("invalid input: gamma = 1e-320 has no finite 2D channel")
 
 
 def test_gamma_cli_rejects_negative_l_max(capsys):
@@ -411,3 +425,60 @@ def test_kernel_cli_singular_argument_exits_2(capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+# The error policy as a generated test: kernel and gamma argv over extreme
+# radii, energies, speeds and couplings.
+_RADII = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e15, -1e15]),
+                   st.floats(-1e15, 1e15))
+_COUPLINGS = st.one_of(st.sampled_from([0.0, 5e-324, -1e-320, 1e-309, math.pi]),
+                       st.floats(-1e3, 1e3))
+
+
+def _complex_token(re: float, im: float) -> str:
+    return f"{re!r}{'' if math.copysign(1.0, im) < 0 else '+'}{im!r}i"
+
+
+@st.composite
+def _argv(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    z = _complex_token(draw(_PARTS), draw(_PARTS))
+    m_max = draw(st.integers(0, 6))
+    caps = [f"--m-max={m_max}"]
+    if dim == 3 and draw(st.booleans()):
+        caps.append(f"--l-max={m_max + draw(st.integers(0, 3))}")
+    if draw(st.booleans()):
+        def point():
+            angles = [draw(st.floats(0.0, math.pi)), draw(st.floats(-7.0, 7.0))]
+            return ",".join(map(repr, [draw(_RADII), *angles[3 - dim:]]))
+
+        argv = ["kernel", f"--dim={dim}", f"--z={z}", f"--omega={draw(st.floats(0.0, 1e4))!r}",
+                f"--point={point()}", f"--source={point()}", *caps]
+        if draw(st.booleans()):
+            argv += [f"--alpha={draw(_COUPLINGS)!r}", f"--y0={draw(_RADII)!r}"]
+        return argv
+    if draw(st.booleans()):
+        return ["gamma", f"--dim={dim}", f"--alpha={draw(_COUPLINGS)!r}",
+                f"--y0={draw(_RADII)!r}", *caps[1:]]
+    return ["gamma", f"--dim={dim}", f"--gamma={draw(_COUPLINGS)!r}",
+            f"--radius={draw(_RADII)!r}", f"--z={z}",
+            f"--channel={draw(st.integers(-6, 6))}", *caps[1:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+@example(argv=["gamma", "--dim=2", "--gamma=1e-320", "--radius=1", "--z=0.4+1i",
+               "--channel=0"])  # 1/gamma overflows
+@example(argv=["gamma", "--dim=2", "--gamma=-1e-309", "--radius=1.0", "--z=0.4+1i",
+               "--channel=0"])
+def test_kernel_and_gamma_argv_keep_the_error_policy(argv):
+    """Every run exits 0, 1 (a typed computation error) or 2 (invalid
+    input) without a traceback, and prints no nan or inf."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    prefix = {0: "", 1: "computation failed: ", 2: "invalid input: "}[code]
+    assert err.getvalue().startswith(prefix)
+    assert "Traceback" not in err.getvalue()
+    assert not any(bad in out.getvalue().lower() for bad in ("nan", "inf"))

@@ -3,8 +3,9 @@ helper outlives its callers, every name an __all__ exports exists, every
 function the benchmark tracer wraps exists, only the listed functions
 branch on the dimension, no module mentions a harmonic norm, one function
 conjugates the radial factors, one function factors a dense matrix, one
-module uses threads, and only the one-term sph_harm evaluates a spherical
-harmonic by itself.
+module uses threads, only the one-term sph_harm evaluates a spherical
+harmonic by itself, and every library Bessel batch goes through
+_radial._bessel.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -314,3 +315,34 @@ def test_per_element_harmonics_only_in_the_one_term_api():
     evaluates one Y_l^m by itself."""
     sources = {p.stem: p.read_text() for p in MODULES}
     assert _sites(sources, _per_element_harmonic) == ["specfun.sph_harm"]
+
+
+BESSEL_UFUNCS = ("jv", "hankel1", "spherical_jn")
+
+
+def _direct_bessel_call(node) -> bool:
+    """A call of scipy's jv, hankel1 or spherical_jn by name (sp.jv(...),
+    hankel1(...)); passing the ufunc on, as to _bessel, is not a call."""
+    return isinstance(node, ast.Call) and (getattr(node.func, "attr", None) in BESSEL_UFUNCS
+                                           or getattr(node.func, "id", None) in BESSEL_UFUNCS)
+
+
+def test_finds_direct_bessel_calls():
+    sources = {"a": (
+        "def f(nu, x):\n    return sp.jv(nu, x), _bessel(sp.hankel1, nu, x)\n\n"
+        "def g(l, x):\n    def inner():\n        return scipy.special.spherical_jn(l, x)\n"
+        "    return inner\n\n"
+        "def h(x):\n    return hankel1(0, x), sp.hankel2(0, x), sp.jve(0, x)\n\n"
+        "def k(f, nu, x):\n    return f(nu, x)\n")}
+    assert _sites(sources, _direct_bessel_call) == ["a.f", "a.g.inner", "a.h"]
+
+
+def test_bessel_batches_go_through_the_split():
+    """A ratchet on the one Bessel route: every library batch of jv and
+    hankel1 goes through _radial._bessel, which splits a large one across
+    the helper thread.  Only _jv's real-axis re-evaluation and the one-term
+    specfun functions call the ufuncs themselves."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _sites(sources, _direct_bessel_call) == [
+        "_radial._jv", "specfun.bessel_j", "specfun.hankel1", "specfun.sph_bessel_j",
+        "specfun.sph_hankel1"]

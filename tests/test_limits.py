@@ -180,6 +180,10 @@ def test_eps_study_slope_and_monotone():
         eps_scaling_study(
             2, 1.0, [], RotationSpec(0.0), PointSource(1.0, 2), Truncation(8)
         )
+    with pytest.raises(ValueError, match="at least two epsilons"):
+        eps_scaling_study(
+            2, 1.0, [0.01], RotationSpec(0.0), PointSource(1.0, 2), Truncation(4)
+        )
 
 
 GRID_PSIS = {

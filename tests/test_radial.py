@@ -470,12 +470,12 @@ SPLIT_CASES = {
 
 def _serial_and_split(monkeypatch, call):
     """call() and its scipy.special call count on one thread, then with every
-    batch split across the helper thread."""
+    batch split across the helper thread (the split_bessel fixture gives
+    the process its helper)."""
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
     runs = []
-    for second_cpu, split_min in ((False, sys.maxsize), (True, 0)):
-        monkeypatch.setattr(rotkrein._radial, "_SECOND_CPU", second_cpu)
+    for split_min in (sys.maxsize, 0):
         monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", split_min)
         counter.calls = 0
         runs.append((call().tobytes(), counter.calls))
@@ -483,9 +483,10 @@ def _serial_and_split(monkeypatch, call):
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
-def test_a_split_batch_is_the_bits_of_one_call(monkeypatch, case):
+def test_a_split_batch_is_the_bits_of_one_call(monkeypatch, split_bessel, case):
     """Both halves of every jv and hankel1 call together give the bits of
-    the one call, in 2D and 3D, along either axis and in both half-planes."""
+    the one call, in 2D and 3D, over radii or orders and in both
+    half-planes."""
     (one, serial_calls), (split, split_calls) = _serial_and_split(
         monkeypatch, lambda: separable_kernels(*case))
     assert split_calls == 2 * serial_calls > 0
@@ -493,7 +494,7 @@ def test_a_split_batch_is_the_bits_of_one_call(monkeypatch, case):
 
 
 @pytest.mark.parametrize("dim,z", MEMO_CASES)
-def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, dim, z):
+def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, split_bessel, dim, z):
     def call():
         rotkrein._radial._plan.cache_clear()
         return radial_apply(_psi(dim, 1, MEMO_GRID), z, MEMO_RADII)
@@ -503,23 +504,30 @@ def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, dim, z):
     assert split == one
 
 
-def test_a_split_takes_the_longer_axis(split_bessel):
-    """Many orders at one radius are cut along the orders, one order at many
-    radii along the radii; each half is one call."""
+def test_a_split_cuts_the_flat_batch_in_halves(split_bessel):
+    """Many orders at one radius and one order at many radii alike: the
+    batch, nu broadcast against x, is flattened and cut into two halves,
+    each half is one call, and together they are the bits of one call."""
     seen = []
 
     def jv(nu, x, **kwargs):
-        seen.append((np.shape(nu), np.shape(x)))
+        seen.append((nu.copy(), x.copy()))
         return sp.jv(nu, x, **kwargs)
 
     w = sqrt_upper(0.4 + 1.0j)
-    for nu, x, halves in (
-        (np.arange(80.0).reshape(-1, 1), np.array([0.7 * w]), ((40, 1), (1, 1))),
-        (np.array([[1.5]]), w * _SPLIT_R[:96], ((1, 1), (1, 48))),
+    for nu, x in (
+        (np.arange(80.0).reshape(-1, 1), np.array([0.7 * w])),
+        (np.array([[1.5]]), w * _SPLIT_R[:96]),
     ):
         seen.clear()
-        assert _bessel(jv, nu, x).tobytes() == sp.jv(nu, np.atleast_2d(x)).tobytes()
-        assert seen == [halves, halves]
+        assert _bessel(jv, nu, x).tobytes() == sp.jv(nu, x).tobytes()
+        flat_nu, flat_x = (np.broadcast_to(a, np.broadcast_shapes(nu.shape, x.shape)).ravel()
+                           for a in (nu, x))
+        half = flat_x.size // 2
+        halves = [(flat_nu[:half], flat_x[:half]), (flat_nu[half:], flat_x[half:])]
+        assert len(seen) == 2
+        for part_nu, part_x in halves:
+            assert any(np.array_equal(part_nu, n) and np.array_equal(part_x, t) for n, t in seen)
 
 
 def test_an_error_on_the_helper_reaches_the_caller(split_bessel):
@@ -577,22 +585,29 @@ def test_a_forked_child_evaluates_a_split_batch(split_bessel):
 
 def test_concurrent_callers_share_one_helper(monkeypatch, split_bessel):
     """Eight caller threads (more than the cores) with a short switch
-    interval start one helper between them, lose no counted call and get
-    the bits of one call each time."""
+    interval send their halves to the one module executor, create no
+    executor, lose no counted call and get the bits of one call each time."""
     case = SPLIT_CASES["3D"]
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
     want = separable_kernels(*case).tobytes()
     per_call = counter.calls
-    started = []
+    created = []
 
     class Executor(rotkrein._radial.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
-            started.append(self)
+            created.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(rotkrein._radial, "ThreadPoolExecutor", Executor)
-    monkeypatch.setattr(rotkrein._radial, "_pool", None)
+    submits = []
+    submit = split_bessel.submit
+
+    def counted_submit(*args, **kwargs):
+        submits.append(1)
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(split_bessel, "submit", counted_submit)
     counter.calls = 0
     barrier = threading.Barrier(8)
     got = []
@@ -615,5 +630,6 @@ def test_concurrent_callers_share_one_helper(monkeypatch, split_bessel):
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * 40
     assert counter.calls == 40 * per_call
-    assert len(started) == 1
-    started[0].shutdown()
+    assert len(submits) == 40 * per_call // 2
+    assert rotkrein._radial._pool is split_bessel
+    assert created == []
