@@ -32,8 +32,12 @@ evaluates only the pieces cut by its own output radii.  Results are the same
 bits with or without the memo.
 
 Every J and H factor of both comes from _factors, the one home of what
-differs between the dimensions here: one jv and one hankel1 call per radius
-set (J again by real-argument routines where w r is real: _jv).  Every
+differs between the dimensions here: one jv and one hankel1 call over the
+radii of a kernel call's both sides (J again by real-argument routines where
+w r is real: _jv), each distinct radius once where both sides hold several
+(_radius_set), so each factor is evaluated once per order, energy and
+radius.  The energies of a call are checked and rooted in one array pass
+(_roots), a numpy transcription of CPython's complex square root.  Every
 library Bessel batch, the blade's free 2D Hankel kernels too, goes through
 _bessel: where the process may run on a second CPU, a call of _SPLIT_MIN
 elements or more is cut into the two halves of its flattened batch, and
@@ -74,6 +78,9 @@ __all__ = [
 # 2-CPU host a 1,010-element jv or hankel1 batch split 1.1-1.7x faster, a
 # 1,000-element one 1.3-1.7x slower.
 _SPLIT_MIN = 1200
+# The smallest normal double: _roots scales an energy whose parts are both
+# below it, as CPython's complex sqrt does.
+_NORMAL_MIN = np.finfo(float).smallest_normal
 
 
 def _make_pool() -> None:
@@ -146,17 +153,6 @@ def _jv(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast mask to an operand's shape: any over its broadcast axes."""
-    if mask.shape == shape:
-        return mask
-    lead = mask.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + i for i, s in enumerate(shape) if s == 1 and mask.shape[lead + i] != 1
-    )
-    return np.any(mask, axis=axes).reshape(shape)
-
-
 def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -> None:
     """Raise OverflowError naming the radii (broadcast to values) of nonfinite values."""
     bad = ~np.isfinite(values)
@@ -223,14 +219,43 @@ def _root(z: complex) -> complex:
 
 
 def _roots(z: np.ndarray):
-    """The _root of each energy: one complex for one energy, else an array
-    of z's shape.  Each distinct energy is checked (require_resolvent_energy)
-    and rooted once."""
-    if z.ndim == 0:
-        return _root(require_resolvent_energy(z.item()))
-    zs = z.ravel().tolist()
-    roots = {e: _root(require_resolvent_energy(e)) for e in dict.fromkeys(zs)}
-    return np.array([roots[e] for e in zs]).reshape(z.shape)
+    """The _root of each energy: one complex for a 0-d z, else an array of
+    z's shape, each element the bits of _root; more than one energy in one
+    array pass.
+
+    The finiteness and essential-spectrum tests of require_resolvent_energy
+    run over the whole array; the first offending energy, in flat order, is
+    passed to it to raise its error.  The root is CPython's complex sqrt
+    (cmathmodule.c, the algorithm of cmath.sqrt) of conj z where Im z < 0:
+    s = 2 sqrt(|x|/8 + hypot(|x|/8, |y|/8)) and d = |y| / (2 s), with both
+    parts scaled by 2^53 first where both are below the smallest normal, so
+    that hypot keeps full precision (and s is not 0).  np.sqrt rounds some
+    roots differently (sqrt(1j) by 1 ulp in Im), so it is not used.
+    """
+    if z.size == 1:  # the scalar route is the cheaper one here
+        w = _root(require_resolvent_energy(z.item()))
+        return w if z.ndim == 0 else np.full(z.shape, w)
+    x, y = z.real, z.imag
+    bad = ~(np.isfinite(x) & np.isfinite(y)) | ((y == 0.0) & (x >= 0.0))
+    if bad.any():
+        require_resolvent_energy(z.ravel()[bad.ravel().argmax()].item())
+    y = np.where(y < 0.0, -y, y)  # conj z where Im z < 0
+    ax, ay = np.abs(x), np.abs(y)
+    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    tiny = (ax < _NORMAL_MIN) & (ay < _NORMAL_MIN)
+    if tiny.any():
+        up = np.ldexp(ax[tiny], 53)
+        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
+    d = ay / (2.0 * s)
+    right = x >= 0.0
+    re = np.where(right, s, d)
+    im = np.copysign(np.where(right, d, s), y)
+    # sqrt_upper's branch: the root with Im > 0, or Im = 0 and Re >= 0.
+    flip = (im < 0.0) | ((im == 0.0) & (re < 0.0))
+    w = np.empty(z.shape, dtype=complex)
+    w.real = np.where(flip, -re, re)
+    w.imag = np.where(flip, -im, im)
+    return w
 
 
 def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
@@ -239,23 +264,25 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     orders holds |n| (2D) or l (3D): one order, or an array of orders whose
     axes lead the result's; z is one energy, or one energy per order (an
     array of the orders' shape).  r and rp broadcast against each other (row
-    and column vectors give the matrices).  J is evaluated in one call over
-    every order and each radius that is the smaller member of some pair, and
-    H likewise at the larger ones, each factor with its own radial weight
-    and limit (_factors); entries are the products ((i pi / 2) J) * H in
-    that order, so every value equals the elementwise closed formula at its
-    own energy bit for bit, except where w r is real and positive: there J
-    takes _jv's real-argument routes.  Lower half-plane energies go through
-    g(conj z) = conj g(z).
+    and column vectors give the matrices).  One _factors call evaluates J
+    and H over every order at the radii of r and rp (_radius_set: where both
+    hold several radii, each distinct radius once), J only where some entry
+    takes it at its smaller radius and H at its larger one, each factor with
+    its own radial weight and limit; entries are the products ((i pi / 2) J)
+    * H in that order, so every value equals the elementwise closed formula
+    at its own energy bit for bit, except where w r is real and positive:
+    there J takes _jv's real-argument routes.  Lower half-plane energies go
+    through g(conj z) = conj g(z).
 
-    Each distinct energy is checked once (require_resolvent_energy); a
-    negative or NaN radius and a negative 3D degree raise ValueError, and
-    r = r' = 0 (an H factor at argument 0) SingularArgumentError.  An entry
-    whose J factor is taken at r = 0 and is exactly 0 there (every order but
-    the lowest) is 0, even where its H factor overflows; any other nonfinite
-    entry (Bessel overflow at large |z| r, or at a tiny r') raises
-    OverflowError naming the first such order, its z and the radii.  An
-    empty order list gives an empty result and checks nothing.
+    Every energy is checked (require_resolvent_energy, in one array pass:
+    _roots); a negative or NaN radius and a negative 3D degree raise
+    ValueError, and r = r' = 0 (an H factor at argument 0)
+    SingularArgumentError.  An entry whose J factor is taken at r = 0 and is
+    exactly 0 there (every order but the lowest) is 0, even where its H
+    factor overflows; any other nonfinite entry (Bessel overflow at large
+    |z| r, or at a tiny r') raises OverflowError naming the first such
+    order, its z and the radii (_check_kernels).  An empty order list gives
+    an empty result and checks nothing.
     """
     orders = np.asarray(orders)
     r = np.asarray(r, dtype=float)
@@ -265,34 +292,68 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     if dim == 3 and orders.min() < 0:
         raise ValueError(f"degree must be nonnegative, got l={orders.min()}")
     z = np.asarray(z, dtype=complex)
+    g = _kernels(dim, orders, z, r, rp)
+    _check_kernels(dim, orders, z, g, r, rp)
+    return g
+
+
+def _radius_set(r: np.ndarray, rp: np.ndarray) -> tuple:
+    """The radii the factors of the kernels of r and rp are evaluated at,
+    and the index into them of each entry of r and of rp.  Where both hold
+    several radii (a square matrix, the point pairs of a Krein kernel), a
+    radius met more than once is kept once; one radius on either side is
+    taken as it stands, since sorting the radii would cost a one-term call
+    more than it can save."""
+    radii = np.concatenate([r.ravel(), rp.ravel()])
+    if r.size > 1 and rp.size > 1:
+        radii, at = np.unique(radii, return_inverse=True)
+    else:
+        at = np.arange(radii.size)
+    return radii, at[: r.size].reshape(r.shape), at[r.size :].reshape(rp.shape)
+
+
+def _kernels(dim: int, orders: np.ndarray, z: np.ndarray, r: np.ndarray,
+             rp: np.ndarray) -> np.ndarray:
+    """The kernels of separable_kernels (nonempty orders, z an array),
+    nonfinite entries left for the caller's _check_kernels."""
     w = _roots(z)
     flip = z.imag < 0.0
     if not (r.min(initial=0.0) >= 0.0 and rp.min(initial=0.0) >= 0.0):
         raise ValueError("radii must be nonnegative")
-    if orders.ndim and r.ndim != rp.ndim:
-        # Order axes lead the factors of r and of rp: pad both to one ndim.
-        nd = max(r.ndim, rp.ndim)
-        r = r.reshape((1,) * (nd - r.ndim) + r.shape)
-        rp = rp.reshape((1,) * (nd - rp.ndim) + rp.shape)
+    radii, at_r, at_rp = _radius_set(r, rp)
     lower = r <= rp  # entry takes J at r and H at rp; otherwise the reverse
-    # An overflowed factor, or the unselected product of an entry, may give
-    # inf * 0; only the selected entries are checked below.
+    at_j = np.where(lower, at_r, at_rp)
+    at_h = np.where(lower, at_rp, at_r)
+    need_j = np.zeros(radii.size, dtype=bool)
+    need_h = np.zeros(radii.size, dtype=bool)
+    need_j[at_j] = need_h[at_h] = True
+    # An overflowed factor may give inf * 0; the caller checks the entries.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jr, hr = _factors(dim, orders, w, flip, r, _needed(lower, r.shape),
-                          _needed(~lower, r.shape))
-        jp, hp = _factors(dim, orders, w, flip, rp, _needed(~lower, rp.shape),
-                          _needed(lower, rp.shape))
-        g = np.where(lower, jr * hp, jp * hr)
+        jf, hf = _factors(dim, orders, w, flip, radii, need_j, need_h)
+        # np.take gathers in C order: a later sum over the kernels adds in
+        # the order of their memory layout.  np.multiply takes the ufunc
+        # loop for one entry too (numpy's scalar product rounds otherwise),
+        # and asarray keeps that entry a 0-d array.
+        j = np.take(jf, at_j, axis=-1)
+        g = np.asarray(np.multiply(j, np.take(hf, at_h, axis=-1)))
     if not np.isfinite(g).all():
         # J at r = 0 is its exact limit, 0 for every order but the lowest:
         # the kernel is 0 there even where its H factor overflows.
-        at0 = np.where(lower, (r == 0.0) & (jr == 0.0), (rp == 0.0) & (jp == 0.0))
-        g[at0 & ~np.isfinite(g)] = 0.0
-        per_order = g.reshape((-1,) + lower.shape)
-        energies = np.broadcast_to(z, orders.shape).ravel()
-        for order, e, gk in zip(orders.ravel(), energies, per_order):
-            _check_finite("radial kernel", dim, order, complex(e), gk, r, rp)
+        g[(radii[at_j] == 0.0) & (j == 0.0) & ~np.isfinite(g)] = 0.0
     return g
+
+
+def _check_kernels(dim: int, orders: np.ndarray, z, g: np.ndarray, r, rp) -> None:
+    """Raise OverflowError for the first order (in flat order) with a
+    nonfinite kernel in g, laid out as separable_kernels(dim, orders, z, r,
+    rp), naming that order, its energy and the radii of its nonfinite
+    entries."""
+    if np.isfinite(g).all():
+        return
+    per_order = g.reshape((-1,) + np.broadcast_shapes(np.shape(r), np.shape(rp)))
+    energies = np.broadcast_to(z, orders.shape).ravel()
+    for order, e, gk in zip(orders.ravel(), energies, per_order):
+        _check_finite("radial kernel", dim, order, complex(e), gk, r, rp)
 
 
 def g2_vec(n: int, z: complex, r, rp):

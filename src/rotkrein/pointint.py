@@ -14,7 +14,9 @@ where |G_-|^2 and the inner product are the windowed quantities from
 rotframe.  alpha = pi switches the interaction off identically.  lambda_at
 is the one-energy view of _lambdas_at, which takes the couplings of many
 (z, omega) rows from one channel-diagonal call, each row summed in the
-one-row order and checked for resonance on its own.  Shift, order, angular
+one-row order and checked for resonance on its own; |G_-|^2 is read off the
+row's diagonals at -i, conjugated.  krein_kernel takes its three rotating
+sums from one kernel call.  Shift, order, angular
 factor and source angles come from the specfun channel classes.
 """
 
@@ -34,6 +36,7 @@ from .rotframe import (
     RotationSpec,
     Truncation,
     _channel_diags,
+    _rot_greens,
     rot_green,
 )
 from .specfun import (
@@ -137,19 +140,18 @@ class RadialChannelFunction:
 
 
 def _inv_lambda_ref(kp: KreinParam, ref_diags: list) -> complex:
-    # Windowed reference norm from the same channel sums as the continuation:
-    # ||G_ref||^2 = sum_m Im ch_m(conj(ref) + m w).  Anything else (for example
-    # a tail-completed norm) breaks the conjugation identity at the window edge.
+    """1/lambda(-i) from the channel diagonals at -i + m w over the window.
+
+    Windowed reference norm from the same channel sums as the continuation:
+    ||G_ref||^2 = sum_m Im ch_m(conj(ref) + m w) = -sum_m Im ch_m(ref + m w),
+    since the diagonals at conj(ref) + m w are the exact conjugates of those
+    at ref + m w (one root, conjugated factors).  Anything else (for example
+    a tail-completed norm) breaks the conjugation identity at the window
+    edge."""
     norm_sq = 0.0
     for d in ref_diags:
-        norm_sq += d.imag
+        norm_sq += -d.imag
     return 2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha))
-
-
-def _ref_pairs(omega: float, t: Truncation) -> list:
-    """(m, conj(ref) + m w) over the window: where the reference norm reads
-    the channel diagonals."""
-    return [(m, _Z_REF.conjugate() + m * omega) for m in range(-t.m_max, t.m_max + 1)]
 
 
 def lambda_ref(
@@ -163,7 +165,8 @@ def lambda_ref(
     if kp.is_free:
         return 0.0 + 0.0j
     cls = channel_class(dim, src)
-    return 1.0 / _inv_lambda_ref(kp, _channel_diags(cls, _ref_pairs(rot.omega, t), src.y0, t.l_max))
+    pairs = [(m, _Z_REF + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
+    return 1.0 / _inv_lambda_ref(kp, _channel_diags(cls, pairs, src.y0, t.l_max))
 
 
 def lambda_at(
@@ -198,11 +201,14 @@ def _lambdas_at(
 ) -> list:
     """lambda_at(dim, z, kp, rot, src, t, via) for each (z, rot) of zs and rots.
 
-    One _channel_diags call over the reference and continuation pairs of
-    every row; each row sums its own diagonals in the one-row order, so its
-    coupling is the same bit for bit.  The first row whose denominator
-    vanishes raises ResonanceError; the near-resonance findings are logged
-    after every row has passed that check.
+    One _channel_diags call over the continuation pairs of every row, two
+    shells per window channel: the diagonals at z + m w and at z_from + m w.
+    Without via, z_from is the reference -i, and the conjugates of its
+    diagonals, at conj(-i) + m w, give the reference norm too
+    (_inv_lambda_ref).  Each row sums its own diagonals in the one-row
+    order, so its coupling is the same bit for bit.  The first row whose
+    denominator vanishes raises ResonanceError; the near-resonance findings
+    are logged after every row has passed that check.
     """
     cls = channel_class(dim, src)
     zs = [require_off_axis_energy(z) for z in zs]
@@ -211,24 +217,21 @@ def _lambdas_at(
     ms = range(-t.m_max, t.m_max + 1)
     if via is not None:
         inv_from = [1.0 / lam for lam in _lambdas_at(dim, [via] * len(zs), kp, rots, src, t)]
-        z_from, n_ref = complex(via), 0
+        z_from = complex(via)
     else:
-        z_from, n_ref = _Z_REF, len(ms)
-    # Per row: the reference pairs, then the pairs at z and z_from per
-    # channel; each order's weights are shared by every pair.
-    pairs = []
-    for z, rot in zip(zs, rots):
-        if n_ref:
-            pairs += _ref_pairs(rot.omega, t)
-        pairs += [(m, e + m * rot.omega) for m in ms for e in (z, z_from)]
+        z_from = _Z_REF
+    # Per row: the pairs at z and z_from per channel; each order's weights
+    # are shared by every pair.  Without via, the diagonals at z_from = -i
+    # also give the reference norm (_inv_lambda_ref).
+    pairs = [(m, e + m * rot.omega) for z, rot in zip(zs, rots) for m in ms for e in (z, z_from)]
     d = _channel_diags(cls, pairs, src.y0, t.l_max)
-    n = n_ref + 2 * len(ms)
+    n = 2 * len(ms)
     invs, scales = [], []
     for k in range(len(zs)):
         dk = d[k * n : (k + 1) * n]
-        inv_k = _inv_lambda_ref(kp, dk[:n_ref]) if n_ref else inv_from[k]
+        inv_k = inv_from[k] if via is not None else _inv_lambda_ref(kp, dk[1::2])
         diff = 0.0 + 0.0j
-        for d_z, d_from in zip(dk[n_ref::2], dk[n_ref + 1 :: 2]):
+        for d_z, d_from in zip(dk[::2], dk[1::2]):
             diff += d_z
             diff -= d_from
         invs.append(inv_k - diff)
@@ -257,17 +260,24 @@ def krein_kernel(
     src: PointSource,
     t: Truncation,
 ) -> complex:
-    """Resolvent kernel of the interacting operator between two points."""
+    """Resolvent kernel of the interacting operator between two points.
+
+    free + lambda(z) conj(G_conj z(x', y0)) G_z(x, y0), the three rotating
+    sums from one kernel call (rotframe._rot_greens: G at conj z is the
+    conjugate of G at z, channel by channel).  Errors come in the order of
+    the terms: the free sum's checks, then the coupling's (ResonanceError),
+    then the overflow and tail checks of the left and right sums.
+    """
     cls = channel_class(dim, x, xp, src)
     z = require_resolvent_energy(z)
-    free = rot_green(dim, z, rot, x, xp, t)
     if kp.is_free:
-        return free
-    lam = lambda_at(dim, z, kp, rot, src, t)
+        return rot_green(dim, z, rot, x, xp, t)
     # The interaction site, as a point of the same class as x.
     y0pt = type(x)(src.y0, *cls.source_angles)
-    left = rot_green(dim, z, rot, x, y0pt, t)
-    right = rot_green(dim, np.conj(z), rot, xp, y0pt, t)
+    sums = _rot_greens(cls, z, rot, [(x, xp, False), (x, y0pt, False), (xp, y0pt, True)], t)
+    free = next(sums)
+    lam = lambda_at(dim, z, kp, rot, src, t)
+    left, right = sums
     return free + lam * complex(np.conj(right)) * left
 
 

@@ -6,8 +6,9 @@ closed radial kernels of _radial.separable_kernels.  Every 2D/3D fact (order,
 orthonormal harmonic, source shell, window) comes from the specfun channel
 classes, so each operation is one path for both, and makes one kernel call
 over its whole window: rot_green over the window's index arrays (and one
-harmonic call at both points), the channel diagonals of many (m, energy)
-pairs over the source shell of every pair.  A diagonal d is the shell sum
+harmonic call at both points; _rot_greens takes several point pairs, the
+three sums of a Krein kernel, in one kernel call), the channel diagonals of
+many (m, energy) pairs over the source shell of every pair.  A diagonal d is the shell sum
 sum |Y(src)|^2 g (_channel_diags; circleint reads it too).  rot_norm_sq is
 the one-energy view of _norm_sqs, which takes the norms of many energies.
 All operations here take an explicit channel window (Truncation); the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from ._radial import separable_kernels
+from ._radial import _check_kernels, _kernels, separable_kernels
 from .greens import Point2, Point3, TruncationError
 from .specfun import (
     _NO_L_MAX,
@@ -209,24 +210,43 @@ def rot_green(
 
     Channel m contributes at shifted energy z + m*omega; the window is
     |m| <= t.m_max with the geometric tail of the outer shells checked
-    against t.tail_tol.
+    against t.tail_tol.  The one-pair view of _rot_greens.
     """
     cls = channel_class(dim, x, xp)
     z = require_resolvent_energy(z)
-    # Every channel of the window, shift outer: one kernel call at the shift
-    # energies and one harmonic call at both points.
+    return next(_rot_greens(cls, z, rot, [(x, xp, False)], t))
+
+
+def _rot_greens(cls: type, z: complex, rot: RotationSpec, pairs: list, t: Truncation):
+    """rot_green of each (x, x', at_conj) of pairs in turn, at conj z where
+    at_conj is set.
+
+    One kernel call at the shift energies z + m omega of every channel of
+    the window, over the radii of every pair (each J and H factor once per
+    order, energy and radius), and one harmonic call at the distinct angles
+    of the points.  The kernels at conj z + m omega are the conjugates of
+    those at z + m omega, bit for bit, so a pair at conj z takes them
+    conjugated.  Each pair's overflow check (OverflowError) and tail check
+    (TruncationError) run when its value is taken, so a caller that takes
+    the values one at a time orders the errors of its pairs.
+    """
     orders, shifts = cls.window_indices(t)
     ms = range(-t.m_max, t.m_max + 1)
     counts = np.bincount(shifts + t.m_max)
     zs = np.repeat([z + m * rot.omega for m in ms], counts)
-    g = separable_kernels(dim, orders, zs, x.r, xp.r)
-    ys = cls.harmonics(orders, shifts, *[[[a], [b]] for a, b in zip(x.angles, xp.angles)])
-    # shell m: the sum over its channels of g Y(x) conj(Y(x'))
-    sums = _run_sums(g * ys[0] * np.conj(ys[1]), counts)
-    shells = dict(zip(ms, sums.tolist()))
-    total = sum(shells.values())
-    _check_shell_tail(shells, total, t.tail_tol)
-    return complex(total)
+    g = _kernels(cls.dim, orders, zs, np.array([x.r for x, _, _ in pairs]),
+                 np.array([xp.r for _, xp, _ in pairs]))
+    angles = list(dict.fromkeys(p.angles for pair in pairs for p in pair[:2]))
+    ys = cls.harmonics(orders, shifts, *[[[a] for a in axis] for axis in zip(*angles)])
+    for k, (x, xp, at_conj) in enumerate(pairs):
+        gk = np.conj(g[:, k]) if at_conj else g[:, k]
+        _check_kernels(cls.dim, orders, np.conj(zs) if at_conj else zs, gk, x.r, xp.r)
+        # shell m: the sum over its channels of g Y(x) conj(Y(x'))
+        terms = gk * ys[angles.index(x.angles)] * np.conj(ys[angles.index(xp.angles)])
+        shells = dict(zip(ms, _run_sums(terms, counts).tolist()))
+        total = sum(shells.values())
+        _check_shell_tail(shells, total, t.tail_tol)
+        yield complex(total)
 
 
 def _degree_norm(degrees: np.ndarray, v: np.ndarray, l_max: int, n_fit: int = 17) -> float:

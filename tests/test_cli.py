@@ -472,6 +472,8 @@ def _argv(draw):
                "--channel=0"])  # 1/gamma overflows
 @example(argv=["gamma", "--dim=2", "--gamma=-1e-309", "--radius=1.0", "--z=0.4+1i",
                "--channel=0"])
+@example(argv=["gamma", "--dim=3", "--gamma=0.0", "--radius=1.0", "--z=0.0+5e-324i",
+               "--channel=0"])  # Im z subnormal: the scaled branch of the array root
 def test_kernel_and_gamma_argv_keep_the_error_policy(argv):
     """Every run exits 0, 1 (a typed computation error) or 2 (invalid
     input) without a traceback, and prints no nan or inf."""

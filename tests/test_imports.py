@@ -4,8 +4,9 @@ function the benchmark tracer wraps exists, only the listed functions
 branch on the dimension, no module mentions a harmonic norm, one function
 conjugates the radial factors, one function factors a dense matrix, one
 module uses threads, only the one-term sph_harm evaluates a spherical
-harmonic by itself, and every library Bessel batch goes through
-_radial._bessel.
+harmonic by itself, every library Bessel batch goes through
+_radial._bessel, and _radial roots and checks no energy one by one in a
+loop.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -346,3 +347,34 @@ def test_bessel_batches_go_through_the_split():
     assert _sites(sources, _direct_bessel_call) == [
         "_radial._jv", "specfun.bessel_j", "specfun.hankel1", "specfun.sph_bessel_j",
         "specfun.sph_hankel1"]
+
+
+PER_ENERGY_CALLS = ("sqrt_upper", "require_resolvent_energy", "_root")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _per_energy_loop(node) -> bool:
+    """A loop or comprehension that calls sqrt_upper,
+    require_resolvent_energy or _root: one Python call per energy."""
+    return isinstance(node, LOOPS) and any(
+        isinstance(n, ast.Call) and (getattr(n.func, "id", None) in PER_ENERGY_CALLS
+                                     or getattr(n.func, "attr", None) in PER_ENERGY_CALLS)
+        for n in ast.walk(node))
+
+
+def test_finds_per_energy_loops():
+    sources = {"a": (
+        "def f(zs):\n    return {e: _root(require_resolvent_energy(e)) for e in zs}\n\n"
+        "def g(zs):\n    out = []\n    for z in zs:\n        out.append(specfun.sqrt_upper(z))\n"
+        "    return out\n\n"
+        "def h(z, zs):\n    w = _root(require_resolvent_energy(z))\n"
+        "    return w, [abs(e) for e in zs]\n\n"
+        "def k(zs):\n    while zs:\n        sqrt_upper(zs.pop())\n")}
+    assert _sites(sources, _per_energy_loop) == ["a.f", "a.g", "a.k"]
+
+
+def test_radial_roots_energies_in_array_passes():
+    """A ratchet on _radial._roots: the energies of a kernel call are checked
+    and rooted in one array pass, not one Python call per energy."""
+    sources = {"_radial": (SRC / "_radial.py").read_text()}
+    assert _sites(sources, _per_energy_loop) == []

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import gauss_radial
 
+import rotkrein._radial
+import rotkrein.pointint
 from rotkrein import (
     ChannelIndex2,
     ChannelIndex3,
@@ -15,9 +19,12 @@ from rotkrein import (
     Point3,
     PointSource,
     RadialChannelFunction,
+    ResonanceError,
     RotationSpec,
     Truncation,
+    TruncationError,
     apply_krein_resolvent,
+    channel_diag,
     krein_kernel,
     lambda_at,
     lambda_ref,
@@ -121,6 +128,137 @@ def test_krein_kernel_adjoint_symmetry():
     a3 = krein_kernel(3, z, kp, rot, x3, xp3, SRC3, TK)
     b3 = krein_kernel(3, z.conjugate(), kp, rot, xp3, x3, SRC3, TK)
     assert a3 == pytest.approx(b3.conjugate(), rel=1e-10)
+
+
+def _points(dim):
+    if dim == 2:
+        return Point2(1.8, 0.4), Point2(0.5, 2.2)
+    return Point3(1.8, 1.1, 0.4), Point3(0.5, 2.0, 2.2)
+
+
+def _site(dim, src):
+    """The interaction site as a point."""
+    cls = ChannelIndex2 if dim == 2 else ChannelIndex3
+    return (Point2 if dim == 2 else Point3)(src.y0, *cls.source_angles)
+
+
+@pytest.mark.parametrize("z", [0.4 + 1.0j, -3.0 + 0.5j, 0.4 - 1.0j])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_krein_kernel_is_its_three_sums_bitwise(dim, z):
+    """The one kernel call of the three sums gives the bits of three
+    rot_green calls, the right one at conj z."""
+    kp, rot = KreinParam(1.7), RotationSpec(2.0)
+    src = SRC2 if dim == 2 else SRC3
+    x, xp = _points(dim)
+    y0 = _site(dim, src)
+    right = complex(np.conj(rot_green(dim, np.conj(z), rot, xp, y0, TK)))
+    want = (rot_green(dim, z, rot, x, xp, TK)
+            + lambda_at(dim, z, kp, rot, src, TK) * right * rot_green(dim, z, rot, x, y0, TK))
+    assert krein_kernel(dim, z, kp, rot, x, xp, src, TK) == want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lambda_ref_is_the_norm_at_the_conjugate_reference(dim):
+    """||G_ref||^2 = sum_m Im d_m(conj(-i) + m w), read off the diagonals at
+    -i + m w, keeps its bits."""
+    kp, rot = KreinParam(1.7), RotationSpec(2.5)
+    src = SRC2 if dim == 2 else SRC3
+    norm_sq = 0.0
+    for m in range(-T.m_max, T.m_max + 1):
+        norm_sq += channel_diag(dim, m, 1j + m * rot.omega, src, T).imag
+    want = 1.0 / (2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha)))
+    assert lambda_ref(dim, kp, rot, src, T) == want
+
+
+@pytest.fixture
+def bessel_elements(monkeypatch):
+    """The number of Bessel elements evaluated through _radial._bessel, a
+    cost that does not drift with the host's speed."""
+    count = [0]
+    bessel = rotkrein._radial._bessel
+
+    def counted(f, nu, x):
+        count[0] += np.broadcast(nu, x).size
+        return bessel(f, nu, x)
+
+    monkeypatch.setattr(rotkrein._radial, "_bessel", counted)
+    return count
+
+
+@pytest.mark.parametrize("dim,cap,channels,terms", [(3, 48, 2401, 1225), (2, 64, 129, 129)])
+def test_krein_kernel_bessel_elements(bessel_elements, dim, cap, channels, terms):
+    """Each J and H factor once per order, energy and radius: the three sums
+    take J at x' and y0 and H at x and y0 (x' < y0 < x) over the window's
+    channels, and the coupling J and H at y0 over the source terms at z and
+    at -i.  The free kernel takes two factors per channel."""
+    t = Truncation(cap, cap)
+    src = PointSource(0.7, dim)
+    x, xp = ((Point2(1.6, 0.4), Point2(0.2, 2.2)) if dim == 2
+             else (Point3(1.6, 1.1, 0.4), Point3(0.2, 2.0, 2.2)))
+    krein_kernel(dim, 0.4 + 1j, KreinParam(1.2), RotationSpec(7.0), x, xp, src, t)
+    assert bessel_elements[0] == 4 * channels + 2 * 2 * terms == {3: 14504, 2: 1032}[dim]
+    bessel_elements[0] = 0
+    rot_green(dim, 0.4 + 1j, RotationSpec(7.0), x, xp, t)
+    assert bessel_elements[0] == 2 * channels
+
+
+@pytest.mark.parametrize("via", [None, 0.3 + 0.7j])
+def test_lambdas_take_two_shells_per_window_channel(monkeypatch, bessel_elements, via):
+    """Each row of _lambdas_at takes the diagonals at z + m w and at the
+    continuation's start + m w: 2 (2 m_max + 1) shells, and the reference
+    norm no more.  A via row takes a via row's of its own."""
+    shells = []
+    diags = rotkrein.pointint._channel_diags
+
+    def counted(cls, pairs, y0, l_max):
+        shells.append(len(pairs))
+        return diags(cls, pairs, y0, l_max)
+
+    monkeypatch.setattr(rotkrein.pointint, "_channel_diags", counted)
+    t = Truncation(10)
+    rot = RotationSpec(3.0)
+    rotkrein.pointint._lambdas_at(2, [0.4 + 1j, -2 + 0.5j, 3 - 1j], KreinParam(1.2),
+                                  [rot] * 3, SRC2, t, via)
+    per_call = 3 * 2 * (2 * t.m_max + 1)
+    assert shells == [per_call] * (1 if via is None else 2)
+    assert bessel_elements[0] == 2 * sum(shells)  # 2D: one order, J and H, per shell
+
+
+# krein_kernel's first error where the free sum, the coupling and the left
+# sum would each fail on their own: the free sum's tail check comes first,
+# then the coupling, then the overflow and tail checks of the left and right
+# sums.  The messages are those of the three-call kernel.
+ERROR_ORDER = {
+    "free tail": (0.4 + 1j, 1.0, 3.0, (1.5, 1.45), 1.52, Truncation(8, 8), TruncationError,
+                  {2: "channel window tail estimate 2.03 relative exceeds 1e-08; widen m_max",
+                   3: "channel window tail estimate 2.36 relative exceeds 1e-08; widen m_max"}),
+    "resonance": (-2.0 + 1e-300j, {2: 5.469901358171402, 3: 4.826613475429255}, 0.0,
+                  (1.6, 0.2), 1.55, Truncation(10, 10), ResonanceError,
+                  "coupling denominator vanished at z=(-2+1e-300j): interaction resonance"),
+    "coupling overflow": (-1e6 + 1j, 1.0, 0.0, (2.0, 0.1), 1.9,
+                          Truncation(6, 6, tail_tol=math.inf), OverflowError,
+                          {d: f"{d}D radial kernel of order 6 at z=(-1000000+1j) is not finite "
+                              "for radii in [1.9, 1.9]" for d in (2, 3)}),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("case", ERROR_ORDER.values(), ids=ERROR_ORDER)
+def test_krein_kernel_error_order(dim, case):
+    z, alpha, omega, (r, rp), y0, t, error, message = case
+    alpha = alpha[dim] if isinstance(alpha, dict) else alpha
+    message = message[dim] if isinstance(message, dict) else message
+    if dim == 2:
+        x, xp = Point2(r, 0.4), Point2(rp, 2.0)
+    else:
+        x, xp = Point3(r, 1.1, 0.4), Point3(rp, 1.3, 2.0)
+    src = PointSource(y0, dim)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        krein_kernel(dim, z, KreinParam(alpha), RotationSpec(omega), x, xp, src, t)
+    # The left sum alone fails otherwise: the order above is what is pinned.
+    with pytest.raises((TruncationError, OverflowError)) as left:
+        rot_green(dim, z, RotationSpec(omega), x, _site(dim, src), t)
+    assert str(left.value) != message
 
 
 def _domain_pair_2d(zeta: complex, n0: int, omega: float):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import multiprocessing
 import os
 import subprocess
@@ -35,6 +36,8 @@ from rotkrein import (
 )
 from rotkrein._radial import (
     _bessel,
+    _root,
+    _roots,
     g2_vec,
     g3_vec,
     gauss_legendre,
@@ -198,6 +201,54 @@ def test_kernel_error_contract():
         assert separable_kernels(dim, [], 2.0, [1.0, 2.0], -1.0).shape == (0, 2)
     with pytest.raises(OverflowError, match=r"order 1 at z=\(-10000\+1j\).*\[7\.9, 8\]"):
         separable_kernels(2, [0, 1], [1j, -1e4 + 1j], 7.9, [8.0])
+
+
+# Real and imaginary parts for the roots: both zero signs, subnormals, the
+# smallest normal, and magnitudes up to 1e300.
+ROOT_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 2.2250738585072014e-308,
+              -1e-300, 3e-12, 0.25, -1.0, 1.0, 7.5, -1e8, 1e150, -1e300, 1e300]
+
+
+def _root_cases(parts):
+    return [complex(a, b) for a in parts for b in parts if not (b == 0.0 and a >= 0.0)]
+
+
+def test_roots_are_the_bits_of_root_per_element():
+    """The array pass gives each energy the bits of its own _root: Re z = +-0,
+    subnormal parts (CPython's scaled branch), parts up to 1e300, the
+    negative real axis with both zero signs, and the lower half-plane."""
+    zs = _root_cases(ROOT_PARTS)
+    got = _roots(np.array(zs))
+    assert got.shape == (len(zs),)
+    assert got.tobytes() == np.array([_root(z) for z in zs]).tobytes()
+    # A 2-D array keeps its shape; one energy takes the one-energy route.
+    assert _roots(np.array(zs[:6]).reshape(2, 3)).tobytes() == got[:6].tobytes()
+    assert _roots(np.array([zs[7]])).tobytes() == got[7:8].tobytes()
+    assert _roots(np.array(zs[7])) == got[7]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(finite, finite), max_size=40))
+def test_roots_are_the_bits_of_root_on_any_finite_energies(parts):
+    # Two energies off the spectrum keep every case on the array pass.
+    zs = [complex(a, b) for a, b in parts if not (b == 0.0 and a >= 0.0)] + [-1.0 + 0j, 0.5j]
+    assert _roots(np.array(zs)).tobytes() == np.array([_root(z) for z in zs]).tobytes()
+
+
+def test_roots_name_the_first_offending_energy():
+    """The array tests raise require_resolvent_energy's error for the first
+    bad energy in flat order."""
+    with pytest.raises(ValueError, match=re.escape("spectral parameter (2+0j) lies on the")):
+        _roots(np.array([1j, -1.0 + 0j, 2.0, 3.0, complex(math.nan, 0.0)]))
+    with pytest.raises(ValueError, match=re.escape("spectral parameter (-0+0j) lies on the")):
+        _roots(np.array([[1j, -1.0 + 0j], [complex(-0.0, 0.0), 2.0]]))
+    with pytest.raises(ValueError, match=re.escape("nonfinite spectral parameter (nan+1j)")):
+        _roots(np.array([1j, complex(math.nan, 1.0), 2.0, complex(1.0, math.inf)]))
+    with pytest.raises(ValueError, match=re.escape("nonfinite spectral parameter (1-infj)")):
+        _roots(np.array([1j, complex(1.0, -math.inf)]))
 
 
 def _psi(dim, order, grid):
