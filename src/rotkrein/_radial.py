@@ -32,11 +32,11 @@ evaluates only the pieces cut by its own output radii.  Results are the same
 bits with or without the memo.
 
 Every J and H factor of both comes from _factors, the one home of what
-differs between the dimensions here: one jv and one hankel1 call over the
-radii of a kernel call's both sides (J again by real-argument routines where
-w r is real: _jv), each distinct radius once where both sides hold several
-(_radius_set), so each factor is evaluated once per order, energy and
-radius.  The energies of a call are checked and rooted in one array pass
+differs between the dimensions here: one jv and one hankel1 call per side
+of a kernel call (J again by real-argument routines where w r is real: _jv),
+or, where both sides hold several radii, one over their distinct radii
+(_shared_factors), so that each factor of a square matrix or of the point
+pairs of a Krein kernel is evaluated once per order, energy and radius.  The energies of a call are checked and rooted in one array pass
 (_roots), a numpy transcription of CPython's complex square root.  Every
 library Bessel batch, the blade's free 2D Hankel kernels too, goes through
 _bessel: where the process may run on a second CPU, a call of _SPLIT_MIN
@@ -153,6 +153,17 @@ def _jv(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _needed(mask: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a broadcast mask to an operand's shape: any over its broadcast axes."""
+    if mask.shape == shape:
+        return mask
+    lead = mask.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, s in enumerate(shape) if s == 1 and mask.shape[lead + i] != 1
+    )
+    return np.any(mask, axis=axes).reshape(shape)
+
+
 def _check_finite(what: str, dim: int, order: int, z: complex, values, *radii) -> None:
     """Raise OverflowError naming the radii (broadcast to values) of nonfinite values."""
     bad = ~np.isfinite(values)
@@ -264,12 +275,11 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     orders holds |n| (2D) or l (3D): one order, or an array of orders whose
     axes lead the result's; z is one energy, or one energy per order (an
     array of the orders' shape).  r and rp broadcast against each other (row
-    and column vectors give the matrices).  One _factors call evaluates J
-    and H over every order at the radii of r and rp (_radius_set: where both
-    hold several radii, each distinct radius once), J only where some entry
-    takes it at its smaller radius and H at its larger one, each factor with
-    its own radial weight and limit; entries are the products ((i pi / 2) J)
-    * H in that order, so every value equals the elementwise closed formula
+    and column vectors give the matrices).  J and H are evaluated over every
+    order in one call per side, or, where both sides hold several radii, in
+    one call over their distinct radii (_shared_factors), J only where some
+    entry takes it at its smaller radius and H at its larger one, each factor with its own radial weight and limit; entries are the
+    products ((i pi / 2) J) * H in that order, so every value equals the elementwise closed formula
     at its own energy bit for bit, except where w r is real and positive:
     there J takes _jv's real-argument routes.  Lower half-plane energies go
     through g(conj z) = conj g(z).
@@ -292,55 +302,66 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     if dim == 3 and orders.min() < 0:
         raise ValueError(f"degree must be nonnegative, got l={orders.min()}")
     z = np.asarray(z, dtype=complex)
-    g = _kernels(dim, orders, z, r, rp)
-    _check_kernels(dim, orders, z, g, r, rp)
+    g, finite = _kernels(dim, orders, z, r, rp)
+    if not finite:
+        _check_kernels(dim, orders, z, g, r, rp)
     return g
 
 
-def _radius_set(r: np.ndarray, rp: np.ndarray) -> tuple:
-    """The radii the factors of the kernels of r and rp are evaluated at,
-    and the index into them of each entry of r and of rp.  Where both hold
-    several radii (a square matrix, the point pairs of a Krein kernel), a
-    radius met more than once is kept once; one radius on either side is
-    taken as it stands, since sorting the radii would cost a one-term call
-    more than it can save."""
-    radii = np.concatenate([r.ravel(), rp.ravel()])
-    if r.size > 1 and rp.size > 1:
-        radii, at = np.unique(radii, return_inverse=True)
-    else:
-        at = np.arange(radii.size)
-    return radii, at[: r.size].reshape(r.shape), at[r.size :].reshape(rp.shape)
-
-
 def _kernels(dim: int, orders: np.ndarray, z: np.ndarray, r: np.ndarray,
-             rp: np.ndarray) -> np.ndarray:
-    """The kernels of separable_kernels (nonempty orders, z an array),
-    nonfinite entries left for the caller's _check_kernels."""
+             rp: np.ndarray) -> tuple:
+    """The kernels of separable_kernels (nonempty orders, z an array), and
+    whether all are finite; nonfinite entries are left for the caller's
+    _check_kernels."""
     w = _roots(z)
     flip = z.imag < 0.0
     if not (r.min(initial=0.0) >= 0.0 and rp.min(initial=0.0) >= 0.0):
         raise ValueError("radii must be nonnegative")
-    radii, at_r, at_rp = _radius_set(r, rp)
+    if orders.ndim and r.ndim != rp.ndim:
+        # Order axes lead the factors of r and of rp: pad both to one ndim.
+        nd = max(r.ndim, rp.ndim)
+        r = r.reshape((1,) * (nd - r.ndim) + r.shape)
+        rp = rp.reshape((1,) * (nd - rp.ndim) + rp.shape)
     lower = r <= rp  # entry takes J at r and H at rp; otherwise the reverse
-    at_j = np.where(lower, at_r, at_rp)
-    at_h = np.where(lower, at_rp, at_r)
-    need_j = np.zeros(radii.size, dtype=bool)
-    need_h = np.zeros(radii.size, dtype=bool)
-    need_j[at_j] = need_h[at_h] = True
-    # An overflowed factor may give inf * 0; the caller checks the entries.
+    # An overflowed factor, or the unselected product of an entry, may give
+    # inf * 0; only the selected entries are checked (_check_kernels).
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jf, hf = _factors(dim, orders, w, flip, radii, need_j, need_h)
-        # np.take gathers in C order: a later sum over the kernels adds in
-        # the order of their memory layout.  np.multiply takes the ufunc
-        # loop for one entry too (numpy's scalar product rounds otherwise),
-        # and asarray keeps that entry a 0-d array.
-        j = np.take(jf, at_j, axis=-1)
-        g = np.asarray(np.multiply(j, np.take(hf, at_h, axis=-1)))
-    if not np.isfinite(g).all():
+        if r.size > 1 and rp.size > 1:
+            jr, hr, jp, hp = _shared_factors(dim, orders, w, flip, r, rp, lower)
+        else:
+            # One radius on a side: sorting out repeated radii would cost a
+            # one-term call more than it can save.
+            jr, hr = _factors(dim, orders, w, flip, r, _needed(lower, r.shape),
+                              _needed(~lower, r.shape))
+            jp, hp = _factors(dim, orders, w, flip, rp, _needed(~lower, rp.shape),
+                              _needed(lower, rp.shape))
+        g = np.where(lower, jr * hp, jp * hr)
+    finite = bool(np.isfinite(g).all())
+    if not finite:
         # J at r = 0 is its exact limit, 0 for every order but the lowest:
         # the kernel is 0 there even where its H factor overflows.
-        g[(radii[at_j] == 0.0) & (j == 0.0) & ~np.isfinite(g)] = 0.0
-    return g
+        at0 = np.where(lower, (r == 0.0) & (jr == 0.0), (rp == 0.0) & (jp == 0.0))
+        g[at0 & ~np.isfinite(g)] = 0.0
+    return g, finite
+
+
+def _shared_factors(dim: int, orders, w, flip, r: np.ndarray, rp: np.ndarray,
+                    lower: np.ndarray) -> tuple:
+    """The factors J and H at r and at rp (as the two _factors calls of
+    _kernels give them) from one _factors call over their distinct radii, so
+    a radius on both sides (a square matrix, the point pairs of a Krein
+    kernel) has each factor evaluated once per order and energy."""
+    radii, at = np.unique(np.concatenate([r.ravel(), rp.ravel()]), return_inverse=True)
+    at_r, at_rp = at[: r.size].reshape(r.shape), at[r.size :].reshape(rp.shape)
+    need_j = np.zeros(radii.size, dtype=bool)
+    need_h = np.zeros(radii.size, dtype=bool)
+    need_j[at_r[_needed(lower, r.shape)]] = need_h[at_r[_needed(~lower, r.shape)]] = True
+    need_j[at_rp[_needed(~lower, rp.shape)]] = need_h[at_rp[_needed(lower, rp.shape)]] = True
+    jf, hf = _factors(dim, orders, w, flip, radii, need_j, need_h)
+    # np.take gathers in C order: a later sum over the kernels adds in the
+    # order of their layout.
+    return (jf.take(at_r, axis=-1), hf.take(at_r, axis=-1), jf.take(at_rp, axis=-1),
+            hf.take(at_rp, axis=-1))
 
 
 def _check_kernels(dim: int, orders: np.ndarray, z, g: np.ndarray, r, rp) -> None:

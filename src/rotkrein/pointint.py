@@ -14,10 +14,11 @@ where |G_-|^2 and the inner product are the windowed quantities from
 rotframe.  alpha = pi switches the interaction off identically.  lambda_at
 is the one-energy view of _lambdas_at, which takes the couplings of many
 (z, omega) rows from one channel-diagonal call, each row summed in the
-one-row order and checked for resonance on its own; |G_-|^2 is read off the
-row's diagonals at -i, conjugated.  krein_kernel takes its three rotating
-sums from one kernel call.  Shift, order, angular
-factor and source angles come from the specfun channel classes.
+one-row order and checked for resonance on its own; the diagonals at -i,
+where the continuation starts, are the conjugates of those of |G_-|^2.
+krein_kernel takes its three rotating sums from one kernel call.  Shift,
+order, angular factor and source angles come from the specfun channel
+classes.
 """
 
 from __future__ import annotations
@@ -140,17 +141,12 @@ class RadialChannelFunction:
 
 
 def _inv_lambda_ref(kp: KreinParam, ref_diags: list) -> complex:
-    """1/lambda(-i) from the channel diagonals at -i + m w over the window.
-
-    Windowed reference norm from the same channel sums as the continuation:
-    ||G_ref||^2 = sum_m Im ch_m(conj(ref) + m w) = -sum_m Im ch_m(ref + m w),
-    since the diagonals at conj(ref) + m w are the exact conjugates of those
-    at ref + m w (one root, conjugated factors).  Anything else (for example
-    a tail-completed norm) breaks the conjugation identity at the window
-    edge."""
+    # Windowed reference norm from the same channel sums as the continuation:
+    # ||G_ref||^2 = sum_m Im ch_m(conj(ref) + m w).  Anything else (for example
+    # a tail-completed norm) breaks the conjugation identity at the window edge.
     norm_sq = 0.0
     for d in ref_diags:
-        norm_sq += -d.imag
+        norm_sq += d.imag
     return 2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha))
 
 
@@ -165,7 +161,7 @@ def lambda_ref(
     if kp.is_free:
         return 0.0 + 0.0j
     cls = channel_class(dim, src)
-    pairs = [(m, _Z_REF + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
+    pairs = [(m, _Z_REF.conjugate() + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
     return 1.0 / _inv_lambda_ref(kp, _channel_diags(cls, pairs, src.y0, t.l_max))
 
 
@@ -201,14 +197,15 @@ def _lambdas_at(
 ) -> list:
     """lambda_at(dim, z, kp, rot, src, t, via) for each (z, rot) of zs and rots.
 
-    One _channel_diags call over the continuation pairs of every row, two
-    shells per window channel: the diagonals at z + m w and at z_from + m w.
-    Without via, z_from is the reference -i, and the conjugates of its
-    diagonals, at conj(-i) + m w, give the reference norm too
-    (_inv_lambda_ref).  Each row sums its own diagonals in the one-row
-    order, so its coupling is the same bit for bit.  The first row whose
-    denominator vanishes raises ResonanceError; the near-resonance findings
-    are logged after every row has passed that check.
+    One _channel_diags call over two shells per window channel of every
+    row: the diagonals at z + m w and where the continuation starts.
+    Without via that is -i + m w, whose diagonals are the conjugates of the
+    reference ones at conj(-i) + m w, so those are evaluated and give the
+    reference norm too (_inv_lambda_ref).  Each row sums its own diagonals
+    in the one-row order, so its coupling is the same bit for bit.  The
+    first row whose denominator vanishes raises ResonanceError; the
+    near-resonance findings are logged after every row has passed that
+    check.
     """
     cls = channel_class(dim, src)
     zs = [require_off_axis_energy(z) for z in zs]
@@ -217,21 +214,31 @@ def _lambdas_at(
     ms = range(-t.m_max, t.m_max + 1)
     if via is not None:
         inv_from = [1.0 / lam for lam in _lambdas_at(dim, [via] * len(zs), kp, rots, src, t)]
-        z_from = complex(via)
-    else:
-        z_from = _Z_REF
-    # Per row: the pairs at z and z_from per channel; each order's weights
-    # are shared by every pair.  Without via, the diagonals at z_from = -i
-    # also give the reference norm (_inv_lambda_ref).
-    pairs = [(m, e + m * rot.omega) for z, rot in zip(zs, rots) for m in ms for e in (z, z_from)]
+        via = complex(via)
+    # Per row, two shells per channel: without via the reference diagonals
+    # at conj(-i) + m w, then those at z + m w; with via those at z and at
+    # via, channel by channel.  Each order's weights are shared by every pair.
+    pairs = []
+    for z, rot in zip(zs, rots):
+        if via is None:
+            pairs += [(m, e + m * rot.omega) for e in (_Z_REF.conjugate(), z) for m in ms]
+        else:
+            pairs += [(m, e + m * rot.omega) for m in ms for e in (z, via)]
     d = _channel_diags(cls, pairs, src.y0, t.l_max)
     n = 2 * len(ms)
     invs, scales = [], []
     for k in range(len(zs)):
         dk = d[k * n : (k + 1) * n]
-        inv_k = inv_from[k] if via is not None else _inv_lambda_ref(kp, dk[1::2])
+        if via is None:
+            # The diagonals at -i + m w, where the continuation starts, are
+            # the exact conjugates of the reference ones (one root,
+            # conjugated factors).
+            ref, d_zs = dk[: len(ms)], dk[len(ms) :]
+            inv_k, d_froms = _inv_lambda_ref(kp, ref), [dr.conjugate() for dr in ref]
+        else:
+            inv_k, d_zs, d_froms = inv_from[k], dk[::2], dk[1::2]
         diff = 0.0 + 0.0j
-        for d_z, d_from in zip(dk[::2], dk[1::2]):
+        for d_z, d_from in zip(d_zs, d_froms):
             diff += d_z
             diff -= d_from
         invs.append(inv_k - diff)

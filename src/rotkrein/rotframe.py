@@ -36,6 +36,7 @@ from ._radial import _check_kernels, _kernels, separable_kernels
 from .greens import Point2, Point3, TruncationError
 from .specfun import (
     _NO_L_MAX,
+    SingularArgumentError,
     _require_integer,
     channel_class,
     require_off_axis_energy,
@@ -226,21 +227,29 @@ def _rot_greens(cls: type, z: complex, rot: RotationSpec, pairs: list, t: Trunca
     order, energy and radius), and one harmonic call at the distinct angles
     of the points.  The kernels at conj z + m omega are the conjugates of
     those at z + m omega, bit for bit, so a pair at conj z takes them
-    conjugated.  Each pair's overflow check (OverflowError) and tail check
-    (TruncationError) run when its value is taken, so a caller that takes
+    conjugated.  Each pair's checks (SingularArgumentError, OverflowError,
+    TruncationError) run when its value is taken, so a caller that takes
     the values one at a time orders the errors of its pairs.
     """
     orders, shifts = cls.window_indices(t)
     ms = range(-t.m_max, t.m_max + 1)
     counts = np.bincount(shifts + t.m_max)
     zs = np.repeat([z + m * rot.omega for m in ms], counts)
-    g = _kernels(cls.dim, orders, zs, np.array([x.r for x, _, _ in pairs]),
-                 np.array([xp.r for _, xp, _ in pairs]))
+    r = np.array([x.r for x, _, _ in pairs])
+    rp = np.array([xp.r for _, xp, _ in pairs])
+    try:
+        g, finite = _kernels(cls.dim, orders, zs, r, rp)
+    except SingularArgumentError:
+        # An H factor at argument 0 (r = r' = 0, or w r underflows) is the
+        # error of one pair: each pair takes its kernels at its turn.
+        g, finite = None, False
     angles = list(dict.fromkeys(p.angles for pair in pairs for p in pair[:2]))
     ys = cls.harmonics(orders, shifts, *[[[a] for a in axis] for axis in zip(*angles)])
     for k, (x, xp, at_conj) in enumerate(pairs):
-        gk = np.conj(g[:, k]) if at_conj else g[:, k]
-        _check_kernels(cls.dim, orders, np.conj(zs) if at_conj else zs, gk, x.r, xp.r)
+        gk = g[:, k] if g is not None else _kernels(cls.dim, orders, zs, r[k], rp[k])[0]
+        gk = np.conj(gk) if at_conj else gk
+        if not finite:
+            _check_kernels(cls.dim, orders, np.conj(zs) if at_conj else zs, gk, x.r, xp.r)
         # shell m: the sum over its channels of g Y(x) conj(Y(x'))
         terms = gk * ys[angles.index(x.angles)] * np.conj(ys[angles.index(xp.angles)])
         shells = dict(zip(ms, _run_sums(terms, counts).tolist()))

@@ -21,6 +21,7 @@ from rotkrein import (
     RadialChannelFunction,
     ResonanceError,
     RotationSpec,
+    SingularArgumentError,
     Truncation,
     TruncationError,
     apply_krein_resolvent,
@@ -225,9 +226,9 @@ def test_lambdas_take_two_shells_per_window_channel(monkeypatch, bessel_elements
 
 
 # krein_kernel's first error where the free sum, the coupling and the left
-# sum would each fail on their own: the free sum's tail check comes first,
-# then the coupling, then the overflow and tail checks of the left and right
-# sums.  The messages are those of the three-call kernel.
+# sum would each fail on their own: the free sum's checks come first, then
+# the coupling's, then the checks of the left and right sums.  The messages
+# are those of the three-call kernel.
 ERROR_ORDER = {
     "free tail": (0.4 + 1j, 1.0, 3.0, (1.5, 1.45), 1.52, Truncation(8, 8), TruncationError,
                   {2: "channel window tail estimate 2.03 relative exceeds 1e-08; widen m_max",
@@ -239,6 +240,20 @@ ERROR_ORDER = {
                           Truncation(6, 6, tail_tol=math.inf), OverflowError,
                           {d: f"{d}D radial kernel of order 6 at z=(-1000000+1j) is not finite "
                               "for radii in [1.9, 1.9]" for d in (2, 3)}),
+    # The coupling's diagonals at z and at the reference both overflow: the
+    # reference shells come first, at conj(-i) + m w.
+    "reference overflow": (-2.375843978883995 - 3.959305117908858j, 4.886356521443098,
+                           5.403115697228196, (0.5676137927449865, 113.16328463386382),
+                           10339.846750642633, Truncation(1, 1), OverflowError,
+                           {d: f"{d}D radial kernel of order 1 at z=(-5.403115697228196+1j) is "
+                               "not finite for radii in [10339.8, 10339.8]" for d in (2, 3)}),
+    # w r underflows at the left sum's H radius, but the free sum overflows
+    # first.
+    "free overflow": (complex(-0.0, 2.77705048e-315), 1.0, 0.0,
+                      (1.4285515787970804e-178, 0.09835125377478554), 4.8736843122931845e-278,
+                      Truncation(7, 7), OverflowError,
+                      {d: f"{d}D radial kernel of order 7 at z=(-0+2.77705048e-315j) is not finite "
+                          "for radii in [1.42855e-178, 0.0983513]" for d in (2, 3)}),
 }
 
 
@@ -255,10 +270,11 @@ def test_krein_kernel_error_order(dim, case):
     src = PointSource(y0, dim)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         krein_kernel(dim, z, KreinParam(alpha), RotationSpec(omega), x, xp, src, t)
-    # The left sum alone fails otherwise: the order above is what is pinned.
-    with pytest.raises((TruncationError, OverflowError)) as left:
+    # Where the left sum alone fails, it fails otherwise: the order is pinned.
+    try:
         rot_green(dim, z, RotationSpec(omega), x, _site(dim, src), t)
-    assert str(left.value) != message
+    except (TruncationError, OverflowError, SingularArgumentError) as left:
+        assert str(left) != message
 
 
 def _domain_pair_2d(zeta: complex, n0: int, omega: float):
