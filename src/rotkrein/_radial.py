@@ -24,12 +24,12 @@ interval between the spline knots, refined to a bounded oscillation, gives
 the interval integrals of J f and H f once, and a forward and a backward
 running sum of them give every output as H(w r) L(r) + J(w r) R(r).  The
 result is the integral of the interpolant to about 1e-12 relative.  The
-interpolant and the running sums depend only on (psi, z) and on the interval
-ranges the outputs need, so they form a plan that a memo of the last 8 plans
-keeps, keyed on the content of those inputs; a later call on the same psi
-and z, such as the next resolvent of a Krein/circle/averaged comparison,
-evaluates only the pieces cut by its own output radii.  Results are the same
-bits with or without the memo.
+interpolant, the breakpoints and the running sums depend only on (psi, z),
+so they form a plan that a memo of the last 8 plans keeps, keyed on the
+content of those inputs; a later call on the same psi and z, such as the
+next resolvent of a Krein/circle/averaged comparison, evaluates only the
+pieces cut by its own output radii.  Results are the same bits with or
+without the memo.
 
 Every J and H factor of both comes from _factors, the one home of what
 differs between the dimensions here: one jv and one hankel1 call per side
@@ -442,28 +442,29 @@ def _integrals(dim: int, order: int, z: complex, f, a, b, need_j, need_h) -> tup
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _plan(dim: int, order: int, z_bytes: bytes, j_stop: int, h_start: int,
-          grid_bytes: bytes, values_bytes: bytes) -> tuple:
-    """The part of radial_apply fixed by (psi, z) and the interval ranges
-    its outputs need: the interpolant f of psi, and the running sums
-    L[k] = sum_{j<k} int_j (i pi / 2) J f and R[k] = sum_{j>=k} int_j H f
-    over the whole intervals between the breakpoints, with J only on the
-    intervals below j_stop and H only on those from h_start on.
+def _plan(dim: int, order: int, z_bytes: bytes, grid_bytes: bytes, values_bytes: bytes) -> tuple:
+    """The part of radial_apply fixed by (psi, z): the interpolant f of psi,
+    the breakpoints, and the running sums L[k] = sum_{j<k} int_j (i pi / 2) J f
+    and R[k] = sum_{j>=k} int_j H f over the whole intervals between them.
 
     Keyed on content (the bytes of z, of the grid and of the values), so a
-    changed psi never meets a stale plan; the sums are read-only.
+    changed psi never meets a stale plan; the edges and sums are read-only.
+    Every interval is integrated, so where a large Im sqrt(z) overflows J
+    at large radii or H at small ones the sums beyond go nonfinite; L[k]
+    adds only the intervals below k and R[k] only those from k on, so each
+    entry an output reads is finite wherever its kernel is.
     """
     z = complex(np.frombuffer(z_bytes, dtype=complex)[0])
     grid = np.frombuffer(grid_bytes)
     f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
     edges = _edges(grid, _root(z))
-    whole = np.arange(len(edges) - 1)
-    jint, hint = _integrals(dim, order, z, f, edges[:-1], edges[1:], whole < j_stop,
-                            whole >= h_start)
-    left = np.concatenate([[0.0], np.cumsum(jint)])
-    right = np.concatenate([np.cumsum(hint[::-1])[::-1], [0.0]])
-    left.flags.writeable = right.flags.writeable = False
-    return f, left, right
+    every = np.ones(len(edges) - 1, bool)
+    jint, hint = _integrals(dim, order, z, f, edges[:-1], edges[1:], every, every)
+    with np.errstate(invalid="ignore", over="ignore"):
+        left = np.concatenate([[0.0], np.cumsum(jint)])
+        right = np.concatenate([np.cumsum(hint[::-1])[::-1], [0.0]])
+    edges.flags.writeable = left.flags.writeable = right.flags.writeable = False
+    return f, edges, left, right
 
 
 def radial_apply(psi, z: complex, r_out) -> np.ndarray:
@@ -489,19 +490,19 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     of it.  Work is O(len(grid) + len(r_out)), and the value at r does not
     depend on the other radii.
 
-    The running sums and the interpolant form a plan, kept in a memo of the
-    last _PLANS = 8 plans keyed on the content of the inputs: dim, order,
-    the bytes of z, the J and H interval ranges below, and the bytes of
-    psi's grid and values.  A call that meets its plan evaluates J and H
-    only on the pieces of the inside radii and at the radii themselves, as
+    The running sums, the breakpoints and the interpolant form a plan, kept
+    in a memo of the last _PLANS = 8 plans keyed on the content of the
+    inputs: dim, order, the bytes of z and the bytes of psi's grid and
+    values.  A call that meets its plan, whatever its radii, evaluates J and
+    H only on the pieces of the inside radii and at the radii themselves, as
     when the Krein, circle and averaged resolvents of one psi share a z.
     Results are bit for bit the same with or without the memo.
 
     Radii r >= hi take L only and radii r <= lo (r = 0 in 2D too) R only.
-    J is evaluated only below the largest output radius and H only above
-    the smallest, so a large Im sqrt(z) overflows only where the kernel
-    itself would; a nonfinite result raises OverflowError.  Lower half-plane
-    z uses the conjugated factors at conj z.
+    An output reads J only below its radius and H only above it, so a large
+    Im sqrt(z) overflows only where the kernel itself would; a nonfinite
+    result raises OverflowError.  Lower half-plane z uses the conjugated
+    factors at conj z.
     """
     z = complex(z)
     dim, order = psi.dim, psi.order
@@ -511,17 +512,13 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     r_out = np.asarray(r_out, dtype=float)
     r = r_out.ravel()
     rc = np.clip(r, lo, hi)
-    w = _root(z)
-    edges = _edges(grid, w)
-    nb = len(edges) - 1
+    # z as bytes: a zero part of either sign compares equal, but its root
+    # and factors may differ in the sign of a zero.
+    f, edges, left_sums, right_sums = _plan(
+        dim, order, np.complex128(z).tobytes(), grid.tobytes(), values.tobytes())
     k = np.searchsorted(edges, rc, side="right") - 1  # edges[k] <= rc
     inside = rc > edges[k]  # rc splits interval k in two pieces
     kr = k + inside  # R(rc) sums the whole intervals from kr on
-    # z as bytes: a zero part of either sign compares equal, but its root
-    # and factors may differ in the sign of a zero.
-    f, left_sums, right_sums = _plan(
-        dim, order, np.complex128(z).tobytes(), int(k.max(initial=0)),
-        int(kr.min(initial=nb)), grid.tobytes(), values.tobytes())
     ks, cs = k[inside], rc[inside]
     yes, no = np.ones(len(cs), bool), np.zeros(len(cs), bool)
     # The pieces below (J) and above (H) each inside rc.
@@ -529,7 +526,7 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
                           np.concatenate([cs, edges[ks + 1]]),
                           np.concatenate([yes, no]), np.concatenate([no, yes]))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jr, hr = _factors(dim, order, w, z.imag < 0.0, r, r < hi, r > lo)
+        jr, hr = _factors(dim, order, _root(z), z.imag < 0.0, r, r < hi, r > lo)
         left = left_sums[k]
         right = right_sums[kr]
         left[inside] += jin[: len(cs)]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -65,7 +66,7 @@ from .limits import (
 )
 from .pointint import KreinParam, RadialChannelFunction, krein_kernel
 from .rotframe import PointSource, RotationSpec, Truncation, rot_green
-from .specfun import ChannelIndex2, ChannelIndex3
+from .specfun import channel_class
 
 __all__ = ["main", "parse_complex", "format_complex"]
 
@@ -150,14 +151,17 @@ def cmd_gamma(args) -> int:
 
 
 def _config_channels(dim: int, raw: str):
+    """The channels of a comma list, each its class's indices joined by ':'
+    ("n" in 2D, "l:m" in 3D)."""
+    cls = channel_class(dim)
+    names = [f.name for f in dataclasses.fields(cls)]
     chans = []
     for item in raw.split(","):
         item = item.strip()
-        if dim == 2:
-            chans.append(ChannelIndex2(int(item)))
-        else:
-            l_s, m_s = item.split(":")
-            chans.append(ChannelIndex3(int(l_s), int(m_s)))
+        parts = item.split(":")
+        if len(parts) != len(names):
+            raise ValueError(f"{dim}D channel {item!r} needs {':'.join(names)}")
+        chans.append(cls(*(int(p) for p in parts)))
     return chans
 
 

@@ -11,8 +11,9 @@ with the scalar coupling pinned at the reference parameter -i,
     1/lambda(z)        =  1/lambda(-i) - (z + i) (G_z, G_-i)  (channel-exact),
 
 where |G_-|^2 and the inner product are the windowed quantities from
-rotframe.  alpha = pi switches the interaction off identically.  lambda_at
-is the one-energy view of _lambdas_at, which takes the couplings of many
+rotframe.  alpha = pi switches the interaction off identically.  lambda_ref
+is lambda_at at -i, and lambda_at, whose one route is the continuation from
+-i, is the one-energy view of _lambdas_at, which takes the couplings of many
 (z, omega) rows from one channel-diagonal call, each row summed in the
 one-row order and checked for resonance on its own; the diagonals at -i,
 where the continuation starts, are the conjugates of those of |G_-|^2.
@@ -140,16 +141,6 @@ class RadialChannelFunction:
         return float(np.sum(w * np.abs(self.values) ** 2 * self.grid ** (self.dim - 1)))
 
 
-def _inv_lambda_ref(kp: KreinParam, ref_diags: list) -> complex:
-    # Windowed reference norm from the same channel sums as the continuation:
-    # ||G_ref||^2 = sum_m Im ch_m(conj(ref) + m w).  Anything else (for example
-    # a tail-completed norm) breaks the conjugation identity at the window edge.
-    norm_sq = 0.0
-    for d in ref_diags:
-        norm_sq += d.imag
-    return 2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha))
-
-
 def lambda_ref(
     dim: int,
     kp: KreinParam,
@@ -157,12 +148,8 @@ def lambda_ref(
     src: PointSource,
     t: Truncation,
 ) -> complex:
-    """Coupling at the reference parameter -i; zero exactly at alpha = pi."""
-    if kp.is_free:
-        return 0.0 + 0.0j
-    cls = channel_class(dim, src)
-    pairs = [(m, _Z_REF.conjugate() + m * rot.omega) for m in range(-t.m_max, t.m_max + 1)]
-    return 1.0 / _inv_lambda_ref(kp, _channel_diags(cls, pairs, src.y0, t.l_max))
+    """Coupling at the reference parameter -i: lambda_at there."""
+    return lambda_at(dim, _Z_REF, kp, rot, src, t)
 
 
 def lambda_at(
@@ -172,18 +159,16 @@ def lambda_at(
     rot: RotationSpec,
     src: PointSource,
     t: Truncation,
-    via: complex | None = None,
 ) -> complex:
     """Coupling at spectral parameter z, continued from the reference point.
 
     The continuation subtracts channel diagonals at matched shifted energies,
-    so the windowed identity is exact.  via routes the continuation through an
-    intermediate parameter (the two routes must agree; useful as a check).
-    A vanishing denominator raises ResonanceError, distinct from any
-    quadrature failure; a merely tiny one is logged as a finding.  The
-    one-energy view of _lambdas_at.
+    so the windowed identity is exact; at z = -i it subtracts exact
+    conjugates and leaves the reference coupling.  A vanishing denominator
+    raises ResonanceError, distinct from any quadrature failure; a merely
+    tiny one is logged as a finding.  The one-energy view of _lambdas_at.
     """
-    return _lambdas_at(dim, [z], kp, [rot], src, t, via)[0]
+    return _lambdas_at(dim, [z], kp, [rot], src, t)[0]
 
 
 def _lambdas_at(
@@ -193,18 +178,19 @@ def _lambdas_at(
     rots: list,
     src: PointSource,
     t: Truncation,
-    via: complex | None = None,
 ) -> list:
-    """lambda_at(dim, z, kp, rot, src, t, via) for each (z, rot) of zs and rots.
+    """lambda_at(dim, z, kp, rot, src, t) for each (z, rot) of zs and rots.
 
     One _channel_diags call over two shells per window channel of every
-    row: the diagonals at z + m w and where the continuation starts.
-    Without via that is -i + m w, whose diagonals are the conjugates of the
-    reference ones at conj(-i) + m w, so those are evaluated and give the
-    reference norm too (_inv_lambda_ref).  Each row sums its own diagonals
-    in the one-row order, so its coupling is the same bit for bit.  The
-    first row whose denominator vanishes raises ResonanceError; the
-    near-resonance findings are logged after every row has passed that
+    row: the reference diagonals at conj(-i) + m w, then those at z + m w.
+    The reference ones give the windowed reference norm,
+    ||G_ref||^2 = sum_m Im d_m(conj(-i) + m w), and their conjugates are
+    the diagonals at -i + m w where the continuation starts (one root,
+    conjugated factors).  Anything else, for example a tail-completed norm,
+    breaks the conjugation identity at the window edge.  Each row sums its
+    own diagonals in the one-row order, so its coupling is the same bit for
+    bit.  The first row whose denominator vanishes raises ResonanceError;
+    the near-resonance findings are logged after every row has passed that
     check.
     """
     cls = channel_class(dim, src)
@@ -212,37 +198,24 @@ def _lambdas_at(
     if kp.is_free:
         return [0.0 + 0.0j] * len(zs)
     ms = range(-t.m_max, t.m_max + 1)
-    if via is not None:
-        inv_from = [1.0 / lam for lam in _lambdas_at(dim, [via] * len(zs), kp, rots, src, t)]
-        via = complex(via)
-    # Per row, two shells per channel: without via the reference diagonals
-    # at conj(-i) + m w, then those at z + m w; with via those at z and at
-    # via, channel by channel.  Each order's weights are shared by every pair.
-    pairs = []
-    for z, rot in zip(zs, rots):
-        if via is None:
-            pairs += [(m, e + m * rot.omega) for e in (_Z_REF.conjugate(), z) for m in ms]
-        else:
-            pairs += [(m, e + m * rot.omega) for m in ms for e in (z, via)]
+    n = len(ms)
+    # Each order's weights are shared by every pair.
+    pairs = [(m, e + m * rot.omega)
+             for z, rot in zip(zs, rots) for e in (_Z_REF.conjugate(), z) for m in ms]
     d = _channel_diags(cls, pairs, src.y0, t.l_max)
-    n = 2 * len(ms)
     invs, scales = [], []
-    for k in range(len(zs)):
-        dk = d[k * n : (k + 1) * n]
-        if via is None:
-            # The diagonals at -i + m w, where the continuation starts, are
-            # the exact conjugates of the reference ones (one root,
-            # conjugated factors).
-            ref, d_zs = dk[: len(ms)], dk[len(ms) :]
-            inv_k, d_froms = _inv_lambda_ref(kp, ref), [dr.conjugate() for dr in ref]
-        else:
-            inv_k, d_zs, d_froms = inv_from[k], dk[::2], dk[1::2]
+    for k in range(0, len(d), 2 * n):
+        ref, d_zs = d[k : k + n], d[k + n : k + 2 * n]
+        norm_sq = 0.0
+        for d_ref in ref:
+            norm_sq += d_ref.imag
+        inv_ref = 2j * norm_sq / (1.0 + cmath.exp(1j * kp.alpha))
         diff = 0.0 + 0.0j
-        for d_z, d_from in zip(d_zs, d_froms):
+        for d_z, d_ref in zip(d_zs, ref):
             diff += d_z
-            diff -= d_from
-        invs.append(inv_k - diff)
-        scales.append(max(abs(inv_k), abs(diff), 1e-300))
+            diff -= d_ref.conjugate()
+        invs.append(inv_ref - diff)
+        scales.append(max(abs(inv_ref), abs(diff), 1e-300))
     for z, inv, scale in zip(zs, invs, scales):
         if abs(inv) < 1e-14 * scale:
             raise ResonanceError(

@@ -258,21 +258,25 @@ def _rot_greens(cls: type, z: complex, rot: RotationSpec, pairs: list, t: Trunca
         yield complex(total)
 
 
-def _degree_norm(degrees: np.ndarray, v: np.ndarray, l_max: int, n_fit: int = 17) -> float:
+# The last degrees of a 3D norm's profile that its tail fit reads.
+_N_FIT = 17
+
+
+def _degree_norm(degrees: np.ndarray, v: np.ndarray, l_max: int) -> float:
     """The sum of the terms v of the given degrees, completed beyond l_max.
 
     The degree profile (v added per degree, in order) is fitted over its
-    last n_fit degrees against l^-2, l^-3, l^-4, and the fitted model is
+    last _N_FIT degrees against l^-2, l^-3, l^-4, and the fitted model is
     summed over the remaining degrees with Hurwitz zeta values.  A window
     too short for a meaningful fit gets no tail.
     """
     prof = np.zeros(l_max + 1)
     np.add.at(prof, degrees, v)
     tail = 0.0
-    if l_max >= n_fit + 6:
-        ls = np.arange(l_max - n_fit + 1, l_max + 1, dtype=float)
+    if l_max >= _N_FIT + 6:
+        ls = np.arange(l_max - _N_FIT + 1, l_max + 1, dtype=float)
         basis = np.stack([ls**-2, ls**-3, ls**-4], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, prof[l_max - n_fit + 1 :], rcond=None)
+        coef, *_ = np.linalg.lstsq(basis, prof[l_max - _N_FIT + 1 :], rcond=None)
         tail = float(sum(c * float(sp.zeta(p, l_max + 1)) for c, p in zip(coef, (2.0, 3.0, 4.0))))
     logger.debug("rot_norm_sq degree tail %.3g of %.3g", tail, prof.sum())
     return float(prof.sum() + tail)

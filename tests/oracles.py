@@ -20,6 +20,13 @@ resum to at omega = 0:
 
     3D:  exp(i w |x - x'|) / (4 pi |x - x'|),      w = sqrt_upper(z),
     2D:  (i/4) H_0^(1)(w |x - x'|).
+
+The Krein coupling continued through any intermediate parameter w,
+
+    1/lambda(z)  =  1/lambda(w) - sum_m [d_m(z + m omega) - d_m(w + m omega)],
+
+from public channel diagonals, is the library's direct continuation from -i
+(path independence).
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Callable
 import numpy as np
 import scipy.special as sp
 
+from rotkrein import channel_diag, lambda_at
 from rotkrein.specfun import (
     SingularArgumentError,
     hankel1,
@@ -211,3 +219,14 @@ def free_green_norm_sq_3d(z: complex) -> float:
     z = require_resolvent_energy(z)
     w = sqrt_upper(z)
     return 1.0 / (8.0 * math.pi * w.imag)
+
+
+def lambda_via(dim: int, z: complex, w: complex, kp, rot, src, t) -> complex:
+    """The coupling at z continued from lambda_at(w) by the channel
+    diagonals at z + m omega and w + m omega (public channel_diag), added
+    channel by channel in the library's per-channel order."""
+    diff = 0.0 + 0.0j
+    for m in range(-t.m_max, t.m_max + 1):
+        diff += channel_diag(dim, m, z + m * rot.omega, src, t)
+        diff -= channel_diag(dim, m, w + m * rot.omega, src, t)
+    return 1.0 / (1.0 / lambda_at(dim, w, kp, rot, src, t) - diff)

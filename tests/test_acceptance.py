@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import fd_averaged_solution, gauss_radial, make_psi
-from oracles import quadrature_kernel_2d, quadrature_kernel_3d
+from oracles import lambda_via, quadrature_kernel_2d, quadrature_kernel_3d
 from rotkrein import (
     BladeParam,
     ChannelIndex2,
@@ -177,7 +177,7 @@ def test_criterion_05_krein_structure():
         via = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
         kp = KreinParam(float(rng.uniform(0.5, 2.5)))
         direct = lambda_at(dim, z, kp, rot, src, t)
-        hopped = lambda_at(dim, z, kp, rot, src, t, via=via)
+        hopped = lambda_via(dim, z, via, kp, rot, src, t)
         assert abs(direct - hopped) / abs(direct) < 1e-8
 
     # applied-domain identity on two single-channel inputs, one per dimension:

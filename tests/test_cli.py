@@ -418,6 +418,18 @@ def test_study_cli_validation_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dim,channels,fields", [(2, "1:1", "n"), (3, "1", "l:m")])
+def test_study_cli_channel_arity_exits_2(tmp_path, capsys, dim, channels, fields):
+    """A channel with the wrong number of indices for its dimension is
+    invalid input, named by the class's fields, before any row runs."""
+    csv = tmp_path / "b.csv"
+    cfg = _write_config(tmp_path / "b.ini", BLADE_INI.format(dim=dim, channels=channels, csv=csv))
+    assert main(["study", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: {dim}D channel {channels!r} needs {fields}\n"
+    assert not csv.exists()
+
+
 def test_kernel_cli_singular_argument_exits_2(capsys):
     code = main(
         ["kernel", "--dim", "2", "--z", "0.4+1i", "--omega", "2.0",

@@ -192,7 +192,6 @@ DIMENSION_SITES = [
     "blade._radial_nodes",
     "blade.build_mesh",
     "blade.gamma_matrix",
-    "cli._config_channels",
     "cli._parse_point",
     "cli.cmd_gamma",
     "cli.run_study_config",

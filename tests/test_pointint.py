@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gauss_radial
+from oracles import lambda_via
 
 import rotkrein._radial
 import rotkrein.pointint
@@ -44,6 +45,33 @@ def test_lambda_reference_anchor():
     assert lambda_at(3, -1j, kp, rot, SRC3, T) == lambda_ref(3, kp, rot, SRC3, T)
 
 
+def test_lambda_ref_is_lambda_at_minus_i_bitwise():
+    """Over random 2D/3D windows, free alpha = pi among them, the reference
+    coupling is lambda_at at -i, and the continuation from -i to itself
+    subtracts exact conjugates: both are the bits of the reference formula
+    on the diagonals at conj(-i) + m w."""
+    rng = np.random.default_rng(23)
+    for k in range(40):
+        dim = int(rng.integers(2, 4))
+        alpha = math.pi if k % 8 == 0 else float(rng.uniform(0.05, 2.0 * math.pi - 0.05))
+        kp, rot = KreinParam(alpha), RotationSpec(float(rng.uniform(0.0, 20.0)))
+        src = PointSource(float(rng.uniform(0.3, 2.0)), dim)
+        m_max = int(rng.integers(0, 17))
+        t = Truncation(m_max=m_max, l_max=m_max + int(rng.integers(0, 9)))
+        want = 0.0
+        if not kp.is_free:
+            norm_sq = 0.0
+            for m in range(-m_max, m_max + 1):
+                norm_sq += channel_diag(dim, m, 1j + m * rot.omega, src, t).imag
+            want = 1.0 / (2j * norm_sq / (1.0 + cmath.exp(1j * alpha)))
+        assert lambda_ref(dim, kp, rot, src, t) == lambda_at(dim, -1j, kp, rot, src, t) == want
+
+
+def test_lambda_ref_checks_the_source_before_the_free_shortcut():
+    with pytest.raises(ValueError, match="PointSource lives in dimension 2, not 3"):
+        lambda_ref(3, KreinParam(math.pi), RotationSpec(1.0), SRC2, T)
+
+
 def test_lambda_free_case_is_exact_zero():
     kp = KreinParam(math.pi)
     rot = RotationSpec(3.0)
@@ -62,7 +90,7 @@ def test_lambda_path_independence():
         src = PointSource(float(rng.uniform(0.5, 1.5)), dim)
         rot = RotationSpec(float(rng.uniform(0.0, 5.0)))
         direct = lambda_at(dim, z, kp, rot, src, T)
-        hopped = lambda_at(dim, z, kp, rot, src, T, via=zmid)
+        hopped = lambda_via(dim, z, zmid, kp, rot, src, T)
         assert abs(direct - hopped) / abs(direct) < 1e-8
 
 
@@ -91,7 +119,7 @@ def test_lambda_via_any_parameter_is_the_direct_coupling(dim, z, w, omega, alpha
     t = Truncation(m_max=m_max, l_max=m_max + extra_l)
     kp, rot, src = KreinParam(alpha), RotationSpec(omega), PointSource(y0, dim)
     direct = lambda_at(dim, z, kp, rot, src, t)
-    hopped = lambda_at(dim, z, kp, rot, src, t, via=w)
+    hopped = lambda_via(dim, z, w, kp, rot, src, t)
     inv_ref = 1.0 / lambda_ref(dim, kp, rot, src, t)
     scale = max(abs(1.0 / direct), abs(1.0 / hopped), abs(inv_ref))
     assert abs(1.0 / direct - 1.0 / hopped) <= 1e-12 * scale
@@ -203,11 +231,10 @@ def test_krein_kernel_bessel_elements(bessel_elements, dim, cap, channels, terms
     assert bessel_elements[0] == 2 * channels
 
 
-@pytest.mark.parametrize("via", [None, 0.3 + 0.7j])
-def test_lambdas_take_two_shells_per_window_channel(monkeypatch, bessel_elements, via):
+def test_lambdas_take_two_shells_per_window_channel(monkeypatch, bessel_elements):
     """Each row of _lambdas_at takes the diagonals at z + m w and at the
     continuation's start + m w: 2 (2 m_max + 1) shells, and the reference
-    norm no more.  A via row takes a via row's of its own."""
+    norm no more."""
     shells = []
     diags = rotkrein.pointint._channel_diags
 
@@ -219,9 +246,8 @@ def test_lambdas_take_two_shells_per_window_channel(monkeypatch, bessel_elements
     t = Truncation(10)
     rot = RotationSpec(3.0)
     rotkrein.pointint._lambdas_at(2, [0.4 + 1j, -2 + 0.5j, 3 - 1j], KreinParam(1.2),
-                                  [rot] * 3, SRC2, t, via)
-    per_call = 3 * 2 * (2 * t.m_max + 1)
-    assert shells == [per_call] * (1 if via is None else 2)
+                                  [rot] * 3, SRC2, t)
+    assert shells == [3 * 2 * (2 * t.m_max + 1)]
     assert bessel_elements[0] == 2 * sum(shells)  # 2D: one order, J and H, per shell
 
 
