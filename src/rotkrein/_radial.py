@@ -11,12 +11,13 @@ one-radius factors,
     2D:  J(w r) = J_nu(w r),            H(w r) = H_nu(w r),            nu = |n|
     3D:  J(w r) = J_nu(w r) / sqrt(r),  H(w r) = H_nu(w r) / sqrt(r),  nu = l + 1/2
 
-(j_l(x) = sqrt(pi / 2x) J_{l+1/2}(x), DLMF 10.47.3; J at r = 0 is its
-limit).  separable_kernels evaluates J and H once per radius, in one call
-over every order (each at one shared energy or at its own), and assembles
-every entry as a lower/upper-triangular product of two factors.  Its
-oracles, the k-quadrature of the spectral integrals among them, live in
-tests/oracles.py.
+(j_l(x) = sqrt(pi / 2x) J_{l+1/2}(x), DLMF 10.47.3, so the 3D factors are
+sqrt(2 w / pi) j_l(w r) and sqrt(2 w / pi) h_l(w r); J at r = 0 is its
+limit).  separable_kernels evaluates J and H once per radius, over every
+order (each at one shared energy or at its own), and assembles every entry
+as a lower/upper-triangular product of two factors.  Its oracles, the
+k-quadrature of the spectral integrals and mpmath's spherical Bessel
+functions among them, live in tests/oracles.py.
 
 radial_apply integrates the same factors against a channel function's
 interpolant in O(N) (Greengard & Rokhlin, CPAM 1991): one Gauss rule per
@@ -32,20 +33,26 @@ pieces cut by its own output radii.  Results are the same bits with or
 without the memo.
 
 Every J and H factor of both comes from _factors, the one home of what
-differs between the dimensions here: one jv and one hankel1 call per side
-of a kernel call (J again by real-argument routines where w r is real: _jv),
-or, where both sides hold several radii, one over their distinct radii
-(_shared_factors), so that each factor of a square matrix or of the point
-pairs of a Krein kernel is evaluated once per order, energy and radius.  The energies of a call are checked and rooted in one array pass
-(_roots), a numpy transcription of CPython's complex square root.  Every
-library Bessel batch, the blade's free 2D Hankel kernels too, goes through
-_bessel: where the process may run on a second CPU, a call of _SPLIT_MIN
-elements or more is cut into the two halves of its flattened batch, and
-the helper thread of a one-worker executor, made at import, evaluates the
-first half while the caller evaluates the second.  Only the scipy.special
-ufunc runs on the helper; it releases the GIL and is elementwise, so
-results are the same bits on one core or two.  A forked child gets an
-executor of its own.
+differs between the dimensions here.  In 2D that is one jv and one hankel1
+call per side of a kernel call (J again by jv at the real argument where w
+r is real: _jv).  In 3D the orders of a call that share a root are one run
+of consecutive degrees, which three-term recurrences serve (DLMF 10.51):
+each argument w r takes one pass over the degrees up to the largest of its
+root (_sph_j, _sph_h), h upward from its closed forms and j upward where
+that is stable, else from backward ratios and the cross product with h.
+Where both sides hold several radii, the factors are taken over their
+distinct radii (_shared_factors), so that each factor of a square matrix
+or of the point pairs of a Krein kernel is evaluated once per order,
+energy and radius.  The energies of a call are checked and rooted in one
+array pass (_roots), a numpy transcription of CPython's complex square
+root.  Every library jv and hankel1 batch (the 2D factors, the blade's
+free 2D Hankel kernels) goes through _bessel: where the process may run on
+a second CPU, a call of _SPLIT_MIN elements or more is cut into the two
+halves of its flattened batch, and the helper thread of a one-worker
+executor, made at import, evaluates the first half while the caller
+evaluates the second.  Only the scipy.special ufunc runs on the helper; it
+releases the GIL and is elementwise, so results are the same bits on one
+core or two.  A forked child gets an executor of its own.
 """
 
 from __future__ import annotations
@@ -129,27 +136,14 @@ def _bessel(f, nu, x) -> np.ndarray:
 
 
 def _jv(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) by one jv call (_bessel), with the arguments on the positive
-    real axis taken again by the routes of specfun's bessel_j and
-    sph_bessel_j: jv at the real argument for integer orders, and
-    sqrt(2 x / pi) spherical_jn(nu - 1/2, x) for half-integer ones past
-    x = nu.  There J has its zeros, and the complex jv loses up to 1e-13
-    relative near one (J_12.5 at 48.62) where spherical_jn's upward
-    recurrence keeps a few ulp.  Below x = nu spherical_jn itself calls the
-    complex jv, so those values stay as they are.
-    """
+    """J_nu(x) of integer orders by one jv call (_bessel), with the arguments
+    on the positive real axis taken again by jv at the real argument, the
+    route of specfun's bessel_j there."""
     out = _bessel(sp.jv, nu, x)
     if (x.imag == 0.0).any():
         nu, x = np.broadcast_arrays(nu, x)
         on_axis = (x.imag == 0.0) & (x.real > 0.0)
-        n, t = nu[on_axis], x.real[on_axis]
-        vals = out[on_axis]
-        whole = n % 1.0 == 0.0
-        vals[whole] = sp.jv(n[whole], t[whole])
-        rec = ~whole & (t > n)
-        vals[rec] = np.sqrt(2.0 / math.pi * t[rec]) * sp.spherical_jn(
-            (n[rec] - 0.5).astype(int), t[rec])
-        out[on_axis] = vals
+        out[on_axis] = sp.jv(nu[on_axis], x.real[on_axis])
     return out
 
 
@@ -180,47 +174,247 @@ def _factors(dim: int, orders, w, flip, x: np.ndarray, need_j, need_h):
     the orders, each only where needed (zero elsewhere).
 
     The Bessel order is |n| in 2D and l + 1/2 in 3D, where both factors are
-    divided by sqrt(x) and J at x = 0 is its limit, (i pi / 2) sqrt(2 w / pi)
-    for l = 0 and 0 for l >= 1.  orders holds one order or an array of
-    orders, whose axes lead the results'; w is one _root and flip one
-    Im z < 0 flag, or one of each per order.  Flagged factors come back
-    conjugated: g(z) = conj g(conj z).  Every order is evaluated in the same
-    jv and hankel1 call, at the needed entries of the flattened radius axes.
-    A zero argument of H (r = r' = 0 in a kernel) raises SingularArgumentError.
+    divided by sqrt(x): J(w x) = sqrt(2 w / pi) j_l(w x) and H(w x) =
+    sqrt(2 w / pi) h_l(w x), so J at x = 0 is its limit, (i pi / 2) sqrt(2 w
+    / pi) for l = 0 and 0 for l >= 1.  orders holds one order or an array of
+    orders, whose axes lead the results'; w is one _root and flip one Im z <
+    0 flag, or one of each per order.  Flagged factors come back conjugated:
+    g(z) = conj g(conj z).  2D orders are evaluated in the same jv and
+    hankel1 call, 3D degrees by degree recurrences, one pass over the
+    degrees for each distinct w (_spherical_factors); both at the needed
+    entries of the flattened radius axes.  A zero argument of H (r = r' = 0
+    in a kernel) raises SingularArgumentError.
     """
     orders = np.asarray(orders, dtype=float)
-    nu = np.abs(orders) if dim == 2 else orders + 0.5
-    k = nu.size
-    nu2 = nu.reshape(k, 1)
-    w2 = w.reshape(k, 1) if isinstance(w, np.ndarray) else w
+    k = orders.size
     xs = x.ravel()
-    j = np.zeros((k, xs.size), dtype=complex)
-    h = np.zeros((k, xs.size), dtype=complex)
     ij = need_j.ravel().nonzero()[0]
     ih = need_h.ravel().nonzero()[0]
-    if ij.size:
-        jx = 0.5j * math.pi * _jv(nu2, w2 * xs[ij])
-        if dim == 3:
-            jx *= 1.0 / np.sqrt(xs[ij])  # the bits of / sqrt(x), at a product's cost
-            at0 = xs[ij] == 0.0
-            if at0.any():
-                jx[:, at0] = np.where(nu2 == 0.5, 0.5j * math.pi * np.sqrt(2.0 * w2 / math.pi), 0.0)
-        j[:, ij] = jx
-    if ih.size:
-        xh = w2 * xs[ih]
-        if not xh.all():
-            raise SingularArgumentError(
-                "H_nu is singular at w r = 0 (r = r' = 0, or w r underflows)")
-        hx = _bessel(sp.hankel1, nu2, xh)
-        if dim == 3:
-            hx *= 1.0 / np.sqrt(xs[ih])
-        h[:, ih] = hx
+    j = np.zeros((k, xs.size), dtype=complex)
+    h = np.zeros((k, xs.size), dtype=complex)
+    if dim == 2:
+        nu2 = np.abs(orders).reshape(k, 1)
+        w2 = w.reshape(k, 1) if isinstance(w, np.ndarray) else w
+        if ij.size:
+            j[:, ij] = 0.5j * math.pi * _jv(nu2, w2 * xs[ij])
+        if ih.size:
+            xh = w2 * xs[ih]
+            _require_nonzero(xh)
+            h[:, ih] = _bessel(sp.hankel1, nu2, xh)
+    else:
+        jx, hx = _spherical_factors(orders.astype(int).ravel(), w, xs, ij, ih)
+        if ij.size:
+            j[:, ij] = jx
+        if ih.size:
+            h[:, ih] = hx
     flip = np.asarray(flip).reshape(-1, 1)
     if flip.any():
         np.conjugate(j, out=j, where=flip)
         np.conjugate(h, out=h, where=flip)
-    shape = nu.shape + x.shape
+    shape = orders.shape + x.shape
     return j.reshape(shape), h.reshape(shape)
+
+
+def _require_nonzero(xh: np.ndarray) -> None:
+    """Raise SingularArgumentError where an argument of H is zero."""
+    if not xh.all():
+        raise SingularArgumentError(
+            "H_nu is singular at w r = 0 (r = r' = 0, or w r underflows)")
+
+
+def _spherical_factors(ls: np.ndarray, w, xs: np.ndarray, ij: np.ndarray,
+                       ih: np.ndarray) -> tuple:
+    """The 3D factors (i pi / 2) J and H of _factors, before any
+    conjugation: degrees ls, roots w (one, or one per degree), J at the
+    radii xs[ij] and H at xs[ih], as arrays of shapes (ls.size, ij.size) and
+    (ls.size, ih.size).
+
+    The degrees are grouped by the bits of their root; the arguments w r of
+    each group take one pass over the degrees up to the group's largest
+    (_sph_j, _sph_h), from which every degree of the group reads its
+    entries.
+    """
+    k = ls.size
+    wk = np.ascontiguousarray(np.broadcast_to(np.ravel(w), (k,)), dtype=complex)
+    if isinstance(w, np.ndarray) and k > 1:
+        # Callers lay out runs of one energy: the distinct roots of the runs
+        # first, which sorts far fewer.
+        bits = wk.view(np.uint64).reshape(k, 2)
+        new = np.ones(k, dtype=bool)
+        np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+        runs = wk[new]
+        _, first, run_group = np.unique(runs.view("V16"), return_index=True,
+                                        return_inverse=True)
+        roots, group = runs[first], run_group[np.cumsum(new) - 1]
+    else:
+        roots, group = wk[:1], np.zeros(k, dtype=int)
+    tops = np.zeros(roots.size, dtype=int)
+    np.maximum.at(tops, group, ls)
+    scale = np.sqrt(2.0 * roots / math.pi)[group, None]  # J_{l+1/2}(w r) / sqrt(r) = scale j_l
+    j = h = None
+    if ij.size:
+        jt, at = _sph_j((roots[:, None] * xs[ij]).ravel(), np.repeat(tops, ij.size))
+        j = 0.5j * math.pi * scale * jt[ls[:, None], at.reshape(roots.size, ij.size)[group]]
+    if ih.size:
+        x = roots[:, None] * xs[ih]
+        _require_nonzero(x)
+        ht = _sph_h(x.ravel(), int(tops.max()) + 1)
+        h = scale * ht[ls[:, None], group[:, None] * ih.size + np.arange(ih.size)]
+    return j, h
+
+
+# The routes of _sph_j.  Below |x| = _TINY, j_l(x) = x^l / (2l + 1)!! to
+# double precision (the next term is x^2 / (4l + 6) smaller).  Upward j is
+# taken where |x| >= L and Im x L^2 <= _UP_GAIN |x|^2: there the upward
+# recurrence amplifies its rounding by about exp(Im x L^2 / |x|^2) <= e^4
+# (on the imaginary axis j_l falls against h_l as exp(-l^2 / |x|), and for
+# |x| < l j is the minimal solution, where upward is lost).  Elsewhere the
+# ratios j_l / j_{l-1} run down from a start past both L and the turning
+# point (_ratio_start).
+_TINY = 1e-8
+_UP_GAIN = 4.0
+
+
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(i x) from real cos, sin and exp (numpy's complex exp is slower)."""
+    out = np.empty(x.shape, dtype=complex)
+    e = np.exp(-x.imag)
+    out.real = np.cos(x.real) * e
+    out.imag = np.sin(x.real) * e
+    return out
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1 / x: numpy's, but where that is not finite (numpy's complex
+    division gives inf or nan where the larger part of x is subnormal) from
+    real operations on x scaled by its larger part."""
+    inv = np.reciprocal(x)
+    bad = ~np.isfinite(inv)
+    if bad.any():
+        xb = x[bad]
+        m = np.maximum(np.abs(xb.real), np.abs(xb.imag))
+        a, b = xb.real / m, xb.imag / m
+        n = a * a + b * b
+        inv.real[bad], inv.imag[bad] = a / n / m, -b / n / m
+    return inv
+
+
+def _odd(inv: np.ndarray, n: int) -> np.ndarray:
+    """The rows (2l + 1)/x, l = 0 .. n - 1, from inv = 1/x."""
+    return (2.0 * np.arange(n) + 1.0)[:, None] * inv
+
+
+def _h_ratios(odd: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The ratios s_l = h_l(x) / h_{l-1}(x), l = 1 .. len(s), into the rows
+    of s, from the rows odd of _odd: s_1 = 1/x - i, s_{l+1} = (2l + 1)/x -
+    1/s_l (DLMF 10.49.6, 10.51.1).  h is the dominant solution, so the
+    forward recurrence is stable."""
+    if len(s):
+        np.subtract(odd[0], 1j, out=s[0])
+    for l in range(1, len(s)):
+        np.subtract(odd[l], np.reciprocal(s[l - 1]), out=s[l])
+    return s
+
+
+def _sph_h(x: np.ndarray, n_deg: int) -> np.ndarray:
+    """h_l(x) = h_l^(1)(x), l = 0 .. n_deg - 1, at nonzero x, as rows: the
+    closed form h_0 = -i e^{ix} / x times the products of the ratios."""
+    inv = _reciprocal(x)
+    h = np.empty((n_deg, x.size), dtype=complex)
+    np.multiply(_cis(x), inv, out=h[0])
+    h[0] *= -1j
+    _h_ratios(_odd(inv, n_deg - 1), h[1:])
+    return np.cumprod(h, axis=0, out=h)
+
+
+def _ratio_start(x: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Start degree N of the backward ratios of degrees up to top at x:
+    max(sqrt(L^2 + 45 |x|) + 10, t + 8 t^(1/3) + 2), t = |Re x|.  On the
+    imaginary axis the start's error falls as exp(-(N^2 - L^2) / |x|), near
+    the real axis once N is past the turning point |x|; from this start
+    every ratio is converged to 1e-15 (for L <= 150 and |x| from 1e-2 to
+    1e3 on rays from the real to the imaginary axis, with 6 degrees to
+    spare)."""
+    t = np.abs(x.real)
+    return np.ceil(np.maximum(np.sqrt(top * top + 45.0 * np.abs(x)) + 10.0,
+                              t + 8.0 * np.cbrt(t) + 2.0)).astype(int)
+
+
+def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
+    """j_l(x), l = 0 .. max(top), at each x of the closed upper half plane
+    up to its own degree top: a table whose column at[i] holds the degrees
+    of x[i].  Each value depends only on its own x and top.
+
+    Below _TINY, j_l = x^l / (2l + 1)!! (so j_l(0) is its limit, 1 for l =
+    0 and 0 for l >= 1).  Elsewhere j runs upward from sin x / x and (j_0 -
+    cos x) / x where that is stable (_UP_GAIN), and otherwise from the
+    backward ratios r_l = j_l / j_{l-1} = 1 / ((2l + 1)/x - r_{l+1}),
+    started at r = 0 past _ratio_start, through the cross product
+    j_{l+1} h_l - j_l h_{l+1} = i / x^2 (DLMF 10.50.3):
+
+        j_l = i / (x^2 h_l (r_{l+1} - s_{l+1})) = -e^{-ix} / (x (r_{l+1} - s_{l+1}) s_1 ... s_l)
+
+    (s the ratios of h, _h_ratios), which needs no normalisation by j_0, so
+    zeros of sin x do not matter, and no h_l, which may overflow where j_l
+    does not.
+    """
+    n_deg = int(top.max()) + 1
+    size = np.abs(x)
+    tiny = size < _TINY
+    up = (size >= top) & (x.imag * top * top <= _UP_GAIN * size * size) & ~tiny
+    iu, idn, it = np.flatnonzero(up), np.flatnonzero(~up & ~tiny), np.flatnonzero(tiny)
+    tables = []
+    if iu.size:
+        xu = x[iu]
+        inv = 1.0 / xu
+        a, b = xu.real, xu.imag
+        sin, cos = np.empty(xu.shape, dtype=complex), np.empty(xu.shape, dtype=complex)
+        sin.real, sin.imag = np.sin(a) * np.cosh(b), np.cos(a) * np.sinh(b)
+        cos.real, cos.imag = np.cos(a) * np.cosh(b), -np.sin(a) * np.sinh(b)
+        odd = _odd(inv, n_deg - 1)
+        ju = np.empty((n_deg, iu.size), dtype=complex)
+        ju[0] = sin * inv
+        if n_deg > 1:
+            ju[1] = (ju[0] - cos) * inv
+        for l in range(1, n_deg - 1):
+            np.multiply(odd[l], ju[l], out=ju[l + 1])
+            np.subtract(ju[l + 1], ju[l - 1], out=ju[l + 1])
+        tables.append(ju)
+    if idn.size:
+        # The x of the latest start first: degree N joins every x whose
+        # start is N, so each x runs down from its own start.
+        start = _ratio_start(x[idn], top[idn])
+        by_start = np.argsort(-start, kind="stable")
+        idn, start = idn[by_start], start[by_start]
+        xd = x[idn]
+        odd = _odd(1.0 / xd, int(start[0]) + 1)
+        live = np.searchsorted(-start, -np.arange(start[0] + 1), side="right")
+        r = np.zeros(idn.size, dtype=complex)
+        jd = np.zeros((n_deg, idn.size), dtype=complex)  # r_{l+1} in row l
+        for deg in range(int(start[0]), 0, -1):
+            c = live[deg]
+            np.subtract(odd[deg, :c], r[:c], out=r[:c])
+            np.reciprocal(r[:c], out=r[:c])
+            if deg <= n_deg:
+                jd[deg - 1] = r
+        s = _h_ratios(odd, np.empty((n_deg, idn.size), dtype=complex))
+        del odd
+        # In place: jd[l] = x (r_{l+1} - s_{l+1}), s[l] = 1 / (s_1 ... s_{l+1}),
+        # then jd[l] = -e^{-ix} / (x (r_{l+1} - s_{l+1}) s_1 ... s_l).
+        np.subtract(jd, s, out=jd)
+        jd *= xd
+        np.cumprod(np.reciprocal(s, out=s), axis=0, out=s)
+        np.divide(s[:-1], jd[1:], out=jd[1:])
+        np.reciprocal(jd[0], out=jd[0])
+        jd *= -_cis(-xd)
+        tables.append(jd)
+    if it.size:
+        jt = np.ones((n_deg, it.size), dtype=complex)
+        np.cumprod(x[it] / (2.0 * np.arange(1, n_deg) + 1.0)[:, None], axis=0, out=jt[1:])
+        tables.append(jt)
+    at = np.empty(x.size, dtype=int)
+    at[np.concatenate([iu, idn, it])] = np.arange(x.size)
+    return (tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)), at
 
 
 def _root(z: complex) -> complex:
@@ -276,17 +470,21 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     axes lead the result's; z is one energy, or one energy per order (an
     array of the orders' shape).  r and rp broadcast against each other (row
     and column vectors give the matrices).  J and H are evaluated over every
-    order in one call per side, or, where both sides hold several radii, in
-    one call over their distinct radii (_shared_factors), J only where some
-    entry takes it at its smaller radius and H at its larger one, each factor with its own radial weight and limit; entries are the
-    products ((i pi / 2) J) * H in that order, so every value equals the elementwise closed formula
-    at its own energy bit for bit, except where w r is real and positive:
-    there J takes _jv's real-argument routes.  Lower half-plane energies go
-    through g(conj z) = conj g(z).
+    order in one pass per side, or, where both sides hold several radii, in
+    one pass over their distinct radii (_shared_factors), J only where some
+    entry takes it at its smaller radius and H at its larger one, each
+    factor with its own radial weight and limit; entries are the products
+    ((i pi / 2) J) * H in that order.  In 2D every value equals the
+    elementwise closed formula (jv, hankel1) at its own energy bit for bit,
+    except where w r is real and positive: there J takes jv at the real
+    argument.  In 3D the factors come from degree recurrences (_sph_j,
+    _sph_h) to a few ulp of mpmath's; an entry's bits depend on its
+    degree, energy and radius and on the largest degree at its root in the
+    call.  Lower half-plane energies go through g(conj z) = conj g(z).
 
     Every energy is checked (require_resolvent_energy, in one array pass:
-    _roots); a negative or NaN radius and a negative 3D degree raise
-    ValueError, and r = r' = 0 (an H factor at argument 0)
+    _roots); a negative or NaN radius and a negative or fractional 3D
+    degree raise ValueError, and r = r' = 0 (an H factor at argument 0)
     SingularArgumentError.  An entry whose J factor is taken at r = 0 and is
     exactly 0 there (every order but the lowest) is 0, even where its H
     factor overflows; any other nonfinite entry (Bessel overflow at large
@@ -301,6 +499,8 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
         return np.zeros(orders.shape + np.broadcast_shapes(r.shape, rp.shape), dtype=complex)
     if dim == 3 and orders.min() < 0:
         raise ValueError(f"degree must be nonnegative, got l={orders.min()}")
+    if dim == 3 and (orders % 1 != 0).any():
+        raise ValueError(f"degree must be an integer, got l={orders[orders % 1 != 0][0]}")
     z = np.asarray(z, dtype=complex)
     g, finite = _kernels(dim, orders, z, r, rp)
     if not finite:

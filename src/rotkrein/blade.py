@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -162,7 +163,13 @@ class BladeMesh:
         channel_class(self.dim)
         # r^(dim-1) dr over [0, A] times the angular measure: 1 for the 2D
         # segment's one sample, 2 for du over [-1, 1] in 3D.
-        target = (self.dim - 1) * self.A**self.dim / self.dim
+        try:
+            target = (self.dim - 1) * self.A**self.dim / self.dim
+        except OverflowError:  # Python's float power raises where numpy gives inf
+            target = math.inf
+        if not sys.float_info.min <= target < math.inf:
+            raise ValueError(f"blade radius {self.A!r} puts the blade measure {target!r} "
+                             f"outside the normal range of doubles")
         total = float(np.sum(self.w))
         if abs(total - target) > 1e-12 * target:
             raise ValueError(
@@ -252,16 +259,21 @@ def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
     if not (math.isfinite(A) and A > 0.0):
         raise ValueError(f"blade radius must be positive, got {A}")
     _require_dense(len(_XG8) * resolution if dim == 2 else int(resolution) ** 2)
+    # A radius whose measure leaves the range of doubles overflows the
+    # weights; BladeMesh rejects it.
     if dim == 2:
         # The segment at theta = 0: one angular sample.
         edges, r, w = _panel_nodes(A, resolution)
         cells = np.stack([edges[:-1], edges[1:]], axis=1)
-        return BladeMesh(dim=2, A=A, r=r, w=w * r, r_1d=r, cells=cells, n_per=8,
+        with np.errstate(over="ignore"):
+            w = w * r
+        return BladeMesh(dim=2, A=A, r=r, w=w, r_1d=r, cells=cells, n_per=8,
                          angles=(0.0,))
     r1, wr = _radial_nodes(3, A, resolution)
     xu, wu = gauss_legendre(resolution)
     R, U = np.meshgrid(r1, xu, indexing="ij")
-    W = np.outer(wr * r1**2, wu)
+    with np.errstate(over="ignore"):
+        W = np.outer(wr * r1**2, wu)
     return BladeMesh(
         dim=3, A=A, r=R.ravel(), w=W.ravel(), u=U.ravel(), r_1d=r1, u_1d=xu,
         angles=(np.arccos(xu), 0.0),

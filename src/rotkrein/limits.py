@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,10 @@ _COMPUTE_ERRORS = (
 )
 
 
+# numpy's warning of a rank-deficient polyfit (np.exceptions from numpy 1.25).
+_RankWarning = getattr(np, "exceptions", np).RankWarning
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return str(v)
@@ -75,6 +80,13 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12e}"
     return str(v)
+
+
+def _fmt_column(values: list) -> list:
+    """_fmt of each value: a column of plain floats in one %.12e pass."""
+    if all(type(v) is float for v in values):
+        return ["%.12e" % v for v in values]
+    return [_fmt(v) for v in values]
 
 
 def _jsonable(v):
@@ -89,6 +101,78 @@ def _jsonable(v):
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     return v
+
+
+def _json_scalar(v) -> str:
+    """The JSON text of a leaf of _json, as json.dumps writes it."""
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, complex):
+        return json.encoder.encode_basestring_ascii(_jsonable(v))
+    if isinstance(v, (int, np.integer)):
+        return int.__repr__(int(v))
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    return json.dumps(v)  # json's TypeError for anything else
+
+
+def _json_key(k) -> str:
+    """A dict key as json.dumps writes it: str, or the text of a float,
+    int, bool or None, as a JSON string."""
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return json.encoder.encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))
+
+
+def _json(v, pad: str = "") -> str:
+    """json.dumps(_jsonable(v), sort_keys=True, indent=2), the same bytes
+    written directly: no _jsonable copy and no pure-Python indent encoder.
+    A list of dicts with one set of keys (a table's rows) is written column
+    by column, a column of finite floats in one repr pass."""
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{inner}{_json_key(k)}: {_json(x, inner)}" for k, x in sorted(v.items())]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        if all(isinstance(x, dict) for x in v) and all(x.keys() == v[0].keys() for x in v):
+            items = _json_records(v, inner)
+        else:
+            items = _json_each(v, inner)
+        return "[\n" + ",\n".join(inner + t for t in items) + "\n" + pad + "]"
+    return _json_scalar(v)
+
+
+def _json_records(rows: list, pad: str) -> list:
+    """_json of each of rows (dicts with one set of keys) at pad, column by
+    column."""
+    keys = sorted(rows[0])
+    if not keys:
+        return ["{}"] * len(rows)
+    inner = pad + "  "
+    heads = [f"{inner}{_json_key(k)}: " for k in keys]
+    columns = [_json_each([row[k] for row in rows], inner) for k in keys]
+    return ["{\n" + ",\n".join(h + t for h, t in zip(heads, vals)) + "\n" + pad + "}"
+            for vals in zip(*columns)]
+
+
+def _json_each(values, pad: str) -> list:
+    """_json of each of values at pad: all finite floats, or all strings,
+    in one pass."""
+    if all(type(x) is float for x in values) and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if all(type(x) is str for x in values):
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    return [_json(x, pad) for x in values]
 
 
 @dataclass(eq=False)
@@ -112,9 +196,8 @@ class StudyTable:
 
     def to_csv(self, path: str | None = None) -> str:
         cols = list(self.rows[0].keys()) if self.rows else []
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(row[c]) for c in cols))
+        columns = [_fmt_column([row[c] for row in self.rows]) for c in cols]
+        lines = [",".join(cols)] + [",".join(vals) for vals in zip(*columns)]
         text = "\n".join(lines) + "\n"
         if path is not None:
             with open(path, "w", newline="") as fh:
@@ -122,12 +205,7 @@ class StudyTable:
         return text
 
     def to_json(self, path: str | None = None) -> str:
-        doc = {
-            "study": self.study,
-            "params": _jsonable(self.params),
-            "rows": [_jsonable(r) for r in self.rows],
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json({"study": self.study, "params": self.params, "rows": self.rows}) + "\n"
         if path is not None:
             with open(path, "w", newline="") as fh:
                 fh.write(text)
@@ -146,6 +224,8 @@ def _check_sweep(values) -> list:
 def _check_study(z: complex, omegas, psis) -> tuple:
     z = require_upper_energy(z, "study")
     omegas = _check_sweep(omegas)
+    for om in omegas:  # every row's, even where the interaction is off
+        RotationSpec(om)
     if not psis:
         raise ValueError("no channel functions supplied")
     return z, omegas
@@ -291,7 +371,10 @@ def _averaged_correction(
     """
     panels = None if mesh.cells is None else len(mesh.cells)
     rr, ww = _radial_nodes(dim, bp.A, panels)
-    mu = bp.alpha_values(rr) / (2.0 * math.pi) * (ww * rr ** (dim - 1))
+    with np.errstate(over="ignore"):
+        mu = bp.alpha_values(rr) / (2.0 * math.pi) * (ww * rr ** (dim - 1))
+    if not np.isfinite(mu).all():
+        raise OverflowError(f"averaged potential weights of the blade (A={bp.A:g}) overflow")
     return _ls_correction(dim, z, psi.order, rr, mu, radial_apply(psi, z, rr), r_eval)
 
 
@@ -381,13 +464,23 @@ def eps_scaling_study(
         raise ValueError("eps study needs at least two epsilons to fit a slope")
     if epsilons[0] <= 0.0 or epsilons[-1] >= 1.0:
         raise ValueError("epsilons must lie in (0, 1)")
-    vals = _norm_sqs(dim, [complex(x_real, -eps) for eps in epsilons], rot, src, t)
+    with np.errstate(all="ignore"):  # a norm that leaves the range is reported below
+        vals = _norm_sqs(dim, [complex(x_real, -eps) for eps in epsilons], rot, src, t)
     rows = [{"epsilon": eps, "norm_sq": val} for eps, val in zip(epsilons, vals)]
-    slope, logc = np.polyfit(
-        np.log([r["epsilon"] for r in rows]),
-        np.log([r["norm_sq"] for r in rows]),
-        1,
-    )
+    for eps, val in zip(epsilons, vals):
+        # Not positive: the imaginary parts of the diagonals are below their
+        # rounding (a source near the origin); inf: 1/epsilon overflows.
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"squared norm {val:.6g} at epsilon {eps:.6g} is not a positive "
+                             f"double; nothing to fit at y0={src.y0:g}")
+    log_eps, log_norms = np.log(epsilons), np.log(vals)
+    with warnings.catch_warnings():
+        # Epsilons whose logarithms (nearly) coincide leave the fit without a slope.
+        warnings.simplefilter("error", _RankWarning)
+        try:
+            slope, logc = np.polyfit(log_eps, log_norms, 1)
+        except _RankWarning:
+            raise ValueError("epsilons too close together to fit a slope") from None
     params = {
         "dim": dim,
         "x_real": x_real,

@@ -21,6 +21,14 @@ resum to at omega = 0:
     3D:  exp(i w |x - x'|) / (4 pi |x - x'|),      w = sqrt_upper(z),
     2D:  (i/4) H_0^(1)(w |x - x'|).
 
+The spherical Bessel functions of the 3D factors, j_l and h_l = h_l^(1) at
+any complex argument, come from mpmath at 30 digits: j from besselj at the
+top two degrees and the downward recurrence (j is the minimal solution, so
+downward is stable), h from its closed forms h_0, h_1 and the upward
+recurrence (h is the dominant one), both carried with guard digits.  The 3D
+factors and kernels of the library are those functions at w r, with the
+root w and the argument w r the library's own doubles.
+
 The Krein coupling continued through any intermediate parameter w,
 
     1/lambda(z)  =  1/lambda(w) - sum_m [d_m(z + m omega) - d_m(w + m omega)],
@@ -32,9 +40,11 @@ from public channel diagonals, is the library's direct continuation from -i
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable
 
+import mpmath
 import numpy as np
 import scipy.special as sp
 
@@ -45,6 +55,94 @@ from rotkrein.specfun import (
     require_resolvent_energy,
     sqrt_upper,
 )
+
+@functools.lru_cache(maxsize=4096)
+def _sph_bessel_jh_mp(top: int, x: complex, dps: int) -> tuple:
+    """sph_bessel_jh as lists of mpmath numbers (x is used as given)."""
+    with mpmath.workdps(dps + top // 2 + 15):
+        z = mpmath.mpc(x)
+        pre = mpmath.sqrt(mpmath.pi / (2 * z))
+        above, j = pre * mpmath.besselj(top + 1.5, z), pre * mpmath.besselj(top + 0.5, z)
+        js = [j]
+        for l in range(top, 0, -1):
+            above, j = j, (2 * l + 1) / z * j - above
+            js.append(j)
+        e = mpmath.exp(1j * z)
+        hs = [-1j * e / z, -e * (z + 1j) / z**2]
+        for l in range(1, top):
+            hs.append((2 * l + 1) / z * hs[-1] - hs[-2])
+        return js[::-1], hs[: top + 1]
+
+
+def sph_bessel_jh(top: int, x: complex, dps: int = 30) -> tuple:
+    """j_l(x) and h_l(x) = h_l^(1)(x), l = 0 .. top, at a nonzero complex x,
+    to dps digits, as complex doubles (0 or inf where they leave the range).
+
+    j: j_top and j_{top+1} by mpmath.besselj (sqrt(pi / 2x) J_{l+1/2}, DLMF
+    10.47.3), then j_{l-1} = (2l + 1)/x j_l - j_{l+1} downward.  h: h_0 =
+    -i e^{ix} / x, h_1 = -e^{ix} (x + i) / x^2 (DLMF 10.49.6), then h_{l+1}
+    = (2l + 1)/x h_l - h_{l-1} upward.  The guard digits cover the rounding
+    both recurrences carry."""
+    js, hs = _sph_bessel_jh_mp(top, complex(x), dps)
+    return np.array([complex(v) for v in js]), np.array([complex(v) for v in hs])
+
+
+def sph_factors_3d(top: int, w: complex, r: float) -> tuple:
+    """The 3D factors of _radial._factors at the root w (Im w >= 0) and a
+    radius r > 0, degrees 0 .. top: (i pi / 2) sqrt(2 w / pi) j_l(w r) and
+    sqrt(2 w / pi) h_l(w r) (J_{l+1/2}(w r) / sqrt(r) = sqrt(2 w / pi)
+    j_l(w r)), at the double w r, as complex doubles: 0 or inf where they
+    leave the range."""
+    js, hs = _sph_bessel_jh_mp(top, complex(w * r), 30)
+    scale = mpmath.sqrt(2 * mpmath.mpc(w) / mpmath.pi)
+    return (np.array([complex(0.5j * mpmath.pi * scale * v) for v in js]),
+            np.array([complex(scale * v) for v in hs]))
+
+
+def kernel_3d(l: int, z: complex, r: float, rp: float, top: int | None = None) -> tuple:
+    """The 3D channel kernel i w j_l(w r<) h_l(w r>) at the library's root
+    and arguments, after its energy and radius checks (conj z where Im z <
+    0, conjugated back), with a scale for its error: |i w j_l h_l|, or
+    where w r< lies near the real axis in j_l's oscillation (|Im w r<| <= 1,
+    |w r<| > l) |w h_l(w r<) h_l(w r>)|, the envelope of j there.  r< = 0
+    takes j_l(0), 1 for l = 0 and else 0.  The functions are taken from the
+    tables up to degree top (default l), so that the kernels of many
+    degrees at one argument share one table."""
+    z = require_resolvent_energy(z)
+    if not (r >= 0.0 and rp >= 0.0):
+        raise ValueError("radii must be nonnegative")
+    if z.imag < 0.0:
+        g, scale = kernel_3d(l, z.conjugate(), r, rp, top)
+        return g.conjugate(), scale
+    top = l if top is None else top
+    w = sqrt_upper(z)
+    lo, hi = min(r, rp), max(r, rp)
+    if w * hi == 0.0:
+        raise SingularArgumentError("h_l^(1) is singular at x = 0")
+    mw = mpmath.mpc(w)
+    h = _sph_bessel_jh_mp(top, complex(w * hi), 30)[1][l]
+    if lo == 0.0:
+        g = complex(1j * mw * h) if l == 0 else 0.0j
+        return g, abs(g)
+    x = complex(w * lo)
+    js, hs = _sph_bessel_jh_mp(top, x, 30)
+    near_real = abs(x.imag) <= 1.0 and abs(x) > l
+    scale = abs(mw * (hs[l] if near_real else js[l]) * h)
+    return complex(1j * mw * js[l] * h), float(scale)
+
+
+def rot_green_3d(z: complex, omega: float, x, xp, m_max: int, l_max: int) -> complex:
+    """The windowed 3D rotating kernel sum_{|m| <= m_max} sum_{l = |m|}^{l_max}
+    g_l(z + m omega; r, r') Y_l^m(x) conj Y_l^m(x'), with each g_l the
+    mpmath kernel_3d and Y_l^m by scipy's sph_harm_y, shell by shell."""
+    total = 0.0j
+    for m in range(-m_max, m_max + 1):
+        for l in range(abs(m), l_max + 1):
+            g = kernel_3d(l, z + m * omega, x.r, xp.r)[0]
+            total += (g * complex(sp.sph_harm_y(l, m, x.theta, x.phi))
+                      * complex(sp.sph_harm_y(l, m, xp.theta, xp.phi)).conjugate())
+    return total
+
 
 # The quadrature route: its k-axis cut-off, and the absolute tolerance that
 # sets how far the oscillatory tail is resolved.

@@ -308,6 +308,20 @@ def test_averaged_resolvent_validation():
         blade_convergence_study(2, bp, Z, psis=[psi], resolution=2.5)
 
 
+def test_blade_radii_whose_measure_leaves_the_doubles_are_typed_errors():
+    """A blade radius whose measure under- or overflows is invalid input,
+    not a mesh of zero or infinite weights; an averaged potential whose
+    weights overflow is an OverflowError of the study."""
+    for dim, A in ((2, 1e300), (3, 1e150), (2, 1e-300), (3, 1e-150)):
+        with pytest.raises(ValueError, match="outside the normal range of doubles"):
+            build_mesh(dim, A, 2)
+    assert build_mesh(2, 1e-150, 2).w.min() > 0.0
+    psi = make_psi(2, 0, n=8)
+    with pytest.raises(OverflowError, match="averaged potential weights"):
+        blade_convergence_study(2, BladeParam(1e17, 1e300, 2), Z, omegas=(0.0, 1.0),
+                                psis=[psi], resolution=2, t=Truncation(0))
+
+
 @pytest.mark.parametrize(
     "dim,channel,tol",
     [(2, ChannelIndex2(1), 5e-5), (3, ChannelIndex3(1, 1), 2e-4)],
@@ -540,14 +554,24 @@ def test_nonfinite_cell_is_named(monkeypatch):
 
 def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):
     """One kernel call for all shifted channels and one for the unshifted
-    degrees, whatever the number of shells (no timing)."""
+    degrees, whatever the number of shells (no timing): no scipy Bessel
+    call at all, and two recurrence passes per kernel call (J and H over the
+    distinct radii of both sides)."""
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    passes = [0]
+    for name in ("_sph_j", "_sph_h"):
+        def counted(*args, f=getattr(rotkrein._radial, name)):
+            passes[0] += 1
+            return f(*args)
+
+        monkeypatch.setattr(rotkrein._radial, name, counted)
     t = Truncation(3, l_max=6)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 3), RotationSpec(12.0), t, build_mesh(3, 1.0, 13))
-    # Four calls per kernel (J and H at the rows and at the columns); 144
-    # with a call per (l, m), 28 with one per shell.
-    assert 0 < counter.calls <= 2 * 4
+    # 144 scipy calls with a call per (l, m), 28 with one per shell, 8 with
+    # one per kernel call (J and H at the rows and at the columns).
+    assert counter.calls == 0
+    assert 0 < passes[0] <= 2 * 2
 
 
 # -- the 2D assembly: the segment as a tensor mesh with one angular sample --

@@ -1,12 +1,16 @@
 """Command-line front end: parsing, parity with the library, exit codes."""
 
+import configparser
 import contextlib
 import io
 import json
 import math
+import os
+import re
+import tempfile
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rotkrein.cli import format_complex, main, parse_complex
@@ -496,3 +500,120 @@ def test_kernel_and_gamma_argv_keep_the_error_policy(argv):
     assert err.getvalue().startswith(prefix)
     assert "Traceback" not in err.getvalue()
     assert not any(bad in out.getvalue().lower() for bad in ("nan", "inf"))
+
+
+# The error policy of the study argv: generated INI configs of every study
+# kind, mostly valid (so most runs compute), with extreme values (NaN and
+# infinities among them) mixed in; small windows and grids.  The energies
+# and speeds stay below 1e4 or jump to 1e300: radial_apply's breakpoints
+# grow with |sqrt(z)| times the grid's length, and between the two (and on
+# long grids) a run would allocate gigabytes.
+_EXTREMES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf,
+                                       -math.inf, math.nan, -1.0]),
+                      st.floats(-1e4, 1e4))
+_MODERATE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+                      st.floats(-1e4, 1e4))
+
+
+def _mostly(good, extreme=_EXTREMES):
+    """good about seven times in eight."""
+    return st.integers(0, 7).flatmap(lambda k: extreme if k == 5 else good)
+
+
+def _sweep_grid(good):
+    valid = st.lists(good, min_size=2, max_size=3, unique=True).map(sorted)
+    return _mostly(valid, st.lists(_EXTREMES, min_size=1, max_size=3)).map(
+        lambda values: ",".join(map(repr, values)))
+
+
+@st.composite
+def _study_config(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["point_convergence", "eps_scaling", "blade_convergence"]))
+    m_max = draw(st.integers(0, 3))
+    trunc = {"m_max": str(m_max)}
+    if dim == 3 and draw(_mostly(st.just(True), st.just(False))):
+        trunc["l_max"] = str(m_max + draw(st.integers(0, 3)))
+    degree = draw(st.integers(0, 3))
+    channel = (str(draw(st.integers(-3, 3))) if dim == 2
+               else f"{degree}:{draw(st.integers(-degree, degree))}")
+    z = _mostly(st.builds(complex, st.floats(-30.0, 30.0), st.floats(0.1, 3.0)).map(
+        lambda v: _complex_token(v.real, v.imag)),
+        st.builds(_complex_token, _MODERATE, _MODERATE))
+    params = {"z": draw(z), "channels": draw(_mostly(st.just(channel),
+                                                     st.sampled_from(["1:1:1", "x"])))}
+    sweep = {"omegas": draw(_sweep_grid(st.floats(0.0, 1e4)))}
+    if kind == "point_convergence":
+        params |= {"alpha": repr(draw(_COUPLINGS)),
+                   "y0": repr(draw(_mostly(st.floats(0.1, 3.0), _RADII)))}
+    elif kind == "eps_scaling":
+        params = {"x_real": repr(draw(_mostly(st.floats(0.1, 3.0)))),
+                  "omega": repr(draw(_mostly(st.floats(0.0, 20.0)))),
+                  "y0": repr(draw(_mostly(st.floats(0.1, 3.0), _RADII)))}
+        sweep = {"epsilons": draw(_sweep_grid(st.floats(1e-4, 0.5)))}
+    else:
+        params |= {"A": repr(draw(_mostly(st.floats(0.2, 3.0)))),
+                   "strength": repr(draw(_mostly(st.floats(0.2, 3.0))))}
+        trunc["resolution"] = str(draw(st.integers(2, 4)))
+    return {"study": {"kind": kind, "dim": str(dim)}, "parameters": params, "sweep": sweep,
+            "truncation": trunc,
+            "psi": {"grid_points": str(draw(_mostly(st.integers(2, 24), st.just(1)))),
+                    "r_max": repr(draw(st.sampled_from([8.0, 8.0, 1e-3])))}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_study_config())
+@example(config={"study": {"kind": "eps_scaling", "dim": "2"},
+                 "parameters": {"x_real": "1.0", "omega": "0.0", "y0": "1.0"},
+                 "sweep": {"epsilons": "0.0001,0.00010000000000000002"},
+                 "truncation": {"m_max": "0"}, "psi": {}})  # equal logs: no slope to fit
+@example(config={"study": {"kind": "eps_scaling", "dim": "3"},
+                 "parameters": {"x_real": "1.0", "omega": "0.0", "y0": "1e-17"},
+                 "sweep": {"epsilons": "0.25,0.5"},
+                 "truncation": {"m_max": "0", "l_max": "0"}, "psi": {}})  # norms lost to rounding
+@example(config={"study": {"kind": "blade_convergence", "dim": "3"},
+                 "parameters": {"z": "0.0+1.0i", "channels": "1:0", "A": "1e+300",
+                                "strength": "1.0"},
+                 "sweep": {"omegas": "0.0,1.0"}, "truncation": {"m_max": "0", "resolution": "2"},
+                 "psi": {"grid_points": "2"}})  # the blade measure overflows
+@example(config={"study": {"kind": "point_convergence", "dim": "2"},
+                 "parameters": {"z": "0.0+1.0i", "channels": "0", "alpha": "3.141592653589793",
+                                "y0": "1.0"},
+                 "sweep": {"omegas": "inf"}, "truncation": {"m_max": "0"},
+                 "psi": {"grid_points": "2"}})  # no row computes where the coupling is free
+def test_study_argv_keeps_the_error_policy(config):
+    """Every study run exits 0, 1 (a typed computation error, or failed rows
+    whose errors the manifest names) or 2 (invalid input) without a
+    traceback, and the CSV and JSON it writes hold no nan or inf."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_files = {k: os.path.join(tmp, f"out.{k}") for k in ("csv", "json", "manifest")}
+        cfg = configparser.ConfigParser()
+        cfg.read_dict({**config, "output": out_files})
+        path = os.path.join(tmp, "study.ini")
+        with open(path, "w") as fh:
+            cfg.write(fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["study", path])
+        text = err.getvalue()
+        event(f"{config['study']['kind']}: exit {code}")
+        assert code in (0, 1, 2) and "Traceback" not in text
+        typed = r"[A-Za-z]+(Error|Exception): "
+        if code == 2:
+            assert text.startswith("invalid input: ")
+        elif code == 1 and text.startswith("computation failed: "):
+            assert re.match(typed, text.removeprefix("computation failed: "))
+        elif code == 1:
+            assert text.endswith("sweep row(s) failed\n")
+            with open(out_files["manifest"]) as fh:
+                failures = json.load(fh)["failures"]
+            assert failures and all(re.match(typed, f["error"]) for f in failures)
+        else:
+            assert text == ""
+        if code != 2 and os.path.exists(out_files["csv"]):
+            with open(out_files["csv"]) as fh:
+                csv_text = fh.read().lower()
+            assert "nan" not in csv_text and "inf" not in csv_text
+            with open(out_files["json"]) as fh:
+                json_text = fh.read()
+            assert "NaN" not in json_text and "Infinity" not in json_text

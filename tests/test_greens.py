@@ -15,8 +15,11 @@ from oracles import (
     free_green_2d,
     free_green_3d,
     free_green_norm_sq_3d,
+    kernel_3d,
     quadrature_kernel_2d,
     quadrature_kernel_3d,
+    rot_green_3d,
+    sph_factors_3d,
 )
 import rotkrein._radial
 import rotkrein.rotframe
@@ -52,7 +55,6 @@ from rotkrein.specfun import (
     require_off_axis_energy,
     require_resolvent_energy,
     sph_bessel_j,
-    sph_hankel1,
 )
 
 # mpmath oracle (dps=30): I0(1)*K0(1) and sinh(1)*exp(-1).
@@ -201,21 +203,30 @@ def bits(v: complex) -> bytes:
     return struct.pack("<dd", v.real, v.imag)
 
 
-def scalar_3d(l, z, r, rp):
-    """i w j_l(w r<) h_l(w r>) from the scalar specfun functions, after the
-    energy and radius checks, with the conj(z) route for Im z < 0."""
-    z = require_resolvent_energy(z)
-    if not (r >= 0.0 and rp >= 0.0):
-        raise ValueError("radii must be nonnegative")
-    if z.imag < 0.0:
-        return scalar_3d(l, z.conjugate(), r, rp).conjugate()
-    w = sqrt_upper(z)
-    return 1j * w * sph_bessel_j(l, w * min(r, rp)) * sph_hankel1(l, w * max(r, rp))
+def oracle_3d(l, z, r, rp, top):
+    """The mpmath kernel (kernel_3d, from tables up to degree top) and its
+    error scale, or the error its checks raise; and whether the J factor
+    at r< and the H factor at r> are normal doubles and their product is
+    zero or one (a value the library's factors can carry)."""
+    try:
+        want, scale = kernel_3d(l, z, r, rp, top)
+    except ValueError as exc:
+        return exc, 0.0, True
+    tiny = sys.float_info.min
+    w = sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
+    lo, hi = min(r, rp), max(r, rp)
+    # The factors as doubles: 0 or inf where they leave the range.  Only
+    # J(0) of a degree l >= 1, and so its kernel, is exactly 0.
+    j = abs(sph_factors_3d(top, w, lo)[0][l]) if lo > 0.0 else 1.0
+    h = abs(sph_factors_3d(top, w, hi)[1][l])
+    normal = all(tiny <= v < math.inf for v in (j, h)) and (
+        want == 0.0 or tiny <= abs(want) < math.inf)
+    return want, scale, normal
 
 
 def scalar_2d(n, z, r, rp):
-    """(i pi/2) J_|n|(w r<) H_|n|(w r>) from the scalar specfun functions;
-    checks and routes as scalar_3d."""
+    """(i pi/2) J_|n|(w r<) H_|n|(w r>) from the scalar specfun functions,
+    after the energy and radius checks, with the conj(z) route for Im z < 0."""
     z = require_resolvent_energy(z)
     if not (r >= 0.0 and rp >= 0.0):
         raise ValueError("radii must be nonnegative")
@@ -253,23 +264,25 @@ def normal_range(dim, order, z, r, rp) -> bool:
     return j == 0.0 or min(j, jh) >= tiny
 
 
-def agrees(got, want, normal=True) -> bool:
-    """A kernel outcome against the scalar composition's: within 1e-13
-    relative of a finite value (if the formula stays in the normal range),
-    the same error type where the composition raises ValueError, and
-    OverflowError or a finite value where it overflows (the kernels have no
-    |Im x| backstop) or leaves the normal range."""
+def agrees(got, want, normal=True, scale=None) -> bool:
+    """A kernel outcome against the reference's: within 1e-13 relative of a
+    finite value (or of its error scale, where one is given) if the formula
+    stays in the normal range, the same error type where the reference
+    raises ValueError, and OverflowError or a finite value where it
+    overflows (the kernels have no |Im x| backstop) or leaves the normal
+    range."""
     if isinstance(want, ValueError):
         return type(got) is type(want)
     if overflows(want) or not normal:
         return isinstance(got, OverflowError) or (
             not isinstance(got, Exception) and cmath.isfinite(got))
-    return not isinstance(got, Exception) and abs(got - want) <= 1e-13 * abs(want)
+    bound = 1e-13 * (abs(want) if scale is None else scale)
+    return not isinstance(got, Exception) and abs(got - want) <= bound
 
 
-def batch_agrees(f, wants, normal) -> bool:
-    """A paired batch call against the scalar outcomes of its pairs: an error
-    is one of theirs (by type; an overflow may also come from a pair outside
+def batch_agrees(f, wants, normal, scales=None) -> bool:
+    """A paired batch call against the outcomes of its pairs: an error is
+    one of theirs (by type; an overflow may also come from a pair outside
     the normal range), else every value agrees."""
     try:
         got = f().tolist()
@@ -277,7 +290,8 @@ def batch_agrees(f, wants, normal) -> bool:
         return any(overflows(w) or not ok for w, ok in zip(wants, normal))
     except ValueError as exc:
         return any(type(exc) is type(w) for w in wants)
-    return all(agrees(g, w, ok) for g, w, ok in zip(got, wants, normal))
+    scales = [None] * len(wants) if scales is None else scales
+    return all(agrees(g, w, ok, sc) for g, w, ok, sc in zip(got, wants, normal, scales))
 
 
 # Both half-planes, the negative real axis (with either sign of zero), and
@@ -298,14 +312,18 @@ radii = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
 @example(z=2364 + 5e-324j, r=1.0, rp=0.0, lo=0, n=15)  # real w r: j_12 near a zero
 def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
     """radial_kernel_3d and one paired call over the degrees against the
-    scalar composition (the name predates the tolerance)."""
+    mpmath kernels (oracles.kernel_3d; the name predates the oracle and the
+    tolerance): within 1e-13 of each kernel's error scale, the same error
+    type where the checks raise, and OverflowError or a finite value where
+    the factors leave the normal range."""
     ls = list(range(lo, min(lo + n, 81)))
     rp = r if n % 3 == 0 else rp  # ties r = r'
-    want = [outcome(lambda l=l: scalar_3d(l, z, r, rp)) for l in ls]
-    normal = [isinstance(w, Exception) or normal_range(3, l, z, r, rp) for l, w in zip(ls, want)]
-    for l, w, ok in zip(ls, want, normal):
-        assert agrees(outcome(lambda l=l: radial_kernel_3d(l, z, r, rp)), w, ok), (l, w)
-    assert batch_agrees(lambda: separable_kernels(3, ls, [z] * len(ls), r, rp), want, normal)
+    refs = [oracle_3d(l, z, r, rp, ls[-1]) for l in ls]
+    want, scales, normal = (list(v) for v in zip(*refs))
+    for l, w, sc, ok in zip(ls, want, scales, normal):
+        assert agrees(outcome(lambda l=l: radial_kernel_3d(l, z, r, rp)), w, ok, sc), (l, w)
+    assert batch_agrees(lambda: separable_kernels(3, ls, [z] * len(ls), r, rp), want, normal,
+                        scales)
 
 
 @settings(max_examples=80, deadline=None)
@@ -388,7 +406,8 @@ def test_closed_forms_keep_the_scalar_checks():
 def test_zero_j_factor_at_the_origin_is_an_exact_zero(dim, order, rp):
     """At r = 0 < r' the J factor of an order >= 1 is exactly 0, so the
     kernel is 0 even where the H factor at the tiny r' overflows; the other
-    entries of the same call keep the bits of their own calls."""
+    entries of the same call keep the bits of their own calls (2D) or
+    agree with them to roundoff (3D)."""
     assert separable_kernels(dim, order, 0.4 + 1j, 0.0, rp) == 0.0
     assert separable_kernels(dim, order, 0.4 + 1j, rp, 0.0) == 0.0
     r, rps = np.array([[0.0], [0.5]]), np.array([rp, 1.0])
@@ -397,6 +416,11 @@ def test_zero_j_factor_at_the_origin_is_an_exact_zero(dim, order, rp):
     for k, (n, z) in enumerate(((0, 0.4 + 1j), (order, 0.4 - 1j))):
         for i, j in ((0, 1), (1, 0), (1, 1)) + (((0, 0),) if n == 0 else ()):
             want = separable_kernels(dim, n, z, r[i, 0], rps[j])
+            if dim == 3:
+                # A 3D degree's recurrence route follows the largest degree
+                # at its root in the call, so the bits may differ.
+                assert abs(g[k, i, j] - want) <= 1e-14 * abs(want)
+                continue
             assert struct.pack("<2d", g[k, i, j].real, g[k, i, j].imag) == struct.pack(
                 "<2d", want.real, want.imag)
     # A J factor that underflows at r > 0 is no zero limit: the kernel of
@@ -529,16 +553,22 @@ def test_point_kernels_pinned_bitwise():
             assert dev <= 1e-13, (name, g, w)
             worst = max(worst, dev)
     print(f"largest relative deviation from the pinned values: {worst:.3g}")
+    # The 3D pins, from AMOS factors, against the mpmath oracle of the
+    # window sum.
+    for (z, rot), pin in zip(ZS, PINNED["rot_green_3d"]):
+        want = rot_green_3d(z, rot.omega, *P3, T3.m_max, T3.l_max)
+        assert abs(pin - want) <= 1e-13 * abs(want), (z, pin, want)
 
 
 def test_rot_green_3d_special_calls_per_shell(monkeypatch):
-    """A bounded number of scipy.special calls per window, not per (l, m) term."""
+    """One scipy.special call per window, the harmonics' (the Bessel factors
+    come from degree recurrences, not one call per (l, m) term), and the
+    mpmath value of the window sum."""
     counter = CountingSpecial()
     for mod in (rotkrein._radial, rotkrein.rotframe, rotkrein.specfun):
         monkeypatch.setattr(mod, "sp", counter)
     val = rot_green(3, 0.4 + 1j, ROT, *P3, T3)
-    # One harmonic call, one jv call at the smaller radius and one hankel1
-    # call at the larger, for all 33 shells (1,156 calls per term before).
-    assert 0 < counter.calls <= 3
-    want = PINNED["rot_green_3d"][0]
+    # One harmonic call for all 33 shells; a call per term would be 1,156.
+    assert counter.calls == 1
+    want = rot_green_3d(0.4 + 1j, ROT.omega, *P3, T3.m_max, T3.l_max)
     assert abs(val - want) <= 1e-13 * abs(want)

@@ -215,20 +215,63 @@ def bessel_elements(monkeypatch):
 
 
 @pytest.mark.parametrize("dim,cap,channels,terms", [(3, 48, 2401, 1225), (2, 64, 129, 129)])
-def test_krein_kernel_bessel_elements(bessel_elements, dim, cap, channels, terms):
+def test_krein_kernel_bessel_elements(bessel_elements, recurrence_arguments, dim, cap,
+                                      channels, terms):
     """Each J and H factor once per order, energy and radius: the three sums
     take J at x' and y0 and H at x and y0 (x' < y0 < x) over the window's
     channels, and the coupling J and H at y0 over the source terms at z and
-    at -i.  The free kernel takes two factors per channel."""
+    at -i.  The free kernel takes two factors per channel.  In 2D these are
+    the jv and hankel1 elements; 3D evaluates none, but takes each argument
+    w r once per shell root and radius, whose one pass over the degrees
+    serves every channel of the shell: the J and H counts are 4 per window
+    shell (2 m_max + 1 of them; the coupling's source shells at z and at -i
+    make the other 2 of each), and 1 each for the free kernel."""
     t = Truncation(cap, cap)
     src = PointSource(0.7, dim)
     x, xp = ((Point2(1.6, 0.4), Point2(0.2, 2.2)) if dim == 2
              else (Point3(1.6, 1.1, 0.4), Point3(0.2, 2.0, 2.2)))
+    shells = 2 * cap + 1
     krein_kernel(dim, 0.4 + 1j, KreinParam(1.2), RotationSpec(7.0), x, xp, src, t)
-    assert bessel_elements[0] == 4 * channels + 2 * 2 * terms == {3: 14504, 2: 1032}[dim]
+    if dim == 2:
+        assert bessel_elements[0] == 4 * channels + 2 * 2 * terms == 1032
+    else:
+        assert bessel_elements[0] == 0
+        assert recurrence_arguments == [4 * shells, 4 * shells] == [388, 388]
     bessel_elements[0] = 0
+    recurrence_arguments[:] = [0, 0]
     rot_green(dim, 0.4 + 1j, RotationSpec(7.0), x, xp, t)
-    assert bessel_elements[0] == 2 * channels
+    if dim == 2:
+        assert bessel_elements[0] == 2 * channels
+    else:
+        assert (bessel_elements[0], recurrence_arguments) == (0, [shells, shells])
+
+
+def test_3d_kernels_make_no_bessel_call(monkeypatch, bessel_elements):
+    """A ratchet on the 3D route: rot_green, krein_kernel and
+    separable_kernels take their factors from the degree recurrences, with
+    no _bessel batch and no scipy jv or hankel1 call anywhere in the
+    package (the harmonics' sph_harm_y_all is the one scipy call left)."""
+    import rotkrein.specfun
+    import scipy.special as sp
+
+    called = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            called.append(name)
+            return getattr(sp, name)
+
+    for mod in (rotkrein._radial, rotkrein.specfun, rotkrein.rotframe, rotkrein.pointint):
+        if hasattr(mod, "sp"):
+            monkeypatch.setattr(mod, "sp", Recorder())
+    t = Truncation(8, 8, tail_tol=math.inf)
+    x, xp = Point3(1.6, 1.1, 0.4), Point3(0.2, 2.0, 2.2)
+    rot_green(3, 0.4 + 1j, RotationSpec(7.0), x, xp, t)
+    krein_kernel(3, 0.4 - 1j, KreinParam(1.2), RotationSpec(7.0), x, xp, SRC3, t)
+    rotkrein._radial.separable_kernels(3, np.arange(12), [0.4 + 1j, -3.0] * 6,
+                                       np.array([0.0, 0.3, 2.0])[:, None], [0.3, 5.0])
+    assert bessel_elements[0] == 0
+    assert not {"jv", "hankel1"} & set(called), called
 
 
 def test_lambdas_take_two_shells_per_window_channel(monkeypatch, bessel_elements):

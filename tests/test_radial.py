@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import rotkrein._radial
 from helpers import CountingSpecial, make_psi
+from oracles import kernel_3d, sph_factors_3d
 from rotkrein import (
     BladeParam,
     ChannelIndex2,
@@ -36,6 +37,7 @@ from rotkrein import (
 )
 from rotkrein._radial import (
     _bessel,
+    _factors,
     _root,
     _roots,
     g2_vec,
@@ -50,7 +52,9 @@ from rotkrein.specfun import sqrt_upper
 
 def elementwise_kernel(dim, order, z, r, rp):
     """The closed formula entry by entry: J at min(r, r'), H at max(r, r'),
-    in 3D each over the square root of its own radius."""
+    in 3D each over the square root of its own radius, by scipy's jv and
+    hankel1 (AMOS).  In 2D the library's own route; in 3D, where the library
+    runs degree recurrences, an independent formula."""
     z = complex(z)
     if z.imag < 0.0:
         return np.conj(elementwise_kernel(dim, order, np.conj(z), r, rp))
@@ -65,6 +69,18 @@ def elementwise_kernel(dim, order, z, r, rp):
         (0.5j * math.pi * sp.jv(nu, w * rmin) / np.sqrt(rmin))
         * (sp.hankel1(nu, w * rmax) / np.sqrt(rmax))
     )
+
+
+def assert_oracle_kernels(got, orders, zs, r, rp):
+    """3D kernels g (orders leading, then the broadcast radii) within 1e-13
+    of the mpmath kernels, relative to each one's error scale (kernel_3d)."""
+    shape = np.broadcast_shapes(np.shape(r), np.shape(rp))
+    r, rp = np.broadcast_to(r, shape), np.broadcast_to(rp, shape)
+    got = np.asarray(got).reshape((-1,) + shape)
+    for g, l, z in zip(got, np.ravel(orders), np.broadcast_to(zs, np.size(orders))):
+        for idx in np.ndindex(shape):
+            want, scale = kernel_3d(int(l), complex(z), float(r[idx]), float(rp[idx]))
+            assert abs(g[idx] - want) <= 1e-13 * scale, (l, z, r[idx], rp[idx], g[idx], want)
 
 
 radius = st.floats(0.01, 5.0)
@@ -88,15 +104,21 @@ def kernel_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(kernel_case())
 def test_core_equals_elementwise_formula_bitwise(case):
+    """2D: the elementwise jv/hankel1 formula bit for bit.  3D: the mpmath
+    kernels within 1e-13 (the degree recurrences have other bits than
+    AMOS); the one-order alias g3_vec gives the bits of the core."""
     dim, order, z, r, rp = case
     got = separable_kernels(dim, order, z, r[:, None], rp[None, :])
-    want = elementwise_kernel(dim, order, z, r[:, None], rp[None, :])
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    vec = g2_vec if dim == 2 else g3_vec
-    assert vec(order, z, r[0], rp).tobytes() == elementwise_kernel(
-        dim, order, z, r[0], rp
-    ).tobytes()
+    vec = g2_vec(order, z, r[0], rp) if dim == 2 else g3_vec(order, z, r[0], rp)
+    if dim == 2:
+        want = elementwise_kernel(dim, order, z, r[:, None], rp[None, :])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert vec.tobytes() == elementwise_kernel(dim, order, z, r[0], rp).tobytes()
+        return
+    assert got.shape == (r.size, rp.size)
+    assert_oracle_kernels(got, order, z, r[:, None], rp[None, :])
+    assert vec.tobytes() == separable_kernels(dim, order, z, r[0], rp).tobytes()
 
 
 @st.composite
@@ -115,20 +137,63 @@ def shell_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(shell_case())
 def test_batched_orders_equal_one_order_kernels_bitwise(case):
-    """Many orders in one call, at one energy or one energy per order: each
-    slice is the one-order kernel at its energy and the elementwise formula,
-    bit for bit, for matrices, vectors and scalars."""
+    """Many orders in one call, at one energy or one energy per order, for
+    matrices, vectors and scalars.  2D: each slice is the one-order kernel
+    at its energy and the elementwise formula, bit for bit.  3D: each slice
+    is the mpmath kernel within 1e-13 (a degree's bits follow the largest
+    degree at its energy in the call, which sets its recurrence route)."""
     dim, orders, z, paired, r, rp = case
     for a, b in ((r[:, None], rp[None, :]), (r, rp[0]), (r[0], rp), (r[0], rp[0])):
         for energies in (z, paired):
             got = separable_kernels(dim, orders, energies, a, b)
             assert got.shape == (len(orders),) + np.broadcast(a, b).shape
+            if dim == 3:
+                assert_oracle_kernels(got, orders, energies, a, b)
+                continue
             for g, order, zk in zip(got, orders, np.broadcast_to(energies, len(orders))):
                 one = separable_kernels(dim, order, zk, a, b)
                 assert g.tobytes() == one.tobytes()
                 # At least 1-D: numpy's scalar arithmetic may round differently.
                 want = elementwise_kernel(dim, order, zk, np.atleast_1d(a), np.atleast_1d(b))
                 assert g.tobytes() == want.tobytes()
+
+
+# The arguments of the 3D factor check: rays from the real to the imaginary
+# axis (near-real, near-imaginary and between), |w r| from 1e-3 to 1e3, and
+# 1e-10, where j_l takes its leading power.
+FACTOR_RAYS = [1e-9, 1e-3, 0.05, 0.3, 0.8, 1.2, 1.5, math.pi / 2 - 1e-3, math.pi / 2]
+FACTOR_RADII = np.concatenate([[1e-10], np.geomspace(1e-3, 1e3, 13)])
+
+
+@pytest.mark.parametrize("top", [1, 6, 20, 48, 64])
+def test_3d_factors_match_mpmath(top):
+    """The 3D factors of degrees 0 .. top, whose largest degree sets each
+    argument's recurrence route, against the mpmath factors at the same
+    root and arguments: H within 1e-13 relative, J too, except near the
+    real axis where j oscillates (|Im x| <= 1, |x| > l), where J is within
+    1e-13 of its envelope (J's zeros lie on the real axis).  The factors of
+    Im z < 0 are the conjugates.  Entries the oracle puts outside the
+    normal range of doubles are not compared."""
+    tiny = sys.float_info.min
+    orders = np.arange(top + 1)
+    l = orders[:, None]
+    every = np.ones(FACTOR_RADII.size, bool)
+    for theta in FACTOR_RAYS:
+        w = complex(math.cos(theta), math.sin(theta))
+        with np.errstate(all="ignore"):  # as in every library caller
+            got = _factors(3, orders, w, False, FACTOR_RADII, every, every)
+            flipped = _factors(3, orders, w, True, FACTOR_RADII, every, every)
+        assert all(f.tobytes() == np.conj(g).tobytes() for f, g in zip(flipped, got))
+        want = np.array([sph_factors_3d(top, w, r) for r in FACTOR_RADII]).transpose(1, 2, 0)
+        with np.errstate(all="ignore"):
+            fine = (np.abs(want) >= tiny) & np.isfinite(want)
+            x = w * FACTOR_RADII
+            near_real = (np.abs(x.imag) <= 1.0) & (np.abs(x) > l)
+            scale = np.abs(want)
+            scale[0] = np.where(near_real, np.maximum(scale[0], scale[1]), scale[0])
+            err = np.abs(got - want)
+        ok = (err <= 1e-13 * scale) | ~fine.all(axis=0)
+        assert ok.all(), (theta, np.argwhere(~ok)[:4])
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,6 +255,8 @@ def test_kernel_error_contract():
             separable_kernels(2, [0, 1], 1j, np.array([0.5, bad]), 1.0)
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         separable_kernels(3, -1, 1j, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("degree must be an integer, got l=2.5")):
+        separable_kernels(3, [1.0, 2.5], 1j, 1.0, 1.0)
     for dim in (2, 3):
         kernel = radial_kernel_2d if dim == 2 else radial_kernel_3d
         with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
@@ -487,22 +554,29 @@ def test_krein_circle_and_averaged_share_one_plan(dim):
 
 
 @pytest.mark.parametrize("dim,z", MEMO_CASES)
-def test_a_call_that_meets_its_plan_evaluates_only_pieces_and_outputs(monkeypatch, dim, z):
+def test_a_call_that_meets_its_plan_evaluates_only_pieces_and_outputs(
+        monkeypatch, recurrence_arguments, dim, z):
     """The second call at the same (psi, z) and output range evaluates J
     and H only on the Gauss nodes of the two pieces of each inside radius
-    and at the output radii (J below the grid's end, H above its start)."""
+    and at the output radii (J below the grid's end, H above its start):
+    jv and hankel1 elements in 2D, recurrence arguments in 3D."""
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
+
+    def evaluated():
+        return counter.elements + sum(recurrence_arguments)
+
     rotkrein._radial._plan.cache_clear()
     psi = _psi(dim, 1, MEMO_GRID)
     first = radial_apply(psi, z, MEMO_RADII)
-    built = counter.elements
-    counter.elements = 0
+    built = evaluated()
+    counter.elements, recurrence_arguments[:] = 0, [0, 0]
     second = radial_apply(psi, z, MEMO_RADII)
     at_radii = np.sum(MEMO_RADII < MEMO_GRID[-1]) + np.sum(MEMO_RADII > MEMO_GRID[0])
     pieces = 2 * rotkrein._radial._APPLY_NODES * len(MEMO_CUTS)
-    assert counter.elements == at_radii + pieces
-    assert built > 5 * counter.elements
+    assert evaluated() == at_radii + pieces
+    assert (counter.elements == 0) == (dim == 3)
+    assert built > 5 * evaluated()
     assert second.tobytes() == first.tobytes()
 
 
@@ -535,22 +609,27 @@ def _serial_and_split(monkeypatch, call):
 @pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
 def test_a_split_batch_is_the_bits_of_one_call(monkeypatch, split_bessel, case):
     """Both halves of every jv and hankel1 call together give the bits of
-    the one call, in 2D and 3D, over radii or orders and in both
-    half-planes."""
+    the one call, over radii or orders and in both half-planes.  3D makes
+    no such call (its degree recurrences run on the calling thread), and
+    its bits are those of the unsplit run too."""
     (one, serial_calls), (split, split_calls) = _serial_and_split(
         monkeypatch, lambda: separable_kernels(*case))
-    assert split_calls == 2 * serial_calls > 0
+    assert split_calls == 2 * serial_calls
+    assert (serial_calls > 0) == (case[0] == 2)
     assert split == one
 
 
 @pytest.mark.parametrize("dim,z", MEMO_CASES)
 def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, split_bessel, dim, z):
+    """As for the kernels: split halves in 2D, no Bessel call in 3D, and the
+    bits of the unsplit run in both."""
     def call():
         rotkrein._radial._plan.cache_clear()
         return radial_apply(_psi(dim, 1, MEMO_GRID), z, MEMO_RADII)
 
     (one, serial_calls), (split, split_calls) = _serial_and_split(monkeypatch, call)
-    assert split_calls == 2 * serial_calls > 0
+    assert split_calls == 2 * serial_calls
+    assert (serial_calls > 0) == (dim == 2)
     assert split == one
 
 
