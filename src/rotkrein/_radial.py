@@ -304,6 +304,17 @@ def _odd(inv: np.ndarray, n: int) -> np.ndarray:
     return (2.0 * np.arange(n) + 1.0)[:, None] * inv
 
 
+def _products(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The running products p[l + 1] = p[l] f[l], l = 0 .. len(f) - 1, into
+    the rows of p (p[0] given).  No complex product of the 3D route is taken
+    in place: where a product's output is one of its inputs, numpy
+    multiplies one-element rows by another loop, which rounds differently,
+    so a value would depend on how many arguments share its call."""
+    for l in range(len(f)):
+        np.multiply(p[l], f[l], out=p[l + 1])
+    return p
+
+
 def _h_ratios(odd: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The ratios s_l = h_l(x) / h_{l-1}(x), l = 1 .. len(s), into the rows
     of s, from the rows odd of _odd: s_1 = 1/x - i, s_{l+1} = (2l + 1)/x -
@@ -321,10 +332,9 @@ def _sph_h(x: np.ndarray, n_deg: int) -> np.ndarray:
     closed form h_0 = -i e^{ix} / x times the products of the ratios."""
     inv = _reciprocal(x)
     h = np.empty((n_deg, x.size), dtype=complex)
-    np.multiply(_cis(x), inv, out=h[0])
-    h[0] *= -1j
-    _h_ratios(_odd(inv, n_deg - 1), h[1:])
-    return np.cumprod(h, axis=0, out=h)
+    np.multiply(_cis(x), -1j * inv, out=h[0])
+    return _products(h, _h_ratios(_odd(inv, n_deg - 1),
+                                  np.empty((n_deg - 1, x.size), dtype=complex)))
 
 
 def _ratio_start(x: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -343,7 +353,9 @@ def _ratio_start(x: np.ndarray, top: np.ndarray) -> np.ndarray:
 def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
     """j_l(x), l = 0 .. max(top), at each x of the closed upper half plane
     up to its own degree top: a table whose column at[i] holds the degrees
-    of x[i].  Each value depends only on its own x and top.
+    0 .. top[i] of x[i] (the rows above are no values of it).  Each value
+    depends only on its own x and top, and each route runs only to the
+    largest top among its own x.
 
     Below _TINY, j_l = x^l / (2l + 1)!! (so j_l(0) is its limit, 1 for l =
     0 and 0 for l >= 1).  Elsewhere j runs upward from sin x / x and (j_0 -
@@ -358,13 +370,13 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
     zeros of sin x do not matter, and no h_l, which may overflow where j_l
     does not.
     """
-    n_deg = int(top.max()) + 1
     size = np.abs(x)
     tiny = size < _TINY
     up = (size >= top) & (x.imag * top * top <= _UP_GAIN * size * size) & ~tiny
     iu, idn, it = np.flatnonzero(up), np.flatnonzero(~up & ~tiny), np.flatnonzero(tiny)
     tables = []
     if iu.size:
+        n_deg = int(top[iu].max()) + 1
         xu = x[iu]
         inv = 1.0 / xu
         a, b = xu.real, xu.imag
@@ -383,7 +395,8 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
     if idn.size:
         # The x of the latest start first: degree N joins every x whose
         # start is N, so each x runs down from its own start.
-        start = _ratio_start(x[idn], top[idn])
+        n_deg = int(top[idn].max()) + 1
+        start = _ratio_start(x[idn], top[idn])  # each past its top, so odd has n_deg rows
         by_start = np.argsort(-start, kind="stable")
         idn, start = idn[by_start], start[by_start]
         xd = x[idn]
@@ -398,23 +411,34 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
             if deg <= n_deg:
                 jd[deg - 1] = r
         s = _h_ratios(odd, np.empty((n_deg, idn.size), dtype=complex))
-        del odd
-        # In place: jd[l] = x (r_{l+1} - s_{l+1}), s[l] = 1 / (s_1 ... s_{l+1}),
-        # then jd[l] = -e^{-ix} / (x (r_{l+1} - s_{l+1}) s_1 ... s_l).
-        np.subtract(jd, s, out=jd)
-        jd *= xd
-        np.cumprod(np.reciprocal(s, out=s), axis=0, out=s)
-        np.divide(s[:-1], jd[1:], out=jd[1:])
-        np.reciprocal(jd[0], out=jd[0])
-        jd *= -_cis(-xd)
-        tables.append(jd)
+        # den[l] = x (r_{l+1} - s_{l+1}) (in the rows of odd) and p[l] = 1 /
+        # (s_1 ... s_{l+1}) (in jd), so that j_l = -e^{-ix} p[l-1] / den[l]
+        # (p[-1] = 1), into s and then jd.
+        den = np.multiply(np.subtract(jd, s, out=jd), xd, out=odd[:n_deg])
+        np.reciprocal(s, out=s)
+        jd[0] = s[0]
+        _products(jd, s[1:])
+        np.divide(jd[:-1], den[1:], out=s[1:])
+        np.reciprocal(den[0], out=s[0])
+        tables.append(np.multiply(s, -_cis(-xd), out=jd))
     if it.size:
+        n_deg = int(top[it].max()) + 1
         jt = np.ones((n_deg, it.size), dtype=complex)
-        np.cumprod(x[it] / (2.0 * np.arange(1, n_deg) + 1.0)[:, None], axis=0, out=jt[1:])
+        if n_deg > 1:
+            f = x[it] / (2.0 * np.arange(1, n_deg) + 1.0)[:, None]
+            jt[1] = f[0]
+            _products(jt[1:], f[1:])
         tables.append(jt)
     at = np.empty(x.size, dtype=int)
     at[np.concatenate([iu, idn, it])] = np.arange(x.size)
-    return (tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)), at
+    if len(tables) == 1:
+        return tables[0], at
+    j = np.zeros((int(top.max()) + 1, x.size), dtype=complex)
+    col = 0
+    for t in tables:
+        j[: len(t), col : col + t.shape[1]] = t
+        col += t.shape[1]
+    return j, at
 
 
 def _root(z: complex) -> complex:

@@ -82,13 +82,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _fmt_column(values: list) -> list:
-    """_fmt of each value: a column of plain floats in one %.12e pass."""
-    if all(type(v) is float for v in values):
-        return ["%.12e" % v for v in values]
-    return [_fmt(v) for v in values]
-
-
 def _jsonable(v):
     if isinstance(v, complex):
         return f"{v.real:.12g}{v.imag:+.12g}i"
@@ -101,78 +94,6 @@ def _jsonable(v):
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     return v
-
-
-def _json_scalar(v) -> str:
-    """The JSON text of a leaf of _json, as json.dumps writes it."""
-    if isinstance(v, str):
-        return json.encoder.encode_basestring_ascii(v)
-    if v is None or v is True or v is False:
-        return "null" if v is None else "true" if v else "false"
-    if isinstance(v, complex):
-        return json.encoder.encode_basestring_ascii(_jsonable(v))
-    if isinstance(v, (int, np.integer)):
-        return int.__repr__(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    return json.dumps(v)  # json's TypeError for anything else
-
-
-def _json_key(k) -> str:
-    """A dict key as json.dumps writes it: str, or the text of a float,
-    int, bool or None, as a JSON string."""
-    if not isinstance(k, (str, int, float)) and k is not None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return json.encoder.encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))
-
-
-def _json(v, pad: str = "") -> str:
-    """json.dumps(_jsonable(v), sort_keys=True, indent=2), the same bytes
-    written directly: no _jsonable copy and no pure-Python indent encoder.
-    A list of dicts with one set of keys (a table's rows) is written column
-    by column, a column of finite floats in one repr pass."""
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        inner = pad + "  "
-        items = [f"{inner}{_json_key(k)}: {_json(x, inner)}" for k, x in sorted(v.items())]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        inner = pad + "  "
-        if all(isinstance(x, dict) for x in v) and all(x.keys() == v[0].keys() for x in v):
-            items = _json_records(v, inner)
-        else:
-            items = _json_each(v, inner)
-        return "[\n" + ",\n".join(inner + t for t in items) + "\n" + pad + "]"
-    return _json_scalar(v)
-
-
-def _json_records(rows: list, pad: str) -> list:
-    """_json of each of rows (dicts with one set of keys) at pad, column by
-    column."""
-    keys = sorted(rows[0])
-    if not keys:
-        return ["{}"] * len(rows)
-    inner = pad + "  "
-    heads = [f"{inner}{_json_key(k)}: " for k in keys]
-    columns = [_json_each([row[k] for row in rows], inner) for k in keys]
-    return ["{\n" + ",\n".join(h + t for h, t in zip(heads, vals)) + "\n" + pad + "}"
-            for vals in zip(*columns)]
-
-
-def _json_each(values, pad: str) -> list:
-    """_json of each of values at pad: all finite floats, or all strings,
-    in one pass."""
-    if all(type(x) is float for x in values) and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if all(type(x) is str for x in values):
-        return list(map(json.encoder.encode_basestring_ascii, values))
-    return [_json(x, pad) for x in values]
 
 
 @dataclass(eq=False)
@@ -196,8 +117,9 @@ class StudyTable:
 
     def to_csv(self, path: str | None = None) -> str:
         cols = list(self.rows[0].keys()) if self.rows else []
-        columns = [_fmt_column([row[c] for row in self.rows]) for c in cols]
-        lines = [",".join(cols)] + [",".join(vals) for vals in zip(*columns)]
+        lines = [",".join(cols)]
+        for row in self.rows:
+            lines.append(",".join(_fmt(row[c]) for c in cols))
         text = "\n".join(lines) + "\n"
         if path is not None:
             with open(path, "w", newline="") as fh:
@@ -205,7 +127,12 @@ class StudyTable:
         return text
 
     def to_json(self, path: str | None = None) -> str:
-        text = _json({"study": self.study, "params": self.params, "rows": self.rows}) + "\n"
+        doc = {
+            "study": self.study,
+            "params": _jsonable(self.params),
+            "rows": [_jsonable(r) for r in self.rows],
+        }
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         if path is not None:
             with open(path, "w", newline="") as fh:
                 fh.write(text)

@@ -104,8 +104,8 @@ def kernel_3d(l: int, z: complex, r: float, rp: float, top: int | None = None) -
     and arguments, after its energy and radius checks (conj z where Im z <
     0, conjugated back), with a scale for its error: |i w j_l h_l|, or
     where w r< lies near the real axis in j_l's oscillation (|Im w r<| <= 1,
-    |w r<| > l) |w h_l(w r<) h_l(w r>)|, the envelope of j there.  r< = 0
-    takes j_l(0), 1 for l = 0 and else 0.  The functions are taken from the
+    |w r<| > l) |w h_l(w r<) h_l(w r>)|, the envelope of j there.  r< = 0,
+    or a w r< that underflows to 0, takes j_l(0), 1 for l = 0 and else 0.  The functions are taken from the
     tables up to degree top (default l), so that the kernels of many
     degrees at one argument share one table."""
     z = require_resolvent_energy(z)
@@ -121,10 +121,10 @@ def kernel_3d(l: int, z: complex, r: float, rp: float, top: int | None = None) -
         raise SingularArgumentError("h_l^(1) is singular at x = 0")
     mw = mpmath.mpc(w)
     h = _sph_bessel_jh_mp(top, complex(w * hi), 30)[1][l]
-    if lo == 0.0:
+    x = complex(w * lo)
+    if x == 0.0:  # r< = 0, or w r< underflows: j_l(0)
         g = complex(1j * mw * h) if l == 0 else 0.0j
         return g, abs(g)
-    x = complex(w * lo)
     js, hs = _sph_bessel_jh_mp(top, x, 30)
     near_real = abs(x.imag) <= 1.0 and abs(x) > l
     scale = abs(mw * (hs[l] if near_real else js[l]) * h)

@@ -45,7 +45,7 @@ from rotkrein import (
     rot_norm_sq,
     sqrt_upper,
 )
-from rotkrein._radial import separable_kernels
+from rotkrein._radial import _root, separable_kernels
 from rotkrein.rotframe import channel_diag
 from rotkrein.specfun import (
     _equatorial_weights,
@@ -217,7 +217,7 @@ def oracle_3d(l, z, r, rp, top):
     lo, hi = min(r, rp), max(r, rp)
     # The factors as doubles: 0 or inf where they leave the range.  Only
     # J(0) of a degree l >= 1, and so its kernel, is exactly 0.
-    j = abs(sph_factors_3d(top, w, lo)[0][l]) if lo > 0.0 else 1.0
+    j = abs(sph_factors_3d(top, w, lo)[0][l]) if w * lo != 0.0 else 1.0
     h = abs(sph_factors_3d(top, w, hi)[1][l])
     normal = all(tiny <= v < math.inf for v in (j, h)) and (
         want == 0.0 or tiny <= abs(want) < math.inf)
@@ -326,6 +326,42 @@ def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
                         scales)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 64), energies), min_size=2, max_size=6), radii, radii,
+       st.booleans())
+# Degree 1 at w r ~ 0.5 runs backward from a start below the degree 48 that
+# takes the upward route at w r ~ 60 in the same call.
+@example(pairs=[(1, 0.25 + 0.01j), (48, 3600 + 1j)], r=1.0, rp=2.0, tie=False)
+@example(pairs=[(1, 0.25 + 0.01j), (48, 3600 + 1j), (30, -4.0 + 1j)], r=1e-9, rp=2.0,
+         tie=False)  # the backward, upward and leading-power routes together
+def test_paired_3d_degrees_far_apart_match_mpmath(pairs, r, rp, tie):
+    """One 3D call over (degree, energy) pairs whose degrees, and so the
+    recurrence routes of their arguments, differ widely: each kernel against
+    the mpmath kernel as in the one-energy test above; each the bits of the
+    call over its own degree and the largest degree at its root alone (the
+    route of an argument follows that degree, and nothing else of the
+    call); and the bits of its entry in the matrix over [r, r'] x [r', r]
+    (the factors over shared radii)."""
+    rp = r if tie else rp
+    ls, zs = [l for l, _ in pairs], [z for _, z in pairs]
+    refs = [oracle_3d(l, z, r, rp, l) for l, z in pairs]
+    want, scales, normal = (list(v) for v in zip(*refs))
+    assert batch_agrees(lambda: separable_kernels(3, ls, zs, r, rp), want, normal, scales)
+    try:
+        got = separable_kernels(3, ls, zs, r, rp)
+    except (ValueError, OverflowError):
+        return
+    root_bits = [bits(_root(complex(z))) for z in zs]
+    for g, l, z, key in zip(got.tolist(), ls, zs, root_bits):
+        top = max(m for m, k in zip(ls, root_bits) if k == key)
+        assert bits(g) == bits(separable_kernels(3, [l, top], [z, z], r, rp)[0].item()), (l, z)
+    try:  # the ties r = r and r' = r' may overflow, or be 0 = 0, where (r, r') is not
+        square = separable_kernels(3, ls, zs, np.array([[r], [rp]]), np.array([rp, r]))
+    except (OverflowError, SingularArgumentError):
+        return
+    assert [bits(g) for g in square[:, 0, 0].tolist()] == [bits(g) for g in got.tolist()]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(-80, 80), energies), min_size=1, max_size=40),
@@ -405,24 +441,29 @@ def test_closed_forms_keep_the_scalar_checks():
 @pytest.mark.parametrize("dim,order,rp", [(3, 1, 1e-160), (3, 20, 1.5e-15), (2, 3, 1e-120)])
 def test_zero_j_factor_at_the_origin_is_an_exact_zero(dim, order, rp):
     """At r = 0 < r' the J factor of an order >= 1 is exactly 0, so the
-    kernel is 0 even where the H factor at the tiny r' overflows; the other
-    entries of the same call keep the bits of their own calls (2D) or
-    agree with them to roundoff (3D)."""
+    kernel is 0 even where the H factor at the tiny r' overflows.  The
+    other entries of the same call keep the bits of the same orders and
+    energies at their own radii alone, and in 2D of their own one-order
+    calls; a 3D degree's recurrence route follows the largest degree at its
+    root in the call, so there the one-order call is held to the mpmath
+    kernel instead (a J factor of degree 20 at r' = 1.5e-15 is subnormal,
+    and is only held to be finite)."""
     assert separable_kernels(dim, order, 0.4 + 1j, 0.0, rp) == 0.0
     assert separable_kernels(dim, order, 0.4 + 1j, rp, 0.0) == 0.0
     r, rps = np.array([[0.0], [0.5]]), np.array([rp, 1.0])
-    g = separable_kernels(dim, [0, order], [0.4 + 1j, 0.4 - 1j], r, rps)
+    orders, zs = [0, order], [0.4 + 1j, 0.4 - 1j]
+    g = separable_kernels(dim, orders, zs, r, rps)
     assert g[1, 0, 0] == 0.0 and np.isfinite(g).all()
-    for k, (n, z) in enumerate(((0, 0.4 + 1j), (order, 0.4 - 1j))):
+    for k, (n, z) in enumerate(zip(orders, zs)):
         for i, j in ((0, 1), (1, 0), (1, 1)) + (((0, 0),) if n == 0 else ()):
-            want = separable_kernels(dim, n, z, r[i, 0], rps[j])
-            if dim == 3:
-                # A 3D degree's recurrence route follows the largest degree
-                # at its root in the call, so the bits may differ.
-                assert abs(g[k, i, j] - want) <= 1e-14 * abs(want)
-                continue
-            assert struct.pack("<2d", g[k, i, j].real, g[k, i, j].imag) == struct.pack(
-                "<2d", want.real, want.imag)
+            alone = separable_kernels(dim, orders, zs, r[i, 0], rps[j])[k]
+            assert bits(g[k, i, j]) == bits(alone)
+            one = separable_kernels(dim, n, z, r[i, 0], rps[j])
+            if dim == 2:
+                assert bits(g[k, i, j]) == bits(one)
+            else:
+                want, scale, normal = oracle_3d(n, z, r[i, 0], rps[j], n)
+                assert agrees(complex(one), want, normal, scale), (n, i, j, one, want)
     # A J factor that underflows at r > 0 is no zero limit: the kernel of
     # l = 200 at r ~ r' ~ 1 is about 3.4e-4, so its overflow is still reported.
     with pytest.raises(OverflowError, match="order 200"):

@@ -1,13 +1,10 @@
 """Study tables: validation, determinism, and sweep behavior."""
 
-import json
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import make_psi
 from rotkrein import _radial, specfun
@@ -16,8 +13,6 @@ from rotkrein.circleint import CircleParam, _gamma, gamma_from_alpha
 from rotkrein.blade import BladeParam
 from rotkrein.limits import (
     StudyTable,
-    _fmt,
-    _jsonable,
     blade_convergence_study,
     eps_scaling_study,
     point_convergence_study,
@@ -56,51 +51,6 @@ def test_table_serialization_is_deterministic(tmp_path):
     tab.to_csv(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert tab.column("omega") == [10.0, 20.0]
-
-
-# Leaves of study parameters and rows: every float (nan, infinities, -0.0
-# and subnormals too), ints and numpy scalars, bools, None, any text, complex.
-json_leaves = st.one_of(
-    st.floats(), st.integers(), st.integers(-2**40, 2**40).map(np.int64),
-    st.floats(width=32).map(np.float32), st.floats().map(np.float64), st.booleans(),
-    st.none(), st.text(), st.complex_numbers(),
-)
-json_values = st.recursive(
-    json_leaves,
-    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=12,
-)
-row_keys = st.lists(st.text(max_size=6).filter(lambda k: k != "error_norm"), min_size=1,
-                    max_size=4, unique=True)
-
-
-@st.composite
-def study_tables(draw):
-    """Tables of rows with one set of keys (in one order), whose values are
-    leaves or nested values, by column: all floats, all text, or mixed."""
-    keys = draw(row_keys)
-    n = draw(st.integers(0, 6))
-    columns = [draw(st.lists(st.one_of(st.floats(), st.text(), json_values), min_size=n,
-                             max_size=n)) for _ in keys]
-    rows = [dict(zip(keys, vals)) for vals in zip(*columns)] if n else []
-    params = draw(st.dictionaries(st.text(max_size=6), json_values, max_size=6))
-    return StudyTable(draw(st.text(max_size=8)), params, rows)
-
-
-@settings(max_examples=100, deadline=None)
-@given(study_tables())
-def test_table_bytes_are_those_of_the_json_and_csv_encoders(tab):
-    """to_json writes the bytes of json.dumps(doc, sort_keys=True, indent=2)
-    on the _jsonable document, and to_csv those of _fmt per value, on
-    generated tables: complex, numpy and nonfinite values, nested lists,
-    tuples and dicts, bools, and text that needs escapes."""
-    doc = {"study": tab.study, "params": _jsonable(tab.params),
-           "rows": [_jsonable(r) for r in tab.rows]}
-    assert tab.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    cols = list(tab.rows[0]) if tab.rows else []
-    lines = [",".join(cols)] + [",".join(_fmt(r[c]) for c in cols) for r in tab.rows]
-    assert tab.to_csv() == "\n".join(lines) + "\n"
 
 
 def test_sweep_validation():
