@@ -20,11 +20,15 @@ k-quadrature of the spectral integrals and mpmath's spherical Bessel
 functions among them, live in tests/oracles.py.
 
 radial_apply integrates the same factors against a channel function's
-interpolant in O(N) (Greengard & Rokhlin, CPAM 1991): one Gauss rule per
-interval between the spline knots, refined to a bounded oscillation, gives
-the interval integrals of J f and H f once, and a forward and a backward
-running sum of them give every output as H(w r) L(r) + J(w r) R(r).  The
-result is the integral of the interpolant to about 1e-12 relative.  The
+interpolant, the natural cubic spline of its samples (de Boor, A Practical
+Guide to Splines, ch. IV; spline_interpolant builds it from one
+solve_banded call, bit for bit as scipy's CubicSpline does, without
+loading scipy.interpolate), in O(N) (Greengard & Rokhlin, CPAM 1991): one
+Gauss rule per interval between the spline knots, refined to a bounded
+oscillation and held to a breakpoint budget, gives the interval
+integrals of J f and H f once, and a forward and a backward running sum
+of them give every output as H(w r) L(r) + J(w r) R(r).  The result is
+the integral of the interpolant to about 1e-12 relative.  The
 interpolant, the breakpoints and the running sums depend only on (psi, z),
 so they form a plan that a memo of the last 8 plans keeps, keyed on the
 content of those inputs; a later call on the same psi and z, such as the
@@ -64,7 +68,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.special as sp
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .specfun import SingularArgumentError, require_resolvent_energy, sqrt_upper
 
@@ -636,17 +640,28 @@ _GRADING = 1.25
 _GRADING_FLOOR = 1e-8
 # radial_apply plans kept, least recently used dropped first.
 _PLANS = 8
+# The breakpoint budget: the uniform and graded edges that radial_apply may
+# add to the knots (a resolvent-apply plan adds at most 63 to its 1,000).
+_MAX_EDGES = 131_072
 
 
 def _edges(grid: np.ndarray, w: complex) -> np.ndarray:
     """Breakpoints of radial_apply: the grid knots, uniform edges at most
-    3/|w| apart and geometric edges towards the origin."""
+    3/|w| apart and geometric edges towards the origin.  Where the added
+    edges would exceed the breakpoint budget (a large |w| or hi - lo, or a
+    grid whose second knot is near 0), raise ValueError before any exists."""
     lo, hi = float(grid[0]), float(grid[-1])
-    n_uniform = int((hi - lo) * abs(w) / 3.0) + 1
     # Geometric edges from lo (from just above 0 if lo = 0) keep each interval
     # within _GRADING times its left end: the H integrand is singular at 0.
-    start = lo if lo > 0.0 else _GRADING_FLOOR * grid[1]
-    graded = start * _GRADING ** np.arange(math.log(hi / start, _GRADING))
+    start = lo if lo > 0.0 else _GRADING_FLOOR * float(grid[1])
+    uniform = (hi - lo) * abs(w) / 3.0
+    n_graded = math.log(hi / start, _GRADING) if start > 0.0 else math.inf
+    if uniform + n_graded > _MAX_EDGES:
+        raise ValueError(
+            f"radial_apply needs {uniform + n_graded:.6g} breakpoints on [{lo:.6g}, {hi:.6g}] "
+            f"at |sqrt z| = {abs(w):.6g}, over the budget of {_MAX_EDGES}")
+    n_uniform = int(uniform) + 1
+    graded = start * _GRADING ** np.arange(n_graded)
     return np.unique(np.concatenate([grid, np.linspace(lo, hi, n_uniform + 1), graded]))
 
 
@@ -680,8 +695,8 @@ def _plan(dim: int, order: int, z_bytes: bytes, grid_bytes: bytes, values_bytes:
     """
     z = complex(np.frombuffer(z_bytes, dtype=complex)[0])
     grid = np.frombuffer(grid_bytes)
-    f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
     edges = _edges(grid, _root(z))
+    f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
     every = np.ones(len(edges) - 1, bool)
     jint, hint = _integrals(dim, order, z, f, edges[:-1], edges[1:], every, every)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -770,7 +785,23 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def spline_interpolant(grid: np.ndarray, values: np.ndarray):
-    """Cubic interpolant of complex samples, zero outside the grid."""
+    """Interpolant of complex samples, zero outside the grid and at NaN: the
+    natural cubic spline (de Boor, A Practical Guide to Splines, ch. IV),
+    linear below 4 points.
+
+    Built and evaluated operation for operation as scipy's
+    CubicSpline(grid, values, bc_type="natural", extrapolate=False) is, so
+    every value is that spline's bits (NaN there is 0 here): the knot slopes
+    by one solve_banded call on its banded system, the interval coefficients
+    as CubicHermiteSpline forms them, and each value as PPoly sums it,
+    y + s u + c1 u^2 + c0 u^3 with u^3 = (u u) u (Horner's form rounds
+    differently), on the interval of grid[k] <= t < grid[k + 1], the last
+    one at t = grid[-1].  A grid that is not strictly increasing, or a
+    nonfinite grid or value, raises ValueError, as CubicSpline does; so do
+    knots too close for their values, where a slope or a coefficient
+    overflows (CubicSpline raises for a slope and gives NaN for a
+    coefficient).
+    """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=complex)
     if len(grid) < 4:
@@ -781,11 +812,53 @@ def spline_interpolant(grid: np.ndarray, values: np.ndarray):
             return re + 1j * im
 
         return f_lin
-    spl = CubicSpline(grid, values, bc_type="natural", extrapolate=False)
+    if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+        raise ValueError("spline grid and values must be finite")
+    dx = np.diff(grid)
+    if not np.all(dx > 0.0):
+        raise ValueError("spline grid must be strictly increasing")
+    n = len(grid)
+    dy = np.diff(values)
+    # Knots too close for their values overflow a slope or a coefficient,
+    # which the check below turns into a ValueError.
+    with np.errstate(all="ignore"):
+        # The knot slopes s: the tridiagonal system of CubicSpline's natural
+        # ends, in its banded form.
+        slope = dy / dx
+        ab = np.zeros((3, n))
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[2, :-2] = dx[1:]
+        ab[1, 0], ab[0, 1] = 2 * dx[0], dx[0]
+        ab[1, -1], ab[2, -2] = 2 * dx[-1], dx[-1]
+        b = np.empty(n, dtype=complex)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0], b[-1] = 3 * dy[0], 3 * dy[-1]
+        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        # The cubics y + s u + c1 u^2 + c0 u^3, u = t - grid[k], as a table of
+        # (y, s, c1, c0) by (re, im) by interval, so that one gather serves a
+        # call; y + 0.0 is the bits of PPoly's sum 0 + y (no -0.0 part).
+        q = (s[:-1] + s[1:] - 2 * slope) / dx
+        coef = np.stack([values[:-1] + 0.0, s[:-1], (slope - s[:-1]) / dx - q, q / dx])
+    if not np.isfinite(coef).all():
+        raise ValueError("spline coefficients overflow: knots too close for their values")
+    coef = np.stack([coef.real, coef.imag], axis=1)
+    lo, hi = grid[0], grid[-1]
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        v = spl(t)
-        return np.where(np.isnan(v), 0.0 + 0.0j, v)
+        x = t.ravel()
+        k = np.minimum(np.searchsorted(grid, x, side="right") - 1, n - 2)
+        c = coef.take(k, axis=2)
+        u = x - grid[k]
+        # Real and imaginary parts apart: PPoly's products with u + 0j round
+        # each part as these do.
+        u2 = u * u
+        v = c[0] + c[1] * u + c[2] * u2 + c[3] * (u2 * u)
+        v[:, ~((x >= lo) & (x <= hi))] = 0.0  # outside and NaN
+        out = np.empty(len(x), dtype=complex)
+        out.real, out.imag = v
+        return out.reshape(t.shape)
 
     return f

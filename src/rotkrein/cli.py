@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -259,7 +260,10 @@ def cmd_study(args) -> int:
     return run_study_config(args.config)[2]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call, built once per process (parsing
+    leaves it as it was)."""
     ap = argparse.ArgumentParser(
         prog="rotkrein",
         description="Rotating singular interactions: kernels, couplings, studies.",
@@ -315,8 +319,7 @@ def _glue_z(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ap = build_parser()
-    args = ap.parse_args(_glue_z(list(argv)))
+    args = build_parser().parse_args(_glue_z(list(argv)))
     try:
         return args.func(args)
     except _COMPUTE_ERRORS as exc:

@@ -130,6 +130,53 @@ def test_kernel_cli_validation_exit(capsys):
     assert code == 2
 
 
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    """Repeated main calls, one of them exiting 2 on bad argv, build one
+    ArgumentParser tree (the program and its three subcommands) and print
+    what a parser built for each call prints."""
+    import argparse
+
+    from rotkrein import cli
+
+    argvs = [
+        ["kernel", "--dim", "2", "--z", "0.4+1i", "--omega", "2.0",
+         "--point", "1.3,0.4", "--source", "0.7,2.2", "--m-max", "64"],
+        ["gamma", "--dim", "2", "--alpha", "1.2", "--y0", "0.7"],
+        ["kernel", "--dim", "2", "--omega", "2.0"],
+        ["kernel", "--dim", "3", "--z", "-1+1i", "--omega", "0.5",
+         "--point", "1.3,0.4,0.1", "--source", "0.7,2.2,1.0", "--m-max", "8"],
+        ["gamma", "--dim", "2", "--alpha", "1.2", "--y0", "0.7"],
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    cached = run_all()
+    assert len(made) == 4
+    assert [c[0] for c in cached] == [0, 0, 2, 1, 0]
+    assert "required: --z" in cached[2][2]
+    assert cached[1] == cached[4]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_all() == cached
+    assert len(made) == 4 + 4 * len(argvs)
+
+
 def test_gamma_cli(capsys):
     from rotkrein.circleint import gamma_coeff_2d, gamma_from_alpha
     from rotkrein.circleint import CircleParam
@@ -324,6 +371,22 @@ csv = {csv}
 """
 
 
+def test_study_cli_breakpoint_budget_exits_2(tmp_path, capsys, monkeypatch):
+    """A study whose radial_apply plan needs more breakpoints than the budget
+    (cut to 8 here, so the plan stays small without the check) exits 2."""
+    import rotkrein._radial as radial_mod
+
+    monkeypatch.setattr(radial_mod, "_MAX_EDGES", 8)
+    csv = tmp_path / "b.csv"
+    cfg = _write_config(tmp_path / "b.ini", BLADE_INI.format(dim=2, channels="1", csv=csv))
+    assert main(["study", cfg]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"invalid input: radial_apply needs \S+ breakpoints .* "
+                        r"over the budget of 8\n", captured.err)
+    assert captured.out == ""
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("dim,channels", [(2, "0,1"), (3, "1:0,1:1")])
 def test_study_cli_blade_sweep_runs_setup_once(tmp_path, capsys, monkeypatch, dim, channels):
     import rotkrein.limits as limits_mod
@@ -507,7 +570,8 @@ def test_kernel_and_gamma_argv_keep_the_error_policy(argv):
 # infinities among them) mixed in; small windows and grids.  The energies
 # and speeds stay below 1e4 or jump to 1e300: radial_apply's breakpoints
 # grow with |sqrt(z)| times the grid's length, and between the two (and on
-# long grids) a run would allocate gigabytes.
+# long grids) a run would take up to the breakpoint budget of 131,072
+# intervals per plan, seconds each.
 _EXTREMES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf,
                                        -math.inf, math.nan, -1.0]),
                       st.floats(-1e4, 1e4))

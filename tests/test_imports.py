@@ -5,8 +5,10 @@ branch on the dimension, no module mentions a harmonic norm, one function
 conjugates the radial factors, one function factors a dense matrix, one
 module uses threads, only the one-term sph_harm evaluates a spherical
 harmonic by itself, every library Bessel batch goes through
-_radial._bessel, and _radial roots and checks no energy one by one in a
-loop.
+_radial._bessel, _radial roots and checks no energy one by one in a
+loop, and the package imports from scipy only scipy.special and
+scipy.linalg, so a fresh `import rotkrein.cli` loads none of
+scipy.interpolate, optimize, sparse, spatial or fft.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -14,6 +16,9 @@ package __init__ re-exports its imports and is skipped.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -377,3 +382,56 @@ def test_radial_roots_energies_in_array_passes():
     and rooted in one array pass, not one Python call per energy."""
     sources = {"_radial": (SRC / "_radial.py").read_text()}
     assert _sites(sources, _per_energy_loop) == []
+
+
+SCIPY_ALLOWED = ("scipy.special", "scipy.linalg")
+SCIPY_UNLOADED = ("scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+                  "scipy.fft")
+
+
+def _scipy_imports(sources: dict) -> list:
+    """"module: scipy.package" for each scipy package a module imports
+    (import scipy.x, from scipy.x import y, from scipy import x)."""
+    hits = set()
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{a.name}" for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits.update(f"{mod}: {'.'.join(n.split('.')[:2])}" for n in names
+                        if n.split(".")[0] == "scipy")
+    return sorted(hits)
+
+
+def test_finds_scipy_imports():
+    sources = {"a": "import scipy.special as sp\nimport numpy.linalg\n",
+               "b": "from scipy.interpolate import CubicSpline\nfrom scipy import linalg\n",
+               "c": "import scipy\n\ndef f():\n    from scipy.optimize._root import root\n"}
+    assert _scipy_imports(sources) == [
+        "a: scipy.special", "b: scipy.interpolate", "b: scipy.linalg", "c: scipy",
+        "c: scipy.optimize"]
+
+
+def test_scipy_imports_stay_special_and_linalg():
+    """A ratchet on the import footprint: the package needs scipy.special
+    and scipy.linalg only (the natural spline is _radial's own)."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert {hit.split(": ")[1] for hit in _scipy_imports(sources)} == set(SCIPY_ALLOWED)
+
+
+def test_cli_import_loads_no_other_scipy_package():
+    """A fresh interpreter that imports rotkrein.cli has loaded none of the
+    scipy packages that the package does not use."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, rotkrein.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "scipy.special" in out and "scipy.linalg" in out
+    assert sorted(m for m in out if m.startswith(SCIPY_UNLOADED)) == []

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 from scipy import integrate
-from hypothesis import given, settings
+from scipy.interpolate import CubicSpline
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotkrein._radial
@@ -45,6 +46,7 @@ from rotkrein._radial import (
     gauss_legendre,
     radial_apply,
     separable_kernels,
+    spline_interpolant,
 )
 from rotkrein.greens import radial_kernel_2d, radial_kernel_3d
 from rotkrein.specfun import sqrt_upper
@@ -438,6 +440,24 @@ def test_radial_apply_overflow_contract():
         radial_apply(psi, z, grid)
 
 
+def test_radial_apply_rejects_breakpoints_over_the_budget(monkeypatch):
+    """The uniform and graded edges are counted before any exists, and a
+    count over the budget raises ValueError naming both.  The budget is cut
+    to 64 here, so the rejected plan would be small without the check."""
+    monkeypatch.setattr(rotkrein._radial, "_MAX_EDGES", 64)
+    psi = _psi(2, 1, np.linspace(0.05, 8.0, 40))
+    assert np.isfinite(radial_apply(psi, 0.4 + 1.0j, [1.0])).all()
+    # |sqrt z| = 100: 265 uniform edges on (0.05, 8) and 22.7 graded ones.
+    with pytest.raises(ValueError, match=r"needs 287\.744 breakpoints on \[0\.05, 8\] at "
+                                         r"\|sqrt z\| = 100, over the budget of 64$"):
+        radial_apply(psi, 1e4 + 7e-3j, [1.0])
+    # A second knot whose graded start underflows to 0 needs infinitely many.
+    monkeypatch.undo()
+    tiny = RadialChannelFunction(ChannelIndex2(1), [0.0, 5e-324, 1.0, 2.0], np.ones(4))
+    with pytest.raises(ValueError, match=r"needs inf breakpoints .* budget of 131072$"):
+        radial_apply(tiny, 0.4 + 1.0j, [1.0])
+
+
 def test_radial_apply_bessel_evaluations_are_linear(monkeypatch):
     """Per output point, a bounded number of Bessel arguments (no timing),
     the plan included."""
@@ -449,6 +469,84 @@ def test_radial_apply_bessel_evaluations_are_linear(monkeypatch):
     psi = _psi(2, 1, grid)
     radial_apply(psi, 0.4 + 1.0j, grid)
     assert 0 < counter.elements < 50 * len(grid)
+
+
+def natural_spline(grid, values, t):
+    """scipy's natural cubic spline, NaN (outside the grid) as 0."""
+    v = CubicSpline(grid, values, bc_type="natural", extrapolate=False)(t)
+    return np.where(np.isnan(v), 0.0 + 0.0j, v)
+
+
+@st.composite
+def spline_case(draw):
+    """A strictly increasing grid of 4-2,000 knots with spacings between
+    1e-6 and 1e3, complex values with exact zeros of both signs in either
+    part, and points inside, at and next to every knot, outside and NaN."""
+    n = draw(st.integers(4, 2000))
+    # + 0.0: numpy rejects the bounds (0.0, -0.0) as decreasing.
+    lo, hi = (e + 0.0 for e in sorted(draw(st.lists(st.floats(-6.0, 3.0), min_size=2,
+                                                     max_size=2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = draw(st.sampled_from([0.0, 1e-3, 0.7, 50.0]))
+    grid = start + np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(lo, hi, n - 1))])
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    parts = scale * rng.standard_normal((2, n))
+    signed_zeros = np.where(rng.random((2, n)) < 0.5, -0.0, 0.0)
+    parts = np.where(rng.random((2, n)) < draw(st.sampled_from([0.0, 0.2, 1.0])),
+                     signed_zeros, parts)
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = parts  # keeps every -0.0
+    span = grid[-1] - grid[0]
+    t = np.concatenate([rng.uniform(grid[0], grid[-1], 3 * n), grid,
+                        np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                        [grid[0] - 0.5 * span, grid[-1] + 1e-3 * span, -0.0, np.nan]])
+    return grid, values, rng.permutation(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spline_case())
+@example((np.array([0.0, 0.5, 1.5, 2.0]), np.array([0.0, -0.0, complex(-0.0, -0.0), 1j]),
+          np.array([0.0, 0.25, 1.0, 2.0, 3.0, np.nan])))
+def test_spline_is_the_bits_of_natural_cubic_spline(case):
+    """spline_interpolant is CubicSpline(bc_type="natural", extrapolate=False)
+    with NaN as 0, bit for bit, on any shape of points."""
+    grid, values, t = case
+    got = spline_interpolant(grid, values)(t)
+    want = natural_spline(grid, values, t)
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert not differ.any(), f"{differ.sum()} of {differ.size} values differ"
+    cut = len(t) // 2 * 2
+    assert spline_interpolant(grid, values)(t[:cut].reshape(2, -1)).tobytes() == \
+        got[:cut].tobytes()
+
+
+def test_spline_input_errors_and_linear_branch():
+    """CubicSpline's input errors stay ValueErrors, and so do coefficients
+    that overflow; below 4 knots the interpolant is linear, zero outside
+    the grid."""
+    values = np.arange(5.0) + 1j
+    with pytest.raises(ValueError, match="strictly increasing"):
+        spline_interpolant([0.0, 1.0, 1.0, 2.0, 3.0], values)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        spline_interpolant([0.0, 2.0, 1.0, 3.0, 4.0], values)
+    for grid, vals in (([0.0, 1.0, np.inf, 2.0, 3.0], values),
+                       (np.arange(5.0), [0.0, 1.0, np.nan, 1.0, 0.0]),
+                       (np.arange(5.0), [0.0, 1.0, complex(0.0, np.inf), 1.0, 0.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            spline_interpolant(grid, vals)
+    # Knots too close for their values: CubicSpline raises where a knot
+    # slope overflows and gives NaN where only a coefficient does.
+    with pytest.raises(ValueError, match="coefficients overflow"):
+        spline_interpolant([0.0, 5e-324, 1.0, 2.0, 3.0], np.ones(5))
+    grid, vals = [0.0, 1e-150, 1.0, 2.0, 3.0], [0.0, 1.0, -1.0, 0.0, 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spl = CubicSpline(grid, np.array(vals, dtype=complex), bc_type="natural")
+        assert np.isnan(spl(5e-151))
+    with pytest.raises(ValueError, match="coefficients overflow"):
+        spline_interpolant(grid, vals)
+    f = spline_interpolant([0.0, 1.0, 3.0], [1.0, 2j, 3.0])
+    got = f(np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 3.5]))
+    assert got.tolist() == [0.0, 1.0, 0.5 + 1j, 2j, 1.5 + 1j, 3.0, 0.0]
 
 
 @pytest.mark.parametrize("n", [1, 8, 12, 60, 200])
