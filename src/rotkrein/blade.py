@@ -38,7 +38,7 @@ import logging
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -130,63 +130,77 @@ class BladeParam:
         return 1.0 / vals
 
 
-# The optional BladeMesh fields that the matrices and fields of each
-# dimension read: a mesh without one of them is refused when it is built.
-_MESH_FIELDS = {2: ("r_1d", "cells", "n_per", "angles"), 3: ("u", "r_1d", "u_1d", "angles")}
-
-
 @dataclass(eq=False)
 class BladeMesh:
-    """Tensor Gauss mesh on the blade with surface-measure weights.
+    """Tensor Gauss mesh on the blade of radius A, with surface-measure weights.
 
-    2D: composite Gauss on [0, A], n_per nodes per panel, weights r dr.
-    3D: tensor Gauss in (r, u = cos theta), weights r^2 dr du, flattened
-    r-major.  Weight sums are exact: A^2/2 and 2 A^3/3.  angles holds the
-    angular samples as the channel harmonics take them: the 2D segment's
-    theta = 0, or the 3D polar nodes arccos(u_1d) at phi = 0.  A mesh that
-    lacks a field of its dimension (_MESH_FIELDS) raises ValueError.
+    resolution is the number of 8-node panels (2D) or of nodes per direction
+    (3D); dim, A and resolution are checked before any node array exists,
+    and every other field is derived from them once, when the mesh is built.
+    2D: composite Gauss on [0, A], n_per nodes per panel, panel edges in
+    cells, weights r dr.  3D: tensor Gauss in (r, u = cos theta) with theta
+    = arccos(u) per node, weights r^2 dr du, flattened r-major.  The fields
+    of the other dimension (u_1d and theta, cells and n_per) are None.
+    Weight sums are A^2/2 and 2 A^3/3.  angles holds the angular samples as
+    the channel harmonics take them: the 2D segment's theta = 0, or the 3D
+    polar nodes arccos(u_1d) at phi = 0.  panel is the index of each node's
+    own cell: its panel in 2D, the node itself in 3D.
     """
 
     dim: int
     A: float
-    r: np.ndarray
-    w: np.ndarray
-    u: np.ndarray | None = None
-    r_1d: np.ndarray | None = None
-    u_1d: np.ndarray | None = None
-    cells: np.ndarray | None = None
-    n_per: int | None = None
-    angles: tuple | None = None
+    resolution: int
+    r: np.ndarray = field(init=False)
+    w: np.ndarray = field(init=False)
+    r_1d: np.ndarray = field(init=False)
+    angles: tuple = field(init=False)
+    panel: np.ndarray = field(init=False)
+    u_1d: np.ndarray | None = field(init=False, default=None)
+    theta: np.ndarray | None = field(init=False, default=None)
+    cells: np.ndarray | None = field(init=False, default=None)
+    n_per: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        _require_dense(len(self.r))
-        channel_class(self.dim)
+        dim, A, resolution = self.dim, self.A, self.resolution
+        channel_class(dim)
+        _require_integer("resolution", resolution)
+        if resolution < 2:
+            raise ValueError(f"resolution must be at least 2, got {resolution}")
+        if not (math.isfinite(A) and A > 0.0):
+            raise ValueError(f"blade radius must be positive, got {A}")
+        _require_dense(len(_XG8) * resolution if dim == 2 else int(resolution) ** 2)
         # r^(dim-1) dr over [0, A] times the angular measure: 1 for the 2D
-        # segment's one sample, 2 for du over [-1, 1] in 3D.
+        # segment's one sample, 2 for du over [-1, 1] in 3D.  Inside the
+        # normal doubles it keeps every weight finite.
         try:
-            target = (self.dim - 1) * self.A**self.dim / self.dim
+            target = (dim - 1) * A**dim / dim
         except OverflowError:  # Python's float power raises where numpy gives inf
             target = math.inf
         if not sys.float_info.min <= target < math.inf:
-            raise ValueError(f"blade radius {self.A!r} puts the blade measure {target!r} "
+            raise ValueError(f"blade radius {A!r} puts the blade measure {target!r} "
                              f"outside the normal range of doubles")
-        total = float(np.sum(self.w))
-        if abs(total - target) > 1e-12 * target:
-            raise ValueError(
-                f"weight sum {total!r} misses the blade measure {target!r}"
-            )
-        for name in _MESH_FIELDS[self.dim]:
-            if getattr(self, name) is None:
-                raise ValueError(f"a {self.dim}D blade mesh needs its {name} field")
+        if dim == 2:
+            # The segment at theta = 0: one angular sample.
+            edges, r, w = _panel_nodes(A, resolution)
+            self.r = self.r_1d = r
+            self.w = w * r
+            self.cells = np.stack([edges[:-1], edges[1:]], axis=1)
+            self.n_per = 8
+            self.angles = (0.0,)
+            self.panel = np.arange(len(r)) // self.n_per
+        else:
+            r1, wr = _radial_nodes(3, A, resolution)
+            xu, wu = gauss_legendre(resolution)
+            R, U = np.meshgrid(r1, xu, indexing="ij")
+            self.r, self.r_1d, self.u_1d = R.ravel(), r1, xu
+            self.w = np.outer(wr * r1**2, wu).ravel()
+            self.theta = np.arccos(U.ravel())
+            self.angles = (np.arccos(xu), 0.0)
+            self.panel = np.arange(len(self.r))
 
     @property
     def n_nodes(self) -> int:
         return len(self.r)
-
-    def theta(self) -> np.ndarray:
-        if self.u is None:
-            raise ValueError("2D mesh has no polar angle")
-        return np.arccos(self.u)
 
 
 @dataclass(eq=False)
@@ -229,9 +243,9 @@ def _panel_nodes(A: float, n_panels: int) -> tuple:
 
 def _require_dense(nodes: int) -> None:
     """The dense budget: a mesh or radial rule of more nodes is rejected
-    before any of its nodes x nodes matrices is allocated.  BladeMesh checks
-    every mesh, hand-built ones too; build_mesh and _radial_nodes check the
-    size they are asked for before its node arrays exist."""
+    before any of its nodes x nodes matrices is allocated.  BladeMesh and
+    _radial_nodes check the size they are asked for before its node arrays
+    exist."""
     if nodes > _MAX_DENSE_NODES:
         raise ValueError(f"{nodes} nodes exceed the dense budget of {_MAX_DENSE_NODES} nodes")
 
@@ -251,33 +265,9 @@ def _radial_nodes(dim: int, A: float, n: int | None = None) -> tuple:
 
 
 def build_mesh(dim: int, A: float, resolution: int) -> BladeMesh:
-    """Tensor Gauss mesh: resolution panels (2D) or nodes per direction (3D)."""
-    channel_class(dim)
-    _require_integer("resolution", resolution)
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    if not (math.isfinite(A) and A > 0.0):
-        raise ValueError(f"blade radius must be positive, got {A}")
-    _require_dense(len(_XG8) * resolution if dim == 2 else int(resolution) ** 2)
-    # A radius whose measure leaves the range of doubles overflows the
-    # weights; BladeMesh rejects it.
-    if dim == 2:
-        # The segment at theta = 0: one angular sample.
-        edges, r, w = _panel_nodes(A, resolution)
-        cells = np.stack([edges[:-1], edges[1:]], axis=1)
-        with np.errstate(over="ignore"):
-            w = w * r
-        return BladeMesh(dim=2, A=A, r=r, w=w, r_1d=r, cells=cells, n_per=8,
-                         angles=(0.0,))
-    r1, wr = _radial_nodes(3, A, resolution)
-    xu, wu = gauss_legendre(resolution)
-    R, U = np.meshgrid(r1, xu, indexing="ij")
-    with np.errstate(over="ignore"):
-        W = np.outer(wr * r1**2, wu)
-    return BladeMesh(
-        dim=3, A=A, r=R.ravel(), w=W.ravel(), u=U.ravel(), r_1d=r1, u_1d=xu,
-        angles=(np.arccos(xu), 0.0),
-    )
+    """The BladeMesh of dim, A and resolution: resolution panels (2D) or
+    nodes per direction (3D)."""
+    return BladeMesh(dim, A, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +306,7 @@ def _diag_cells(mesh: BladeMesh, integrand) -> np.ndarray:
     node's panel.  A side narrower than 1e-15 contributes nothing.
     """
     r = mesh.r
-    a, b = mesh.cells[np.arange(len(r)) // mesh.n_per].T
+    a, b = mesh.cells[mesh.panel].T
     sides = ((a, r), (r, b))
     halves = [0.5 * (hi - lo) for lo, hi in sides]
     tt = np.concatenate(
@@ -343,15 +333,14 @@ def _free_2d(z: complex, mesh: BladeMesh) -> tuple:
     iu = np.triu_indices(len(r), 1)
     K = np.zeros((len(r), len(r)), dtype=complex)
     K[iu] = K[iu[::-1]] = 0.25j * _bessel(sp.hankel1, 0, wz * np.abs(r[iu[0]] - r[iu[1]]))
-    panels = mesh.cells[np.arange(len(r)) // mesh.n_per]
-    log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(panels, r)])
+    log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(mesh.cells[mesh.panel], r)])
     cells = -log_part / (2.0 * math.pi) + _diag_cells(
         mesh, lambda ri, tt: _free2_reg(z, np.abs(ri - tt)) * tt
     )
     bad = np.flatnonzero(~np.isfinite(cells))
     if bad.size:
         i = int(bad[0])
-        p = i // mesh.n_per
+        p = mesh.panel[i]
         a, b = mesh.cells[p]
         raise MeshCellError(
             f"singular split failed on panel {p} cell [{a:.6g}, {b:.6g}] node {i}"
@@ -402,7 +391,7 @@ def _free_cells_3d(z: complex, mesh: BladeMesh) -> np.ndarray:
     uedges = _midpoint_edges(mesh.u_1d, -1.0, 1.0)
     ar, br = redges[ir], redges[ir + 1]
     ua, ub = uedges[iu], uedges[iu + 1]
-    r_i, th_i = mesh.r, mesh.theta()
+    r_i, th_i = mesh.r, mesh.theta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s_lo = r_i * (np.arccos(ub) - th_i)
         s_hi = r_i * (np.arccos(ua) - th_i)
@@ -432,7 +421,7 @@ def _free_cells_3d(z: complex, mesh: BladeMesh) -> np.ndarray:
 def _free_3d(z: complex, mesh: BladeMesh) -> tuple:
     """Free 3D kernel exp(i w d)/(4 pi d) between nodes (the diagonal is left
     to the cells), and its integral over each node's own cell."""
-    R, th = mesh.r, mesh.theta()
+    R, th = mesh.r, mesh.theta
     D = _chord(R[:, None], th[:, None], R[None, :], th[None, :])
     np.fill_diagonal(D, 1.0)
     K = np.exp(1j * sqrt_upper(z) * D) / (4.0 * math.pi * D)
@@ -503,12 +492,10 @@ def _assemble(bp: BladeParam, mesh: BladeMesh, kernel, free=None) -> np.ndarray:
     n = mesh.n_nodes
     r1 = mesh.r_1d
     K = kernel(r1[:, None], r1[None, :])
+    own = mesh.panel[:, None] == mesh.panel[None, :]
     if mesh.dim == 2:
-        panel = np.arange(n) // mesh.n_per
-        own = panel[:, None] == panel[None, :]
         cells = _diag_cells(mesh, lambda ri, tt: kernel(ri, tt) * tt)
     else:
-        own = np.eye(n, dtype=bool)
         cells = mesh.w * np.diag(K)
     if free is not None:
         K = free[0] + K
@@ -782,12 +769,24 @@ def averaged_resolvent(
         if resolution < 1:
             raise ValueError(f"resolution must be at least 1, got {resolution}")
     rr, ww = _radial_nodes(dim, bp.A, resolution)
-    mu = bp.alpha_values(rr) * ww * rr ** (dim - 1)
+    mu = _potential_weights(bp, rr, lambda alpha: alpha * ww * rr ** (dim - 1))
     # One pass gives the free part on the grid and on the solver nodes.
     free = radial_apply(psi, z, np.concatenate([psi.grid, rr]))
     free_grid, free_rr = np.split(free, [len(psi.grid)])
     vals = free_grid + _ls_correction(dim, z, psi.order, rr, mu, free_rr, psi.grid)
     return RadialChannelFunction(psi.channel, psi.grid, vals, psi.weights)
+
+
+def _potential_weights(bp: BladeParam, rr: np.ndarray, weights) -> np.ndarray:
+    """weights(alpha) of a radial potential at its solver nodes rr, each
+    caller's own product of the strength with its quadrature weights; a
+    weight that leaves the doubles raises OverflowError."""
+    alpha = bp.alpha_values(rr)
+    with np.errstate(over="ignore"):
+        mu = weights(alpha)
+    if not np.isfinite(mu).all():
+        raise OverflowError(f"averaged potential weights of the blade (A={bp.A:g}) overflow")
+    return mu
 
 
 def _ls_correction(dim, z, order, rr, mu, free_rr, r_out) -> np.ndarray:

@@ -33,6 +33,7 @@ from .blade import (
     ConditioningError,
     MeshCellError,
     _ls_correction,
+    _potential_weights,
     _radial_nodes,
     build_mesh,
     gamma_matrix,
@@ -298,10 +299,8 @@ def _averaged_correction(
     """
     panels = None if mesh.cells is None else len(mesh.cells)
     rr, ww = _radial_nodes(dim, bp.A, panels)
-    with np.errstate(over="ignore"):
-        mu = bp.alpha_values(rr) / (2.0 * math.pi) * (ww * rr ** (dim - 1))
-    if not np.isfinite(mu).all():
-        raise OverflowError(f"averaged potential weights of the blade (A={bp.A:g}) overflow")
+    mu = _potential_weights(
+        bp, rr, lambda alpha: alpha / (2.0 * math.pi) * (ww * rr ** (dim - 1)))
     return _ls_correction(dim, z, psi.order, rr, mu, radial_apply(psi, z, rr), r_eval)
 
 

@@ -1,6 +1,5 @@
 """Blade mesh, boundary matrices, form probe, and the averaged solver."""
 
-import dataclasses
 import math
 import sys
 
@@ -44,7 +43,7 @@ def test_mesh_weight_sums_are_exact():
     m3 = build_mesh(3, 0.8, 7)
     assert m3.n_nodes == 49
     assert np.sum(m3.w) == pytest.approx(2.0 * 0.8**3 / 3.0, rel=1e-14)
-    assert np.all((m3.theta() > 0.0) & (m3.theta() < math.pi))
+    assert np.all((m3.theta > 0.0) & (m3.theta < math.pi))
 
 
 def test_mesh_validation():
@@ -58,11 +57,7 @@ def test_mesh_validation():
     for dim, res in ((2, 2.5), (3, 3.0)):
         with pytest.raises(ValueError, match="resolution must be an integer"):
             build_mesh(dim, 1.0, res)
-    m2 = build_mesh(2, 1.0, 4)
-    with pytest.raises(ValueError):
-        m2.theta()
-    with pytest.raises(ValueError):
-        BladeMesh(dim=2, A=1.0, r=m2.r, w=2.0 * m2.w)
+    assert build_mesh(2, 1.0, 4).theta is None
 
 
 def test_blade_param_validation():
@@ -111,25 +106,15 @@ def test_dense_budget_is_checked_before_any_matrix(call):
         call()
 
 
-def test_dense_budget_holds_for_a_hand_built_mesh():
-    """A mesh not made by build_mesh is held to the same budget: 326 panels
-    of 8 nodes, 2,608 nodes, are refused when the mesh is built."""
-    edges, r, w = blade_mod._panel_nodes(1.0, 326)
+def test_dense_budget_holds_for_a_hand_built_mesh(monkeypatch):
+    """A mesh built without build_mesh is held to the same budget: 326
+    panels of 8 nodes, 2,608 nodes, are refused before any node exists."""
+    def no_nodes(*args):
+        raise AssertionError("panel nodes built over the dense budget")
+
+    monkeypatch.setattr(blade_mod, "_panel_nodes", no_nodes)
     with pytest.raises(ValueError, match="2608 nodes exceed the dense budget"):
-        BladeMesh(dim=2, A=1.0, r=r, w=w * r, r_1d=r,
-                  cells=np.stack([edges[:-1], edges[1:]], axis=1), n_per=8, angles=(0.0,))
-
-
-@pytest.mark.parametrize("dim, field", [(2, "r_1d"), (2, "cells"), (2, "n_per"), (2, "angles"),
-                                        (3, "u"), (3, "r_1d"), (3, "u_1d"), (3, "angles")])
-def test_a_hand_built_mesh_needs_the_fields_of_its_dimension(dim, field):
-    """A mesh without a field that its dimension's matrices read is refused
-    when it is built, not met by a TypeError in the first gamma_matrix."""
-    mesh = build_mesh(dim, 1.0, 4)
-    with pytest.raises(ValueError, match=f"{dim}D blade mesh needs its {field} field"):
-        dataclasses.replace(mesh, **{field: None})
-    with pytest.raises(ValueError, match=f"{dim}D blade mesh needs its"):
-        BladeMesh(dim=dim, A=1.0, r=mesh.r, w=mesh.w)
+        BladeMesh(2, 1.0, 326)
 
 
 def test_dense_budget_admits_its_own_size():
@@ -311,7 +296,8 @@ def test_averaged_resolvent_validation():
 def test_blade_radii_whose_measure_leaves_the_doubles_are_typed_errors():
     """A blade radius whose measure under- or overflows is invalid input,
     not a mesh of zero or infinite weights; an averaged potential whose
-    weights overflow is an OverflowError of the study."""
+    weights overflow is an OverflowError of the study and of the averaged
+    solver, in both dimensions, not numpy's overflow warning."""
     for dim, A in ((2, 1e300), (3, 1e150), (2, 1e-300), (3, 1e-150)):
         with pytest.raises(ValueError, match="outside the normal range of doubles"):
             build_mesh(dim, A, 2)
@@ -320,6 +306,9 @@ def test_blade_radii_whose_measure_leaves_the_doubles_are_typed_errors():
     with pytest.raises(OverflowError, match="averaged potential weights"):
         blade_convergence_study(2, BladeParam(1e17, 1e300, 2), Z, omegas=(0.0, 1.0),
                                 psis=[psi], resolution=2, t=Truncation(0))
+    for dim, A, ch in ((2, 1e160, 1), (3, 1e110, (1, 1))):
+        with pytest.raises(OverflowError, match="averaged potential weights"):
+            averaged_resolvent(dim, Z, BladeParam(A, 2.0, dim), make_psi(dim, ch, n=8))
 
 
 @pytest.mark.parametrize(
@@ -451,7 +440,7 @@ def free_cells_scalar(z, mesh):
     redges = _edges(mesh.r_1d, 0.0, mesh.A)
     uedges = _edges(mesh.u_1d, -1.0, 1.0)
     n_u = len(mesh.u_1d)
-    th = mesh.theta()
+    th = mesh.theta
     out = []
     for i in range(mesh.n_nodes):
         ir, iu = divmod(i, n_u)
@@ -505,7 +494,7 @@ def test_3d_assembly_matches_per_channel_outer_sums(z, omega):
     # Full matrix: free kernel off the diagonal, the channel differences, cells.
     k_diff = outer_sum(mesh, [(ch.l, ch.m, z + ch.m * omega, 1.0) for ch in window]
                        + [(ch.l, ch.m, z, -1.0) for ch in window])
-    th = mesh.theta()
+    th = mesh.theta
     d = np.sqrt(np.maximum(mesh.r[:, None] ** 2 + mesh.r[None, :] ** 2 - 2.0 * mesh.r[:, None]
                            * mesh.r[None, :] * np.cos(th[:, None] - th[None, :]), 0.0))
     np.fill_diagonal(d, 1.0)
@@ -685,7 +674,7 @@ def test_layer_fields_multiply_the_angular_factor(dim, z):
         xs = [Point2(0.7, 1.1), Point2(1.6, 0.0), Point2(0.3, 3.8)]
     else:
         cls = ChannelIndex3
-        nodes = [Point3(r, th, 0.0) for r, th in zip(mesh.r, mesh.theta())]
+        nodes = [Point3(r, th, 0.0) for r, th in zip(mesh.r, mesh.theta)]
         xs = [Point3(0.7, 1.1, 0.9), Point3(1.6, 0.4, 0.0), Point3(0.3, 2.5, 4.2)]
     fields = layer_fields(z, xi, rot, mesh, [x.r for x in xs], cls.window(t))
     for i, x in enumerate(xs):

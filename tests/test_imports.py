@@ -1,7 +1,8 @@
 """Every name a rotkrein module imports is used in that module, no private
 helper outlives its callers, every name an __all__ exports exists, every
 function the benchmark tracer wraps exists, only the listed functions
-branch on the dimension, no module mentions a harmonic norm, one function
+branch on the dimension, a blade mesh takes only its dimension, radius and
+resolution, no module mentions a harmonic norm, one function
 conjugates the radial factors, one function factors a dense matrix, one
 module uses threads, only the one-term sph_harm evaluates a spherical
 harmonic by itself, every library Bessel batch goes through
@@ -193,9 +194,9 @@ def test_finds_dimension_branches():
 # cells, the CLI parsing, the study defaults and the degree-tail completion
 # of the kernel norms.
 DIMENSION_SITES = [
+    "blade.BladeMesh.__post_init__",
     "blade._assemble",
     "blade._radial_nodes",
-    "blade.build_mesh",
     "blade.gamma_matrix",
     "cli._parse_point",
     "cli.cmd_gamma",
@@ -210,6 +211,36 @@ def test_dimension_branches_stay_where_they_are_allowed():
     classes.  A new site fails here; a removed one is struck off the list."""
     sources = {p.stem: p.read_text() for p in MODULES if p.stem not in ("specfun", "_radial")}
     assert _sites(sources, _branches_on_dimension) == DIMENSION_SITES
+
+
+def _init_fields(source: str, cls: str) -> list:
+    """The fields of dataclass cls in source that its __init__ takes: every
+    annotated class attribute but those declared field(init=False)."""
+    node = next(n for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.ClassDef) and n.name == cls)
+
+    def derived(value) -> bool:
+        return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                        for k in value.keywords))
+
+    return [a.target.id for a in node.body
+            if isinstance(a, ast.AnnAssign) and not derived(a.value)]
+
+
+def test_finds_init_fields():
+    src = ("@dataclass\nclass M:\n    dim: int\n    a: float = 1.0\n"
+           "    r: list = field(init=False)\n    w: list = field(default_factory=list)\n"
+           "    n_per: int = field(init=True)\n\n    def f(self):\n        x: int = 0\n")
+    assert _init_fields(src, "M") == ["dim", "a", "w", "n_per"]
+
+
+def test_a_blade_mesh_is_its_dimension_radius_and_resolution():
+    """A ratchet: BladeMesh takes dim, A and resolution, and derives its
+    nodes, weights, cells and angles from them; a new constructor field
+    fails here."""
+    source = (SRC / "blade.py").read_text()
+    assert _init_fields(source, "BladeMesh") == ["dim", "A", "resolution"]
 
 
 # Where _radial tells the dimensions apart: the Bessel factors (order, 3D

@@ -685,7 +685,7 @@ _SPLIT_ORDERS = np.arange(-40, 41)
 SPLIT_CASES = {
     "radius axis": (2, 3, 0.4 + 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
     "order axis": (2, _SPLIT_ORDERS, 0.4 + 1.0j + 7.0 * _SPLIT_ORDERS, 0.7, 1.1),
-    "3D": (3, np.arange(8), 0.4 + 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
+    "orders over radii": (2, np.arange(8), 0.4 + 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
     "lower half-plane": (2, [0, 1, 2], 0.4 - 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
 }
 
@@ -707,13 +707,21 @@ def _serial_and_split(monkeypatch, call):
 @pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
 def test_a_split_batch_is_the_bits_of_one_call(monkeypatch, split_bessel, case):
     """Both halves of every jv and hankel1 call together give the bits of
-    the one call, over radii or orders and in both half-planes.  3D makes
-    no such call (its degree recurrences run on the calling thread), and
-    its bits are those of the unsplit run too."""
+    the one call, over radii, orders or both and in both half-planes."""
     (one, serial_calls), (split, split_calls) = _serial_and_split(
         monkeypatch, lambda: separable_kernels(*case))
+    assert serial_calls > 0
     assert split_calls == 2 * serial_calls
-    assert (serial_calls > 0) == (case[0] == 2)
+    assert split == one
+
+
+def test_3d_kernels_make_no_bessel_call(monkeypatch, split_bessel):
+    """3D degree recurrences run on the calling thread: no jv or hankel1
+    call to split, and the bits of the unsplit run."""
+    (one, serial_calls), (split, split_calls) = _serial_and_split(
+        monkeypatch, lambda: separable_kernels(3, np.arange(8), 0.4 + 1.0j,
+                                               _SPLIT_R[:, None], _SPLIT_R[None, :]))
+    assert serial_calls == split_calls == 0
     assert split == one
 
 
@@ -814,11 +822,12 @@ def test_concurrent_callers_share_one_helper(monkeypatch, split_bessel):
     """Eight caller threads (more than the cores) with a short switch
     interval send their halves to the one module executor, create no
     executor, lose no counted call and get the bits of one call each time."""
-    case = SPLIT_CASES["3D"]
+    case = SPLIT_CASES["orders over radii"]
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
     want = separable_kernels(*case).tobytes()
     per_call = counter.calls
+    assert per_call > 0
     created = []
 
     class Executor(rotkrein._radial.ThreadPoolExecutor):
