@@ -665,19 +665,28 @@ def _edges(grid: np.ndarray, w: complex) -> np.ndarray:
     return np.unique(np.concatenate([grid, np.linspace(lo, hi, n_uniform + 1), graded]))
 
 
-def _integrals(dim: int, order: int, z: complex, f, a, b, need_j, need_h) -> tuple:
+def _integrals(dim: int, orders, w, flip, f, a, b, need_j, need_h,
+               rule: tuple = (_APPLY_X, _APPLY_W)) -> tuple:
     """Integrals over the intervals [a, b] of the factors (i pi / 2) J f and
-    H f (_factors) times t^(dim-1), by one _APPLY_NODES-point Gauss rule
-    each; J only on the intervals of need_j and H on those of need_h (zero
-    elsewhere).  Lower half-plane z takes the conjugated factors."""
+    H f (_factors) times t^(dim-1), by one Gauss rule (nodes, weights on
+    [-1, 1]; radial_apply's by default) each; J only on the intervals of
+    need_j and H on those of need_h (zero elsewhere).  The one home of
+    product integration against the separated kernel: orders, w and flip
+    are as _factors takes them, so the axes of an order array lead the
+    results'; f None stands for f = 1.
+    """
+    x, wx = rule
     half = 0.5 * (b - a)[:, None]
-    t = 0.5 * (a + b)[:, None] + half * _APPLY_X
-    wf = half * _APPLY_W * f(t) * t ** (dim - 1)
+    t = 0.5 * (a + b)[:, None] + half * x
+    wf = half * wx
+    if f is not None:
+        wf = wf * f(t)
+    wf = wf * t ** (dim - 1)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jt, ht = _factors(dim, order, _root(z), z.imag < 0.0, t,
+        jt, ht = _factors(dim, orders, w, flip, t,
                           np.broadcast_to(need_j[:, None], t.shape),
                           np.broadcast_to(need_h[:, None], t.shape))
-        return np.sum(jt * wf, axis=1), np.sum(ht * wf, axis=1)
+        return np.sum(jt * wf, axis=-1), np.sum(ht * wf, axis=-1)
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -698,7 +707,8 @@ def _plan(dim: int, order: int, z_bytes: bytes, grid_bytes: bytes, values_bytes:
     edges = _edges(grid, _root(z))
     f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
     every = np.ones(len(edges) - 1, bool)
-    jint, hint = _integrals(dim, order, z, f, edges[:-1], edges[1:], every, every)
+    jint, hint = _integrals(dim, order, _root(z), z.imag < 0.0, f, edges[:-1], edges[1:],
+                            every, every)
     with np.errstate(invalid="ignore", over="ignore"):
         left = np.concatenate([[0.0], np.cumsum(jint)])
         right = np.concatenate([np.cumsum(hint[::-1])[::-1], [0.0]])
@@ -761,7 +771,8 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     ks, cs = k[inside], rc[inside]
     yes, no = np.ones(len(cs), bool), np.zeros(len(cs), bool)
     # The pieces below (J) and above (H) each inside rc.
-    jin, hin = _integrals(dim, order, z, f, np.concatenate([edges[ks], cs]),
+    jin, hin = _integrals(dim, order, _root(z), z.imag < 0.0, f,
+                          np.concatenate([edges[ks], cs]),
                           np.concatenate([cs, edges[ks + 1]]),
                           np.concatenate([yes, no]), np.concatenate([no, yes]))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):

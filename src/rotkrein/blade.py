@@ -20,13 +20,17 @@ Channel c contributes kron(G_c, y_c y_c^T): G_c = g_c(r_i, r_j) on the
 radial nodes, y_c the orthonormal angular factor at the samples
 (Y_l^m(theta_u, 0) in 3D, 1/sqrt(2 pi) in 2D).  _blocks makes one
 separable_kernels call over the distinct (order, energy) pairs of the
-channels; one channel sum (_channel_sum) gives every
-boundary matrix and 2D own-panel cell integrand, and layer_fields contracts
-the density with y_c before the radial block.  Per dimension stay only the
-meshes and angular samples, the free kernel with its singular diagonal
-cells (2D: log moment plus regular remainder over the node's own panel,
-whose quadrature entries the cell replaces; 3D: tangent-plane rectangles,
-all cells as one array), and the averaged solver's radial rule (_radial_nodes).
+channels; one channel sum (_channel_sum) gives every boundary matrix, and
+layer_fields contracts the density with y_c before the radial block.  A 2D
+node's own cell is its panel, whose quadrature entries the cell replaces:
+the channel sum is integrated there by product integration of its
+separated kernel (_panel_cells: running sums over the panel cut at its
+nodes, one factor pass over the pairs), and the free kernel by its log
+moment plus its regular remainder.  Per dimension stay only the meshes and
+angular samples, the free kernel with its singular diagonal cells (3D:
+tangent-plane rectangles, all cells as one array), the own cells of the
+channel sum (3D: plain quadrature at the node), and the averaged solver's
+radial rule (_radial_nodes).
 Sharp-cutoff and single-channel model matrices, the quadratic-form probe,
 resolvent application with a dense solve, and the plain averaged radial
 solver live here as well.
@@ -45,7 +49,15 @@ import numpy as np
 import scipy.special as sp
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
-from ._radial import _bessel, gauss_legendre, radial_apply, separable_kernels
+from ._radial import (
+    _bessel,
+    _factors,
+    _integrals,
+    _roots,
+    gauss_legendre,
+    radial_apply,
+    separable_kernels,
+)
 from .pointint import RadialChannelFunction
 from .rotframe import RotationSpec, Truncation
 from .specfun import (
@@ -83,6 +95,8 @@ _COND_LIMIT = 1e12
 
 _XG12, _WG12 = gauss_legendre(12)
 _XG8, _WG8 = gauss_legendre(8)
+# Gauss nodes per piece of the 2D own-panel cells (_panel_cells).
+_PIECE_NODES = 6
 
 
 class MeshCellError(RuntimeError):
@@ -173,7 +187,7 @@ class BladeMesh:
         # segment's one sample, 2 for du over [-1, 1] in 3D.  Inside the
         # normal doubles it keeps every weight finite.
         try:
-            target = (dim - 1) * A**dim / dim
+            target = (dim - 1) * float(A) ** dim / dim
         except OverflowError:  # Python's float power raises where numpy gives inf
             target = math.inf
         if not sys.float_info.min <= target < math.inf:
@@ -299,7 +313,9 @@ def _free2_reg(z: complex, d: np.ndarray) -> np.ndarray:
 
 
 def _diag_cells(mesh: BladeMesh, integrand) -> np.ndarray:
-    """Integral of a kinked row over each node's own panel, all nodes at once.
+    """Integral of a kinked row over each node's own panel, all nodes at once:
+    the free 2D kernel's regular remainder, which does not separate (the
+    channel sum's cells are _panel_cells').
 
     integrand(r, t) takes node radii of shape (n, 1) and points of shape
     (n, 24): 12 Gauss points on [a, r_i] and 12 on [r_i, b], with [a, b] the
@@ -332,7 +348,9 @@ def _free_2d(z: complex, mesh: BladeMesh) -> tuple:
     # The free kernel is symmetric: evaluate it above the diagonal and mirror.
     iu = np.triu_indices(len(r), 1)
     K = np.zeros((len(r), len(r)), dtype=complex)
-    K[iu] = K[iu[::-1]] = 0.25j * _bessel(sp.hankel1, 0, wz * np.abs(r[iu[0]] - r[iu[1]]))
+    # Equal distances recur along the panels: one Hankel value per distance.
+    d, at = np.unique(np.abs(r[iu[0]] - r[iu[1]]), return_inverse=True)
+    K[iu] = K[iu[::-1]] = (0.25j * _bessel(sp.hankel1, 0, wz * d))[at]
     log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(mesh.cells[mesh.panel], r)])
     cells = -log_part / (2.0 * math.pi) + _diag_cells(
         mesh, lambda ri, tt: _free2_reg(z, np.abs(ri - tt)) * tt
@@ -457,44 +475,88 @@ def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:
     return g
 
 
-def _channel_sum(mesh: BladeMesh, chans, z: complex, omega: float, less_unshifted=False):
-    """The channel sum of chans as a kernel of radius arrays on the mesh.
+def _channel_sum(mesh: BladeMesh, chans, z: complex, omega: float,
+                 less_unshifted=False) -> np.ndarray:
+    """The channel sum of chans as the mesh matrix.
 
-    kernel(r, rp) = sum_c kron(G_c, y_c y_c^T), one tensordot over the
-    channels, with G_c the block at z + shift_c * omega, less the block at
-    z if less_unshifted (the smooth differences of the full matrix).  Radial
-    node vectors give the mesh matrix; the 2D own-panel cells pass (node,
-    quadrature point) arrays, which one angular sample leaves as they are.
+    sum_c kron(G_c, y_c y_c^T) between the radial nodes, one tensordot over
+    the channels, with G_c the block at z + shift_c * omega, less the block
+    at z if less_unshifted (the smooth differences of the full matrix).
     """
     ys = _angular(mesh.dim, chans, mesh.angles).real
-    outer = ys[:, :, None] * ys[:, None, :]
+    r1 = mesh.r_1d
+    blocks = _blocks(mesh.dim, chans, z, omega, r1[:, None], r1[None, :])
+    if less_unshifted:
+        blocks -= _blocks(mesh.dim, chans, z, 0.0, r1[:, None], r1[None, :])
+    n_r, n_u = len(r1), ys.shape[1]
+    K = np.tensordot(blocks, ys[:, :, None] * ys[:, None, :], axes=(0, 0))  # axes r, r', u, u'
+    return K.transpose(0, 2, 1, 3).reshape(n_r * n_u, n_r * n_u)
 
-    def kernel(r, rp):
-        blocks = _blocks(mesh.dim, chans, z, omega, r, rp)
+
+def _panel_cells(mesh: BladeMesh, chans, z: complex, omega: float,
+                 less_unshifted=False) -> np.ndarray:
+    """Integral of the 2D channel sum's row, times t, over each node's own
+    panel, by product integration of the separated kernel.
+
+    The channel sum is sum_p c_p g_p over the distinct (order, energy)
+    pairs p of its blocks, c_p the sum of y_c^2 over the channels of the
+    pair (negated for the unshifted blocks if less_unshifted), and g_p =
+    (i pi / 2) J_p(w t<) H_p(w t>).  So node r_i of panel [a, b] has the cell
+
+        sum_p c_p [H_p(r_i) L_p(i) + J_p(r_i) R_p(i)],
+        L_p(i) = int_a^r_i (i pi / 2) J_p t dt,   R_p(i) = int_r_i^b H_p t dt.
+
+    Each panel is cut at its 8 nodes into 9 pieces with one _PIECE_NODES-point
+    Gauss rule each (_radial._integrals): J on the 8 pieces below the last
+    node and H on the 8 above the first, in one factor pass over all pairs.
+    A forward and a backward running sum over the pieces give L and R.  A
+    nonfinite cell raises OverflowError naming its node.
+    """
+    y2 = _angular(2, chans, mesh.angles).real[:, 0] ** 2
+    coef: dict = {}
+    for ch, c in zip(chans, y2):
+        key = (ch.order, z + ch.shift * omega)
+        coef[key] = coef.get(key, 0.0) + c
         if less_unshifted:
-            blocks -= _blocks(mesh.dim, chans, z, 0.0, r, rp)
-        n_a, n_b = blocks.shape[1:]
-        n_u = ys.shape[1]
-        K = np.tensordot(blocks, outer, axes=(0, 0))  # axes r, r', u, u'
-        return K.transpose(0, 2, 1, 3).reshape(n_a * n_u, n_b * n_u)
+            coef[ch.order, z] = coef.get((ch.order, z), 0.0) - c
+    n, n_pan, n_per = mesh.n_nodes, len(mesh.cells), mesh.n_per
+    orders = np.array([o for o, _ in coef], dtype=float)
+    energies = np.array([e for _, e in coef], dtype=complex)
+    w, flip = _roots(energies), energies.imag < 0.0
+    # Piece edges a, r_0 .. r_7, b of each panel.
+    edges = np.column_stack([mesh.cells[:, 0], mesh.r.reshape(n_pan, n_per), mesh.cells[:, 1]])
+    piece = np.arange(n_per + 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        jint, hint = _integrals(2, orders, w, flip, None, edges[:, :-1].ravel(),
+                                edges[:, 1:].ravel(), np.tile(piece < n_per, n_pan),
+                                np.tile(piece > 0, n_pan), gauss_legendre(_PIECE_NODES))
+        every = np.ones(n, dtype=bool)
+        jr, hr = _factors(2, orders, w, flip, mesh.r, every, every)
+        # Node k of a panel: L sums pieces 0 .. k, R pieces k + 1 .. 8.
+        left = np.cumsum(jint.reshape(-1, n_pan, n_per + 1)[..., :-1], axis=-1)
+        right = np.cumsum(hint.reshape(-1, n_pan, n_per + 1)[..., :0:-1], axis=-1)[..., ::-1]
+        cells = np.array(list(coef.values())) @ (hr * left.reshape(-1, n) + jr * right.reshape(-1, n))
+    bad = np.flatnonzero(~np.isfinite(cells))
+    if bad.size:
+        raise OverflowError(f"2D own-panel cell of node {int(bad[0])} at z={z} is not finite")
+    return cells
 
-    return kernel
 
-
-def _assemble(bp: BladeParam, mesh: BladeMesh, kernel, free=None) -> np.ndarray:
+def _assemble(bp: BladeParam, mesh: BladeMesh, chans, z: complex, omega: float,
+              less_unshifted=False, free=None) -> np.ndarray:
     """diag(1/alpha) - (K_free + K) diag(w), each node's own cell integrated.
 
-    kernel is a _channel_sum, free the free kernel's (matrix, cells) if any.
-    A 2D node's own cell is its panel, over which the kinked channel sum is
-    integrated (_diag_cells) in place of the panel's quadrature entries; a 3D
-    node's is the node, where the smooth channel sum is quadratured plainly.
+    K is the _channel_sum of chans, free the free kernel's (matrix, cells)
+    if any.  A 2D node's own cell is its panel, over which the kinked
+    channel sum is integrated by running sums over the node-split pieces
+    (_panel_cells) in place of the panel's quadrature entries; a 3D node's
+    is the node, where the smooth channel sum is quadratured plainly.
     """
     n = mesh.n_nodes
-    r1 = mesh.r_1d
-    K = kernel(r1[:, None], r1[None, :])
+    K = _channel_sum(mesh, chans, z, omega, less_unshifted)
     own = mesh.panel[:, None] == mesh.panel[None, :]
     if mesh.dim == 2:
-        cells = _diag_cells(mesh, lambda ri, tt: kernel(ri, tt) * tt)
+        cells = _panel_cells(mesh, chans, z, omega, less_unshifted)
     else:
         cells = mesh.w * np.diag(K)
     if free is not None:
@@ -523,9 +585,9 @@ def gamma_matrix(
     cls = channel_class(mesh.dim, bp)
     # Shift 0 has no difference between shifted and unshifted energies.
     chans = [ch for ch in cls.window(t) if ch.shift != 0]
-    kernel = _channel_sum(mesh, chans, z, rot.omega, less_unshifted=True)
     free = (_free_2d if mesh.dim == 2 else _free_3d)(z, mesh)
-    return GammaMatrix(entries=_assemble(bp, mesh, kernel, free), z=z, variant="full")
+    M = _assemble(bp, mesh, chans, z, rot.omega, less_unshifted=True, free=free)
+    return GammaMatrix(entries=M, z=z, variant="full")
 
 
 def gamma_matrix_cutoff(
@@ -547,7 +609,7 @@ def gamma_matrix_cutoff(
         raise ValueError(f"cap must be nonnegative, got {cap}")
     z = require_resolvent_energy(z)
     chans = channel_class(mesh.dim, bp).cutoff(cap, t)
-    M = _assemble(bp, mesh, _channel_sum(mesh, chans, z, rot.omega))
+    M = _assemble(bp, mesh, chans, z, rot.omega)
     return GammaMatrix(entries=M, z=z, variant=f"cutoff:{cap}")
 
 
@@ -572,7 +634,7 @@ def lambda_matrix(
     if l_max is not None and l_max < abs(s0):
         raise ValueError(f"l_max={l_max} below channel order |m0|={abs(s0)}")
     chans = [ch for ch in cls.window(Truncation(abs(s0), l_max)) if ch.shift == s0]
-    M = _assemble(bp, mesh, _channel_sum(mesh, chans, z, 0.0))
+    M = _assemble(bp, mesh, chans, z, 0.0)
     # The shift is the channel's last index: n in 2D, m in 3D.
     return GammaMatrix(entries=M, z=z, variant=f"lambda:{list(vars(channel0))[-1]}0={s0}")
 

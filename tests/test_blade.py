@@ -1,5 +1,6 @@
 """Blade mesh, boundary matrices, form probe, and the averaged solver."""
 
+import itertools
 import math
 import sys
 
@@ -57,6 +58,10 @@ def test_mesh_validation():
     for dim, res in ((2, 2.5), (3, 3.0)):
         with pytest.raises(ValueError, match="resolution must be an integer"):
             build_mesh(dim, 1.0, res)
+    # A numpy radius whose measure overflows: the typed error, not numpy's
+    # overflow warning.
+    with pytest.raises(ValueError, match="outside the normal range"):
+        BladeMesh(2, np.float64(1e300), 2)
     assert build_mesh(2, 1.0, 4).theta is None
 
 
@@ -566,19 +571,38 @@ def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):
 # -- the 2D assembly: the segment as a tensor mesh with one angular sample --
 
 
-def panel_cells(mesh, f):
+def panel_cells(mesh, f, nodes=None, n_sub=1, n_pts=12):
     """Integral of f(r_i, t) t over node i's own panel, split at r_i, with
-    12 Gauss points on each side; one node per call."""
-    xg, wg = np.polynomial.legendre.leggauss(12)
+    n_sub equal subintervals of n_pts Gauss points on each side (12 points
+    on each side by default), at the given nodes (all by default); one node
+    per call."""
+    xg, wg = np.polynomial.legendre.leggauss(n_pts)
     out = []
-    for i, ri in enumerate(mesh.r):
+    for i in range(mesh.n_nodes) if nodes is None else nodes:
+        ri = mesh.r[i]
         a, b = mesh.cells[i // mesh.n_per]
         acc = 0.0
         for lo, hi in ((a, ri), (ri, b)):
-            h = 0.5 * (hi - lo)
-            t = 0.5 * (hi + lo) + h * xg
-            acc += h * np.sum(wg * f(ri, t) * t)
+            e = np.linspace(lo, hi, n_sub + 1)
+            h = 0.5 * (e[1:] - e[:-1])[:, None]
+            t = 0.5 * (e[1:] + e[:-1])[:, None] + h * xg
+            acc += np.sum(h * wg * f(ri, t) * t)
         out.append(acc)
+    return np.array(out)
+
+
+def piece_cells(mesh, f):
+    """Integral of f(r_i, t) t over node i's own panel cut at its 8 nodes
+    into 9 pieces, with 6 Gauss points on each piece; one node per call."""
+    xg, wg = np.polynomial.legendre.leggauss(6)
+    out = []
+    for i, ri in enumerate(mesh.r):
+        p = i // mesh.n_per
+        edges = np.concatenate([mesh.cells[p, :1], mesh.r[p * mesh.n_per:(p + 1) * mesh.n_per],
+                                mesh.cells[p, 1:]])
+        h = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        t = 0.5 * (edges[1:] + edges[:-1])[:, None] + h * xg
+        out.append(np.sum(h * wg * f(ri, t) * t))
     return np.array(out)
 
 
@@ -626,24 +650,26 @@ def test_2d_assembly_matches_per_channel_sums(z, omega):
     k_free = 0.25j * sp.hankel1(0, w * d)
     k_diff = channel_sum_2d(diff, r[:, None], r[None, :])
     log_part = np.array([t_log_moment(*mesh.cells[i // mesh.n_per], r[i]) for i in range(n)])
+    # The free kernel's regular remainder by 12 + 12 points about the node,
+    # the channel differences by the node-split pieces.
     cells = -log_part / (2.0 * math.pi) + panel_cells(
         mesh, lambda ri, tt: 0.25j * sp.hankel1(0, w * np.abs(ri - tt))
-        + np.log(np.abs(ri - tt)) / (2.0 * math.pi)
-        + channel_sum_2d(diff, ri, tt))
+        + np.log(np.abs(ri - tt)) / (2.0 * math.pi)) + piece_cells(
+        mesh, lambda ri, tt: channel_sum_2d(diff, ri, tt))
     want = panel_matrix(mesh, k_free + k_diff, cells, inv)
     assert_close(gamma_matrix(z, bp, rot, t, mesh).entries, want, 1e-13)
 
     for cap in (0, 2, 5):
         terms = [(k, z + k * omega, 1.0) for k in range(-cap, cap + 1)]
         want = panel_matrix(mesh, channel_sum_2d(terms, r[:, None], r[None, :]),
-                            panel_cells(mesh, lambda ri, tt: channel_sum_2d(terms, ri, tt)),
+                            piece_cells(mesh, lambda ri, tt: channel_sum_2d(terms, ri, tt)),
                             inv)
         assert_close(gamma_matrix_cutoff(cap, z, bp, rot, t, mesh).entries, want, 1e-13)
 
     for n0 in (0, -2, 3):
         terms = [(n0, z, 1.0)]
         want = panel_matrix(mesh, channel_sum_2d(terms, r[:, None], r[None, :]),
-                            panel_cells(mesh, lambda ri, tt: channel_sum_2d(terms, ri, tt)),
+                            piece_cells(mesh, lambda ri, tt: channel_sum_2d(terms, ri, tt)),
                             inv)
         assert_close(lambda_matrix(z, ChannelIndex2(n0), bp, mesh).entries, want, 1e-13)
 
@@ -656,6 +682,51 @@ def test_2d_assembly_matches_per_channel_sums(z, omega):
         g = channel_sum_2d([(ch.n, z + ch.n * omega, 1.0)], r_eval[:, None], r[None, :])
         # The fields multiply exp(i n theta)/sqrt(2 pi), the sum exp(i n theta).
         assert_close(got, math.sqrt(2.0 * math.pi) * g @ (mesh.w * xi), 1e-13)
+
+
+def _cell_sums(z, omega):
+    """The channel sums of the 2D boundary matrices, as (chans, z, omega,
+    less_unshifted) of _panel_cells and the (order, energy, sign) terms of
+    channel_sum_2d: the full matrix's differences, a cutoff, and channels 0
+    and 2 alone."""
+    t = Truncation(5)
+    shifted = [ch for ch in ChannelIndex2.window(t) if ch.shift != 0]
+    cutoff = ChannelIndex2.cutoff(2, t)
+    return [
+        ((shifted, z, omega, True), [(ch.order, z + ch.n * omega, 1.0) for ch in shifted]
+         + [(ch.order, z, -1.0) for ch in shifted]),
+        ((cutoff, z, omega, False), [(ch.order, z + ch.n * omega, 1.0) for ch in cutoff]),
+    ] + [(([ChannelIndex2(m0)], z, 0.0, False), [(m0, z, 1.0)]) for m0 in (0, 2)]
+
+
+@pytest.mark.parametrize("res", [3, 6, 12, 48])
+def test_2d_cells_at_least_as_close_as_the_split_rule(res):
+    """The own-panel cells of the 2D channel sums by running sums over the
+    node-split pieces are at least as close to a composite oracle (20
+    subintervals of 20 Gauss points on each side of the node; 120 move it by
+    under 1e-15 of the largest cell) as the 12 + 12 Gauss points about the
+    node that they replace, to roundoff, at nodes of the panels at both ends
+    and in the middle.  The first node's [r_0, b] side holds H_n(w t) t ~
+    t^(1-n), which 12 points resolve poorly.
+    Where the split rule overflows, so do the cells, as an OverflowError."""
+    for A, z, omega in itertools.product((1.0, 2.5), (0.4 + 1.0j, -30.0 + 0.5j),
+                                         (10.0, 2e3, 2e4)):
+        mesh = build_mesh(2, A, res)
+        nodes = [0, 1, mesh.n_nodes // 2, mesh.n_nodes - 1]
+        for args, terms in _cell_sums(z, omega):
+            def f(ri, tt):
+                return channel_sum_2d(terms, ri, tt)
+
+            try:
+                split = panel_cells(mesh, f, nodes)
+            except OverflowError:
+                with pytest.raises(OverflowError, match="own-panel cell"):
+                    blade_mod._panel_cells(mesh, *args)
+                continue
+            got = blade_mod._panel_cells(mesh, *args)[nodes]
+            want = panel_cells(mesh, f, nodes, n_sub=20, n_pts=20)
+            floor = 1e-15 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= max(np.max(np.abs(split - want)), floor)
 
 
 @pytest.mark.parametrize("z", [0.4 + 1.0j, 0.4 - 1.0j])
@@ -697,11 +768,38 @@ def _gamma_matrix_2d_bessel_calls(monkeypatch, *modules) -> int:
 
 def test_gamma_matrix_2d_bessel_calls(monkeypatch, serial_bessel):
     """One kernel call for all shifted channels and one for the unshifted
-    orders, for the mesh matrix and for the own-panel cells (no timing)."""
+    orders for the mesh matrix, and for the own-panel cells one factor pass
+    over every (order, energy) pair on the pieces and one at the nodes (no
+    timing)."""
     calls = _gamma_matrix_2d_bessel_calls(monkeypatch)
-    # Four calls per kernel (J and H at the rows and at the columns); 120
-    # with a call per (order, energy), 88 with one per energy.
-    assert 0 < calls <= 2 * 2 * 4
+    # A jv and a hankel1 call per kernel call (J and H over the distinct
+    # radii of both sides), on the cells' pieces and at their nodes.
+    assert 0 < calls <= 2 * 2 + 2 * 2
+
+
+def test_gamma_matrix_2d_bessel_elements(monkeypatch):
+    """A ratchet on the work of one 2D gamma_matrix that does not drift
+    with the host's speed: the elements of its _bessel batches, pinned
+    exactly (47,184 with 12 + 12 points about each node for the cells and a
+    Hankel value per node pair).  15 distinct (order, energy) pairs (10
+    shifted, 5 unshifted); 12 panels of 8 nodes:
+    - the matrix: J and H at the 96 nodes per pair, 15 * 192 = 2,880;
+    - the cells: per pair and panel, J on 8 pieces and H on 8 pieces of 6
+      points and both at the 8 nodes, 15 * 12 * 112 = 20,160;
+    - the free kernel: its 1,106 distinct node distances, and its regular
+      remainder at 12 + 12 points about each node, 96 * 24 = 2,304."""
+    count = [0]
+    bessel = rotkrein._radial._bessel
+
+    def counted(f, nu, x):
+        count[0] += np.broadcast(nu, x).size
+        return bessel(f, nu, x)
+
+    for mod in (rotkrein._radial, blade_mod):
+        monkeypatch.setattr(mod, "_bessel", counted)
+    gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), Truncation(5),
+                 build_mesh(2, 1.0, 12))
+    assert count[0] == 2_880 + 20_160 + 1_106 + 2_304 == 26_450
 
 
 def test_gamma_matrix_2d_bessel_calls_split(monkeypatch, split_bessel):

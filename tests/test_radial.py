@@ -725,17 +725,22 @@ def test_3d_kernels_make_no_bessel_call(monkeypatch, split_bessel):
     assert split == one
 
 
-@pytest.mark.parametrize("dim,z", MEMO_CASES)
-def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, split_bessel, dim, z):
-    """As for the kernels: split halves in 2D, no Bessel call in 3D, and the
-    bits of the unsplit run in both."""
+# 2D radial_apply cases (order, z) as many as MEMO_CASES: 3D makes no
+# Bessel batch (test_a_call_that_meets_its_plan_evaluates_only_pieces_and_outputs).
+SPLIT_APPLY_CASES = [(order, z) for order in (2, 3) for z in (0.4 + 1.0j, 0.4 - 1.0j)]
+
+
+@pytest.mark.parametrize("order,z", SPLIT_APPLY_CASES)
+def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, split_bessel, order, z):
+    """As for the kernels: split halves of every 2D plan and evaluation
+    batch, and the bits of the unsplit run, in both half-planes."""
     def call():
         rotkrein._radial._plan.cache_clear()
-        return radial_apply(_psi(dim, 1, MEMO_GRID), z, MEMO_RADII)
+        return radial_apply(_psi(2, order, MEMO_GRID), z, MEMO_RADII)
 
     (one, serial_calls), (split, split_calls) = _serial_and_split(monkeypatch, call)
+    assert serial_calls > 0
     assert split_calls == 2 * serial_calls
-    assert (serial_calls > 0) == (dim == 2)
     assert split == one
 
 
@@ -821,13 +826,16 @@ def test_a_forked_child_evaluates_a_split_batch(split_bessel):
 def test_concurrent_callers_share_one_helper(monkeypatch, split_bessel):
     """Eight caller threads (more than the cores) with a short switch
     interval send their halves to the one module executor, create no
-    executor, lose no counted call and get the bits of one call each time."""
+    executor, lose no counted call and get the bits of one unsplit call
+    each time."""
     case = SPLIT_CASES["orders over radii"]
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", sys.maxsize)
     want = separable_kernels(*case).tobytes()
-    per_call = counter.calls
+    per_call = 2 * counter.calls  # each call of the unsplit run in two halves
     assert per_call > 0
+    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", 0)
     created = []
 
     class Executor(rotkrein._radial.ThreadPoolExecutor):
