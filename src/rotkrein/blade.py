@@ -16,24 +16,28 @@ form over each diagonal mesh cell.
 
 Both meshes are tensor meshes, flattened r-major: the 3D half disc in
 (r, u = cos theta), the 2D segment in r with one angular sample, theta = 0.
-Channel c contributes kron(G_c, y_c y_c^T): G_c = g_c(r_i, r_j) on the
-radial nodes, y_c the orthonormal angular factor at the samples
-(Y_l^m(theta_u, 0) in 3D, 1/sqrt(2 pi) in 2D).  _blocks makes one
-separable_kernels call over the distinct (order, energy) pairs of the
-channels; one channel sum (_channel_sum) gives every boundary matrix, and
-layer_fields contracts the density with y_c before the radial block.  A 2D
-node's own cell is its panel, whose quadrature entries the cell replaces:
-the channel sum is integrated there by product integration of its
-separated kernel (_panel_cells: running sums over the panel cut at its
-nodes, one factor pass over the pairs), and the free kernel by its log
-moment plus its regular remainder.  Per dimension stay only the meshes and
-angular samples, the free kernel with its singular diagonal cells (3D:
-tangent-plane rectangles, all cells as one array), the own cells of the
-channel sum (3D: plain quadrature at the node), and the averaged solver's
-radial rule (_radial_nodes).
-Sharp-cutoff and single-channel model matrices, the quadratic-form probe,
-resolvent application with a dense solve, and the plain averaged radial
-solver live here as well.
+Channel c contributes kron(G_c, y_c y_c^T): G_c = g_c(r_i, r_j) =
+(i pi / 2) J(w r<) H(w r>) on the radial nodes, y_c the orthonormal angular
+factor at the samples (Y_l^m(theta_u, 0) in 3D, 1/sqrt(2 pi) in 2D).
+Every boundary matrix takes its channel sum from one _factors pass over
+the distinct (order, energy) pairs of its terms at the radial nodes
+(_channel_terms), assembled as one matrix product of those factors
+(_channel_matrix: the sum is semiseparable).  layer_fields contracts the
+density with y_c before its radial blocks (_blocks: one separable_kernels
+call between the evaluation radii and the nodes).  A 2D node's own cell is
+its panel, whose quadrature entries the cell replaces: the channel sum is
+integrated there by product integration of its separated kernel
+(_panel_cells: running sums over the panel cut at its nodes, on the same
+node factors), and the free kernel by its log moment plus its regular
+remainder.  Per dimension stay only the meshes and angular samples, the
+free kernel with its singular diagonal cells (3D: tangent-plane
+rectangles, all cells as one array), the own cells of the channel sum (3D:
+plain quadrature at the node), and the averaged solver's radial rule
+(_radial_nodes).
+Sharp-cutoff and single-channel model matrices, the weighted 2-norm of a
+matrix by Golub-Kahan-Lanczos bidiagonalization (weighted_norm), the
+quadratic-form probe, resolvent application with a dense solve, and the
+plain averaged radial solver live here as well.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.special as sp
@@ -51,6 +55,7 @@ from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from ._radial import (
     _bessel,
+    _check_finite,
     _factors,
     _integrals,
     _roots,
@@ -92,6 +97,10 @@ logger = logging.getLogger(__name__)
 _EULER = 0.5772156649015329
 _MAX_DENSE_NODES = 2500
 _COND_LIMIT = 1e12
+# weighted_norm: the relative residual at which its Lanczos iteration stops,
+# and the seed of its start vector.
+_NORM_TOL = 1e-10
+_NORM_SEED = 0
 
 _XG12, _WG12 = gauss_legendre(12)
 _XG8, _WG8 = gauss_legendre(8)
@@ -461,7 +470,8 @@ def _angular(dim: int, chans, angles) -> np.ndarray:
 
 def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:
     """Radial blocks G_c = g_c(z + shift_c * omega; r, rp), stacked in channel
-    order, shape (channels,) + the broadcast shape of r and rp.
+    order, shape (channels,) + the broadcast shape of r and rp: the layer
+    fields' kernels between evaluation radii and the radial nodes.
 
     One separable_kernels call over the distinct (order, energy) pairs; the
     channels that repeat a pair (every channel of one degree at omega = 0)
@@ -475,70 +485,120 @@ def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:
     return g
 
 
-def _channel_sum(mesh: BladeMesh, chans, z: complex, omega: float,
-                 less_unshifted=False) -> np.ndarray:
-    """The channel sum of chans as the mesh matrix.
+class _Terms(NamedTuple):
+    """A channel sum on a mesh: its (channel, sign) terms, the distinct
+    (order, energy) pairs they take, and the factors of those pairs at the
+    radial nodes, which the mesh matrix and the 2D own-panel cells share."""
 
-    sum_c kron(G_c, y_c y_c^T) between the radial nodes, one tensordot over
-    the channels, with G_c the block at z + shift_c * omega, less the block
-    at z if less_unshifted (the smooth differences of the full matrix).
+    orders: np.ndarray  # per pair
+    energies: np.ndarray  # per pair
+    w: np.ndarray  # per pair: the _root of its energy
+    flip: np.ndarray  # per pair: Im energy < 0
+    j: np.ndarray  # (pairs, radial nodes): (i pi / 2) J, as _factors gives it
+    h: np.ndarray  # (pairs, radial nodes): H
+    pair: np.ndarray  # per term: the index of its pair
+    y: np.ndarray  # (terms, angular samples): y_c of its channel
+    sign: np.ndarray  # per term: 1, or -1 for the unshifted block
+
+
+def _channel_terms(mesh: BladeMesh, chans, z: complex, omega: float,
+                   less_unshifted=False) -> _Terms:
+    """The _Terms of the channel sum of chans: channel c at z + shift_c *
+    omega, less the same channel at z if less_unshifted (the smooth
+    differences of the full matrix).
+
+    The pairs are the distinct (order, energy) keys in the order of their
+    first term, shifted terms first; one _factors pass over all of them
+    gives J and H at the radial nodes.  Factors that overflow are kept as
+    they come (inf or nan) for _channel_matrix's check.
     """
-    ys = _angular(mesh.dim, chans, mesh.angles).real
-    r1 = mesh.r_1d
-    blocks = _blocks(mesh.dim, chans, z, omega, r1[:, None], r1[None, :])
+    y = _angular(mesh.dim, chans, mesh.angles).real
+    keys = [(ch.order, z + ch.shift * omega) for ch in chans]
     if less_unshifted:
-        blocks -= _blocks(mesh.dim, chans, z, 0.0, r1[:, None], r1[None, :])
-    n_r, n_u = len(r1), ys.shape[1]
-    K = np.tensordot(blocks, ys[:, :, None] * ys[:, None, :], axes=(0, 0))  # axes r, r', u, u'
-    return K.transpose(0, 2, 1, 3).reshape(n_r * n_u, n_r * n_u)
+        keys += [(ch.order, z) for ch in chans]
+        y = np.concatenate([y, y])
+    at: dict = {}
+    pair = np.array([at.setdefault(k, len(at)) for k in keys], dtype=int)
+    orders = np.array([o for o, _ in at], dtype=int)
+    energies = np.array([e for _, e in at], dtype=complex)
+    sign = np.where(np.arange(len(keys)) < len(chans), 1.0, -1.0)
+    w, flip = _roots(energies), energies.imag < 0.0
+    # Both factors at every node, where there is a pair at all (a window of
+    # shift-0 channels leaves none in the full matrix's differences).
+    need = np.full(len(mesh.r_1d), len(at) > 0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        j, h = _factors(mesh.dim, orders, w, flip, mesh.r_1d, need, need)
+    return _Terms(orders, energies, w, flip, j, h, pair, y, sign)
 
 
-def _panel_cells(mesh: BladeMesh, chans, z: complex, omega: float,
-                 less_unshifted=False) -> np.ndarray:
+def _channel_matrix(mesh: BladeMesh, terms: _Terms) -> np.ndarray:
+    """The channel sum sum_c sign_c kron(G_c, y_c y_c^T) as the mesh matrix,
+    by one matrix product of the shared node factors.
+
+    G_c(r, r') = (i pi / 2) J(w r<) H(w r>) is semiseparable (Greengard &
+    Rokhlin, CPAM 1991): with one row per term, A = sign_c J_c (x) y_c and
+    B = H_c (x) y_c over the mesh nodes (r-major), P = A^T B holds every
+    entry whose row radius is at most its column's, and K = P there, P^T
+    elsewhere.  A nonfinite entry raises OverflowError naming the first
+    pair whose radial kernel on the nodes is not finite, its order, energy
+    and radii, as separable_kernels names them.
+    """
+    n = mesh.n_nodes
+    with np.errstate(invalid="ignore", over="ignore"):
+        jt, ht = terms.j[terms.pair], terms.h[terms.pair]
+        A = ((terms.sign[:, None] * terms.y)[:, None, :] * jt[:, :, None]).reshape(-1, n)
+        B = (terms.y[:, None, :] * ht[:, :, None]).reshape(-1, n)
+        P = A.T @ B
+    K = np.where(mesh.r[:, None] <= mesh.r[None, :], P, P.T)
+    if not np.isfinite(K).all():
+        r = mesh.r_1d
+        lower = r[:, None] <= r[None, :]
+        for order, e, j, h in zip(terms.orders, terms.energies, terms.j, terms.h):
+            with np.errstate(invalid="ignore", over="ignore"):
+                g = np.where(lower, j[:, None] * h[None, :], j[None, :] * h[:, None])
+            _check_finite("radial kernel", mesh.dim, int(order), complex(e), g,
+                          r[:, None], r[None, :])
+        raise OverflowError(f"{mesh.dim}D channel sum on {n} mesh nodes is not finite")
+    return K
+
+
+def _panel_cells(mesh: BladeMesh, terms: _Terms) -> np.ndarray:
     """Integral of the 2D channel sum's row, times t, over each node's own
     panel, by product integration of the separated kernel.
 
     The channel sum is sum_p c_p g_p over the distinct (order, energy)
-    pairs p of its blocks, c_p the sum of y_c^2 over the channels of the
-    pair (negated for the unshifted blocks if less_unshifted), and g_p =
-    (i pi / 2) J_p(w t<) H_p(w t>).  So node r_i of panel [a, b] has the cell
+    pairs p of its terms, c_p the sum of sign_c y_c^2 over the terms of the
+    pair, and g_p = (i pi / 2) J_p(w t<) H_p(w t>).  So node r_i of panel
+    [a, b] has the cell
 
         sum_p c_p [H_p(r_i) L_p(i) + J_p(r_i) R_p(i)],
         L_p(i) = int_a^r_i (i pi / 2) J_p t dt,   R_p(i) = int_r_i^b H_p t dt.
 
     Each panel is cut at its 8 nodes into 9 pieces with one _PIECE_NODES-point
     Gauss rule each (_radial._integrals): J on the 8 pieces below the last
-    node and H on the 8 above the first, in one factor pass over all pairs.
-    A forward and a backward running sum over the pieces give L and R.  A
-    nonfinite cell raises OverflowError naming its node.
+    node and H on the 8 above the first, in one factor pass over all pairs;
+    J and H at the nodes are the terms' own.  A forward and a backward
+    running sum over the pieces give L and R.  A nonfinite cell raises
+    OverflowError naming its node.
     """
-    y2 = _angular(2, chans, mesh.angles).real[:, 0] ** 2
-    coef: dict = {}
-    for ch, c in zip(chans, y2):
-        key = (ch.order, z + ch.shift * omega)
-        coef[key] = coef.get(key, 0.0) + c
-        if less_unshifted:
-            coef[ch.order, z] = coef.get((ch.order, z), 0.0) - c
+    coef = np.bincount(terms.pair, weights=terms.sign * terms.y[:, 0] ** 2,
+                       minlength=len(terms.orders))
     n, n_pan, n_per = mesh.n_nodes, len(mesh.cells), mesh.n_per
-    orders = np.array([o for o, _ in coef], dtype=float)
-    energies = np.array([e for _, e in coef], dtype=complex)
-    w, flip = _roots(energies), energies.imag < 0.0
     # Piece edges a, r_0 .. r_7, b of each panel.
     edges = np.column_stack([mesh.cells[:, 0], mesh.r.reshape(n_pan, n_per), mesh.cells[:, 1]])
     piece = np.arange(n_per + 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        jint, hint = _integrals(2, orders, w, flip, None, edges[:, :-1].ravel(),
-                                edges[:, 1:].ravel(), np.tile(piece < n_per, n_pan),
-                                np.tile(piece > 0, n_pan), gauss_legendre(_PIECE_NODES))
-        every = np.ones(n, dtype=bool)
-        jr, hr = _factors(2, orders, w, flip, mesh.r, every, every)
+        jint, hint = _integrals(2, terms.orders, terms.w, terms.flip, None,
+                                edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                                np.tile(piece < n_per, n_pan), np.tile(piece > 0, n_pan),
+                                gauss_legendre(_PIECE_NODES))
         # Node k of a panel: L sums pieces 0 .. k, R pieces k + 1 .. 8.
         left = np.cumsum(jint.reshape(-1, n_pan, n_per + 1)[..., :-1], axis=-1)
         right = np.cumsum(hint.reshape(-1, n_pan, n_per + 1)[..., :0:-1], axis=-1)[..., ::-1]
-        cells = np.array(list(coef.values())) @ (hr * left.reshape(-1, n) + jr * right.reshape(-1, n))
+        cells = coef @ (terms.h * left.reshape(-1, n) + terms.j * right.reshape(-1, n))
     bad = np.flatnonzero(~np.isfinite(cells))
     if bad.size:
-        raise OverflowError(f"2D own-panel cell of node {int(bad[0])} at z={z} is not finite")
+        raise OverflowError(f"2D own-panel cell of node {int(bad[0])} is not finite")
     return cells
 
 
@@ -546,17 +606,20 @@ def _assemble(bp: BladeParam, mesh: BladeMesh, chans, z: complex, omega: float,
               less_unshifted=False, free=None) -> np.ndarray:
     """diag(1/alpha) - (K_free + K) diag(w), each node's own cell integrated.
 
-    K is the _channel_sum of chans, free the free kernel's (matrix, cells)
-    if any.  A 2D node's own cell is its panel, over which the kinked
+    K is the channel sum of chans (_channel_matrix: one matrix product of
+    the node factors of _channel_terms), free the free kernel's (matrix,
+    cells) if any.  A 2D node's own cell is its panel, over which the kinked
     channel sum is integrated by running sums over the node-split pieces
-    (_panel_cells) in place of the panel's quadrature entries; a 3D node's
-    is the node, where the smooth channel sum is quadratured plainly.
+    (_panel_cells, on the same node factors) in place of the panel's
+    quadrature entries; a 3D node's is the node, where the smooth channel
+    sum is quadratured plainly.
     """
     n = mesh.n_nodes
-    K = _channel_sum(mesh, chans, z, omega, less_unshifted)
+    terms = _channel_terms(mesh, chans, z, omega, less_unshifted)
+    K = _channel_matrix(mesh, terms)
     own = mesh.panel[:, None] == mesh.panel[None, :]
     if mesh.dim == 2:
-        cells = _panel_cells(mesh, chans, z, omega, less_unshifted)
+        cells = _panel_cells(mesh, terms)
     else:
         cells = mesh.w * np.diag(K)
     if free is not None:
@@ -640,9 +703,84 @@ def lambda_matrix(
 
 
 def weighted_norm(mesh: BladeMesh, entries: np.ndarray) -> float:
-    """Operator norm in the mesh's weighted geometry."""
+    """Operator 2-norm in the mesh's weighted geometry: the largest singular
+    value sigma of X = diag(sqrt w) E diag(1/sqrt w), E the entries.
+
+    Golub-Kahan-Lanczos bidiagonalization (Golub & Van Loan, Matrix
+    Computations, 4th ed., ch. 10) with full reorthogonalization, from a
+    fixed start vector drawn from a generator seeded with _NORM_SEED, so a
+    rerun gives the same bits.  Step k extends X V_k = U_k B_k, B_k upper
+    bidiagonal with alpha_1 .. alpha_k on its diagonal and beta_1 ..
+    beta_{k-1} above it; the top Ritz value s of B_k is the square root of
+    the largest eigenvalue of the tridiagonal B_k B_k^T, with unit
+    eigenvector p, and the residual of its Ritz pair in X is beta_k |p_k|.
+    The iteration stops once that residual is at most _NORM_TOL * s, with
+    _NORM_TOL = 1e-10 (s is then within 1e-10 relative of a singular value
+    of X: the largest unless the start vector is nearly orthogonal to its
+    singular vector),
+    or after n steps, when the Krylov spaces span the whole space.  The
+    step count and the final relative residual are logged at INFO.  A zero
+    matrix gives 0.0; an entry that is NaN or infinite raises ValueError.
+    """
+    E = np.asarray(entries)
+    if not np.isfinite(E).all():
+        raise ValueError("weighted_norm: the matrix has a NaN or an infinite entry")
     sw = np.sqrt(mesh.w)
-    return float(np.linalg.norm(sw[:, None] * entries / sw[None, :], 2))
+    X = sw[:, None] * E / sw[None, :]
+    n = len(sw)
+    # The Lanczos vectors u_k and v_k as rows: at most n steps.
+    U, V = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    alpha, beta = np.empty(n), np.empty(n)
+    rng = np.random.default_rng(_NORM_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    V[0] = v / math.sqrt(np.vdot(v, v).real)
+    for k in range(n):
+        p = X @ V[k]
+        if k:
+            p -= beta[k - 1] * U[k - 1]
+        p = _orthogonalize(p, U[:k])
+        alpha[k] = math.sqrt(np.vdot(p, p).real)
+        if alpha[k] == 0.0:
+            # X v_k lies in span U_{k-1}: span V_k is invariant, p_k = 0.
+            s, resid = _top_ritz(alpha[: k + 1], beta[:k])[0], 0.0
+            break
+        U[k] = p / alpha[k]
+        q = np.conj(np.conj(U[k]) @ X) - alpha[k] * V[k]
+        q = _orthogonalize(q, V[: k + 1])
+        b = math.sqrt(np.vdot(q, q).real)
+        s, p_k = _top_ritz(alpha[: k + 1], beta[:k])
+        resid = b * abs(p_k)
+        if resid <= _NORM_TOL * s or k == n - 1:
+            break
+        beta[k] = b
+        V[k + 1] = q / b
+    rel = resid / s if s > 0.0 else 0.0
+    logger.info("weighted norm: %d Lanczos steps, relative residual %.3g on %d unknowns",
+                k + 1, rel, n)
+    return float(s)
+
+
+def _orthogonalize(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """x less its projection on the orthonormal rows of Q (one classical
+    Gram-Schmidt pass)."""
+    return x - np.conj(Q @ np.conj(x)) @ Q
+
+
+# LAPACK's symmetric tridiagonal eigensolver in double precision.
+(_STEV,) = get_lapack_funcs(("stev",), (np.zeros(1),))
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """The largest singular value of the upper bidiagonal B (alpha on the
+    diagonal, beta above it) and the last entry of its left singular
+    vector: the top eigenpair of the tridiagonal B B^T (LAPACK stev)."""
+    d = alpha**2
+    d[:-1] += beta**2
+    e = alpha[1:] * beta if len(beta) else np.zeros(1)  # stev takes one entry at size 1
+    vals, vecs, info = _STEV(d, e)
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
+    return math.sqrt(max(vals[-1], 0.0)), vecs[-1, -1]
 
 
 def layer_fields(
@@ -772,9 +910,16 @@ def solve_density(
     if gm is not None and gm.z != complex(z):
         raise ValueError("prebuilt matrix was assembled at a different parameter")
     M = gm.entries if gm is not None else gamma_matrix(z, bp, rot, t, mesh).entries
-    fp = _free_radial(z, psi, rot, mesh.r_1d)
-    trace = np.outer(fp, _angular(mesh.dim, [psi.channel], mesh.angles)[0].real).ravel()
+    trace = _free_trace(psi, z + psi.channel.shift * rot.omega, mesh)
     return BoundaryDensity(values=_dense_solve(M, trace))
+
+
+def _free_trace(psi: RadialChannelFunction, energy: complex, mesh: BladeMesh) -> np.ndarray:
+    """The free field of psi on the mesh nodes: its channel's free radial
+    resolvent at energy on the radial nodes (radial_apply) times its
+    angular factor at the angular samples, flattened r-major."""
+    fp = radial_apply(psi, energy, mesh.r_1d)
+    return np.outer(fp, _angular(mesh.dim, [psi.channel], mesh.angles)[0].real).ravel()
 
 
 def apply_blade_resolvent(

@@ -1,8 +1,11 @@
 """Blade mesh, boundary matrices, form probe, and the averaged solver."""
 
 import itertools
+import logging
 import math
+import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -192,6 +195,63 @@ def test_cutoff_matrices_approach_full_3d():
         inv.append(weighted_norm(mesh, np.linalg.inv(cut) - np.linalg.inv(full)))
     assert ent[0] > ent[1] > ent[2]
     assert inv[0] > inv[1] > inv[2]
+
+
+def _weighted_case(mesh, X):
+    """The entries whose weighted matrix diag(sqrt w) E diag(1/sqrt w) is X."""
+    sw = np.sqrt(mesh.w)
+    return X / sw[:, None] * sw[None, :]
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _norm_cases():
+    """(mesh, weighted matrix X) pairs: a random matrix, a rank-1 one, one
+    whose top singular value is repeated, one whose top two are 3 % apart,
+    the zero matrix, and a 1 x 1 on a one-node stand-in for a mesh."""
+    rng = np.random.default_rng(5)
+    mesh = build_mesh(3, 1.0, 7)
+    n = mesh.n_nodes
+    spread = np.geomspace(1.0, 1e-3, n - 2)
+    return [
+        (mesh, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
+        (mesh, np.outer(rng.standard_normal(n), rng.standard_normal(n) + 1j)),
+        (mesh, _unitary(rng, n) @ np.diag(np.r_[2.0, 2.0, spread]) @ _unitary(rng, n)),
+        (mesh, _unitary(rng, n) @ np.diag(np.r_[1.03, 1.0, spread]) @ _unitary(rng, n)),
+        (build_mesh(2, 1.0, 3), np.zeros((24, 24))),
+        (types.SimpleNamespace(w=np.array([0.3])), np.array([[-2.0 + 1.5j]])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_weighted_norm_matches_the_2_norm(case, caplog):
+    """The Lanczos 2-norm is the largest singular value of the weighted
+    matrix within its stated relative tolerance (0.0 for the zero matrix),
+    the same bits on a rerun, with its steps and residual logged."""
+    mesh, X = _norm_cases()[case]
+    E = _weighted_case(mesh, X)
+    with caplog.at_level(logging.INFO, logger="rotkrein.blade"):
+        got = weighted_norm(mesh, E)
+    want = np.linalg.norm(X, 2)
+    assert abs(got - want) <= blade_mod._NORM_TOL * want
+    assert weighted_norm(mesh, E) == got
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("weighted norm")]
+    steps, resid = re.fullmatch(r"weighted norm: (\d+) Lanczos steps, relative residual "
+                                r"(\S+) on \d+ unknowns", record.getMessage()).groups()
+    assert 1 <= int(steps) <= len(mesh.w)
+    assert float(resid) <= blade_mod._NORM_TOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_weighted_norm_rejects_nonfinite_entries(bad):
+    mesh = build_mesh(2, 1.0, 2)
+    E = np.eye(mesh.n_nodes, dtype=complex)
+    E[3, 5] = bad
+    with pytest.raises(ValueError, match="NaN or an infinite entry"):
+        weighted_norm(mesh, E)
 
 
 def test_form_probe_positive_at_negative_energy():
@@ -547,10 +607,9 @@ def test_nonfinite_cell_is_named(monkeypatch):
 
 
 def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):
-    """One kernel call for all shifted channels and one for the unshifted
-    degrees, whatever the number of shells (no timing): no scipy Bessel
-    call at all, and two recurrence passes per kernel call (J and H over the
-    distinct radii of both sides)."""
+    """One factor pass over every shifted and unshifted (degree, energy)
+    pair at the radial nodes, whatever the number of shells (no timing): no
+    scipy Bessel call at all, and two recurrence passes (J and H)."""
     counter = CountingSpecial()
     monkeypatch.setattr(rotkrein._radial, "sp", counter)
     passes = [0]
@@ -563,9 +622,11 @@ def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):
     t = Truncation(3, l_max=6)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 3), RotationSpec(12.0), t, build_mesh(3, 1.0, 13))
     # 144 scipy calls with a call per (l, m), 28 with one per shell, 8 with
-    # one per kernel call (J and H at the rows and at the columns).
+    # one per kernel call (J and H at the rows and at the columns); 4
+    # recurrence passes with one kernel call for the shifted channels and
+    # one for the unshifted degrees.
     assert counter.calls == 0
-    assert 0 < passes[0] <= 2 * 2
+    assert 0 < passes[0] <= 2
 
 
 # -- the 2D assembly: the segment as a tensor mesh with one angular sample --
@@ -686,7 +747,7 @@ def test_2d_assembly_matches_per_channel_sums(z, omega):
 
 def _cell_sums(z, omega):
     """The channel sums of the 2D boundary matrices, as (chans, z, omega,
-    less_unshifted) of _panel_cells and the (order, energy, sign) terms of
+    less_unshifted) of _channel_terms and the (order, energy, sign) terms of
     channel_sum_2d: the full matrix's differences, a cutoff, and channels 0
     and 2 alone."""
     t = Truncation(5)
@@ -721,9 +782,9 @@ def test_2d_cells_at_least_as_close_as_the_split_rule(res):
                 split = panel_cells(mesh, f, nodes)
             except OverflowError:
                 with pytest.raises(OverflowError, match="own-panel cell"):
-                    blade_mod._panel_cells(mesh, *args)
+                    blade_mod._panel_cells(mesh, blade_mod._channel_terms(mesh, *args))
                 continue
-            got = blade_mod._panel_cells(mesh, *args)[nodes]
+            got = blade_mod._panel_cells(mesh, blade_mod._channel_terms(mesh, *args))[nodes]
             want = panel_cells(mesh, f, nodes, n_sub=20, n_pts=20)
             floor = 1e-15 * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= max(np.max(np.abs(split - want)), floor)
@@ -767,25 +828,25 @@ def _gamma_matrix_2d_bessel_calls(monkeypatch, *modules) -> int:
 
 
 def test_gamma_matrix_2d_bessel_calls(monkeypatch, serial_bessel):
-    """One kernel call for all shifted channels and one for the unshifted
-    orders for the mesh matrix, and for the own-panel cells one factor pass
-    over every (order, energy) pair on the pieces and one at the nodes (no
-    timing)."""
+    """One factor pass over every (order, energy) pair, shifted and
+    unshifted, at the nodes, which the mesh matrix and the own-panel cells
+    share, and one on the cells' pieces (no timing)."""
     calls = _gamma_matrix_2d_bessel_calls(monkeypatch)
-    # A jv and a hankel1 call per kernel call (J and H over the distinct
-    # radii of both sides), on the cells' pieces and at their nodes.
-    assert 0 < calls <= 2 * 2 + 2 * 2
+    # A jv and a hankel1 call per pass.
+    assert 0 < calls <= 2 * 2
 
 
 def test_gamma_matrix_2d_bessel_elements(monkeypatch):
     """A ratchet on the work of one 2D gamma_matrix that does not drift
     with the host's speed: the elements of its _bessel batches, pinned
     exactly (47,184 with 12 + 12 points about each node for the cells and a
-    Hankel value per node pair).  15 distinct (order, energy) pairs (10
+    Hankel value per node pair; 26,450 while the matrix and the cells each
+    took their own node factors).  15 distinct (order, energy) pairs (10
     shifted, 5 unshifted); 12 panels of 8 nodes:
-    - the matrix: J and H at the 96 nodes per pair, 15 * 192 = 2,880;
-    - the cells: per pair and panel, J on 8 pieces and H on 8 pieces of 6
-      points and both at the 8 nodes, 15 * 12 * 112 = 20,160;
+    - the node factors: J and H at the 96 nodes per pair, 15 * 192 = 2,880,
+      from one pass that the mesh matrix and the own-panel cells share;
+    - the cells' pieces: per pair and panel, J on 8 pieces and H on 8 pieces
+      of 6 points, 15 * 12 * 96 = 17,280;
     - the free kernel: its 1,106 distinct node distances, and its regular
       remainder at 12 + 12 points about each node, 96 * 24 = 2,304."""
     count = [0]
@@ -799,7 +860,7 @@ def test_gamma_matrix_2d_bessel_elements(monkeypatch):
         monkeypatch.setattr(mod, "_bessel", counted)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), Truncation(5),
                  build_mesh(2, 1.0, 12))
-    assert count[0] == 2_880 + 20_160 + 1_106 + 2_304 == 26_450
+    assert count[0] == 2_880 + 17_280 + 1_106 + 2_304 == 23_570
 
 
 def test_gamma_matrix_2d_bessel_calls_split(monkeypatch, split_bessel):

@@ -373,9 +373,12 @@ csv = {csv}
 
 def test_study_cli_breakpoint_budget_exits_2(tmp_path, capsys, monkeypatch):
     """A study whose radial_apply plan needs more breakpoints than the budget
-    (cut to 8 here, so the plan stays small without the check) exits 2."""
+    (cut to 8 here, so the plan stays small without the check) exits 2.
+    The plan memo is emptied first: a plan that an earlier study of the same
+    channel left there would be met without the budget check."""
     import rotkrein._radial as radial_mod
 
+    radial_mod._plan.cache_clear()
     monkeypatch.setattr(radial_mod, "_MAX_EDGES", 8)
     csv = tmp_path / "b.csv"
     cfg = _write_config(tmp_path / "b.ini", BLADE_INI.format(dim=2, channels="1", csv=csv))

@@ -275,6 +275,51 @@ def test_point_study_overflow_fails_its_own_rows(dim):
     assert tab.to_csv().encode() == good.to_csv().encode()
 
 
+# The blade study's overflow messages per dimension and failing omega, as
+# separable_kernels words them: the order, the channel energy and the radii
+# of the first channel kernel of the matrix's sum that is not finite.
+BLADE_OVERFLOWS = {
+    2: {3e5: "2D radial kernel of order 3 at z=(-1199999.6+1j) is not finite "
+             "for radii in [0.646897, 0.998345]",
+        1e6: "2D radial kernel of order 3 at z=(-3999999.6+1j) is not finite "
+             "for radii in [0.353103, 0.998345]"},
+    3: {3e5: "3D radial kernel of order 3 at z=(-1199999.6+1j) is not finite "
+             "for radii in [0.724246, 0.992092]",
+        1e6: "3D radial kernel of order 3 at z=(-3999999.6+1j) is not finite "
+             "for radii in [0.384771, 0.992092]"},
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blade_study_overflow_fails_its_own_rows(dim):
+    """From omega = 3e5 on, the J factor of a channel at z - omega + m omega
+    (m = -3, the lowest shift of the window) overflows at the outer nodes;
+    those rows fail with an OverflowError naming the order, the channel
+    energy and the radii, and the rows before them compute."""
+    psis = [make_psi(dim, ChannelIndex2(1) if dim == 2 else ChannelIndex3(1, 1))]
+    t = Truncation(3) if dim == 2 else None
+    tab = blade_convergence_study(dim, BladeParam(1.0, 2.0, dim), Z, [50.0, 1e5, 3e5, 1e6],
+                                  psis, t=t)
+    assert [f["omega"] for f in tab.failures] == [3e5, 1e6]
+    for failure in tab.failures:
+        assert failure["error"] == "OverflowError: " + BLADE_OVERFLOWS[dim][failure["omega"]]
+    assert [row["omega"] for row in tab.rows] == [50.0, 1e5]
+    for row in tab.rows:
+        assert 0.0 < row["error_norm"] < math.inf and 0.0 < row["kernel_gap"] < math.inf
+
+
+@pytest.mark.parametrize("dim,channel", [(2, ChannelIndex2(1)), (3, ChannelIndex3(1, 1))])
+def test_blade_study_builds_one_plan_per_channel(dim, channel):
+    """The free-field trace is taken once per channel at z itself, which the
+    averaged side uses too: one radial_apply plan for the whole study of a
+    shifted channel, however many rows it has."""
+    _radial._plan.cache_clear()
+    blade_convergence_study(dim, BladeParam(1.0, 2.0, dim), Z, [10.0, 20.0, 40.0],
+                            [make_psi(dim, channel, n=60, r_max=3.0)],
+                            resolution=3, t=Truncation(2, l_max=None if dim == 2 else 3))
+    assert _radial._plan.cache_info().misses == 1
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Count the calls of fn through every rotkrein module that holds it."""
     calls = []
