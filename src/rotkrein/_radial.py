@@ -49,22 +49,13 @@ distinct radii (_shared_factors), so that each factor of a square matrix
 or of the point pairs of a Krein kernel is evaluated once per order,
 energy and radius.  The energies of a call are checked and rooted in one
 array pass (_roots), a numpy transcription of CPython's complex square
-root.  Every library jv and hankel1 batch (the 2D factors, the blade's
-free 2D Hankel kernels) goes through _bessel: where the process may run on
-a second CPU, a call of _SPLIT_MIN elements or more is cut into the two
-halves of its flattened batch, and the helper thread of a one-worker
-executor, made at import, evaluates the first half while the caller
-evaluates the second.  Only the scipy.special ufunc runs on the helper; it
-releases the GIL and is elementwise, so results are the same bits on one
-core or two.  A forked child gets an executor of its own.
+root.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.special as sp
@@ -83,67 +74,16 @@ __all__ = [
 ]
 
 
-# A Bessel batch of at least this many elements is cut in two halves, one
-# evaluated on the helper thread (see _bessel).  numpy releases the GIL only
-# for a loop of more than 500 elements, so each half must exceed that: on a
-# 2-CPU host a 1,010-element jv or hankel1 batch split 1.1-1.7x faster, a
-# 1,000-element one 1.3-1.7x slower.
-_SPLIT_MIN = 1200
 # The smallest normal double: _roots scales an energy whose parts are both
 # below it, as CPython's complex sqrt does.
 _NORMAL_MIN = np.finfo(float).smallest_normal
 
 
-def _make_pool() -> None:
-    """Give the process the helper's one-worker executor (_pool), or None
-    where it has one CPU.  Runs at import and in a forked child, which has
-    no helper thread; the executor starts its thread at the first submit."""
-    global _pool
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    _pool = None if cpus < 2 else ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix="rotkrein-bessel")
-
-
-_make_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_make_pool)
-
-
-def _bessel(f, nu, x) -> np.ndarray:
-    """f(nu, x) for a scipy.special ufunc f, nu broadcast against x.
-
-    Where the process has a helper (_pool), a batch of _SPLIT_MIN elements
-    or more is cut into the two halves of the flattened batch: the helper
-    thread evaluates the first half while this thread evaluates the second.
-    The ufuncs release the GIL and are elementwise, so both halves together
-    are the bits of one call, wherever the cut falls.  The helper's
-    scipy.special error state (kept per thread) is the default: an overflow
-    is reported by the callers' own finiteness checks, as on one thread.
-    """
-    shape = np.broadcast_shapes(np.shape(nu), np.shape(x))
-    size = math.prod(shape)
-    if _pool is None or size < _SPLIT_MIN:
-        return f(nu, x)
-    half = size // 2
-    nu, x = (np.broadcast_to(a, shape).ravel() for a in (nu, x))
-    out = np.empty(shape, dtype=complex)
-    flat = out.reshape(-1)
-    done = _pool.submit(f, nu[:half], x[:half], out=flat[:half])
-    try:
-        f(nu[half:], x[half:], out=flat[half:])
-    finally:
-        done.result()
-    return out
-
-
 def _jv(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) of integer orders by one jv call (_bessel), with the arguments
-    on the positive real axis taken again by jv at the real argument, the
-    route of specfun's bessel_j there."""
-    out = _bessel(sp.jv, nu, x)
+    """J_nu(x) of integer orders by one jv call, with the arguments on the
+    positive real axis taken again by jv at the real argument, the route of
+    specfun's bessel_j there."""
+    out = sp.jv(nu, x)
     if (x.imag == 0.0).any():
         nu, x = np.broadcast_arrays(nu, x)
         on_axis = (x.imag == 0.0) & (x.real > 0.0)
@@ -204,7 +144,7 @@ def _factors(dim: int, orders, w, flip, x: np.ndarray, need_j, need_h):
         if ih.size:
             xh = w2 * xs[ih]
             _require_nonzero(xh)
-            h[:, ih] = _bessel(sp.hankel1, nu2, xh)
+            h[:, ih] = sp.hankel1(nu2, xh)
     else:
         jx, hx = _spherical_factors(orders.astype(int).ravel(), w, xs, ij, ih)
         if ij.size:

@@ -54,7 +54,6 @@ import scipy.special as sp
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from ._radial import (
-    _bessel,
     _check_finite,
     _factors,
     _integrals,
@@ -316,7 +315,7 @@ def _free2_reg(z: complex, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     out = np.empty(d.shape, dtype=complex)
     tiny = d < 1e-12
-    out[~tiny] = 0.25j * _bessel(sp.hankel1, 0, w * d[~tiny]) + np.log(d[~tiny]) / (2.0 * math.pi)
+    out[~tiny] = 0.25j * sp.hankel1(0, w * d[~tiny]) + np.log(d[~tiny]) / (2.0 * math.pi)
     out[tiny] = 0.25j - (np.log(w / 2.0) + _EULER) / (2.0 * math.pi)
     return out
 
@@ -359,7 +358,7 @@ def _free_2d(z: complex, mesh: BladeMesh) -> tuple:
     K = np.zeros((len(r), len(r)), dtype=complex)
     # Equal distances recur along the panels: one Hankel value per distance.
     d, at = np.unique(np.abs(r[iu[0]] - r[iu[1]]), return_inverse=True)
-    K[iu] = K[iu[::-1]] = (0.25j * _bessel(sp.hankel1, 0, wz * d))[at]
+    K[iu] = K[iu[::-1]] = (0.25j * sp.hankel1(0, wz * d))[at]
     log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(mesh.cells[mesh.panel], r)])
     cells = -log_part / (2.0 * math.pi) + _diag_cells(
         mesh, lambda ri, tt: _free2_reg(z, np.abs(ri - tt)) * tt

@@ -1,7 +1,6 @@
 """Shared builders for the test suite."""
 
 import math
-import threading
 
 import numpy as np
 import scipy.special as sp
@@ -73,22 +72,18 @@ def fd_averaged_solution(dim: int, z: complex, order: int, alpha: float,
 class CountingSpecial:
     """scipy.special with every function call counted (.calls), and the
     elements each call evaluates, the broadcast size of its positional
-    arguments (.elements).  Calls on any thread count (the helper thread of
-    a split Bessel batch among them)."""
+    arguments (.elements)."""
 
     def __init__(self):
         self.calls = 0
         self.elements = 0
-        self._lock = threading.Lock()
 
     def __getattr__(self, name):
         fn = getattr(sp, name)
 
         def counted(*args, **kwargs):
-            size = math.prod(np.broadcast_shapes(*map(np.shape, args)))
-            with self._lock:
-                self.calls += 1
-                self.elements += size
+            self.calls += 1
+            self.elements += math.prod(np.broadcast_shapes(*map(np.shape, args)))
             return fn(*args, **kwargs)
 
         return counted

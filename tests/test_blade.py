@@ -4,7 +4,6 @@ import itertools
 import logging
 import math
 import re
-import sys
 import types
 
 import numpy as np
@@ -816,29 +815,22 @@ def test_layer_fields_multiply_the_angular_factor(dim, z):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _gamma_matrix_2d_bessel_calls(monkeypatch, *modules) -> int:
-    """scipy.special calls of one 2D gamma_matrix made by _radial and by the
-    given other modules."""
-    counter = CountingSpecial()
-    for mod in (rotkrein._radial, *modules):
-        monkeypatch.setattr(mod, "sp", counter)
-    t = Truncation(5)
-    gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), t, build_mesh(2, 1.0, 12))
-    return counter.calls
-
-
-def test_gamma_matrix_2d_bessel_calls(monkeypatch, serial_bessel):
+def test_gamma_matrix_2d_bessel_calls(monkeypatch):
     """One factor pass over every (order, energy) pair, shifted and
     unshifted, at the nodes, which the mesh matrix and the own-panel cells
-    share, and one on the cells' pieces (no timing)."""
-    calls = _gamma_matrix_2d_bessel_calls(monkeypatch)
+    share, and one on the cells' pieces (no timing): the scipy.special
+    calls of _radial in one 2D gamma_matrix."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), Truncation(5),
+                 build_mesh(2, 1.0, 12))
     # A jv and a hankel1 call per pass.
-    assert 0 < calls <= 2 * 2
+    assert 0 < counter.calls <= 2 * 2
 
 
 def test_gamma_matrix_2d_bessel_elements(monkeypatch):
     """A ratchet on the work of one 2D gamma_matrix that does not drift
-    with the host's speed: the elements of its _bessel batches, pinned
+    with the host's speed: the elements of its jv and hankel1 calls, pinned
     exactly (47,184 with 12 + 12 points about each node for the cells and a
     Hankel value per node pair; 26,450 while the matrix and the cells each
     took their own node factors).  15 distinct (order, energy) pairs (10
@@ -849,28 +841,12 @@ def test_gamma_matrix_2d_bessel_elements(monkeypatch):
       of 6 points, 15 * 12 * 96 = 17,280;
     - the free kernel: its 1,106 distinct node distances, and its regular
       remainder at 12 + 12 points about each node, 96 * 24 = 2,304."""
-    count = [0]
-    bessel = rotkrein._radial._bessel
-
-    def counted(f, nu, x):
-        count[0] += np.broadcast(nu, x).size
-        return bessel(f, nu, x)
-
+    counter = CountingSpecial()
     for mod in (rotkrein._radial, blade_mod):
-        monkeypatch.setattr(mod, "_bessel", counted)
+        monkeypatch.setattr(mod, "sp", counter)
     gamma_matrix(Z, BladeParam(1.0, 2.0, 2), RotationSpec(12.0), Truncation(5),
                  build_mesh(2, 1.0, 12))
-    assert count[0] == 2_880 + 17_280 + 1_106 + 2_304 == 23_570
-
-
-def test_gamma_matrix_2d_bessel_calls_split(monkeypatch, split_bessel):
-    """With every batch split across the helper thread, each of those calls,
-    and each Hankel call of the free kernel and its cells, becomes exactly
-    two."""
-    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", sys.maxsize)
-    serial = _gamma_matrix_2d_bessel_calls(monkeypatch, blade_mod)
-    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", 0)
-    assert _gamma_matrix_2d_bessel_calls(monkeypatch, blade_mod) == 2 * serial
+    assert counter.elements == 2_880 + 17_280 + 1_106 + 2_304 == 23_570
 
 
 def test_apply_blade_resolvent_at_the_3d_origin():

@@ -3,13 +3,13 @@ helper outlives its callers, every name an __all__ exports exists, every
 function the benchmark tracer wraps exists, only the listed functions
 branch on the dimension, a blade mesh takes only its dimension, radius and
 resolution, no module mentions a harmonic norm, one function
-conjugates the radial factors, one function factors a dense matrix, one
+conjugates the radial factors, one function factors a dense matrix, no
 module uses threads, only the one-term sph_harm evaluates a spherical
-harmonic by itself, every library Bessel batch goes through
-_radial._bessel, _radial roots and checks no energy one by one in a
-loop, and the package imports from scipy only scipy.special and
-scipy.linalg, so a fresh `import rotkrein.cli` loads none of
-scipy.interpolate, optimize, sparse, spatial or fft.
+harmonic by itself, only the listed 2D functions and the one-term specfun
+functions call scipy's Bessel ufuncs, _radial roots and checks no energy
+one by one in a loop, and the package imports from scipy only
+scipy.special and scipy.linalg, so a fresh `import rotkrein.cli` loads
+none of scipy.interpolate, optimize, sparse, spatial or fft.
 
 No lint tool runs over the package, so these tests are the check.  The
 package __init__ re-exports its imports and is skipped.
@@ -324,11 +324,11 @@ def test_finds_thread_modules():
     assert _thread_modules(sources) == ["a", "b", "c"]
 
 
-def test_threads_stay_in_radial():
-    """Only _radial starts a thread, the helper that evaluates half of a
-    large Bessel batch (numpy and scipy code only)."""
+def test_no_module_uses_threads():
+    """Every computation runs on the calling thread: no module imports
+    threading or concurrent."""
     sources = {p.stem: p.read_text() for p in MODULES}
-    assert _thread_modules(sources) == ["_radial"]
+    assert _thread_modules(sources) == []
 
 
 def _per_element_harmonic(node) -> bool:
@@ -358,14 +358,14 @@ BESSEL_UFUNCS = ("jv", "hankel1", "spherical_jn")
 
 def _direct_bessel_call(node) -> bool:
     """A call of scipy's jv, hankel1 or spherical_jn by name (sp.jv(...),
-    hankel1(...)); passing the ufunc on, as to _bessel, is not a call."""
+    hankel1(...)); passing the ufunc on to another function is not a call."""
     return isinstance(node, ast.Call) and (getattr(node.func, "attr", None) in BESSEL_UFUNCS
                                            or getattr(node.func, "id", None) in BESSEL_UFUNCS)
 
 
 def test_finds_direct_bessel_calls():
     sources = {"a": (
-        "def f(nu, x):\n    return sp.jv(nu, x), _bessel(sp.hankel1, nu, x)\n\n"
+        "def f(nu, x):\n    return sp.jv(nu, x), apply(sp.hankel1, nu, x)\n\n"
         "def g(l, x):\n    def inner():\n        return scipy.special.spherical_jn(l, x)\n"
         "    return inner\n\n"
         "def h(x):\n    return hankel1(0, x), sp.hankel2(0, x), sp.jve(0, x)\n\n"
@@ -373,15 +373,15 @@ def test_finds_direct_bessel_calls():
     assert _sites(sources, _direct_bessel_call) == ["a.f", "a.g.inner", "a.h"]
 
 
-def test_bessel_batches_go_through_the_split():
-    """A ratchet on the one Bessel route: every library batch of jv and
-    hankel1 goes through _radial._bessel, which splits a large one across
-    the helper thread.  Only _jv's real-axis re-evaluation and the one-term
-    specfun functions call the ufuncs themselves."""
+def test_bessel_calls_stay_at_their_sites():
+    """A ratchet on the sites that call scipy's Bessel ufuncs: the 2D
+    factors (_radial._jv and _factors), the blade's free 2D Hankel kernels
+    (blade._free2_reg and _free_2d) and the one-term specfun functions.  No
+    3D route is among them: its factors come from degree recurrences."""
     sources = {p.stem: p.read_text() for p in MODULES}
     assert _sites(sources, _direct_bessel_call) == [
-        "_radial._jv", "specfun.bessel_j", "specfun.hankel1", "specfun.sph_bessel_j",
-        "specfun.sph_hankel1"]
+        "_radial._factors", "_radial._jv", "blade._free2_reg", "blade._free_2d",
+        "specfun.bessel_j", "specfun.hankel1", "specfun.sph_bessel_j", "specfun.sph_hankel1"]
 
 
 PER_ENERGY_CALLS = ("sqrt_upper", "require_resolvent_energy", "_root")

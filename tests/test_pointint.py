@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_radial
+from helpers import CountingSpecial, gauss_radial
 from oracles import lambda_via
 
 import rotkrein._radial
@@ -201,17 +201,12 @@ def test_lambda_ref_is_the_norm_at_the_conjugate_reference(dim):
 
 @pytest.fixture
 def bessel_elements(monkeypatch):
-    """The number of Bessel elements evaluated through _radial._bessel, a
-    cost that does not drift with the host's speed."""
-    count = [0]
-    bessel = rotkrein._radial._bessel
-
-    def counted(f, nu, x):
-        count[0] += np.broadcast(nu, x).size
-        return bessel(f, nu, x)
-
-    monkeypatch.setattr(rotkrein._radial, "_bessel", counted)
-    return count
+    """The scipy.special calls of _radial, counted (CountingSpecial): their
+    .elements, the jv and hankel1 elements evaluated, are a cost that does
+    not drift with the host's speed."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    return counter
 
 
 @pytest.mark.parametrize("dim,cap,channels,terms", [(3, 48, 2401, 1225), (2, 64, 129, 129)])
@@ -233,24 +228,24 @@ def test_krein_kernel_bessel_elements(bessel_elements, recurrence_arguments, dim
     shells = 2 * cap + 1
     krein_kernel(dim, 0.4 + 1j, KreinParam(1.2), RotationSpec(7.0), x, xp, src, t)
     if dim == 2:
-        assert bessel_elements[0] == 4 * channels + 2 * 2 * terms == 1032
+        assert bessel_elements.elements == 4 * channels + 2 * 2 * terms == 1032
     else:
-        assert bessel_elements[0] == 0
+        assert bessel_elements.elements == 0
         assert recurrence_arguments == [4 * shells, 4 * shells] == [388, 388]
-    bessel_elements[0] = 0
+    bessel_elements.elements = 0
     recurrence_arguments[:] = [0, 0]
     rot_green(dim, 0.4 + 1j, RotationSpec(7.0), x, xp, t)
     if dim == 2:
-        assert bessel_elements[0] == 2 * channels
+        assert bessel_elements.elements == 2 * channels
     else:
-        assert (bessel_elements[0], recurrence_arguments) == (0, [shells, shells])
+        assert (bessel_elements.elements, recurrence_arguments) == (0, [shells, shells])
 
 
-def test_3d_kernels_make_no_bessel_call(monkeypatch, bessel_elements):
+def test_3d_kernels_make_no_bessel_call(monkeypatch):
     """A ratchet on the 3D route: rot_green, krein_kernel and
     separable_kernels take their factors from the degree recurrences, with
-    no _bessel batch and no scipy jv or hankel1 call anywhere in the
-    package (the harmonics' sph_harm_y_all is the one scipy call left)."""
+    no scipy jv or hankel1 call anywhere in the package (the harmonics'
+    sph_harm_y_all is the one scipy call left)."""
     import rotkrein.specfun
     import scipy.special as sp
 
@@ -270,7 +265,6 @@ def test_3d_kernels_make_no_bessel_call(monkeypatch, bessel_elements):
     krein_kernel(3, 0.4 - 1j, KreinParam(1.2), RotationSpec(7.0), x, xp, SRC3, t)
     rotkrein._radial.separable_kernels(3, np.arange(12), [0.4 + 1j, -3.0] * 6,
                                        np.array([0.0, 0.3, 2.0])[:, None], [0.3, 5.0])
-    assert bessel_elements[0] == 0
     assert not {"jv", "hankel1"} & set(called), called
 
 
@@ -291,7 +285,7 @@ def test_lambdas_take_two_shells_per_window_channel(monkeypatch, bessel_elements
     rotkrein.pointint._lambdas_at(2, [0.4 + 1j, -2 + 0.5j, 3 - 1j], KreinParam(1.2),
                                   [rot] * 3, SRC2, t)
     assert shells == [3 * 2 * (2 * t.m_max + 1)]
-    assert bessel_elements[0] == 2 * sum(shells)  # 2D: one order, J and H, per shell
+    assert bessel_elements.elements == 2 * sum(shells)  # 2D: one order, J and H, per shell
 
 
 # krein_kernel's first error where the free sum, the coupling and the left

@@ -3,11 +3,9 @@
 import hashlib
 import math
 import re
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +35,6 @@ from rotkrein import (
     averaged_resolvent,
 )
 from rotkrein._radial import (
-    _bessel,
     _factors,
     _root,
     _roots,
@@ -678,114 +675,9 @@ def test_a_call_that_meets_its_plan_evaluates_only_pieces_and_outputs(
     assert second.tobytes() == first.tobytes()
 
 
-# Split Bessel batches: each case is (dim, orders, energies, r, rp) for
-# separable_kernels.
-_SPLIT_R = np.linspace(0.02, 6.0, 97)
-_SPLIT_ORDERS = np.arange(-40, 41)
-SPLIT_CASES = {
-    "radius axis": (2, 3, 0.4 + 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
-    "order axis": (2, _SPLIT_ORDERS, 0.4 + 1.0j + 7.0 * _SPLIT_ORDERS, 0.7, 1.1),
-    "orders over radii": (2, np.arange(8), 0.4 + 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
-    "lower half-plane": (2, [0, 1, 2], 0.4 - 1.0j, _SPLIT_R[:, None], _SPLIT_R[None, :]),
-}
-
-
-def _serial_and_split(monkeypatch, call):
-    """call() and its scipy.special call count on one thread, then with every
-    batch split across the helper thread (the split_bessel fixture gives
-    the process its helper)."""
-    counter = CountingSpecial()
-    monkeypatch.setattr(rotkrein._radial, "sp", counter)
-    runs = []
-    for split_min in (sys.maxsize, 0):
-        monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", split_min)
-        counter.calls = 0
-        runs.append((call().tobytes(), counter.calls))
-    return runs
-
-
-@pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
-def test_a_split_batch_is_the_bits_of_one_call(monkeypatch, split_bessel, case):
-    """Both halves of every jv and hankel1 call together give the bits of
-    the one call, over radii, orders or both and in both half-planes."""
-    (one, serial_calls), (split, split_calls) = _serial_and_split(
-        monkeypatch, lambda: separable_kernels(*case))
-    assert serial_calls > 0
-    assert split_calls == 2 * serial_calls
-    assert split == one
-
-
-def test_3d_kernels_make_no_bessel_call(monkeypatch, split_bessel):
-    """3D degree recurrences run on the calling thread: no jv or hankel1
-    call to split, and the bits of the unsplit run."""
-    (one, serial_calls), (split, split_calls) = _serial_and_split(
-        monkeypatch, lambda: separable_kernels(3, np.arange(8), 0.4 + 1.0j,
-                                               _SPLIT_R[:, None], _SPLIT_R[None, :]))
-    assert serial_calls == split_calls == 0
-    assert split == one
-
-
-# 2D radial_apply cases (order, z) as many as MEMO_CASES: 3D makes no
-# Bessel batch (test_a_call_that_meets_its_plan_evaluates_only_pieces_and_outputs).
-SPLIT_APPLY_CASES = [(order, z) for order in (2, 3) for z in (0.4 + 1.0j, 0.4 - 1.0j)]
-
-
-@pytest.mark.parametrize("order,z", SPLIT_APPLY_CASES)
-def test_a_split_radial_apply_is_the_bits_of_one_call(monkeypatch, split_bessel, order, z):
-    """As for the kernels: split halves of every 2D plan and evaluation
-    batch, and the bits of the unsplit run, in both half-planes."""
-    def call():
-        rotkrein._radial._plan.cache_clear()
-        return radial_apply(_psi(2, order, MEMO_GRID), z, MEMO_RADII)
-
-    (one, serial_calls), (split, split_calls) = _serial_and_split(monkeypatch, call)
-    assert serial_calls > 0
-    assert split_calls == 2 * serial_calls
-    assert split == one
-
-
-def test_a_split_cuts_the_flat_batch_in_halves(split_bessel):
-    """Many orders at one radius and one order at many radii alike: the
-    batch, nu broadcast against x, is flattened and cut into two halves,
-    each half is one call, and together they are the bits of one call."""
-    seen = []
-
-    def jv(nu, x, **kwargs):
-        seen.append((nu.copy(), x.copy()))
-        return sp.jv(nu, x, **kwargs)
-
-    w = sqrt_upper(0.4 + 1.0j)
-    for nu, x in (
-        (np.arange(80.0).reshape(-1, 1), np.array([0.7 * w])),
-        (np.array([[1.5]]), w * _SPLIT_R[:96]),
-    ):
-        seen.clear()
-        assert _bessel(jv, nu, x).tobytes() == sp.jv(nu, x).tobytes()
-        flat_nu, flat_x = (np.broadcast_to(a, np.broadcast_shapes(nu.shape, x.shape)).ravel()
-                           for a in (nu, x))
-        half = flat_x.size // 2
-        halves = [(flat_nu[:half], flat_x[:half]), (flat_nu[half:], flat_x[half:])]
-        assert len(seen) == 2
-        for part_nu, part_x in halves:
-            assert any(np.array_equal(part_nu, n) and np.array_equal(part_x, t) for n, t in seen)
-
-
-def test_an_error_on_the_helper_reaches_the_caller(split_bessel):
-    """The half on the helper thread raises in the caller, after the
-    caller's own half is done."""
-    done = []
-
-    def jv(nu, x, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise ArithmeticError("helper half")
-        done.append(sp.jv(nu, x, **kwargs))
-
-    with pytest.raises(ArithmeticError, match="helper half"):
-        _bessel(jv, np.arange(4.0).reshape(-1, 1), np.array([0.7 + 0.1j]))
-    assert len(done) == 1
-
-
-def test_typed_errors_raise_through_the_split(split_bessel):
+def test_2d_bessel_errors_are_typed():
+    """A zero argument of H raises SingularArgumentError, and a nonfinite
+    factor OverflowError naming the order, the energy and the radii."""
     with pytest.raises(SingularArgumentError, match="singular at w r = 0"):
         separable_kernels(2, [0, 1], [1j, -2.0], np.array([0.0, 0.5])[:, None],
                           np.array([0.0, 0.7]))
@@ -794,86 +686,3 @@ def test_typed_errors_raise_through_the_split(split_bessel):
     grid = np.linspace(0.05, 8.0, 120)
     with pytest.raises(OverflowError, match=r"2D radial resolvent of order 1 at z=\(-10000\+1j\)"):
         radial_apply(_psi(2, 1, grid), -1e4 + 1.0j, grid)
-
-
-def _send_kernel_bytes(conn, case):
-    conn.send(separable_kernels(*case).tobytes())
-    conn.close()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_evaluates_a_split_batch(split_bessel):
-    """A child forked while this process has its helper thread starts its
-    own helper, instead of waiting on one that the fork did not copy."""
-    case = SPLIT_CASES["radius axis"]
-    want = separable_kernels(*case).tobytes()
-    assert rotkrein._radial._pool is not None
-    ctx = multiprocessing.get_context("fork")
-    here, there = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_kernel_bytes, args=(there, case))
-    child.start()
-    try:
-        assert here.poll(60), "the forked child did not finish its split batch"
-        assert here.recv() == want
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert child.exitcode == 0
-
-
-def test_concurrent_callers_share_one_helper(monkeypatch, split_bessel):
-    """Eight caller threads (more than the cores) with a short switch
-    interval send their halves to the one module executor, create no
-    executor, lose no counted call and get the bits of one unsplit call
-    each time."""
-    case = SPLIT_CASES["orders over radii"]
-    counter = CountingSpecial()
-    monkeypatch.setattr(rotkrein._radial, "sp", counter)
-    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", sys.maxsize)
-    want = separable_kernels(*case).tobytes()
-    per_call = 2 * counter.calls  # each call of the unsplit run in two halves
-    assert per_call > 0
-    monkeypatch.setattr(rotkrein._radial, "_SPLIT_MIN", 0)
-    created = []
-
-    class Executor(rotkrein._radial.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(rotkrein._radial, "ThreadPoolExecutor", Executor)
-    submits = []
-    submit = split_bessel.submit
-
-    def counted_submit(*args, **kwargs):
-        submits.append(1)
-        return submit(*args, **kwargs)
-
-    monkeypatch.setattr(split_bessel, "submit", counted_submit)
-    counter.calls = 0
-    barrier = threading.Barrier(8)
-    got = []
-
-    def caller():
-        barrier.wait()
-        for _ in range(5):
-            got.append(separable_kernels(*case).tobytes())
-
-    threads = [threading.Thread(target=caller) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got == [want] * 40
-    assert counter.calls == 40 * per_call
-    assert len(submits) == 40 * per_call // 2
-    assert rotkrein._radial._pool is split_bessel
-    assert created == []
