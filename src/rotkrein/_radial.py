@@ -194,15 +194,24 @@ def _spherical_factors(ls: np.ndarray, w, xs: np.ndarray, ij: np.ndarray,
         roots, group = wk[:1], np.zeros(k, dtype=int)
     tops = np.zeros(roots.size, dtype=int)
     np.maximum.at(tops, group, ls)
-    scale = np.sqrt(2.0 * roots / math.pi)[group, None]  # J_{l+1/2}(w r) / sqrt(r) = scale j_l
+    root_scale = np.sqrt(2.0 * roots / math.pi)  # J_{l+1/2}(w r) / sqrt(r) = scale j_l
+    scale = root_scale[group, None]
     j = h = None
     if ij.size:
         jt, at = _sph_j((roots[:, None] * xs[ij]).ravel(), np.repeat(tops, ij.size))
         j = 0.5j * math.pi * scale * jt[ls[:, None], at.reshape(roots.size, ij.size)[group]]
     if ih.size:
-        x = roots[:, None] * xs[ih]
+        x = (roots[:, None] * xs[ih]).ravel()
         _require_nonzero(x)
-        ht = _sph_h(x.ravel(), int(tops.max()) + 1)
+        ht = _sph_h(x, int(tops.max()) + 1)
+        # Where h_l overflows at or below the top degree of its root (small w
+        # r, high l) though scale h_l may not, the scale rides in h_0 instead
+        # (and no longer multiplies the gathered entries).
+        col_scale = np.repeat(root_scale, ih.size)
+        over = ~np.isfinite(ht[np.repeat(tops, ih.size), np.arange(x.size)])
+        if over.any():
+            ht[:, over] = _sph_h(x[over], ht.shape[0], col_scale[over])
+            scale = np.where(over, 1.0, col_scale)[group[:, None] * ih.size + np.arange(ih.size)]
         h = scale * ht[ls[:, None], group[:, None] * ih.size + np.arange(ih.size)]
     return j, h
 
@@ -271,12 +280,13 @@ def _h_ratios(odd: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sph_h(x: np.ndarray, n_deg: int) -> np.ndarray:
-    """h_l(x) = h_l^(1)(x), l = 0 .. n_deg - 1, at nonzero x, as rows: the
-    closed form h_0 = -i e^{ix} / x times the products of the ratios."""
+def _sph_h(x: np.ndarray, n_deg: int, scale=1.0) -> np.ndarray:
+    """scale h_l(x), h_l = h_l^(1), l = 0 .. n_deg - 1, at nonzero x (scale
+    one number, or one per x), as rows: the closed form scale h_0 = -i
+    scale e^{ix} / x times the products of the ratios."""
     inv = _reciprocal(x)
     h = np.empty((n_deg, x.size), dtype=complex)
-    np.multiply(_cis(x), -1j * inv, out=h[0])
+    np.multiply(_cis(x), -1j * (scale * inv), out=h[0])
     return _products(h, _h_ratios(_odd(inv, n_deg - 1),
                                   np.empty((n_deg - 1, x.size), dtype=complex)))
 

@@ -17,9 +17,9 @@ def recurrence_arguments(monkeypatch):
         count[0] += x.size
         return sph_j(x, top)
 
-    def counted_h(x, n_deg):
+    def counted_h(x, *args):
         count[1] += x.size
-        return sph_h(x, n_deg)
+        return sph_h(x, *args)
 
     monkeypatch.setattr(rotkrein._radial, "_sph_j", counted_j)
     monkeypatch.setattr(rotkrein._radial, "_sph_h", counted_h)

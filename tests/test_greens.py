@@ -310,6 +310,9 @@ radii = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
 @example(z=1j, r=1e-170, rp=1e-170, lo=0, n=3)  # r r' underflows to 0
 @example(z=0.4 - 1j, r=1e-160, rp=3e-161, lo=0, n=2)  # r r' is subnormal
 @example(z=2364 + 5e-324j, r=1.0, rp=0.0, lo=0, n=15)  # real w r: j_12 near a zero
+# A tiny energy: h_l overflows from degree 3 (16) though sqrt(2 w / pi) h_l does not.
+@example(z=8.57368557861636e-170 + 7.032574863824282e-249j, r=1.0, rp=0.0, lo=0, n=15)
+@example(z=5.780035332259584e-36 + 4.181860727649247e-278j, r=2.0, rp=2.0, lo=16, n=1)
 def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
     """radial_kernel_3d and one paired call over the degrees against the
     mpmath kernels (oracles.kernel_3d; the name predates the oracle and the
@@ -334,6 +337,8 @@ def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
 @example(pairs=[(1, 0.25 + 0.01j), (48, 3600 + 1j)], r=1.0, rp=2.0, tie=False)
 @example(pairs=[(1, 0.25 + 0.01j), (48, 3600 + 1j), (30, -4.0 + 1j)], r=1e-9, rp=2.0,
          tie=False)  # the backward, upward and leading-power routes together
+@example(pairs=[(0, 1j), (36, 8.778875393079056e-16 + 3.3942859030252814e-107j)], r=3.75,
+         rp=0.0, tie=True)  # h_36 overflows where the weighted factor does not
 def test_paired_3d_degrees_far_apart_match_mpmath(pairs, r, rp, tie):
     """One 3D call over (degree, energy) pairs whose degrees, and so the
     recurrence routes of their arguments, differ widely: each kernel against
