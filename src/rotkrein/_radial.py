@@ -37,19 +37,19 @@ pieces cut by its own output radii.  Results are the same bits with or
 without the memo.
 
 Every J and H factor of both comes from _factors, the one home of what
-differs between the dimensions here.  In 2D that is one jv and one hankel1
-call per side of a kernel call (J again by jv at the real argument where w
-r is real: _jv).  In 3D the orders of a call that share a root are one run
-of consecutive degrees, which three-term recurrences serve (DLMF 10.51):
-each argument w r takes one pass over the degrees up to the largest of its
-root (_sph_j, _sph_h), h upward from its closed forms and j upward where
-that is stable, else from backward ratios and the cross product with h.
-Where both sides hold several radii, the factors are taken over their
-distinct radii (_shared_factors), so that each factor of a square matrix
-or of the point pairs of a Krein kernel is evaluated once per order,
-energy and radius.  The energies of a call are checked and rooted in one
-array pass (_roots), a numpy transcription of CPython's complex square
-root.
+differs between the dimensions here.  A kernel call makes one pass over
+the distinct radii of both sides (_kernels), so that each factor of a
+square matrix or of the point pairs of a Krein kernel is evaluated once
+per order, energy and radius.  In 2D that pass is one jv and one hankel1
+call (J again by jv at the real argument where w r is real: _jv).  In 3D
+the orders of a call that share a root are one run of consecutive
+degrees, which three-term recurrences serve (DLMF 10.51): each argument
+w r takes one pass over the degrees up to the largest of its root
+(_sph_j, _sph_h), h upward from its closed forms and j upward where that
+is stable, else from backward ratios and the cross product with h.
+The energies of a call are checked and rooted in one array pass (_roots),
+a numpy transcription of CPython's complex square root, the one root
+routine of the factors.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 import scipy.special as sp
 from scipy.linalg import solve_banded
 
-from .specfun import SingularArgumentError, require_resolvent_energy, sqrt_upper
+from .specfun import SingularArgumentError, require_resolvent_energy
 
 __all__ = [
     "g2_vec",
@@ -121,12 +121,13 @@ def _factors(dim: int, orders, w, flip, x: np.ndarray, need_j, need_h):
     divided by sqrt(x): J(w x) = sqrt(2 w / pi) j_l(w x) and H(w x) =
     sqrt(2 w / pi) h_l(w x), so J at x = 0 is its limit, (i pi / 2) sqrt(2 w
     / pi) for l = 0 and 0 for l >= 1.  orders holds one order or an array of
-    orders, whose axes lead the results'; w is one _root and flip one Im z <
-    0 flag, or one of each per order.  Flagged factors come back conjugated:
-    g(z) = conj g(conj z).  2D orders are evaluated in the same jv and
-    hankel1 call, 3D degrees by degree recurrences, one pass over the
-    degrees for each distinct w (_spherical_factors); both at the needed
-    entries of the flattened radius axes.  A zero argument of H (r = r' = 0
+    orders, whose axes lead the results'; w holds the _roots of one energy
+    (0-d) or of one energy per order, and flip their Im z < 0 flags.
+    Flagged factors come back conjugated: g(z) = conj g(conj z).  2D orders
+    are evaluated in the same jv and hankel1 call, 3D degrees by degree
+    recurrences, one pass over the degrees for each distinct w
+    (_spherical_factors); both at the needed entries of the flattened
+    radius axes.  A zero argument of H (r = r' = 0
     in a kernel) raises SingularArgumentError.
     """
     orders = np.asarray(orders, dtype=float)
@@ -138,7 +139,7 @@ def _factors(dim: int, orders, w, flip, x: np.ndarray, need_j, need_h):
     h = np.zeros((k, xs.size), dtype=complex)
     if dim == 2:
         nu2 = np.abs(orders).reshape(k, 1)
-        w2 = w.reshape(k, 1) if isinstance(w, np.ndarray) else w
+        w2 = w.reshape(-1, 1)
         if ij.size:
             j[:, ij] = 0.5j * math.pi * _jv(nu2, w2 * xs[ij])
         if ih.size:
@@ -169,7 +170,7 @@ def _require_nonzero(xh: np.ndarray) -> None:
 def _spherical_factors(ls: np.ndarray, w, xs: np.ndarray, ij: np.ndarray,
                        ih: np.ndarray) -> tuple:
     """The 3D factors (i pi / 2) J and H of _factors, before any
-    conjugation: degrees ls, roots w (one, or one per degree), J at the
+    conjugation: degrees ls, roots w (0-d, or one per degree), J at the
     radii xs[ij] and H at xs[ih], as arrays of shapes (ls.size, ij.size) and
     (ls.size, ih.size).
 
@@ -179,19 +180,16 @@ def _spherical_factors(ls: np.ndarray, w, xs: np.ndarray, ij: np.ndarray,
     entries.
     """
     k = ls.size
-    wk = np.ascontiguousarray(np.broadcast_to(np.ravel(w), (k,)), dtype=complex)
-    if isinstance(w, np.ndarray) and k > 1:
-        # Callers lay out runs of one energy: the distinct roots of the runs
-        # first, which sorts far fewer.
-        bits = wk.view(np.uint64).reshape(k, 2)
-        new = np.ones(k, dtype=bool)
-        np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
-        runs = wk[new]
-        _, first, run_group = np.unique(runs.view("V16"), return_index=True,
-                                        return_inverse=True)
-        roots, group = runs[first], run_group[np.cumsum(new) - 1]
-    else:
-        roots, group = wk[:1], np.zeros(k, dtype=int)
+    wk = np.ascontiguousarray(np.broadcast_to(w.ravel(), (k,)), dtype=complex)
+    # Callers lay out runs of one energy: the distinct roots of the runs
+    # first, which sorts far fewer.
+    bits = wk.view(np.uint64).reshape(k, 2)
+    new = np.ones(k, dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    runs = wk[new]
+    _, first, run_group = np.unique(runs.view("V16"), return_index=True,
+                                    return_inverse=True)
+    roots, group = runs[first], run_group[np.cumsum(new) - 1]
     tops = np.zeros(roots.size, dtype=int)
     np.maximum.at(tops, group, ls)
     root_scale = np.sqrt(2.0 * roots / math.pi)  # J_{l+1/2}(w r) / sqrt(r) = scale j_l
@@ -395,16 +393,10 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
     return j, at
 
 
-def _root(z: complex) -> complex:
-    """The root every Bessel factor takes: w = sqrt_upper(z), or of conj z
-    where Im z < 0 (_factors then conjugates the factors)."""
-    return sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
-
-
-def _roots(z: np.ndarray):
-    """The _root of each energy: one complex for a 0-d z, else an array of
-    z's shape, each element the bits of _root; more than one energy in one
-    array pass.
+def _roots(z: np.ndarray) -> np.ndarray:
+    """The root every Bessel factor takes, of each energy of z in one array
+    pass, as an array of z's shape: w = specfun.sqrt_upper(z), or of conj z
+    where Im z < 0 (_factors then conjugates the factors).
 
     The finiteness and essential-spectrum tests of require_resolvent_energy
     run over the whole array; the first offending energy, in flat order, is
@@ -415,13 +407,11 @@ def _roots(z: np.ndarray):
     that hypot keeps full precision (and s is not 0).  np.sqrt rounds some
     roots differently (sqrt(1j) by 1 ulp in Im), so it is not used.
     """
-    if z.size == 1:  # the scalar route is the cheaper one here
-        w = _root(require_resolvent_energy(z.item()))
-        return w if z.ndim == 0 else np.full(z.shape, w)
-    x, y = z.real, z.imag
+    zs = z.ravel()  # 1-d, so that no step of a 0-d z gives a numpy scalar
+    x, y = zs.real, zs.imag
     bad = ~(np.isfinite(x) & np.isfinite(y)) | ((y == 0.0) & (x >= 0.0))
     if bad.any():
-        require_resolvent_energy(z.ravel()[bad.ravel().argmax()].item())
+        require_resolvent_energy(zs[bad.argmax()].item())
     y = np.where(y < 0.0, -y, y)  # conj z where Im z < 0
     ax, ay = np.abs(x), np.abs(y)
     s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
@@ -435,10 +425,10 @@ def _roots(z: np.ndarray):
     im = np.copysign(np.where(right, d, s), y)
     # sqrt_upper's branch: the root with Im > 0, or Im = 0 and Re >= 0.
     flip = (im < 0.0) | ((im == 0.0) & (re < 0.0))
-    w = np.empty(z.shape, dtype=complex)
+    w = np.empty(zs.shape, dtype=complex)
     w.real = np.where(flip, -re, re)
     w.imag = np.where(flip, -im, im)
-    return w
+    return w.reshape(z.shape)
 
 
 def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
@@ -448,11 +438,12 @@ def separable_kernels(dim: int, orders, z, r, rp) -> np.ndarray:
     axes lead the result's; z is one energy, or one energy per order (an
     array of the orders' shape).  r and rp broadcast against each other (row
     and column vectors give the matrices).  J and H are evaluated over every
-    order in one pass per side, or, where both sides hold several radii, in
-    one pass over their distinct radii (_shared_factors), J only where some
-    entry takes it at its smaller radius and H at its larger one, each
-    factor with its own radial weight and limit; entries are the products
-    ((i pi / 2) J) * H in that order.  In 2D every value equals the
+    order in one pass over the distinct radii of both sides (_kernels), so
+    a radius on both sides (a square matrix, the point pairs of a Krein
+    kernel) takes each factor once; J only where some entry takes it at its
+    smaller radius and H at its larger one, each factor with its own radial
+    weight and limit.  Entries are the products ((i pi / 2) J) * H in that
+    order.  In 2D every value equals the
     elementwise closed formula (jv, hankel1) at its own energy bit for bit,
     except where w r is real and positive: there J takes jv at the real
     argument.  In 3D the factors come from degree recurrences (_sph_j,
@@ -501,18 +492,24 @@ def _kernels(dim: int, orders: np.ndarray, z: np.ndarray, r: np.ndarray,
         r = r.reshape((1,) * (nd - r.ndim) + r.shape)
         rp = rp.reshape((1,) * (nd - rp.ndim) + rp.shape)
     lower = r <= rp  # entry takes J at r and H at rp; otherwise the reverse
+    radii, at = np.unique(np.concatenate([r.ravel(), rp.ravel()]), return_inverse=True)
+    at_r, at_rp = at[: r.size].reshape(r.shape), at[r.size :].reshape(rp.shape)
+    need_j = np.zeros(radii.size, dtype=bool)
+    need_h = np.zeros(radii.size, dtype=bool)
+    need_j[at_r[_needed(lower, r.shape)]] = need_h[at_r[_needed(~lower, r.shape)]] = True
+    need_j[at_rp[_needed(~lower, rp.shape)]] = need_h[at_rp[_needed(lower, rp.shape)]] = True
     # An overflowed factor, or the unselected product of an entry, may give
     # inf * 0; only the selected entries are checked (_check_kernels).
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        if r.size > 1 and rp.size > 1:
-            jr, hr, jp, hp = _shared_factors(dim, orders, w, flip, r, rp, lower)
-        else:
-            # One radius on a side: sorting out repeated radii would cost a
-            # one-term call more than it can save.
-            jr, hr = _factors(dim, orders, w, flip, r, _needed(lower, r.shape),
-                              _needed(~lower, r.shape))
-            jp, hp = _factors(dim, orders, w, flip, rp, _needed(~lower, rp.shape),
-                              _needed(lower, rp.shape))
+        jf, hf = _factors(dim, orders, w, flip, radii, need_j, need_h)
+        # np.take gathers in C order, so a later sum over the kernels adds in
+        # the order of their layout.  Each side keeps its own shape, so the
+        # products broadcast as they always have (numpy's complex product
+        # with a broadcast operand can round differently from the one on
+        # full arrays), and a one-order, one-radius factor stays a 0-d
+        # array (a numpy scalar's product rounds differently too).
+        jr, hr, jp, hp = (f.take(i.ravel(), axis=-1).reshape(f.shape[:-1] + i.shape)
+                          for i in (at_r, at_rp) for f in (jf, hf))
         g = np.where(lower, jr * hp, jp * hr)
     finite = bool(np.isfinite(g).all())
     if not finite:
@@ -521,25 +518,6 @@ def _kernels(dim: int, orders: np.ndarray, z: np.ndarray, r: np.ndarray,
         at0 = np.where(lower, (r == 0.0) & (jr == 0.0), (rp == 0.0) & (jp == 0.0))
         g[at0 & ~np.isfinite(g)] = 0.0
     return g, finite
-
-
-def _shared_factors(dim: int, orders, w, flip, r: np.ndarray, rp: np.ndarray,
-                    lower: np.ndarray) -> tuple:
-    """The factors J and H at r and at rp (as the two _factors calls of
-    _kernels give them) from one _factors call over their distinct radii, so
-    a radius on both sides (a square matrix, the point pairs of a Krein
-    kernel) has each factor evaluated once per order and energy."""
-    radii, at = np.unique(np.concatenate([r.ravel(), rp.ravel()]), return_inverse=True)
-    at_r, at_rp = at[: r.size].reshape(r.shape), at[r.size :].reshape(rp.shape)
-    need_j = np.zeros(radii.size, dtype=bool)
-    need_h = np.zeros(radii.size, dtype=bool)
-    need_j[at_r[_needed(lower, r.shape)]] = need_h[at_r[_needed(~lower, r.shape)]] = True
-    need_j[at_rp[_needed(~lower, rp.shape)]] = need_h[at_rp[_needed(lower, rp.shape)]] = True
-    jf, hf = _factors(dim, orders, w, flip, radii, need_j, need_h)
-    # np.take gathers in C order: a later sum over the kernels adds in the
-    # order of their layout.
-    return (jf.take(at_r, axis=-1), hf.take(at_r, axis=-1), jf.take(at_rp, axis=-1),
-            hf.take(at_rp, axis=-1))
 
 
 def _check_kernels(dim: int, orders: np.ndarray, z, g: np.ndarray, r, rp) -> None:
@@ -595,7 +573,7 @@ _PLANS = 8
 _MAX_EDGES = 131_072
 
 
-def _edges(grid: np.ndarray, w: complex) -> np.ndarray:
+def _edges(grid: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Breakpoints of radial_apply: the grid knots, uniform edges at most
     3/|w| apart and geometric edges towards the origin.  Where the added
     edges would exceed the breakpoint budget (a large |w| or hi - lo, or a
@@ -652,13 +630,13 @@ def _plan(dim: int, order: int, z_bytes: bytes, grid_bytes: bytes, values_bytes:
     adds only the intervals below k and R[k] only those from k on, so each
     entry an output reads is finite wherever its kernel is.
     """
-    z = complex(np.frombuffer(z_bytes, dtype=complex)[0])
+    z = np.frombuffer(z_bytes, dtype=complex).reshape(())
+    w = _roots(z)
     grid = np.frombuffer(grid_bytes)
-    edges = _edges(grid, _root(z))
+    edges = _edges(grid, w)
     f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
     every = np.ones(len(edges) - 1, bool)
-    jint, hint = _integrals(dim, order, _root(z), z.imag < 0.0, f, edges[:-1], edges[1:],
-                            every, every)
+    jint, hint = _integrals(dim, order, w, z.imag < 0.0, f, edges[:-1], edges[1:], every, every)
     with np.errstate(invalid="ignore", over="ignore"):
         left = np.concatenate([[0.0], np.cumsum(jint)])
         right = np.concatenate([np.cumsum(hint[::-1])[::-1], [0.0]])
@@ -701,7 +679,8 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     An output reads J only below its radius and H only above it, so a large
     Im sqrt(z) overflows only where the kernel itself would; a nonfinite
     result raises OverflowError.  Lower half-plane z uses the conjugated
-    factors at conj z.
+    factors at conj z; z is checked as separable_kernels checks its
+    energies (_roots).
     """
     z = complex(z)
     dim, order = psi.dim, psi.order
@@ -720,13 +699,14 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     kr = k + inside  # R(rc) sums the whole intervals from kr on
     ks, cs = k[inside], rc[inside]
     yes, no = np.ones(len(cs), bool), np.zeros(len(cs), bool)
+    w, flip = _roots(np.asarray(z)), z.imag < 0.0
     # The pieces below (J) and above (H) each inside rc.
-    jin, hin = _integrals(dim, order, _root(z), z.imag < 0.0, f,
+    jin, hin = _integrals(dim, order, w, flip, f,
                           np.concatenate([edges[ks], cs]),
                           np.concatenate([cs, edges[ks + 1]]),
                           np.concatenate([yes, no]), np.concatenate([no, yes]))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jr, hr = _factors(dim, order, _root(z), z.imag < 0.0, r, r < hi, r > lo)
+        jr, hr = _factors(dim, order, w, flip, r, r < hi, r > lo)
         left = left_sums[k]
         right = right_sums[kr]
         left[inside] += jin[: len(cs)]

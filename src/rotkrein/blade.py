@@ -23,12 +23,12 @@ Every boundary matrix takes its channel sum from one _factors pass over
 the distinct (order, energy) pairs of its terms at the radial nodes
 (_channel_terms), assembled as one matrix product of those factors
 (_channel_matrix: the sum is semiseparable).  layer_fields contracts the
-density with y_c before its radial blocks (_blocks: one separable_kernels
-call between the evaluation radii and the nodes).  A 2D node's own cell is
-its panel, whose quadrature entries the cell replaces: the channel sum is
-integrated there by product integration of its separated kernel
-(_panel_cells: running sums over the panel cut at its nodes, on the same
-node factors), and the free kernel by its log moment plus its regular
+density with y_c before its radial blocks (one separable_kernels call over
+its channels, between the evaluation radii and the nodes).  A 2D node's
+own cell is its panel, whose quadrature entries the cell replaces: the
+channel sum is integrated there by product integration of its separated
+kernel (_panel_cells: running sums over the panel cut at its nodes, on the
+same node factors), and the free kernel by its log moment plus its regular
 remainder.  Per dimension stay only the meshes and angular samples, the
 free kernel with its singular diagonal cells (3D: tangent-plane
 rectangles, all cells as one array), the own cells of the channel sum (3D:
@@ -54,7 +54,7 @@ import scipy.special as sp
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from ._radial import (
-    _check_finite,
+    _check_kernels,
     _factors,
     _integrals,
     _roots,
@@ -359,7 +359,9 @@ def _free_2d(z: complex, mesh: BladeMesh) -> tuple:
     # Equal distances recur along the panels: one Hankel value per distance.
     d, at = np.unique(np.abs(r[iu[0]] - r[iu[1]]), return_inverse=True)
     K[iu] = K[iu[::-1]] = (0.25j * sp.hankel1(0, wz * d))[at]
-    log_part = np.array([_log_moment(a, b, ri) for (a, b), ri in zip(mesh.cells[mesh.panel], r)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite cell is named below
+        log_part = np.array([_log_moment(a, b, ri)
+                             for (a, b), ri in zip(mesh.cells[mesh.panel], r)])
     cells = -log_part / (2.0 * math.pi) + _diag_cells(
         mesh, lambda ri, tt: _free2_reg(z, np.abs(ri - tt)) * tt
     )
@@ -467,23 +469,6 @@ def _angular(dim: int, chans, angles) -> np.ndarray:
     return channel_class(dim).harmonics(idx[:, :1], idx[:, 1:], *angles)
 
 
-def _blocks(dim: int, chans, z: complex, omega: float, r, rp) -> np.ndarray:
-    """Radial blocks G_c = g_c(z + shift_c * omega; r, rp), stacked in channel
-    order, shape (channels,) + the broadcast shape of r and rp: the layer
-    fields' kernels between evaluation radii and the radial nodes.
-
-    One separable_kernels call over the distinct (order, energy) pairs; the
-    channels that repeat a pair (every channel of one degree at omega = 0)
-    take its block.
-    """
-    keys = [(ch.order, z + ch.shift * omega) for ch in chans]
-    distinct = list(dict.fromkeys(keys))
-    g = separable_kernels(dim, [o for o, _ in distinct], [e for _, e in distinct], r, rp)
-    if len(distinct) < len(keys):
-        g = g[[distinct.index(k) for k in keys]]
-    return g
-
-
 class _Terms(NamedTuple):
     """A channel sum on a mesh: its (channel, sign) terms, the distinct
     (order, energy) pairs they take, and the factors of those pairs at the
@@ -491,7 +476,7 @@ class _Terms(NamedTuple):
 
     orders: np.ndarray  # per pair
     energies: np.ndarray  # per pair
-    w: np.ndarray  # per pair: the _root of its energy
+    w: np.ndarray  # per pair: the root of its energy (_roots)
     flip: np.ndarray  # per pair: Im energy < 0
     j: np.ndarray  # (pairs, radial nodes): (i pi / 2) J, as _factors gives it
     h: np.ndarray  # (pairs, radial nodes): H
@@ -551,12 +536,11 @@ def _channel_matrix(mesh: BladeMesh, terms: _Terms) -> np.ndarray:
     K = np.where(mesh.r[:, None] <= mesh.r[None, :], P, P.T)
     if not np.isfinite(K).all():
         r = mesh.r_1d
-        lower = r[:, None] <= r[None, :]
-        for order, e, j, h in zip(terms.orders, terms.energies, terms.j, terms.h):
-            with np.errstate(invalid="ignore", over="ignore"):
-                g = np.where(lower, j[:, None] * h[None, :], j[None, :] * h[:, None])
-            _check_finite("radial kernel", mesh.dim, int(order), complex(e), g,
-                          r[:, None], r[None, :])
+        j, h = terms.j, terms.h
+        with np.errstate(invalid="ignore", over="ignore"):
+            g = np.where(r[:, None] <= r[None, :], j[:, :, None] * h[:, None, :],
+                         j[:, None, :] * h[:, :, None])
+        _check_kernels(mesh.dim, terms.orders, terms.energies, g, r[:, None], r[None, :])
         raise OverflowError(f"{mesh.dim}D channel sum on {n} mesh nodes is not finite")
     return K
 
@@ -805,7 +789,9 @@ def layer_fields(
     # then G_c(r_eval, r) @ v_c.
     ys = _angular(mesh.dim, channels, mesh.angles).real
     v = (mesh.w * xi).reshape(len(mesh.r_1d), ys.shape[1]) @ ys.T
-    blocks = _blocks(mesh.dim, channels, z, rot.omega, r_eval[:, None], mesh.r_1d[None, :])
+    blocks = separable_kernels(mesh.dim, [ch.order for ch in channels],
+                               [z + ch.shift * rot.omega for ch in channels],
+                               r_eval[:, None], mesh.r_1d[None, :])
     return dict(zip(channels, np.matmul(blocks, v.T[:, :, None])[:, :, 0]))
 
 
@@ -878,16 +864,6 @@ def _dense_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lu_solve(lu, rhs)
 
 
-def _free_radial(
-    z: complex, psi: RadialChannelFunction, rot: RotationSpec, r: np.ndarray
-) -> np.ndarray:
-    """Free-resolvent radial profile of psi at radii r.
-
-    Channel m0 of the rotating frame sits at energy z + m0*omega.
-    """
-    return radial_apply(psi, z + psi.channel.shift * rot.omega, r)
-
-
 def solve_density(
     z: complex,
     psi: RadialChannelFunction,
@@ -895,20 +871,15 @@ def solve_density(
     rot: RotationSpec,
     t: Truncation,
     mesh: BladeMesh,
-    *,
-    gm: GammaMatrix | None = None,
 ) -> BoundaryDensity:
     """Boundary density of the blade resolvent applied to psi.
 
     One dense solve (_dense_solve) of the full boundary matrix against the
     free-field trace, which fails above the trust bound on its condition
-    estimate.  A matrix already assembled for this (z, mesh) can be passed
-    to skip reassembly.
+    estimate.
     """
     channel_class(bp.dim, psi, mesh)
-    if gm is not None and gm.z != complex(z):
-        raise ValueError("prebuilt matrix was assembled at a different parameter")
-    M = gm.entries if gm is not None else gamma_matrix(z, bp, rot, t, mesh).entries
+    M = gamma_matrix(z, bp, rot, t, mesh).entries
     trace = _free_trace(psi, z + psi.channel.shift * rot.omega, mesh)
     return BoundaryDensity(values=_dense_solve(M, trace))
 
@@ -939,7 +910,7 @@ def apply_blade_resolvent(
     density = solve_density(z, psi, bp, rot, t, mesh)
     ch = psi.channel
     r_pts = np.array([p.r for p in eval_points], dtype=float)
-    fp_pts = _free_radial(z, psi, rot, r_pts)
+    fp_pts = radial_apply(psi, z + ch.shift * rot.omega, r_pts)
     fields = layer_fields(z, density.values, rot, mesh, r_pts, cls.window(t))
     # Every channel's angular factor at every point from one harmonic call.
     n_angles = len(cls.source_angles)

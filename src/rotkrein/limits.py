@@ -70,6 +70,9 @@ _COMPUTE_ERRORS = (
 )
 
 
+# The largest rounding bound, as a share of its norm, that an eps study fits.
+_NOISE_SHARE = 1e-2
+
 # numpy's warning of a rank-deficient polyfit (np.exceptions from numpy 1.25).
 _RankWarning = getattr(np, "exceptions", np).RankWarning
 
@@ -397,14 +400,20 @@ def eps_scaling_study(
     if epsilons[0] <= 0.0 or epsilons[-1] >= 1.0:
         raise ValueError("epsilons must lie in (0, 1)")
     with np.errstate(all="ignore"):  # a norm that leaves the range is reported below
-        vals = _norm_sqs(dim, [complex(x_real, -eps) for eps in epsilons], rot, src, t)
+        vals, noise = _norm_sqs(dim, [complex(x_real, -eps) for eps in epsilons], rot, src, t)
     rows = [{"epsilon": eps, "norm_sq": val} for eps, val in zip(epsilons, vals)]
-    for eps, val in zip(epsilons, vals):
+    for eps, val, bound in zip(epsilons, vals, noise):
         # Not positive: the imaginary parts of the diagonals are below their
         # rounding (a source near the origin); inf: 1/epsilon overflows.
         if not 0.0 < val < math.inf:
             raise ValueError(f"squared norm {val:.6g} at epsilon {eps:.6g} is not a positive "
                              f"double; nothing to fit at y0={src.y0:g}")
+        # Positive, but lost in the rounding of its terms (a source a little
+        # further out): the Im parts it adds are known only to eps sum |d|.
+        if not bound <= _NOISE_SHARE * val:
+            raise ValueError(f"squared norm {val:.6g} at epsilon {eps:.6g} has a rounding "
+                             f"bound {bound:.3g}, over {_NOISE_SHARE:g} of it; nothing to fit "
+                             f"at y0={src.y0:g}")
     log_eps, log_norms = np.log(epsilons), np.log(vals)
     with warnings.catch_warnings():
         # Epsilons whose logarithms (nearly) coincide leave the fit without a slope.

@@ -234,7 +234,7 @@ def _rot_greens(cls: type, z: complex, rot: RotationSpec, pairs: list, t: Trunca
     orders, shifts = cls.window_indices(t)
     ms = range(-t.m_max, t.m_max + 1)
     counts = np.bincount(shifts + t.m_max)
-    zs = np.repeat([z + m * rot.omega for m in ms], counts)
+    zs = z + shifts * rot.omega
     r = np.array([x.r for x, _, _ in pairs])
     rp = np.array([xp.r for _, xp, _ in pairs])
     try:
@@ -296,16 +296,20 @@ def rot_norm_sq(
     power-law tail fit; the azimuthal window is taken as given.  The
     one-energy view of _norm_sqs.
     """
-    return _norm_sqs(dim, [z], rot, src, t)[0]
+    return _norm_sqs(dim, [z], rot, src, t)[0][0]
 
 
-def _norm_sqs(dim: int, zs: list, rot: RotationSpec, src: PointSource, t: Truncation) -> list:
-    """rot_norm_sq(dim, z, rot, src, t) for each z of zs.
+def _norm_sqs(dim: int, zs: list, rot: RotationSpec, src: PointSource, t: Truncation) -> tuple:
+    """rot_norm_sq(dim, z, rot, src, t) for each z of zs, and a bound on
+    the rounding of each window sum: eps sum |d| / |Im z| over its terms.
 
     One kernel call over the shifted channel pairs of every energy; each
     energy sums its own terms Im d / Im z in the one-energy order: the
     window's in 2D, and where the window cuts a degree series (3D), per
-    degree in increasing m, completed by _degree_norm.
+    degree in increasing m, completed by _degree_norm.  Each term's Im part
+    carries a rounding error of about eps |d|, which outgrows the norm
+    where Re d is large against Im d (a source near the origin, where Re d
+    grows as 1/y0 in 3D).
     """
     cls = channel_class(dim, src)
     zs = [require_off_axis_energy(z) for z in zs]
@@ -313,12 +317,14 @@ def _norm_sqs(dim: int, zs: list, rot: RotationSpec, src: PointSource, t: Trunca
     pairs = [(m, z + m * rot.omega) for z in zs for m in ms]
     orders, d, counts = _shell_terms(cls, pairs, src.y0, t.l_max)
     n = sum(counts[: len(ms)])  # terms per energy: each has the same shells
-    out = []
+    out, noise = [], []
     for k, z in enumerate(zs):
-        ls, v = orders[k * n : (k + 1) * n], d[k * n : (k + 1) * n].imag / z.imag
+        dk = d[k * n : (k + 1) * n]
+        ls, v = orders[k * n : (k + 1) * n], dk.imag / z.imag
         # np.cumsum adds the terms one after the other, as a loop would.
         out.append(_degree_norm(ls, v, t.l_max) if cls.capped_degrees else float(np.cumsum(v)[-1]))
-    return out
+        noise.append(float(np.finfo(float).eps * np.abs(dk).sum() / abs(z.imag)))
+    return out, noise
 
 
 def rot_inner(

@@ -13,12 +13,12 @@ over arrays in _radial.separable_kernels), so their |Im x| backstop guards
 this API only.  They stay public, and the benchmark tracer wraps them by
 name.  Equatorial weights are evaluated over the degrees of many shells
 at once (_equatorial_weights); equatorial_weight is its one-degree view.
-A window's spherical harmonics are read off one sph_harm_y_all triangle
-per angle (ChannelIndex3.harmonics); sph_harm evaluates one by itself, and
-is the angular factor of one 3D channel.  The channel classes state every
-fact of a channel that differs by dimension; every channel harmonic they
-give is orthonormal, exp(i n theta)/sqrt(2 pi) on the circle and Y_l^m on
-the sphere, so no sum over channels divides by a norm.
+A window's spherical harmonics, and a 3D channel's angular factor, are read
+off one sph_harm_y_all triangle per angle (ChannelIndex3.harmonics);
+sph_harm evaluates one by itself, as public one-term API.  The channel
+classes state every fact of a channel that differs by dimension; every
+channel harmonic they give is orthonormal, exp(i n theta)/sqrt(2 pi) on the
+circle and Y_l^m on the sphere, so no sum over channels divides by a norm.
 The require_*_energy checks of a spectral parameter live here, and every
 module imports them from here.
 """
@@ -173,9 +173,9 @@ class ChannelIndex3(_Channel):
 
     Rotation couples to shift = m (channel (l, m) sits at z + m w), the
     radial kernel has order l, and the harmonic Y_l^m is orthonormal on the
-    sphere; one channel evaluates it by sph_harm, not off a triangle.  The
-    interaction site sits on the equator, source_angles = (theta, phi) =
-    (pi/2, 0), where |Y_l^m|^2 = source_weight() = equatorial_weight(l, m).
+    sphere.  The interaction site sits on the equator, source_angles =
+    (theta, phi) = (pi/2, 0), where |Y_l^m|^2 = source_weight() =
+    equatorial_weight(l, m).
     A circle coupling enters as gamma (circle_term: Gamma_m = gamma - 2 pi
     d_m), and the window cuts each degree series at l_max (capped_degrees).
     """
@@ -205,10 +205,6 @@ class ChannelIndex3(_Channel):
     @property
     def label(self) -> str:
         return f"l={self.l},m={self.m}"
-
-    def angular(self, theta: float, phi: float) -> complex:
-        """Y_l^m(theta, phi): the bits of harmonics at (l, m)."""
-        return sph_harm(self.l, self.m, theta, phi)
 
     @staticmethod
     def circle_term(gamma: float) -> float:

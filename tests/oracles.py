@@ -87,6 +87,13 @@ def sph_bessel_jh(top: int, x: complex, dps: int = 30) -> tuple:
     return np.array([complex(v) for v in js]), np.array([complex(v) for v in hs])
 
 
+def root(z: complex) -> complex:
+    """The root of one energy that every Bessel factor takes, by specfun's
+    scalar route: sqrt_upper(z), or of conj z where Im z < 0.  The reference
+    of _radial._roots, which roots many energies in one array pass."""
+    return sqrt_upper(z.conjugate() if z.imag < 0.0 else z)
+
+
 def sph_factors_3d(top: int, w: complex, r: float) -> tuple:
     """The 3D factors of _radial._factors at the root w (Im w >= 0) and a
     radius r > 0, degrees 0 .. top: (i pi / 2) sqrt(2 w / pi) j_l(w r) and

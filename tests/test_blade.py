@@ -18,7 +18,6 @@ from rotkrein.blade import (
     BladeMesh,
     BladeParam,
     ConditioningError,
-    GammaMatrix,
     MeshCellError,
     apply_blade_resolvent,
     averaged_resolvent,
@@ -274,6 +273,8 @@ def test_form_probe_positive_at_negative_energy():
 
 
 def test_solve_density_matrix_reuse():
+    """solve_density is the one dense solve of the full matrix against the
+    free trace of psi, and refuses a psi of the other dimension."""
     mesh = build_mesh(2, 1.0, 5)
     bp = BladeParam(1.0, 2.0, 2)
     rot = RotationSpec(8.0)
@@ -281,22 +282,18 @@ def test_solve_density_matrix_reuse():
     psi = make_psi(2, ChannelIndex2(1), n=120)
     z_rot = Z - rot.omega
     gm = gamma_matrix(z_rot, bp, rot, t, mesh)
-    phi_pre = solve_density(z_rot, psi, bp, rot, t, mesh, gm=gm).values
+    trace = blade_mod._free_trace(psi, z_rot + psi.channel.shift * rot.omega, mesh)
     phi = solve_density(z_rot, psi, bp, rot, t, mesh).values
-    np.testing.assert_array_equal(phi_pre, phi)
-    with pytest.raises(ValueError):
-        solve_density(Z, psi, bp, rot, t, mesh, gm=gm)
+    np.testing.assert_array_equal(blade_mod._dense_solve(gm.entries, trace), phi)
     with pytest.raises(ValueError):
         solve_density(z_rot, make_psi(3, ChannelIndex3(1, 1)), bp, rot, t, mesh)
 
 
 def _solve_with(entries):
-    """solve_density of the standard 2D input against a prebuilt matrix on
-    the 16-node mesh."""
-    mesh = build_mesh(2, 1.0, 2)
-    gm = GammaMatrix(entries=np.asarray(entries, dtype=complex), z=Z, variant="test")
-    return solve_density(Z, make_psi(2, ChannelIndex2(1), n=60), BladeParam(1.0, 2.0, 2),
-                         RotationSpec(8.0), Truncation(3), mesh, gm=gm)
+    """The blade's dense solve (blade._dense_solve) of a prebuilt matrix
+    against a vector of ones."""
+    entries = np.asarray(entries, dtype=complex)
+    return blade_mod._dense_solve(entries, np.ones(len(entries), dtype=complex))
 
 
 @pytest.mark.parametrize("factor,fails", [(1.0 - 1e-6, False), (1.0 + 1e-6, True)])
@@ -309,7 +306,7 @@ def test_conditioning_limit_is_on_the_one_norm_estimate(factor, fails):
         with pytest.raises(ConditioningError, match=r"1-norm condition estimate 1e\+12 "):
             _solve_with(entries)
     else:
-        phi = _solve_with(entries).values
+        phi = _solve_with(entries)
         assert np.isfinite(phi).all() and abs(phi[-1]) > 1e11 * abs(phi[0])
 
 
@@ -445,7 +442,7 @@ def test_apply_blade_resolvent_adds_the_one_channel_terms(dim):
     psi = make_psi(dim, ch, n=120)
     out = apply_blade_resolvent(Z, psi, bp, rot, t, mesh, pts)
     r_pts = np.array([p.r for p in pts])
-    fp = blade_mod._free_radial(Z, psi, rot, r_pts)
+    fp = radial_apply(psi, Z + ch.shift * rot.omega, r_pts)
     density = solve_density(Z, psi, bp, rot, t, mesh)
     fields = layer_fields(Z, density.values, rot, mesh, r_pts, type(ch).window(t))
     for i, p in enumerate(pts):
@@ -603,6 +600,17 @@ def test_nonfinite_cell_is_named(monkeypatch):
     with pytest.raises(MeshCellError, match=r"^singular split failed on cell \(r 1, u 1\) node 6$"):
         gamma_matrix(Z, BladeParam(1.0, 2.0, 3), RotationSpec(6.0),
                      Truncation(2, l_max=3), mesh)
+
+
+@pytest.mark.parametrize("A", [1e150, 1.3e154])
+def test_2d_cell_out_of_range_is_named(A):
+    """A 2D own-panel cell whose log moment leaves the doubles raises
+    MeshCellError naming its panel: at A = 1e150, and at A = 1.3e154, a
+    radius BladeMesh accepts, where the moment's products overflow without
+    an overflow warning."""
+    mesh = build_mesh(2, A, 2)
+    with pytest.raises(MeshCellError, match=r"^singular split failed on panel 0 cell \[0, "):
+        gamma_matrix(Z, BladeParam(A, 2.0, 2), RotationSpec(10.0), Truncation(2), mesh)
 
 
 def test_gamma_matrix_3d_bessel_calls_per_shell(monkeypatch):

@@ -197,7 +197,7 @@ def test_harmonics_equal_per_element_sph_harm_y_bitwise(l_max, m_max):
 
 
 def test_one_channel_angular_equals_harmonics_bitwise():
-    """A 3D ch.angular (sph_harm, no triangle) gives the bits of the
+    """A 3D ch.angular (one harmonics call) gives the bits of the
     window's harmonics over a (6, 3) window, at both poles, on the equator
     and at random angles."""
     rng = np.random.default_rng(63)

@@ -390,6 +390,18 @@ def test_study_cli_breakpoint_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert not csv.exists()
 
 
+def test_study_cli_blade_at_a_huge_radius_exits_1(tmp_path, capsys):
+    """A 2D blade study at A = 1.3e154, a radius BladeMesh accepts, is a
+    typed computation failure (exit 1) with no warning on stderr."""
+    csv = tmp_path / "b.csv"
+    body = BLADE_INI.replace("A = 1.0", "A = 1.3e154").format(dim=2, channels="1", csv=csv)
+    assert main(["study", _write_config(tmp_path / "b.ini", body)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"computation failed: [A-Za-z]+Error: [^\n]*\n", captured.err)
+    assert "Warning" not in captured.err
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("dim,channels", [(2, "0,1"), (3, "1:0,1:1")])
 def test_study_cli_blade_sweep_runs_setup_once(tmp_path, capsys, monkeypatch, dim, channels):
     import rotkrein.limits as limits_mod

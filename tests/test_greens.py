@@ -18,6 +18,7 @@ from oracles import (
     kernel_3d,
     quadrature_kernel_2d,
     quadrature_kernel_3d,
+    root,
     rot_green_3d,
     sph_factors_3d,
 )
@@ -45,7 +46,7 @@ from rotkrein import (
     rot_norm_sq,
     sqrt_upper,
 )
-from rotkrein._radial import _root, separable_kernels
+from rotkrein._radial import separable_kernels
 from rotkrein.rotframe import channel_diag
 from rotkrein.specfun import (
     _equatorial_weights,
@@ -356,7 +357,7 @@ def test_paired_3d_degrees_far_apart_match_mpmath(pairs, r, rp, tie):
         got = separable_kernels(3, ls, zs, r, rp)
     except (ValueError, OverflowError):
         return
-    root_bits = [bits(_root(complex(z))) for z in zs]
+    root_bits = [bits(root(complex(z))) for z in zs]
     for g, l, z, key in zip(got.tolist(), ls, zs, root_bits):
         top = max(m for m, k in zip(ls, root_bits) if k == key)
         assert bits(g) == bits(separable_kernels(3, [l, top], [z, z], r, rp)[0].item()), (l, z)

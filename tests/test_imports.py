@@ -7,7 +7,7 @@ conjugates the radial factors, one function factors a dense matrix, no
 module uses threads, only the one-term sph_harm evaluates a spherical
 harmonic by itself, only the listed 2D functions and the one-term specfun
 functions call scipy's Bessel ufuncs, _radial roots and checks no energy
-one by one in a loop, and the package imports from scipy only
+one by one in a loop and keeps one root routine, and the package imports from scipy only
 scipy.special and scipy.linalg, so a fresh `import rotkrein.cli` loads
 none of scipy.interpolate, optimize, sparse, spatial or fft.
 
@@ -413,6 +413,20 @@ def test_radial_roots_energies_in_array_passes():
     and rooted in one array pass, not one Python call per energy."""
     sources = {"_radial": (SRC / "_radial.py").read_text()}
     assert _sites(sources, _per_energy_loop) == []
+
+
+def test_radial_has_one_root_routine():
+    """A ratchet on the roots of the factors: _radial roots every energy in
+    _roots' array pass, so it defines no one-energy _root, imports no
+    sqrt_upper, and no function of it asks whether a root is an array."""
+    tree = ast.parse((SRC / "_radial.py").read_text())
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    imported = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    calls = {getattr(n.func, "id", None) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert "_roots" in defined and "_root" not in defined
+    assert "sqrt_upper" not in imported
+    assert "isinstance" not in calls
 
 
 SCIPY_ALLOWED = ("scipy.special", "scipy.linalg")

@@ -195,6 +195,17 @@ def test_eps_study_slope_and_monotone():
         eps_scaling_study(
             3, 1.0, [0.25, 0.5], RotationSpec(0.0), PointSource(1e-17, 3), Truncation(0, 0)
         )
+    # A source a little further out: the norms are positive, but their
+    # rounding bound (eps sum |d| / Im z) is larger than they are.
+    with pytest.raises(ValueError, match="at epsilon 0.25 has a rounding bound 1.41, over 0.01"):
+        eps_scaling_study(
+            3, 1.0, [0.25, 0.5], RotationSpec(0.0), PointSource(5e-17, 3), Truncation(0, 0)
+        )
+    # Further out again, the rounding is far below the norms, which fall as 1/epsilon.
+    tab = eps_scaling_study(
+        3, 1.0, [0.25, 0.5], RotationSpec(0.0), PointSource(1e-10, 3), Truncation(0, 0)
+    )
+    assert tab.params["slope"] == pytest.approx(-0.970, abs=1e-3)
     # A subnormal epsilon: the norm overflows.
     with pytest.raises(ValueError, match="squared norm inf at epsilon 4.94066e-324"):
         eps_scaling_study(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import rotkrein._radial
 from helpers import CountingSpecial, make_psi
-from oracles import kernel_3d, sph_factors_3d
+from oracles import kernel_3d, root, sph_factors_3d
 from rotkrein import (
     BladeParam,
     ChannelIndex2,
@@ -36,7 +36,6 @@ from rotkrein import (
 )
 from rotkrein._radial import (
     _factors,
-    _root,
     _roots,
     g2_vec,
     g3_vec,
@@ -180,8 +179,8 @@ def test_3d_factors_match_mpmath(top):
     for theta in FACTOR_RAYS:
         w = complex(math.cos(theta), math.sin(theta))
         with np.errstate(all="ignore"):  # as in every library caller
-            got = _factors(3, orders, w, False, FACTOR_RADII, every, every)
-            flipped = _factors(3, orders, w, True, FACTOR_RADII, every, every)
+            got = _factors(3, orders, np.asarray(w), False, FACTOR_RADII, every, every)
+            flipped = _factors(3, orders, np.asarray(w), True, FACTOR_RADII, every, every)
         assert all(f.tobytes() == np.conj(g).tobytes() for f, g in zip(flipped, got))
         want = np.array([sph_factors_3d(top, w, r) for r in FACTOR_RADII]).transpose(1, 2, 0)
         with np.errstate(all="ignore"):
@@ -280,17 +279,19 @@ def _root_cases(parts):
 
 
 def test_roots_are_the_bits_of_root_per_element():
-    """The array pass gives each energy the bits of its own _root: Re z = +-0,
-    subnormal parts (CPython's scaled branch), parts up to 1e300, the
-    negative real axis with both zero signs, and the lower half-plane."""
+    """The array pass gives each energy the bits of its own scalar root
+    (oracles.root): Re z = +-0, subnormal parts (CPython's scaled branch),
+    parts up to 1e300, the negative real axis with both zero signs, and the
+    lower half-plane."""
     zs = _root_cases(ROOT_PARTS)
     got = _roots(np.array(zs))
     assert got.shape == (len(zs),)
-    assert got.tobytes() == np.array([_root(z) for z in zs]).tobytes()
-    # A 2-D array keeps its shape; one energy takes the one-energy route.
+    assert got.tobytes() == np.array([root(z) for z in zs]).tobytes()
+    # Any shape, one energy and a 0-d one included, is kept.
     assert _roots(np.array(zs[:6]).reshape(2, 3)).tobytes() == got[:6].tobytes()
     assert _roots(np.array([zs[7]])).tobytes() == got[7:8].tobytes()
-    assert _roots(np.array(zs[7])) == got[7]
+    one = _roots(np.array(zs[7]))
+    assert one.shape == () and one.tobytes() == got[7:8].tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -299,9 +300,28 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(finite, finite), max_size=40))
 def test_roots_are_the_bits_of_root_on_any_finite_energies(parts):
-    # Two energies off the spectrum keep every case on the array pass.
-    zs = [complex(a, b) for a, b in parts if not (b == 0.0 and a >= 0.0)] + [-1.0 + 0j, 0.5j]
-    assert _roots(np.array(zs)).tobytes() == np.array([_root(z) for z in zs]).tobytes()
+    zs = [complex(a, b) for a, b in parts if not (b == 0.0 and a >= 0.0)]
+    assert _roots(np.array(zs, dtype=complex)).tobytes() == np.array(
+        [root(z) for z in zs], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_scalar_radius_makes_one_factor_pass(dim, monkeypatch):
+    """A kernel call takes J and H in one _factors pass over the distinct
+    radii of both sides, a scalar radius on either side included."""
+    calls = []
+    real = rotkrein._radial._factors
+
+    def counted(*args):
+        calls.append(args[4].size)
+        return real(*args)
+
+    monkeypatch.setattr(rotkrein._radial, "_factors", counted)
+    rs = np.array([0.5, 1.0, 2.0])
+    for r, rp, distinct in ((1.0, rs, 3), (rs, 1.0, 3), (1.0, 2.0, 2), (1.0, 1.0, 1)):
+        calls.clear()
+        separable_kernels(dim, [0, 1], [1j, 0.4 + 1j], r, rp)
+        assert calls == [distinct]
 
 
 def test_roots_name_the_first_offending_energy():
@@ -315,6 +335,9 @@ def test_roots_name_the_first_offending_energy():
         _roots(np.array([1j, complex(math.nan, 1.0), 2.0, complex(1.0, math.inf)]))
     with pytest.raises(ValueError, match=re.escape("nonfinite spectral parameter (1-infj)")):
         _roots(np.array([1j, complex(1.0, -math.inf)]))
+    # radial_apply roots its energy by the same pass.
+    with pytest.raises(ValueError, match=re.escape("spectral parameter (2+0j) lies on the")):
+        radial_apply(_psi(2, 1, np.linspace(0.05, 8.0, 20)), 2.0, [1.0])
 
 
 def _psi(dim, order, grid):
