@@ -46,7 +46,9 @@ the orders of a call that share a root are one run of consecutive
 degrees, which three-term recurrences serve (DLMF 10.51): each argument
 w r takes one pass over the degrees up to the largest of its root
 (_sph_j, _sph_h), h upward from its closed forms and j upward where that
-is stable, else from backward ratios and the cross product with h.
+is stable, else from backward ratios and the cross product with h.  The
+radial weight sqrt(2 w / pi) starts the h recurrence, so H is finite where
+h_l alone overflows, and multiplies J's finished table.
 The energies of a call are checked and rooted in one array pass (_roots),
 a numpy transcription of CPython's complex square root, the one root
 routine of the factors.
@@ -84,9 +86,9 @@ def _jv(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     positive real axis taken again by jv at the real argument, the route of
     specfun's bessel_j there."""
     out = sp.jv(nu, x)
-    if (x.imag == 0.0).any():
-        nu, x = np.broadcast_arrays(nu, x)
-        on_axis = (x.imag == 0.0) & (x.real > 0.0)
+    on_axis = (x.imag == 0.0) & (x.real > 0.0)
+    if on_axis.any():
+        nu, x, on_axis = np.broadcast_arrays(nu, x, on_axis)
         out[on_axis] = sp.jv(nu[on_axis], x.real[on_axis])
     return out
 
@@ -147,11 +149,7 @@ def _factors(dim: int, orders, w, flip, x: np.ndarray, need_j, need_h):
             _require_nonzero(xh)
             h[:, ih] = sp.hankel1(nu2, xh)
     else:
-        jx, hx = _spherical_factors(orders.astype(int).ravel(), w, xs, ij, ih)
-        if ij.size:
-            j[:, ij] = jx
-        if ih.size:
-            h[:, ih] = hx
+        _spherical_factors(orders.astype(int).ravel(), w, xs, ij, ih, j, h)
     flip = np.asarray(flip).reshape(-1, 1)
     if flip.any():
         np.conjugate(j, out=j, where=flip)
@@ -168,16 +166,16 @@ def _require_nonzero(xh: np.ndarray) -> None:
 
 
 def _spherical_factors(ls: np.ndarray, w, xs: np.ndarray, ij: np.ndarray,
-                       ih: np.ndarray) -> tuple:
+                       ih: np.ndarray, j: np.ndarray, h: np.ndarray) -> None:
     """The 3D factors (i pi / 2) J and H of _factors, before any
-    conjugation: degrees ls, roots w (0-d, or one per degree), J at the
-    radii xs[ij] and H at xs[ih], as arrays of shapes (ls.size, ij.size) and
-    (ls.size, ih.size).
+    conjugation, written into j and h: degrees ls (the rows), roots w (0-d,
+    or one per degree), J at the radii xs[ij] into the columns ij of j and H
+    at xs[ih] into the columns ih of h.
 
     The degrees are grouped by the bits of their root; the arguments w r of
     each group take one pass over the degrees up to the group's largest
-    (_sph_j, _sph_h), from which every degree of the group reads its
-    entries.
+    (_sph_j, _sph_h), with the group's weight sqrt(2 w / pi), from which
+    every degree of the group reads its entries.
     """
     k = ls.size
     wk = np.ascontiguousarray(np.broadcast_to(w.ravel(), (k,)), dtype=complex)
@@ -192,26 +190,16 @@ def _spherical_factors(ls: np.ndarray, w, xs: np.ndarray, ij: np.ndarray,
     roots, group = runs[first], run_group[np.cumsum(new) - 1]
     tops = np.zeros(roots.size, dtype=int)
     np.maximum.at(tops, group, ls)
-    root_scale = np.sqrt(2.0 * roots / math.pi)  # J_{l+1/2}(w r) / sqrt(r) = scale j_l
-    scale = root_scale[group, None]
-    j = h = None
+    weight = np.sqrt(2.0 * roots / math.pi)  # J_{l+1/2}(w r) / sqrt(r) = weight j_l
     if ij.size:
-        jt, at = _sph_j((roots[:, None] * xs[ij]).ravel(), np.repeat(tops, ij.size))
-        j = 0.5j * math.pi * scale * jt[ls[:, None], at.reshape(roots.size, ij.size)[group]]
+        jt = _sph_j((roots[:, None] * xs[ij]).ravel(), np.repeat(tops, ij.size),
+                    np.repeat(weight, ij.size))
+        j[:, ij] = jt[ls[:, None], group[:, None] * ij.size + np.arange(ij.size)]
     if ih.size:
         x = (roots[:, None] * xs[ih]).ravel()
         _require_nonzero(x)
-        ht = _sph_h(x, int(tops.max()) + 1)
-        # Where h_l overflows at or below the top degree of its root (small w
-        # r, high l) though scale h_l may not, the scale rides in h_0 instead
-        # (and no longer multiplies the gathered entries).
-        col_scale = np.repeat(root_scale, ih.size)
-        over = ~np.isfinite(ht[np.repeat(tops, ih.size), np.arange(x.size)])
-        if over.any():
-            ht[:, over] = _sph_h(x[over], ht.shape[0], col_scale[over])
-            scale = np.where(over, 1.0, col_scale)[group[:, None] * ih.size + np.arange(ih.size)]
-        h = scale * ht[ls[:, None], group[:, None] * ih.size + np.arange(ih.size)]
-    return j, h
+        ht = _sph_h(x, int(tops.max()) + 1, np.repeat(weight, ih.size))
+        h[:, ih] = ht[ls[:, None], group[:, None] * ih.size + np.arange(ih.size)]
 
 
 # The routes of _sph_j.  Below |x| = _TINY, j_l(x) = x^l / (2l + 1)!! to
@@ -278,13 +266,15 @@ def _h_ratios(odd: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sph_h(x: np.ndarray, n_deg: int, scale=1.0) -> np.ndarray:
-    """scale h_l(x), h_l = h_l^(1), l = 0 .. n_deg - 1, at nonzero x (scale
-    one number, or one per x), as rows: the closed form scale h_0 = -i
-    scale e^{ix} / x times the products of the ratios."""
+def _sph_h(x: np.ndarray, n_deg: int, weight: np.ndarray) -> np.ndarray:
+    """weight h_l(x), h_l = h_l^(1), l = 0 .. n_deg - 1, at nonzero x (one
+    weight per x), as rows: the closed form weight h_0 = -i weight e^{ix} /
+    x times the products of the ratios.  The weight starts the recurrence,
+    so weight h_l stays finite where h_l alone overflows (small x, high
+    l)."""
     inv = _reciprocal(x)
     h = np.empty((n_deg, x.size), dtype=complex)
-    np.multiply(_cis(x), -1j * (scale * inv), out=h[0])
+    np.multiply(_cis(x), -1j * (weight * inv), out=h[0])
     return _products(h, _h_ratios(_odd(inv, n_deg - 1),
                                   np.empty((n_deg - 1, x.size), dtype=complex)))
 
@@ -302,12 +292,12 @@ def _ratio_start(x: np.ndarray, top: np.ndarray) -> np.ndarray:
                               t + 8.0 * np.cbrt(t) + 2.0)).astype(int)
 
 
-def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
-    """j_l(x), l = 0 .. max(top), at each x of the closed upper half plane
-    up to its own degree top: a table whose column at[i] holds the degrees
-    0 .. top[i] of x[i] (the rows above are no values of it).  Each value
-    depends only on its own x and top, and each route runs only to the
-    largest top among its own x.
+def _sph_j(x: np.ndarray, top: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """(i pi / 2) weight j_l(x), l = 0 .. max(top), at each x of the closed
+    upper half plane up to its own degree top (one weight per x): a table
+    whose column i holds the degrees 0 .. top[i] of x[i] (the rows above
+    are no values of it).  Each value depends only on its own x, top and
+    weight, and each route runs only to the largest top among its own x.
 
     Below _TINY, j_l = x^l / (2l + 1)!! (so j_l(0) is its limit, 1 for l =
     0 and 0 for l >= 1).  Elsewhere j runs upward from sin x / x and (j_0 -
@@ -320,13 +310,19 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
 
     (s the ratios of h, _h_ratios), which needs no normalisation by j_0, so
     zeros of sin x do not matter, and no h_l, which may overflow where j_l
-    does not.
+    does not.  Each route's finished table is multiplied by (i pi / 2)
+    weight; the weight stays out of the starts, whose rounding the upward
+    route amplifies.
     """
     size = np.abs(x)
     tiny = size < _TINY
     up = (size >= top) & (x.imag * top * top <= _UP_GAIN * size * size) & ~tiny
     iu, idn, it = np.flatnonzero(up), np.flatnonzero(~up & ~tiny), np.flatnonzero(tiny)
-    tables = []
+    j = np.empty((int(top.max()) + 1, x.size), dtype=complex)
+    # A row, the first operand of each route's product, which takes a fresh
+    # output (_products): numpy's complex product rounds by operand order,
+    # and a 1-d operand rounds differently against a 1 x 1 table.
+    scale = (0.5j * math.pi * weight)[None]
     if iu.size:
         n_deg = int(top[iu].max()) + 1
         xu = x[iu]
@@ -343,7 +339,7 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
         for l in range(1, n_deg - 1):
             np.multiply(odd[l], ju[l], out=ju[l + 1])
             np.subtract(ju[l + 1], ju[l - 1], out=ju[l + 1])
-        tables.append(ju)
+        j[:n_deg, iu] = scale[:, iu] * ju
     if idn.size:
         # The x of the latest start first: degree N joins every x whose
         # start is N, so each x runs down from its own start.
@@ -372,7 +368,8 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
         _products(jd, s[1:])
         np.divide(jd[:-1], den[1:], out=s[1:])
         np.reciprocal(den[0], out=s[0])
-        tables.append(np.multiply(s, -_cis(-xd), out=jd))
+        np.multiply(s, -_cis(-xd), out=jd)
+        j[:n_deg, idn] = np.multiply(scale[:, idn], jd, out=s)
     if it.size:
         n_deg = int(top[it].max()) + 1
         jt = np.ones((n_deg, it.size), dtype=complex)
@@ -380,17 +377,8 @@ def _sph_j(x: np.ndarray, top: np.ndarray) -> tuple:
             f = x[it] / (2.0 * np.arange(1, n_deg) + 1.0)[:, None]
             jt[1] = f[0]
             _products(jt[1:], f[1:])
-        tables.append(jt)
-    at = np.empty(x.size, dtype=int)
-    at[np.concatenate([iu, idn, it])] = np.arange(x.size)
-    if len(tables) == 1:
-        return tables[0], at
-    j = np.zeros((int(top.max()) + 1, x.size), dtype=complex)
-    col = 0
-    for t in tables:
-        j[: len(t), col : col + t.shape[1]] = t
-        col += t.shape[1]
-    return j, at
+        j[:n_deg, it] = scale[:, it] * jt
+    return j
 
 
 def _roots(z: np.ndarray) -> np.ndarray:

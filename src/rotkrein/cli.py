@@ -167,11 +167,13 @@ def _config_channels(dim: int, raw: str):
 
 
 def _psi_profile(dim: int, chans, n_points: int, r_max: float):
-    """The built-in input profile r e^{-r^2} on a Gauss grid, per channel."""
+    """The built-in input profile r e^{-r^2} on a Gauss grid, per channel
+    (0 where r^2 overflows, as e^{-r^2} is there)."""
     xg, wg = gauss_legendre(n_points)
     rg = 0.5 * r_max * (xg + 1.0)
     wq = np.full(n_points, 0.5 * r_max) * wg
-    vals = rg * np.exp(-(rg**2))
+    with np.errstate(over="ignore"):
+        vals = rg * np.exp(-(rg**2))
     return [RadialChannelFunction(ch, rg, vals.astype(complex), wq) for ch in chans]
 
 

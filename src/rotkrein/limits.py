@@ -46,7 +46,7 @@ from .blade import (
 from .circleint import CircleParam, _gamma, gamma_from_alpha
 from .greens import TruncationError
 from .pointint import KreinParam, RadialChannelFunction, ResonanceError, _lambdas_at
-from .rotframe import PointSource, RotationSpec, Truncation, _norm_sqs
+from .rotframe import _NOISE_SHARE, PointSource, RotationSpec, Truncation, _norm_sqs
 from .specfun import channel_class, require_upper_energy
 
 __all__ = [
@@ -68,10 +68,6 @@ _COMPUTE_ERRORS = (
     OverflowError,
     np.linalg.LinAlgError,
 )
-
-
-# The largest rounding bound, as a share of its norm, that an eps study fits.
-_NOISE_SHARE = 1e-2
 
 # numpy's warning of a rank-deficient polyfit (np.exceptions from numpy 1.25).
 _RankWarning = getattr(np, "exceptions", np).RankWarning
@@ -231,7 +227,11 @@ def point_convergence_study(
         # reads no l_max).
         t = Truncation(m_max=abs(m0), l_max=ch.order)
         rg = psi.grid
-        wr = psi.quad_weights() * rg ** (dim - 1)
+        with np.errstate(over="ignore"):
+            wr = psi.quad_weights() * rg ** (dim - 1)
+        if not np.isfinite(wr).all():
+            raise OverflowError(f"{dim}D radial weights of the channel function overflow "
+                                f"on its grid up to r = {rg[-1]:.6g}")
         g_src = separable_kernels(dim, ch.order, z, y0, rg)
         i_chi = complex(np.sum(wr * g_src * psi.values))
         gam = gamma_from_alpha(dim, alpha, y0, l_max=ch.order)
@@ -403,17 +403,16 @@ def eps_scaling_study(
         vals, noise = _norm_sqs(dim, [complex(x_real, -eps) for eps in epsilons], rot, src, t)
     rows = [{"epsilon": eps, "norm_sq": val} for eps, val in zip(epsilons, vals)]
     for eps, val, bound in zip(epsilons, vals, noise):
-        # Not positive: the imaginary parts of the diagonals are below their
-        # rounding (a source near the origin); inf: 1/epsilon overflows.
-        if not 0.0 < val < math.inf:
-            raise ValueError(f"squared norm {val:.6g} at epsilon {eps:.6g} is not a positive "
-                             f"double; nothing to fit at y0={src.y0:g}")
-        # Positive, but lost in the rounding of its terms (a source a little
-        # further out): the Im parts it adds are known only to eps sum |d|.
+        # Lost in the rounding of its terms, whatever its sign (a source near
+        # the origin): the Im parts it adds are known only to eps sum |d|.
         if not bound <= _NOISE_SHARE * val:
             raise ValueError(f"squared norm {val:.6g} at epsilon {eps:.6g} has a rounding "
                              f"bound {bound:.3g}, over {_NOISE_SHARE:g} of it; nothing to fit "
                              f"at y0={src.y0:g}")
+        # inf: 1/epsilon overflows.
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"squared norm {val:.6g} at epsilon {eps:.6g} is not a positive "
+                             f"double; nothing to fit at y0={src.y0:g}")
     log_eps, log_norms = np.log(epsilons), np.log(vals)
     with warnings.catch_warnings():
         # Epsilons whose logarithms (nearly) coincide leave the fit without a slope.

@@ -260,6 +260,8 @@ def _rot_greens(cls: type, z: complex, rot: RotationSpec, pairs: list, t: Trunca
 
 # The last degrees of a 3D norm's profile that its tail fit reads.
 _N_FIT = 17
+# The largest rounding bound, as a share of its norm, that a norm may carry.
+_NOISE_SHARE = 1e-2
 
 
 def _degree_norm(degrees: np.ndarray, v: np.ndarray, l_max: int) -> float:
@@ -294,9 +296,15 @@ def rot_norm_sq(
     Reduces exactly to the Im parts of the channel diagonals at their shifted
     energies divided by Im z.  In 3D the degree cap is completed by a
     power-law tail fit; the azimuthal window is taken as given.  The
-    one-energy view of _norm_sqs.
+    one-energy view of _norm_sqs.  A norm whose rounding bound is over
+    _NOISE_SHARE of it, whatever its sign (a source near the origin), raises
+    ValueError.
     """
-    return _norm_sqs(dim, [z], rot, src, t)[0][0]
+    (val,), (bound,) = _norm_sqs(dim, [z], rot, src, t)
+    if not bound <= _NOISE_SHARE * val:
+        raise ValueError(f"squared norm {val:.6g} at z={z} has a rounding bound {bound:.3g}, "
+                         f"over {_NOISE_SHARE:g} of it, at y0={src.y0:g}")
+    return val
 
 
 def _norm_sqs(dim: int, zs: list, rot: RotationSpec, src: PointSource, t: Truncation) -> tuple:

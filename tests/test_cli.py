@@ -637,7 +637,7 @@ def _study_config(draw):
     return {"study": {"kind": kind, "dim": str(dim)}, "parameters": params, "sweep": sweep,
             "truncation": trunc,
             "psi": {"grid_points": str(draw(_mostly(st.integers(2, 24), st.just(1)))),
-                    "r_max": repr(draw(st.sampled_from([8.0, 8.0, 1e-3])))}}
+                    "r_max": repr(draw(st.sampled_from([8.0, 8.0, 1e-3, 2e154])))}}
 
 
 @settings(max_examples=100, deadline=None)
@@ -660,6 +660,16 @@ def _study_config(draw):
                                 "y0": "1.0"},
                  "sweep": {"omegas": "inf"}, "truncation": {"m_max": "0"},
                  "psi": {"grid_points": "2"}})  # no row computes where the coupling is free
+@example(config={"study": {"kind": "blade_convergence", "dim": "2"},
+                 "parameters": {"z": "0.0+1.0i", "channels": "0", "A": "1.0",
+                                "strength": "2.0"},
+                 "sweep": {"omegas": "0.0,1.0"}, "truncation": {"m_max": "0", "resolution": "2"},
+                 "psi": {"grid_points": "2", "r_max": "2e154"}})  # r^2 of the profile overflows
+@example(config={"study": {"kind": "point_convergence", "dim": "3"},
+                 "parameters": {"z": "0.0+1.0i", "channels": "0:0", "alpha": "1.0",
+                                "y0": "1.0"},
+                 "sweep": {"omegas": "0.0,1.0"}, "truncation": {"m_max": "0", "l_max": "0"},
+                 "psi": {"grid_points": "2", "r_max": "2e154"}})  # r^2 dr overflows
 def test_study_argv_keeps_the_error_policy(config):
     """Every study run exits 0, 1 (a typed computation error, or failed rows
     whose errors the manifest names) or 2 (invalid input) without a

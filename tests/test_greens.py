@@ -340,6 +340,7 @@ def test_closed_3d_equals_scalar_composition_bitwise(z, r, rp, lo, n):
          tie=False)  # the backward, upward and leading-power routes together
 @example(pairs=[(0, 1j), (36, 8.778875393079056e-16 + 3.3942859030252814e-107j)], r=3.75,
          rp=0.0, tie=True)  # h_36 overflows where the weighted factor does not
+@example(pairs=[(0, 1j), (0, 2j)], r=1.0, rp=2.0, tie=False)  # alone, a 1 x 1 J table
 def test_paired_3d_degrees_far_apart_match_mpmath(pairs, r, rp, tie):
     """One 3D call over (degree, energy) pairs whose degrees, and so the
     recurrence routes of their arguments, differ widely: each kernel against

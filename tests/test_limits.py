@@ -190,13 +190,14 @@ def test_eps_study_slope_and_monotone():
             2, 1.0, [0.01], RotationSpec(0.0), PointSource(1.0, 2), Truncation(4)
         )
     # A source so close to the origin that the imaginary parts of the
-    # diagonals are lost to rounding: a negative norm, nothing to fit.
-    with pytest.raises(ValueError, match="at epsilon 0.25 is not a positive double"):
+    # diagonals are lost to rounding, whatever the sign of the norm: its
+    # rounding bound (eps sum |d| / Im z) is larger than it is.
+    with pytest.raises(ValueError, match="at epsilon 0.25 has a rounding bound 7.07, over 0.01"):
         eps_scaling_study(
             3, 1.0, [0.25, 0.5], RotationSpec(0.0), PointSource(1e-17, 3), Truncation(0, 0)
         )
-    # A source a little further out: the norms are positive, but their
-    # rounding bound (eps sum |d| / Im z) is larger than they are.
+    # A source a little further out: the bound is smaller, but still larger
+    # than the norms.
     with pytest.raises(ValueError, match="at epsilon 0.25 has a rounding bound 1.41, over 0.01"):
         eps_scaling_study(
             3, 1.0, [0.25, 0.5], RotationSpec(0.0), PointSource(5e-17, 3), Truncation(0, 0)

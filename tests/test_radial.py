@@ -324,6 +324,25 @@ def test_a_scalar_radius_makes_one_factor_pass(dim, monkeypatch):
         assert calls == [distinct]
 
 
+def test_jv_reevaluates_only_arguments_on_the_real_axis(monkeypatch):
+    """_jv takes jv again at the real argument only where w r lies on the
+    positive real axis: a J at r = 0 (w r = 0) makes no second call, so the
+    kernel is one jv and one hankel1 call."""
+    counter = CountingSpecial()
+    monkeypatch.setattr(rotkrein._radial, "sp", counter)
+    separable_kernels(2, 1, 0.4 + 1j, 0.0, 1.0)
+    assert counter.calls == 2
+
+
+def test_3d_h_takes_one_recurrence_pass(recurrence_arguments):
+    """The radial weight starts every h recurrence, so a tiny energy where
+    h_l alone overflows takes no second pass: one H argument, and the
+    kernel is still 1/7."""
+    g = separable_kernels(3, 3, 8.57368557861636e-170 + 7.032574863824282e-249j, 1.0, 1.0)
+    assert recurrence_arguments == [1, 1]
+    assert g.real == pytest.approx(1 / 7, rel=1e-15) and abs(g.imag) < 1e-70
+
+
 def test_roots_name_the_first_offending_energy():
     """The array tests raise require_resolvent_energy's error for the first
     bad energy in flat order."""

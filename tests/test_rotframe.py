@@ -117,6 +117,17 @@ def test_norm_positive_and_finite_2d():
     assert math.isfinite(v)
 
 
+@pytest.mark.parametrize("y0,bound", [(1e-17, "7.07"), (5e-17, "1.41")])
+def test_norm_lost_in_its_rounding_is_refused(y0, bound):
+    """A 3D source so near the origin that Re d of its diagonal dwarfs Im d:
+    the norm's rounding bound eps sum |d| / |Im z| is over 1e-2 of it,
+    whatever its sign, so there is no norm to return."""
+    with pytest.raises(ValueError, match=f"has a rounding bound {bound}, over 0.01 of it"):
+        rot_norm_sq(3, 1 - 0.25j, RotationSpec(0.0), PointSource(y0, 3), Truncation(0, 0))
+    assert rot_norm_sq(3, 1 - 0.25j, RotationSpec(0.0), PointSource(1e-10, 3),
+                       Truncation(0, 0)) == 0.32074956093000223
+
+
 def test_inner_is_symmetric_bilinear():
     # difference-quotient product is symmetric in its two parameters
     src = PointSource(0.8, 2)
