@@ -23,17 +23,20 @@ radial_apply integrates the same factors against a channel function's
 interpolant, the natural cubic spline of its samples (de Boor, A Practical
 Guide to Splines, ch. IV; spline_interpolant builds it from one
 solve_banded call, bit for bit as scipy's CubicSpline does, without
-loading scipy.interpolate), in O(N) (Greengard & Rokhlin, CPAM 1991): one
-Gauss rule per interval between the spline knots, refined to a bounded
-oscillation and held to a breakpoint budget, gives the interval
-integrals of J f and H f once, and a forward and a backward running sum
-of them give every output as H(w r) L(r) + J(w r) R(r).  The result is
-the integral of the interpolant to about 1e-12 relative.  The
-interpolant, the breakpoints and the running sums depend only on (psi, z),
-so they form a plan that a memo of the last 8 plans keeps, keyed on the
-content of those inputs; a later call on the same psi and z, such as the
-next resolvent of a Krein/circle/averaged comparison, evaluates only the
-pieces cut by its own output radii.  Results are the same bits with or
+loading scipy.interpolate), in O(N) (Greengard & Rokhlin, CPAM 1991): the
+intervals between the spline knots, refined to a bounded oscillation and
+held to a breakpoint budget, each take a Gauss rule of 4 or 8 points,
+sized by Gauss's error bound on a Bernstein ellipse that keeps clear of t
+= 0 (_rule_sizes); their integrals of J f and H f come from one factor
+pass, and a forward and a backward running sum of them give every output
+as H(w r) L(r) + J(w r) R(r).  The result is the integral of the
+interpolant to about 1e-12 relative.  The interpolant, the breakpoints,
+the running sums and the values at psi's own knots depend only on (psi,
+z), so they form a plan that a memo of the last 8 plans keeps, keyed on
+the content of those inputs; a later call on the same psi and z, such as
+the next resolvent of a Krein/circle/averaged comparison, reads its
+outputs at knots from the plan and evaluates J and H only at its other
+radii and on the pieces they cut.  Results are the same bits with or
 without the memo.
 
 Every J and H factor of both comes from _factors, the one home of what
@@ -549,9 +552,10 @@ def gauss_legendre(n: int) -> tuple:
     return x, w
 
 
-# Gauss-Legendre rule of radial_apply on each interval between breakpoints.
-_APPLY_NODES = 8
-_APPLY_X, _APPLY_W = gauss_legendre(_APPLY_NODES)
+# The Gauss rules of radial_apply (_rule_sizes): _FEW_NODES points on an
+# interval where kappa <= _SMOOTH, _MANY_NODES elsewhere.
+_FEW_NODES, _MANY_NODES = 4, 8
+_SMOOTH = 1.0 / 40.0
 _GRADING = 1.25
 _GRADING_FLOOR = 1e-8
 # radial_apply plans kept, least recently used dropped first.
@@ -581,55 +585,113 @@ def _edges(grid: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([grid, np.linspace(lo, hi, n_uniform + 1), graded]))
 
 
-def _integrals(dim: int, orders, w, flip, f, a, b, need_j, need_h,
-               rule: tuple = (_APPLY_X, _APPLY_W)) -> tuple:
-    """Integrals over the intervals [a, b] of the factors (i pi / 2) J f and
-    H f (_factors) times t^(dim-1), by one Gauss rule (nodes, weights on
-    [-1, 1]; radial_apply's by default) each; J only on the intervals of
-    need_j and H on those of need_h (zero elsewhere).  The one home of
-    product integration against the separated kernel: orders, w and flip
-    are as _factors takes them, so the axes of an order array lead the
-    results'; f None stands for f = 1.
+def _rule_sizes(order: int, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gauss nodes of radial_apply on each interval [a, b]: _FEW_NODES = 4
+    where kappa = h max(|w|, (|order| + 1) / c) <= _SMOOTH = 1/40 (h the
+    half-width of the interval, c its midpoint), else _MANY_NODES = 8.
+
+    The bound (Trefethen, Approximation Theory and Approximation Practice,
+    2013, Thm 19.3): the n-point Gauss rule errs by at most (64/15) M
+    rho^(-2n) / (rho^2 - 1) of h times the integrand's size on the interval,
+    where the integrand is analytic inside the Bernstein ellipse E_rho about
+    the interval and grows there by at most M.  Take E_rho of semi-major
+    axis 1/(2 kappa) half-widths (rho = 39.97 at kappa = 1/40): it reaches
+    at most c / (2 (|order| + 1)) from the interval, so it keeps clear of t =
+    0, where H is singular.  J and H go as exp(+-i w t) at large |w t| and
+    at most as t^(+-(|order| + 1)) at small |w t|; on E_rho these grow by at
+    most e^(1/2) and 2, and t^(dim - 1) by 2.25, so M <= 7.5 and the 4-point
+    bound is 3.1e-15 wherever kappa <= 1/40.  Elsewhere (near the origin,
+    and at large |w|, where the edges are up to 3/|w| apart) the rule has 8
+    points.  psi's spline, one cubic on the interval, is left out of M:
+    either rule integrates it exactly against the polynomials of degree
+    2n - 4 of the factors, and on psi's own scale it varies slowly.
     """
-    x, wx = rule
-    half = 0.5 * (b - a)[:, None]
-    t = 0.5 * (a + b)[:, None] + half * x
-    wf = half * wx
+    h, c = 0.5 * (b - a), 0.5 * (a + b)
+    kappa = h * np.maximum(abs(w), (abs(order) + 1) / c)
+    return np.where(kappa <= _SMOOTH, _FEW_NODES, _MANY_NODES)
+
+
+def _integrals(dim: int, orders, w, flip, a, b, need_j, need_h, nodes,
+               f=None, cells=None) -> tuple:
+    """Integrals over the intervals [a, b] of the factors (i pi / 2) J f and
+    H f (_factors) times t^(dim-1), by a Gauss rule of nodes[i] points on
+    interval i (nodes one count for all, or one per interval); J only on
+    the intervals of need_j and H on those of need_h (zero elsewhere).  The
+    one home of product integration against the separated kernel: orders,
+    w and flip are as _factors takes them, so the axes of an order array
+    lead the results'.  f None stands for f = 1; otherwise f is a
+    spline_interpolant, evaluated at the nodes of interval i on its knot
+    interval cells[i], which skips the search for it.
+
+    The nodes of every interval take one _factors pass, those of the
+    intervals of one count laid out together, and the products of each
+    count are summed over the nodes of each interval as one (intervals,
+    nodes) array: an interval's sums are those of its own rule alone.
+    """
+    nodes = np.broadcast_to(nodes, a.shape)
+    runs = [(int(n), np.flatnonzero(nodes == n)) for n in np.unique(nodes)]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    t, wf, owner = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=int)]
+    for n, i in runs:
+        x, wx = gauss_legendre(n)
+        t.append((mid[i, None] + half[i, None] * x).ravel())
+        wf.append((half[i, None] * wx).ravel())
+        owner.append(np.repeat(i, n))
+    t, wf, owner = np.concatenate(t), np.concatenate(wf), np.concatenate(owner)
     if f is not None:
-        wf = wf * f(t)
+        wf = wf * f(t, cells[owner])
     wf = wf * t ** (dim - 1)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jt, ht = _factors(dim, orders, w, flip, t,
-                          np.broadcast_to(need_j[:, None], t.shape),
-                          np.broadcast_to(need_h[:, None], t.shape))
-        return np.sum(jt * wf, axis=-1), np.sum(ht * wf, axis=-1)
+        jt, ht = _factors(dim, orders, w, flip, t, need_j[owner], need_h[owner])
+        lead = jt.shape[:-1]
+        jint = np.empty(lead + a.shape, dtype=complex)
+        hint = np.empty(lead + a.shape, dtype=complex)
+        start = 0
+        for n, i in runs:
+            stop = start + n * i.size
+            for sums, ft in ((jint, jt), (hint, ht)):
+                products = ft[..., start:stop] * wf[start:stop]
+                sums[..., i] = np.sum(products.reshape(lead + (i.size, n)), axis=-1)
+            start = stop
+    return jint, hint
 
 
 @functools.lru_cache(maxsize=_PLANS)
 def _plan(dim: int, order: int, z_bytes: bytes, grid_bytes: bytes, values_bytes: bytes) -> tuple:
     """The part of radial_apply fixed by (psi, z): the interpolant f of psi,
-    the breakpoints, and the running sums L[k] = sum_{j<k} int_j (i pi / 2) J f
-    and R[k] = sum_{j>=k} int_j H f over the whole intervals between them.
+    the breakpoints, the knot interval of each interval between them, the
+    running sums L[k] = sum_{j<k} int_j (i pi / 2) J f and R[k] = sum_{j>=k}
+    int_j H f over the whole intervals, each by its own rule (_rule_sizes),
+    and the values H(w r) L + J(w r) R at psi's own knots r.
 
     Keyed on content (the bytes of z, of the grid and of the values), so a
-    changed psi never meets a stale plan; the edges and sums are read-only.
-    Every interval is integrated, so where a large Im sqrt(z) overflows J
-    at large radii or H at small ones the sums beyond go nonfinite; L[k]
-    adds only the intervals below k and R[k] only those from k on, so each
-    entry an output reads is finite wherever its kernel is.
+    changed psi never meets a stale plan; its arrays are read-only.  Every
+    interval is integrated, so where a large Im sqrt(z) overflows J at
+    large radii or H at small ones the sums beyond go nonfinite; L[k] adds
+    only the intervals below k and R[k] only those from k on, so each entry
+    an output reads is finite wherever its kernel is.  So are the knot
+    values, whose nonfinite entries raise only when an output reads them.
     """
     z = np.frombuffer(z_bytes, dtype=complex).reshape(())
-    w = _roots(z)
+    w, flip = _roots(z), z.imag < 0.0
     grid = np.frombuffer(grid_bytes)
+    lo, hi = grid[0], grid[-1]
     edges = _edges(grid, w)
     f = spline_interpolant(grid, np.frombuffer(values_bytes, dtype=complex))
-    every = np.ones(len(edges) - 1, bool)
-    jint, hint = _integrals(dim, order, w, z.imag < 0.0, f, edges[:-1], edges[1:], every, every)
-    with np.errstate(invalid="ignore", over="ignore"):
+    a, b = edges[:-1], edges[1:]
+    every = np.ones(len(a), bool)
+    cells = np.searchsorted(grid, a, side="right") - 1  # grid[cells] <= a < b <= grid[cells + 1]
+    jint, hint = _integrals(dim, order, w, flip, a, b, every, every,
+                            _rule_sizes(order, w, a, b), f, cells)
+    at = np.searchsorted(edges, grid)  # the knots among the edges
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         left = np.concatenate([[0.0], np.cumsum(jint)])
         right = np.concatenate([np.cumsum(hint[::-1])[::-1], [0.0]])
-    edges.flags.writeable = left.flags.writeable = right.flags.writeable = False
-    return f, edges, left, right
+        jk, hk = _factors(dim, order, w, flip, grid, grid < hi, grid > lo)
+        at_knots = hk * left[at] + jk * right[at]
+    for arr in (edges, cells, left, right, at_knots):
+        arr.flags.writeable = False
+    return f, edges, cells, left, right, at_knots
 
 
 def radial_apply(psi, z: complex, r_out) -> np.ndarray:
@@ -647,21 +709,26 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     of its radius).  The breakpoints are the grid knots, uniform edges at
     most 3/|sqrt z| apart and geometric edges towards the origin, where the
     H integrand is singular, so f is one cubic on each interval between them
-    and no interval is wider than a quarter of its distance from 0; one
-    _APPLY_NODES-point Gauss rule per interval then integrates f against J
-    and H to about 1e-12 relative.  A forward and a backward running sum of
-    the interval integrals give L and R at every breakpoint; an output radius
-    inside an interval adds the two pieces of that interval on either side
-    of it.  Work is O(len(grid) + len(r_out)), and the value at r does not
-    depend on the other radii.
+    and no interval is wider than a quarter of its distance from 0.  Each
+    interval takes a Gauss rule of 4 or 8 points, sized by its |sqrt z|
+    times its half-width and by its half-width over its distance from 0
+    (_rule_sizes, whose bound is below 1e-14), and the rules integrate f
+    against J and H to about 1e-12 relative.  A forward and a backward
+    running sum of the interval integrals give L and R at every breakpoint;
+    an output radius inside an interval adds the two pieces of that
+    interval on either side of it, each with its own rule.  Work is
+    O(len(grid) + len(r_out)), and the value at r does not depend on the
+    other radii.
 
-    The running sums, the breakpoints and the interpolant form a plan, kept
-    in a memo of the last _PLANS = 8 plans keyed on the content of the
-    inputs: dim, order, the bytes of z and the bytes of psi's grid and
-    values.  A call that meets its plan, whatever its radii, evaluates J and
-    H only on the pieces of the inside radii and at the radii themselves, as
-    when the Krein, circle and averaged resolvents of one psi share a z.
-    Results are bit for bit the same with or without the memo.
+    The running sums, the breakpoints, the interpolant and the values at
+    psi's own knots form a plan, kept in a memo of the last _PLANS = 8
+    plans keyed on the content of the inputs: dim, order, the bytes of z
+    and the bytes of psi's grid and values.  An output radius that is a
+    knot reads its value from the plan, the bits of the same formula; a
+    call that meets its plan evaluates J and H only at its other radii and
+    on the pieces of those inside an interval, as when the Krein, circle
+    and averaged resolvents of one psi share a z.  Results are bit for bit
+    the same with or without the memo.
 
     Radii r >= hi take L only and radii r <= lo (r = 0 in 2D too) R only.
     An output reads J only below its radius and H only above it, so a large
@@ -677,11 +744,16 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     lo, hi = float(grid[0]), float(grid[-1])
     r_out = np.asarray(r_out, dtype=float)
     r = r_out.ravel()
-    rc = np.clip(r, lo, hi)
     # z as bytes: a zero part of either sign compares equal, but its root
     # and factors may differ in the sign of a zero.
-    f, edges, left_sums, right_sums = _plan(
+    f, edges, cells, left_sums, right_sums, at_knots = _plan(
         dim, order, np.complex128(z).tobytes(), grid.tobytes(), values.tobytes())
+    g = np.minimum(np.searchsorted(grid, r), len(grid) - 1)
+    on = grid[g] == r  # radii that are knots
+    out = np.empty(r.shape, dtype=complex)
+    out[on] = at_knots[g[on]]
+    r = r[~on]
+    rc = np.clip(r, lo, hi)
     k = np.searchsorted(edges, rc, side="right") - 1  # edges[k] <= rc
     inside = rc > edges[k]  # rc splits interval k in two pieces
     kr = k + inside  # R(rc) sums the whole intervals from kr on
@@ -689,18 +761,19 @@ def radial_apply(psi, z: complex, r_out) -> np.ndarray:
     yes, no = np.ones(len(cs), bool), np.zeros(len(cs), bool)
     w, flip = _roots(np.asarray(z)), z.imag < 0.0
     # The pieces below (J) and above (H) each inside rc.
-    jin, hin = _integrals(dim, order, w, flip, f,
-                          np.concatenate([edges[ks], cs]),
-                          np.concatenate([cs, edges[ks + 1]]),
-                          np.concatenate([yes, no]), np.concatenate([no, yes]))
+    a = np.concatenate([edges[ks], cs])
+    b = np.concatenate([cs, edges[ks + 1]])
+    jin, hin = _integrals(dim, order, w, flip, a, b, np.concatenate([yes, no]),
+                          np.concatenate([no, yes]), _rule_sizes(order, w, a, b),
+                          f, np.tile(cells[ks], 2))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         jr, hr = _factors(dim, order, w, flip, r, r < hi, r > lo)
         left = left_sums[k]
         right = right_sums[kr]
         left[inside] += jin[: len(cs)]
         right[inside] += hin[len(cs) :]
-        out = hr * left + jr * right
-    _check_finite("radial resolvent", dim, order, z, out, r)
+        out[~on] = hr * left + jr * right
+    _check_finite("radial resolvent", dim, order, z, out, r_out.ravel())
     return out.reshape(r_out.shape)
 
 
@@ -725,16 +798,18 @@ def spline_interpolant(grid: np.ndarray, values: np.ndarray):
     as CubicHermiteSpline forms them, and each value as PPoly sums it,
     y + s u + c1 u^2 + c0 u^3 with u^3 = (u u) u (Horner's form rounds
     differently), on the interval of grid[k] <= t < grid[k + 1], the last
-    one at t = grid[-1].  A grid that is not strictly increasing, or a
-    nonfinite grid or value, raises ValueError, as CubicSpline does; so do
-    knots too close for their values, where a slope or a coefficient
-    overflows (CubicSpline raises for a slope and gives NaN for a
-    coefficient).
+    one at t = grid[-1]; f(t, k) takes each point's interval k as given in
+    place of that search (radial_apply's plan knows it for its Gauss
+    nodes), with the same bits where k is the searched one.  A grid that is
+    not strictly increasing, or a nonfinite grid or value, raises
+    ValueError, as CubicSpline does; so do knots too close for their
+    values, where a slope or a coefficient overflows (CubicSpline raises for
+    a slope and gives NaN for a coefficient).
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=complex)
     if len(grid) < 4:
-        def f_lin(t):
+        def f_lin(t, k=None):
             t = np.asarray(t, dtype=float)
             re = np.interp(t, grid, values.real, left=0.0, right=0.0)
             im = np.interp(t, grid, values.imag, left=0.0, right=0.0)
@@ -775,10 +850,11 @@ def spline_interpolant(grid: np.ndarray, values: np.ndarray):
     coef = np.stack([coef.real, coef.imag], axis=1)
     lo, hi = grid[0], grid[-1]
 
-    def f(t):
+    def f(t, k=None):
         t = np.asarray(t, dtype=float)
         x = t.ravel()
-        k = np.minimum(np.searchsorted(grid, x, side="right") - 1, n - 2)
+        if k is None:
+            k = np.minimum(np.searchsorted(grid, x, side="right") - 1, n - 2)
         c = coef.take(k, axis=2)
         u = x - grid[k]
         # Real and imaginary parts apart: PPoly's products with u + 0j round

@@ -54,6 +54,7 @@ import scipy.special as sp
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from ._radial import (
+    _check_finite,
     _check_kernels,
     _factors,
     _integrals,
@@ -571,10 +572,10 @@ def _panel_cells(mesh: BladeMesh, terms: _Terms) -> np.ndarray:
     edges = np.column_stack([mesh.cells[:, 0], mesh.r.reshape(n_pan, n_per), mesh.cells[:, 1]])
     piece = np.arange(n_per + 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        jint, hint = _integrals(2, terms.orders, terms.w, terms.flip, None,
+        jint, hint = _integrals(2, terms.orders, terms.w, terms.flip,
                                 edges[:, :-1].ravel(), edges[:, 1:].ravel(),
                                 np.tile(piece < n_per, n_pan), np.tile(piece > 0, n_pan),
-                                gauss_legendre(_PIECE_NODES))
+                                _PIECE_NODES)
         # Node k of a panel: L sums pieces 0 .. k, R pieces k + 1 .. 8.
         left = np.cumsum(jint.reshape(-1, n_pan, n_per + 1)[..., :-1], axis=-1)
         right = np.cumsum(hint.reshape(-1, n_pan, n_per + 1)[..., :0:-1], axis=-1)[..., ::-1]
@@ -969,11 +970,32 @@ def _potential_weights(bp: BladeParam, rr: np.ndarray, weights) -> np.ndarray:
 def _ls_correction(dim, z, order, rr, mu, free_rr, r_out) -> np.ndarray:
     """Lippmann-Schwinger correction K(r_out, rr) @ (mu u) of a radial potential.
 
-    mu is the potential times the quadrature weights on the nodes rr (the
-    caller's strength convention), K the free kernel of the channel order at
-    z, free_rr the free resolvent R0 psi on rr, and (I - K diag(mu)) u = R0 psi.
+    mu is the potential times the quadrature weights on the ascending nodes
+    rr (the caller's strength convention), K the free kernel of the channel
+    order at z, free_rr the free resolvent R0 psi on rr, and (I - K diag(mu))
+    u = R0 psi, one dense solve.  The back-substitution onto r_out is O(N):
+    with m = mu u and K = (i pi / 2) J(w r<) H(w r>),
+
+        sum_j K(r, rr_j) m_j  =  H(w r) sum_{rr_j < r} J_j m_j + J(w r) sum_{rr_j >= r} H_j m_j,
+
+    a forward and a backward running sum over the nodes, on the factors of
+    one _factors pass over the radii of both sides (J only where some entry
+    takes it at its smaller radius, H at its larger).  A nonfinite value
+    raises separable_kernels' OverflowError.
     """
     K = separable_kernels(dim, order, z, rr[:, None], rr[None, :])
     M = np.eye(len(rr), dtype=complex) - K * mu[None, :]
-    u = _dense_solve(M, free_rr)
-    return separable_kernels(dim, order, z, r_out[:, None], rr[None, :]) @ (mu * u)
+    m = mu * _dense_solve(M, free_rr)
+    n = len(rr)
+    radii = np.concatenate([rr, r_out])
+    below = np.searchsorted(rr, r_out)  # the nodes rr_j < r
+    need_j = np.concatenate([rr < r_out.max(), below < n])
+    need_h = np.concatenate([rr >= r_out.min(), below > 0])
+    w = _roots(np.asarray(z, dtype=complex))
+    with np.errstate(invalid="ignore", over="ignore"):
+        j, h = _factors(dim, order, w, z.imag < 0.0, radii, need_j, need_h)
+        left = np.concatenate([[0.0], np.cumsum(j[:n] * m)])
+        right = np.concatenate([np.cumsum((h[:n] * m)[::-1])[::-1], [0.0]])
+        out = h[n:] * left[below] + j[n:] * right[below]
+    _check_finite("radial kernel", dim, order, z, out, r_out)
+    return out

@@ -35,6 +35,9 @@ The Krein coupling continued through any intermediate parameter w,
 
 from public channel diagonals, is the library's direct continuation from -i
 (path independence).
+
+radial_apply's product integration with one 8-point Gauss rule on every
+interval (fixed_rule_integrals) is the reference of its sized rules.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import mpmath
 import numpy as np
 import scipy.special as sp
 
-from rotkrein import channel_diag, lambda_at
+from rotkrein import _radial, channel_diag, lambda_at
 from rotkrein.specfun import (
     SingularArgumentError,
     hankel1,
@@ -335,3 +338,23 @@ def lambda_via(dim: int, z: complex, w: complex, kp, rot, src, t) -> complex:
         diff += channel_diag(dim, m, z + m * rot.omega, src, t)
         diff -= channel_diag(dim, m, w + m * rot.omega, src, t)
     return 1.0 / (1.0 / lambda_at(dim, w, kp, rot, src, t) - diff)
+
+
+def fixed_rule_integrals(dim: int, orders, w, flip, a, b, need_j, need_h, nodes,
+                         f=None, cells=None) -> tuple:
+    """_radial._integrals with one 8-point Gauss rule on every interval, as
+    radial_apply integrated before its rules were sized: the same
+    arguments, with the node counts and the knot intervals ignored (f is
+    evaluated with its own search), and the library's factors."""
+    x, wx = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * (b - a)[:, None]
+    t = 0.5 * (a + b)[:, None] + half * x
+    wf = half * wx
+    if f is not None:
+        wf = wf * f(t)
+    wf = wf * t ** (dim - 1)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        jt, ht = _radial._factors(dim, orders, w, flip, t,
+                                  np.broadcast_to(need_j[:, None], t.shape),
+                                  np.broadcast_to(need_h[:, None], t.shape))
+        return np.sum(jt * wf, axis=-1), np.sum(ht * wf, axis=-1)

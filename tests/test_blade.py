@@ -322,6 +322,47 @@ def test_averaged_side_solve_is_checked(monkeypatch):
         averaged_resolvent(2, Z, BladeParam(1.0, 2.0, 2), make_psi(2, ChannelIndex2(1), n=60))
 
 
+def _dense_ls_correction(dim, z, order, rr, mu, free_rr, r_out):
+    """_ls_correction with a dense back-substitution: the kernel matrix
+    between r_out and the nodes times mu u, u from the same dense solve."""
+    K = separable_kernels(dim, order, z, rr[:, None], rr[None, :])
+    u = blade_mod._dense_solve(np.eye(len(rr), dtype=complex) - K * mu[None, :], free_rr)
+    return separable_kernels(dim, order, z, r_out[:, None], rr[None, :]) @ (mu * u)
+
+
+@pytest.mark.parametrize("z", [Z, 0.4 - 1.0j, -3.0 + 0.2j])
+@pytest.mark.parametrize("order", [0, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ls_back_substitution_matches_the_dense_kernel(dim, order, z):
+    """The O(N) back-substitution of the averaged solver (running sums over
+    the nodes) is the dense kernel product to 1e-14, at radii inside, at
+    and beyond the nodes, the origin included, in any order."""
+    A = 1.3
+    rr, ww = blade_mod._radial_nodes(dim, A)
+    mu = 2.0 * ww * rr ** (dim - 1)
+    psi = make_psi(dim, order if dim == 2 else (order, 0))
+    free_rr = radial_apply(psi, z, rr)
+    mids = 0.5 * (rr[:-1] + rr[1:])
+    r_out = np.concatenate([[2.0, 0.0, 1e-3], rr[::7], mids[::5], [A, 7.5], rr[:3]])
+    got = blade_mod._ls_correction(dim, z, order, rr, mu, free_rr, r_out)
+    want = _dense_ls_correction(dim, z, order, rr, mu, free_rr, r_out)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_ls_back_substitution_overflow_is_the_kernel_error():
+    """Where the dense kernel is not finite (|Im sqrt z| A = 800), the
+    averaged solver raises separable_kernels' OverflowError."""
+    z, order = -1e4 + 1.0j, 3
+    rr, ww = blade_mod._radial_nodes(2, 8.0)
+    mu, free_rr, r_out = ww * rr, np.ones(len(rr), dtype=complex), np.linspace(0.1, 8.0, 20)
+    prefix = "2D radial kernel of order 3 at z=(-10000+1j) is not finite"
+    with pytest.raises(OverflowError) as dense:
+        separable_kernels(2, order, z, r_out[:, None], rr[None, :])
+    with pytest.raises(OverflowError) as got:
+        blade_mod._ls_correction(2, z, order, rr, mu, free_rr, r_out)
+    assert str(dense.value).startswith(prefix) and str(got.value).startswith(prefix)
+
+
 def test_averaged_resolvent_zero_strength_is_free():
     psi = make_psi(2, ChannelIndex2(1))
     bp = BladeParam(1.0, 0.0, 2)
